@@ -67,7 +67,6 @@ from .graphs import (
     RootedPattern,
     SimpleGraph,
     action_graph,
-    bs_word_statistics,
     decode_simple,
     encode_to_simple,
     enumerate_patterns,

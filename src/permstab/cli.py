@@ -93,7 +93,6 @@ def _digest(path: str) -> str:
 def _build_parser() -> _Parser:
     p = _Parser(prog="perm-stab", add_help=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true", help="JSON output (the only mode)")
     sub = p.add_subparsers(dest="cmd")
 
     sp = sub.add_parser("trace")
@@ -128,7 +127,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("group")
     sp.add_argument("subgroup")
     sp.add_argument("hom")
-    sp.add_argument("--max-degree", type=int, default=8)
 
     sp = sub.add_parser("complement")
     sp.add_argument("group")
@@ -246,7 +244,7 @@ def _cmd_extend(args, record) -> dict:
     G = loaded.group
     H = subgroup_from_json(record(args.subgroup), G)
     hom = hom_from_json(record(args.hom))
-    ext = has_extension(G, H, hom, degree_bound=args.max_degree)
+    ext = has_extension(G, H, hom)
     if ext is None:
         return {"found": False, "extension": None}
     return {

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .groups import FpGroup, PermHomomorphism
 from .perm import Permutation
-from .trace_stats import bs_statistic
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
 DEFAULT_ALPHABET_BOUND = 8
@@ -423,14 +422,6 @@ def stat_distance_details(
                 }
             )
     return total, rows
-
-
-def bs_word_statistics(
-    psi: PermHomomorphism, A: Iterable, B: Iterable
-) -> Fraction:
-    """Fraction of points fixed by every evaluated word of ``A`` and
-    moved by every evaluated word of ``B``."""
-    return bs_statistic(psi, A, B)
 
 
 # ---------------------------------------------------------------------------

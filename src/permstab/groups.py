@@ -496,21 +496,10 @@ class PermHomomorphism:
                     f"image degree {p.degree} differs from {self.degree}"
                 )
 
-    def image(self, element: int) -> Permutation:
-        """Image of a ``FiniteGroup`` element id."""
-        return self.images[element]
-
-    def image_of_word(self, word: Union[str, Word]) -> Permutation:
-        return evaluate_word(self, word)
-
     def generator_image(self, name: str) -> Permutation:
         if not isinstance(self.source, FpGroup):
             raise SourceMismatchError("generator images require an FpGroup source")
         return self.images[self.source.generators.index(name)]
-
-
-def same_source(h1: PermHomomorphism, h2: PermHomomorphism) -> bool:
-    return h1.source == h2.source
 
 
 def evaluate_word(h: PermHomomorphism, word: Union[str, Word]) -> Permutation:

@@ -68,6 +68,14 @@ def permutation_from_json(obj, degree: int | None = None) -> Permutation:
             deg = obj["degree"]
         except KeyError as exc:
             raise MalformedInputError(f"permutation object missing {exc}") from exc
+        if (
+            type(deg) is not int
+            or not isinstance(images, list)
+            or any(type(x) is not int for x in images)
+        ):
+            raise MalformedInputError(
+                "permutation degree and images must be JSON integers"
+            )
         if degree is not None and deg != degree:
             raise MalformedInputError(
                 f"permutation degree {deg} does not match expected {degree}"
@@ -143,12 +151,14 @@ def hom_from_json(obj) -> PermHomomorphism:
         raise MalformedInputError("homomorphism object must be a JSON object")
     try:
         loaded = group_from_json(obj["group"])
-        degree = int(obj["degree"])
+        degree = obj["degree"]
         images = obj["images"]
     except MalformedInputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad homomorphism object: {exc}") from exc
+    if type(degree) is not int:
+        raise MalformedInputError("homomorphism degree must be a JSON integer")
     try:
         if loaded.kind == "presentation":
             src = loaded.group
@@ -168,12 +178,12 @@ def hom_from_json(obj) -> PermHomomorphism:
                 for g in G.elements()
             )
             hom = PermHomomorphism(G, degree, imgs)
-        else:  # perm-gens
+        else:  # perm-gens: hom_from_generator_images checks the images
             gen_map = {
                 elt: permutation_from_json(images[name], degree)
                 for name, elt in zip(loaded.gen_names, loaded.gen_elements)
             }
-            hom = hom_from_generator_images(loaded.group, gen_map, degree)
+            return hom_from_generator_images(loaded.group, gen_map, degree)
     except MalformedInputError:
         raise
     except KeyError as exc:

@@ -5,8 +5,9 @@ This module houses the finite, executable side of stability theory:
 * small conjugators built on the agreement set of two close conjugate
   homomorphisms, with the distance bound ``|H| * epsilon``;
 * a certified minimum over all conjugators (centralizer-coset search);
-* extension-property decisions by pruned backtracking, and retract
-  certificates via normal complements;
+* exact extension-property decisions from orbit censuses (a ``G``-set
+  is a sum of coset actions), at any degree, and retract certificates
+  via normal complements;
 * assembly of a homomorphism on an amalgamated product from compatible
   halves, with witness reporting on failure;
 * the replication count and block-sum lift used to rebuild an action
@@ -38,12 +39,14 @@ from .groups import (
     PermHomomorphism,
     Subgroup,
     all_subgroups,
-    check_homomorphism,
+    conjugate_hom,
+    coset_action,
     direct_sum_hom,
     evaluate_word,
-    hom_from_element_map,
     parse_word,
-    subgroup_closure,
+    restrict_hom,
+    subgroup_conjugacy_classes,
+    trivial_hom,
 )
 from .multiplicity import is_conjugate, multiplicity_vector
 from .perm import (
@@ -55,7 +58,6 @@ from .perm import (
 )
 
 MAX_EXACT_DEGREE = 8
-DEFAULT_EXTENSION_DEGREE_BOUND = 8
 
 
 # ---------------------------------------------------------------------------
@@ -223,94 +225,63 @@ def min_conjugator_distance(
 
 
 def has_extension(
-    G: FiniteGroup,
-    H: Subgroup,
-    phi: PermHomomorphism,
-    degree_bound: int = DEFAULT_EXTENSION_DEGREE_BOUND,
+    G: FiniteGroup, H: Subgroup, phi: PermHomomorphism
 ) -> Optional[PermHomomorphism]:
-    """Search for a homomorphism of ``G`` restricting to ``phi`` on ``H``.
+    """A homomorphism of ``G`` restricting exactly to ``phi`` on ``H``.
 
-    ``phi`` must be a homomorphism of ``H.as_group()``.  Backtracking runs
-    over images of a greedy generating chain extending ``H``; candidates
-    are pruned by order divisibility and by incremental closure of the
-    partial assignment (any inconsistency in the generated subgroup cuts
-    the branch).  ``None`` means the exhaustive search failed.
+    ``phi`` must be a homomorphism of ``H.as_group()``.  Every ``G``-set
+    is a disjoint union of coset actions ``G/K``, so ``phi`` extends
+    exactly when its orbit census is a non-negative integer combination
+    of the restricted censuses of ``G/K``, one ``K`` per conjugacy class
+    of subgroups.  The block sum of the chosen coset actions is then
+    conjugated onto ``phi``.  ``None`` means no combination exists.
     """
     if H.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
-    Habs, emb = H.as_group()
-    if phi.source != Habs:
+    if phi.source != H.as_group()[0]:
         raise SourceMismatchError(
             "homomorphism source must be the subgroup's abstract group"
         )
-    n = phi.degree
-    if n > degree_bound:
-        raise BoundExceededError(
-            f"degree {n} exceeds extension search bound {degree_bound}"
-        )
-    base = {g: phi.images[i] for i, g in enumerate(emb)}
-    base[G.identity] = Permutation.identity(n)
+    classes = subgroup_conjugacy_classes(G)
+    actions = [
+        coset_action(G, K)
+        for K in map(classes.representative, range(len(classes)))
+        if K.index <= phi.degree
+    ]
+    censuses = [multiplicity_vector(restrict_hom(a, H)).counts for a in actions]
+    copies = _census_combination(censuses, multiplicity_vector(phi).counts)
+    if copies is None:
+        return None
+    psi = trivial_hom(G, 0)
+    for action, s in zip(actions, copies):
+        psi = compose_lift(action, s, psi)
+    _, p = is_conjugate(restrict_hom(psi, H), phi)
+    return conjugate_hom(psi, p)
 
-    chain: list[int] = []
-    span = set(subgroup_closure(G, emb).members)
-    while len(span) < G.order:
-        g = min(x for x in G.elements() if x not in span)
-        chain.append(g)
-        span = set(subgroup_closure(G, list(span) + [g]).members)
 
-    by_order: dict[int, list[Permutation]] = {}
+def _census_combination(
+    censuses: Sequence[tuple[int, ...]], target: tuple[int, ...]
+) -> Optional[list[int]]:
+    """Copy counts ``s`` with ``sum(s[i] * censuses[i]) == target``, by
+    depth-first search over the censuses, most copies first; remainders
+    already shown to fail are not searched again."""
+    dead: set[tuple[int, tuple[int, ...]]] = set()
 
-    def candidates(elt: int) -> list[Permutation]:
-        d = G.element_order(elt)
-        if d not in by_order:
-            by_order[d] = [p for p in all_permutations(n) if d % p.order() == 0]
-        return by_order[d]
-
-    def close(assign: dict[int, Permutation]) -> Optional[dict[int, Permutation]]:
-        known = dict(assign)
-        frontier = list(known)
-        while frontier:
-            new = []
-            for a in frontier:
-                pa = known[a]
-                for b in list(known):
-                    for x, q in ((G.mul(a, b), pa * known[b]),
-                                 (G.mul(b, a), known[b] * pa)):
-                        seen = known.get(x)
-                        if seen is None:
-                            known[x] = q
-                            new.append(x)
-                        elif seen != q:
-                            return None
-            frontier = new
-        return known
-
-    def search(level: int, assign: dict[int, Permutation]) -> Optional[dict[int, Permutation]]:
-        closed = close(assign)
-        if closed is None:
+    def search(i: int, rest: tuple[int, ...]) -> Optional[list[int]]:
+        if not any(rest):
+            return [0] * (len(censuses) - i)
+        if i == len(censuses) or (i, rest) in dead:
             return None
-        if level == len(chain):
-            return closed if len(closed) == G.order else None
-        g = chain[level]
-        forced = closed.get(g)
-        if forced is not None:
-            return search(level + 1, closed)
-        for q in candidates(g):
-            closed[g] = q
-            result = search(level + 1, closed)
-            if result is not None:
-                return result
-            del closed[g]
+        c = censuses[i]
+        most = min(r // x for r, x in zip(rest, c) if x)
+        for s in range(most, -1, -1):
+            tail = search(i + 1, tuple(r - s * x for r, x in zip(rest, c)))
+            if tail is not None:
+                return [s] + tail
+        dead.add((i, rest))
         return None
 
-    solution = search(0, base)
-    if solution is None:
-        return None
-    ext = hom_from_element_map(G, n, solution)
-    chk = check_homomorphism(ext)
-    if not chk.ok:  # pragma: no cover - closure already verified all pairs
-        raise InternalInvariantError(chk.message)
-    return ext
+    return search(0, target)
 
 
 def find_normal_complement(G: FiniteGroup, H: Subgroup) -> Optional[Subgroup]:

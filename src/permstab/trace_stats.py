@@ -53,18 +53,17 @@ def _canonical_elements(h: PermHomomorphism, A: ElementSet) -> tuple:
 
 
 class ActionTrace:
-    """Memoized evaluator of ``Tr`` for one homomorphism.
+    """Evaluator of ``Tr`` for one homomorphism.
 
     Values are exact rationals with denominator dividing the degree.  The
-    memo table is keyed by the canonical sorted element set, so concurrent
-    use at worst recomputes an identical entry.
+    fixed-point mask of each element is memoized, so a trace is one AND
+    per element of the set.
     """
 
     def __init__(self, h: PermHomomorphism):
         self.hom = h
         self._full = (1 << h.degree) - 1
         self._mask_memo: dict = {}
-        self._count_memo: dict[tuple, int] = {}
 
     def _mask_of(self, element) -> int:
         m = self._mask_memo.get(element)
@@ -77,17 +76,16 @@ class ActionTrace:
             self._mask_memo[element] = m
         return m
 
+    def _common_mask(self, elements: tuple) -> int:
+        """Points fixed by every element of a canonical element tuple."""
+        mask = self._full
+        for el in elements:
+            mask &= self._mask_of(el)
+        return mask
+
     def fixed_count(self, A: ElementSet) -> int:
         """Number of points fixed by every image of ``A``."""
-        key = _canonical_elements(self.hom, A)
-        c = self._count_memo.get(key)
-        if c is None:
-            mask = self._full
-            for el in key:
-                mask &= self._mask_of(el)
-            c = mask.bit_count()
-            self._count_memo[key] = c
-        return c
+        return self._common_mask(_canonical_elements(self.hom, A)).bit_count()
 
     def value(self, A: ElementSet) -> Fraction:
         if self.hom.degree == 0:
@@ -96,9 +94,7 @@ class ActionTrace:
 
     def statistic_count(self, A: ElementSet, B: ElementSet) -> int:
         """Number of points fixed by all of ``A`` and moved by all of ``B``."""
-        mask = self._full
-        for el in _canonical_elements(self.hom, A):
-            mask &= self._mask_of(el)
+        mask = self._common_mask(_canonical_elements(self.hom, A))
         for el in _canonical_elements(self.hom, B):
             mask &= self._full & ~self._mask_of(el)
         return mask.bit_count()
@@ -140,11 +136,12 @@ def s_from_tr(
         )
     if h.degree == 0:
         return Fraction(1) if not B else Fraction(0)
-    total = 0
-    for k in range(len(B) + 1):
-        sign = -1 if k & 1 else 1
-        for V in combinations(B, k):
-            total += sign * trace.fixed_count(set(A) | set(V))
+    # one (fixed mask of A u V, (-1)^|V|) pair per subset V of B
+    terms = [(trace._common_mask(A), 1)]
+    for b in B:
+        mb = trace._mask_of(b)
+        terms += [(mask & mb, -sign) for mask, sign in terms]
+    total = sum(sign * mask.bit_count() for mask, sign in terms)
     return Fraction(total, h.degree)
 
 

@@ -105,6 +105,22 @@ def files(tmp_path):
         ),
         "a3_members": write("a3.json", {"members": [0, 3, 4]}),
         "t12_members": write("t12.json", {"members": [0, 2]}),
+        "z3_regular_deg9": write(
+            "z3reg9.json",
+            {
+                "group": {
+                    "kind": "table",
+                    "order": 3,
+                    "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                },
+                "degree": 9,
+                "images": {
+                    "0": "()",
+                    "1": "(1 2 3)(4 5 6)(7 8 9)",
+                    "2": "(1 3 2)(4 6 5)(7 9 8)",
+                },
+            },
+        ),
         "z3_regular": write(
             "z3reg.json",
             {
@@ -233,6 +249,20 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert report["outputs"]["found"] is True
 
+    def test_extend_above_degree_8(self, files):
+        code, report = dispatch(
+            ["extend", files["s3"], files["a3_members"], files["z3_regular_deg9"]]
+        )
+        assert code == EXIT_OK
+        out = report["outputs"]
+        assert out["found"] is True
+        # the A3 members 0, 3, 4 keep the images of phi
+        assert [out["extension"][g] for g in ("0", "3", "4")] == [
+            "()",
+            "(1 2 3)(4 5 6)(7 8 9)",
+            "(1 3 2)(4 6 5)(7 9 8)",
+        ]
+
     def test_complement(self, files):
         code, report = dispatch(["complement", files["s3"], files["t12_members"]])
         assert code == EXIT_OK
@@ -326,6 +356,21 @@ class TestExitCodes:
     def test_missing_file(self):
         code, _ = dispatch(["mult", "/does/not/exist.json"])
         assert code == EXIT_BADFILE
+
+    def test_float_image_is_malformed(self, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "group": {"kind": "presentation", "generators": ["x"]},
+                    "degree": 3,
+                    "images": {"x": {"degree": 3, "images": [2.0, 3, 1]}},
+                }
+            )
+        )
+        code, report = dispatch(["graph", str(path)])
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"]["code"] == "malformed-input"
 
     def test_domain_error(self, files):
         # different degrees: a domain precondition, not a file problem

@@ -18,7 +18,6 @@ from permstab.graphs import (
     RootedPattern,
     SimpleGraph,
     action_graph,
-    bs_word_statistics,
     decode_simple,
     encode_to_simple,
     enumerate_patterns,
@@ -330,15 +329,15 @@ class TestStatDistance:
 class TestWordStatistics:
     def test_fixed_word(self):
         h = free_hom(3, "(1 2)")
-        assert bs_word_statistics(h, ["x"], []) == Fraction(1, 3)
+        assert bs_statistic(h, ["x"], []) == Fraction(1, 3)
 
     def test_moved_word(self):
         h = free_hom(3, "(1 2)")
-        assert bs_word_statistics(h, [], ["x"]) == Fraction(2, 3)
+        assert bs_statistic(h, [], ["x"]) == Fraction(2, 3)
 
     def test_squared_word(self):
         h = free_hom(3, "(1 2)")
-        assert bs_word_statistics(h, ["x"], ["x^2"]) == 0
+        assert bs_statistic(h, ["x"], ["x^2"]) == 0
 
 
 class TestEncoding:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import permstab.groups
+import permstab.jsonio
 from permstab.errors import MalformedInputError
 from permstab.groups import FiniteGroup, FpGroup, check_homomorphism, cyclic_group
 from permstab.jsonio import (
@@ -189,11 +191,49 @@ class TestHomJson:
                 "degree": 3,
                 "images": {"a": "[1,1,2]"},
             },
+            *(
+                {
+                    # image entries must be JSON integers
+                    "group": {"kind": "presentation", "generators": ["a"]},
+                    "degree": 2,
+                    "images": {"a": {"degree": 2, "images": images}},
+                }
+                for images in ([2.0, 1], [True, 2], ["2", 1])
+            ),
+            {
+                # the homomorphism degree must be a JSON integer too
+                "group": {"kind": "presentation", "generators": ["a"]},
+                "degree": 2.0,
+                "images": {"a": "(1 2)"},
+            },
         ],
     )
     def test_malformed_homs(self, obj):
         with pytest.raises(MalformedInputError):
             hom_from_json(obj)
+
+    def test_perm_gens_checked_once(self, monkeypatch):
+        calls = []
+        real = permstab.groups.check_homomorphism
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(permstab.groups, "check_homomorphism", counting)
+        monkeypatch.setattr(permstab.jsonio, "check_homomorphism", counting)
+        obj = {
+            "group": {
+                "kind": "perm-gens",
+                "degree": 3,
+                "generators": ["(1 2)", "(1 2 3)"],
+                "names": ["a", "b"],
+            },
+            "degree": 3,
+            "images": {"a": "(1 2)", "b": "(1 2 3)"},
+        }
+        hom_from_json(obj)
+        assert len(calls) == 1
 
     def test_unreadable_file(self):
         with pytest.raises(MalformedInputError):

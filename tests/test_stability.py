@@ -24,10 +24,12 @@ from permstab.groups import (
     PermHomomorphism,
     Subgroup,
     check_homomorphism,
+    conjugate_hom,
     coset_action,
     cyclic_group,
     direct_sum_hom,
     hom_from_element_map,
+    restrict_hom,
     subgroup_closure,
     symmetric_group,
     trivial_hom,
@@ -221,14 +223,30 @@ class TestHasExtension:
         for i, g in enumerate(emb):
             assert ext.images[g] == phi.images[i]
 
-    def test_no_extension_z2_in_z4(self):
+    @pytest.mark.parametrize("orbits", [1, 5])
+    def test_no_extension_z2_in_z4(self, orbits):
+        # a Z4-set restricts to an even number of regular Z2-orbits
         G = cyclic_group(4)
         H = subgroup_closure(G, [2])
         Habs, _ = H.as_group()
+        n = 2 * orbits
+        swaps = "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(orbits))
         phi = PermHomomorphism(
-            Habs, 2, (Permutation.identity(2), parse_permutation("(1 2)", 2))
+            Habs, n, (Permutation.identity(n), parse_permutation(swaps, n))
         )
         assert has_extension(G, H, phi) is None
+
+    @pytest.mark.parametrize("involution", ["(1 2)", "(1 2)(3 4)"])
+    def test_sym4_over_alt4_degree_12(self, involution):
+        G, nat = symmetric_group(4)
+        A4 = subgroup_from_cycles(G, nat, "(1 2 3)", "(1 2)(3 4)")
+        K = subgroup_from_cycles(G, nat, involution)
+        p = random_permutation(12, Random(47))
+        phi = conjugate_hom(restrict_hom(coset_action(G, K), A4), p)
+        ext = has_extension(G, A4, phi)
+        assert ext is not None
+        assert check_homomorphism(ext).ok
+        assert restrict_hom(ext, A4) == phi
 
     def test_completeness_against_enumeration(self, zoo8):
         # independent oracle: enumerate every homomorphism of G and filter
@@ -242,7 +260,7 @@ class TestHasExtension:
                 cases.append((G, H))
         for G, H in cases:
             Habs, emb = H.as_group()
-            for n in (2, 3):
+            for n in (2, 3, 4):
                 all_homs = enumerate_homs(G, n)
                 for phi in enumerate_homs(Habs, n):
                     expected = any(
