@@ -9,7 +9,8 @@ The ``outputs`` object is deterministic: re-running the same command on
 the same inputs (and seed, for randomized suites) reproduces it byte for
 byte; only ``timing_ms`` varies.  Exit codes: 0 success, 2 domain error
 (with a machine-readable error object), 64 usage / unknown subcommand,
-65 malformed input file.
+65 malformed input file, 70 internal error (an unexpected exception,
+reported as an ``internal-error`` object instead of a traceback).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 EXIT_BADFILE = 65
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 COMMANDS = (
     "trace",
@@ -471,6 +473,19 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
             err["witness"] = list(witness)
         report["outputs"] = {"error": err}
         return finish(EXIT_DOMAIN)
+    except Exception as exc:  # the report contract holds for any input
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        report["outputs"] = {
+            "error": {
+                "code": "internal-error",
+                "message": f"{type(exc).__name__}: {exc}",
+                "where": f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}",
+            }
+        }
+        return finish(EXIT_INTERNAL)
     return finish(EXIT_OK)
 
 

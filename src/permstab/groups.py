@@ -45,8 +45,8 @@ class FiniteGroup:
         for row in rows:
             if set(row) != elems:
                 raise GroupTableError("each table row must be a bijection")
-        for j in range(n):
-            if {rows[i][j] for i in range(n)} != elems:
+        for col in zip(*rows):
+            if set(col) != elems:
                 raise GroupTableError("each table column must be a bijection")
         identity = None
         for e in range(n):
@@ -55,26 +55,14 @@ class FiniteGroup:
                 break
         if identity is None:
             raise GroupTableError("table has no identity element")
-        for a in range(n):
-            for b in range(n):
-                ab = rows[a][b]
-                for c in range(n):
-                    if rows[ab][c] != rows[a][rows[b][c]]:
-                        raise GroupTableError(
-                            f"associativity fails at ({a},{b},{c})"
-                        )
-        inverses = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if rows[a][b] == identity and rows[b][a] == identity:
-                    inverses[a] = b
-                    break
-            if inverses[a] is None:
-                raise GroupTableError(f"element {a} has no inverse")
+        _check_associative(rows, identity)
+        # an associative Latin square with an identity is a group, so the
+        # right inverse in each row is two-sided
+        inverses = tuple(row.index(identity) for row in rows)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverses", tuple(inverses))
+        object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "_hash", hash(rows))
 
     def __setattr__(self, name, value):
@@ -110,6 +98,38 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _check_associative(rows: tuple[tuple[int, ...], ...], identity: int) -> None:
+    """Light's associativity test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961, section 1.4).
+
+    The elements ``g`` with ``(x g) y == x (g y)`` for all ``x, y`` are
+    closed under the product, so the table is associative once that holds
+    for a set whose products reach every element.  The set is picked
+    greedily, each pick checked in O(n^2): every element not yet reached
+    from the identity by right multiplication with the ones picked so far.
+    For a group each pick at least doubles the reached subgroup, so this
+    costs O(n^2 log n) where a check of every triple costs O(n^3).
+    """
+    n = len(rows)
+    reached = {identity}
+    gens: list[int] = []
+    for g in range(n):
+        if g in reached:
+            continue
+        g_row = rows[g]
+        for x in range(n):
+            row = rows[x]
+            xg_row = rows[row[g]]
+            if xg_row != tuple(map(row.__getitem__, g_row)):
+                y = next(y for y in range(n) if xg_row[y] != row[g_row[y]])
+                raise GroupTableError(f"associativity fails at ({x},{g},{y})")
+        gens.append(g)
+        new = {rows[x][g] for x in reached} - reached
+        while new:
+            reached |= new
+            new = {rows[x][h] for x in new for h in gens} - reached
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of ``parent`` as a sorted tuple of element ids."""
@@ -134,6 +154,18 @@ class Subgroup:
                     raise NotSubgroupError(
                         f"member set not closed under product ({a},{b})"
                     )
+
+    @classmethod
+    def _trusted(cls, parent: FiniteGroup, members: Iterable[int]) -> "Subgroup":
+        """Wrap distinct ``members`` without the subgroup check.
+
+        Only for member sets that are subgroups by construction, such as a
+        closure or a point stabilizer.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "parent", parent)
+        object.__setattr__(s, "members", tuple(sorted(members)))
+        return s
 
     @property
     def order(self) -> int:
@@ -162,35 +194,41 @@ class Subgroup:
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Subgroup generated by ``seed``, by breadth-first products."""
+    gens = tuple(set(seed))
+    for g in gens:
+        if not 0 <= g < G.order:
+            raise NotSubgroupError(f"element id {g} out of range")
+    return Subgroup._trusted(G, _closure(G, gens))
+
+
+def _closure(G: FiniteGroup, gens: tuple[int, ...]) -> set[int]:
+    """Members of the subgroup generated by ``gens`` (ids in range).
+
+    Right products from the identity suffice: in a finite group every
+    inverse is a positive power.
+    """
     members = {G.identity}
     frontier = [G.identity]
-    gens = sorted(set(seed) | {G.identity})
-    for g in gens:
-        if g not in members:
-            members.add(g)
-            frontier.append(g)
+    table = G.table
     while frontier:
         new = []
         for a in frontier:
+            row = table[a]
             for g in gens:
-                x = G.mul(a, g)
+                x = row[g]
                 if x not in members:
                     members.add(x)
                     new.append(x)
-                y = G.mul(g, a)
-                if y not in members:
-                    members.add(y)
-                    new.append(y)
         frontier = new
-    return Subgroup(G, members)
+    return members
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, [G.identity])
+    return Subgroup._trusted(G, [G.identity])
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, range(G.order))
+    return Subgroup._trusted(G, range(G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +325,31 @@ def quaternion_group() -> tuple[FiniteGroup, "PermHomomorphism"]:
 
 @lru_cache(maxsize=None)
 def _all_subgroup_sets(G: FiniteGroup) -> tuple[frozenset[int], ...]:
-    cyclic = {frozenset(subgroup_closure(G, [g]).members) for g in G.elements()}
-    known: set[frozenset[int]] = set(cyclic)
-    frontier = list(cyclic)
+    """Every subgroup's member set, ascending by order, then members.
+
+    Every subgroup is a join of cyclic ones, so the lattice is the closure
+    of the cyclic subgroups under joins with one more cyclic subgroup
+    ``<c>``.  Each subgroup keeps the generators it was first reached by,
+    and its join with ``<c>`` is the closure of those generators and ``c``.
+    """
+    gens: dict[frozenset[int], tuple[int, ...]] = {}
+    for g in G.elements():
+        gens.setdefault(frozenset(_closure(G, (g,))), (g,))
+    cyclic = [c for (c,) in gens.values()]
+    frontier = list(gens)
     while frontier:
         new = []
         for S in frontier:
-            for C in cyclic:
-                if C <= S:
+            for c in cyclic:
+                if c in S:
                     continue
-                T = frozenset(subgroup_closure(G, S | C).members)
-                if T not in known:
-                    known.add(T)
+                join_gens = gens[S] + (c,)
+                T = frozenset(_closure(G, join_gens))
+                if T not in gens:
+                    gens[T] = join_gens
                     new.append(T)
         frontier = new
-    return tuple(sorted(known, key=lambda s: (len(s), sorted(s))))
+    return tuple(sorted(gens, key=lambda s: (len(s), sorted(s))))
 
 
 def all_subgroups(
@@ -313,7 +361,7 @@ def all_subgroups(
         raise BoundExceededError(
             f"group order {G.order} exceeds subgroup-enumeration bound {order_bound}"
         )
-    return [Subgroup(G, s) for s in _all_subgroup_sets(G)]
+    return [Subgroup._trusted(G, s) for s in _all_subgroup_sets(G)]
 
 
 @dataclass(frozen=True)
@@ -329,10 +377,13 @@ class SubgroupClasses:
     class_of: Mapping[frozenset[int], int] = field(hash=False, compare=False)
 
     def representative(self, class_id: int) -> Subgroup:
-        return Subgroup(self.group, min(self.classes[class_id], key=sorted))
+        return Subgroup._trusted(self.group, min(self.classes[class_id], key=sorted))
 
     def class_id(self, members: Iterable[int]) -> int:
-        return self.class_of[frozenset(members)]
+        try:
+            return self.class_of[frozenset(members)]
+        except KeyError:
+            raise NotSubgroupError("member set is not a subgroup") from None
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -340,7 +391,16 @@ class SubgroupClasses:
 
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
-    """Partition of ``all_subgroups(G)`` under conjugation by ``G``."""
+    """Partition of ``all_subgroups(G)`` under conjugation by ``G``.
+
+    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``,
+    as ``all_subgroups`` does.
+    """
+    if G.order > DEFAULT_SUBGROUP_ORDER_BOUND:
+        raise BoundExceededError(
+            f"group order {G.order} exceeds subgroup-enumeration bound "
+            f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
+        )
     sets = _all_subgroup_sets(G)
     remaining = set(sets)
     classes = []
@@ -368,7 +428,7 @@ def normalizer(G: FiniteGroup, N: Subgroup) -> Subgroup:
         for g in G.elements()
         if all(G.conjugate(g, x) in mem for x in N.members)
     ]
-    return Subgroup(G, members)
+    return Subgroup._trusted(G, members)
 
 
 def coset_action(G: FiniteGroup, N: Subgroup) -> "PermHomomorphism":

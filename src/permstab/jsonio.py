@@ -80,6 +80,10 @@ def permutation_from_json(obj, degree: int | None = None) -> Permutation:
             raise MalformedInputError(
                 f"permutation degree {deg} does not match expected {degree}"
             )
+        if deg != len(images):
+            raise MalformedInputError(
+                f"permutation degree {deg} does not match its {len(images)} images"
+            )
         return Permutation(images)
     raise MalformedInputError(f"cannot read a permutation from {obj!r}")
 

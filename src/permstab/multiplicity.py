@@ -60,7 +60,7 @@ def orbit_decomposition(h: PermHomomorphism) -> OrbitDecomposition:
         for x in points:
             seen[x - 1] = True
         stab_members = [g for g in G.elements() if h.images[g](base) == base]
-        stab = Subgroup(G, stab_members)
+        stab = Subgroup._trusted(G, stab_members)
         orbits.append(
             Orbit(
                 points=tuple(points),

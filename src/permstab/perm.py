@@ -15,6 +15,8 @@ from .errors import DegreeMismatchError, PermutationParseError
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _SEP_RE = re.compile(r"[,\s]+")
+_new = object.__new__
+_set = object.__setattr__
 
 
 class Permutation:
@@ -36,6 +38,18 @@ class Permutation:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap ``images`` without the bijection check.
+
+        Only for tuples that are bijections by construction, such as the
+        composition of two permutations.
+        """
+        p = _new(cls)
+        _set(p, "images", images)
+        _set(p, "_hash", hash(images))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -45,25 +59,25 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-action composition: apply ``other`` first, then ``self``."""
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"cannot compose degrees {self.degree} and {other.degree}"
-            )
         a, b = self.images, other.images
-        return Permutation(a[b[i] - 1] for i in range(self.degree))
+        if len(a) != len(b):
+            raise DegreeMismatchError(
+                f"cannot compose degrees {len(a)} and {len(b)}"
+            )
+        return Permutation._trusted(tuple([a[j - 1] for j in b]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images, 1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -214,7 +228,7 @@ def normalized_trace(p: Permutation) -> Fraction:
 def direct_sum(p: Permutation, q: Permutation) -> Permutation:
     """Act as ``p`` on the first block and as ``q`` shifted on the second."""
     n = p.degree
-    return Permutation(p.images + tuple(x + n for x in q.images))
+    return Permutation._trusted(p.images + tuple([x + n for x in q.images]))
 
 
 def replicate(p: Permutation, s: int) -> Permutation:
@@ -226,19 +240,23 @@ def replicate(p: Permutation, s: int) -> Permutation:
     for block in range(s):
         shift = block * n
         images.extend(x + shift for x in p.images)
-    return Permutation(images)
+    return Permutation._trusted(tuple(images))
 
 
 def restrict(p: Permutation, points: Iterable[int]) -> Permutation:
     """Restriction of ``p`` to an invariant point set, renumbered 1..k.
 
-    ``points`` must be invariant under ``p``; order is the ascending order
-    of the original labels.
+    ``points`` must be distinct points of ``{1..degree}``, invariant under
+    ``p``; order is the ascending order of the original labels.
     """
     pts = sorted(points)
     index = {x: i + 1 for i, x in enumerate(pts)}
+    if len(index) != len(pts) or (pts and not 1 <= pts[0] <= pts[-1] <= p.degree):
+        raise DegreeMismatchError(
+            f"points {pts} are not distinct points of 1..{p.degree}"
+        )
     try:
-        return Permutation(index[p(x)] for x in pts)
+        return Permutation._trusted(tuple([index[p(x)] for x in pts]))
     except KeyError as exc:
         raise DegreeMismatchError(
             f"point set {pts} is not invariant under {p!r}"

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from permstab.cli import EXIT_BADFILE, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch
+from permstab import cli
+from permstab.cli import (
+    EXIT_BADFILE,
+    EXIT_DOMAIN,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    dispatch,
+)
 
 
 @pytest.fixture()
@@ -371,6 +379,42 @@ class TestExitCodes:
         code, report = dispatch(["graph", str(path)])
         assert code == EXIT_BADFILE
         assert report["outputs"]["error"]["code"] == "malformed-input"
+
+    def test_lattice_bound_is_domain_error(self, tmp_path):
+        # S6 has order 720, above the subgroup-lattice bound of 200: the
+        # census must refuse it at once rather than enumerate its lattice
+        path = tmp_path / "s6.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "group": {
+                        "kind": "perm-gens",
+                        "degree": 6,
+                        "generators": ["(1 2)", "(1 2 3 4 5 6)"],
+                    },
+                    "degree": 6,
+                    "images": {"g0": "(1 2)", "g1": "(1 2 3 4 5 6)"},
+                }
+            )
+        )
+        code, report = dispatch(["mult", str(path)])
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["code"] == "BoundExceededError"
+
+    def test_unexpected_exception_is_internal_error(self, files, monkeypatch, capsys):
+        def broken(args, record):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "mult", broken)
+        assert EXIT_INTERNAL == 70
+        assert cli.main(["mult", files["theta2"]]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        error = json.loads(out)["outputs"]["error"]
+        assert error["code"] == "internal-error"
+        assert error["message"] == "RuntimeError: broken handler"
+        assert error["where"].startswith("test_cli.py:")
+        assert error["where"].endswith(" in broken")
+        assert "Traceback" not in out + err
 
     def test_domain_error(self, files):
         # different degrees: a domain precondition, not a file problem

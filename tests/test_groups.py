@@ -1,6 +1,7 @@
 """Finite groups, subgroup machinery, presentations, and homomorphisms."""
 
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -13,6 +14,7 @@ from permstab.errors import (
 )
 from permstab.fixtures import klein_pair, klein_presentation
 from permstab.groups import (
+    _all_subgroup_sets,
     FiniteGroup,
     FpGroup,
     PermHomomorphism,
@@ -38,10 +40,11 @@ from permstab.groups import (
     trivial_subgroup,
     full_subgroup,
 )
+from permstab.multiplicity import orbit_decomposition
 from permstab.perm import Permutation, all_permutations, parse_permutation
 from permstab.trace_stats import action_trace
 
-from conftest import subgroup_from_cycles
+from conftest import medium_group_zoo, subgroup_from_cycles
 
 
 def brute_force_subgroup_sets(G):
@@ -57,6 +60,80 @@ def brute_force_subgroup_sets(G):
             if closed:
                 found.append(frozenset(members))
     return set(found)
+
+
+def triple_loop_associativity_failure(table):
+    """Reference check of every triple; the first failing one, or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+def random_loop_table(n, rng):
+    """A random Latin square with identity 0 (a loop), filled cell by cell
+    with backtracking.  Loops of order <= 4 are groups; for n >= 5 most
+    are not associative."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [x for x in range(n) if x not in used]
+        rng.shuffle(options)
+        for x in options:
+            table[i][j] = x
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def member_set_join_lattice(G):
+    """The lattice as built before generator joins: the join of S and a
+    cyclic C is the closure of the full member set ``S | C``."""
+
+    def closure(seed):
+        members = {G.identity, *seed}
+        frontier = list(members)
+        while frontier:
+            new = []
+            for a in frontier:
+                for b in list(members):
+                    for x in (G.mul(a, b), G.mul(b, a)):
+                        if x not in members:
+                            members.add(x)
+                            new.append(x)
+            frontier = new
+        return frozenset(members)
+
+    cyclic = {closure([g]) for g in G.elements()}
+    known = set(cyclic)
+    frontier = list(cyclic)
+    while frontier:
+        new = []
+        for S in frontier:
+            for C in cyclic:
+                if not C <= S and (T := closure(S | C)) not in known:
+                    known.add(T)
+                    new.append(T)
+        frontier = new
+    return tuple(sorted(known, key=lambda s: (len(s), sorted(s))))
+
+
+def alternating_group_5():
+    return group_from_permutations(
+        [parse_permutation("(1 2 3)", 5), parse_permutation("(1 2 3 4 5)", 5)]
+    )[0]
 
 
 class TestFiniteGroup:
@@ -83,6 +160,42 @@ class TestFiniteGroup:
                     [4, 2, 1, 0, 3],
                 ]
             )
+
+    def test_light_test_matches_triple_loop_on_random_loops(self):
+        rng = Random(11)
+        rejected = 0
+        for _ in range(150):
+            loop = random_loop_table(rng.randint(1, 8), rng)
+            # in the product with Z2 (ids 2*l + a) the first picked
+            # generator, (e, 1), always passes: a later one must fail
+            n = len(loop)
+            with_z2 = [
+                [2 * loop[l1][l2] + (a1 + a2) % 2 for l2 in range(n) for a2 in (0, 1)]
+                for l1 in range(n)
+                for a1 in (0, 1)
+            ]
+            for table in (loop, with_z2):
+                failure = triple_loop_associativity_failure(table)
+                if failure is None:
+                    G = FiniteGroup(table)
+                    assert all(
+                        G.mul(a, G.inv(a)) == G.identity == G.mul(G.inv(a), a)
+                        for a in G.elements()
+                    )
+                    continue
+                rejected += 1
+                with pytest.raises(GroupTableError, match="associativity") as info:
+                    FiniteGroup(table)
+                x, g, y = map(int, str(info.value).split("(")[1].rstrip(")").split(","))
+                assert table[table[x][g]][y] != table[x][table[g][y]]
+        assert 100 < rejected < 200  # both paths are exercised
+
+    def test_light_test_accepts_every_zoo_table(self):
+        zoo = medium_group_zoo()
+        zoo["A5"] = alternating_group_5()
+        for G in zoo.values():
+            assert triple_loop_associativity_failure(G.table) is None
+            assert FiniteGroup(G.table) == G
 
 
 class TestGroupFromPermutations:
@@ -162,9 +275,53 @@ class TestAllSubgroups:
             for s in all_subgroups(G):
                 Subgroup(G, s.members)  # re-runs closure/identity checks
 
+    def test_generator_joins_match_member_set_joins(self, zoo24):
+        groups = dict(zoo24)
+        groups["Z2xS4"] = direct_product(cyclic_group(2), symmetric_group(4)[0])
+        groups["A5"] = alternating_group_5()
+        for G in groups.values():
+            assert _all_subgroup_sets(G) == member_set_join_lattice(G)
+
+    @pytest.mark.parametrize(
+        "maker, subgroups, classes",
+        [
+            (lambda: symmetric_group(4)[0], 30, 11),
+            (alternating_group_5, 59, 9),
+            (lambda: symmetric_group(5)[0], 156, 19),
+        ],
+    )
+    def test_known_lattice_sizes(self, maker, subgroups, classes):
+        G = maker()
+        assert len(all_subgroups(G)) == subgroups
+        assert len(subgroup_conjugacy_classes(G)) == classes
+
+    def test_constructed_subgroups_pass_the_public_check(self, zoo24):
+        rng = Random(5)
+        for G in zoo24.values():
+            built = []
+            for _ in range(5):
+                seed = rng.sample(range(G.order), rng.randint(0, min(3, G.order)))
+                built.append(subgroup_closure(G, seed))
+            classes = subgroup_conjugacy_classes(G)
+            reps = [classes.representative(c) for c in range(len(classes))]
+            built += reps + [normalizer(G, H) for H in reps]
+            built += all_subgroups(G) + [trivial_subgroup(G), full_subgroup(G)]
+            for H in reps:
+                built += [o.stabilizer for o in orbit_decomposition(coset_action(G, H)).orbits]
+            for H in built:
+                assert Subgroup(G, H.members) == H
+
+    def test_closure_rejects_out_of_range_seed(self):
+        G = cyclic_group(4)
+        for bad in (-1, 4):
+            with pytest.raises(NotSubgroupError):
+                subgroup_closure(G, [1, bad])
+
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             all_subgroups(cyclic_group(6), order_bound=5)
+        with pytest.raises(BoundExceededError):
+            subgroup_conjugacy_classes(cyclic_group(201))
 
 
 class TestConjugacyClasses:

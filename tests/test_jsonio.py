@@ -53,6 +53,8 @@ class TestPermutationJson:
     def test_degree_conflict(self):
         with pytest.raises(MalformedInputError):
             permutation_from_json({"degree": 3, "images": [1, 2, 3]}, 4)
+        with pytest.raises(MalformedInputError):  # no expected degree given
+            permutation_from_json({"degree": 3, "images": [2, 1]})
 
 
 class TestGroupJson:

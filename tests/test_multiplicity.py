@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from permstab.errors import NotComparableError, SourceMismatchError
+from permstab.errors import NotComparableError, NotSubgroupError, SourceMismatchError
 from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair
 from permstab.groups import (
     PermHomomorphism,
@@ -86,6 +86,14 @@ class TestOrbitDecomposition:
 
         h = PermHomomorphism(FpGroup(("x",)), 2, (parse_permutation("(1 2)", 2),))
         with pytest.raises(SourceMismatchError):
+            orbit_decomposition(h)
+
+    def test_unchecked_non_homomorphism_rejected(self):
+        # stabilizers are not re-checked as subgroups; a map that is not a
+        # homomorphism still fails, on the lattice lookup
+        swap = parse_permutation("(1 2)", 2)
+        h = PermHomomorphism(cyclic_group(2), 2, (swap, swap))
+        with pytest.raises(NotSubgroupError):
             orbit_decomposition(h)
 
 

@@ -80,6 +80,60 @@ class TestArithmetic:
         assert Permutation.identity(3).order() == 1
 
 
+def compose_tuples(a, b):
+    """Plain one-line composition: apply ``b`` first, then ``a``."""
+    return tuple(a[b[i] - 1] for i in range(len(b)))
+
+
+def validated(p):
+    """``p`` rebuilt through the checking constructor, so a result the
+    unchecked paths got wrong fails here."""
+    return Permutation(p.images)
+
+
+class TestUncheckedResults:
+    """Products, inverses, powers and block constructions skip the
+    bijection check; each is compared with plain tuple arithmetic."""
+
+    @given(st.integers(0, 9).flatmap(
+        lambda n: st.tuples(*[st.permutations(list(range(1, n + 1)))] * 2)
+    ))
+    def test_product(self, pair):
+        a, b = pair
+        p = Permutation(a) * Permutation(b)
+        assert p.images == compose_tuples(tuple(a), tuple(b))
+        assert validated(p) == p and hash(p) == hash(validated(p))
+
+    @given(perms(), st.integers(-7, 7))
+    def test_inverse_and_power(self, p, k):
+        inv = p.inverse()
+        assert compose_tuples(p.images, inv.images) == tuple(range(1, p.degree + 1))
+        assert validated(inv) == inv
+        expected = tuple(range(1, p.degree + 1))
+        for _ in range(abs(k)):
+            expected = compose_tuples(expected, (p if k > 0 else inv).images)
+        assert (p**k).images == expected
+        assert validated(p**k) == p**k
+
+    @given(perms(), perms(), st.integers(1, 3))
+    def test_blocks(self, p, q, s):
+        n = p.degree
+        assert direct_sum(p, q).images == p.images + tuple(x + n for x in q.images)
+        assert replicate(p, s).images == tuple(
+            x + b * n for b in range(s) for x in p.images
+        )
+        cycle = next(iter(p.cycles(include_fixed=True)))
+        for r in (direct_sum(p, q), replicate(p, s), restrict(p, cycle)):
+            assert validated(r) == r
+
+    @pytest.mark.parametrize(
+        "images", [[1, 1, 3], [0, 1], [2, 3], [1, 2, 4], [2], [3, 1, 1]]
+    )
+    def test_checking_constructor_rejects_non_bijections(self, images):
+        with pytest.raises(PermutationParseError):
+            Permutation(images)
+
+
 class TestHamming:
     def test_identity_distance_zero(self):
         i4 = Permutation.identity(4)
@@ -222,3 +276,10 @@ class TestRestrict:
     def test_non_invariant_rejected(self):
         with pytest.raises(DegreeMismatchError):
             restrict(parse_permutation("(1 2)", 3), [1, 3])
+
+    @pytest.mark.parametrize("points", [[1, 1, 2], [0, 1, 2], [3, 4], [-1, 1, 2, 3]])
+    def test_points_outside_the_domain_rejected(self, points):
+        # the result is built without the bijection check, so these must
+        # be refused before it is
+        with pytest.raises(DegreeMismatchError):
+            restrict(Permutation.identity(3), points)
