@@ -79,9 +79,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _digest(path: str) -> str:
@@ -272,10 +279,23 @@ def _cmd_amalgam(args, record) -> dict:
     obj = _load_json(spec)
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise MalformedInputError("h-map file must carry 'pairs'")
-    pairs = [tuple(pair) for pair in obj["pairs"]]
-    am = amalgamated_hom(h1, h2, pairs)
+    pairs, relators = obj["pairs"], obj.get("relators")
+
+    def token(t):
+        return isinstance(t, str) or type(t) is int
+
+    if not (
+        isinstance(pairs, list)
+        and all(isinstance(p, list) and len(p) == 2 and all(map(token, p)) for p in pairs)
+        and isinstance(relators, (list, type(None)))
+        and all(isinstance(r, str) for r in relators or ())
+    ):
+        raise MalformedInputError(
+            "h-map 'pairs' must be [token, token] lists of words or element "
+            "ids, and 'relators' a list of words"
+        )
+    am = amalgamated_hom(h1, h2, [tuple(pair) for pair in pairs])
     out = {"valid": True, "degree": am.degree}
-    relators = obj.get("relators")
     if relators:
         out["relators_ok"] = all(am.check_relator(r) for r in relators)
     return out
@@ -450,7 +470,8 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
     except _UsageError as exc:
         report["outputs"] = {"error": {"code": "usage", "message": str(exc)}}
         return finish(EXIT_USAGE)
-    except SystemExit:  # --help
+    except _HelpRequested as exc:  # the help text is the report's output
+        report["outputs"] = {"help": str(exc)}
         return finish(EXIT_OK)
     report["seed"] = args.seed
     if args.cmd is None:

@@ -10,6 +10,10 @@ preserving embedding of the pattern that sends the root there
 distance between the frequency vectors over a canonical enumeration of
 small connected rooted patterns.
 
+Frequencies are trace statistics: spanning-tree words of a pattern give
+sets ``A_P``, ``B_P`` with frequency ``S(A_P, B_P)`` on the graph's
+free-group action, counted by ``trace_stats`` from fixed-point masks.
+
 Pattern family.  Only patterns whose vertices have at most one outgoing
 and one incoming edge per label are enumerated: any other pattern embeds
 in no per-label-permutation graph (two same-label out-edges would force
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iperms
+from itertools import combinations, permutations as iperms
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -36,8 +40,9 @@ from .errors import (
     MalformedInputError,
     RelatorsPresentError,
 )
-from .groups import FpGroup, PermHomomorphism
+from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
+from .trace_stats import get_trace
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
 DEFAULT_ALPHABET_BOUND = 8
@@ -133,14 +138,14 @@ class RootedPattern:
     root: int
     alphabet: tuple[str, ...]
     edges: frozenset[tuple[int, int, int]]
-    max_vertices: int = DEFAULT_PATTERN_VERTEX_BOUND
 
     def __post_init__(self):
         if not 1 <= self.root <= self.n:
             raise MalformedInputError("root outside vertex range")
-        if self.n > self.max_vertices:
+        if self.n > DEFAULT_PATTERN_VERTEX_BOUND:
             raise BoundExceededError(
-                f"pattern has {self.n} vertices, bound is {self.max_vertices}"
+                f"pattern has {self.n} vertices, "
+                f"bound is {DEFAULT_PATTERN_VERTEX_BOUND}"
             )
         out_seen = set()
         in_seen = set()
@@ -186,7 +191,6 @@ class RootedPattern:
             self.root,
             self.alphabet,
             frozenset((u, v, sigma[lab]) for u, v, lab in self.edges),
-            self.max_vertices,
         )
 
 
@@ -248,59 +252,54 @@ def _certificate(
     return best
 
 
-def pattern_frequency(
-    graph: LabeledDigraph,
-    pattern: RootedPattern,
-    vertex_bound: int = DEFAULT_PATTERN_VERTEX_BOUND,
-) -> Fraction:
-    """Fraction of vertices at which the pattern embeds rooted.
+@lru_cache(maxsize=1)  # the two graphs of a distance share one pattern's words
+def _statistic_words(pattern: RootedPattern) -> tuple[frozenset, frozenset]:
+    """``(A_P, B_P)``.  A breadth-first search from the root over the
+    sorted edges gives each vertex ``v`` a word ``w_v``, and an embedding
+    rooted at ``x`` sends ``v`` to ``w_v(x)``.  It exists iff ``x`` is
+    fixed by ``w_v^-1 s w_u`` for each non-tree edge ``(u, v, s)`` and
+    moved by ``w_v^-1 w_u`` for each pair of distinct vertices."""
+    edges = sorted(pattern.edges)
+    words: dict[int, Word] = {pattern.root: ()}
+    queue = [pattern.root]
+    tree = set()
+    for x in queue:  # grows in breadth-first order while iterated
+        for u, v, lab in edges:
+            if u == x and v not in words:
+                words[v] = ((lab, 1),) + words[u]
+                queue.append(v)
+            elif v == x and u not in words:
+                words[u] = ((lab, -1),) + words[v]
+                queue.append(u)
+            else:
+                continue
+            tree.add((u, v, lab))
+    inv = {v: tuple((lab, -e) for lab, e in reversed(w)) for v, w in words.items()}
+    fixed = frozenset(
+        inv[v] + ((lab, 1),) + words[u]
+        for u, v, lab in edges
+        if (u, v, lab) not in tree
+    )
+    pairs = combinations(range(1, pattern.n + 1), 2)
+    return fixed, frozenset(inv[v] + words[u] for u, v in pairs)
 
-    Embeddings are injective and label/orientation preserving but not
-    induced.  Because each label of the host graph is a permutation, the
-    image of every pattern vertex is forced once the root is placed, so
-    the test per root is linear in the pattern size.
-    """
+
+def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction:
+    """Fraction of vertices at which the pattern embeds rooted: injective,
+    label- and orientation-preserving, not induced.  Each label of the
+    graph is a permutation, so an embedding is forced once the root is
+    placed, and the frequency is ``S(A_P, B_P)`` of :func:`_statistic_words`
+    on the graph's free-group action."""
     if pattern.alphabet != graph.alphabet:
         raise AlphabetMismatchError(
             f"pattern alphabet {pattern.alphabet} differs from "
             f"graph alphabet {graph.alphabet}"
         )
-    if pattern.n > vertex_bound:
-        raise BoundExceededError(
-            f"pattern has {pattern.n} vertices, bound is {vertex_bound}"
-        )
     if graph.n == 0:
         return Fraction(0)
-    perms = graph.perms
-    inv = [p.inverse() for p in perms]
-    edges = tuple(pattern.edges)
-    count = 0
-    for x in range(1, graph.n + 1):
-        f: dict[int, int] = {pattern.root: x}
-        pending = list(edges)
-        ok = True
-        while pending and ok:
-            rest = []
-            progressed = False
-            for u, v, lab in pending:
-                fu, fv = f.get(u), f.get(v)
-                if fu is None and fv is None:
-                    rest.append((u, v, lab))
-                    continue
-                progressed = True
-                if fu is not None and fv is None:
-                    f[v] = perms[lab](fu)
-                elif fv is not None and fu is None:
-                    f[u] = inv[lab](fv)
-                elif perms[lab](fu) != fv:
-                    ok = False
-                    break
-            pending = rest
-            if not progressed and pending:  # pragma: no cover - connected
-                ok = False
-        if ok and len(set(f.values())) == pattern.n:
-            count += 1
-    return Fraction(count, graph.n)
+    h = PermHomomorphism(FpGroup(graph.alphabet), graph.n, graph.perms)
+    fixed, moved = _statistic_words(pattern)
+    return Fraction(get_trace(h).statistic_count(fixed, moved), graph.n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def _pattern_successors(
                     continue
                 yield RootedPattern(
                     pat.n, pat.root, pat.alphabet,
-                    pat.edges | {(u, v, lab)}, pat.max_vertices,
+                    pat.edges | {(u, v, lab)},
                 )
         if pat.n < size_bound:
             w = pat.n + 1
@@ -373,12 +372,12 @@ def _pattern_successors(
                 if (u, lab) not in out_used:
                     yield RootedPattern(
                         pat.n + 1, pat.root, pat.alphabet,
-                        pat.edges | {(u, w, lab)}, pat.max_vertices,
+                        pat.edges | {(u, w, lab)},
                     )
                 if (u, lab) not in in_used:
                     yield RootedPattern(
                         pat.n + 1, pat.root, pat.alphabet,
-                        pat.edges | {(w, u, lab)}, pat.max_vertices,
+                        pat.edges | {(w, u, lab)},
                     )
 
 

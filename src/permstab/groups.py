@@ -271,14 +271,16 @@ def group_from_permutations(
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise GroupTableError("generators must share a degree")
-    ident = Permutation.identity(degree)
+    # elements are one-line image tuples: (p*q)(i) = p(q(i)) is p[q[i-1] - 1]
+    ident = tuple(range(1, degree + 1))
+    gen_images = [g.images for g in gens]
     elems = {ident}
     frontier = [ident]
     while frontier:
         new = []
         for p in frontier:
-            for g in gens:
-                q = g * p
+            for g in gen_images:
+                q = tuple([g[j - 1] for j in p])
                 if q not in elems:
                     if len(elems) >= max_order:
                         raise BoundExceededError(
@@ -287,11 +289,16 @@ def group_from_permutations(
                     elems.add(q)
                     new.append(q)
         frontier = new
-    ordered = sorted(elems, key=lambda p: p.images)
+    ordered = sorted(elems)
     pos = {p: i for i, p in enumerate(ordered)}
-    table = [[pos[a * b] for b in ordered] for a in ordered]
+    table = []
+    for a in ordered:
+        shifted = (0,) + a  # shifted[j] is the image of point j
+        table.append([pos[tuple(map(shifted.__getitem__, b))] for b in ordered])
     G = FiniteGroup(table)
-    hom = PermHomomorphism(G, degree, tuple(ordered))
+    hom = PermHomomorphism(
+        G, degree, tuple(Permutation._trusted(p) for p in ordered)
+    )
     return G, hom
 
 
@@ -654,11 +661,10 @@ def hom_from_generator_images(
         frontier = new
     if len(known) != G.order:
         raise SourceMismatchError("given elements do not generate the group")
-    h = hom_from_element_map(G, degree, known)
-    chk = check_homomorphism(h)
-    if not chk.ok:
-        raise SourceMismatchError(f"not a homomorphism: {chk.message}")
-    return h
+    # every element a was expanded, so image(a*g) == image(a)*image(g)
+    # holds for all a and every given generator g; as those generate G,
+    # induction on word length gives the full homomorphism property
+    return hom_from_element_map(G, degree, known)
 
 
 def restrict_hom(h: PermHomomorphism, H: Subgroup) -> PermHomomorphism:

@@ -163,6 +163,8 @@ def hom_from_json(obj) -> PermHomomorphism:
         raise MalformedInputError(f"bad homomorphism object: {exc}") from exc
     if type(degree) is not int:
         raise MalformedInputError("homomorphism degree must be a JSON integer")
+    if not isinstance(images, dict):
+        raise MalformedInputError("homomorphism images must be a JSON object")
     try:
         if loaded.kind == "presentation":
             src = loaded.group

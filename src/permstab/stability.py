@@ -350,8 +350,20 @@ class AmalgamHom:
     def _side_image(self, side: int, token: HToken) -> Permutation:
         h = self.psi1 if side == 1 else self.psi2
         if isinstance(h.source, FpGroup):
+            if isinstance(token, int):
+                raise AmalgamMismatchError(
+                    f"side {side} takes words, not element id {token!r}"
+                )
             return evaluate_word(h, token)
-        return h.images[int(token)]
+        try:
+            g = int(token)
+        except ValueError:
+            g = -1
+        if not 0 <= g < len(h.images):
+            raise AmalgamMismatchError(
+                f"element id {token!r} outside the side-{side} group"
+            )
+        return h.images[g]
 
     def evaluate_alternating(
         self, items: Sequence[tuple[int, HToken]]

@@ -1,8 +1,12 @@
 """Command dispatch, exit codes, determinism, and error objects."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from permstab import cli
 from permstab.cli import (
@@ -15,12 +19,11 @@ from permstab.cli import (
 )
 
 
-@pytest.fixture()
-def files(tmp_path):
+def write_corpus(directory):
     """A small corpus of input files used across CLI tests."""
 
     def write(name, obj):
-        path = tmp_path / name
+        path = directory / name
         path.write_text(json.dumps(obj))
         return str(path)
 
@@ -185,10 +188,15 @@ def files(tmp_path):
                 "images": {"x": "()"},
             },
         ),
-        "bad_json": str((tmp_path / "bad.json")),
+        "bad_json": str((directory / "bad.json")),
     }
-    (tmp_path / "bad.json").write_text("{oops")
+    (directory / "bad.json").write_text("{oops")
     return paths
+
+
+@pytest.fixture()
+def files(tmp_path):
+    return write_corpus(tmp_path)
 
 
 class TestBasicCommands:
@@ -416,6 +424,44 @@ class TestExitCodes:
         assert error["where"].endswith(" in broken")
         assert "Traceback" not in out + err
 
+    def test_amalgam_token_outside_group(self, files, tmp_path):
+        # table-group tokens are element ids (-1 used to index from the
+        # end); presentation tokens are words, not ids
+        for homs, pair in (
+            (("phi1", "phi1"), [7, 1]),
+            (("phi1", "phi1"), [-1, 1]),
+            (("phi1", "phi1"), ["a", 1]),
+            (("psi_s", "psi_t"), [1, 2]),
+            (("psi_s", "psi_t"), ["s^2", 3]),
+        ):
+            hmap = tmp_path / "ids.json"
+            hmap.write_text(json.dumps({"pairs": [pair]}))
+            argv = ["amalgam", files[homs[0]], files[homs[1]], "--h-map", str(hmap)]
+            code, report = dispatch(argv)
+            assert code == EXIT_DOMAIN, pair
+            assert report["outputs"]["error"]["code"] == "AmalgamMismatchError"
+
+    def test_malformed_h_map(self, files, tmp_path):
+        for spec in (
+            {"pairs": [1]},
+            {"pairs": [["s^2", None]]},
+            {"pairs": [["s^2", "t^3", "s"]]},
+            {"pairs": [], "relators": [{"s": 1}]},
+            {"pairs": [], "relators": "s^4"},
+        ):
+            hmap = tmp_path / "hmap.json"
+            hmap.write_text(json.dumps(spec))
+            code, report = dispatch(["amalgam", files["psi_s"], files["psi_t"], "--h-map", str(hmap)])
+            assert code == EXIT_BADFILE, spec
+            assert report["outputs"]["error"]["code"] == "malformed-input"
+
+    def test_help_is_the_report(self, capsys):
+        for argv in (["--help"], ["dstat", "-h"]):
+            assert cli.main(argv) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert json.loads(out)["outputs"]["help"].startswith("usage: perm-stab")
+            assert err == ""
+
     def test_domain_error(self, files):
         # different degrees: a domain precondition, not a file problem
         code, report = dispatch(["conj", files["phi1"], files["theta1"]])
@@ -450,3 +496,101 @@ class TestDeterminism:
         _, report = dispatch(["mult", files["theta2"]])
         digest = report["inputs"][files["theta2"]]
         assert digest.startswith("sha256:")
+
+
+def valid_invocations(f):
+    """One working argument list per subcommand, over ``write_corpus``."""
+    return [
+        ["trace", "--hom", f["theta2_words"], "--set", "a,b"],
+        ["stats", "--hom", f["theta2_words"], "--fixed", "a", "--moved", "b"],
+        ["mult", f["theta2"]],
+        ["conj", f["theta1"], f["theta2"]],
+        ["order", f["theta1"], f["theta2"]],
+        ["small-conj", f["phi1"], f["phi2"]],
+        ["min-conj", f["phi1_s8"], f["phi2_s8"]],
+        ["extend", f["s3"], f["a3_members"], f["z3_regular"]],
+        ["complement", f["s3"], f["t12_members"]],
+        ["amalgam", f["psi_s"], f["psi_t"], "--h-map", f["hmap"]],
+        ["lift", f["z3_regular"], f["z3_regular"], "--copies", "2"],
+        ["correct", "--coef", "(1 2 3)", "--almost", "(1 2)", "--degree", "3"],
+        ["graph", f["graph_hom"]],
+        ["dstat", f["graph_hom"], f["graph_id"], "--size-bound", "2"],
+        ["verify-paper"],
+    ]
+
+
+# small values only: a mutated degree or bound must not ask for hours
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats()
+    | st.sampled_from(["", "a", "x^2", "(1 2)", "()", "table", "perm-gens"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "x", "0", "1", "degree"]), inner, max_size=3),
+    max_leaves=6,
+)
+TOKENS = [
+    "", "0", "1", "-1", "7", "x", "a,b", "()", "(1 2)", "[2,1]", "--seed",
+    "--size-bound", "--mode", "heuristic", "--help", "-h", "mult", "frobnicate",
+]
+
+
+def mutate_json(data, obj):
+    """Replace, drop or add one node somewhere in a JSON document."""
+    if isinstance(obj, (dict, list)) and obj and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(obj) if isinstance(obj, dict) else range(len(obj))))
+        out = dict(obj) if isinstance(obj, dict) else list(obj)
+        out[key] = mutate_json(data, obj[key])
+        return out
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "drop" and isinstance(obj, dict) and obj:
+        key = data.draw(st.sampled_from(sorted(obj)))
+        return {k: v for k, v in obj.items() if k != key}
+    if action == "drop" and isinstance(obj, list) and obj:
+        return obj[: data.draw(st.integers(0, len(obj) - 1))]
+    if action == "add" and isinstance(obj, dict):
+        return {**obj, data.draw(st.sampled_from(["kind", "order", "extra"])): data.draw(JSON_VALUES)}
+    if action == "add" and isinstance(obj, list):
+        return obj + [data.draw(JSON_VALUES)]
+    return data.draw(JSON_VALUES)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    return write_corpus(tmp_path_factory.mktemp("fuzz"))
+
+
+class TestContractFuzz:
+    @settings(
+        max_examples=120,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_one_report_for_any_input(self, corpus, data):
+        argv = list(data.draw(st.sampled_from(valid_invocations(corpus))))
+        files = [i for i, a in enumerate(argv) if a.endswith(".json")]
+        if files and data.draw(st.booleans()):
+            i = data.draw(st.sampled_from(files))
+            text = json.dumps(mutate_json(data, json.loads(Path(argv[i]).read_text())))
+            if data.draw(st.booleans()):
+                text = text[: data.draw(st.integers(0, len(text)))]
+            path = Path(corpus["bad_json"]).with_name("mutant.json")
+            path.write_text(text)
+            argv[i] = str(path)
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(argv)))
+            if data.draw(st.booleans()) and at < len(argv):
+                argv[at] = data.draw(st.sampled_from(TOKENS))
+            else:
+                argv.insert(at, data.draw(st.sampled_from(TOKENS)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE, EXIT_BADFILE, EXIT_INTERNAL)
+        report = json.loads(out.getvalue())  # exactly one JSON document
+        assert set(report) == {"command", "inputs", "outputs", "timing_ms", "seed"}
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert err.getvalue() == ""

@@ -1,7 +1,7 @@
 """Action graphs, pattern frequencies, statistical distance, encoding."""
 
 from fractions import Fraction
-from itertools import permutations as iperms
+from itertools import combinations, permutations as iperms, product
 from random import Random
 
 import networkx as nx
@@ -23,11 +23,12 @@ from permstab.graphs import (
     enumerate_patterns,
     pattern_frequency,
     stat_distance_truncated,
+    _statistic_words,
 )
 from permstab.groups import FpGroup, PermHomomorphism
 from permstab.perm import Permutation, parse_permutation
 from permstab.randgen import random_permutation
-from permstab.trace_stats import action_trace, bs_statistic
+from permstab.trace_stats import action_trace, bs_statistic, get_trace, s_from_tr
 
 
 def free_hom(degree, *cycle_strs):
@@ -93,6 +94,108 @@ class TestActionGraph:
             assert len(action_graph(h).edges()) == m * n
 
 
+def embedding_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction:
+    """Oracle: place the root at each vertex, force the image of every
+    other pattern vertex along the edges, and count the injective fits."""
+    if graph.n == 0:
+        return Fraction(0)
+    perms = graph.perms
+    inv = [p.inverse() for p in perms]
+    edges = tuple(pattern.edges)
+    count = 0
+    for x in range(1, graph.n + 1):
+        f = {pattern.root: x}
+        pending = list(edges)
+        ok = True
+        while pending and ok:
+            rest = []
+            progressed = False
+            for u, v, lab in pending:
+                fu, fv = f.get(u), f.get(v)
+                if fu is None and fv is None:
+                    rest.append((u, v, lab))
+                    continue
+                progressed = True
+                if fu is not None and fv is None:
+                    f[v] = perms[lab](fu)
+                elif fv is not None and fu is None:
+                    f[u] = inv[lab](fv)
+                elif perms[lab](fu) != fv:
+                    ok = False
+                    break
+            pending = rest
+            if not progressed and pending:
+                ok = False
+        if ok and len(set(f.values())) == pattern.n:
+            count += 1
+    return Fraction(count, graph.n)
+
+
+def all_rooted_patterns(alphabet, bound):
+    """One pattern per rooted isomorphism class with at most ``bound``
+    vertices, without ``enumerate_patterns``' canonical forms: every way
+    to make each label a partial injection of ``1..k``, rooted at 1, kept
+    when no renumbering of the other vertices was seen before."""
+    out = []
+    for k in range(1, bound + 1):
+        points = range(1, k + 1)
+        injections = [
+            tuple(zip(dom, img))
+            for r in range(k + 1)
+            for dom in combinations(points, r)
+            for img in iperms(points, r)
+        ]
+        renumberings = [(0, 1) + rest for rest in iperms(range(2, k + 1))]
+        seen = set()
+        for per_label in product(injections, repeat=len(alphabet)):
+            edges = frozenset(
+                (u, v, lab) for lab, inj in enumerate(per_label) for u, v in inj
+            )
+            key = min(
+                tuple(sorted((s[u], s[v], lab) for u, v, lab in edges))
+                for s in renumberings
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            try:
+                out.append(RootedPattern(k, 1, alphabet, edges))
+            except MalformedInputError:  # disconnected
+                continue
+    return out
+
+
+class TestFrequencyOracle:
+    @pytest.mark.parametrize("alphabet", [("x",), ("x", "y")])
+    def test_generator_lists_each_class_once(self, alphabet):
+        patterns = all_rooted_patterns(alphabet, 3)
+        listed = enumerate_patterns(alphabet, 3)
+        assert len(patterns) == len(listed)
+        assert {p.certificate() for p in patterns} == {
+            p.certificate() for p, _ in listed
+        }
+
+    @pytest.mark.parametrize(
+        "alphabet,bound", [(("x", "y"), 4), (("x",), 3), (("x", "y", "z"), 3)]
+    )
+    def test_matches_embedding_count(self, alphabet, bound):
+        rng = Random(72 + 10 * len(alphabet) + bound)
+        homs = [
+            PermHomomorphism(
+                FpGroup(alphabet), n, tuple(random_permutation(n, rng) for _ in alphabet)
+            )
+            for n in (0, 1, 2, 6)
+        ]
+        graphs = [action_graph(h) for h in homs]
+        for pat in all_rooted_patterns(alphabet, bound):
+            fixed, moved = _statistic_words(pat)
+            for h, g in zip(homs, graphs):
+                f = pattern_frequency(g, pat)
+                assert f == embedding_frequency(g, pat), (g.n, pat)
+                if bound <= 3 and g.n:
+                    assert f == s_from_tr(get_trace(h), fixed, moved), (g.n, pat)
+
+
 class TestPatternFrequency:
     def test_single_vertex_pattern(self):
         g = action_graph(free_hom(5, "(1 2 3 4 5)"))
@@ -108,12 +211,6 @@ class TestPatternFrequency:
         g = action_graph(free_hom(3, "(1 2)"))
         k = RootedPattern(2, 1, ("x",), frozenset({(1, 2, 0)}))
         assert pattern_frequency(g, k) == Fraction(2, 3)
-
-    def test_size_bound(self):
-        g = action_graph(free_hom(3, "(1 2)"))
-        k = RootedPattern(3, 1, ("x",), frozenset({(1, 2, 0), (2, 3, 0)}))
-        with pytest.raises(BoundExceededError):
-            pattern_frequency(g, k, vertex_bound=2)
 
     def test_alphabet_mismatch(self):
         g = action_graph(free_hom(3, "(1 2)"))

@@ -15,6 +15,7 @@ from permstab.errors import (
 from permstab.fixtures import klein_pair, klein_presentation
 from permstab.groups import (
     _all_subgroup_sets,
+    conjugate_hom,
     FiniteGroup,
     FpGroup,
     PermHomomorphism,
@@ -42,9 +43,10 @@ from permstab.groups import (
 )
 from permstab.multiplicity import orbit_decomposition
 from permstab.perm import Permutation, all_permutations, parse_permutation
+from permstab.randgen import random_permutation
 from permstab.trace_stats import action_trace
 
-from conftest import medium_group_zoo, subgroup_from_cycles
+from conftest import generating_chain, medium_group_zoo, subgroup_from_cycles
 
 
 def brute_force_subgroup_sets(G):
@@ -218,6 +220,25 @@ class TestGroupFromPermutations:
         gen = parse_permutation("(1 2 3 4)", 4)
         expected = {gen**k for k in range(4)}
         assert set(nat.images) == expected
+
+    def test_table_matches_permutation_products(self):
+        a4_gens = [parse_permutation("(1 2 3)", 4), parse_permutation("(1 2)(3 4)", 4)]
+        a5_gens = [parse_permutation("(1 2 3)", 5), parse_permutation("(1 2 3 4 5)", 5)]
+        cases = [
+            *(symmetric_group(n) for n in (1, 2, 3, 4, 5)),
+            *(dihedral_group(n) for n in (3, 4, 5, 6)),
+            quaternion_group(),
+            group_from_permutations(a4_gens),
+            group_from_permutations(a5_gens),
+            group_from_permutations([parse_permutation("(1 2 3)(4 5)", 5)]),
+        ]
+        for G, nat in cases:
+            ordered = nat.images
+            assert list(ordered) == sorted(set(ordered), key=lambda p: p.images)
+            pos = {p: i for i, p in enumerate(ordered)}
+            assert G.table == tuple(tuple(pos[a * b] for b in ordered) for a in ordered)
+        assert set(cases[4][1].images) == set(all_permutations(5))
+        assert [G.order for G, _ in cases[-3:]] == [12, 60, 6]
 
     def test_order_bound(self):
         with pytest.raises(BoundExceededError):
@@ -485,6 +506,56 @@ class TestHomBuilders:
         gens = {2: parse_permutation("(1 2)", 3), 3: parse_permutation("(1 2 3)", 3)}
         h = hom_from_generator_images(G, gens, 3)
         assert h == nat
+
+    def test_generator_images_against_product_closure(self):
+        # oracle: the pairs (g, image of g) generate a subgroup of G x S_d,
+        # which is the graph of a homomorphism iff it has one element over
+        # each element of G
+        def closure_is_graph(G, images, degree):
+            seen = {(G.identity, tuple(range(1, degree + 1)))}
+            frontier = list(seen)
+            while frontier:
+                new = []
+                for a, p in frontier:
+                    for g, q in images.items():
+                        x = (G.mul(a, g), tuple(p[j - 1] for j in q.images))
+                        if x not in seen:
+                            seen.add(x)
+                            new.append(x)
+                frontier = new
+            return len(seen) == len({a for a, _ in seen}) == G.order
+
+        def random_hom(G, degree, rng):
+            subgroups = all_subgroups(G)
+            h = trivial_hom(G, 0)
+            while h.degree < degree:
+                K = rng.choice([K for K in subgroups if K.index <= degree - h.degree])
+                h = direct_sum_hom(h, coset_action(G, K))
+            return conjugate_hom(h, random_permutation(degree, rng))
+
+        rng = Random(41)
+        accepted = rejected = 0
+        for G in medium_group_zoo().values():
+            chain = generating_chain(G)
+            for trial in range(16):
+                degree = rng.randint(1, 6)
+                real = random_hom(G, degree, rng)
+                images = {g: real.images[g] for g in chain}
+                if trial % 2 and chain:
+                    images[rng.choice(chain)] = random_permutation(degree, rng)
+                expected = closure_is_graph(G, images, degree)
+                try:
+                    h = hom_from_generator_images(G, images, degree)
+                except SourceMismatchError:
+                    assert not expected
+                    rejected += 1
+                    continue
+                assert expected and check_homomorphism(h).ok
+                assert all(h.images[g] == p for g, p in images.items())
+                if trial % 2 == 0:
+                    assert h == real
+                accepted += 1
+        assert accepted > 150 and rejected > 60
 
     def test_inconsistent_images_rejected(self):
         G = cyclic_group(4)

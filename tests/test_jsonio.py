@@ -208,6 +208,15 @@ class TestHomJson:
                 "degree": 2.0,
                 "images": {"a": "(1 2)"},
             },
+            *(
+                {
+                    # images must be an object keyed by element id
+                    "group": {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]},
+                    "degree": 2,
+                    "images": images,
+                }
+                for images in ("(1 2)", ["()", "(1 2)"])
+            ),
         ],
     )
     def test_malformed_homs(self, obj):
@@ -235,7 +244,7 @@ class TestHomJson:
             "images": {"a": "(1 2)", "b": "(1 2 3)"},
         }
         hom_from_json(obj)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_unreadable_file(self):
         with pytest.raises(MalformedInputError):
