@@ -10,16 +10,20 @@ preserving embedding of the pattern that sends the root there
 distance between the frequency vectors over a canonical enumeration of
 small connected rooted patterns.
 
-Frequencies are trace statistics: spanning-tree words of a pattern give
-sets ``A_P``, ``B_P`` with frequency ``S(A_P, B_P)`` on the graph's
-free-group action, counted by ``trace_stats`` from fixed-point masks.
+Every embedding is forced once the root is placed, so one root-first
+traversal of a pattern serves three ends: connectivity, the spanning-tree
+words whose sets ``A_P``, ``B_P`` give the frequency ``S(A_P, B_P)`` on
+the graph's free-group action (counted by ``trace_stats`` from
+fixed-point masks), and a complete invariant, the edges renumbered in
+discovery order, which deduplicates the enumeration and keys the orbits.
 
 Pattern family.  Only patterns whose vertices have at most one outgoing
 and one incoming edge per label are enumerated: any other pattern embeds
 in no per-label-permutation graph (two same-label out-edges would force
 two equal images), so it would contribute 0 to every distance.
 
-Weights.  Patterns are ordered by (vertex count, canonical certificate).
+Weights.  Patterns are ordered by (vertex count, canonical certificate);
+the certificate only orders them.
 Patterns equivalent under a relabeling of the alphabet form an orbit;
 the j-th orbit in this order carries weight 2^-j and every pattern of
 the orbit inherits it.  Sharing the weight across an orbit is what makes
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations as iperms
 from typing import Iterable, Optional, Sequence
 
@@ -90,6 +94,11 @@ class LabeledDigraph:
                 )
             perms.append(Permutation(mapping[i] for i in range(1, n + 1)))
         return cls(n, tuple(alphabet), tuple(perms))
+
+    @cached_property
+    def hom(self) -> PermHomomorphism:
+        """The free-group homomorphism whose action graph this is."""
+        return PermHomomorphism(FpGroup(self.alphabet), self.n, self.perms)
 
     def edges(self) -> list[tuple[int, int, str]]:
         out = []
@@ -160,38 +169,49 @@ class RootedPattern:
                 )
             out_seen.add((u, lab))
             in_seen.add((v, lab))
-        if not self._connected():
+        words, _ = _spanning_words(self.n, self.root, self.edges, len(self.alphabet))
+        if len(words) != self.n:
             raise MalformedInputError("pattern must be connected")
 
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
-
     def certificate(self) -> tuple:
-        """Canonical form under root-preserving isomorphism."""
+        """Legacy canonical form; only the sort key of the enumeration."""
         return _certificate(self.n, self.root, self.edges)
 
-    def relabeled(self, sigma: Sequence[int]) -> "RootedPattern":
-        """Pattern with label index ``i`` replaced by ``sigma[i]``."""
-        return RootedPattern(
-            self.n,
-            self.root,
-            self.alphabet,
-            frozenset((u, v, sigma[lab]) for u, v, lab in self.edges),
-        )
+
+def _spanning_words(
+    n: int, root: int, edges: Iterable[tuple[int, int, int]], m: int
+) -> tuple[dict[int, Word], list[tuple[int, int, int]]]:
+    """``(words, tree)`` of a breadth-first search from the root that
+    scans labels in index order, out-edge before in-edge.  An embedding
+    rooted at ``x`` sends each reached ``v`` to ``w_v(x)``; ``words`` is
+    in discovery order, which vertex ids cannot change, since a vertex
+    has at most one edge per label and direction."""
+    step = {}
+    for u, v, lab in edges:
+        step[u, lab, 1] = v
+        step[v, lab, -1] = u
+    words: dict[int, Word] = {root: ()}
+    tree = []
+    queue = [root]
+    for u in queue:  # grows in breadth-first order while iterated
+        for lab in range(m):
+            for e in (1, -1):
+                v = step.get((u, lab, e))
+                if v is not None and v not in words:
+                    words[v] = ((lab, e),) + words[u]
+                    tree.append((u, v, lab) if e == 1 else (v, u, lab))
+                    queue.append(v)
+    return words, tree
+
+
+def _traversal_key(
+    n: int, root: int, edges: Iterable[tuple[int, int, int]], m: int
+) -> tuple:
+    """Complete invariant of a connected pattern under root-preserving
+    isomorphism: the edges renumbered in :func:`_spanning_words`' order."""
+    words, _ = _spanning_words(n, root, edges, m)
+    order = {v: i for i, v in enumerate(words, 1)}
+    return n, tuple(sorted((order[u], order[v], lab) for u, v, lab in edges))
 
 
 def _refine_colors(
@@ -217,9 +237,11 @@ def _certificate(
 ) -> tuple:
     """Least edge tuple over root-preserving relabelings.
 
-    Color refinement first partitions the vertices by an isomorphism-
-    invariant key; only color-preserving bijections are then tried, which
-    keeps the search tiny for patterns of at most 6 vertices.
+    Only the enumeration's sort key, once per class (it fixes every
+    index and weight of the distance; :func:`_traversal_key` identifies
+    patterns).  Color refinement first partitions the vertices by an
+    isomorphism-invariant key; only color-preserving bijections are then
+    tried, which keeps the search tiny for patterns of at most 6 vertices.
     """
     from itertools import product as iproduct
 
@@ -254,30 +276,17 @@ def _certificate(
 
 @lru_cache(maxsize=1)  # the two graphs of a distance share one pattern's words
 def _statistic_words(pattern: RootedPattern) -> tuple[frozenset, frozenset]:
-    """``(A_P, B_P)``.  A breadth-first search from the root over the
-    sorted edges gives each vertex ``v`` a word ``w_v``, and an embedding
-    rooted at ``x`` sends ``v`` to ``w_v(x)``.  It exists iff ``x`` is
-    fixed by ``w_v^-1 s w_u`` for each non-tree edge ``(u, v, s)`` and
-    moved by ``w_v^-1 w_u`` for each pair of distinct vertices."""
-    edges = sorted(pattern.edges)
-    words: dict[int, Word] = {pattern.root: ()}
-    queue = [pattern.root]
-    tree = set()
-    for x in queue:  # grows in breadth-first order while iterated
-        for u, v, lab in edges:
-            if u == x and v not in words:
-                words[v] = ((lab, 1),) + words[u]
-                queue.append(v)
-            elif v == x and u not in words:
-                words[u] = ((lab, -1),) + words[v]
-                queue.append(u)
-            else:
-                continue
-            tree.add((u, v, lab))
+    """``(A_P, B_P)`` from the words ``w_v`` of :func:`_spanning_words`.
+    An embedding rooted at ``x`` exists iff ``x`` is fixed by
+    ``w_v^-1 s w_u`` for each non-tree edge ``(u, v, s)`` and moved by
+    ``w_v^-1 w_u`` for each pair of distinct vertices."""
+    words, tree = _spanning_words(
+        pattern.n, pattern.root, pattern.edges, len(pattern.alphabet)
+    )
     inv = {v: tuple((lab, -e) for lab, e in reversed(w)) for v, w in words.items()}
     fixed = frozenset(
         inv[v] + ((lab, 1),) + words[u]
-        for u, v, lab in edges
+        for u, v, lab in pattern.edges
         if (u, v, lab) not in tree
     )
     pairs = combinations(range(1, pattern.n + 1), 2)
@@ -297,9 +306,8 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
         )
     if graph.n == 0:
         return Fraction(0)
-    h = PermHomomorphism(FpGroup(graph.alphabet), graph.n, graph.perms)
     fixed, moved = _statistic_words(pattern)
-    return Fraction(get_trace(h).statistic_count(fixed, moved), graph.n)
+    return Fraction(get_trace(graph.hom).statistic_count(fixed, moved), graph.n)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +321,7 @@ def enumerate_patterns(
     """All connected rooted patterns with at most ``size_bound`` vertices,
     in canonical order, each paired with its weight.
 
+    Generation keeps the first pattern found per :func:`_traversal_key`.
     Order: vertex count, then certificate.  The j-th label-relabeling
     orbit (1-based, ordered by first appearance) has weight ``2^-j``.
     """
@@ -324,34 +333,31 @@ def enumerate_patterns(
         )
     m = len(alphabet)
     seed = RootedPattern(1, 1, alphabet, frozenset())
-    seen = {seed.certificate(): seed}
+    seen = {_traversal_key(1, 1, (), m): seed}
     frontier = [seed]
     while frontier:
         new = []
         for pat in frontier:
-            for succ in _pattern_successors(pat, size_bound):
-                cert = succ.certificate()
-                if cert not in seen:
-                    seen[cert] = succ
+            for n, edges in _pattern_successors(pat, size_bound):
+                key = _traversal_key(n, pat.root, edges, m)
+                if key not in seen:
+                    seen[key] = succ = RootedPattern(n, pat.root, alphabet, edges)
                     new.append(succ)
         frontier = new
-    ordered = [seen[c] for c in sorted(seen, key=lambda c: (c[0], c))]
+    ordered = sorted(seen.values(), key=RootedPattern.certificate)
     orbit_index: dict[tuple, int] = {}
     weights = []
-    next_orbit = 0
     sigma_list = list(iperms(range(m)))
     for pat in ordered:
-        key = min(pat.relabeled(sigma).certificate() for sigma in sigma_list)
-        if key not in orbit_index:
-            next_orbit += 1
-            orbit_index[key] = next_orbit
-        weights.append(Fraction(1, 2 ** orbit_index[key]))
+        relabelings = ([(u, v, s[lab]) for u, v, lab in pat.edges] for s in sigma_list)
+        key = min(_traversal_key(pat.n, pat.root, e, m) for e in relabelings)
+        orbit = orbit_index.setdefault(key, len(orbit_index) + 1)
+        weights.append(Fraction(1, 2**orbit))
     return tuple(zip(ordered, weights))
 
 
-def _pattern_successors(
-    pat: RootedPattern, size_bound: int
-) -> Iterable[RootedPattern]:
+def _pattern_successors(pat: RootedPattern, size_bound: int) -> Iterable[tuple]:
+    """``(n, edges)`` of each valid pattern with one more edge."""
     m = len(pat.alphabet)
     out_used = {(u, lab) for u, _, lab in pat.edges}
     in_used = {(v, lab) for _, v, lab in pat.edges}
@@ -360,25 +366,15 @@ def _pattern_successors(
             if (u, lab) in out_used:
                 continue
             for v in range(1, pat.n + 1):
-                if (v, lab) in in_used:
-                    continue
-                yield RootedPattern(
-                    pat.n, pat.root, pat.alphabet,
-                    pat.edges | {(u, v, lab)},
-                )
+                if (v, lab) not in in_used:
+                    yield pat.n, pat.edges | {(u, v, lab)}
         if pat.n < size_bound:
             w = pat.n + 1
             for u in range(1, pat.n + 1):
                 if (u, lab) not in out_used:
-                    yield RootedPattern(
-                        pat.n + 1, pat.root, pat.alphabet,
-                        pat.edges | {(u, w, lab)},
-                    )
+                    yield w, pat.edges | {(u, w, lab)}
                 if (u, lab) not in in_used:
-                    yield RootedPattern(
-                        pat.n + 1, pat.root, pat.alphabet,
-                        pat.edges | {(w, u, lab)},
-                    )
+                    yield w, pat.edges | {(w, u, lab)}
 
 
 def stat_distance_truncated(
@@ -475,17 +471,15 @@ class SimpleGraph:
 # Per edge: 2 + 2 + (2+i) new vertices and 7 + i new edges.
 
 
-def encode_to_simple(
-    graph: LabeledDigraph, alphabet_bound: int = DEFAULT_ALPHABET_BOUND
-) -> SimpleGraph:
+def encode_to_simple(graph: LabeledDigraph) -> SimpleGraph:
     """Encode orientation and labels into pendant-path gadgets.
 
     Output max degree is ``max(input total degree, 3)``, i.e. at most the
     input maximum degree plus 2.
     """
-    if len(graph.alphabet) > alphabet_bound:
+    if len(graph.alphabet) > DEFAULT_ALPHABET_BOUND:
         raise BoundExceededError(
-            f"alphabet size {len(graph.alphabet)} exceeds {alphabet_bound}"
+            f"alphabet size {len(graph.alphabet)} exceeds {DEFAULT_ALPHABET_BOUND}"
         )
     next_vertex = graph.n + 1
     edges: set[frozenset[int]] = set()

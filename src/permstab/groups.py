@@ -258,7 +258,7 @@ def klein_four_group() -> FiniteGroup:
 
 
 def group_from_permutations(
-    gens: Sequence[Permutation], max_order: int = DEFAULT_CLOSURE_BOUND
+    gens: Sequence[Permutation],
 ) -> tuple[FiniteGroup, "PermHomomorphism"]:
     """Close ``gens`` under composition and return the abstract table
     together with the defining (faithful) permutation homomorphism.
@@ -282,9 +282,9 @@ def group_from_permutations(
             for g in gen_images:
                 q = tuple([g[j - 1] for j in p])
                 if q not in elems:
-                    if len(elems) >= max_order:
+                    if len(elems) >= DEFAULT_CLOSURE_BOUND:
                         raise BoundExceededError(
-                            f"group order exceeds bound {max_order}"
+                            f"group order exceeds bound {DEFAULT_CLOSURE_BOUND}"
                         )
                     elems.add(q)
                     new.append(q)
@@ -338,7 +338,13 @@ def _all_subgroup_sets(G: FiniteGroup) -> tuple[frozenset[int], ...]:
     of the cyclic subgroups under joins with one more cyclic subgroup
     ``<c>``.  Each subgroup keeps the generators it was first reached by,
     and its join with ``<c>`` is the closure of those generators and ``c``.
+    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``.
     """
+    if G.order > DEFAULT_SUBGROUP_ORDER_BOUND:
+        raise BoundExceededError(
+            f"group order {G.order} exceeds subgroup-enumeration bound "
+            f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
+        )
     gens: dict[frozenset[int], tuple[int, ...]] = {}
     for g in G.elements():
         gens.setdefault(frozenset(_closure(G, (g,))), (g,))
@@ -359,15 +365,10 @@ def _all_subgroup_sets(G: FiniteGroup) -> tuple[frozenset[int], ...]:
     return tuple(sorted(gens, key=lambda s: (len(s), sorted(s))))
 
 
-def all_subgroups(
-    G: FiniteGroup, order_bound: int = DEFAULT_SUBGROUP_ORDER_BOUND
-) -> list[Subgroup]:
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Complete duplicate-free subgroup list, seeded from cyclic subgroups
-    and closed under joins (every subgroup is a join of cyclic ones)."""
-    if G.order > order_bound:
-        raise BoundExceededError(
-            f"group order {G.order} exceeds subgroup-enumeration bound {order_bound}"
-        )
+    and closed under joins (every subgroup is a join of cyclic ones).
+    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``."""
     return [Subgroup._trusted(G, s) for s in _all_subgroup_sets(G)]
 
 
@@ -403,11 +404,6 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
     Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``,
     as ``all_subgroups`` does.
     """
-    if G.order > DEFAULT_SUBGROUP_ORDER_BOUND:
-        raise BoundExceededError(
-            f"group order {G.order} exceeds subgroup-enumeration bound "
-            f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
-        )
     sets = _all_subgroup_sets(G)
     remaining = set(sets)
     classes = []

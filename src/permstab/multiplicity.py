@@ -99,11 +99,14 @@ class MultiplicityVector:
 
 
 def multiplicity_vector(h: PermHomomorphism) -> MultiplicityVector:
-    dec = orbit_decomposition(h)
+    return _census(orbit_decomposition(h))
+
+
+def _census(dec: OrbitDecomposition) -> MultiplicityVector:
     counts = [0] * len(dec.classes)
     for orb in dec.orbits:
         counts[orb.class_id] += 1
-    return MultiplicityVector(h.source, h.degree, tuple(counts))
+    return MultiplicityVector(dec.hom.source, dec.hom.degree, tuple(counts))
 
 
 def _require_comparable(h1: PermHomomorphism, h2: PermHomomorphism):
@@ -120,14 +123,11 @@ def hom_order_leq(phi: PermHomomorphism, psi: PermHomomorphism) -> bool:
     return all(a <= b for a, b in zip(m1.counts, m2.counts))
 
 
-def _pair_witness(
-    h1: PermHomomorphism, h2: PermHomomorphism
-) -> Permutation:
+def _pair_witness(d1: OrbitDecomposition, d2: OrbitDecomposition) -> Permutation:
     """Conjugator built by pairing same-class orbits in ascending base
     order and transporting base points along the group."""
+    h1, h2 = d1.hom, d2.hom
     G = h1.source
-    d1 = orbit_decomposition(h1)
-    d2 = orbit_decomposition(h2)
     by_class_1: dict[int, list[Orbit]] = {}
     by_class_2: dict[int, list[Orbit]] = {}
     for orb in d1.orbits:
@@ -167,9 +167,10 @@ def is_conjugate(
     _require_comparable(h1, h2)
     if h1.degree != h2.degree:
         raise SourceMismatchError("homomorphisms must share a degree")
-    if multiplicity_vector(h1) != multiplicity_vector(h2):
+    d1, d2 = orbit_decomposition(h1), orbit_decomposition(h2)
+    if _census(d1) != _census(d2):
         return False, None
-    p = _pair_witness(h1, h2)
+    p = _pair_witness(d1, d2)
     pinv = p.inverse()
     for g in h1.source.elements():
         if p * h1.images[g] * pinv != h2.images[g]:  # pragma: no cover

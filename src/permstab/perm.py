@@ -80,16 +80,18 @@ class Permutation:
         return Permutation._trusted(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
+        if k == 0:
+            return Permutation.identity(self.degree)
+        base = self.inverse() if k < 0 else self
+        k = abs(k)
+        result = None
+        while True:  # square-and-multiply without identity or spare squares
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

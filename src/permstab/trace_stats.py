@@ -120,19 +120,14 @@ def bs_statistic(h: PermHomomorphism, A: ElementSet, B: ElementSet) -> Fraction:
     return Fraction(get_trace(h).statistic_count(A, B), h.degree)
 
 
-def s_from_tr(
-    trace: ActionTrace,
-    A: ElementSet,
-    B: ElementSet,
-    moved_bound: int = DEFAULT_MOVED_SET_BOUND,
-) -> Fraction:
+def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
     """``S(A, B)`` from trace values alone, by inclusion-exclusion."""
     h = trace.hom
     A = _canonical_elements(h, A)
     B = _canonical_elements(h, B)
-    if len(B) > moved_bound:
+    if len(B) > DEFAULT_MOVED_SET_BOUND:
         raise BoundExceededError(
-            f"moved set of size {len(B)} exceeds bound {moved_bound}"
+            f"moved set of size {len(B)} exceeds bound {DEFAULT_MOVED_SET_BOUND}"
         )
     if h.degree == 0:
         return Fraction(1) if not B else Fraction(0)

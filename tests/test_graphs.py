@@ -1,12 +1,16 @@
 """Action graphs, pattern frequencies, statistical distance, encoding."""
 
+import hashlib
+import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations as iperms, product
 from random import Random
 
 import networkx as nx
 import pytest
 
+from permstab import graphs
 from permstab.errors import (
     AlphabetMismatchError,
     BoundExceededError,
@@ -24,6 +28,7 @@ from permstab.graphs import (
     pattern_frequency,
     stat_distance_truncated,
     _statistic_words,
+    _traversal_key,
 )
 from permstab.groups import FpGroup, PermHomomorphism
 from permstab.perm import Permutation, parse_permutation
@@ -131,6 +136,7 @@ def embedding_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fracti
     return Fraction(count, graph.n)
 
 
+@lru_cache(maxsize=None)
 def all_rooted_patterns(alphabet, bound):
     """One pattern per rooted isomorphism class with at most ``bound``
     vertices, without ``enumerate_patterns``' canonical forms: every way
@@ -336,6 +342,63 @@ class TestEnumeration:
     def test_counts_are_stable(self):
         assert len(enumerate_patterns(("x",), 3)) == 9
         assert len(enumerate_patterns(("x", "y"), 2)) == 37
+
+    @pytest.mark.parametrize(
+        "alphabet,bound,digest",
+        [
+            (("x",), 4, "675d76bcde21d5acb3f19f27852c97a3"
+                        "94d0973e3576df55e85ff87aa8e8369b"),
+            (("x", "y"), 4, "c6a234f179ec368d668589e0cda13a05"
+                            "2452035d3a60095e42cf8e2c900a7a70"),
+            (("x", "y", "z"), 3, "7fc6695396a3066b507c7a4562d3339c"
+                                 "703f4faa2d25d1f239f5877075f9e869"),
+        ],
+        ids=["x-4", "xy-4", "xyz-3"],
+    )
+    def test_order_and_weights_pinned(self, alphabet, bound, digest):
+        # digests of the order, the kept patterns and the weights listed
+        # when every successor was identified by its certificate
+        listed = [
+            [p.n, p.root, sorted(p.edges), str(w)]
+            for p, w in enumerate_patterns(alphabet, bound)
+        ]
+        assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 3)])
+    def test_traversal_key_is_a_complete_invariant(self, alphabet, bound):
+        rng = Random(73 + bound)
+        m = len(alphabet)
+        keys = set()
+        for pat in all_rooted_patterns(alphabet, bound):
+            key = _traversal_key(pat.n, pat.root, pat.edges, m)
+            for _ in range(3):
+                images = list(range(1, pat.n + 1))
+                rng.shuffle(images)
+                s = dict(zip(range(1, pat.n + 1), images))
+                edges = [(s[u], s[v], lab) for u, v, lab in pat.edges]
+                assert _traversal_key(pat.n, s[pat.root], edges, m) == key
+            keys.add(key)
+        assert len(keys) == len(all_rooted_patterns(alphabet, bound))
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 3), (("x", "y", "z"), 2)])
+    def test_one_validation_and_certificate_per_class(
+        self, alphabet, bound, monkeypatch
+    ):
+        calls = {"certificate": 0, "post_init": 0}
+        certificate, post_init = graphs._certificate, RootedPattern.__post_init__
+
+        def count_certificate(*args):
+            calls["certificate"] += 1
+            return certificate(*args)
+
+        def count_post_init(self):
+            calls["post_init"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(graphs, "_certificate", count_certificate)
+        monkeypatch.setattr(RootedPattern, "__post_init__", count_post_init)
+        listed = enumerate_patterns.__wrapped__(alphabet, bound)
+        assert calls == {"certificate": len(listed), "post_init": len(listed)}
 
 
 class TestStatDistance:

@@ -12,6 +12,7 @@ from permstab.errors import (
     SourceMismatchError,
     WordError,
 )
+from permstab import groups
 from permstab.fixtures import klein_pair, klein_presentation
 from permstab.groups import (
     _all_subgroup_sets,
@@ -240,14 +241,14 @@ class TestGroupFromPermutations:
         assert set(cases[4][1].images) == set(all_permutations(5))
         assert [G.order for G, _ in cases[-3:]] == [12, 60, 6]
 
-    def test_order_bound(self):
+    def test_order_bound(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_BOUND", 100)
         with pytest.raises(BoundExceededError):
             group_from_permutations(
                 [
                     parse_permutation("(1 2)", 6),
                     parse_permutation("(1 2 3 4 5 6)", 6),
-                ],
-                max_order=100,
+                ]
             )
 
     def test_identity_gets_id_zero(self):
@@ -339,10 +340,11 @@ class TestAllSubgroups:
                 subgroup_closure(G, [1, bad])
 
     def test_bound(self):
+        G = cyclic_group(201)
         with pytest.raises(BoundExceededError):
-            all_subgroups(cyclic_group(6), order_bound=5)
+            all_subgroups(G)
         with pytest.raises(BoundExceededError):
-            subgroup_conjugacy_classes(cyclic_group(201))
+            subgroup_conjugacy_classes(G)
 
 
 class TestConjugacyClasses:

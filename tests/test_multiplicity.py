@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from permstab import multiplicity
 from permstab.errors import NotComparableError, NotSubgroupError, SourceMismatchError
 from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair
 from permstab.groups import (
@@ -201,6 +202,18 @@ class TestIsConjugate:
         G = cyclic_group(2)
         with pytest.raises(SourceMismatchError):
             is_conjugate(trivial_hom(G, 2), trivial_hom(G, 3))
+
+    def test_one_decomposition_per_hom(self, monkeypatch):
+        calls = []
+        real = multiplicity.orbit_decomposition
+        monkeypatch.setattr(
+            multiplicity, "orbit_decomposition", lambda h: calls.append(h) or real(h)
+        )
+        t1, t2 = klein_pair()
+        for h1, h2, expected in ((t1, t1, True), (t1, t2, False)):
+            calls.clear()
+            assert is_conjugate(h1, h2)[0] is expected
+            assert calls == [h1, h2]
 
 
 class TestHomOrder:

@@ -75,6 +75,32 @@ class TestArithmetic:
         assert c**-1 == c.inverse()
         assert c**3 == c.inverse()
 
+    @pytest.mark.parametrize("k", range(-3, 9))
+    def test_power_makes_only_needed_products(self, k, monkeypatch):
+        # square-and-multiply: one square per bit below the top one, one
+        # multiply per further set bit; a negative power inverts once
+        calls = {"mul": 0, "inverse": 0}
+        mul, inverse = Permutation.__mul__, Permutation.inverse
+
+        def counting(name, f):
+            def wrapped(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapped
+
+        monkeypatch.setattr(Permutation, "__mul__", counting("mul", mul))
+        monkeypatch.setattr(Permutation, "inverse", counting("inverse", inverse))
+        c = parse_permutation("(1 2 3 4 5)(6 7)", 7)
+        result = c**k
+        monkeypatch.undo()
+        expected = Permutation.identity(7)
+        for _ in range(abs(k)):
+            expected = expected * (c if k > 0 else c.inverse())
+        assert result == expected
+        a = abs(k)
+        assert calls["mul"] == (a.bit_length() + a.bit_count() - 2 if a else 0)
+        assert calls["inverse"] == (k < 0)
+
     def test_order(self):
         assert parse_permutation("(1 2)(3 4 5)", 5).order() == 6
         assert Permutation.identity(3).order() == 1

@@ -35,6 +35,7 @@ from permstab.groups import (
     trivial_hom,
     trivial_subgroup,
 )
+from permstab import multiplicity
 from permstab.multiplicity import is_conjugate
 from permstab.perm import (
     Permutation,
@@ -100,6 +101,28 @@ class TestSmallConjugator:
         h2 = z2_hom(4, parse_permutation("(1 2)(3 4)", 4))
         with pytest.raises(NotConjugateError):
             small_conjugator(h1, h2)
+
+    def test_one_conjugacy_test_on_the_complement(self, monkeypatch):
+        # only the restrictions to the points outside the agreement set
+        # are decomposed, once each
+        degrees = []
+        real = multiplicity.orbit_decomposition
+        monkeypatch.setattr(
+            multiplicity,
+            "orbit_decomposition",
+            lambda h: degrees.append(h.degree) or real(h),
+        )
+        h1 = z2_hom(8, parse_permutation("(1 2)(3 4)", 8))
+        for image, conjugate in (("(1 2)(5 6)", True), ("(1 2)(3 4)(5 6)", False)):
+            degrees.clear()
+            h2 = z2_hom(8, parse_permutation(image, 8))
+            if conjugate:
+                p = small_conjugator(h1, h2)
+                assert p * h1.images[1] * p.inverse() == h2.images[1]
+            else:
+                with pytest.raises(NotConjugateError):
+                    small_conjugator(h1, h2)
+            assert degrees == [8 - len(agreement_set(h1, h2))] * 2
 
     def test_random_perturbed_suite(self, zoo8):
         rng = Random(41)
