@@ -54,7 +54,6 @@ from .stability import (
     AmalgamHom,
     amalgamated_hom,
     centralizer_correct,
-    centralizer_elements,
     compose_lift,
     find_normal_complement,
     has_extension,

@@ -571,12 +571,13 @@ def evaluate_word(h: PermHomomorphism, word: Union[str, Word]) -> Permutation:
         if not isinstance(h.source, FpGroup):
             raise WordError("string words require an FpGroup source")
         word = parse_word(word, h.source.generators)
-    result = Permutation.identity(h.degree)
+    result = None  # start from the first factor: L - 1 products for L factors
     for idx, exp in word:
         if not 0 <= idx < len(h.images):
             raise WordError(f"word references unknown generator index {idx}")
-        result = result * (h.images[idx] ** exp)
-    return result
+        factor = h.images[idx] ** exp
+        result = factor if result is None else result * factor
+    return Permutation.identity(h.degree) if result is None else result
 
 
 @dataclass(frozen=True)

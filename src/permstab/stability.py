@@ -4,7 +4,13 @@ This module houses the finite, executable side of stability theory:
 
 * small conjugators built on the agreement set of two close conjugate
   homomorphisms, with the distance bound ``|H| * epsilon``;
-* a certified minimum over all conjugators (centralizer-coset search);
+* one nearest-conjugator solver: the conjugator between two actions
+  that agrees with a target permutation on the most points, from
+  equivariant maps between orbits and one Hungarian assignment per class
+  of isomorphic orbits, with no search over ``S_n`` or a centralizer;
+  it gives the certified minimum conjugator distance (target the
+  identity) and the correction below (target the almost-centralizing
+  permutation);
 * exact extension-property decisions from orbit censuses (a ``G``-set
   is a sum of coset actions), at any degree, and retract certificates
   via normal complements;
@@ -12,7 +18,7 @@ This module houses the finite, executable side of stability theory:
   halves, with witness reporting on failure;
 * the replication count and block-sum lift used to rebuild an action
   from coset actions;
-* exact and heuristic correction of a permutation that almost commutes
+* the nearest exact correction of a permutation that almost commutes
   with a fixed coefficient.
 """
 
@@ -20,14 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     AmalgamMismatchError,
     BoundExceededError,
     DegreeMismatchError,
-    InternalInvariantError,
     NotConjugateError,
     NotSubgroupError,
     SourceMismatchError,
@@ -51,7 +55,6 @@ from .groups import (
 from .multiplicity import is_conjugate, multiplicity_vector
 from .perm import (
     Permutation,
-    all_permutations,
     hamming_distance,
     replicate,
     restrict,
@@ -126,67 +129,115 @@ def _restrict_to_points(
 
 
 # ---------------------------------------------------------------------------
-# centralizers and the certified minimum conjugator distance
+# nearest conjugators and the certified minimum conjugator distance
 
 
-def centralizer_order(p: Permutation) -> int:
-    """Order of the centralizer of ``p`` in its symmetric group."""
-    from collections import Counter
-    from math import factorial
+def nearest_conjugator(
+    gens1: Sequence[Permutation],
+    gens2: Sequence[Permutation],
+    target: Permutation,
+) -> Permutation:
+    """The conjugator ``p`` (``p * gens1[i] * p^-1 == gens2[i]`` for all
+    ``i``) that agrees with ``target`` on the most points, ties broken to
+    the lexicographically least one-line form.
 
-    out = 1
-    for length, count in Counter(len(c) for c in p.cycles(include_fixed=True)).items():
-        out *= length**count * factorial(count)
-    return out
-
-
-def centralizer_elements(p: Permutation) -> Iterator[Permutation]:
-    """All permutations commuting with ``p``, from its cycle structure.
-
-    A centralizing element permutes the cycles of each length among
-    themselves and rotates within cycles; enumeration runs over all
-    (cycle bijection, rotation offsets) choices per length class.
+    A conjugator maps each ``gens1``-orbit equivariantly onto a
+    ``gens2``-orbit, and there it is fixed by the image of the orbit's
+    least point.  Each pair of orbits keeps its best such map and each
+    class of isomorphic orbits gets one maximum-weight assignment; the
+    weight puts agreement first and the one-line form, read in base
+    ``n+1``, second.  Raises :class:`NotConjugateError` if none exists.
     """
-    from collections import defaultdict
-    from itertools import permutations as iperms
+    n = target.degree
+    perms1, perms2 = [g.images for g in gens1], [g.images for g in gens2]
+    unit = (n + 1) ** (n + 1)
+    place = [(n + 1) ** (n - x) for x in range(n + 1)]
+    orbits1, orbits2 = _orbits(perms1, n), _orbits(perms2, n)
+    best: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, o1 in enumerate(orbits1):
+        for j, o2 in enumerate(orbits2):
+            if len(o2) != len(o1):
+                continue
+            for p in filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2)):
+                weight = sum(
+                    unit * (target.images[x - 1] == px) - px * place[x]
+                    for x, px in p.items()
+                )
+                if (i, j) not in best or weight > best[i, j][0]:
+                    best[i, j] = (weight, p)
+        # isomorphic orbits admit the same partners, which name the class
+        partners = tuple(j for j in range(len(orbits2)) if (i, j) in best)
+        classes.setdefault(partners, []).append(i)
+    if len(orbits1) != len(orbits2) or any(
+        len(js) != len(rows) for js, rows in classes.items()
+    ):
+        raise NotConjugateError("no permutation conjugates the two actions")
+    images = [0] * n
+    for js, rows in classes.items():
+        matched = _max_weight_assignment([[best[i, j][0] for j in js] for i in rows])
+        for j, r in zip(js, matched):
+            for x, px in best[rows[r - 1], j][1].items():
+                images[x - 1] = px
+    return Permutation._trusted(tuple(images))
 
-    n = p.degree
-    by_len: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for c in p.cycles(include_fixed=True):
-        by_len[len(c)].append(c)
-    lengths = sorted(by_len)
-    choices_per_length = []
-    for ell in lengths:
-        cycles = by_len[ell]
-        m = len(cycles)
-        opts = []
-        for sigma in iperms(range(m)):
-            for offsets in iproduct(range(ell), repeat=m):
-                opts.append((sigma, offsets))
-        choices_per_length.append(opts)
-    for combo in iproduct(*choices_per_length):
-        images = [0] * n
-        for ell, (sigma, offsets) in zip(lengths, combo):
-            cycles = by_len[ell]
-            for j, cyc in enumerate(cycles):
-                target = cycles[sigma[j]]
-                r = offsets[j]
-                for t, point in enumerate(cyc):
-                    images[point - 1] = target[(t + r) % ell]
-        yield Permutation(images)
+
+def _transport(perms1, perms2, b: int, y: int) -> Optional[dict[int, int]]:
+    """The map of the ``perms1``-orbit of ``b`` that sends ``b`` to ``y``
+    and each step ``x -> g1(x)`` to ``p(x) -> g2(p(x))``, or ``None`` if
+    two steps disagree."""
+    p, queue = {b: y}, [b]
+    for x in queue:
+        for g1, g2 in zip(perms1, perms2):
+            x2, y2 = g1[x - 1], g2[p[x] - 1]
+            if x2 not in p:
+                p[x2] = y2
+                queue.append(x2)
+            elif p[x2] != y2:
+                return None
+    return p
 
 
-def _common_centralizer(images: Sequence[Permutation], degree: int) -> list[Permutation]:
-    """Elements commuting with every permutation in ``images``."""
-    nontrivial = [p for p in images if not p.is_identity()]
-    if not nontrivial:
-        return list(all_permutations(degree))
-    seedp = min(nontrivial, key=centralizer_order)
-    out = []
-    for c in centralizer_elements(seedp):
-        if all(c * q == q * c for q in nontrivial):
-            out.append(c)
+def _orbits(perms, n: int) -> list[list[int]]:
+    """Orbits of the group generated by one-line forms, least point first."""
+    out, seen = [], set()
+    for b in range(1, n + 1):
+        if b not in seen:
+            out.append(list(_transport(perms, perms, b, b)))
+            seen.update(out[-1])
     return out
+
+
+def _max_weight_assignment(w: Sequence[Sequence[int]]) -> list[int]:
+    """Row (counted from 1) matched to each column in a maximum-weight
+    perfect matching of the square matrix ``w``: Kuhn's Hungarian method
+    with potentials, O(m^3) and exact on integers."""
+    m = len(w)
+    u, v, row_of = [0] * (m + 1), [0] * (m + 1), [0] * (m + 1)  # 0: the root
+    for i in range(1, m + 1):
+        row_of[0], j0 = i, 0
+        slack, way, used = [None] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while row_of[j0]:  # grow shortest paths until a free column is reached
+            used[j0] = True
+            i0, delta, j1 = row_of[j0], None, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = -w[i0 - 1][j - 1] - u[i0] - v[j]
+                    if slack[j] is None or cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if delta is None or slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the root
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    return row_of[1:]
 
 
 def min_conjugator_distance(
@@ -194,27 +245,24 @@ def min_conjugator_distance(
 ) -> tuple[Fraction, Permutation]:
     """Exact minimum of ``d_H(p, id)`` over all conjugators ``p``.
 
-    The conjugator set is a coset of the centralizer of the image of
-    ``h2``, so the search enumerates that centralizer rather than the
-    whole symmetric group.  Requires degree <= 8 and a conjugate pair;
-    ties break to the lexicographically least one-line form.
+    The conjugator of :func:`nearest_conjugator` nearest to the identity;
+    ties break to the lexicographically least one-line form.  Requires a
+    shared finite source, degree <= 8 and a conjugate pair.
     """
+    # The solver has no degree limit. The bound stays because
+    # perfbench/gen_cli.py::gen_domain expects BoundExceededError at
+    # degree 10; lifting it is ROADMAP item 1's benchmark-first step.
     if h1.degree > MAX_EXACT_DEGREE:
         raise BoundExceededError(
             f"degree {h1.degree} exceeds exact-search bound {MAX_EXACT_DEGREE}"
         )
-    conj, p0 = is_conjugate(h1, h2)
-    if not conj:
-        raise NotConjugateError("homomorphisms are not conjugate")
-    best: Optional[tuple[Fraction, tuple[int, ...], Permutation]] = None
+    if not isinstance(h1.source, FiniteGroup) or h1.source != h2.source:
+        raise SourceMismatchError("homomorphisms must share a FiniteGroup source")
+    if h1.degree != h2.degree:
+        raise SourceMismatchError("homomorphisms must share a degree")
     ident = Permutation.identity(h1.degree)
-    for c in _common_centralizer(h2.images, h2.degree):
-        cand = c * p0
-        key = (hamming_distance(cand, ident), cand.images)
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], cand)
-    assert best is not None
-    return best[0], best[2]
+    p = nearest_conjugator(h1.images, h2.images, ident)
+    return hamming_distance(p, ident), p
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +415,13 @@ class AmalgamHom:
     ) -> Permutation:
         """Image of a word ``g1 h1 g2 ...`` given as ``(side, token)``
         factors, multiplied left to right."""
-        result = Permutation.identity(self.degree)
+        result = None  # start from the first factor, as evaluate_word does
         for side, token in items:
             if side not in (1, 2):
                 raise AmalgamMismatchError(f"side must be 1 or 2, got {side}")
-            result = result * self._side_image(side, token)
-        return result
+            factor = self._side_image(side, token)
+            result = factor if result is None else result * factor
+        return Permutation.identity(self.degree) if result is None else result
 
     def evaluate_mixed_word(self, text: str) -> Permutation:
         """Image of a word over the disjoint union of the two generator
@@ -507,87 +556,22 @@ def centralizer_correct(
 ) -> CorrectionReport:
     """Replace ``q`` by a permutation that commutes with ``a`` exactly.
 
-    ``exact`` mode (degree <= 8) minimizes ``d_H(q, q')`` over the full
-    centralizer of ``a``, breaking ties by lexicographically least
-    one-line form.  ``heuristic`` mode repairs ``q`` cycle by cycle:
-    each cycle of ``a`` votes for the target cycle and rotation that
-    ``q`` most nearly maps it to, and a greedy matching realizes the
-    votes, so the output always centralizes ``a`` exactly.
+    The result is the centralizing element nearest to ``q`` (a
+    :func:`nearest_conjugator` from ``a`` to itself), ties broken to the
+    lexicographically least one-line form.  Both modes return this
+    optimum; ``exact`` mode keeps the degree <= 8 input bound and
+    ``heuristic`` mode, kept as an accepted value, has none.
     """
     if a.degree != q.degree:
-        raise DegreeMismatchError(
-            f"degrees differ: {a.degree} vs {q.degree}"
-        )
-    defect = commutator_defect(a, q)
-    if mode == "exact":
-        if a.degree > MAX_EXACT_DEGREE:
-            raise BoundExceededError(
-                f"exact mode requires degree <= {MAX_EXACT_DEGREE}"
-            )
-        best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-        for c in centralizer_elements(a):
-            key = (hamming_distance(q, c), c.images)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        corrected = Permutation(best[1])
-        return CorrectionReport(corrected, best[0], defect, "exact")
-    if mode != "heuristic":
+        raise DegreeMismatchError(f"degrees differ: {a.degree} vs {q.degree}")
+    if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    corrected = _greedy_cycle_repair(a, q)
-    if a * corrected != corrected * a:  # pragma: no cover
-        raise InternalInvariantError("repair failed to centralize")
-    return CorrectionReport(
-        corrected, hamming_distance(q, corrected), defect, "heuristic"
-    )
-
-
-def _greedy_cycle_repair(a: Permutation, q: Permutation) -> Permutation:
-    """Greedy cycle matching: move each cycle of ``a`` rigidly to the
-    same-length cycle that ``q`` already sends most of its points to."""
-    from collections import defaultdict
-
-    cycles = a.cycles(include_fixed=True)
-    cycle_of: dict[int, tuple[int, int]] = {}  # point -> (cycle idx, position)
-    for ci, cyc in enumerate(cycles):
-        for t, point in enumerate(cyc):
-            cycle_of[point] = (ci, t)
-    by_len: dict[int, list[int]] = defaultdict(list)
-    for ci, cyc in enumerate(cycles):
-        by_len[len(cyc)].append(ci)
-
-    votes: dict[tuple[int, int, int], int] = defaultdict(int)
-    for ci, cyc in enumerate(cycles):
-        ell = len(cyc)
-        for t, point in enumerate(cyc):
-            dj, u = cycle_of[q(point)]
-            if len(cycles[dj]) == ell:
-                votes[(ci, dj, (u - t) % ell)] += 1
-
-    assignment: dict[int, tuple[int, int]] = {}
-    for ell, members in by_len.items():
-        free_src = set(members)
-        free_dst = set(members)
-        ranked = sorted(
-            ((cnt, ci, dj, r) for (ci, dj, r), cnt in votes.items()
-             if ci in free_src and dj in free_dst),
-            key=lambda item: (-item[0], item[1], item[2], item[3]),
+    # input bound only, kept as in min_conjugator_distance
+    if mode == "exact" and a.degree > MAX_EXACT_DEGREE:
+        raise BoundExceededError(
+            f"exact mode requires degree <= {MAX_EXACT_DEGREE}"
         )
-        for cnt, ci, dj, r in ranked:
-            if ci in free_src and dj in free_dst:
-                assignment[ci] = (dj, r)
-                free_src.discard(ci)
-                free_dst.discard(dj)
-        for ci, dj in zip(sorted(free_src), sorted(free_dst)):
-            best_r = max(
-                range(ell), key=lambda r: (votes.get((ci, dj, r), 0), -r)
-            )
-            assignment[ci] = (dj, best_r)
-
-    images = [0] * a.degree
-    for ci, (dj, r) in assignment.items():
-        src, dst = cycles[ci], cycles[dj]
-        ell = len(src)
-        for t, point in enumerate(src):
-            images[point - 1] = dst[(t + r) % ell]
-    return Permutation(images)
+    corrected = nearest_conjugator([a], [a], q)
+    return CorrectionReport(
+        corrected, hamming_distance(q, corrected), commutator_defect(a, q), mode
+    )

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceededError, PermStabError
 from .groups import FiniteGroup, PermHomomorphism, evaluate_word, parse_word
@@ -147,35 +147,49 @@ def tr_from_s(
     statistic table ``{T -> S(T, F minus T)}``.
 
     ``stats`` must contain an entry for every subset of ``universe``;
-    then ``Tr(A) = sum over T containing A of S(T, F minus T)``.
+    then ``Tr(A) = sum over T containing A of S(T, F minus T)``: one
+    superset-sum pass per element, on integers over a common denominator.
     """
-    F = frozenset(universe)
-    subsets = []
-    items = sorted(F, key=repr)
-    for k in range(len(items) + 1):
-        for T in combinations(items, k):
-            T = frozenset(T)
-            if T not in stats:
-                raise PermStabError(
-                    f"statistic table is incomplete: missing entry for {set(T)}"
-                )
-            subsets.append(T)
-    out = {}
-    for A in subsets:
-        out[A] = sum(
-            (stats[T] for T in subsets if A <= T), start=Fraction(0)
+    items = sorted(frozenset(universe), key=repr)
+    subsets = _subsets(items)
+    missing = [T for T in subsets if T not in stats]
+    if missing:
+        raise PermStabError(
+            f"statistic table is incomplete: missing entry for {set(missing[0])}"
         )
-    return out
+    den = lcm(*(stats[T].denominator for T in subsets))
+    sums = [stats[T].numerator * (den // stats[T].denominator) for T in subsets]
+    for i in range(len(items)):
+        for s in range(len(sums)):
+            if not s >> i & 1:
+                sums[s] += sums[s | 1 << i]
+    return {T: Fraction(x, den) for T, x in zip(subsets, sums)}
 
 
 def statistic_table(
     h: PermHomomorphism, universe: ElementSet
 ) -> dict[frozenset, Fraction]:
-    """The full table ``{T -> S(T, F minus T)}`` over subsets of ``F``."""
-    items = list(_canonical_elements(h, universe))
-    table = {}
-    for k in range(len(items) + 1):
-        for T in combinations(items, k):
-            rest = [x for x in items if x not in T]
-            table[frozenset(T)] = bs_statistic(h, T, rest)
-    return table
+    """The full table ``{T -> S(T, F minus T)}`` over subsets of ``F``.
+
+    One pass over the points: each point counts towards the subset of
+    elements of ``F`` that fix it.
+    """
+    items = _canonical_elements(h, universe)
+    subsets = _subsets(items)
+    if h.degree == 0:  # bs_statistic's convention: S(F, {}) = 1, else 0
+        return {T: Fraction(int(T == subsets[-1])) for T in subsets}
+    trace = get_trace(h)
+    masks = [trace._mask_of(el) for el in items]
+    counts = [0] * len(subsets)
+    for x in range(h.degree):
+        counts[sum(1 << i for i, m in enumerate(masks) if m >> x & 1)] += 1
+    return {T: Fraction(c, h.degree) for T, c in zip(subsets, counts)}
+
+
+def _subsets(items: Sequence) -> list[frozenset]:
+    """All subsets of ``items``; subset ``s`` holds ``items[i]`` iff bit
+    ``i`` of ``s`` is set."""
+    out = [frozenset()]
+    for x in items:
+        out += [T | {x} for T in out]
+    return out

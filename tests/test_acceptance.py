@@ -111,7 +111,7 @@ def test_criterion_02_block_pair_hamming():
 
 def test_criterion_02_min_conjugator_distance_k2():
     """Stated value: exactly 1.  The exhaustive degree-8 certificate
-    (independent full scan plus centralizer-coset search) finds 3/4, so
+    (independent full scan plus the nearest-conjugator solver) finds 3/4, so
     this criterion fails as specified; see the decisions ledger."""
     t0 = time.monotonic()
     h1, h2 = swapped_block_homs(2)

@@ -307,6 +307,29 @@ class TestBasicCommands:
         assert report["outputs"]["degree"] == 9
         assert report["outputs"]["verified"] is True
 
+    def test_lift_checks_only_its_inputs(self, files, monkeypatch):
+        # each table-source input is checked once on loading; the block
+        # sum is a homomorphism by construction and is not checked again
+        # (one check fewer than when the output was re-checked)
+        import permstab.groups
+        import permstab.jsonio
+
+        calls = []
+        real = permstab.groups.check_homomorphism
+
+        def counting(h):
+            calls.append(h.degree)
+            return real(h)
+
+        for module in (permstab.groups, permstab.jsonio, cli):
+            monkeypatch.setattr(module, "check_homomorphism", counting, raising=False)
+        code, report = dispatch(
+            ["lift", files["z3_regular"], files["z3_regular"], "--copies", "2"]
+        )
+        assert code == EXIT_OK
+        assert report["outputs"]["verified"] is True
+        assert calls == [3, 3]
+
     def test_correct(self, files):
         code, report = dispatch(
             [

@@ -450,6 +450,26 @@ class TestWords:
         h = PermHomomorphism(P, 3, (parse_permutation("(1 2 3)", 3),))
         assert evaluate_word(h, "") == Permutation.identity(3)
 
+    def test_product_count_starts_from_first_factor(self, monkeypatch):
+        # a word of L factors with exponents +-1 costs L - 1 products
+        P = FpGroup(("x", "y"))
+        x, y = parse_permutation("(1 2 3 4)", 4), parse_permutation("(1 2 3)", 4)
+        h = PermHomomorphism(P, 4, (x, y))
+        factors = [("x", x), ("y^-1", y.inverse()), ("x", x), ("y", y)]
+        real = Permutation.__mul__
+        for length in range(1, 5):
+            expected = factors[0][1]
+            for _, image in factors[1:length]:
+                expected = expected * image
+            products = []
+            monkeypatch.setattr(
+                Permutation, "__mul__", lambda p, q: products.append(1) or real(p, q)
+            )
+            result = evaluate_word(h, " ".join(t for t, _ in factors[:length]))
+            monkeypatch.undo()
+            assert result == expected
+            assert len(products) == length - 1
+
     def test_cancellation(self):
         P = FpGroup(("x",))
         h = PermHomomorphism(P, 4, (parse_permutation("(1 2 3 4)", 4),))

@@ -48,14 +48,13 @@ from permstab.stability import (
     agreement_set,
     amalgamated_hom,
     centralizer_correct,
-    centralizer_elements,
-    centralizer_order,
     commutator_defect,
     compose_lift,
     find_normal_complement,
     has_extension,
     max_image_distance,
     min_conjugator_distance,
+    nearest_conjugator,
     replicate_hom,
     replication_count,
     retraction_from_complement,
@@ -64,6 +63,12 @@ from permstab.stability import (
 from permstab.trace_stats import action_trace
 
 from conftest import enumerate_homs, subgroup_from_cycles
+from oracles import (
+    centralizer_elements,
+    centralizer_order,
+    correction_oracle,
+    min_conjugator_oracle,
+)
 
 
 def z2_hom(degree: int, image: Permutation) -> PermHomomorphism:
@@ -224,6 +229,107 @@ class TestMinConjugatorDistance:
             assert dmin <= hamming_distance(p, Permutation.identity(n))
 
 
+class TestNearestConjugator:
+    """The one solver behind ``min-conj`` and ``correct`` against the
+    exhaustive centralizer-coset minima of ``oracles``."""
+
+    def test_correct_matches_oracle(self):
+        rng = Random(52)
+        for _ in range(2000):
+            n = rng.randint(0, 7)
+            a = random_permutation(n, rng)
+            q = random_permutation(n, rng)
+            rep = centralizer_correct(a, q, mode="exact")
+            assert (rep.distance, rep.corrected) == correction_oracle(a, q)
+
+    def test_min_conj_matches_oracle(self, zoo8):
+        rng = Random(53)
+        names = sorted(zoo8)
+        compared = 0
+        while compared < 300:
+            G = zoo8[rng.choice(names)]
+            n = rng.randint(1, 7)
+            h1 = random_hom(G, n, rng)
+            if rng.random() < 0.8:
+                h2 = conjugate_hom(h1, random_permutation(n, rng))
+            else:
+                h2 = random_hom(G, n, rng)
+            if not is_conjugate(h1, h2)[0]:
+                with pytest.raises(NotConjugateError):
+                    min_conjugator_distance(h1, h2)
+                continue
+            assert min_conjugator_distance(h1, h2) == min_conjugator_oracle(h1, h2)
+            compared += 1
+
+    def test_heuristic_equals_exact_up_to_degree_8(self):
+        rng = Random(54)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            a = random_permutation(n, rng)
+            q = random_permutation(n, rng)
+            if n > 1 and rng.random() < 0.5:  # a power of a, one swap away
+                x, y = rng.sample(range(1, n + 1), 2)
+                q = parse_permutation(f"({x} {y})", n) * a ** rng.randint(0, n)
+            exact = centralizer_correct(a, q, mode="exact")
+            heuristic = centralizer_correct(a, q, mode="heuristic")
+            assert (heuristic.corrected, heuristic.distance) == (
+                exact.corrected,
+                exact.distance,
+            )
+            assert heuristic.mode == "heuristic"
+
+    def test_heuristic_matches_oracle_degree_9_to_40(self):
+        rng = Random(55)
+        checked = 0
+        while checked < 60:
+            n = rng.randint(9, 40)
+            a = random_permutation(n, rng)
+            if centralizer_order(a) > 20_000:
+                continue
+            q = random_permutation(n, rng)
+            rep = centralizer_correct(a, q, mode="heuristic")
+            assert (rep.distance, rep.corrected) == correction_oracle(a, q)
+            checked += 1
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_swapped_block_pairs_attain_one_minus_inverse_square(self, k):
+        # degrees 18 to 72, beyond min_conjugator_distance's input bound
+        h1, h2 = swapped_block_homs(k)
+        ident = Permutation.identity(h1.degree)
+        p = nearest_conjugator(h1.images, h2.images, ident)
+        assert hamming_distance(p, ident) == 1 - Fraction(1, k * k)
+        pinv = p.inverse()
+        assert all(p * a * pinv == b for a, b in zip(h1.images, h2.images))
+
+    def test_free_actions_of_two_generators(self):
+        # generators of no common finite source: a conjugator of the pair
+        # of lists, nearest to the target
+        rng = Random(56)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            x, y = random_permutation(n, rng), random_permutation(n, rng)
+            c = random_permutation(n, rng)
+            cinv = c.inverse()
+            target = random_permutation(n, rng)
+            p = nearest_conjugator([x, y], [c * x * cinv, c * y * cinv], target)
+            best = min(
+                (hamming_distance(target, r), r.images)
+                for r in all_permutations(n)
+                if r * x == c * x * cinv * r and r * y == c * y * cinv * r
+            )
+            assert (hamming_distance(target, p), p.images) == best
+
+    def test_unmatched_orbit_classes_rejected(self):
+        x = parse_permutation("(1 2 3)", 4)
+        y = parse_permutation("(1 2)(3 4)", 4)
+        with pytest.raises(NotConjugateError):
+            nearest_conjugator([x], [y], Permutation.identity(4))
+
+    def test_degree_zero(self):
+        empty = Permutation.identity(0)
+        assert nearest_conjugator([empty], [empty], empty) == empty
+
+
 class TestHasExtension:
     def test_subgroup_equals_group(self):
         G = cyclic_group(4)
@@ -363,6 +469,25 @@ class TestAmalgam:
         z2b = FpGroup(("v",), ("v^2",))
         with pytest.raises(DegreeMismatchError):
             amalgamated_hom(trivial_hom(z2a, 1), trivial_hom(z2b, 2), [])
+
+    def test_alternating_product_count(self, monkeypatch):
+        # L factors cost L - 1 products; the empty word is the identity
+        am = modular_amalgam()
+        factors = [(1, "s"), (2, "t"), (1, "s^-1"), (2, "t^-1")]
+        real = Permutation.__mul__
+        for length in range(1, 5):
+            products = []
+            monkeypatch.setattr(
+                Permutation, "__mul__", lambda p, q: products.append(1) or real(p, q)
+            )
+            result = am.evaluate_alternating(factors[:length])
+            monkeypatch.undo()
+            expected = am._side_image(*factors[0])
+            for side, token in factors[1:length]:
+                expected = expected * am._side_image(side, token)
+            assert result == expected
+            assert len(products) == length - 1
+        assert am.evaluate_alternating([]) == Permutation.identity(am.degree)
 
     def test_table_sources_with_element_pairs(self):
         G1 = cyclic_group(4)

@@ -26,6 +26,7 @@ from permstab.trace_stats import (
 )
 
 from conftest import enumerate_homs
+import oracles
 
 
 class TestActionTrace:
@@ -168,6 +169,51 @@ class TestTrFromS:
                         recovered = tr_from_s(statistic_table(h, F), F)
                         for A, value in recovered.items():
                             assert value == action_trace(h, A)
+
+
+class TestTablesAgainstOracles:
+    """One-pass ``statistic_table`` and superset-sum ``tr_from_s`` against
+    the subset-pair loops of ``oracles``."""
+
+    def test_random_universes(self, zoo8):
+        rng = Random(28)
+        names = sorted(zoo8)
+        for _ in range(150):
+            G = zoo8[rng.choice(names)]
+            h = random_hom(G, rng.randint(1, 12), rng)
+            F = rng.sample(range(G.order), rng.randint(0, min(6, G.order)))
+            table = statistic_table(h, F)
+            assert table == oracles.statistic_table(h, F)
+            assert tr_from_s(table, F) == oracles.tr_from_s(table, F)
+
+    def test_arbitrary_rationals(self):
+        # tr_from_s is linear in the table, whatever its denominators
+        rng = Random(29)
+        for size in range(5):
+            F = list(range(10, 10 + size))
+            table = {
+                frozenset(T): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for k in range(size + 1)
+                for T in combinations(F, k)
+            }
+            assert tr_from_s(table, F) == oracles.tr_from_s(table, F)
+
+    def test_word_universe(self):
+        _, t2 = klein_pair_presented()
+        F = ["a", "b", "a b"]
+        table = statistic_table(t2, F)
+        assert table == oracles.statistic_table(t2, F)
+        assert sum(table.values()) == 1
+
+    def test_degree_zero_convention(self):
+        h = trivial_hom(cyclic_group(3), 0)
+        for F in ([], [1], [0, 2]):
+            assert statistic_table(h, F) == oracles.statistic_table(h, F)
+
+    def test_element_id_checked(self):
+        t1, _ = klein_pair()
+        with pytest.raises(PermStabError):
+            statistic_table(t1, [KLEIN_A, 17])
 
 
 class TestGlobalInvariants:
