@@ -64,9 +64,5 @@ class AlphabetMismatchError(PermStabError, ValueError):
     """Two labeled graphs carry different edge-label alphabets."""
 
 
-class InternalInvariantError(PermStabError, RuntimeError):
-    """A condition guaranteed by construction failed at runtime."""
-
-
 class MalformedInputError(PermStabError, ValueError):
     """An input file is syntactically or semantically invalid."""

@@ -345,14 +345,15 @@ def enumerate_patterns(
                     new.append(succ)
         frontier = new
     ordered = sorted(seen.values(), key=RootedPattern.certificate)
-    orbit_index: dict[tuple, int] = {}
+    weight_of: dict[tuple, Fraction] = {}  # one shared weight per orbit
     weights = []
     sigma_list = list(iperms(range(m)))
     for pat in ordered:
         relabelings = ([(u, v, s[lab]) for u, v, lab in pat.edges] for s in sigma_list)
         key = min(_traversal_key(pat.n, pat.root, e, m) for e in relabelings)
-        orbit = orbit_index.setdefault(key, len(orbit_index) + 1)
-        weights.append(Fraction(1, 2**orbit))
+        if key not in weight_of:
+            weight_of[key] = Fraction(1, 2 ** (len(weight_of) + 1))
+        weights.append(weight_of[key])
     return tuple(zip(ordered, weights))
 
 

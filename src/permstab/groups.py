@@ -2,7 +2,9 @@
 word evaluation, and verified homomorphisms into symmetric groups.
 
 Finite groups store their full multiplication table with elements named
-``0..order-1``; this keeps every operation unambiguous at desk scale.
+``0..order-1``, plus the generating set (at most ``log2 |G|`` elements)
+their associativity test picks; homomorphism checks, orbits, conjugators
+and normality tests run on its images (:func:`generator_images`).
 Finitely presented groups support only word evaluation and relator
 checking (no word problem, no coset enumeration).
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -31,10 +33,11 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     ``table[a][b]`` is the product ``a * b``.  The identity and inverse
-    table are derived and the group axioms are verified on construction.
+    table are derived and the group axioms are verified on construction,
+    which also picks the element ids of a ``generating_set``.
     """
 
-    __slots__ = ("order", "table", "identity", "inverses", "_hash")
+    __slots__ = ("order", "table", "identity", "inverses", "generating_set", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         n = len(table)
@@ -55,7 +58,7 @@ class FiniteGroup:
                 break
         if identity is None:
             raise GroupTableError("table has no identity element")
-        _check_associative(rows, identity)
+        generating_set = _check_associative(rows, identity)
         # an associative Latin square with an identity is a group, so the
         # right inverse in each row is two-sided
         inverses = tuple(row.index(identity) for row in rows)
@@ -63,6 +66,7 @@ class FiniteGroup:
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "generating_set", generating_set)
         object.__setattr__(self, "_hash", hash(rows))
 
     def __setattr__(self, name, value):
@@ -98,7 +102,7 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_associative(rows: tuple[tuple[int, ...], ...], identity: int) -> None:
+def _check_associative(rows: tuple[tuple[int, ...], ...], e: int) -> tuple[int, ...]:
     """Light's associativity test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, 1961, section 1.4).
 
@@ -108,10 +112,11 @@ def _check_associative(rows: tuple[tuple[int, ...], ...], identity: int) -> None
     greedily, each pick checked in O(n^2): every element not yet reached
     from the identity by right multiplication with the ones picked so far.
     For a group each pick at least doubles the reached subgroup, so this
-    costs O(n^2 log n) where a check of every triple costs O(n^3).
+    costs O(n^2 log n) where a check of every triple costs O(n^3).  The
+    picks, at most ``log2 n`` of them, generate the group and are returned.
     """
     n = len(rows)
-    reached = {identity}
+    reached = {e}
     gens: list[int] = []
     for g in range(n):
         if g in reached:
@@ -128,6 +133,7 @@ def _check_associative(rows: tuple[tuple[int, ...], ...], identity: int) -> None
         while new:
             reached |= new
             new = {rows[x][h] for x in new for h in gens} - reached
+    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,12 @@ class Subgroup:
         """The abstract group of this subgroup plus the embedding.
 
         Returns ``(H, emb)`` where ``emb[i]`` is the parent id of the
-        i-th member (members in ascending order).
+        i-th member (members in ascending order).  Built once per instance.
         """
+        return self._abstract
+
+    @cached_property
+    def _abstract(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         emb = self.members
         pos = {g: i for i, g in enumerate(emb)}
         table = [
@@ -587,23 +597,32 @@ class HomCheck:
     message: str = ""
 
 
-def check_homomorphism(h: PermHomomorphism) -> HomCheck:
-    """Verify the homomorphism property exhaustively.
+def generator_images(h: PermHomomorphism) -> tuple[Permutation, ...]:
+    """The images of ``generating_set`` for a ``FiniteGroup`` source, or of
+    the generators of an ``FpGroup`` source (``h.images``)."""
+    if isinstance(h.source, FiniteGroup):
+        return tuple(h.images[g] for g in h.source.generating_set)
+    return h.images
 
-    FiniteGroup source: ``image(a*b) == image(a) * image(b)`` for all
-    pairs.  FpGroup source: every relator evaluates to the identity.
+
+def check_homomorphism(h: PermHomomorphism) -> HomCheck:
+    """Verify the homomorphism property.
+
+    FiniteGroup source: ``image(a*s) == image(a) * image(s)`` for every
+    ``a`` and every ``s`` of ``generating_set`` (|G|*|S| products), which
+    gives every pair by induction on word length once the identity maps to
+    the identity; a violating pair is the witness.  FpGroup source: every
+    relator evaluates to the identity.
     """
     if isinstance(h.source, FiniteGroup):
-        G = h.source
-        for a in G.elements():
-            pa = h.images[a]
-            for b in G.elements():
-                if h.images[G.mul(a, b)] != pa * h.images[b]:
-                    return HomCheck(
-                        False,
-                        witness=(a, b),
-                        message=f"image({a}*{b}) != image({a})*image({b})",
-                    )
+        G, images = h.source, h.images
+        pairs = ((a, s) for a in G.elements() for s in G.generating_set)
+        if not images[G.identity].is_identity():  # then (e, e) violates
+            pairs = [(G.identity, G.identity)]
+        for a, b in pairs:
+            if images[G.mul(a, b)] != images[a] * images[b]:
+                message = f"image({a}*{b}) != image({a})*image({b})"
+                return HomCheck(False, witness=(a, b), message=message)
         return HomCheck(True)
     for rel in h.source.relators:
         if not evaluate_word(h, rel).is_identity():

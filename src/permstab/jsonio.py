@@ -68,11 +68,7 @@ def permutation_from_json(obj, degree: int | None = None) -> Permutation:
             deg = obj["degree"]
         except KeyError as exc:
             raise MalformedInputError(f"permutation object missing {exc}") from exc
-        if (
-            type(deg) is not int
-            or not isinstance(images, list)
-            or any(type(x) is not int for x in images)
-        ):
+        if type(deg) is not int or not _is_int_list(images):
             raise MalformedInputError(
                 "permutation degree and images must be JSON integers"
             )
@@ -120,7 +116,9 @@ def group_from_json(obj) -> LoadedGroup:
     try:
         if kind == "table":
             table = obj["table"]
-            if obj.get("order") != len(table):
+            if not isinstance(table, list) or not all(map(_is_int_list, table)):
+                raise MalformedInputError("table rows must be lists of JSON integers")
+            if type(obj.get("order")) is not int or obj["order"] != len(table):
                 raise MalformedInputError("stated order differs from table size")
             return LoadedGroup(FiniteGroup(table), "table")
         if kind == "perm-gens":
@@ -205,14 +203,17 @@ def hom_from_json(obj) -> PermHomomorphism:
 def subgroup_from_json(obj, G: FiniteGroup) -> Subgroup:
     if isinstance(obj, str):
         obj = _load_json(obj)
-    if not isinstance(obj, dict) or "members" not in obj:
-        raise MalformedInputError("subgroup object must carry 'members'")
+    if not isinstance(obj, dict) or not _is_int_list(obj.get("members")):
+        raise MalformedInputError("subgroup 'members' must list JSON integers")
     try:
-        return Subgroup(G, [int(x) for x in obj["members"]])
+        return Subgroup(G, obj["members"])
     except PermStabError as exc:
         raise MalformedInputError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad member list: {exc}") from exc
+
+
+def _is_int_list(obj) -> bool:
+    """A JSON list of JSON integers (``true`` and ``1.0`` are not)."""
+    return isinstance(obj, list) and all(type(x) is int for x in obj)
 
 
 def element_set_from_text(hom: PermHomomorphism, text: str) -> list:

@@ -5,7 +5,9 @@ The multiplicity vector of a homomorphism counts, per conjugacy class of
 subgroups of the source, the orbits whose point stabilizers fall in that
 class.  Two homomorphisms of the same finite group into the same
 symmetric group are conjugate exactly when their multiplicity vectors
-agree, and the witness can be assembled orbit by orbit.
+agree, and the witness can be assembled orbit by orbit.  Orbits and
+witnesses come from one equivariant-map walk over the generator images
+(:func:`_transport`); only the stabilizers scan every group element.
 """
 
 from __future__ import annotations
@@ -14,16 +16,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InternalInvariantError, NotComparableError, SourceMismatchError
+from .errors import NotComparableError, SourceMismatchError
 from .groups import (
     FiniteGroup,
     PermHomomorphism,
     Subgroup,
     SubgroupClasses,
     direct_sum_hom,
+    generator_images,
     subgroup_conjugacy_classes,
 )
 from .perm import Permutation
+
+
+def _transport(perms1, perms2, b: int, y: int) -> Optional[dict[int, int]]:
+    """The map of the ``perms1``-orbit of ``b`` that sends ``b`` to ``y``
+    and each step ``x -> g1(x)`` to ``p(x) -> g2(p(x))``, or ``None`` if
+    two steps disagree."""
+    p, queue = {b: y}, [b]
+    for x in queue:
+        for g1, g2 in zip(perms1, perms2):
+            x2, y2 = g1[x - 1], g2[p[x] - 1]
+            if x2 not in p:
+                p[x2] = y2
+                queue.append(x2)
+            elif p[x2] != y2:
+                return None
+    return p
+
+
+def _orbits(perms, n: int) -> list[list[int]]:
+    """Orbits of the group generated by one-line forms, least point first."""
+    out, seen = [], set()
+    for b in range(1, n + 1):
+        if b not in seen:
+            out.append(list(_transport(perms, perms, b, b)))
+            seen.update(out[-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,27 +74,22 @@ def orbit_decomposition(h: PermHomomorphism) -> OrbitDecomposition:
     """Orbits of the source group on ``{1..degree}`` with exact stabilizers.
 
     Each orbit records its least point as base; stabilizer class ids refer
-    to ``subgroup_conjugacy_classes`` of the source.
+    to ``subgroup_conjugacy_classes`` of the source.  The orbits are walked
+    on the generator images; each stabilizer scans the group.
     """
     if not isinstance(h.source, FiniteGroup):
         raise SourceMismatchError("orbit decomposition requires a FiniteGroup source")
     G = h.source
     classes = subgroup_conjugacy_classes(G)
-    seen = [False] * h.degree
     orbits = []
-    for base in range(1, h.degree + 1):
-        if seen[base - 1]:
-            continue
-        points = sorted({h.images[g](base) for g in G.elements()})
-        for x in points:
-            seen[x - 1] = True
-        stab_members = [g for g in G.elements() if h.images[g](base) == base]
-        stab = Subgroup._trusted(G, stab_members)
+    for points in _orbits([p.images for p in generator_images(h)], h.degree):
+        base = points[0]
+        stab_members = [g for g in G.elements() if h.images[g].images[base - 1] == base]
         orbits.append(
             Orbit(
-                points=tuple(points),
+                points=tuple(sorted(points)),
                 base=base,
-                stabilizer=stab,
+                stabilizer=Subgroup._trusted(G, stab_members),
                 class_id=classes.class_id(stab_members),
             )
         )
@@ -124,36 +148,22 @@ def hom_order_leq(phi: PermHomomorphism, psi: PermHomomorphism) -> bool:
 
 
 def _pair_witness(d1: OrbitDecomposition, d2: OrbitDecomposition) -> Permutation:
-    """Conjugator built by pairing same-class orbits in ascending base
-    order and transporting base points along the group."""
-    h1, h2 = d1.hom, d2.hom
-    G = h1.source
-    by_class_1: dict[int, list[Orbit]] = {}
-    by_class_2: dict[int, list[Orbit]] = {}
-    for orb in d1.orbits:
-        by_class_1.setdefault(orb.class_id, []).append(orb)
-    for orb in d2.orbits:
-        by_class_2.setdefault(orb.class_id, []).append(orb)
-    mapping = [0] * h1.degree
-    for cid, orbs1 in sorted(by_class_1.items()):
-        orbs2 = by_class_2[cid]
-        for o1, o2 in zip(orbs1, orbs2):
-            # least point of o2 whose stabilizer equals o1's exactly
-            stab1 = o1.stabilizer.member_set()
-            y2 = None
-            for y in o2.points:
-                if all(
-                    (h2.images[g](y) == y) == (g in stab1) for g in G.elements()
-                ):
-                    y2 = y
-                    break
-            if y2 is None:  # pragma: no cover - same-class orbits always pair
-                raise InternalInvariantError("orbit pairing failed")
-            for g in G.elements():
-                src = h1.images[g](o1.base)
-                if mapping[src - 1] == 0:
-                    mapping[src - 1] = h2.images[g](y2)
-    return Permutation(mapping)
+    """Conjugator pairing same-class orbits in ascending base order; each
+    base goes to the first partner point ``y`` from which :func:`_transport`
+    succeeds, which is exactly when ``Stab(base) <= Stab(y)``: as the two
+    have one order, the least point with an equal stabilizer."""
+    gens1 = [p.images for p in generator_images(d1.hom)]
+    gens2 = [p.images for p in generator_images(d2.hom)]
+    partners: dict[int, list[Orbit]] = {}
+    for orb in reversed(d2.orbits):  # so pop() yields ascending bases
+        partners.setdefault(orb.class_id, []).append(orb)
+    images = [0] * d1.hom.degree
+    for o1 in d1.orbits:
+        o2 = partners[o1.class_id].pop()
+        maps = (_transport(gens1, gens2, o1.base, y) for y in o2.points)
+        for x, y in next(filter(None, maps)).items():
+            images[x - 1] = y
+    return Permutation._trusted(tuple(images))
 
 
 def is_conjugate(
@@ -162,7 +172,8 @@ def is_conjugate(
     """Equality of multiplicity vectors, with an explicit witness.
 
     When conjugate, the witness ``p`` satisfies
-    ``p * h1(g) * p^-1 == h2(g)`` for every ``g``.
+    ``p * h1(g) * p^-1 == h2(g)`` for every ``g``: it is equivariant on
+    the generators by construction, hence on every element.
     """
     _require_comparable(h1, h2)
     if h1.degree != h2.degree:
@@ -170,12 +181,7 @@ def is_conjugate(
     d1, d2 = orbit_decomposition(h1), orbit_decomposition(h2)
     if _census(d1) != _census(d2):
         return False, None
-    p = _pair_witness(d1, d2)
-    pinv = p.inverse()
-    for g in h1.source.elements():
-        if p * h1.images[g] * pinv != h2.images[g]:  # pragma: no cover
-            raise InternalInvariantError("constructed witness fails to conjugate")
-    return True, p
+    return True, _pair_witness(d1, d2)
 
 
 def rep_subtract(

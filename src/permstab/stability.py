@@ -3,9 +3,10 @@
 This module houses the finite, executable side of stability theory:
 
 * small conjugators built on the agreement set of two close conjugate
-  homomorphisms, with the distance bound ``|H| * epsilon``;
-* one nearest-conjugator solver: the conjugator between two actions
-  that agrees with a target permutation on the most points, from
+  homomorphisms (the orbits where the generator images agree), with the
+  distance bound ``|H| * epsilon``;
+* one nearest-conjugator solver: the conjugator between two generator
+  lists that agrees with a target permutation on the most points, from
   equivariant maps between orbits and one Hungarian assignment per class
   of isomorphic orbits, with no search over ``S_n`` or a centralizer;
   it gives the certified minimum conjugator distance (target the
@@ -13,7 +14,7 @@ This module houses the finite, executable side of stability theory:
   permutation);
 * exact extension-property decisions from orbit censuses (a ``G``-set
   is a sum of coset actions), at any degree, and retract certificates
-  via normal complements;
+  via normal complements, tested for normality on the generators;
 * assembly of a homomorphism on an amalgamated product from compatible
   halves, with witness reporting on failure;
 * the replication count and block-sum lift used to rebuild an action
@@ -47,12 +48,13 @@ from .groups import (
     coset_action,
     direct_sum_hom,
     evaluate_word,
+    generator_images,
     parse_word,
     restrict_hom,
     subgroup_conjugacy_classes,
     trivial_hom,
 )
-from .multiplicity import is_conjugate, multiplicity_vector
+from .multiplicity import _orbits, _transport, is_conjugate, multiplicity_vector
 from .perm import (
     Permutation,
     hamming_distance,
@@ -70,17 +72,20 @@ MAX_EXACT_DEGREE = 8
 def agreement_set(h1: PermHomomorphism, h2: PermHomomorphism) -> tuple[int, ...]:
     """Points where the two homomorphisms agree for every source element.
 
-    The set (and its complement) is invariant under both homomorphisms.
+    The set (and its complement) is invariant under both homomorphisms, so
+    it is the union of the ``h1``-orbits on which every generator agrees.
     """
     if h1.source != h2.source:
         raise SourceMismatchError("homomorphisms must share a source")
     if h1.degree != h2.degree:
         raise DegreeMismatchError("homomorphisms must share a degree")
+    gens1 = [p.images for p in generator_images(h1)]
+    gens2 = [p.images for p in generator_images(h2)]
     pts = []
-    for i in range(1, h1.degree + 1):
-        if all(a(i) == b(i) for a, b in zip(h1.images, h2.images)):
-            pts.append(i)
-    return tuple(pts)
+    for orbit in _orbits(gens1, h1.degree):
+        if all(a[x - 1] == b[x - 1] for a, b in zip(gens1, gens2) for x in orbit):
+            pts.extend(orbit)
+    return tuple(sorted(pts))
 
 
 def max_image_distance(h1: PermHomomorphism, h2: PermHomomorphism) -> Fraction:
@@ -182,32 +187,6 @@ def nearest_conjugator(
     return Permutation._trusted(tuple(images))
 
 
-def _transport(perms1, perms2, b: int, y: int) -> Optional[dict[int, int]]:
-    """The map of the ``perms1``-orbit of ``b`` that sends ``b`` to ``y``
-    and each step ``x -> g1(x)`` to ``p(x) -> g2(p(x))``, or ``None`` if
-    two steps disagree."""
-    p, queue = {b: y}, [b]
-    for x in queue:
-        for g1, g2 in zip(perms1, perms2):
-            x2, y2 = g1[x - 1], g2[p[x] - 1]
-            if x2 not in p:
-                p[x2] = y2
-                queue.append(x2)
-            elif p[x2] != y2:
-                return None
-    return p
-
-
-def _orbits(perms, n: int) -> list[list[int]]:
-    """Orbits of the group generated by one-line forms, least point first."""
-    out, seen = [], set()
-    for b in range(1, n + 1):
-        if b not in seen:
-            out.append(list(_transport(perms, perms, b, b)))
-            seen.update(out[-1])
-    return out
-
-
 def _max_weight_assignment(w: Sequence[Sequence[int]]) -> list[int]:
     """Row (counted from 1) matched to each column in a maximum-weight
     perfect matching of the square matrix ``w``: Kuhn's Hungarian method
@@ -261,7 +240,7 @@ def min_conjugator_distance(
     if h1.degree != h2.degree:
         raise SourceMismatchError("homomorphisms must share a degree")
     ident = Permutation.identity(h1.degree)
-    p = nearest_conjugator(h1.images, h2.images, ident)
+    p = nearest_conjugator(generator_images(h1), generator_images(h2), ident)
     return hamming_distance(p, ident), p
 
 
@@ -339,16 +318,12 @@ def find_normal_complement(G: FiniteGroup, H: Subgroup) -> Optional[Subgroup]:
     if H.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
     hmem = H.member_set()
-    target = G.order // H.order
-    if G.order % H.order:
-        return None
     for K in all_subgroups(G):
-        if K.order != target:
-            continue
         kmem = K.member_set()
-        if len(kmem & hmem) != 1:
+        if K.order * H.order != G.order or len(kmem & hmem) != 1:
             continue
-        if all(G.conjugate(g, k) in kmem for g in G.elements() for k in K.members):
+        # normal once the generators conjugate K into itself
+        if all(G.conjugate(g, k) in kmem for g in G.generating_set for k in kmem):
             return K
     return None
 

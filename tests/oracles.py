@@ -2,8 +2,10 @@
 
 Each is the algorithm the library used before it was replaced: the
 centralizer enumeration and the exhaustive centralizer-coset minima
-behind ``min_conjugator_distance`` and ``centralizer_correct``, and the
-subset-pair loops behind ``statistic_table`` and ``tr_from_s``.
+behind ``min_conjugator_distance`` and ``centralizer_correct``, the
+subset-pair loops behind ``statistic_table`` and ``tr_from_s``, and the
+scans over every group element behind ``check_homomorphism``,
+``is_conjugate`` and ``agreement_set``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,72 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from permstab.errors import NotConjugateError, PermStabError
-from permstab.groups import PermHomomorphism
-from permstab.multiplicity import is_conjugate
+from permstab.groups import PermHomomorphism, subgroup_conjugacy_classes
 from permstab.perm import Permutation, all_permutations, hamming_distance
 from permstab.trace_stats import _canonical_elements, bs_statistic
+
+
+def check_homomorphism(h: PermHomomorphism) -> tuple[bool, object]:
+    """``(ok, first violating (a, b))`` over every pair of a table source."""
+    G = h.source
+    for a in G.elements():
+        for b in G.elements():
+            if h.images[G.mul(a, b)] != h.images[a] * h.images[b]:
+                return False, (a, b)
+    return True, None
+
+
+def agreement_set(h1: PermHomomorphism, h2: PermHomomorphism) -> tuple[int, ...]:
+    """Points where ``h1`` and ``h2`` agree for every element."""
+    return tuple(
+        i
+        for i in range(1, h1.degree + 1)
+        if all(a(i) == b(i) for a, b in zip(h1.images, h2.images))
+    )
+
+
+def _orbit_census(h: PermHomomorphism) -> list[tuple[int, tuple, frozenset]]:
+    """``(class id, points, stabilizer)`` per orbit, ascending by least
+    point, with orbits and stabilizers scanned over every element."""
+    G = h.source
+    classes = subgroup_conjugacy_classes(G)
+    out, seen = [], set()
+    for base in range(1, h.degree + 1):
+        if base not in seen:
+            points = tuple(sorted({h.images[g](base) for g in G.elements()}))
+            seen.update(points)
+            stab = frozenset(g for g in G.elements() if h.images[g](base) == base)
+            out.append((classes.class_id(stab), points, stab))
+    return out
+
+
+def conjugacy_witness(h1: PermHomomorphism, h2: PermHomomorphism):
+    """The conjugator ``is_conjugate`` returned before it walked the
+    generators, or ``None``: same-class orbits paired in ascending base
+    order, each base sent to the least point of its partner with an equal
+    stabilizer (found by rescanning the group), and the map spread over
+    the orbit along every element."""
+    G = h1.source
+    c1, c2 = _orbit_census(h1), _orbit_census(h2)
+    if sorted(c for c, _, _ in c1) != sorted(c for c, _, _ in c2):
+        return None
+    mapping = [0] * h1.degree
+    for cid in sorted({c for c, _, _ in c1}):
+        pairs = zip(
+            [(pts, stab) for c, pts, stab in c1 if c == cid],
+            [pts for c, pts, _ in c2 if c == cid],
+        )
+        for (pts1, stab1), pts2 in pairs:
+            y2 = next(
+                y
+                for y in pts2
+                if all((h2.images[g](y) == y) == (g in stab1) for g in G.elements())
+            )
+            for g in G.elements():
+                src = h1.images[g](pts1[0])
+                if mapping[src - 1] == 0:
+                    mapping[src - 1] = h2.images[g](y2)
+    return Permutation(mapping)
 
 
 def centralizer_order(p: Permutation) -> int:
@@ -72,8 +136,8 @@ def min_conjugator_oracle(
 ) -> tuple[Fraction, Permutation]:
     """Least ``(d_H(p, id), one-line form)`` over the conjugator coset
     ``C(h2) * p0``, by enumerating the centralizer ``C(h2)``."""
-    ok, p0 = is_conjugate(h1, h2)
-    if not ok:
+    p0 = conjugacy_witness(h1, h2)
+    if p0 is None:
         raise NotConjugateError("homomorphisms are not conjugate")
     ident = Permutation.identity(h1.degree)
     coset = [c * p0 for c in common_centralizer(h2.images, h2.degree)]

@@ -334,6 +334,12 @@ class TestEnumeration:
         y_loop = RootedPattern(1, 1, ("x", "y"), frozenset({(1, 1, 1)}))
         assert pats[x_loop.certificate()][1] == pats[y_loop.certificate()][1]
 
+    def test_one_weight_object_per_orbit(self):
+        # the weight 2^-j is one object per orbit, shared by its patterns
+        weights = [w for _, w in enumerate_patterns(("x", "y"), 4)]
+        orbits = len(set(weights))
+        assert len({id(w) for w in weights}) == orbits < len(weights)
+
     def test_sizes_monotone(self):
         pats = enumerate_patterns(("x",), 3)
         sizes = [p.n for p, _ in pats]

@@ -44,9 +44,10 @@ from permstab.groups import (
 )
 from permstab.multiplicity import orbit_decomposition
 from permstab.perm import Permutation, all_permutations, parse_permutation
-from permstab.randgen import random_permutation
+from permstab.randgen import random_hom, random_permutation
 from permstab.trace_stats import action_trace
 
+import oracles
 from conftest import generating_chain, medium_group_zoo, subgroup_from_cycles
 
 
@@ -199,6 +200,15 @@ class TestFiniteGroup:
         for G in zoo.values():
             assert triple_loop_associativity_failure(G.table) is None
             assert FiniteGroup(G.table) == G
+
+    def test_generating_set_on_the_zoo(self):
+        zoo = medium_group_zoo()
+        zoo["A5"] = alternating_group_5()
+        for G in zoo.values():
+            S = G.generating_set
+            assert subgroup_closure(G, S).order == G.order
+            assert 2 ** len(S) <= G.order
+        assert cyclic_group(1).generating_set == ()
 
 
 class TestGroupFromPermutations:
@@ -512,6 +522,52 @@ class TestCheckHomomorphism:
             P, 4, (parse_permutation("(1 2 3 4)", 4), parse_permutation("(1 3)", 4))
         )
         assert check_homomorphism(h).ok
+
+    def test_trivial_group_identity_image(self):
+        # the generating set of the trivial group is empty
+        bad = PermHomomorphism(cyclic_group(1), 2, (parse_permutation("(1 2)", 2),))
+        chk = check_homomorphism(bad)
+        assert not chk.ok and chk.witness == (0, 0)
+        assert check_homomorphism(trivial_hom(cyclic_group(1), 2)).ok
+
+    def test_against_all_pairs_oracle(self):
+        rng = Random(91)
+        zoo = medium_group_zoo()
+        zoo["Z1"] = cyclic_group(1)
+        verdicts = []
+        for name in sorted(zoo):
+            G = zoo[name]
+            for _ in range(6):
+                n = rng.randint(1, 7)
+                images = list(random_hom(G, n, rng).images)
+                kind = rng.randrange(4)
+                a, b = rng.randrange(G.order), rng.randrange(G.order)
+                if kind == 1:
+                    images[a], images[b] = images[b], images[a]
+                elif kind == 2:
+                    images[a] = random_permutation(n, rng)
+                elif kind == 3:
+                    images[a] = images[a] * random_permutation(n, rng)
+                h = PermHomomorphism(G, n, tuple(images))
+                chk = check_homomorphism(h)
+                ok, _ = oracles.check_homomorphism(h)
+                assert chk.ok == ok
+                if not ok:
+                    x, y = chk.witness
+                    assert h.images[G.mul(x, y)] != h.images[x] * h.images[y]
+                verdicts.append(ok)
+        assert 40 < verdicts.count(False) < 120  # both outcomes are exercised
+
+    def test_products_per_generator(self, monkeypatch):
+        products = []
+        real = Permutation.__mul__
+        monkeypatch.setattr(
+            Permutation, "__mul__", lambda p, q: products.append(1) or real(p, q)
+        )
+        for G in medium_group_zoo().values():
+            products.clear()
+            assert check_homomorphism(coset_action(G, trivial_subgroup(G))).ok
+            assert len(products) <= G.order * len(G.generating_set)
 
     def test_presented_klein_valid(self):
         P = klein_presentation()

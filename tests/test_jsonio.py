@@ -7,6 +7,7 @@ import pytest
 
 import permstab.groups
 import permstab.jsonio
+from permstab.cli import dispatch
 from permstab.errors import MalformedInputError
 from permstab.groups import FiniteGroup, FpGroup, check_homomorphism, cyclic_group
 from permstab.jsonio import (
@@ -97,6 +98,10 @@ class TestGroupJson:
             {"kind": "table", "order": 2, "table": [[0, 0], [1, 1]]},
             {"kind": "perm-gens", "degree": 2, "generators": ["(1 3)"]},
             {"kind": "presentation", "generators": ["s"], "relators": ["u^2"]},
+            {"kind": "table", "order": 2, "table": [[0, 1.0], [1, 0]]},
+            {"kind": "table", "order": 2, "table": [[False, True], [True, False]]},
+            {"kind": "table", "order": 2.0, "table": [[0, 1], [1, 0]]},
+            {"kind": "table", "order": 2, "table": "01"},
         ],
     )
     def test_malformed_groups(self, obj):
@@ -267,6 +272,28 @@ class TestSubgroupJson:
         G = cyclic_group(4)
         with pytest.raises(MalformedInputError):
             subgroup_from_json({"members": [0, 1]}, G)
+
+    @pytest.mark.parametrize("members", [[0, 1.9], "01", [True, False], [0, "1"]])
+    def test_members_must_be_integers(self, tmp_path, members):
+        # each of these once read as {0, 1}, a subgroup of Z2
+        group = tmp_path / "z2.json"
+        group.write_text(json.dumps({"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}))
+        sub = tmp_path / "members.json"
+        sub.write_text(json.dumps({"members": members}))
+        code, report = dispatch(["complement", str(group), str(sub)])
+        assert code == 65
+        assert report["outputs"]["error"]["code"] == "malformed-input"
+
+    @pytest.mark.parametrize(
+        "table", [[[0, 1.0], [1, 0]], [[False, True], [True, False]]]
+    )
+    def test_table_entries_must_be_integers(self, tmp_path, table):
+        group = tmp_path / "z2.json"
+        group.write_text(json.dumps({"kind": "table", "order": 2, "table": table}))
+        sub = tmp_path / "members.json"
+        sub.write_text(json.dumps({"members": [0]}))
+        code, _ = dispatch(["complement", str(group), str(sub)])
+        assert code == 65
 
 
 class TestElementSets:

@@ -29,6 +29,8 @@ from permstab.multiplicity import (
 from permstab.perm import Permutation, all_permutations, parse_permutation
 from permstab.randgen import random_hom, random_permutation
 
+import oracles
+
 
 def brute_force_conjugate(h1, h2):
     """Independent oracle: scan every permutation of the target degree."""
@@ -202,6 +204,44 @@ class TestIsConjugate:
         G = cyclic_group(2)
         with pytest.raises(SourceMismatchError):
             is_conjugate(trivial_hom(G, 2), trivial_hom(G, 3))
+
+    def test_witness_matches_stabilizer_scan_oracle(self, zoo24):
+        rng = Random(92)
+        conjugate = 0
+        for name in sorted(zoo24):
+            G = zoo24[name]
+            for i in range(6):
+                n = rng.randint(1, 30)
+                h1 = random_hom(G, n, rng)
+                if i % 2:
+                    h2 = random_hom(G, n, rng)
+                else:
+                    p = random_permutation(n, rng)
+                    h2 = PermHomomorphism(
+                        G, n, tuple(p * img * p.inverse() for img in h1.images)
+                    )
+                ok, w = is_conjugate(h1, h2)
+                assert w == oracles.conjugacy_witness(h1, h2)
+                if ok:
+                    conjugate += 1
+                    winv = w.inverse()
+                    for g in G.elements():
+                        assert w * h1.images[g] * winv == h2.images[g]
+        assert conjugate > 3 * len(zoo24)
+
+    def test_no_products(self, monkeypatch):
+        # orbits and the witness are walked on one-line forms; the witness
+        # is not re-checked against every element
+        t1, t2 = klein_pair()
+        h = random_hom(symmetric_group(4)[0], 20, Random(93))
+        products = []
+        real = Permutation.__mul__
+        monkeypatch.setattr(
+            Permutation, "__mul__", lambda p, q: products.append(1) or real(p, q)
+        )
+        for h1, h2 in ((t1, t1), (t1, t2), (h, h)):
+            assert is_conjugate(h1, h2)[0] is (h1 is h2)
+        assert products == []
 
     def test_one_decomposition_per_hom(self, monkeypatch):
         calls = []

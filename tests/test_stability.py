@@ -1,7 +1,10 @@
 """Small conjugators, minimum conjugator distance, extensions, retracts,
 amalgams, lifts, and correction of almost-centralizing permutations."""
 
+import hashlib
+import json
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -20,15 +23,21 @@ from permstab.fixtures import (
     swapped_block_pair,
 )
 from permstab.groups import (
+    FiniteGroup,
     FpGroup,
     PermHomomorphism,
     Subgroup,
+    all_subgroups,
     check_homomorphism,
     conjugate_hom,
     coset_action,
     cyclic_group,
+    dihedral_group,
     direct_sum_hom,
+    group_from_permutations,
     hom_from_element_map,
+    klein_four_group,
+    quaternion_group,
     restrict_hom,
     subgroup_closure,
     symmetric_group,
@@ -36,14 +45,19 @@ from permstab.groups import (
     trivial_subgroup,
 )
 from permstab import multiplicity
-from permstab.multiplicity import is_conjugate
+from permstab.multiplicity import is_conjugate, orbit_decomposition
 from permstab.perm import (
     Permutation,
     all_permutations,
     hamming_distance,
     parse_permutation,
 )
-from permstab.randgen import perturbed_conjugate_pair, random_hom, random_permutation
+from permstab.randgen import (
+    perturbed_conjugate_pair,
+    random_hom,
+    random_permutation,
+    random_small_support_permutation,
+)
 from permstab.stability import (
     agreement_set,
     amalgamated_hom,
@@ -63,6 +77,7 @@ from permstab.stability import (
 from permstab.trace_stats import action_trace
 
 from conftest import enumerate_homs, subgroup_from_cycles
+import oracles
 from oracles import (
     centralizer_elements,
     centralizer_order,
@@ -147,6 +162,35 @@ class TestSmallConjugator:
             pinv = p.inverse()
             for g in G.elements():
                 assert p * h1.images[g] * pinv == h2.images[g]
+
+
+    def test_agreement_set_presentation_source(self):
+        # x -> (1 2) and x -> (1 2 3) agree at 1 on x, but not on x^2
+        P = FpGroup(("x",))
+        h1 = PermHomomorphism(P, 3, (parse_permutation("(1 2)", 3),))
+        h2 = PermHomomorphism(P, 3, (parse_permutation("(1 2 3)", 3),))
+        assert agreement_set(h1, h2) == ()
+        h3 = PermHomomorphism(P, 4, (parse_permutation("(1 2)", 4),))
+        h4 = PermHomomorphism(P, 4, (parse_permutation("(1 2)(3 4)", 4),))
+        assert agreement_set(h3, h4) == (1, 2)
+
+    def test_agreement_set_against_element_scan(self, zoo24):
+        rng = Random(94)
+        sizes = []
+        for name in sorted(zoo24):
+            G = zoo24[name]
+            for i in range(6):
+                n = rng.randint(1, 40)
+                h1 = random_hom(G, n, rng)
+                if i % 3 == 2:
+                    h2 = random_hom(G, n, rng)
+                else:
+                    h2 = perturbed_conjugate_pair(G, n, 4, rng)[1]
+                    h1 = conjugate_hom(h2, random_small_support_permutation(n, 3, rng))
+                A = agreement_set(h1, h2)
+                assert A == oracles.agreement_set(h1, h2)
+                sizes.append(len(A))
+        assert 0 < sizes.count(0) < len(sizes) // 2
 
 
 class TestCentralizer:
@@ -407,6 +451,29 @@ class TestHasExtension:
                             assert got.images[g] == phi.images[i]
 
 
+    def test_builds_the_subgroup_table_once(self, monkeypatch):
+        G, nat = symmetric_group(4)
+        cases = []
+        for gens in (("(1 2)",), ("(1 2 3)",), ("(1 2)(3 4)", "(1 3)(2 4)"), ("(1 2 3 4)",)):
+            H = subgroup_from_cycles(G, nat, *gens)
+            Habs, _ = Subgroup(G, H.members).as_group()  # a separate instance
+            for n in (2, 4):
+                cases.append((H, random_hom(Habs, n, Random(n))))
+        built = []
+        real = FiniteGroup.__init__
+        monkeypatch.setattr(
+            FiniteGroup, "__init__", lambda self, table: built.append(1) or real(self, table)
+        )
+        for H, phi in cases:
+            fresh = Subgroup(G, H.members)
+            built.clear()
+            has_extension(G, fresh, phi)
+            assert built == [1]
+            built.clear()
+            has_extension(G, fresh, phi)
+            assert built == []
+
+
 class TestNormalComplement:
     def test_transposition_in_sym3(self):
         G, nat = symmetric_group(3)
@@ -657,3 +724,99 @@ class TestCentralizerCorrect:
             good = next(iter(centralizer_elements(a)))
             rep = centralizer_correct(a, good, mode="heuristic")
             assert rep.distance == 0
+
+
+@lru_cache(maxsize=None)
+def pinned_groups():
+    a5 = group_from_permutations(
+        [parse_permutation("(1 2 3)", 5), parse_permutation("(1 2 3 4 5)", 5)]
+    )[0]
+    return (
+        cyclic_group(1),
+        cyclic_group(2),
+        cyclic_group(6),
+        klein_four_group(),
+        symmetric_group(3)[0],
+        dihedral_group(4)[0],
+        quaternion_group()[0],
+        symmetric_group(4)[0],
+        a5,
+    )
+
+
+@lru_cache(maxsize=None)
+def pinned_pairs():
+    """Seeded pairs per group: conjugated, nearly equal and independent,
+    half of them at degree <= 8 for ``min_conjugator_distance``."""
+    rng = Random(9)
+    out = []
+    for G in pinned_groups():
+        for i in range(24):
+            n = rng.randint(1, 8) if i % 2 else rng.randint(1, 40)
+            h1 = random_hom(G, n, rng)
+            if i % 3 == 0:
+                h2 = conjugate_hom(h1, random_permutation(n, rng))
+            elif i % 3 == 1:
+                h2 = conjugate_hom(h1, random_small_support_permutation(n, 3, rng))
+            else:
+                h2 = random_hom(G, n, rng)
+            out.append((h1, h2))
+    return tuple(out)
+
+
+def _small_conjugator_or_none(h1, h2):
+    try:
+        return small_conjugator(h1, h2).images
+    except NotConjugateError:
+        return None
+
+
+PINNED_OUTPUTS = {
+    "is_conjugate": lambda: [
+        (ok, w and w.images) for ok, w in (is_conjugate(*hs) for hs in pinned_pairs())
+    ],
+    "small_conjugator": lambda: [_small_conjugator_or_none(*hs) for hs in pinned_pairs()],
+    "min_conjugator_distance": lambda: [
+        (str(d), p.images)
+        for d, p in (
+            min_conjugator_distance(h1, h2)
+            for h1, h2 in pinned_pairs()
+            if h1.degree <= 8 and is_conjugate(h1, h2)[0]
+        )
+    ],
+    "agreement_set": lambda: [agreement_set(*hs) for hs in pinned_pairs()],
+    "orbit_decomposition": lambda: [
+        [(o.points, o.base, o.class_id) for o in orbit_decomposition(h).orbits]
+        for hs in pinned_pairs()
+        for h in hs
+    ],
+    "find_normal_complement": lambda: [
+        K and K.members
+        for G in pinned_groups()
+        for K in (find_normal_complement(G, H) for H in all_subgroups(G))
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("is_conjugate", "08984c0f87af5416e09075ff7cb940a5"
+                         "39aa27aa9f395b553877eb1da29313f1"),
+        ("small_conjugator", "16eeecbf2d902dc61001f531bac1dc6f"
+                             "5ed0b11e64ca4094d39bbce99a7d5775"),
+        ("min_conjugator_distance", "6f7d0eb75ca3b5f5c4024d3eb10babb4"
+                                    "84a0fa1b5b9832446248ab87ee1328d4"),
+        ("agreement_set", "b267c1c9ca0b83e4e49926cfb3826cd3"
+                          "0a311281204607127ce581e891e4816c"),
+        ("orbit_decomposition", "36d45dadc5985c5c25b3070e1310d1ea"
+                                "d1c532e97c185182e57e44bfd09fec72"),
+        ("find_normal_complement", "d10211ea2e749aad8064a20d88400c7c"
+                                   "5340b893f47039e87cefe0ec60eaddd5"),
+    ],
+)
+def test_outputs_pinned(name, digest):
+    # sha256 of seeded outputs, taken when every one of these functions
+    # still scanned every element of the group
+    out = json.dumps(PINNED_OUTPUTS[name]())
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
