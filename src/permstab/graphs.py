@@ -17,6 +17,13 @@ the graph's free-group action (counted by ``trace_stats`` from
 fixed-point masks), and a complete invariant, the edges renumbered in
 discovery order, which deduplicates the enumeration and keys the orbits.
 
+Distances are one batch of trace queries per graph.  The statistic words
+of every enumerated pattern are indexed once per (alphabet, bound): one
+tuple of the distinct words and, per pattern, the indices of its ``A_P``
+and ``B_P`` in it.  Each distinct word is evaluated once per graph, by
+one composition from its suffix, and a frequency is then the AND of the
+masks at its indices and one bit count.
+
 Pattern family.  Only patterns whose vertices have at most one outgoing
 and one incoming edge per label are enumerated: any other pattern embeds
 in no per-label-permutation graph (two same-label out-edges would force
@@ -36,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations as iperms
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -274,7 +282,6 @@ def _certificate(
     return best
 
 
-@lru_cache(maxsize=1)  # the two graphs of a distance share one pattern's words
 def _statistic_words(pattern: RootedPattern) -> tuple[frozenset, frozenset]:
     """``(A_P, B_P)`` from the words ``w_v`` of :func:`_spanning_words`.
     An embedding rooted at ``x`` exists iff ``x`` is fixed by
@@ -307,7 +314,10 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
     if graph.n == 0:
         return Fraction(0)
     fixed, moved = _statistic_words(pattern)
-    return Fraction(get_trace(graph.hom).statistic_count(fixed, moved), graph.n)
+    words = (*fixed, *moved)
+    query = (range(len(fixed)), range(len(fixed), len(words)))
+    (count,) = get_trace(graph.hom).query_counts(words, (query,))
+    return Fraction(count, graph.n)
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +398,50 @@ def stat_distance_truncated(
     return total
 
 
+@lru_cache(maxsize=32)
+def _pattern_queries(
+    alphabet: tuple[str, ...], size_bound: int
+) -> tuple[tuple[Word, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """The distinct statistic words of every pattern of
+    :func:`enumerate_patterns`, and per pattern the indices of its
+    ``A_P`` and ``B_P`` (:func:`_statistic_words`) among them."""
+    index: dict[Word, int] = {}
+    queries = []
+    for pat, _ in enumerate_patterns(alphabet, size_bound):
+        fixed, moved = _statistic_words(pat)
+        queries.append(
+            (
+                tuple(index.setdefault(w, len(index)) for w in fixed),
+                tuple(index.setdefault(w, len(index)) for w in moved),
+            )
+        )
+    return tuple(index), tuple(queries)
+
+
 def stat_distance_details(
     g1: LabeledDigraph, g2: LabeledDigraph, size_bound: int
 ) -> tuple[Fraction, list[dict]]:
-    """Distance plus one row per pattern with a nonzero contribution."""
+    """Distance plus one row per pattern with a nonzero contribution.
+
+    Each graph answers every pattern's query in one batch; the frequency
+    ``c / n`` of a pattern with ``c`` rooted embeddings is 0 on the empty
+    graph, whose counts are all 0 (denominator 1 below).
+    """
     if g1.alphabet != g2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {g1.alphabet} vs {g2.alphabet}"
         )
-    total = Fraction(0)
+    patterns = enumerate_patterns(g1.alphabet, size_bound)
+    words, queries = _pattern_queries(g1.alphabet, size_bound)
+    c1 = get_trace(g1.hom).query_counts(words, queries)
+    c2 = get_trace(g2.hom).query_counts(words, queries)
+    d1, d2 = g1.n or 1, g2.n or 1
+    terms = []  # (weight, |f1 - f2| * d1 * d2) per row
     rows = []
-    for j, (pat, weight) in enumerate(enumerate_patterns(g1.alphabet, size_bound), 1):
-        f1 = pattern_frequency(g1, pat)
-        f2 = pattern_frequency(g2, pat)
-        delta = abs(f1 - f2)
+    for j, ((pat, weight), a, b) in enumerate(zip(patterns, c1, c2), 1):
+        delta = abs(a * d2 - b * d1)
         if delta:
-            total += weight * delta
+            terms.append((weight, delta))
             rows.append(
                 {
                     "index": j,
@@ -413,11 +451,13 @@ def stat_distance_details(
                         [u, v, pat.alphabet[lab]] for u, v, lab in pat.edges
                     ),
                     "weight": str(weight),
-                    "f1": str(f1),
-                    "f2": str(f2),
+                    "f1": str(Fraction(a, d1)),
+                    "f2": str(Fraction(b, d2)),
                 }
             )
-    return total, rows
+    den = lcm(*(w.denominator for w, _ in terms))  # one sum of integers
+    num = sum(w.numerator * (den // w.denominator) * delta for w, delta in terms)
+    return Fraction(num, den * d1 * d2), rows
 
 
 # ---------------------------------------------------------------------------

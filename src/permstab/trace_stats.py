@@ -57,7 +57,8 @@ class ActionTrace:
 
     Values are exact rationals with denominator dividing the degree.  The
     fixed-point mask of each element is memoized, so a trace is one AND
-    per element of the set.
+    per element of the set; :meth:`query_counts` answers a whole batch of
+    statistic queries over one element list.
     """
 
     def __init__(self, h: PermHomomorphism):
@@ -69,12 +70,61 @@ class ActionTrace:
         m = self._mask_memo.get(element)
         if m is None:
             if isinstance(self.hom.source, FiniteGroup):
-                p = self.hom.images[element]
+                m = self._mask_memo[element] = self.hom.images[element].fixed_mask()
             else:
-                p = evaluate_word(self.hom, element)
-            m = p.fixed_mask()
-            self._mask_memo[element] = m
+                self._evaluate_words((element,))
+                m = self._mask_memo[element]
         return m
+
+    def _evaluate_words(self, words: Iterable) -> None:
+        """Memoize the fixed-point mask of each word tuple.
+
+        A word is one composition from its longest suffix already
+        evaluated, ``P(w) = P(w[:1]) * P(w[1:])`` (``evaluate_word``'s
+        convention), so words that share suffixes share the products.  The
+        suffix images live only for this call; only the masks are kept.
+        """
+        memo = self._mask_memo
+        perms: dict = {}  # image of each suffix and one-letter word seen
+        for w in words:
+            if w in memo:
+                continue
+            k = 0
+            while k < len(w) and w[k:] not in perms:
+                k += 1
+            p = perms.get(w[k:])  # None: no suffix of ``w`` evaluated yet
+            for j in range(k - 1, -1, -1):
+                letter = w[j : j + 1]
+                f = perms.get(letter)
+                if f is None:
+                    f = perms[letter] = evaluate_word(self.hom, letter)
+                p = perms[w[j:]] = f if p is None else f * p
+            memo[w] = self._full if p is None else p.fixed_mask()
+
+    def query_counts(
+        self, elements: Sequence, queries: Iterable[tuple[Sequence[int], Sequence[int]]]
+    ) -> list[int]:
+        """Per ``(fixed_idx, moved_idx)`` query, the number of points fixed
+        by ``elements[i]`` for every ``i`` in ``fixed_idx`` and moved by
+        ``elements[j]`` for every ``j`` in ``moved_idx``.
+
+        ``elements`` are canonical (ids, or word tuples); each is evaluated
+        once, so a count is a few ANDs and one ``bit_count``.
+        """
+        if not isinstance(self.hom.source, FiniteGroup):
+            self._evaluate_words(elements)
+        full = self._full
+        fixed = [self._mask_of(el) for el in elements]
+        moved = [full ^ m for m in fixed]
+        counts = []
+        for fixed_idx, moved_idx in queries:
+            mask = full
+            for i in fixed_idx:
+                mask &= fixed[i]
+            for j in moved_idx:
+                mask &= moved[j]
+            counts.append(mask.bit_count())
+        return counts
 
     def _common_mask(self, elements: tuple) -> int:
         """Points fixed by every element of a canonical element tuple."""

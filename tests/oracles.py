@@ -3,9 +3,10 @@
 Each is the algorithm the library used before it was replaced: the
 centralizer enumeration and the exhaustive centralizer-coset minima
 behind ``min_conjugator_distance`` and ``centralizer_correct``, the
-subset-pair loops behind ``statistic_table`` and ``tr_from_s``, and the
+subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
-``is_conjugate`` and ``agreement_set``.
+``is_conjugate`` and ``agreement_set``, and the one-pattern-at-a-time
+loop behind ``stat_distance_details``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from permstab.errors import NotConjugateError, PermStabError
+from permstab.graphs import LabeledDigraph, enumerate_patterns, pattern_frequency
 from permstab.groups import PermHomomorphism, subgroup_conjugacy_classes
 from permstab.perm import Permutation, all_permutations, hamming_distance
 from permstab.trace_stats import _canonical_elements, bs_statistic
@@ -183,3 +185,32 @@ def tr_from_s(
         A: sum((stats[T] for T in subsets if A <= T), start=Fraction(0))
         for A in subsets
     }
+
+
+def stat_distance_details(
+    g1: LabeledDigraph, g2: LabeledDigraph, size_bound: int
+) -> tuple[Fraction, list[dict]]:
+    """The weighted l1 sum and its nonzero rows, one ``pattern_frequency``
+    per pattern and graph, summed in ``Fraction`` arithmetic."""
+    total = Fraction(0)
+    rows = []
+    for j, (pat, weight) in enumerate(enumerate_patterns(g1.alphabet, size_bound), 1):
+        f1 = pattern_frequency(g1, pat)
+        f2 = pattern_frequency(g2, pat)
+        delta = abs(f1 - f2)
+        if delta:
+            total += weight * delta
+            rows.append(
+                {
+                    "index": j,
+                    "vertices": pat.n,
+                    "root": pat.root,
+                    "edges": sorted(
+                        [u, v, pat.alphabet[lab]] for u, v, lab in pat.edges
+                    ),
+                    "weight": str(weight),
+                    "f1": str(f1),
+                    "f2": str(f2),
+                }
+            )
+    return total, rows

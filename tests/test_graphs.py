@@ -26,6 +26,7 @@ from permstab.graphs import (
     encode_to_simple,
     enumerate_patterns,
     pattern_frequency,
+    stat_distance_details,
     stat_distance_truncated,
     _statistic_words,
     _traversal_key,
@@ -35,6 +36,8 @@ from permstab.perm import Permutation, parse_permutation
 from permstab.randgen import random_permutation
 from permstab.trace_stats import action_trace, bs_statistic, get_trace, s_from_tr
 
+import oracles
+
 
 def free_hom(degree, *cycle_strs):
     names = tuple("xyzw"[: len(cycle_strs)])
@@ -42,6 +45,12 @@ def free_hom(degree, *cycle_strs):
         FpGroup(names),
         degree,
         tuple(parse_permutation(s, degree) for s in cycle_strs),
+    )
+
+
+def random_graph(alphabet, n, rng) -> LabeledDigraph:
+    return LabeledDigraph(
+        n, alphabet, tuple(random_permutation(n, rng) for _ in alphabet)
     )
 
 
@@ -490,6 +499,62 @@ class TestStatDistance:
         g2 = LabeledDigraph(2, ("y",), (parse_permutation("(1 2)", 2),))
         with pytest.raises(AlphabetMismatchError):
             stat_distance_truncated(g1, g2, 2)
+
+    # unequal degrees, empty graphs on one or both sides, degrees 1, 2 and up to 60
+    DEGREE_PAIRS = ((0, 0), (0, 3), (1, 1), (1, 2), (2, 2), (2, 60), (17, 9), (60, 41))
+
+    @pytest.mark.parametrize(
+        "alphabet,bound,digest",
+        [
+            (("x",), 1, "13b6c038fb185d7bedbd6fe6de70fc2d8607b6b43f5ebdfa3baee4e96d6d2a39"),
+            (("x",), 2, "2954b2df8815507aed629c7f331faaefd7bca00ae4f002dad6a35c62a8dac8d8"),
+            (("x",), 3, "bbd5dc68f4a787992cc75a8ce8e2ac181c58f913fe02b150b306054ae8bb0d49"),
+            (("x",), 4, "e2a84a1f7492253f54434c8376ddf875380703819b2d86b19728786fb7bb6a91"),
+            (("x", "y"), 1, "92af13af43ed90b360bfef11e15d866f3383d5297d302e2427f64240def41d92"),
+            (("x", "y"), 2, "07275c2cfaeb2e960326a211932b025a61011fe3bc68794a487d1d4b9df8d601"),
+            (("x", "y"), 3, "677be3eace98e16b6bc2a62f476e9bd73f7d02da658af41eb194c1d2201c98e7"),
+            (("x", "y"), 4, "93fea7e65bcfb17b16e6a00b26e17da26848f9c6191cd1f5472a4b070f61cc0b"),
+            (("x", "y", "z"), 1, "509891dfb7fac8078d32040f9625a33aa59ce0af8e0e25b3d1b91458e0167388"),
+            (("x", "y", "z"), 2, "5c2ab37494ac6d92821ec87ceebc173efe00fed184c1c70b32f25831f39f44ca"),
+            (("x", "y", "z"), 3, "d1d2f52030947e65ba695903b5f71b8bc8fd8f9df103b98875e9b6e171c549f3"),
+        ],
+        ids=["x-1", "x-2", "x-3", "x-4", "xy-1", "xy-2", "xy-3", "xy-4",
+             "xyz-1", "xyz-2", "xyz-3"],
+    )
+    def test_details_pinned(self, alphabet, bound, digest):
+        # digests of the total and the rows as the one-pattern-at-a-time
+        # loop (oracles.stat_distance_details) computed them
+        rng = Random(1000 * len(alphabet) + bound)
+        out = []
+        for n1, n2 in self.DEGREE_PAIRS:
+            g1 = random_graph(alphabet, n1, rng)
+            g2 = random_graph(alphabet, n2, rng)
+            total, rows = stat_distance_details(g1, g2, bound)
+            out.append([str(total), rows])
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "alphabet,bound", [(("x",), 4), (("x", "y"), 3), (("x", "y", "z"), 2)]
+    )
+    def test_matches_per_pattern_loop(self, alphabet, bound):
+        rng = Random(74 + 10 * len(alphabet) + bound)
+        for n1, n2 in ((0, 0), (0, 5), (7, 0), (1, 2), (6, 6), (13, 30), (25, 8)):
+            g1 = random_graph(alphabet, n1, rng)
+            g2 = random_graph(alphabet, n2, rng)
+            assert stat_distance_details(g1, g2, bound) == (
+                oracles.stat_distance_details(g1, g2, bound)
+            ), (n1, n2)
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 3), (("x", "y", "z"), 2)])
+    def test_queries_index_the_statistic_words(self, alphabet, bound):
+        words, queries = graphs._pattern_queries(alphabet, bound)
+        assert len(set(words)) == len(words)
+        patterns = enumerate_patterns(alphabet, bound)
+        assert len(queries) == len(patterns)
+        for (pat, _), (fixed_idx, moved_idx) in zip(patterns, queries):
+            fixed = frozenset(words[i] for i in fixed_idx)
+            moved = frozenset(words[i] for i in moved_idx)
+            assert (fixed, moved) == _statistic_words(pat)
 
 
 class TestWordStatistics:

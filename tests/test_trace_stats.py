@@ -6,15 +6,19 @@ from random import Random
 
 import pytest
 
-from permstab.errors import BoundExceededError, PermStabError
+from permstab.errors import BoundExceededError, PermStabError, WordError
 from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair, klein_pair_presented
 from permstab.groups import (
+    FpGroup,
+    PermHomomorphism,
     cyclic_group,
     direct_sum_hom,
+    evaluate_word,
     symmetric_group,
     trivial_hom,
 )
-from permstab.randgen import random_hom
+from permstab.perm import Permutation
+from permstab.randgen import random_hom, random_permutation
 from permstab.stability import replicate_hom
 from permstab.trace_stats import (
     ActionTrace,
@@ -123,6 +127,83 @@ class TestInclusionExclusion:
                     for bsize in range(3):
                         for B in combinations(elements, bsize):
                             assert s_from_tr(tr, A, B) == bs_statistic(h, A, B)
+
+
+def random_word(rng, m):
+    """Up to 8 letters with exponents in +-1..3, repeated letters and
+    cancelling pairs ``x^e x^-e``; possibly empty."""
+    word = []
+    for _ in range(rng.randint(0, 8)):
+        r = rng.random()
+        if word and r < 0.2:
+            idx, exp = word[-1]
+            word.append((idx, -exp))
+        elif word and r < 0.35:
+            word.append(word[-1])
+        else:
+            word.append((rng.randrange(m), rng.choice((1, -1, 2, -2, 3, -3))))
+    return tuple(word)
+
+
+class TestBatchWordEvaluation:
+    """``query_counts`` evaluates each word once, from its suffix."""
+
+    def test_against_evaluate_word_and_statistic_count(self):
+        rng = Random(30)
+        for _ in range(60):
+            m, n = rng.randint(1, 3), rng.randint(0, 12)
+            h = PermHomomorphism(
+                FpGroup(tuple("xyz"[:m])),
+                n,
+                tuple(random_permutation(n, rng) for _ in range(m)),
+            )
+            words = [random_word(rng, m) for _ in range(20)]
+            words += [(), ((0, 1), (0, -1))]
+            words += [w[k:] for w in words[:4] for k in range(len(w))]  # suffixes
+            trace = ActionTrace(h)
+            queries = [
+                (
+                    rng.sample(range(len(words)), rng.randint(0, 3)),
+                    rng.sample(range(len(words)), rng.randint(0, 3)),
+                )
+                for _ in range(25)
+            ]
+            counts = trace.query_counts(words, queries)
+            # only the masks of the asked words are kept
+            assert set(trace._mask_memo) == set(words)
+            for w in words:
+                assert trace._mask_memo[w] == evaluate_word(h, w).fixed_mask(), w
+            fresh = ActionTrace(h)
+            assert counts == [
+                fresh.statistic_count([words[i] for i in A], [words[j] for j in B])
+                for A, B in queries
+            ]
+
+    def test_one_product_per_new_suffix(self, monkeypatch):
+        h = PermHomomorphism(
+            FpGroup(("x", "y")),
+            5,
+            (Permutation([2, 3, 1, 4, 5]), Permutation([1, 2, 3, 5, 4])),
+        )
+        products = []
+        mul = Permutation.__mul__
+
+        def counted(p, q):
+            products.append(1)
+            return mul(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        x, y, y_inv = (0, 1), (1, 1), (1, -1)
+        words = [(y,), (x, y), (x, x, y), (y_inv, x, y), (x, y)]
+        counts = ActionTrace(h).query_counts(words, [((i,), ()) for i in range(5)])
+        # y is a letter; x y, x x y and y^-1 x y take one product each
+        assert len(products) == 3
+        assert counts == [len(evaluate_word(h, w).fixed_points()) for w in words]
+
+    def test_unknown_generator_rejected(self):
+        h = PermHomomorphism(FpGroup(("x",)), 2, (Permutation([2, 1]),))
+        with pytest.raises(WordError):
+            ActionTrace(h).query_counts([((0, 1), (1, 1))], [])
 
 
 class TestTrFromS:
