@@ -7,21 +7,27 @@ Every invocation prints a single JSON run report::
 
 The ``outputs`` object is deterministic: re-running the same command on
 the same inputs (and seed, for randomized suites) reproduces it byte for
-byte; only ``timing_ms`` varies.  Exit codes: 0 success, 2 domain error
-(with a machine-readable error object), 64 usage / unknown subcommand,
-65 malformed input file, 70 internal error (an unexpected exception,
-reported as an ``internal-error`` object instead of a traceback).
+byte; only ``timing_ms`` varies.
+
+Exit codes: 0 success (a ``--help`` report too); 2 domain error, with a
+machine-readable error object; 64 usage (unknown subcommand, unknown or
+missing argument, value of the wrong type); 65 malformed input file; 70
+internal error (``EX_SOFTWARE``: an unexpected exception, reported as an
+``internal-error`` object instead of a traceback); 74 the report could not
+be written to stdout, a closed pipe or a full device (``EX_IOERR``).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
+import os
+import re
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import fixtures
 from .errors import MalformedInputError, PermStabError
@@ -55,40 +61,7 @@ EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 EXIT_BADFILE = 65
 EXIT_INTERNAL = 70  # EX_SOFTWARE
-
-COMMANDS = (
-    "trace",
-    "stats",
-    "mult",
-    "conj",
-    "order",
-    "small-conj",
-    "min-conj",
-    "extend",
-    "complement",
-    "amalgam",
-    "lift",
-    "correct",
-    "graph",
-    "dstat",
-    "verify-paper",
-)
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _HelpRequested(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
+EXIT_IOERR = 74  # EX_IOERR
 
 
 def _digest(path: str) -> str:
@@ -99,83 +72,13 @@ def _digest(path: str) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="perm-stab", add_help=True)
-    p.add_argument("--seed", type=int, default=None)
-    sub = p.add_subparsers(dest="cmd")
-
-    sp = sub.add_parser("trace")
-    sp.add_argument("--hom", required=True)
-    sp.add_argument("--set", dest="elements", required=True)
-
-    sp = sub.add_parser("stats")
-    sp.add_argument("--hom", required=True)
-    sp.add_argument("--fixed", default="")
-    sp.add_argument("--moved", default="")
-
-    sp = sub.add_parser("mult")
-    sp.add_argument("hom")
-
-    sp = sub.add_parser("conj")
-    sp.add_argument("hom1")
-    sp.add_argument("hom2")
-
-    sp = sub.add_parser("order")
-    sp.add_argument("hom1")
-    sp.add_argument("hom2")
-
-    sp = sub.add_parser("small-conj")
-    sp.add_argument("hom1")
-    sp.add_argument("hom2")
-
-    sp = sub.add_parser("min-conj")
-    sp.add_argument("hom1")
-    sp.add_argument("hom2")
-
-    sp = sub.add_parser("extend")
-    sp.add_argument("group")
-    sp.add_argument("subgroup")
-    sp.add_argument("hom")
-
-    sp = sub.add_parser("complement")
-    sp.add_argument("group")
-    sp.add_argument("subgroup")
-
-    sp = sub.add_parser("amalgam")
-    sp.add_argument("hom1")
-    sp.add_argument("hom2")
-    sp.add_argument("--h-map", dest="hmap", required=True)
-
-    sp = sub.add_parser("lift")
-    sp.add_argument("hom")
-    sp.add_argument("rest")
-    sp.add_argument("--copies", type=int, required=True)
-
-    sp = sub.add_parser("correct")
-    sp.add_argument("--coef", required=True)
-    sp.add_argument("--almost", required=True)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
-
-    sp = sub.add_parser("graph")
-    sp.add_argument("hom")
-
-    sp = sub.add_parser("dstat")
-    sp.add_argument("hom1")
-    sp.add_argument("hom2")
-    sp.add_argument("--size-bound", type=int, default=4)
-
-    sub.add_parser("verify-paper")
-    return p
-
-
 def _perm_str(p: Permutation) -> str:
     return p.cycle_str()
 
 
 def _cmd_trace(args, record) -> dict:
     hom = hom_from_json(record(args.hom))
-    elements = element_set_from_text(hom, args.elements)
+    elements = element_set_from_text(hom, args.set)
     return {"tr": format_rational(action_trace(hom, elements))}
 
 
@@ -275,7 +178,7 @@ def _cmd_complement(args, record) -> dict:
 def _cmd_amalgam(args, record) -> dict:
     h1 = hom_from_json(record(args.hom1))
     h2 = hom_from_json(record(args.hom2))
-    spec = record(args.hmap)
+    spec = record(args.h_map)
     obj = _load_json(spec)
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise MalformedInputError("h-map file must carry 'pairs'")
@@ -424,23 +327,120 @@ def _cmd_verify_paper(args, record) -> dict:
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
-_HANDLERS = {
-    "trace": _cmd_trace,
-    "stats": _cmd_stats,
-    "mult": _cmd_mult,
-    "conj": _cmd_conj,
-    "order": _cmd_order,
-    "small-conj": _cmd_small_conj,
-    "min-conj": _cmd_min_conj,
-    "extend": _cmd_extend,
-    "complement": _cmd_complement,
-    "amalgam": _cmd_amalgam,
-    "lift": _cmd_lift,
-    "correct": _cmd_correct,
-    "graph": _cmd_graph,
-    "dstat": _cmd_dstat,
-    "verify-paper": _cmd_verify_paper,
+REQUIRED = object()  # the default of an option a command cannot run without
+
+# command -> (handler, positional names, {option: (type or choices, default)});
+# a handler reads ``args.<name>``, an option's name with dashes as underscores
+COMMANDS = {
+    "trace": (_cmd_trace, (), {"--hom": (str, REQUIRED), "--set": (str, REQUIRED)}),
+    "stats": (
+        _cmd_stats, (), {"--hom": (str, REQUIRED), "--fixed": (str, ""), "--moved": (str, "")}
+    ),
+    "mult": (_cmd_mult, ("hom",), {}),
+    "conj": (_cmd_conj, ("hom1", "hom2"), {}),
+    "order": (_cmd_order, ("hom1", "hom2"), {}),
+    "small-conj": (_cmd_small_conj, ("hom1", "hom2"), {}),
+    "min-conj": (_cmd_min_conj, ("hom1", "hom2"), {}),
+    "extend": (_cmd_extend, ("group", "subgroup", "hom"), {}),
+    "complement": (_cmd_complement, ("group", "subgroup"), {}),
+    "amalgam": (_cmd_amalgam, ("hom1", "hom2"), {"--h-map": (str, REQUIRED)}),
+    "lift": (_cmd_lift, ("hom", "rest"), {"--copies": (int, REQUIRED)}),
+    "correct": (_cmd_correct, (), {
+        "--coef": (str, REQUIRED),
+        "--almost": (str, REQUIRED),
+        "--degree": (int, REQUIRED),
+        "--mode": (("exact", "heuristic"), "exact"),
+    }),
+    "graph": (_cmd_graph, ("hom",), {}),
+    "dstat": (_cmd_dstat, ("hom1", "hom2"), {"--size-bound": (int, 4)}),
+    "verify-paper": (_cmd_verify_paper, (), {}),
 }
+_HELP = ("-h", "--help")
+
+
+class _UsageError(Exception):
+    """A command line that does not fit ``COMMANDS``."""
+
+
+def _is_option(token: str, options: dict) -> bool:
+    """argparse's rule: ``token`` names an option (before any ``=``), or it
+    starts with ``-`` and is not ``-``, a negative number or text with a space."""
+    if token.partition("=")[0] in (*options, *_HELP):
+        return True
+    return token[:1] == "-" and " " not in token and not re.match(r"-$|-\d+$|-\d*\.\d+$", token)
+
+
+def _convert(name: str, kind, value: str):
+    """``value`` as the type ``kind``, or checked against the choices ``kind``."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        choices = ", ".join(map(repr, kind))
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    try:
+        return kind(value)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+
+
+def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """Read ``[--seed N] COMMAND ...`` against ``COMMANDS`` into ``(command,
+    args)``; ``args`` is None when ``-h`` or ``--help`` asks for help.
+
+    Tokens are read in order, as argparse read them: an unknown command, an
+    option without its value or a value of the wrong type fails at once;
+    unknown options, surplus values and missing arguments fail at the end,
+    so a later ``--help`` still gives help.
+    """
+    cmd, positionals, extras = None, [], []
+    options, values = {"--seed": (int, None)}, {"--seed": None}
+    tokens = argv[::-1]
+    while tokens:
+        token = tokens.pop()
+        if token in _HELP:
+            return cmd, None
+        if _is_option(token, options):
+            name, eq, value = token.partition("=")
+            if name not in options:
+                extras.append(token)
+                continue
+            if not eq:
+                if not tokens or _is_option(tokens[-1], options):
+                    raise _UsageError(f"argument {name}: expected one argument")
+                value = tokens.pop()
+            values[name] = _convert(name, options[name][0], value)
+        elif cmd is None:
+            cmd = _convert("cmd", tuple(COMMANDS), token)
+            positionals, options = list(COMMANDS[cmd][1]), COMMANDS[cmd][2]
+            values.update((o, default) for o, (_, default) in options.items())
+        elif positionals:
+            values[positionals.pop(0)] = token
+        else:
+            extras.append(token)
+    missing = positionals + [o for o in options if values[o] is REQUIRED]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    if cmd is None:
+        raise _UsageError("missing subcommand")
+    return cmd, SimpleNamespace(**{k.lstrip("-").replace("-", "_"): v for k, v in values.items()})
+
+
+def _help(cmd: str | None) -> str:
+    """The usage line of ``cmd``, or of every command, from ``COMMANDS``."""
+    lines = []
+    for name in COMMANDS if cmd is None else (cmd,):
+        _, positionals, options = COMMANDS[name]
+        words = ["perm-stab", name, "[-h]", *positionals]
+        for option, (kind, default) in options.items():
+            meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else option[2:].upper()
+            words.append(f"{option} {meta}" if default is REQUIRED else f"[{option} {meta}]")
+        lines.append(" ".join(words))
+    if cmd is not None:
+        return f"usage: {lines[0]}\n"
+    head = "usage: perm-stab [-h] [--seed SEED] COMMAND ...\n"
+    return head + "".join(f"  {line}\n" for line in lines)
 
 
 def dispatch(argv: list[str]) -> tuple[int, dict]:
@@ -460,60 +460,53 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         "seed": None,
     }
 
-    def finish(code: int) -> tuple[int, dict]:
+    def finish(code: int, error: dict | None = None) -> tuple[int, dict]:
+        if error is not None:
+            report["outputs"] = {"error": error}
         report["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)
         return code, report
 
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        cmd, args = _parse(argv)
+        if args is None:  # the help text is the report's output
+            report["outputs"] = {"help": _help(cmd)}
+            return finish(EXIT_OK)
+        report["seed"] = args.seed
+        report["outputs"] = COMMANDS[cmd][0](args, record)
     except _UsageError as exc:
-        report["outputs"] = {"error": {"code": "usage", "message": str(exc)}}
-        return finish(EXIT_USAGE)
-    except _HelpRequested as exc:  # the help text is the report's output
-        report["outputs"] = {"help": str(exc)}
-        return finish(EXIT_OK)
-    report["seed"] = args.seed
-    if args.cmd is None:
-        report["outputs"] = {
-            "error": {"code": "usage", "message": "missing subcommand"}
-        }
-        return finish(EXIT_USAGE)
-    handler = _HANDLERS[args.cmd]
-    try:
-        report["outputs"] = handler(args, record)
+        return finish(EXIT_USAGE, {"code": "usage", "message": str(exc)})
     except MalformedInputError as exc:
-        report["outputs"] = {
-            "error": {"code": "malformed-input", "message": str(exc)}
-        }
-        return finish(EXIT_BADFILE)
+        return finish(EXIT_BADFILE, {"code": "malformed-input", "message": str(exc)})
     except PermStabError as exc:
         err = {"code": type(exc).__name__, "message": str(exc)}
         witness = getattr(exc, "witness", None)
         if witness is not None:
             err["witness"] = list(witness)
-        report["outputs"] = {"error": err}
-        return finish(EXIT_DOMAIN)
+        return finish(EXIT_DOMAIN, err)
     except Exception as exc:  # the report contract holds for any input
         tb = exc.__traceback__
         while tb.tb_next is not None:
             tb = tb.tb_next
         code = tb.tb_frame.f_code
-        report["outputs"] = {
-            "error": {
-                "code": "internal-error",
-                "message": f"{type(exc).__name__}: {exc}",
-                "where": f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}",
-            }
-        }
-        return finish(EXIT_INTERNAL)
+        return finish(EXIT_INTERNAL, {
+            "code": "internal-error",
+            "message": f"{type(exc).__name__}: {exc}",
+            "where": f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}",
+        })
     return finish(EXIT_OK)
 
 
 def main(argv: list[str] | None = None) -> int:
     code, report = dispatch(sys.argv[1:] if argv is None else argv)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError:  # a closed pipe (BrokenPipeError) or a full device
+        # point stdout at devnull so that the interpreter's flush at exit
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
     return code
 
 

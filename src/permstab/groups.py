@@ -569,6 +569,14 @@ class PermHomomorphism:
                     f"image degree {p.degree} differs from {self.degree}"
                 )
 
+    @cached_property
+    def trace(self):
+        """The :class:`~permstab.trace_stats.ActionTrace` of this homomorphism,
+        built on first use; its fixed-point masks live as long as ``self``."""
+        from .trace_stats import ActionTrace
+
+        return ActionTrace(self)
+
     def generator_image(self, name: str) -> Permutation:
         if not isinstance(self.source, FpGroup):
             raise SourceMismatchError("generator images require an FpGroup source")

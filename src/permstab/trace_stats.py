@@ -20,7 +20,6 @@ well-defined because only the evaluated permutations enter the counts.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -150,9 +149,8 @@ class ActionTrace:
         return mask.bit_count()
 
 
-@lru_cache(maxsize=256)
 def get_trace(h: PermHomomorphism) -> ActionTrace:
-    return ActionTrace(h)
+    return h.trace
 
 
 def action_trace(h: PermHomomorphism, A: ElementSet) -> Fraction:

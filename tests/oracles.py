@@ -5,12 +5,14 @@ centralizer enumeration and the exhaustive centralizer-coset minima
 behind ``min_conjugator_distance`` and ``centralizer_correct``, the
 subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
-``is_conjugate`` and ``agreement_set``, and the one-pattern-at-a-time
-loop behind ``stat_distance_details``.
+``is_conjugate`` and ``agreement_set``, the one-pattern-at-a-time
+loop behind ``stat_distance_details``, and the argparse front end behind
+the CLI's command-table parser.
 """
 
 from __future__ import annotations
 
+import argparse
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -214,3 +216,108 @@ def stat_distance_details(
                 }
             )
     return total, rows
+
+
+class ArgparseUsageError(Exception):
+    pass
+
+
+class ArgparseHelp(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseUsageError(message)
+
+    def print_help(self, file=None):
+        raise ArgparseHelp(self.format_help())
+
+
+def argparse_cli() -> _Parser:
+    """The CLI's parser before the command table: one argparse parser per
+    subcommand under one top-level parser."""
+    p = _Parser(prog="perm-stab", add_help=True)
+    p.add_argument("--seed", type=int, default=None)
+    sub = p.add_subparsers(dest="cmd")
+
+    sp = sub.add_parser("trace")
+    sp.add_argument("--hom", required=True)
+    sp.add_argument("--set", dest="elements", required=True)
+
+    sp = sub.add_parser("stats")
+    sp.add_argument("--hom", required=True)
+    sp.add_argument("--fixed", default="")
+    sp.add_argument("--moved", default="")
+
+    sp = sub.add_parser("mult")
+    sp.add_argument("hom")
+
+    sp = sub.add_parser("conj")
+    sp.add_argument("hom1")
+    sp.add_argument("hom2")
+
+    sp = sub.add_parser("order")
+    sp.add_argument("hom1")
+    sp.add_argument("hom2")
+
+    sp = sub.add_parser("small-conj")
+    sp.add_argument("hom1")
+    sp.add_argument("hom2")
+
+    sp = sub.add_parser("min-conj")
+    sp.add_argument("hom1")
+    sp.add_argument("hom2")
+
+    sp = sub.add_parser("extend")
+    sp.add_argument("group")
+    sp.add_argument("subgroup")
+    sp.add_argument("hom")
+
+    sp = sub.add_parser("complement")
+    sp.add_argument("group")
+    sp.add_argument("subgroup")
+
+    sp = sub.add_parser("amalgam")
+    sp.add_argument("hom1")
+    sp.add_argument("hom2")
+    sp.add_argument("--h-map", dest="hmap", required=True)
+
+    sp = sub.add_parser("lift")
+    sp.add_argument("hom")
+    sp.add_argument("rest")
+    sp.add_argument("--copies", type=int, required=True)
+
+    sp = sub.add_parser("correct")
+    sp.add_argument("--coef", required=True)
+    sp.add_argument("--almost", required=True)
+    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
+
+    sp = sub.add_parser("graph")
+    sp.add_argument("hom")
+
+    sp = sub.add_parser("dstat")
+    sp.add_argument("hom1")
+    sp.add_argument("hom2")
+    sp.add_argument("--size-bound", type=int, default=4)
+
+    sub.add_parser("verify-paper")
+    return p
+
+
+def argparse_parse(parser: _Parser, argv: list[str]) -> tuple[str, object]:
+    """``("ok", (command, values))``, ``("help", None)`` or ``("usage",
+    message)`` for ``argv``, as the argparse front end read it; ``values``
+    holds the seed and every argument under the command table's names."""
+    try:
+        values = vars(parser.parse_args(argv))
+    except ArgparseHelp:
+        return "help", None
+    except ArgparseUsageError as exc:
+        return "usage", str(exc)
+    cmd = values.pop("cmd")
+    if cmd is None:
+        return "usage", "missing subcommand"
+    names = {"elements": "set", "hmap": "h_map"}
+    return "ok", (cmd, {names.get(k, k): v for k, v in values.items()})

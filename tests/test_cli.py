@@ -2,19 +2,25 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from permstab import cli
 from permstab.cli import (
     EXIT_BADFILE,
     EXIT_DOMAIN,
     EXIT_INTERNAL,
+    EXIT_IOERR,
     EXIT_OK,
     EXIT_USAGE,
+    REQUIRED,
     dispatch,
 )
 
@@ -436,7 +442,7 @@ class TestExitCodes:
         def broken(args, record):
             raise RuntimeError("broken handler")
 
-        monkeypatch.setitem(cli._HANDLERS, "mult", broken)
+        monkeypatch.setitem(cli.COMMANDS, "mult", (broken, *cli.COMMANDS["mult"][1:]))
         assert EXIT_INTERNAL == 70
         assert cli.main(["mult", files["theta2"]]) == EXIT_INTERNAL
         out, err = capsys.readouterr()
@@ -479,10 +485,11 @@ class TestExitCodes:
             assert report["outputs"]["error"]["code"] == "malformed-input"
 
     def test_help_is_the_report(self, capsys):
-        for argv in (["--help"], ["dstat", "-h"]):
+        for argv in (["--help"], *([cmd, "-h"] for cmd in cli.COMMANDS)):
             assert cli.main(argv) == EXIT_OK
             out, err = capsys.readouterr()
-            assert json.loads(out)["outputs"]["help"].startswith("usage: perm-stab")
+            usage = " ".join(["usage: perm-stab", *argv[:-1]]) + " "
+            assert json.loads(out)["outputs"]["help"].startswith(usage)
             assert err == ""
 
     def test_domain_error(self, files):
@@ -617,3 +624,130 @@ class TestContractFuzz:
         assert set(report) == {"command", "inputs", "outputs", "timing_ms", "seed"}
         assert "Traceback" not in out.getvalue() + err.getvalue()
         assert err.getvalue() == ""
+
+
+def fresh_python(code, **popen):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60, **popen)
+
+
+def table_parse(argv):
+    """``cli._parse`` in the shape of ``oracles.argparse_parse``."""
+    try:
+        cmd, args = cli._parse(argv)
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+    return ("help", None) if args is None else ("ok", (cmd, vars(args)))
+
+
+def edits(argv):
+    """Every deletion of one token of ``argv`` and every insertion or
+    replacement of one fuzz token."""
+    for i in range(len(argv) + 1):
+        for token in TOKENS:
+            yield argv[:i] + [token] + argv[i:]
+            if i < len(argv):
+                yield argv[:i] + [token] + argv[i + 1 :]
+        if i < len(argv):
+            yield argv[:i] + argv[i + 1 :]
+
+
+class TestCommandTable:
+    def test_every_command_has_an_invocation(self, corpus):
+        assert [argv[0] for argv in valid_invocations(corpus)] == list(cli.COMMANDS)
+
+    def test_same_reading_as_argparse(self, corpus):
+        # accept or reject alike, with the same values and seed; usage
+        # messages are not compared
+        parser = oracles.argparse_cli()
+        f = "f.json"  # the usage requests of the cli-cold benchmark
+        usage_requests = [
+            ["frobnicate", f],
+            ["trace", "--hom", f],
+            ["lift", f, f, "--copies", "two"],
+            [],
+            ["dstat", f, f, "--size-bound", "three"],
+        ]
+        # help after an error that argparse reported only at the end
+        late_help = [["mult", f, "--x", "-h"], ["conj", f, "--help"], ["--x", "-h"]]
+        cases = usage_requests + late_help
+        for argv in valid_invocations(corpus):
+            cases += [argv, *edits(argv)]
+        for argv in cases:
+            want, got = oracles.argparse_parse(parser, argv), table_parse(argv)
+            if want[0] == "usage":
+                assert got[0] == "usage", (argv, got)
+            else:
+                assert got == want, argv
+        assert len(cases) > 2000
+
+    def test_differences_from_argparse(self, corpus):
+        # no prefix abbreviations, and "--" is not an end-of-options marker
+        for argv in (
+            ["dstat", corpus["graph_hom"], corpus["graph_id"], "--size", "2"],
+            ["--se", "7", "verify-paper"],
+            ["--h"],
+            ["mult", "--", corpus["theta2"]],
+        ):
+            code, report = dispatch(argv)
+            assert code == EXIT_USAGE, argv
+            assert report["outputs"]["error"]["code"] == "usage"
+
+    def test_usage_errors(self, corpus):
+        bad = []
+        for argv in valid_invocations(corpus):
+            cmd, rest = argv[0], argv[1:]
+            _, positionals, options = cli.COMMANDS[cmd]
+            for name, (_, default) in options.items():
+                if default is REQUIRED:
+                    i = argv.index(name)
+                    bad.append(argv[:i] + argv[i + 2 :])
+                if name in ("--copies", "--degree", "--size-bound"):
+                    i = argv.index(name)
+                    bad += [argv[: i + 1] + [v] + argv[i + 2 :] for v in ("two", "2.0", "")]
+            values = [a for i, a in enumerate(argv) if i and not a.startswith("--")
+                      and not argv[i - 1].startswith("--")]
+            assert len(values) == len(positionals), argv
+            for value in values:
+                i = argv.index(value)
+                bad.append(argv[:i] + argv[i + 1 :])
+            bad += [argv + ["--frobnicate", "1"], [cmd, "--seed", "7", *rest]]
+        for argv in bad:
+            code, report = dispatch(argv)
+            assert code == EXIT_USAGE, argv
+            assert report["outputs"]["error"]["code"] == "usage"
+            assert report["seed"] is None
+
+    def test_option_value_after_equals(self, files):
+        code, report = dispatch(
+            ["--seed=3", "dstat", files["graph_hom"], files["graph_id"], "--size-bound=2"]
+        )
+        assert code == EXIT_OK
+        assert report["seed"] == 3
+        assert report["outputs"]["d_stat"] == "13/32"
+
+    def test_import_leaves_argparse_out(self):
+        code = "import sys, permstab.cli; print('argparse' in sys.modules)"
+        done = fresh_python(code, capture_output=True, text=True)
+        assert done.stdout.strip() == "False", done.stderr
+
+
+def test_unwritable_stdout_is_io_error():
+    # a pipe whose read end is closed before the child starts (EPIPE), and
+    # a full device (ENOSPC): no traceback, exit 74
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    targets = [write_end]
+    if os.path.exists("/dev/full"):
+        targets.append(os.open("/dev/full", os.O_WRONLY))
+    code = "from permstab.cli import main; raise SystemExit(main(['verify-paper']))"
+    try:
+        for fd in targets:
+            done = fresh_python(code, stdout=fd, stderr=subprocess.PIPE)
+            assert done.stderr == b""
+            assert done.returncode == EXIT_IOERR == 74
+    finally:
+        for fd in targets:
+            os.close(fd)

@@ -24,6 +24,7 @@ from permstab.trace_stats import (
     ActionTrace,
     action_trace,
     bs_statistic,
+    get_trace,
     s_from_tr,
     statistic_table,
     tr_from_s,
@@ -70,6 +71,16 @@ class TestActionTrace:
             B = A | set(rng.sample(range(G.order), rng.randint(0, 3)))
             assert action_trace(h, A) >= action_trace(h, B)
             assert action_trace(h, A | {G.identity}) == action_trace(h, A)
+
+
+    def test_trace_kept_with_its_homomorphism(self):
+        # the masks stay with the homomorphism however many others are traced
+        t1, _ = klein_pair()
+        trace = get_trace(t1)
+        G = cyclic_group(2)
+        for degree in range(1, 301):
+            assert get_trace(trivial_hom(G, degree)).value([1]) == 1
+        assert get_trace(t1) is trace is t1.trace
 
 
 class TestBSStatistic:
