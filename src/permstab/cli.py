@@ -3,18 +3,18 @@
 Every invocation prints a single JSON run report::
 
     {"command": [...], "inputs": {path: "sha256:..."}, "outputs": {...},
-     "timing_ms": ..., "seed": ...}
+     "timing_ms": ...}
 
 The ``outputs`` object is deterministic: re-running the same command on
-the same inputs (and seed, for randomized suites) reproduces it byte for
-byte; only ``timing_ms`` varies.
+the same inputs reproduces it byte for byte; only ``timing_ms`` varies.
 
 Exit codes: 0 success (a ``--help`` report too); 2 domain error, with a
 machine-readable error object; 64 usage (unknown subcommand, unknown or
 missing argument, value of the wrong type); 65 malformed input file; 70
 internal error (``EX_SOFTWARE``: an unexpected exception, reported as an
 ``internal-error`` object instead of a traceback); 74 the report could not
-be written to stdout, a closed pipe or a full device (``EX_IOERR``).
+be written to stdout, a closed pipe, a full device or a stdout closed
+before the process started (``EX_IOERR``).
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ def _digest(path: str) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _perm_str(p: Permutation) -> str:
-    return p.cycle_str()
-
-
 def _cmd_trace(args, record) -> dict:
     hom = hom_from_json(record(args.hom))
     elements = element_set_from_text(hom, args.set)
@@ -114,7 +110,7 @@ def _cmd_conj(args, record) -> dict:
     ok, witness = is_conjugate(h1, h2)
     return {
         "conjugate": ok,
-        "witness": _perm_str(witness) if ok else None,
+        "witness": witness.cycle_str() if ok else None,
     }
 
 
@@ -134,7 +130,7 @@ def _cmd_small_conj(args, record) -> dict:
     eps = max_image_distance(h1, h2)
     order = h1.source.order
     return {
-        "conjugator": _perm_str(p),
+        "conjugator": p.cycle_str(),
         "distance": format_rational(
             hamming_distance(p, Permutation.identity(p.degree))
         ),
@@ -148,7 +144,7 @@ def _cmd_min_conj(args, record) -> dict:
     h1 = hom_from_json(record(args.hom1))
     h2 = hom_from_json(record(args.hom2))
     dist, witness = min_conjugator_distance(h1, h2)
-    return {"min_distance": format_rational(dist), "witness": _perm_str(witness)}
+    return {"min_distance": format_rational(dist), "witness": witness.cycle_str()}
 
 
 def _cmd_extend(args, record) -> dict:
@@ -161,7 +157,7 @@ def _cmd_extend(args, record) -> dict:
         return {"found": False, "extension": None}
     return {
         "found": True,
-        "extension": {str(g): _perm_str(ext.images[g]) for g in G.elements()},
+        "extension": {str(g): ext.images[g].cycle_str() for g in G.elements()},
     }
 
 
@@ -212,10 +208,10 @@ def _cmd_lift(args, record) -> dict:
     out = compose_lift(psi, args.copies, eta)
     images: dict[str, str]
     if isinstance(out.source, FiniteGroup):
-        images = {str(g): _perm_str(out.images[g]) for g in out.source.elements()}
+        images = {str(g): out.images[g].cycle_str() for g in out.source.elements()}
     else:
         images = {
-            name: _perm_str(img)
+            name: img.cycle_str()
             for name, img in zip(out.source.generators, out.images)
         }
     return {"degree": out.degree, "verified": True, "images": images}
@@ -226,7 +222,7 @@ def _cmd_correct(args, record) -> dict:
     q = parse_permutation(args.almost, args.degree)
     rep = centralizer_correct(a, q, mode=args.mode)
     return {
-        "corrected": _perm_str(rep.corrected),
+        "corrected": rep.corrected.cycle_str(),
         "distance": format_rational(rep.distance),
         "input_defect": format_rational(rep.input_defect),
         "mode": rep.mode,
@@ -384,8 +380,8 @@ def _convert(name: str, kind, value: str):
 
 
 def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
-    """Read ``[--seed N] COMMAND ...`` against ``COMMANDS`` into ``(command,
-    args)``; ``args`` is None when ``-h`` or ``--help`` asks for help.
+    """Read ``COMMAND ...`` against ``COMMANDS`` into ``(command, args)``;
+    ``args`` is None when ``-h`` or ``--help`` asks for help.
 
     Tokens are read in order, as argparse read them: an unknown command, an
     option without its value or a value of the wrong type fails at once;
@@ -393,7 +389,7 @@ def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
     so a later ``--help`` still gives help.
     """
     cmd, positionals, extras = None, [], []
-    options, values = {"--seed": (int, None)}, {"--seed": None}
+    options, values = {}, {}
     tokens = argv[::-1]
     while tokens:
         token = tokens.pop()
@@ -439,7 +435,7 @@ def _help(cmd: str | None) -> str:
         lines.append(" ".join(words))
     if cmd is not None:
         return f"usage: {lines[0]}\n"
-    head = "usage: perm-stab [-h] [--seed SEED] COMMAND ...\n"
+    head = "usage: perm-stab [-h] COMMAND ...\n"
     return head + "".join(f"  {line}\n" for line in lines)
 
 
@@ -457,7 +453,6 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         "inputs": inputs,
         "outputs": {},
         "timing_ms": 0.0,
-        "seed": None,
     }
 
     def finish(code: int, error: dict | None = None) -> tuple[int, dict]:
@@ -471,7 +466,6 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         if args is None:  # the help text is the report's output
             report["outputs"] = {"help": _help(cmd)}
             return finish(EXIT_OK)
-        report["seed"] = args.seed
         report["outputs"] = COMMANDS[cmd][0](args, record)
     except _UsageError as exc:
         return finish(EXIT_USAGE, {"code": "usage", "message": str(exc)})
@@ -497,6 +491,8 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # stdout was closed before the process started
+        return EXIT_IOERR
     code, report = dispatch(sys.argv[1:] if argv is None else argv)
     try:
         json.dump(report, sys.stdout, indent=2)

@@ -54,7 +54,6 @@ from .errors import (
 )
 from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
-from .trace_stats import get_trace
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
 DEFAULT_ALPHABET_BOUND = 8
@@ -314,10 +313,7 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
     if graph.n == 0:
         return Fraction(0)
     fixed, moved = _statistic_words(pattern)
-    words = (*fixed, *moved)
-    query = (range(len(fixed)), range(len(fixed), len(words)))
-    (count,) = get_trace(graph.hom).query_counts(words, (query,))
-    return Fraction(count, graph.n)
+    return Fraction(graph.hom.trace.statistic_count(fixed, moved), graph.n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +429,8 @@ def stat_distance_details(
         )
     patterns = enumerate_patterns(g1.alphabet, size_bound)
     words, queries = _pattern_queries(g1.alphabet, size_bound)
-    c1 = get_trace(g1.hom).query_counts(words, queries)
-    c2 = get_trace(g2.hom).query_counts(words, queries)
+    c1 = g1.hom.trace.query_counts(words, queries)
+    c2 = g2.hom.trace.query_counts(words, queries)
     d1, d2 = g1.n or 1, g2.n or 1
     terms = []  # (weight, |f1 - f2| * d1 * d2) per row
     rows = []

@@ -7,14 +7,16 @@ For a homomorphism ``h`` and finite element sets ``A``, ``B``:
 * the local statistic ``S(A, B)`` (Benjamini-Schramm statistic) is the
   fraction of points fixed by all of ``A`` and moved by all of ``B``.
 
-Both determine each other by inclusion-exclusion:
-``S(A,B) = sum over V subset of B of (-1)^|V| * Tr(A union V)`` and
-``Tr(A) = S(A, {})``.
+Both are one count, ``Tr(A) = S(A, {})``, and they determine each other
+by inclusion-exclusion:
+``S(A,B) = sum over V subset of B of (-1)^|V| * Tr(A union V)``.
+With no points (degree 0), ``S(A, B) = 1`` exactly when ``B`` is empty.
 
 Elements are ids for ``FiniteGroup`` sources and words (strings or parsed
 tuples) for ``FpGroup`` sources.  Words are compared syntactically; the
 underlying group equality is never decided, which leaves every value
 well-defined because only the evaluated permutations enter the counts.
+Each public function canonicalizes its element sets once, on entry.
 """
 
 from __future__ import annotations
@@ -31,49 +33,55 @@ DEFAULT_MOVED_SET_BOUND = 20
 ElementSet = Iterable  # ids (int) or words (str | Word)
 
 
-def _canonical_elements(h: PermHomomorphism, A: ElementSet) -> tuple:
-    """Normalize an element set to a sorted, hashable tuple."""
+def _canonical_elements(h: PermHomomorphism, A: ElementSet) -> set:
+    """An element set as a set of ids in the source group, or of word tuples."""
     if isinstance(h.source, FiniteGroup):
-        out = set()
-        for a in A:
-            a = int(a)
-            if not 0 <= a < h.source.order:
-                raise PermStabError(f"element id {a} outside the source group")
-            out.add(a)
-        return tuple(sorted(out))
-    words = set()
-    for w in A:
-        if isinstance(w, str):
-            w = parse_word(w, h.source.generators)
-        else:
-            w = tuple(w)
-        words.add(w)
-    return tuple(sorted(words))
+        ids = set(A)
+        if ids and not 0 <= min(ids) <= max(ids) < h.source.order:
+            bad = min(ids) if min(ids) < 0 else max(ids)
+            raise PermStabError(f"element id {bad} outside the source group")
+        return ids
+    gens = h.source.generators
+    return {parse_word(w, gens) if isinstance(w, str) else tuple(w) for w in A}
+
+
+def _share(h: PermHomomorphism, count: int, moved) -> Fraction:
+    """``count`` points of ``h.degree``; with no points, ``S(A, B) = 1``
+    exactly when ``B`` (``moved``, or its size) is empty."""
+    if h.degree == 0:
+        return Fraction(int(not moved))
+    return Fraction(count, h.degree)
 
 
 class ActionTrace:
-    """Evaluator of ``Tr`` for one homomorphism.
+    """Counts of points fixed by one element set and moved by another, for
+    one homomorphism.
 
-    Values are exact rationals with denominator dividing the degree.  The
-    fixed-point mask of each element is memoized, so a trace is one AND
-    per element of the set; :meth:`query_counts` answers a whole batch of
-    statistic queries over one element list.
+    Every count reads one store of fixed-point masks, ``_mask_memo``: for
+    a table source, a list indexed by element id, built with the trace;
+    for a presentation source, a dict keyed by word tuple, to which each
+    word's mask is added the first time it is asked for.  A count is then
+    a few ANDs and one ``bit_count``; :meth:`query_counts` answers a
+    whole batch of queries over one element list.
     """
 
     def __init__(self, h: PermHomomorphism):
         self.hom = h
         self._full = (1 << h.degree) - 1
-        self._mask_memo: dict = {}
+        if isinstance(h.source, FiniteGroup):
+            self._mask_memo: list | dict = [p.fixed_mask() for p in h.images]
+        else:
+            self._mask_memo = {}
 
-    def _mask_of(self, element) -> int:
-        m = self._mask_memo.get(element)
-        if m is None:
-            if isinstance(self.hom.source, FiniteGroup):
-                m = self._mask_memo[element] = self.hom.images[element].fixed_mask()
-            else:
-                self._evaluate_words((element,))
-                m = self._mask_memo[element]
-        return m
+    def masks(self, elements: Iterable) -> list[int]:
+        """The fixed-point mask of each canonical element, in order."""
+        store = self._mask_memo
+        if isinstance(store, dict):
+            self._evaluate_words(elements)
+        out = []  # a loop: a comprehension is one more call on Python 3.11
+        for e in elements:
+            out.append(store[e])
+        return out
 
     def _evaluate_words(self, words: Iterable) -> None:
         """Memoize the fixed-point mask of each word tuple.
@@ -107,13 +115,11 @@ class ActionTrace:
         by ``elements[i]`` for every ``i`` in ``fixed_idx`` and moved by
         ``elements[j]`` for every ``j`` in ``moved_idx``.
 
-        ``elements`` are canonical (ids, or word tuples); each is evaluated
+        ``elements`` are canonical (ids, or word tuples); each mask is read
         once, so a count is a few ANDs and one ``bit_count``.
         """
-        if not isinstance(self.hom.source, FiniteGroup):
-            self._evaluate_words(elements)
         full = self._full
-        fixed = [self._mask_of(el) for el in elements]
+        fixed = self.masks(elements)
         moved = [full ^ m for m in fixed]
         counts = []
         for fixed_idx, moved_idx in queries:
@@ -125,37 +131,33 @@ class ActionTrace:
             counts.append(mask.bit_count())
         return counts
 
-    def _common_mask(self, elements: tuple) -> int:
-        """Points fixed by every element of a canonical element tuple."""
+    def _count(self, A: Iterable, B: Iterable) -> int:
+        """:meth:`statistic_count` of canonical sets."""
         mask = self._full
-        for el in elements:
-            mask &= self._mask_of(el)
-        return mask
-
-    def fixed_count(self, A: ElementSet) -> int:
-        """Number of points fixed by every image of ``A``."""
-        return self._common_mask(_canonical_elements(self.hom, A)).bit_count()
-
-    def value(self, A: ElementSet) -> Fraction:
-        if self.hom.degree == 0:
-            return Fraction(1)
-        return Fraction(self.fixed_count(A), self.hom.degree)
+        for m in self.masks(A):
+            mask &= m
+        for m in self.masks(B):
+            mask &= ~m
+        return mask.bit_count()
 
     def statistic_count(self, A: ElementSet, B: ElementSet) -> int:
         """Number of points fixed by all of ``A`` and moved by all of ``B``."""
-        mask = self._common_mask(_canonical_elements(self.hom, A))
-        for el in _canonical_elements(self.hom, B):
-            mask &= self._full & ~self._mask_of(el)
-        return mask.bit_count()
+        h = self.hom
+        return self._count(_canonical_elements(h, A), _canonical_elements(h, B))
+
+    def value(self, A: ElementSet) -> Fraction:
+        """``Tr(A)``."""
+        return _share(self.hom, self._count(_canonical_elements(self.hom, A), ()), ())
 
 
 def get_trace(h: PermHomomorphism) -> ActionTrace:
+    """``h.trace``, for callers that look the trace up by function name."""
     return h.trace
 
 
 def action_trace(h: PermHomomorphism, A: ElementSet) -> Fraction:
     """Fraction of points fixed simultaneously by every image of ``A``."""
-    return get_trace(h).value(A)
+    return h.trace.value(A)
 
 
 def bs_statistic(h: PermHomomorphism, A: ElementSet, B: ElementSet) -> Fraction:
@@ -163,29 +165,26 @@ def bs_statistic(h: PermHomomorphism, A: ElementSet, B: ElementSet) -> Fraction:
 
     Overlapping ``A`` and ``B`` force the value 0.
     """
-    if h.degree == 0:
-        return Fraction(1) if not tuple(B) else Fraction(0)
-    return Fraction(get_trace(h).statistic_count(A, B), h.degree)
+    A, B = _canonical_elements(h, A), _canonical_elements(h, B)
+    return _share(h, h.trace._count(A, B), B)
 
 
 def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
     """``S(A, B)`` from trace values alone, by inclusion-exclusion."""
     h = trace.hom
-    A = _canonical_elements(h, A)
-    B = _canonical_elements(h, B)
+    A, B = _canonical_elements(h, A), _canonical_elements(h, B)
     if len(B) > DEFAULT_MOVED_SET_BOUND:
         raise BoundExceededError(
             f"moved set of size {len(B)} exceeds bound {DEFAULT_MOVED_SET_BOUND}"
         )
-    if h.degree == 0:
-        return Fraction(1) if not B else Fraction(0)
+    common = trace._full
+    for m in trace.masks(A):
+        common &= m
     # one (fixed mask of A u V, (-1)^|V|) pair per subset V of B
-    terms = [(trace._common_mask(A), 1)]
-    for b in B:
-        mb = trace._mask_of(b)
+    terms = [(common, 1)]
+    for mb in trace.masks(B):
         terms += [(mask & mb, -sign) for mask, sign in terms]
-    total = sum(sign * mask.bit_count() for mask, sign in terms)
-    return Fraction(total, h.degree)
+    return _share(h, sum(sign * mask.bit_count() for mask, sign in terms), B)
 
 
 def tr_from_s(
@@ -222,16 +221,13 @@ def statistic_table(
     One pass over the points: each point counts towards the subset of
     elements of ``F`` that fix it.
     """
-    items = _canonical_elements(h, universe)
+    items = sorted(_canonical_elements(h, universe))
     subsets = _subsets(items)
-    if h.degree == 0:  # bs_statistic's convention: S(F, {}) = 1, else 0
-        return {T: Fraction(int(T == subsets[-1])) for T in subsets}
-    trace = get_trace(h)
-    masks = [trace._mask_of(el) for el in items]
+    masks = h.trace.masks(items)
     counts = [0] * len(subsets)
     for x in range(h.degree):
         counts[sum(1 << i for i, m in enumerate(masks) if m >> x & 1)] += 1
-    return {T: Fraction(c, h.degree) for T, c in zip(subsets, counts)}
+    return {T: _share(h, c, len(items) - len(T)) for T, c in zip(subsets, counts)}
 
 
 def _subsets(items: Sequence) -> list[frozenset]:

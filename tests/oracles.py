@@ -7,7 +7,8 @@ subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
 ``is_conjugate`` and ``agreement_set``, the one-pattern-at-a-time
 loop behind ``stat_distance_details``, and the argparse front end behind
-the CLI's command-table parser.
+the CLI's command-table parser.  ``point_count`` tests one point at a
+time what every trace statistic counts with fixed-point masks.
 """
 
 from __future__ import annotations
@@ -21,9 +22,14 @@ from typing import Iterator, Mapping, Sequence
 
 from permstab.errors import NotConjugateError, PermStabError
 from permstab.graphs import LabeledDigraph, enumerate_patterns, pattern_frequency
-from permstab.groups import PermHomomorphism, subgroup_conjugacy_classes
+from permstab.groups import (
+    FiniteGroup,
+    PermHomomorphism,
+    evaluate_word,
+    parse_word,
+    subgroup_conjugacy_classes,
+)
 from permstab.perm import Permutation, all_permutations, hamming_distance
-from permstab.trace_stats import _canonical_elements, bs_statistic
 
 
 def check_homomorphism(h: PermHomomorphism) -> tuple[bool, object]:
@@ -159,14 +165,44 @@ def correction_oracle(a: Permutation, q: Permutation) -> tuple[Fraction, Permuta
     )
 
 
+def point_count(h: PermHomomorphism, A, B) -> int:
+    """Points fixed by every element of ``A`` and moved by every element of
+    ``B``, tested one point at a time; words are evaluated by
+    ``evaluate_word``."""
+
+    def image(e) -> Permutation:
+        return h.images[e] if isinstance(h.source, FiniteGroup) else evaluate_word(h, e)
+
+    fixed, moved = [image(a) for a in A], [image(b) for b in B]
+    return sum(
+        all(p(x) == x for p in fixed) and all(p(x) != x for p in moved)
+        for x in range(1, h.degree + 1)
+    )
+
+
+def statistic(h: PermHomomorphism, A, B) -> Fraction:
+    """``S(A, B)``: ``point_count`` over the degree; with no points, 1 when
+    ``B`` is empty and 0 otherwise."""
+    A, B = list(A), list(B)
+    if h.degree == 0:
+        return Fraction(int(not B))
+    return Fraction(point_count(h, A, B), h.degree)
+
+
 def statistic_table(h: PermHomomorphism, universe) -> dict[frozenset, Fraction]:
-    """``{T -> S(T, F minus T)}``, one ``bs_statistic`` per subset."""
-    items = _canonical_elements(h, universe)
+    """``{T -> S(T, F minus T)}``, one ``statistic`` per subset; words are
+    keyed by their parsed tuples, as the library keys them."""
+    items = list(
+        dict.fromkeys(
+            parse_word(u, h.source.generators) if isinstance(u, str) else u
+            for u in universe
+        )
+    )
     table = {}
     for k in range(len(items) + 1):
         for T in combinations(items, k):
             rest = [x for x in items if x not in T]
-            table[frozenset(T)] = bs_statistic(h, T, rest)
+            table[frozenset(T)] = statistic(h, T, rest)
     return table
 
 
@@ -235,10 +271,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def argparse_cli() -> _Parser:
-    """The CLI's parser before the command table: one argparse parser per
-    subcommand under one top-level parser."""
+    """The CLI's parser before the command table, less the no-op
+    ``--seed`` option deleted since: one argparse parser per subcommand
+    under one top-level parser."""
     p = _Parser(prog="perm-stab", add_help=True)
-    p.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="cmd")
 
     sp = sub.add_parser("trace")
@@ -309,7 +345,7 @@ def argparse_cli() -> _Parser:
 def argparse_parse(parser: _Parser, argv: list[str]) -> tuple[str, object]:
     """``("ok", (command, values))``, ``("help", None)`` or ``("usage",
     message)`` for ``argv``, as the argparse front end read it; ``values``
-    holds the seed and every argument under the command table's names."""
+    holds every argument under the command table's names."""
     try:
         values = vars(parser.parse_args(argv))
     except ArgparseHelp:

@@ -518,9 +518,12 @@ class TestDeterminism:
         _, rep2 = dispatch(["mult", files["theta2"]])
         assert json.dumps(rep1["outputs"]) == json.dumps(rep2["outputs"])
 
-    def test_seed_echoed(self, files):
-        _, report = dispatch(["--seed", "7", "conj", files["theta1"], files["theta1"]])
-        assert report["seed"] == 7
+    def test_seed_is_a_usage_error(self, files):
+        # no command reads a seed, so the report carries none and --seed is unknown
+        code, report = dispatch(["--seed", "7", "conj", files["theta1"], files["theta1"]])
+        assert code == EXIT_USAGE
+        assert report["outputs"]["error"]["code"] == "usage"
+        assert "seed" not in report
 
     def test_inputs_digested(self, files):
         _, report = dispatch(["mult", files["theta2"]])
@@ -621,7 +624,7 @@ class TestContractFuzz:
             code = cli.main(argv)
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE, EXIT_BADFILE, EXIT_INTERNAL)
         report = json.loads(out.getvalue())  # exactly one JSON document
-        assert set(report) == {"command", "inputs", "outputs", "timing_ms", "seed"}
+        assert set(report) == {"command", "inputs", "outputs", "timing_ms"}
         assert "Traceback" not in out.getvalue() + err.getvalue()
         assert err.getvalue() == ""
 
@@ -659,8 +662,8 @@ class TestCommandTable:
         assert [argv[0] for argv in valid_invocations(corpus)] == list(cli.COMMANDS)
 
     def test_same_reading_as_argparse(self, corpus):
-        # accept or reject alike, with the same values and seed; usage
-        # messages are not compared
+        # accept or reject alike, with the same values; usage messages are
+        # not compared
         parser = oracles.argparse_cli()
         f = "f.json"  # the usage requests of the cli-cold benchmark
         usage_requests = [
@@ -687,7 +690,7 @@ class TestCommandTable:
         # no prefix abbreviations, and "--" is not an end-of-options marker
         for argv in (
             ["dstat", corpus["graph_hom"], corpus["graph_id"], "--size", "2"],
-            ["--se", "7", "verify-paper"],
+            ["correct", "--co", "(1 2)", "--almost", "()", "--degree", "2"],
             ["--h"],
             ["mult", "--", corpus["theta2"]],
         ):
@@ -718,14 +721,13 @@ class TestCommandTable:
             code, report = dispatch(argv)
             assert code == EXIT_USAGE, argv
             assert report["outputs"]["error"]["code"] == "usage"
-            assert report["seed"] is None
+            assert set(report) == {"command", "inputs", "outputs", "timing_ms"}
 
     def test_option_value_after_equals(self, files):
         code, report = dispatch(
-            ["--seed=3", "dstat", files["graph_hom"], files["graph_id"], "--size-bound=2"]
+            ["dstat", files["graph_hom"], files["graph_id"], "--size-bound=2"]
         )
         assert code == EXIT_OK
-        assert report["seed"] == 3
         assert report["outputs"]["d_stat"] == "13/32"
 
     def test_import_leaves_argparse_out(self):
@@ -735,8 +737,9 @@ class TestCommandTable:
 
 
 def test_unwritable_stdout_is_io_error():
-    # a pipe whose read end is closed before the child starts (EPIPE), and
-    # a full device (ENOSPC): no traceback, exit 74
+    # a pipe whose read end is closed before the child starts (EPIPE), a
+    # full device (ENOSPC), and fd 1 closed before the child starts
+    # (sys.stdout is None): no traceback, exit 74
     read_end, write_end = os.pipe()
     os.close(read_end)
     targets = [write_end]
@@ -751,3 +754,7 @@ def test_unwritable_stdout_is_io_error():
     finally:
         for fd in targets:
             os.close(fd)
+    code = "import sys; assert sys.stdout is None; " + code
+    done = fresh_python(code, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert done.stderr == b""
+    assert done.returncode == EXIT_IOERR

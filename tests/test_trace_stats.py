@@ -1,7 +1,7 @@
 """Action traces, local statistics, and inclusion-exclusion conversions."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -14,6 +14,7 @@ from permstab.groups import (
     cyclic_group,
     direct_sum_hom,
     evaluate_word,
+    klein_four_group,
     symmetric_group,
     trivial_hom,
 )
@@ -58,9 +59,19 @@ class TestActionTrace:
         assert action_trace(t2, ["a b"]) == Fraction(1, 3)
 
     def test_element_outside_group(self):
+        # -1 and |G| would wrap round or run off a list indexed by id
         t1, _ = klein_pair()
-        with pytest.raises(PermStabError):
-            action_trace(t1, [17])
+        for h in (t1, trivial_hom(t1.source, 0)):
+            for bad in (17, -1, h.source.order):
+                for call in (
+                    lambda: action_trace(h, [bad]),
+                    lambda: bs_statistic(h, [bad], [KLEIN_A]),
+                    lambda: bs_statistic(h, [KLEIN_A], [bad]),
+                    lambda: s_from_tr(h.trace, [bad], []),
+                    lambda: s_from_tr(h.trace, [KLEIN_A], [bad]),
+                ):
+                    with pytest.raises(PermStabError):
+                        call()
 
     def test_monotone_under_inclusion(self):
         rng = Random(21)
@@ -217,6 +228,80 @@ class TestBatchWordEvaluation:
             ActionTrace(h).query_counts([((0, 1), (1, 1))], [])
 
 
+class TestPointCountOracle:
+    """``action_trace``, ``bs_statistic``, ``s_from_tr``, ``statistic_table``
+    and ``query_counts`` against ``oracles.point_count``."""
+
+    @staticmethod
+    def check_universe(h, U, canonical=None):
+        """Every ``(A, B)`` with ``A`` union ``B`` equal to ``U``, whose
+        elements have distinct canonical forms (``canonical[u]``, if given:
+        what ``query_counts`` and the table keys take)."""
+        elements = list(U) if canonical is None else [canonical[u] for u in U]
+        queries, want, table = [], [], {}
+        for roles in product(range(3), repeat=len(U)):  # A only, B only, both
+            fixed = [i for i, r in enumerate(roles) if r != 1]
+            moved = [i for i, r in enumerate(roles) if r != 0]
+            A, B = [U[i] for i in fixed], [U[i] for i in moved]
+            value = oracles.statistic(h, A, B)
+            assert bs_statistic(h, A, B) == value, (A, B)
+            assert s_from_tr(h.trace, A, B) == value, (A, B)
+            if not B:
+                assert action_trace(h, A) == value, A
+            if 2 not in roles:
+                table[frozenset(elements[i] for i in fixed)] = value
+            queries.append((fixed, moved))
+            want.append(oracles.point_count(h, A, B))
+        assert ActionTrace(h).query_counts(elements, queries) == want, U
+        assert statistic_table(h, U) == table, U
+
+    def test_exhaustive_small_groups(self):
+        # every hom of S3, Z4 and V4 into degree <= 4, every |A u B| <= 4
+        for G in (symmetric_group(3)[0], cyclic_group(4), klein_four_group()):
+            elements = list(G.elements())
+            for degree in range(5):
+                for h in enumerate_homs(G, degree):
+                    for k in range(5):
+                        for U in combinations(elements, k):
+                            self.check_universe(h, U)
+
+    def test_random_word_sets(self):
+        rng = Random(31)
+        for _ in range(150):
+            m, n = rng.randint(1, 3), rng.randint(0, 7)
+            h = PermHomomorphism(
+                FpGroup(tuple("xyz"[:m])),
+                n,
+                tuple(random_permutation(n, rng) for _ in range(m)),
+            )
+            canonical = {}  # each word as its text or its tuple, at random
+            for w in {random_word(rng, m) for _ in range(rng.randint(0, 3))}:
+                text = " ".join(f"{'xyz'[i]}^{e}" for i, e in w)
+                canonical[text if rng.random() < 0.5 else w] = w
+            self.check_universe(h, list(canonical), canonical)
+
+    def test_generator_arguments(self):
+        # a generator expression passed as A, B or F gives the list's value
+        def gen(xs):
+            return (x for x in xs)
+
+        G = symmetric_group(3)[0]
+        rng = Random(32)
+        cases = [(random_hom(G, d, rng), list(range(6))) for d in (1, 3, 6)]
+        cases += [(trivial_hom(G, 0), list(range(6)))]
+        cases += [(PermHomomorphism(FpGroup(("x",)), 0, (Permutation([]),)), ["x", "x^2"])]
+        cases += [(t, ["a", "b", "a b"]) for t in klein_pair_presented()]
+        for h, pool in cases:
+            for _ in range(15):
+                A, B = rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(0, 2))
+                value = oracles.statistic(h, A, B)
+                assert action_trace(h, gen(A)) == oracles.statistic(h, A, [])
+                assert bs_statistic(h, gen(A), B) == value
+                assert bs_statistic(h, A, gen(B)) == value
+                assert s_from_tr(h.trace, gen(A), gen(B)) == value
+                assert statistic_table(h, gen(A + B)) == oracles.statistic_table(h, A + B)
+
+
 class TestTrFromS:
     def test_single_element(self):
         stats = {frozenset(): Fraction(0), frozenset({5}): Fraction(1)}
@@ -304,8 +389,9 @@ class TestTablesAgainstOracles:
 
     def test_element_id_checked(self):
         t1, _ = klein_pair()
-        with pytest.raises(PermStabError):
-            statistic_table(t1, [KLEIN_A, 17])
+        for bad in (17, -1, t1.source.order):
+            with pytest.raises(PermStabError):
+                statistic_table(t1, [KLEIN_A, bad])
 
 
 class TestGlobalInvariants:
