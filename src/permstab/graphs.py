@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations as iperms
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -432,12 +431,12 @@ def stat_distance_details(
     c1 = g1.hom.trace.query_counts(words, queries)
     c2 = g2.hom.trace.query_counts(words, queries)
     d1, d2 = g1.n or 1, g2.n or 1
-    terms = []  # (weight, |f1 - f2| * d1 * d2) per row
+    terms = []  # (k of the weight 2^-k, |f1 - f2| * d1 * d2) per row
     rows = []
     for j, ((pat, weight), a, b) in enumerate(zip(patterns, c1, c2), 1):
         delta = abs(a * d2 - b * d1)
         if delta:
-            terms.append((weight, delta))
+            terms.append((weight.denominator.bit_length() - 1, delta))
             rows.append(
                 {
                     "index": j,
@@ -451,9 +450,9 @@ def stat_distance_details(
                     "f2": str(Fraction(b, d2)),
                 }
             )
-    den = lcm(*(w.denominator for w, _ in terms))  # one sum of integers
-    num = sum(w.numerator * (den // w.denominator) * delta for w, delta in terms)
-    return Fraction(num, den * d1 * d2), rows
+    K = max((k for k, _ in terms), default=0)  # one sum over 2^K, by shifts
+    num = sum(delta << (K - k) for k, delta in terms)
+    return Fraction(num, (d1 * d2) << K), rows
 
 
 # ---------------------------------------------------------------------------

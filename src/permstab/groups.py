@@ -23,7 +23,7 @@ from .errors import (
     SourceMismatchError,
     WordError,
 )
-from .perm import Permutation
+from .perm import Permutation, restrict
 
 DEFAULT_CLOSURE_BOUND = 100_000
 DEFAULT_SUBGROUP_ORDER_BOUND = 200
@@ -386,8 +386,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 class SubgroupClasses:
     """Conjugacy classes of subgroups of a finite group.
 
-    ``classes[i]`` is the sorted tuple of member-sets in class ``i``; the
-    canonical representative is the lexicographically least member set.
+    ``classes[i]`` is the sorted tuple of member-sets in class ``i``, led by
+    its canonical representative; classes ascend by representative.
     """
 
     group: FiniteGroup
@@ -395,7 +395,7 @@ class SubgroupClasses:
     class_of: Mapping[frozenset[int], int] = field(hash=False, compare=False)
 
     def representative(self, class_id: int) -> Subgroup:
-        return Subgroup._trusted(self.group, min(self.classes[class_id], key=sorted))
+        return Subgroup._trusted(self.group, self.classes[class_id][0])
 
     def class_id(self, members: Iterable[int]) -> int:
         try:
@@ -417,13 +417,12 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
     sets = _all_subgroup_sets(G)
     remaining = set(sets)
     classes = []
-    for S in sets:  # ascending canonical order, so reps are least-first
+    for S in sets:  # ascending, so each class is reached by its representative
         if S not in remaining:
             continue
         orbit = {frozenset(G.conjugate(g, x) for x in S) for g in G.elements()}
         remaining -= orbit
         classes.append(tuple(sorted(orbit, key=sorted)))
-    classes.sort(key=lambda c: (len(min(c, key=sorted)), sorted(min(c, key=sorted))))
     class_of = {}
     for i, orbit in enumerate(classes):
         for S in orbit:
@@ -712,6 +711,15 @@ def direct_sum_hom(
         raise SourceMismatchError("direct sum requires a common source")
     images = tuple(direct_sum(a, b) for a, b in zip(h1.images, h2.images))
     return PermHomomorphism(h1.source, h1.degree + h2.degree, images)
+
+
+def _restrict_to_points(
+    h: PermHomomorphism, points: Sequence[int]
+) -> PermHomomorphism:
+    """``h`` on a point set invariant under it, renumbered
+    ``1..len(points)`` in ascending order of the original labels."""
+    images = tuple(restrict(p, points) for p in h.images)
+    return PermHomomorphism(h.source, len(points), images)
 
 
 def trivial_hom(G: Union[FiniteGroup, FpGroup], degree: int) -> PermHomomorphism:

@@ -1,17 +1,19 @@
 """Orbit decomposition, orbit-type multiplicity vectors, the conjugacy
 test and partial order they induce, and constituent subtraction.
 
-The multiplicity vector of a homomorphism counts, per conjugacy class of
-subgroups of the source, the orbits whose point stabilizers fall in that
-class.  Two homomorphisms of the same finite group into the same
-symmetric group are conjugate exactly when their multiplicity vectors
-agree, and the witness can be assembled orbit by orbit.  Orbits and
-witnesses come from one equivariant-map walk over the generator images
-(:func:`_transport`); only the stabilizers scan every group element.
+The multiplicity vector counts, per conjugacy class of subgroups of the
+source, the orbits whose point stabilizers fall in that class; only it
+needs the subgroup lattice.  Two orbits are isomorphic exactly when an
+equivariant map joins them, so two homomorphisms of one finite group
+into one symmetric group are conjugate exactly when their orbits pair up
+into isomorphic ones (:func:`_match`, also behind the order and the
+subtraction), and the witness is assembled orbit by orbit.  Orbits and
+maps come from one walk over the generator images (:func:`_transport`).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,6 +24,7 @@ from .groups import (
     PermHomomorphism,
     Subgroup,
     SubgroupClasses,
+    _restrict_to_points,
     direct_sum_hom,
     generator_images,
     subgroup_conjugacy_classes,
@@ -123,14 +126,11 @@ class MultiplicityVector:
 
 
 def multiplicity_vector(h: PermHomomorphism) -> MultiplicityVector:
-    return _census(orbit_decomposition(h))
-
-
-def _census(dec: OrbitDecomposition) -> MultiplicityVector:
+    dec = orbit_decomposition(h)
     counts = [0] * len(dec.classes)
     for orb in dec.orbits:
         counts[orb.class_id] += 1
-    return MultiplicityVector(dec.hom.source, dec.hom.degree, tuple(counts))
+    return MultiplicityVector(h.source, h.degree, tuple(counts))
 
 
 def _require_comparable(h1: PermHomomorphism, h2: PermHomomorphism):
@@ -138,38 +138,49 @@ def _require_comparable(h1: PermHomomorphism, h2: PermHomomorphism):
         raise SourceMismatchError("homomorphisms must share a FiniteGroup source")
 
 
+def _match(
+    h1: PermHomomorphism, h2: PermHomomorphism
+) -> tuple[dict[int, int], int]:
+    """Pair each ``h1``-orbit, least point first, with the lowest-base
+    unused ``h2``-orbit of its isomorphism class (each class is keyed by
+    one representative); the base goes to the least point ``y`` from
+    which the walk succeeds (an equal stabilizer).  Returns the map on the
+    paired ``h1``-points and the number of ``h2``-orbits left unused."""
+    gens1 = [p.images for p in generator_images(h1)]
+    gens2 = [p.images for p in generator_images(h2)]
+
+    def isomorphic(gens, orbit, rep) -> bool:
+        return len(orbit) == len(rep) and any(
+            _transport(gens, gens2, orbit[0], y) for y in rep
+        )
+
+    unused: dict[tuple[int, ...], deque] = {}  # representative -> unused orbits
+    for orbit in _orbits(gens2, h2.degree):
+        rep = next((r for r in unused if isomorphic(gens2, orbit, r)), tuple(orbit))
+        unused.setdefault(rep, deque()).append(orbit)
+    witness: dict[int, int] = {}
+    for orbit in _orbits(gens1, h1.degree):
+        same = next(
+            (u for r, u in unused.items() if u and isomorphic(gens1, orbit, r)), ()
+        )
+        partner = sorted(same.popleft()) if same else ()
+        maps = (_transport(gens1, gens2, orbit[0], y) for y in partner)
+        witness.update(next(filter(None, maps), {}))
+    return witness, sum(map(len, unused.values()))
+
+
 def hom_order_leq(phi: PermHomomorphism, psi: PermHomomorphism) -> bool:
-    """Orbit-census order: every class count of ``phi`` is dominated by
-    the corresponding count of ``psi`` (absolute counts)."""
+    """Orbit-census order: every orbit of ``phi`` pairs with an isomorphic
+    orbit of ``psi``, each used once (absolute counts per orbit type)."""
     _require_comparable(phi, psi)
-    m1 = multiplicity_vector(phi)
-    m2 = multiplicity_vector(psi)
-    return all(a <= b for a, b in zip(m1.counts, m2.counts))
-
-
-def _pair_witness(d1: OrbitDecomposition, d2: OrbitDecomposition) -> Permutation:
-    """Conjugator pairing same-class orbits in ascending base order; each
-    base goes to the first partner point ``y`` from which :func:`_transport`
-    succeeds, which is exactly when ``Stab(base) <= Stab(y)``: as the two
-    have one order, the least point with an equal stabilizer."""
-    gens1 = [p.images for p in generator_images(d1.hom)]
-    gens2 = [p.images for p in generator_images(d2.hom)]
-    partners: dict[int, list[Orbit]] = {}
-    for orb in reversed(d2.orbits):  # so pop() yields ascending bases
-        partners.setdefault(orb.class_id, []).append(orb)
-    images = [0] * d1.hom.degree
-    for o1 in d1.orbits:
-        o2 = partners[o1.class_id].pop()
-        maps = (_transport(gens1, gens2, o1.base, y) for y in o2.points)
-        for x, y in next(filter(None, maps)).items():
-            images[x - 1] = y
-    return Permutation._trusted(tuple(images))
+    return len(_match(phi, psi)[0]) == phi.degree
 
 
 def is_conjugate(
     h1: PermHomomorphism, h2: PermHomomorphism
 ) -> tuple[bool, Optional[Permutation]]:
-    """Equality of multiplicity vectors, with an explicit witness.
+    """Whether the orbits pair up into isomorphic ones, with an explicit
+    witness.
 
     When conjugate, the witness ``p`` satisfies
     ``p * h1(g) * p^-1 == h2(g)`` for every ``g``: it is equivariant on
@@ -178,42 +189,29 @@ def is_conjugate(
     _require_comparable(h1, h2)
     if h1.degree != h2.degree:
         raise SourceMismatchError("homomorphisms must share a degree")
-    d1, d2 = orbit_decomposition(h1), orbit_decomposition(h2)
-    if _census(d1) != _census(d2):
+    witness, _ = _match(h1, h2)
+    if len(witness) < h1.degree:
         return False, None
-    return True, _pair_witness(d1, d2)
+    return True, Permutation._trusted(tuple(y for _, y in sorted(witness.items())))
 
 
 def rep_subtract(
     phi: PermHomomorphism, rho: PermHomomorphism
 ) -> PermHomomorphism:
-    """Remove the orbit constituents of ``rho`` from ``phi`` class by
-    class (lowest point set first), leaving the complementary action.
+    """Remove the orbit constituents of ``rho`` from ``phi`` orbit type by
+    orbit type (lowest point set first), leaving the complementary action.
 
     Requires ``rho`` to be dominated by ``phi`` in the orbit-census order;
     the result satisfies ``is_conjugate(result (+) rho, phi)``.
     """
     _require_comparable(phi, rho)
-    if not hom_order_leq(rho, phi):
+    paired, left = _match(phi, rho)
+    if left:
         raise NotComparableError(
             "orbit census of the subtrahend is not dominated"
         )
-    m_rho = multiplicity_vector(rho)
-    dec = orbit_decomposition(phi)
-    remove_left = list(m_rho.counts)
-    kept: list[int] = []
-    for orb in dec.orbits:  # orbits already sorted by least point
-        if remove_left[orb.class_id] > 0:
-            remove_left[orb.class_id] -= 1
-        else:
-            kept.extend(orb.points)
-    kept.sort()
-    index = {x: i + 1 for i, x in enumerate(kept)}
-    images = tuple(
-        Permutation(index[phi.images[g](x)] for x in kept)
-        for g in phi.source.elements()
-    )
-    return PermHomomorphism(phi.source, len(kept), images)
+    rest = [x for x in range(1, phi.degree + 1) if x not in paired]
+    return _restrict_to_points(phi, rest)
 
 
 __all__ = [

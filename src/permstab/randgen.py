@@ -15,6 +15,7 @@ from .groups import (
     coset_action,
     conjugate_hom,
     direct_sum_hom,
+    trivial_hom,
 )
 from .perm import Permutation
 
@@ -51,7 +52,7 @@ def random_hom(G: FiniteGroup, degree: int, rng: Random) -> PermHomomorphism:
         H = rng.choice(eligible)
         blocks.append(coset_action(G, H))
         remaining -= H.index
-    hom = blocks[0]
+    hom = blocks[0] if blocks else trivial_hom(G, 0)
     for extra in blocks[1:]:
         hom = direct_sum_hom(hom, extra)
     return conjugate_hom(hom, random_permutation(degree, rng))

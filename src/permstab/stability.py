@@ -43,6 +43,7 @@ from .groups import (
     FpGroup,
     PermHomomorphism,
     Subgroup,
+    _restrict_to_points,
     all_subgroups,
     conjugate_hom,
     coset_action,
@@ -59,7 +60,6 @@ from .perm import (
     Permutation,
     hamming_distance,
     replicate,
-    restrict,
 )
 
 MAX_EXACT_DEGREE = 8
@@ -124,13 +124,6 @@ def small_conjugator(
     for local, orig in enumerate(outside, 1):
         images[orig - 1] = outside[w(local) - 1]
     return Permutation(images)
-
-
-def _restrict_to_points(
-    h: PermHomomorphism, points: Sequence[int]
-) -> PermHomomorphism:
-    images = tuple(restrict(p, points) for p in h.images)
-    return PermHomomorphism(h.source, len(points), images)
 
 
 # ---------------------------------------------------------------------------

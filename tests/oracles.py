@@ -5,7 +5,8 @@ centralizer enumeration and the exhaustive centralizer-coset minima
 behind ``min_conjugator_distance`` and ``centralizer_correct``, the
 subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
-``is_conjugate`` and ``agreement_set``, the one-pattern-at-a-time
+``is_conjugate`` and ``agreement_set``, the stabilizer-class censuses
+behind ``hom_order_leq`` and ``rep_subtract``, the one-pattern-at-a-time
 loop behind ``stat_distance_details``, and the argparse front end behind
 the CLI's command-table parser.  ``point_count`` tests one point at a
 time what every trace statistic counts with fixed-point masks.
@@ -20,7 +21,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
-from permstab.errors import NotConjugateError, PermStabError
+from permstab.errors import NotComparableError, NotConjugateError, PermStabError
 from permstab.graphs import LabeledDigraph, enumerate_patterns, pattern_frequency
 from permstab.groups import (
     FiniteGroup,
@@ -29,6 +30,7 @@ from permstab.groups import (
     parse_word,
     subgroup_conjugacy_classes,
 )
+from permstab.multiplicity import multiplicity_vector, orbit_decomposition
 from permstab.perm import Permutation, all_permutations, hamming_distance
 
 
@@ -93,6 +95,34 @@ def conjugacy_witness(h1: PermHomomorphism, h2: PermHomomorphism):
                 if mapping[src - 1] == 0:
                     mapping[src - 1] = h2.images[g](y2)
     return Permutation(mapping)
+
+
+def hom_order_leq(phi: PermHomomorphism, psi: PermHomomorphism) -> bool:
+    """The census order ``hom_order_leq`` decided before it paired orbits:
+    every stabilizer-class count of ``phi`` at most that of ``psi``."""
+    m1, m2 = multiplicity_vector(phi), multiplicity_vector(psi)
+    return all(a <= b for a, b in zip(m1.counts, m2.counts))
+
+
+def rep_subtract(phi: PermHomomorphism, rho: PermHomomorphism) -> PermHomomorphism:
+    """The subtraction ``rep_subtract`` did before it paired orbits: per
+    stabilizer class, drop as many of ``phi``'s orbits as ``rho`` has,
+    lowest point set first, and rebuild every element's image."""
+    if not hom_order_leq(rho, phi):
+        raise NotComparableError("orbit census of the subtrahend is not dominated")
+    remove_left = list(multiplicity_vector(rho).counts)
+    kept: list[int] = []
+    for orb in orbit_decomposition(phi).orbits:  # sorted by least point
+        if remove_left[orb.class_id] > 0:
+            remove_left[orb.class_id] -= 1
+        else:
+            kept.extend(orb.points)
+    kept.sort()
+    index = {x: i + 1 for i, x in enumerate(kept)}
+    images = tuple(
+        Permutation(index[phi.images[g](x)] for x in kept) for g in phi.source.elements()
+    )
+    return PermHomomorphism(phi.source, len(kept), images)
 
 
 def centralizer_order(p: Permutation) -> int:

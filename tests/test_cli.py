@@ -23,6 +23,7 @@ from permstab.cli import (
     REQUIRED,
     dispatch,
 )
+from permstab.perm import parse_permutation
 
 
 def write_corpus(directory):
@@ -437,6 +438,35 @@ class TestExitCodes:
         code, report = dispatch(["mult", str(path)])
         assert code == EXIT_DOMAIN
         assert report["outputs"]["error"]["code"] == "BoundExceededError"
+
+    def test_orbit_matching_above_the_lattice_bound(self, tmp_path):
+        # conj, order and small-conj pair orbits by equivariant maps and
+        # build no lattice, so they answer for Z210, of order 210 > 200
+        c = "(1 2)(3 4 5)(6 7 8 9 10)(11 12 13 14 15 16 17)"
+        c2 = "(1 3)(2 4 5)(6 7 8 9 10)(11 12 13 14 15 16 17)"  # c conjugated by (2 3)
+        group = {"kind": "perm-gens", "degree": 17, "generators": [c]}
+        paths = []
+        for name, image in (("h1.json", c), ("h2.json", c2)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(
+                json.dumps({"group": group, "degree": 17, "images": {"g0": image}})
+            )
+        h1, h2 = map(str, paths)
+
+        def conjugates(p):
+            p = parse_permutation(p, 17)
+            return p * parse_permutation(c, 17) * p.inverse() == parse_permutation(c2, 17)
+
+        code, report = dispatch(["conj", h1, h2])
+        assert code == EXIT_OK and report["outputs"]["conjugate"] is True
+        assert conjugates(report["outputs"]["witness"])
+        code, report = dispatch(["order", h1, h2])
+        assert code == EXIT_OK
+        assert report["outputs"] == {"leq": True, "geq": True}
+        code, report = dispatch(["small-conj", h1, h2])
+        assert code == EXIT_OK
+        assert conjugates(report["outputs"]["conjugator"])
+        assert report["outputs"]["agreement_size"] == 12
 
     def test_unexpected_exception_is_internal_error(self, files, monkeypatch, capsys):
         def broken(args, record):

@@ -635,6 +635,13 @@ class TestHomBuilders:
                 accepted += 1
         assert accepted > 150 and rejected > 60
 
+    def test_random_hom_any_degree(self, zoo8):
+        rng = Random(44)
+        for G in zoo8.values():
+            for degree in (0, 1, 7):
+                h = random_hom(G, degree, rng)
+                assert h.degree == degree and check_homomorphism(h).ok
+
     def test_inconsistent_images_rejected(self):
         G = cyclic_group(4)
         with pytest.raises(SourceMismatchError):

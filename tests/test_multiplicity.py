@@ -1,18 +1,23 @@
 """Orbit decomposition, multiplicity vectors, conjugacy, order, subtraction."""
 
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
 
-from permstab import multiplicity
+from permstab import groups, multiplicity
 from permstab.errors import NotComparableError, NotSubgroupError, SourceMismatchError
 from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair
 from permstab.groups import (
     PermHomomorphism,
+    all_subgroups,
+    conjugate_hom,
     coset_action,
     cyclic_group,
+    direct_product,
     direct_sum_hom,
+    generator_images,
     klein_four_group,
     subgroup_conjugacy_classes,
     symmetric_group,
@@ -243,17 +248,111 @@ class TestIsConjugate:
             assert is_conjugate(h1, h2)[0] is (h1 is h2)
         assert products == []
 
-    def test_one_decomposition_per_hom(self, monkeypatch):
+    def test_no_decomposition_or_lattice(self, monkeypatch):
+        # conjugacy, the order and subtraction pair orbits by equivariant
+        # maps: no stabilizer class is named, so no lattice is built
         calls = []
-        real = multiplicity.orbit_decomposition
-        monkeypatch.setattr(
-            multiplicity, "orbit_decomposition", lambda h: calls.append(h) or real(h)
-        )
+        for module, name in (
+            (multiplicity, "orbit_decomposition"),
+            (multiplicity, "subgroup_conjugacy_classes"),
+            (groups, "subgroup_conjugacy_classes"),
+        ):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         t1, t2 = klein_pair()
-        for h1, h2, expected in ((t1, t1, True), (t1, t2, False)):
-            calls.clear()
+        h = random_hom(symmetric_group(4)[0], 20, Random(94))
+        for h1, h2, expected in ((t1, t1, True), (t1, t2, False), (h, h, True)):
             assert is_conjugate(h1, h2)[0] is expected
-            assert calls == [h1, h2]
+            assert hom_order_leq(h1, h2) is expected
+        assert rep_subtract(h, h).degree == 0
+        assert calls == []
+
+    def test_transport_calls_within_orbits_times_classes(self, monkeypatch):
+        # Z2xZ2xZ2 has seven order-2 subgroups, whose coset actions are
+        # 4-point orbits that are pairwise not isomorphic.  Each orbit is
+        # tested against one representative per class, each test trying at
+        # most the representative's 4 points; a scan of the unused orbits
+        # per orbit, here met in the opposite class order, takes about
+        # orbits^2 calls
+        G = direct_product(cyclic_group(2), klein_four_group())
+        actions = [coset_action(G, H) for H in all_subgroups(G) if H.order == 2]
+        blocks = [actions[k * len(actions) // 250] for k in range(250)]
+        h1 = reduce(direct_sum_hom, reversed(blocks))
+        h2 = reduce(direct_sum_hom, blocks)
+        assert h1.degree == 1000
+        calls = []
+        real = multiplicity._transport
+        monkeypatch.setattr(
+            multiplicity, "_transport", lambda *a: calls.append(1) or real(*a)
+        )
+        ok, w = is_conjugate(h1, h2)
+        assert ok
+        winv = w.inverse()
+        for a, b in zip(generator_images(h1), generator_images(h2)):
+            assert w * a * winv == b
+        orbits = 2 * len(blocks)
+        assert len(calls) <= orbits * len(actions) * 4
+
+
+class TestCensusOracles:
+    """The order, subtraction and conjugacy witness against the
+    stabilizer-class censuses they replaced, at mixed degrees."""
+
+    @staticmethod
+    def check(phi, psi):
+        assert hom_order_leq(phi, psi) == oracles.hom_order_leq(phi, psi)
+        assert hom_order_leq(psi, phi) == oracles.hom_order_leq(psi, phi)
+        subtracted = 0
+        for a, b in ((psi, phi), (phi, psi)):
+            try:
+                expected = oracles.rep_subtract(a, b)
+            except NotComparableError:
+                with pytest.raises(NotComparableError):
+                    rep_subtract(a, b)
+            else:
+                assert rep_subtract(a, b) == expected
+                subtracted += 1
+        if phi.degree == psi.degree:
+            assert is_conjugate(phi, psi)[1] == oracles.conjugacy_witness(phi, psi)
+        return subtracted
+
+    def test_zoo24(self, zoo24):
+        rng = Random(95)
+        subtracted = refused = 0
+        for name in sorted(zoo24):
+            G = zoo24[name]
+            for i in range(6):
+                # psi: independent, a conjugated copy of phi, or a
+                # conjugated copy of phi plus more orbits
+                phi = random_hom(G, rng.randint(0, 16), rng)
+                if i % 3 == 0:
+                    psi = random_hom(G, rng.randint(0, 16), rng)
+                else:
+                    more = rng.randint(0, 16) if i % 3 == 2 else 0
+                    psi = direct_sum_hom(random_hom(G, more, rng), phi)
+                    psi = conjugate_hom(psi, random_permutation(psi.degree, rng))
+                k = self.check(phi, psi)
+                subtracted += k
+                refused += 2 - k
+        assert subtracted > 3 * len(zoo24) and refused > len(zoo24)
+
+    def test_same_size_orbits_of_z2_cubed(self, zoo24):
+        # seven classes of 4-point orbits: the orbit sizes agree, the
+        # orbit types do not
+        G = zoo24["Z2xZ2xZ2"]
+        actions = [coset_action(G, H) for H in all_subgroups(G) if H.order == 2]
+        rng = Random(96)
+
+        def block_sum(blocks):
+            return reduce(direct_sum_hom, blocks, trivial_hom(G, 0))
+
+        subtracted = 0
+        for _ in range(40):
+            common = rng.choices(actions, k=rng.randint(0, 5))
+            phi = block_sum(common + rng.choices(actions, k=rng.randint(0, 2)))
+            psi = block_sum(rng.choices(actions, k=rng.randint(0, 2)) + common)
+            phi = conjugate_hom(phi, random_permutation(phi.degree, rng))
+            subtracted += self.check(phi, psi)
+        assert subtracted > 20
 
 
 class TestHomOrder:

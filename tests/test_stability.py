@@ -44,7 +44,7 @@ from permstab.groups import (
     trivial_hom,
     trivial_subgroup,
 )
-from permstab import multiplicity
+from permstab import groups, multiplicity
 from permstab.multiplicity import is_conjugate, orbit_decomposition
 from permstab.perm import (
     Permutation,
@@ -122,16 +122,22 @@ class TestSmallConjugator:
         with pytest.raises(NotConjugateError):
             small_conjugator(h1, h2)
 
-    def test_one_conjugacy_test_on_the_complement(self, monkeypatch):
+    def test_one_match_on_the_complement(self, monkeypatch):
         # only the restrictions to the points outside the agreement set
-        # are decomposed, once each
-        degrees = []
-        real = multiplicity.orbit_decomposition
+        # are matched, once, and no orbit census or lattice is built
+        degrees, calls = [], []
+        real = multiplicity._match
         monkeypatch.setattr(
             multiplicity,
-            "orbit_decomposition",
-            lambda h: degrees.append(h.degree) or real(h),
+            "_match",
+            lambda h1, h2: degrees.append((h1.degree, h2.degree)) or real(h1, h2),
         )
+        for module, name in (
+            (multiplicity, "orbit_decomposition"),
+            (multiplicity, "subgroup_conjugacy_classes"),
+            (groups, "subgroup_conjugacy_classes"),
+        ):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         h1 = z2_hom(8, parse_permutation("(1 2)(3 4)", 8))
         for image, conjugate in (("(1 2)(5 6)", True), ("(1 2)(3 4)(5 6)", False)):
             degrees.clear()
@@ -142,7 +148,9 @@ class TestSmallConjugator:
             else:
                 with pytest.raises(NotConjugateError):
                     small_conjugator(h1, h2)
-            assert degrees == [8 - len(agreement_set(h1, h2))] * 2
+            k = 8 - len(agreement_set(h1, h2))
+            assert degrees == [(k, k)]
+        assert calls == []
 
     def test_random_perturbed_suite(self, zoo8):
         rng = Random(41)
