@@ -11,10 +11,11 @@ distance between the frequency vectors over a canonical enumeration of
 small connected rooted patterns.
 
 Every embedding is forced once the root is placed, so one root-first
-traversal of a pattern serves three ends: connectivity, the spanning-tree
-words whose sets ``A_P``, ``B_P`` give the frequency ``S(A_P, B_P)`` on
-the graph's free-group action (counted by ``trace_stats`` from
-fixed-point masks), and a complete invariant, the edges renumbered in
+traversal of a pattern's slot rows (per vertex and label, its out- and
+in-neighbour) serves three ends: connectivity, the spanning-tree words
+whose sets ``A_P``, ``B_P`` give the frequency ``S(A_P, B_P)`` on the
+graph's free-group action (counted by ``trace_stats`` from fixed-point
+masks), and a complete invariant, the out-neighbours renumbered in
 discovery order, which deduplicates the enumeration and keys the orbits.
 
 Distances are one batch of trace queries per graph.  The statistic words
@@ -29,8 +30,9 @@ and one incoming edge per label are enumerated: any other pattern embeds
 in no per-label-permutation graph (two same-label out-edges would force
 two equal images), so it would contribute 0 to every distance.
 
-Weights.  Patterns are ordered by (vertex count, canonical certificate);
-the certificate only orders them.
+Weights.  Patterns are ordered by their certificate: the vertex count,
+then the edges renumbered by colour-refinement rank (not the least edge
+list over all root-preserving renumberings); it only orders them.
 Patterns equivalent under a relabeling of the alphabet form an orbit;
 the j-th orbit in this order carries weight 2^-j and every pattern of
 the orbit inherits it.  Sharing the weight across an orbit is what makes
@@ -42,8 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations as iperms
-from typing import Iterable, Optional, Sequence
+from itertools import chain, combinations, permutations as iperms, product
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -180,104 +183,124 @@ class RootedPattern:
             raise MalformedInputError("pattern must be connected")
 
     def certificate(self) -> tuple:
-        """Legacy canonical form; only the sort key of the enumeration."""
-        return _certificate(self.n, self.root, self.edges)
+        """The enumeration's sort key (:func:`_certificate`)."""
+        m = len(self.alphabet)
+        return _certificate(_slot_rows(self.n, self.edges, m), self.root, m)
+
+
+def _slot_rows(n: int, edges: Iterable[tuple[int, int, int]], m: int) -> list:
+    """Row ``v`` (``1..n``; row 0 unused) holds ``2m`` slots, label-major,
+    out before in: ``v``'s out- and in-neighbour per label, 0 for none."""
+    rows = [[0] * (2 * m) for _ in range(n + 1)]
+    for u, v, lab in edges:
+        rows[u][2 * lab] = v
+        rows[v][2 * lab + 1] = u
+    return rows
 
 
 def _spanning_words(
     n: int, root: int, edges: Iterable[tuple[int, int, int]], m: int
 ) -> tuple[dict[int, Word], list[tuple[int, int, int]]]:
     """``(words, tree)`` of a breadth-first search from the root that
-    scans labels in index order, out-edge before in-edge.  An embedding
-    rooted at ``x`` sends each reached ``v`` to ``w_v(x)``; ``words`` is
-    in discovery order, which vertex ids cannot change, since a vertex
-    has at most one edge per label and direction."""
-    step = {}
-    for u, v, lab in edges:
-        step[u, lab, 1] = v
-        step[v, lab, -1] = u
+    scans the slot rows in order (labels in index order, out-edge before
+    in-edge).  An embedding rooted at ``x`` sends each reached ``v`` to
+    ``w_v(x)``; ``words`` is in discovery order, which vertex ids cannot
+    change, since a vertex has at most one edge per label and direction."""
+    rows = _slot_rows(n, edges, m)
     words: dict[int, Word] = {root: ()}
     tree = []
     queue = [root]
     for u in queue:  # grows in breadth-first order while iterated
-        for lab in range(m):
-            for e in (1, -1):
-                v = step.get((u, lab, e))
-                if v is not None and v not in words:
-                    words[v] = ((lab, e),) + words[u]
-                    tree.append((u, v, lab) if e == 1 else (v, u, lab))
-                    queue.append(v)
+        for k, v in enumerate(rows[u]):
+            if v and v not in words:
+                lab, back = divmod(k, 2)
+                words[v] = ((lab, -1 if back else 1),) + words[u]
+                tree.append((v, u, lab) if back else (u, v, lab))
+                queue.append(v)
     return words, tree
 
 
-def _traversal_key(
-    n: int, root: int, edges: Iterable[tuple[int, int, int]], m: int
-) -> tuple:
+def _traversal_key(rows: list[list[int]], root: int) -> tuple:
     """Complete invariant of a connected pattern under root-preserving
-    isomorphism: the edges renumbered in :func:`_spanning_words`' order."""
-    words, _ = _spanning_words(n, root, edges, m)
-    order = {v: i for i, v in enumerate(words, 1)}
-    return n, tuple(sorted((order[u], order[v], lab) for u, v, lab in edges))
+    isomorphism: every out slot, vertices in the order a breadth-first
+    search from the root scanning the slots reaches them, each neighbour
+    renumbered in that order (0 for none).  On rows whose slots a label
+    permutation reorders, it keys the relabeled pattern."""
+    pos = [0] * len(rows)
+    pos[0] = pos[root] = count = 1  # slot value 0 (no edge) counts as reached
+    queue = [root]
+    for u in queue:
+        for w in rows[u]:
+            if not pos[w]:
+                count += 1
+                pos[w] = count
+                queue.append(w)
+    pos[0] = 0
+    return tuple([pos[w] for u in queue for w in rows[u][::2]])
 
 
-def _refine_colors(
-    n: int, root: int, edges: frozenset[tuple[int, int, int]]
-) -> dict[int, tuple]:
-    colors = {
-        v: ((0,) if v == root else (1,)) for v in range(1, n + 1)
-    }
-    for _ in range(3):
-        new = {}
-        for v in range(1, n + 1):
-            outs = sorted((lab, colors[w]) for u, w, lab in edges if u == v)
-            ins = sorted((lab, colors[u]) for u, w, lab in edges if w == v)
-            new[v] = (colors[v], tuple(outs), tuple(ins))
-        # compress to small sortable keys
-        ranks = {c: i for i, c in enumerate(sorted(set(new.values()), key=repr))}
-        colors = {v: (ranks[new[v]],) for v in new}
-    return colors
+def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
+    """Rank of each vertex ``v`` at entry ``v`` (entry 0 is 0) by colour
+    refinement: from root against the rest, each round ranks the vertices
+    by rank, out-list and in-list of (label, neighbour rank) pairs, for
+    three rounds or until a round (or every class) can split no further.
 
-
-def _certificate(
-    n: int, root: int, edges: frozenset[tuple[int, int, int]]
-) -> tuple:
-    """Least edge tuple over root-preserving relabelings.
-
-    Only the enumeration's sort key, once per class (it fixes every
-    index and weight of the distance; :func:`_traversal_key` identifies
-    patterns).  Color refinement first partitions the vertices by an
-    isomorphism-invariant key; only color-preserving bijections are then
-    tried, which keeps the search tiny for patterns of at most 6 vertices.
-    """
-    from itertools import product as iproduct
-
-    colors = _refine_colors(n, root, edges)
-    by_color: dict[tuple, list[int]] = {}
+    The ranks are those of sorting the nested tuples ``((rank,), outs,
+    ins)`` by ``repr``, which fixed the published order, computed on flat
+    int tuples: a pair is coded by its label's rank as a string (``"10"``
+    before ``"2"``) and the neighbour rank (one digit, as a pattern has at
+    most 6 vertices), and a list ends in
+    a terminator after every pair if it has at most one (``"(p,)" > "(p,
+    q)"``), else before every pair (``"(p, q)" < "(p, q, r)"``)."""
+    n = len(rows) - 1
+    base = [0] * m
+    for i, lab in enumerate(sorted(range(m), key=str)):
+        base[lab] = 1 + i * n
+    items = []  # per vertex, (code base, vertex whose rank is added) pairs
     for v in range(1, n + 1):
-        by_color.setdefault(colors[v], []).append(v)
-    classes = [
-        sorted(vs)
-        for _, vs in sorted(by_color.items(), key=lambda kv: repr(kv[0]))
+        outs = [(base[lab], w) for lab, w in enumerate(rows[v][::2]) if w]
+        ins = [(base[lab], u) for lab, u in enumerate(rows[v][1::2]) if u]
+        outs.append((m * n + 1 if len(outs) < 2 else 0, 0))
+        ins.append((m * n + 1 if len(ins) < 2 else 0, 0))
+        items.append([(0, v), *outs, *ins])
+    ranks = [0] + [int(v != root) for v in range(1, n + 1)]
+    classes = min(n, 2)
+    for _ in range(3):
+        if classes == n:
+            break
+        sigs = [tuple([b + ranks[w] for b, w in it]) for it in items]
+        order = sorted(set(sigs))
+        if len(order) == classes:
+            break
+        classes = len(order)
+        rank_of = {s: i for i, s in enumerate(order)}
+        ranks[1:] = [rank_of[s] for s in sigs]
+    return ranks
+
+
+def _certificate(rows: list[list[int]], root: int, m: int) -> tuple:
+    """The enumeration's sort key, once per class: ``(n, root number,
+    sorted edge triples)`` with the vertices numbered by refinement rank
+    (:func:`_refine_ranks`), least over the numberings within a rank when
+    a rank holds several vertices (at no bound tested).  It is not the
+    least edge list over all root-preserving numberings."""
+    ranks = _refine_ranks(rows, root, m)
+    n = len(rows) - 1
+    edges = [
+        (u, w, lab) for u in range(1, n + 1) for lab, w in enumerate(rows[u][::2]) if w
     ]
-    class_targets = []
-    pos = 1
-    for vs in classes:
-        class_targets.append(range(pos, pos + len(vs)))
-        pos += len(vs)
-    best: Optional[tuple] = None
-    for combo in iproduct(*(iperms(vs) for vs in classes)):
-        mapping = {}
-        for vs_perm, targets in zip(combo, class_targets):
-            for v, t in zip(vs_perm, targets):
-                mapping[v] = t
-        cert_edges = tuple(
-            sorted((mapping[u], mapping[v], lab) for u, v, lab in edges)
-        )
-        key = (n, mapping[root], cert_edges)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    classes: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for v in range(1, n + 1):
+        classes[ranks[v]].append(v)
+
+    def numbered(combo) -> tuple:
+        number = [0] * (n + 1)
+        for i, v in enumerate(chain.from_iterable(combo), 1):
+            number[v] = i
+        triples = sorted((number[u], number[w], lab) for u, w, lab in edges)
+        return n, number[root], tuple(triples)
+
+    return min(map(numbered, product(*map(iperms, classes))))
 
 
 def _statistic_words(pattern: RootedPattern) -> tuple[frozenset, frozenset]:
@@ -326,9 +349,12 @@ def enumerate_patterns(
     """All connected rooted patterns with at most ``size_bound`` vertices,
     in canonical order, each paired with its weight.
 
-    Generation keeps the first pattern found per :func:`_traversal_key`.
-    Order: vertex count, then certificate.  The j-th label-relabeling
-    orbit (1-based, ordered by first appearance) has weight ``2^-j``.
+    Generation adds one edge per layer and keeps the first pattern found
+    per :func:`_traversal_key`.  Order: :func:`_certificate`, vertex
+    count first.  The j-th
+    label-relabeling orbit (1-based, ordered by first appearance) has
+    weight ``2^-j``; an orbit keeps its edge count, so the first class of
+    an orbit found in a layer keys its relabelings there.
     """
     if size_bound < 1:
         return ()
@@ -337,50 +363,52 @@ def enumerate_patterns(
             f"size bound {size_bound} exceeds {DEFAULT_PATTERN_VERTEX_BOUND}"
         )
     m = len(alphabet)
-    seed = RootedPattern(1, 1, alphabet, frozenset())
-    seen = {_traversal_key(1, 1, (), m): seed}
-    frontier = [seed]
-    while frontier:
+    relabelings = [  # slot orders of the non-identity label permutations
+        [k for lab in perm for k in (2 * lab, 2 * lab + 1)]
+        for perm in iperms(range(m))
+    ][1:]
+    seed = _slot_rows(1, (), m)
+    layer = [(RootedPattern(1, 1, alphabet, frozenset()), seed, _traversal_key(seed, 1))]
+    classes = []  # (certificate, pattern, orbit id) per class
+    while layer:
+        orbit_of: dict[tuple, int] = {}  # keys of this layer
+        seen: set[tuple] = set()  # keys of the next layer
         new = []
-        for pat in frontier:
-            for n, edges in _pattern_successors(pat, size_bound):
-                key = _traversal_key(n, pat.root, edges, m)
-                if key not in seen:
-                    seen[key] = succ = RootedPattern(n, pat.root, alphabet, edges)
-                    new.append(succ)
-        frontier = new
-    ordered = sorted(seen.values(), key=RootedPattern.certificate)
-    weight_of: dict[tuple, Fraction] = {}  # one shared weight per orbit
-    weights = []
-    sigma_list = list(iperms(range(m)))
-    for pat in ordered:
-        relabelings = ([(u, v, s[lab]) for u, v, lab in pat.edges] for s in sigma_list)
-        key = min(_traversal_key(pat.n, pat.root, e, m) for e in relabelings)
-        if key not in weight_of:
-            weight_of[key] = Fraction(1, 2 ** (len(weight_of) + 1))
-        weights.append(weight_of[key])
-    return tuple(zip(ordered, weights))
-
-
-def _pattern_successors(pat: RootedPattern, size_bound: int) -> Iterable[tuple]:
-    """``(n, edges)`` of each valid pattern with one more edge."""
-    m = len(pat.alphabet)
-    out_used = {(u, lab) for u, _, lab in pat.edges}
-    in_used = {(v, lab) for _, v, lab in pat.edges}
-    for lab in range(m):
-        for u in range(1, pat.n + 1):
-            if (u, lab) in out_used:
-                continue
-            for v in range(1, pat.n + 1):
-                if (v, lab) not in in_used:
-                    yield pat.n, pat.edges | {(u, v, lab)}
-        if pat.n < size_bound:
-            w = pat.n + 1
-            for u in range(1, pat.n + 1):
-                if (u, lab) not in out_used:
-                    yield w, pat.edges | {(u, w, lab)}
-                if (u, lab) not in in_used:
-                    yield w, pat.edges | {(w, u, lab)}
+        for pat, rows, key in layer:
+            if key not in orbit_of:
+                orbit_of[key] = orbit = len(classes)  # the orbit's first class
+                for order in relabelings:
+                    relabeled = [[row[k] for k in order] for row in rows]
+                    orbit_of.setdefault(_traversal_key(relabeled, 1), orbit)
+            classes.append((_certificate(rows, 1, m), pat, orbit_of[key]))
+            # successors: an edge on free slots of each label between two
+            # vertices, then, below the bound, to and from a new vertex,
+            # set in place in the parent's rows
+            n = pat.n
+            rows = [*rows, [0] * (2 * m)]
+            ends = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+            if n < size_bound:
+                ends += [e for u in range(1, n + 1) for e in ((u, n + 1), (n + 1, u))]
+            for lab in range(m):
+                o, i = 2 * lab, 2 * lab + 1
+                for u, v in ends:
+                    if rows[u][o] or rows[v][i]:
+                        continue
+                    rows[u][o], rows[v][i] = v, u
+                    succ_key = _traversal_key(rows, 1)
+                    if succ_key not in seen:
+                        seen.add(succ_key)
+                        k = max(n, u, v)
+                        succ = RootedPattern(k, 1, alphabet, pat.edges | {(u, v, lab)})
+                        new.append((succ, [row[:] for row in rows[: k + 1]], succ_key))
+                    rows[u][o] = rows[v][i] = 0
+        layer = new
+    classes.sort(key=itemgetter(0))
+    weight_of: dict[int, Fraction] = {}  # one shared weight per orbit
+    for _, _, orbit in classes:
+        if orbit not in weight_of:
+            weight_of[orbit] = Fraction(1, 2 ** (len(weight_of) + 1))
+    return tuple((pat, weight_of[orbit]) for _, pat, orbit in classes)
 
 
 def stat_distance_truncated(

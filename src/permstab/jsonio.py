@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
@@ -108,8 +109,22 @@ class LoadedGroup:
 
 
 def group_from_json(obj) -> LoadedGroup:
+    """Read a group object (or the path of a file holding one).  Each
+    distinct group is built once per process: the object is read back
+    from its canonical JSON text, on which the result is memoized, so
+    two files of one group share one table."""
     if isinstance(obj, str):
         obj = _load_json(obj)
+    try:
+        text = json.dumps(obj, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"bad group object: {exc}") from exc
+    return _group_from_text(text)
+
+
+@lru_cache(maxsize=32)
+def _group_from_text(text: str) -> LoadedGroup:
+    obj = json.loads(text)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInputError("group object must carry a 'kind' field")
     kind = obj["kind"]

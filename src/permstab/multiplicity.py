@@ -145,28 +145,37 @@ def _match(
     unused ``h2``-orbit of its isomorphism class (each class is keyed by
     one representative); the base goes to the least point ``y`` from
     which the walk succeeds (an equal stabilizer).  Returns the map on the
-    paired ``h1``-points and the number of ``h2``-orbits left unused."""
+    paired ``h1``-points and the number of ``h2``-orbits left unused.
+
+    An equivariant map sends the fixed points of each generator onto
+    those of its image, so an orbit is walked only against the
+    representatives with its length and the same number of points fixed
+    by each generator."""
     gens1 = [p.images for p in generator_images(h1)]
     gens2 = [p.images for p in generator_images(h2)]
 
-    def isomorphic(gens, orbit, rep) -> bool:
-        return len(orbit) == len(rep) and any(
-            _transport(gens, gens2, orbit[0], y) for y in rep
-        )
+    def invariant(gens, orbit) -> tuple:
+        return len(orbit), *(sum(g[x - 1] == x for x in orbit) for g in gens)
 
-    unused: dict[tuple[int, ...], deque] = {}  # representative -> unused orbits
+    def isomorphic(gens, orbit, rep) -> bool:
+        return any(_transport(gens, gens2, orbit[0], y) for y in rep)
+
+    # invariant -> {representative -> unused orbits of its class}
+    unused: dict[tuple, dict[tuple[int, ...], deque]] = {}
     for orbit in _orbits(gens2, h2.degree):
-        rep = next((r for r in unused if isomorphic(gens2, orbit, r)), tuple(orbit))
-        unused.setdefault(rep, deque()).append(orbit)
+        reps = unused.setdefault(invariant(gens2, orbit), {})
+        rep = next((r for r in reps if isomorphic(gens2, orbit, r)), tuple(orbit))
+        reps.setdefault(rep, deque()).append(orbit)
     witness: dict[int, int] = {}
     for orbit in _orbits(gens1, h1.degree):
+        reps = unused.get(invariant(gens1, orbit), {})
         same = next(
-            (u for r, u in unused.items() if u and isomorphic(gens1, orbit, r)), ()
+            (u for r, u in reps.items() if u and isomorphic(gens1, orbit, r)), ()
         )
         partner = sorted(same.popleft()) if same else ()
         maps = (_transport(gens1, gens2, orbit[0], y) for y in partner)
         witness.update(next(filter(None, maps), {}))
-    return witness, sum(map(len, unused.values()))
+    return witness, sum(len(u) for reps in unused.values() for u in reps.values())
 
 
 def hom_order_leq(phi: PermHomomorphism, psi: PermHomomorphism) -> bool:

@@ -7,8 +7,10 @@ subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
 ``is_conjugate`` and ``agreement_set``, the stabilizer-class censuses
 behind ``hom_order_leq`` and ``rep_subtract``, the one-pattern-at-a-time
-loop behind ``stat_distance_details``, and the argparse front end behind
-the CLI's command-table parser.  ``point_count`` tests one point at a
+loop behind ``stat_distance_details``, the ``repr``-ranked colour
+refinement, certificate and edge-set generation behind
+``enumerate_patterns``, and the argparse front end behind the CLI's
+command-table parser.  ``point_count`` tests one point at a
 time what every trace statistic counts with fixed-point masks.
 """
 
@@ -22,7 +24,12 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from permstab.errors import NotComparableError, NotConjugateError, PermStabError
-from permstab.graphs import LabeledDigraph, enumerate_patterns, pattern_frequency
+from permstab.graphs import (
+    LabeledDigraph,
+    RootedPattern,
+    enumerate_patterns,
+    pattern_frequency,
+)
 from permstab.groups import (
     FiniteGroup,
     PermHomomorphism,
@@ -282,6 +289,111 @@ def stat_distance_details(
                 }
             )
     return total, rows
+
+
+def refine_colors(n: int, root: int, edges) -> dict[int, tuple]:
+    """Three rounds of colour refinement, each ranking the nested tuples
+    ``(colour, sorted outs, sorted ins)`` by their ``repr``."""
+    colors = {v: ((0,) if v == root else (1,)) for v in range(1, n + 1)}
+    for _ in range(3):
+        new = {}
+        for v in range(1, n + 1):
+            outs = sorted((lab, colors[w]) for u, w, lab in edges if u == v)
+            ins = sorted((lab, colors[u]) for u, w, lab in edges if w == v)
+            new[v] = (colors[v], tuple(outs), tuple(ins))
+        ranks = {c: i for i, c in enumerate(sorted(set(new.values()), key=repr))}
+        colors = {v: (ranks[new[v]],) for v in new}
+    return colors
+
+
+def certificate(n: int, root: int, edges) -> tuple:
+    """Least ``(n, root number, sorted edge triples)`` over the
+    renumberings that keep the classes of :func:`refine_colors` in
+    ``repr`` order."""
+    colors = refine_colors(n, root, edges)
+    by_color: dict[tuple, list[int]] = {}
+    for v in range(1, n + 1):
+        by_color.setdefault(colors[v], []).append(v)
+    classes = [vs for _, vs in sorted(by_color.items(), key=lambda kv: repr(kv[0]))]
+    best = None
+    for combo in product(*(permutations(vs) for vs in classes)):
+        mapping = {v: t for t, v in enumerate((v for vs in combo for v in vs), 1)}
+        triples = sorted((mapping[u], mapping[v], lab) for u, v, lab in edges)
+        key = (n, mapping[root], tuple(triples))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _edge_key(n: int, root: int, edges, m: int) -> tuple:
+    """The edges renumbered in breadth-first order from the root, labels
+    in index order, out-edge before in-edge."""
+    step = {}
+    for u, v, lab in edges:
+        step[u, lab, 1] = v
+        step[v, lab, -1] = u
+    order, queue = {root: 1}, [root]
+    for u in queue:  # grows while iterated
+        for lab in range(m):
+            for e in (1, -1):
+                v = step.get((u, lab, e))
+                if v is not None and v not in order:
+                    order[v] = len(order) + 1
+                    queue.append(v)
+    return n, tuple(sorted((order[u], order[v], lab) for u, v, lab in edges))
+
+
+def _successors(pat: RootedPattern, size_bound: int):
+    """``(n, edges)`` of each valid pattern with one more edge."""
+    m = len(pat.alphabet)
+    out_used = {(u, lab) for u, _, lab in pat.edges}
+    in_used = {(v, lab) for _, v, lab in pat.edges}
+    for lab in range(m):
+        for u in range(1, pat.n + 1):
+            if (u, lab) in out_used:
+                continue
+            for v in range(1, pat.n + 1):
+                if (v, lab) not in in_used:
+                    yield pat.n, pat.edges | {(u, v, lab)}
+        if pat.n < size_bound:
+            w = pat.n + 1
+            for u in range(1, pat.n + 1):
+                if (u, lab) not in out_used:
+                    yield w, pat.edges | {(u, w, lab)}
+                if (u, lab) not in in_used:
+                    yield w, pat.edges | {(w, u, lab)}
+
+
+def pattern_catalogue(alphabet: tuple[str, ...], size_bound: int) -> list:
+    """``enumerate_patterns`` as edge sets: the first pattern found per
+    :func:`_edge_key`, breadth-first over added edges, sorted by
+    :func:`certificate`; the j-th orbit, keyed by its least
+    :func:`_edge_key` over every label permutation, weighs ``2^-j``."""
+    m = len(alphabet)
+    seed = RootedPattern(1, 1, alphabet, frozenset())
+    seen = {_edge_key(1, 1, (), m): seed}
+    frontier = [seed]
+    while frontier:
+        new = []
+        for pat in frontier:
+            for n, edges in _successors(pat, size_bound):
+                key = _edge_key(n, pat.root, edges, m)
+                if key not in seen:
+                    seen[key] = succ = RootedPattern(n, pat.root, alphabet, edges)
+                    new.append(succ)
+        frontier = new
+    ordered = sorted(seen.values(), key=lambda p: certificate(p.n, p.root, p.edges))
+    weight_of: dict[tuple, Fraction] = {}
+    out = []
+    for pat in ordered:
+        key = min(
+            _edge_key(pat.n, pat.root, [(u, v, s[lab]) for u, v, lab in pat.edges], m)
+            for s in permutations(range(m))
+        )
+        if key not in weight_of:
+            weight_of[key] = Fraction(1, 2 ** (len(weight_of) + 1))
+        out.append((pat, weight_of[key]))
+    return out
 
 
 class ArgparseUsageError(Exception):

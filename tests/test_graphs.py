@@ -28,6 +28,7 @@ from permstab.graphs import (
     pattern_frequency,
     stat_distance_details,
     stat_distance_truncated,
+    _slot_rows,
     _statistic_words,
     _traversal_key,
 )
@@ -385,35 +386,122 @@ class TestEnumeration:
         m = len(alphabet)
         keys = set()
         for pat in all_rooted_patterns(alphabet, bound):
-            key = _traversal_key(pat.n, pat.root, pat.edges, m)
+            key = _traversal_key(_slot_rows(pat.n, pat.edges, m), pat.root)
             for _ in range(3):
                 images = list(range(1, pat.n + 1))
                 rng.shuffle(images)
                 s = dict(zip(range(1, pat.n + 1), images))
                 edges = [(s[u], s[v], lab) for u, v, lab in pat.edges]
-                assert _traversal_key(pat.n, s[pat.root], edges, m) == key
+                rows = _slot_rows(pat.n, edges, m)
+                assert _traversal_key(rows, s[pat.root]) == key
             keys.add(key)
         assert len(keys) == len(all_rooted_patterns(alphabet, bound))
 
+    def test_permuted_slots_key_the_relabeling(self):
+        for pat, _ in enumerate_patterns(("x", "y", "z"), 2):
+            rows = _slot_rows(pat.n, pat.edges, 3)
+            for perm in iperms(range(3)):
+                order = [k for lab in perm for k in (2 * lab, 2 * lab + 1)]
+                new_label = {old: new for new, old in enumerate(perm)}
+                relabeled = [(u, v, new_label[lab]) for u, v, lab in pat.edges]
+                assert _traversal_key([[row[k] for k in order] for row in rows], 1) == (
+                    _traversal_key(_slot_rows(pat.n, relabeled, 3), 1)
+                )
+
     @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 3), (("x", "y", "z"), 2)])
-    def test_one_validation_and_certificate_per_class(
+    def test_one_validation_and_refinement_per_class(
         self, alphabet, bound, monkeypatch
     ):
-        calls = {"certificate": 0, "post_init": 0}
-        certificate, post_init = graphs._certificate, RootedPattern.__post_init__
+        calls = {"refine": 0, "post_init": 0}
+        refine, post_init = graphs._refine_ranks, RootedPattern.__post_init__
 
-        def count_certificate(*args):
-            calls["certificate"] += 1
-            return certificate(*args)
+        def count_refine(*args):
+            calls["refine"] += 1
+            return refine(*args)
 
         def count_post_init(self):
             calls["post_init"] += 1
             post_init(self)
 
-        monkeypatch.setattr(graphs, "_certificate", count_certificate)
+        monkeypatch.setattr(graphs, "_refine_ranks", count_refine)
         monkeypatch.setattr(RootedPattern, "__post_init__", count_post_init)
         listed = enumerate_patterns.__wrapped__(alphabet, bound)
-        assert calls == {"certificate": len(listed), "post_init": len(listed)}
+        assert calls == {"refine": len(listed), "post_init": len(listed)}
+
+    @pytest.mark.parametrize(
+        "alphabet,bound", [(("x",), 5), (("x", "y"), 3), (("x", "y", "z"), 2)]
+    )
+    def test_catalogue_matches_edge_set_oracle(self, alphabet, bound):
+        listed = enumerate_patterns(alphabet, bound)
+        expected = oracles.pattern_catalogue(alphabet, bound)
+        assert [(p.n, p.root, p.edges, w) for p, w in listed] == [
+            (p.n, p.root, p.edges, w) for p, w in expected
+        ]
+        index: dict = {}
+        queries = []
+        for pat, _ in expected:
+            fixed, moved = _statistic_words(pat)
+            queries.append(
+                (
+                    tuple(index.setdefault(w, len(index)) for w in fixed),
+                    tuple(index.setdefault(w, len(index)) for w in moved),
+                )
+            )
+        expected_queries = (tuple(index), tuple(queries))
+        assert graphs._pattern_queries(alphabet, bound) == expected_queries
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 3)])
+    def test_ranks_match_repr_refinement(self, alphabet, bound):
+        m = len(alphabet)
+        for pat, _ in enumerate_patterns(alphabet, bound):
+            ranks = graphs._refine_ranks(_slot_rows(pat.n, pat.edges, m), pat.root, m)
+            legacy = oracles.refine_colors(pat.n, pat.root, pat.edges)
+            assert ranks[1:] == [legacy[v][0] for v in range(1, pat.n + 1)]
+
+
+class TestRefinementRanks:
+    """Hand-made patterns for each rule of the ``repr`` order that the
+    ranks follow; three of them rank differently by value."""
+
+    @staticmethod
+    def ranks(pattern):
+        m = len(pattern.alphabet)
+        rows = _slot_rows(pattern.n, pattern.edges, m)
+        return graphs._refine_ranks(rows, pattern.root, m)[1:]
+
+    @staticmethod
+    def legacy(pattern):
+        colors = oracles.refine_colors(pattern.n, pattern.root, pattern.edges)
+        return [colors[v][0] for v in range(1, pattern.n + 1)]
+
+    def test_one_element_list_after_its_extensions(self):
+        # in round one vertex 2 has outs ((0, (1,)),) and vertex 3 has
+        # ((0, (1,)), (1, (1,))): by value 2 ranks first, by repr 3 does
+        p = RootedPattern(
+            3, 1, ("x", "y"), frozenset({(2, 3, 0), (3, 2, 0), (3, 2, 1), (1, 3, 1)})
+        )
+        assert self.ranks(p) == self.legacy(p) == [0, 2, 1]
+
+    def test_empty_list_after_every_list(self):
+        # vertex 3 has no out-edge, so its signature sorts after vertex 2's
+        p = RootedPattern(3, 1, ("x",), frozenset({(1, 2, 0), (2, 3, 0)}))
+        assert self.ranks(p) == self.legacy(p) == [0, 1, 2]
+
+    def test_longer_list_after_its_prefix(self):
+        # outs of two pairs at vertex 2 sort before their three-pair
+        # extension at vertex 3, as by value
+        p = RootedPattern(
+            3, 1, ("x", "y", "z"),
+            frozenset({(1, 1, 0), (1, 1, 1), (1, 2, 2), (2, 2, 0), (2, 2, 1),
+                       (3, 1, 2), (3, 3, 0), (3, 3, 1)}),
+        )
+        assert self.ranks(p) == self.legacy(p) == [0, 1, 2]
+
+    def test_labels_compare_as_strings(self):
+        # with eleven letters, label 10 sorts before label 2
+        alphabet = tuple(f"a{i}" for i in range(11))
+        p = RootedPattern(3, 1, alphabet, frozenset({(1, 2, 2), (1, 3, 10)}))
+        assert self.ranks(p) == self.legacy(p) == [0, 2, 1]
 
 
 class TestStatDistance:

@@ -251,6 +251,35 @@ class TestHomJson:
         hom_from_json(obj)
         assert len(calls) == 0
 
+    def test_one_group_build_for_two_files(self, tmp_path, monkeypatch):
+        # two homomorphism files of one perm-gens S4 build its table once
+        calls = []
+        real = permstab.jsonio.group_from_permutations
+
+        def counting(gens):
+            calls.append(len(gens))
+            return real(gens)
+
+        monkeypatch.setattr(permstab.jsonio, "group_from_permutations", counting)
+        permstab.jsonio._group_from_text.cache_clear()
+        group = {
+            "kind": "perm-gens",
+            "degree": 4,
+            "generators": ["(1 2)", "(1 2 3 4)"],
+            "names": ["s", "t"],
+        }
+        paths = []
+        for name, images in (
+            ("h1.json", {"s": "(1 2)", "t": "(1 2 3 4)"}),
+            ("h2.json", {"s": "(2 3)", "t": "(1 4 3 2)"}),  # conjugated by (1 3)
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps({"group": group, "degree": 4, "images": images}))
+            paths.append(str(path))
+        code, report = dispatch(["conj", *paths])
+        assert code == 0 and report["outputs"]["conjugate"] is True
+        assert calls == [2]
+
     def test_unreadable_file(self):
         with pytest.raises(MalformedInputError):
             hom_from_json("/nonexistent/path.json")

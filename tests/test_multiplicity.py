@@ -293,6 +293,36 @@ class TestIsConjugate:
         assert len(calls) <= orbits * len(actions) * 4
 
 
+    def test_transport_only_between_equal_fixed_point_counts(self, monkeypatch):
+        # 1,000 random 4-point orbits of Z2xZ2xZ2 and a conjugated copy:
+        # an orbit is walked only against orbits of its length on which
+        # every generator fixes as many points, and the witness is the one
+        # the stabilizer census gave.  Without the counts the matcher made
+        # 28,201 calls here; four of the seven orbit types share them
+        G = direct_product(cyclic_group(2), klein_four_group())
+        actions = [coset_action(G, H) for H in all_subgroups(G) if H.order == 2]
+        rng = Random(97)
+        h1 = reduce(direct_sum_hom, rng.choices(actions, k=1000))
+        h2 = conjugate_hom(h1, random_permutation(h1.degree, rng))
+
+        def fixed_counts(perms, b):
+            orbit = multiplicity._transport(perms, perms, b, b)
+            return len(orbit), [sum(g[x - 1] == x for x in orbit) for g in perms]
+
+        calls = []
+        real = multiplicity._transport
+        monkeypatch.setattr(
+            multiplicity, "_transport", lambda *a: calls.append(a) or real(*a)
+        )
+        ok, w = is_conjugate(h1, h2)
+        monkeypatch.setattr(multiplicity, "_transport", real)
+        assert ok and w == oracles.conjugacy_witness(h1, h2)
+        walks = [(p1, p2, b, y) for p1, p2, b, y in calls if p1 is not p2 or b != y]
+        for p1, p2, b, y in walks:
+            assert fixed_counts(p1, b) == fixed_counts(p2, y)
+        assert len(calls) < 28_201 // 2
+
+
 class TestCensusOracles:
     """The order, subtraction and conjugacy witness against the
     stabilizer-class censuses they replaced, at mixed degrees."""
