@@ -13,10 +13,12 @@ by inclusion-exclusion:
 With no points (degree 0), ``S(A, B) = 1`` exactly when ``B`` is empty.
 
 Elements are ids for ``FiniteGroup`` sources and words (strings or parsed
-tuples) for ``FpGroup`` sources.  Words are compared syntactically; the
+tuples) for ``FpGroup`` sources.  An id is checked by looking it up in
+the trace's mask store, whose keys are ``0 .. |G| - 1``: a value equal
+to a key (``1.0`` or ``True`` for 1) reads as that id, and anything else
+raises ``PermStabError``.  Words are compared syntactically; the
 underlying group equality is never decided, which leaves every value
 well-defined because only the evaluated permutations enter the counts.
-Each public function canonicalizes its element sets once, on entry.
 """
 
 from __future__ import annotations
@@ -33,54 +35,53 @@ DEFAULT_MOVED_SET_BOUND = 20
 ElementSet = Iterable  # ids (int) or words (str | Word)
 
 
-def _canonical_elements(h: PermHomomorphism, A: ElementSet) -> set:
-    """An element set as a set of ids in the source group, or of word tuples."""
-    if isinstance(h.source, FiniteGroup):
-        ids = set(A)
-        if ids and not 0 <= min(ids) <= max(ids) < h.source.order:
-            bad = min(ids) if min(ids) < 0 else max(ids)
-            raise PermStabError(f"element id {bad} outside the source group")
-        return ids
-    gens = h.source.generators
-    return {parse_word(w, gens) if isinstance(w, str) else tuple(w) for w in A}
-
-
-def _share(h: PermHomomorphism, count: int, moved) -> Fraction:
-    """``count`` points of ``h.degree``; with no points, ``S(A, B) = 1``
-    exactly when ``B`` (``moved``, or its size) is empty."""
-    if h.degree == 0:
-        return Fraction(int(not moved))
-    return Fraction(count, h.degree)
-
-
 class ActionTrace:
     """Counts of points fixed by one element set and moved by another, for
     one homomorphism.
 
     Every count reads one store of fixed-point masks, ``_mask_memo``: for
-    a table source, a list indexed by element id, built with the trace;
-    for a presentation source, a dict keyed by word tuple, to which each
-    word's mask is added the first time it is asked for.  A count is then
-    a few ANDs and one ``bit_count``; :meth:`query_counts` answers a
-    whole batch of queries over one element list.
+    a table source, a dict from element id to mask, built with the trace,
+    whose lookup is the id check; for a presentation source, a dict keyed
+    by word tuple, to which each word's mask is added the first time it is
+    asked for.  A count is then a few ANDs and one ``bit_count``, and its
+    exact share of the degree is one ``Fraction`` per count, kept in
+    ``_shares``.  The table store never changes after it is built; the
+    word and share memos are insert-only and each entry is the same
+    whoever adds it, so a trace may be shared across threads.
+    :meth:`query_counts` answers a whole batch of queries over one element
+    list.
     """
 
     def __init__(self, h: PermHomomorphism):
         self.hom = h
         self._full = (1 << h.degree) - 1
+        self._shares: dict[int, Fraction] = {}
         if isinstance(h.source, FiniteGroup):
-            self._mask_memo: list | dict = [p.fixed_mask() for p in h.images]
+            self._gens = None
+            self._mask_memo = {e: p.fixed_mask() for e, p in enumerate(h.images)}
         else:
+            self._gens = h.source.generators
             self._mask_memo = {}
 
-    def masks(self, elements: Iterable) -> list[int]:
-        """The fixed-point mask of each canonical element, in order."""
+    def _canonical(self, elements: ElementSet) -> Iterable:
+        """Ids as given; words as parsed tuples."""
+        gens = self._gens
+        if gens is None:
+            return elements
+        return [parse_word(w, gens) if isinstance(w, str) else tuple(w) for w in elements]
+
+    def masks(self, elements: ElementSet) -> list[int]:
+        """The fixed-point mask of each element, in order."""
         store = self._mask_memo
-        if isinstance(store, dict):
+        if self._gens is not None:
+            elements = self._canonical(elements)
             self._evaluate_words(elements)
         out = []  # a loop: a comprehension is one more call on Python 3.11
-        for e in elements:
-            out.append(store[e])
+        try:
+            for e in elements:
+                out.append(store[e])
+        except KeyError:
+            raise PermStabError(f"element id {e!r} outside the source group") from None
         return out
 
     def _evaluate_words(self, words: Iterable) -> None:
@@ -108,6 +109,18 @@ class ActionTrace:
                 p = perms[w[j:]] = f if p is None else f * p
             memo[w] = self._full if p is None else p.fixed_mask()
 
+    def _share(self, count: int, moved) -> Fraction:
+        """``count`` points of the degree, one ``Fraction`` per count; with
+        no points, ``S(A, B) = 1`` exactly when ``moved`` (``B``, or
+        anything with its truth value) is empty."""
+        share = self._shares.get(count)
+        if share is None:
+            degree = self.hom.degree
+            if not degree:
+                return Fraction(int(not moved))
+            share = self._shares[count] = Fraction(count, degree)
+        return share
+
     def query_counts(
         self, elements: Sequence, queries: Iterable[tuple[Sequence[int], Sequence[int]]]
     ) -> list[int]:
@@ -115,8 +128,8 @@ class ActionTrace:
         by ``elements[i]`` for every ``i`` in ``fixed_idx`` and moved by
         ``elements[j]`` for every ``j`` in ``moved_idx``.
 
-        ``elements`` are canonical (ids, or word tuples); each mask is read
-        once, so a count is a few ANDs and one ``bit_count``.
+        Each mask is read once, so a count is a few ANDs and one
+        ``bit_count``.
         """
         full = self._full
         fixed = self.masks(elements)
@@ -131,23 +144,22 @@ class ActionTrace:
             counts.append(mask.bit_count())
         return counts
 
-    def _count(self, A: Iterable, B: Iterable) -> int:
-        """:meth:`statistic_count` of canonical sets."""
+    def _count(self, fixed: Iterable[int], moved: Iterable[int]) -> int:
+        """Points in every mask of ``fixed`` and in no mask of ``moved``."""
         mask = self._full
-        for m in self.masks(A):
+        for m in fixed:
             mask &= m
-        for m in self.masks(B):
+        for m in moved:
             mask &= ~m
         return mask.bit_count()
 
     def statistic_count(self, A: ElementSet, B: ElementSet) -> int:
         """Number of points fixed by all of ``A`` and moved by all of ``B``."""
-        h = self.hom
-        return self._count(_canonical_elements(h, A), _canonical_elements(h, B))
+        return self._count(self.masks(A), self.masks(B))
 
     def value(self, A: ElementSet) -> Fraction:
         """``Tr(A)``."""
-        return _share(self.hom, self._count(_canonical_elements(self.hom, A), ()), ())
+        return self._share(self._count(self.masks(A), ()), False)
 
 
 def get_trace(h: PermHomomorphism) -> ActionTrace:
@@ -165,26 +177,42 @@ def bs_statistic(h: PermHomomorphism, A: ElementSet, B: ElementSet) -> Fraction:
 
     Overlapping ``A`` and ``B`` force the value 0.
     """
-    A, B = _canonical_elements(h, A), _canonical_elements(h, B)
-    return _share(h, h.trace._count(A, B), B)
+    trace = h.trace
+    fixed = trace.masks(A)
+    moved = trace.masks(B)
+    return trace._share(trace._count(fixed, moved), moved)
 
 
 def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
-    """``S(A, B)`` from trace values alone, by inclusion-exclusion."""
-    h = trace.hom
-    A, B = _canonical_elements(h, A), _canonical_elements(h, B)
+    """``S(A, B)`` from trace values alone, by inclusion-exclusion.
+
+    A term ``Tr(A union V)`` is the bit count of the mask of points fixed
+    by ``A`` and ``V``; a term whose mask is empty is dropped, and with it
+    every term of a superset of ``V``, since ``Tr`` is monotone.
+    """
+    fixed = trace.masks(A)
+    B = set(trace._canonical(B))
     if len(B) > DEFAULT_MOVED_SET_BOUND:
         raise BoundExceededError(
             f"moved set of size {len(B)} exceeds bound {DEFAULT_MOVED_SET_BOUND}"
         )
     common = trace._full
-    for m in trace.masks(A):
+    for m in fixed:
         common &= m
-    # one (fixed mask of A u V, (-1)^|V|) pair per subset V of B
-    terms = [(common, 1)]
-    for mb in trace.masks(B):
-        terms += [(mask & mb, -sign) for mask, sign in terms]
-    return _share(h, sum(sign * mask.bit_count() for mask, sign in terms), B)
+    # the nonempty masks of A u V for the subsets V of B seen so far,
+    # split by the parity of |V|
+    even, odd = [common] if common else [], []
+    for mb in trace.masks(B):  # loops: on Python 3.11 a comprehension is a call
+        flipped = []
+        for m in odd:
+            if x := m & mb:
+                flipped.append(x)
+        for m in even:
+            if x := m & mb:
+                odd.append(x)
+        even += flipped
+    count = sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))
+    return trace._share(count, B)
 
 
 def tr_from_s(
@@ -210,7 +238,8 @@ def tr_from_s(
         for s in range(len(sums)):
             if not s >> i & 1:
                 sums[s] += sums[s | 1 << i]
-    return {T: Fraction(x, den) for T, x in zip(subsets, sums)}
+    shares = {x: Fraction(x, den) for x in set(sums)}
+    return {T: shares[x] for T, x in zip(subsets, sums)}
 
 
 def statistic_table(
@@ -218,16 +247,22 @@ def statistic_table(
 ) -> dict[frozenset, Fraction]:
     """The full table ``{T -> S(T, F minus T)}`` over subsets of ``F``.
 
-    One pass over the points: each point counts towards the subset of
-    elements of ``F`` that fix it.
+    The points are split once per element of ``F``: the mask of subset
+    ``T`` holds the points fixed by exactly the elements of ``T``.
     """
-    items = sorted(_canonical_elements(h, universe))
-    subsets = _subsets(items)
-    masks = h.trace.masks(items)
-    counts = [0] * len(subsets)
-    for x in range(h.degree):
-        counts[sum(1 << i for i, m in enumerate(masks) if m >> x & 1)] += 1
-    return {T: _share(h, c, len(items) - len(T)) for T, c in zip(subsets, counts)}
+    trace = h.trace
+    items = set(trace._canonical(universe))
+    fixed = dict(zip(items, trace.masks(items)))  # ids checked before the sort
+    items = sorted(fixed)
+    parts = [trace._full]  # parts[s]: the points fixed by exactly subset s
+    for x in items:
+        m = fixed[x]
+        parts = [p & ~m for p in parts] + [p & m for p in parts]
+    top = len(parts) - 1
+    return {
+        T: trace._share(p.bit_count(), s != top)
+        for s, (T, p) in enumerate(zip(_subsets(items), parts))
+    }
 
 
 def _subsets(items: Sequence) -> list[frozenset]:

@@ -9,7 +9,8 @@ scans over every group element behind ``check_homomorphism``,
 behind ``hom_order_leq`` and ``rep_subtract``, the one-pattern-at-a-time
 loop behind ``stat_distance_details``, the ``repr``-ranked colour
 refinement, certificate and edge-set generation behind
-``enumerate_patterns``, and the argparse front end behind the CLI's
+``enumerate_patterns``, the unpruned ``(mask, sign)`` expansion behind
+``s_from_tr``, and the argparse front end behind the CLI's
 command-table parser.  ``point_count`` tests one point at a
 time what every trace statistic counts with fixed-point masks.
 """
@@ -202,15 +203,16 @@ def correction_oracle(a: Permutation, q: Permutation) -> tuple[Fraction, Permuta
     )
 
 
+def _image(h: PermHomomorphism, e) -> Permutation:
+    """The image of an element id, or of a word by ``evaluate_word``."""
+    return h.images[e] if isinstance(h.source, FiniteGroup) else evaluate_word(h, e)
+
+
 def point_count(h: PermHomomorphism, A, B) -> int:
     """Points fixed by every element of ``A`` and moved by every element of
     ``B``, tested one point at a time; words are evaluated by
     ``evaluate_word``."""
-
-    def image(e) -> Permutation:
-        return h.images[e] if isinstance(h.source, FiniteGroup) else evaluate_word(h, e)
-
-    fixed, moved = [image(a) for a in A], [image(b) for b in B]
+    fixed, moved = [_image(h, a) for a in A], [_image(h, b) for b in B]
     return sum(
         all(p(x) == x for p in fixed) and all(p(x) != x for p in moved)
         for x in range(1, h.degree + 1)
@@ -224,6 +226,31 @@ def statistic(h: PermHomomorphism, A, B) -> Fraction:
     if h.degree == 0:
         return Fraction(int(not B))
     return Fraction(point_count(h, A, B), h.degree)
+
+
+def s_from_tr_expansion(h: PermHomomorphism, A, B) -> Fraction:
+    """``S(A, B)`` by the whole inclusion-exclusion: one ``(mask, sign)``
+    term ``(fixed mask of A u V, (-1)^|V|)`` per subset ``V`` of the
+    distinct elements of ``B``, none dropped; words are keyed by their
+    parsed tuples."""
+
+    def distinct(elements) -> set:
+        if isinstance(h.source, FiniteGroup):
+            return set(elements)
+        gens = h.source.generators
+        return {parse_word(w, gens) if isinstance(w, str) else tuple(w) for w in elements}
+
+    common = (1 << h.degree) - 1
+    for a in distinct(A):
+        common &= _image(h, a).fixed_mask()
+    terms = [(common, 1)]
+    B = distinct(B)
+    for b in B:
+        mb = _image(h, b).fixed_mask()
+        terms += [(mask & mb, -sign) for mask, sign in terms]
+    if h.degree == 0:
+        return Fraction(int(not B))
+    return Fraction(sum(sign * mask.bit_count() for mask, sign in terms), h.degree)
 
 
 def statistic_table(h: PermHomomorphism, universe) -> dict[frozenset, Fraction]:

@@ -483,6 +483,17 @@ class TestExitCodes:
         assert error["where"].endswith(" in broken")
         assert "Traceback" not in out + err
 
+    def test_trace_ids_of_an_order_two_group(self, files):
+        # an id outside the group is a domain error; a token that is not
+        # an integer is refused with the file, before any lookup
+        for text, exit_code, error in (
+            ("5", EXIT_DOMAIN, "PermStabError"),
+            ("1.0", EXIT_BADFILE, "malformed-input"),
+        ):
+            code, report = dispatch(["trace", "--hom", files["phi1"], "--set", text])
+            assert code == exit_code, text
+            assert report["outputs"]["error"]["code"] == error
+
     def test_amalgam_token_outside_group(self, files, tmp_path):
         # table-group tokens are element ids (-1 used to index from the
         # end); presentation tokens are words, not ids

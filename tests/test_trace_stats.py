@@ -1,5 +1,6 @@
 """Action traces, local statistics, and inclusion-exclusion conversions."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -14,6 +15,7 @@ from permstab.groups import (
     cyclic_group,
     direct_sum_hom,
     evaluate_word,
+    hom_from_generator_images,
     klein_four_group,
     symmetric_group,
     trivial_hom,
@@ -59,7 +61,7 @@ class TestActionTrace:
         assert action_trace(t2, ["a b"]) == Fraction(1, 3)
 
     def test_element_outside_group(self):
-        # -1 and |G| would wrap round or run off a list indexed by id
+        # an id is a key of the trace's mask store: -1 and |G| are not
         t1, _ = klein_pair()
         for h in (t1, trivial_hom(t1.source, 0)):
             for bad in (17, -1, h.source.order):
@@ -69,9 +71,20 @@ class TestActionTrace:
                     lambda: bs_statistic(h, [KLEIN_A], [bad]),
                     lambda: s_from_tr(h.trace, [bad], []),
                     lambda: s_from_tr(h.trace, [KLEIN_A], [bad]),
+                    lambda: statistic_table(h, [KLEIN_A, bad]),
+                    lambda: h.trace.value([bad]),
+                    lambda: h.trace.statistic_count([bad], []),
+                    lambda: h.trace.statistic_count([], [bad]),
                 ):
-                    with pytest.raises(PermStabError):
+                    with pytest.raises(PermStabError, match=str(bad)):
                         call()
+
+    def test_ids_are_read_as_store_keys(self):
+        # a value equal to an id reads as that id; text is not an id
+        t1, _ = klein_pair()
+        assert action_trace(t1, [1.0]) is action_trace(t1, [True]) is action_trace(t1, [1])
+        with pytest.raises(PermStabError, match="'1'"):
+            action_trace(t1, ["1"])
 
     def test_monotone_under_inclusion(self):
         rng = Random(21)
@@ -149,6 +162,47 @@ class TestInclusionExclusion:
                     for bsize in range(3):
                         for B in combinations(elements, bsize):
                             assert s_from_tr(tr, A, B) == bs_statistic(h, A, B)
+
+
+class TestPrunedInclusionExclusion:
+    """``s_from_tr`` drops every term whose mask is empty, and each exact
+    share is one ``Fraction`` per count."""
+
+    def test_against_the_whole_expansion(self, zoo24):
+        # degrees 0-60, |B| up to 12, ids drawn with repetition
+        rng = Random(33)
+        groups = [G for G in zoo24.values() if G.order >= 12]
+        for j in range(120):
+            G = groups[j % len(groups)]
+            h = random_hom(G, rng.randint(0, 60), rng)
+            A = rng.choices(range(G.order), k=rng.randint(0, 3))
+            B = rng.choices(range(G.order), k=rng.randint(0, 12))
+            value = oracles.statistic(h, A, B)
+            assert s_from_tr(h.trace, A, B) == value, (A, B)
+            assert oracles.s_from_tr_expansion(h, A, B) == value, (A, B)
+
+    def test_empty_term_drops_its_supersets(self):
+        # A fixes no point: a result of 0 without the 2^20 terms of B
+        rotation = Permutation(list(range(2, 22)) + [1])
+        h = hom_from_generator_images(cyclic_group(21), {1: rotation}, 21)
+        A, B = [1], [0, *range(2, 21)]
+        trace = h.trace
+        tracemalloc.start()
+        try:
+            assert s_from_tr(trace, A, B) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_one_fraction_per_count(self):
+        t1, _ = klein_pair()
+        share = bs_statistic(t1, [KLEIN_A], [KLEIN_B])
+        assert share == Fraction(1, 3)  # 2 of 6 points
+        assert bs_statistic(t1, [KLEIN_B], [KLEIN_A]) is share
+        assert s_from_tr(t1.trace, [KLEIN_A], [KLEIN_B]) is share
+        assert action_trace(t1, [KLEIN_AB]) is share
+        assert statistic_table(t1, [KLEIN_A])[frozenset({KLEIN_A})] is share
 
 
 def random_word(rng, m):
@@ -246,6 +300,7 @@ class TestPointCountOracle:
             value = oracles.statistic(h, A, B)
             assert bs_statistic(h, A, B) == value, (A, B)
             assert s_from_tr(h.trace, A, B) == value, (A, B)
+            assert oracles.s_from_tr_expansion(h, A, B) == value, (A, B)
             if not B:
                 assert action_trace(h, A) == value, A
             if 2 not in roles:
@@ -299,6 +354,7 @@ class TestPointCountOracle:
                 assert bs_statistic(h, gen(A), B) == value
                 assert bs_statistic(h, A, gen(B)) == value
                 assert s_from_tr(h.trace, gen(A), gen(B)) == value
+                assert oracles.s_from_tr_expansion(h, gen(A), gen(B)) == value
                 assert statistic_table(h, gen(A + B)) == oracles.statistic_table(h, A + B)
 
 
@@ -381,6 +437,15 @@ class TestTablesAgainstOracles:
         table = statistic_table(t2, F)
         assert table == oracles.statistic_table(t2, F)
         assert sum(table.values()) == 1
+
+    def test_large_degrees(self, zoo8):
+        # the split of the points at degrees 200-1000, universes of 8
+        rng = Random(35)
+        for G, degree in ((symmetric_group(4)[0], 200), (zoo8["Z2xZ2xZ2"], 517),
+                          (zoo8["Z8"], 1000)):
+            h = random_hom(G, degree, rng)
+            F = rng.sample(range(G.order), 8)
+            assert statistic_table(h, F) == oracles.statistic_table(h, F)
 
     def test_degree_zero_convention(self):
         h = trivial_hom(cyclic_group(3), 0)
