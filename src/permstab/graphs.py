@@ -182,6 +182,16 @@ class RootedPattern:
         if len(words) != self.n:
             raise MalformedInputError("pattern must be connected")
 
+    @classmethod
+    def _trusted(cls, n: int, root: int, alphabet: tuple[str, ...], edges) -> "RootedPattern":
+        """Wrap an edge set valid by construction (the enumerator's), unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "root", root)
+        object.__setattr__(p, "alphabet", alphabet)
+        object.__setattr__(p, "edges", edges)
+        return p
+
     def certificate(self) -> tuple:
         """The enumeration's sort key (:func:`_certificate`)."""
         m = len(self.alphabet)
@@ -368,7 +378,7 @@ def enumerate_patterns(
         for perm in iperms(range(m))
     ][1:]
     seed = _slot_rows(1, (), m)
-    layer = [(RootedPattern(1, 1, alphabet, frozenset()), seed, _traversal_key(seed, 1))]
+    layer = [(RootedPattern._trusted(1, 1, alphabet, frozenset()), seed, _traversal_key(seed, 1))]
     classes = []  # (certificate, pattern, orbit id) per class
     while layer:
         orbit_of: dict[tuple, int] = {}  # keys of this layer
@@ -399,7 +409,7 @@ def enumerate_patterns(
                     if succ_key not in seen:
                         seen.add(succ_key)
                         k = max(n, u, v)
-                        succ = RootedPattern(k, 1, alphabet, pat.edges | {(u, v, lab)})
+                        succ = RootedPattern._trusted(k, 1, alphabet, pat.edges | {(u, v, lab)})
                         new.append((succ, [row[:] for row in rows[: k + 1]], succ_key))
                     rows[u][o] = rows[v][i] = 0
         layer = new

@@ -2,9 +2,10 @@
 word evaluation, and verified homomorphisms into symmetric groups.
 
 Finite groups store their full multiplication table with elements named
-``0..order-1``, plus the generating set (at most ``log2 |G|`` elements)
-their associativity test picks; homomorphism checks, orbits, conjugators
-and normality tests run on its images (:func:`generator_images`).
+``0..order-1`` and a greedy generating set (at most ``log2 |G|`` ids);
+homomorphism checks, orbits, conjugators and normality tests run on its
+images (:func:`generator_images`).  ``FiniteGroup(table)`` checks the
+axioms; tables built here are groups by construction and skip them.
 Finitely presented groups support only word evaluation and relator
 checking (no word problem, no coset enumeration).
 """
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .perm import Permutation, restrict
 
-DEFAULT_CLOSURE_BOUND = 100_000
+DEFAULT_CLOSURE_BOUND = 5_040  # |S7|, whose table builds in about 2 s and 215 MB
 DEFAULT_SUBGROUP_ORDER_BOUND = 200
 
 
@@ -33,8 +34,8 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     ``table[a][b]`` is the product ``a * b``.  The identity and inverse
-    table are derived and the group axioms are verified on construction,
-    which also picks the element ids of a ``generating_set``.
+    table are derived, the element ids of a ``generating_set`` are picked,
+    and the public constructor verifies the group axioms.
     """
 
     __slots__ = ("order", "table", "identity", "inverses", "generating_set", "_hash")
@@ -58,15 +59,25 @@ class FiniteGroup:
                 break
         if identity is None:
             raise GroupTableError("table has no identity element")
-        generating_set = _check_associative(rows, identity)
+        self._fill(rows, identity)
+        _check_associative(rows, self.generating_set)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], identity: int) -> "FiniteGroup":
+        """Wrap ``rows``, a tuple of tuples that is a group by construction."""
+        G = object.__new__(cls)
+        G._fill(rows, identity)
+        return G
+
+    def _fill(self, rows, identity) -> None:
         # an associative Latin square with an identity is a group, so the
         # right inverse in each row is two-sided
         inverses = tuple(row.index(identity) for row in rows)
-        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "order", len(rows))
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverses", inverses)
-        object.__setattr__(self, "generating_set", generating_set)
+        object.__setattr__(self, "generating_set", _generating_set(rows, identity))
         object.__setattr__(self, "_hash", hash(rows))
 
     def __setattr__(self, name, value):
@@ -102,25 +113,34 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_associative(rows: tuple[tuple[int, ...], ...], e: int) -> tuple[int, ...]:
+def _generating_set(rows: tuple[tuple[int, ...], ...], e: int) -> tuple[int, ...]:
+    """Greedy picks: each element not yet reached from ``e`` by right products
+    with the earlier picks; in a group at most ``log2 n``, which generate it."""
+    reached = {e}
+    gens: list[int] = []
+    for g in range(len(rows)):
+        if g in reached:
+            continue
+        gens.append(g)
+        new = {rows[x][g] for x in reached} - reached
+        while new:
+            reached |= new
+            new = {rows[x][h] for x in new for h in gens} - reached
+    return tuple(gens)
+
+
+def _check_associative(rows: tuple[tuple[int, ...], ...], gens: tuple[int, ...]) -> None:
     """Light's associativity test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, 1961, section 1.4).
 
     The elements ``g`` with ``(x g) y == x (g y)`` for all ``x, y`` are
     closed under the product, so the table is associative once that holds
-    for a set whose products reach every element.  The set is picked
-    greedily, each pick checked in O(n^2): every element not yet reached
-    from the identity by right multiplication with the ones picked so far.
-    For a group each pick at least doubles the reached subgroup, so this
-    costs O(n^2 log n) where a check of every triple costs O(n^3).  The
-    picks, at most ``log2 n`` of them, generate the group and are returned.
+    for a set whose products reach every element, such as the picks of
+    :func:`_generating_set`.  Each pick is checked in O(n^2), so this
+    costs O(n^2 log n) where a check of every triple costs O(n^3).
     """
     n = len(rows)
-    reached = {e}
-    gens: list[int] = []
-    for g in range(n):
-        if g in reached:
-            continue
+    for g in gens:
         g_row = rows[g]
         for x in range(n):
             row = rows[x]
@@ -128,12 +148,6 @@ def _check_associative(rows: tuple[tuple[int, ...], ...], e: int) -> tuple[int, 
             if xg_row != tuple(map(row.__getitem__, g_row)):
                 y = next(y for y in range(n) if xg_row[y] != row[g_row[y]])
                 raise GroupTableError(f"associativity fails at ({x},{g},{y})")
-        gens.append(g)
-        new = {rows[x][g] for x in reached} - reached
-        while new:
-            reached |= new
-            new = {rows[x][h] for x in new for h in gens} - reached
-    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -150,9 +164,10 @@ class Subgroup:
         mset = set(mems)
         if parent.identity not in mset:
             raise NotSubgroupError("member set lacks the identity")
-        for a in mems:
+        for a in mems:  # every id in range before any product
             if not 0 <= a < parent.order:
                 raise NotSubgroupError(f"element id {a} out of range")
+        for a in mems:
             if parent.inv(a) not in mset:
                 raise NotSubgroupError(f"member set not closed under inverse ({a})")
             for b in mems:
@@ -196,10 +211,9 @@ class Subgroup:
     def _abstract(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         emb = self.members
         pos = {g: i for i, g in enumerate(emb)}
-        table = [
-            [pos[self.parent.mul(a, b)] for b in emb] for a in emb
-        ]
-        return FiniteGroup(table), emb
+        table = self.parent.table
+        rows = tuple(tuple([pos[table[a][b]] for b in emb]) for a in emb)
+        return FiniteGroup._trusted(rows, pos[self.parent.identity]), emb
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -246,21 +260,17 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    if n < 1:
+        raise GroupTableError("table has no identity element")
+    return FiniteGroup._trusted(tuple(tuple(range(i, n)) + tuple(range(i)) for i in range(n)), 0)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Elements packed as ``a * |H| + b``."""
     m = H.order
-    table = []
-    for a1 in range(G.order):
-        for b1 in range(H.order):
-            row = []
-            for a2 in range(G.order):
-                for b2 in range(H.order):
-                    row.append(G.mul(a1, a2) * m + H.mul(b1, b2))
-            table.append(row)
-    return FiniteGroup(table)
+    rows = tuple(tuple([a * m + b for a in g_row for b in h_row])
+                 for g_row in G.table for h_row in H.table)
+    return FiniteGroup._trusted(rows, G.identity * m + H.identity)
 
 
 def klein_four_group() -> FiniteGroup:
@@ -274,8 +284,8 @@ def group_from_permutations(
     together with the defining (faithful) permutation homomorphism.
 
     Element ids follow the lexicographic order of one-line images, which
-    places the identity at id 0.
-    """
+    places the identity at id 0.  Rows fill from the identity by generator
+    columns ``col_s[p] = id(s*p)``, as ``row(s*a) = col_s[row(a)]``."""
     if not gens:
         raise GroupTableError("need at least one generator")
     degree = gens[0].degree
@@ -301,11 +311,15 @@ def group_from_permutations(
         frontier = new
     ordered = sorted(elems)
     pos = {p: i for i, p in enumerate(ordered)}
-    table = []
-    for a in ordered:
-        shifted = (0,) + a  # shifted[j] is the image of point j
-        table.append([pos[tuple(map(shifted.__getitem__, b))] for b in ordered])
-    G = FiniteGroup(table)
+    cols = [[pos[tuple([g[j - 1] for j in p])] for p in ordered] for g in gen_images]
+    rows: list = [tuple(range(len(ordered)))] + [None] * (len(ordered) - 1)
+    queue = [0]
+    for a in queue:  # grows in breadth-first order while iterated
+        for col in cols:
+            if rows[c := col[a]] is None:
+                rows[c] = tuple(map(col.__getitem__, rows[a]))
+                queue.append(c)
+    G = FiniteGroup._trusted(tuple(rows), 0)
     hom = PermHomomorphism(
         G, degree, tuple(Permutation._trusted(p) for p in ordered)
     )

@@ -26,7 +26,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
-from .errors import MalformedInputError, PermStabError
+from .errors import BoundExceededError, MalformedInputError, PermStabError
 from .groups import (
     FiniteGroup,
     FpGroup,
@@ -152,7 +152,7 @@ def _group_from_text(text: str) -> LoadedGroup:
                 FpGroup(obj["generators"], obj.get("relators", ())),
                 "presentation",
             )
-    except MalformedInputError:
+    except (MalformedInputError, BoundExceededError):
         raise
     except PermStabError as exc:
         raise MalformedInputError(str(exc)) from exc
@@ -170,7 +170,7 @@ def hom_from_json(obj) -> PermHomomorphism:
         loaded = group_from_json(obj["group"])
         degree = obj["degree"]
         images = obj["images"]
-    except MalformedInputError:
+    except (MalformedInputError, BoundExceededError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad homomorphism object: {exc}") from exc

@@ -223,7 +223,7 @@ def min_conjugator_distance(
     """
     # The solver has no degree limit. The bound stays because
     # perfbench/gen_cli.py::gen_domain expects BoundExceededError at
-    # degree 10; lifting it is ROADMAP item 1's benchmark-first step.
+    # degree 10; lifting it is ROADMAP item 6's benchmark-first step.
     if h1.degree > MAX_EXACT_DEGREE:
         raise BoundExceededError(
             f"degree {h1.degree} exceeds exact-search bound {MAX_EXACT_DEGREE}"

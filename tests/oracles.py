@@ -10,7 +10,8 @@ behind ``hom_order_leq`` and ``rep_subtract``, the one-pattern-at-a-time
 loop behind ``stat_distance_details``, the ``repr``-ranked colour
 refinement, certificate and edge-set generation behind
 ``enumerate_patterns``, the unpruned ``(mask, sign)`` expansion behind
-``s_from_tr``, and the argparse front end behind the CLI's
+``s_from_tr``, Light's test with its generating-set picks interleaved
+behind ``FiniteGroup``, and the argparse front end behind the CLI's
 command-table parser.  ``point_count`` tests one point at a
 time what every trace statistic counts with fixed-point masks.
 """
@@ -24,7 +25,12 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
-from permstab.errors import NotComparableError, NotConjugateError, PermStabError
+from permstab.errors import (
+    GroupTableError,
+    NotComparableError,
+    NotConjugateError,
+    PermStabError,
+)
 from permstab.graphs import (
     LabeledDigraph,
     RootedPattern,
@@ -40,6 +46,32 @@ from permstab.groups import (
 )
 from permstab.multiplicity import multiplicity_vector, orbit_decomposition
 from permstab.perm import Permutation, all_permutations, hamming_distance
+
+
+def light_test_picks(rows, e: int) -> tuple[int, ...]:
+    """Light's associativity test with the generating set picked on the
+    way, as ``FiniteGroup`` ran it before the picks were split from the
+    test: each element not yet reached from ``e`` is checked, then picked.
+    Returns the picks or raises ``GroupTableError`` at the first failure."""
+    n = len(rows)
+    reached = {e}
+    gens: list[int] = []
+    for g in range(n):
+        if g in reached:
+            continue
+        g_row = rows[g]
+        for x in range(n):
+            row = rows[x]
+            xg_row = rows[row[g]]
+            if xg_row != tuple(map(row.__getitem__, g_row)):
+                y = next(y for y in range(n) if xg_row[y] != row[g_row[y]])
+                raise GroupTableError(f"associativity fails at ({x},{g},{y})")
+        gens.append(g)
+        new = {rows[x][g] for x in reached} - reached
+        while new:
+            reached |= new
+            new = {rows[x][h] for x in new for h in gens} - reached
+    return tuple(gens)
 
 
 def check_homomorphism(h: PermHomomorphism) -> tuple[bool, object]:

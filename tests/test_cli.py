@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -438,6 +439,43 @@ class TestExitCodes:
         code, report = dispatch(["mult", str(path)])
         assert code == EXIT_DOMAIN
         assert report["outputs"]["error"]["code"] == "BoundExceededError"
+
+    def test_closure_bound_is_domain_error(self, tmp_path):
+        # S8 (order 40,320) passes the closure bound of |S7| = 5,040: the
+        # closure stops there at once instead of building a 1.6e9-entry table
+        group = {"kind": "perm-gens", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
+        path = tmp_path / "s8.json"
+        path.write_text(
+            json.dumps({"group": group, "degree": 8,
+                        "images": {"g0": "(1 2)", "g1": "(1 2 3 4 5 6 7 8)"}})
+        )
+        started = time.monotonic()
+        code, report = dispatch(["conj", str(path), str(path)])
+        assert time.monotonic() - started < 1.0
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"] == {
+            "code": "BoundExceededError",
+            "message": "group order exceeds bound 5040",
+        }
+
+    @pytest.mark.parametrize("command", ["complement", "extend"])
+    def test_out_of_range_subgroup_id_is_malformed(self, tmp_path, command):
+        z2 = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
+        paths = {}
+        for name, obj in (
+            ("g", z2),
+            ("h", {"members": [0, 99]}),
+            ("phi", {"group": z2, "degree": 2, "images": {"0": "()", "1": "(1 2)"}}),
+        ):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj))
+        argv = [command, str(paths["g"]), str(paths["h"])]
+        code, report = dispatch(argv + [str(paths["phi"])] * (command == "extend"))
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"] == {
+            "code": "malformed-input",
+            "message": "element id 99 out of range",
+        }
 
     def test_orbit_matching_above_the_lattice_bound(self, tmp_path):
         # conj, order and small-conj pair orbits by equivariant maps and

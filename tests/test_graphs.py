@@ -409,11 +409,12 @@ class TestEnumeration:
                 )
 
     @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 3), (("x", "y", "z"), 2)])
-    def test_one_validation_and_refinement_per_class(
+    def test_one_trusted_build_and_refinement_per_class(
         self, alphabet, bound, monkeypatch
     ):
-        calls = {"refine": 0, "post_init": 0}
+        calls = {"refine": 0, "post_init": 0, "trusted": 0}
         refine, post_init = graphs._refine_ranks, RootedPattern.__post_init__
+        trusted = RootedPattern._trusted.__func__
 
         def count_refine(*args):
             calls["refine"] += 1
@@ -423,10 +424,21 @@ class TestEnumeration:
             calls["post_init"] += 1
             post_init(self)
 
+        def count_trusted(cls, *args):
+            calls["trusted"] += 1
+            return trusted(cls, *args)
+
         monkeypatch.setattr(graphs, "_refine_ranks", count_refine)
         monkeypatch.setattr(RootedPattern, "__post_init__", count_post_init)
+        monkeypatch.setattr(RootedPattern, "_trusted", classmethod(count_trusted))
         listed = enumerate_patterns.__wrapped__(alphabet, bound)
-        assert calls == {"refine": len(listed), "post_init": len(listed)}
+        n = len(listed)
+        assert calls == {"refine": n, "post_init": 0, "trusted": n}
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x",), 5), (("x", "y"), 4)])
+    def test_catalogue_patterns_pass_the_public_checks(self, alphabet, bound):
+        for p, _ in enumerate_patterns(alphabet, bound):
+            assert RootedPattern(p.n, p.root, p.alphabet, p.edges) == p
 
     @pytest.mark.parametrize(
         "alphabet,bound", [(("x",), 5), (("x", "y"), 3), (("x", "y", "z"), 2)]

@@ -102,6 +102,21 @@ def random_loop_table(n, rng):
     return table
 
 
+def random_loop_cases():
+    """The tables of ``test_light_test_matches_triple_loop_on_random_loops``:
+    150 random loops, each also times Z2 (ids ``2*l + a``)."""
+    rng = Random(11)
+    for _ in range(150):
+        loop = random_loop_table(rng.randint(1, 8), rng)
+        n = len(loop)
+        yield loop
+        yield [
+            [2 * loop[l1][l2] + (a1 + a2) % 2 for l2 in range(n) for a2 in (0, 1)]
+            for l1 in range(n)
+            for a1 in (0, 1)
+        ]
+
+
 def member_set_join_lattice(G):
     """The lattice as built before generator joins: the join of S and a
     cyclic C is the closure of the full member set ``S | C``."""
@@ -194,6 +209,52 @@ class TestFiniteGroup:
                 assert table[table[x][g]][y] != table[x][table[g][y]]
         assert 100 < rejected < 200  # both paths are exercised
 
+    def test_split_picks_match_the_interleaved_light_test(self):
+        # the same picks, or the same first failure, as the test that
+        # picked its generators on the way
+        rejected = 0
+        for table in random_loop_cases():
+            try:
+                picks = oracles.light_test_picks(tuple(map(tuple, table)), 0)
+            except GroupTableError as exc:
+                rejected += 1
+                with pytest.raises(GroupTableError) as info:
+                    FiniteGroup(table)
+                assert str(info.value) == str(exc)
+            else:
+                assert FiniteGroup(table).generating_set == picks
+        assert 100 < rejected < 200
+
+    def test_trusted_tables_match_the_validating_constructor(self):
+        zoo = medium_group_zoo()
+        zoo["A5"] = alternating_group_5()
+        S3, Q8, D4 = zoo["S3"], zoo["Q8"], zoo["D4"]
+        cases = [
+            *zoo.values(),
+            *(H.as_group()[0] for G in (zoo["S4"], symmetric_group(5)[0])
+              for H in all_subgroups(G)),
+            *(cyclic_group(n) for n in range(1, 25)),
+            direct_product(S3, cyclic_group(2)),
+            direct_product(Q8, cyclic_group(3)),
+            direct_product(cyclic_group(1), D4),
+            direct_product(zoo["A4"], cyclic_group(1)),
+            direct_product(S3, S3),
+        ]
+        assert len(cases) > 200
+        for G in cases:
+            picks = oracles.light_test_picks(G.table, G.identity)
+            V = FiniteGroup(G.table)
+            for T in (G, FiniteGroup._trusted(G.table, G.identity)):
+                assert (T.table, T.identity, T.inverses, T.generating_set) == (
+                    V.table, V.identity, V.inverses, picks
+                )
+                assert T == V and hash(T) == hash(V)
+
+    def test_cyclic_group_of_no_elements_is_refused(self):
+        for n in (0, -3):
+            with pytest.raises(GroupTableError, match="no identity"):
+                cyclic_group(n)
+
     def test_light_test_accepts_every_zoo_table(self):
         zoo = medium_group_zoo()
         zoo["A5"] = alternating_group_5()
@@ -260,6 +321,12 @@ class TestGroupFromPermutations:
                     parse_permutation("(1 2 3 4 5 6)", 6),
                 ]
             )
+
+    def test_order_bound_admits_its_own_order(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_CLOSURE_BOUND", 24)
+        assert symmetric_group(4)[0].order == 24
+        with pytest.raises(BoundExceededError, match="exceeds bound 24"):
+            symmetric_group(5)
 
     def test_identity_gets_id_zero(self):
         G, nat = symmetric_group(3)
@@ -342,6 +409,15 @@ class TestAllSubgroups:
                 built += [o.stabilizer for o in orbit_decomposition(coset_action(G, H)).orbits]
             for H in built:
                 assert Subgroup(G, H.members) == H
+
+    def test_out_of_range_member_is_refused_before_any_product(self):
+        for G, members, bad in (
+            (cyclic_group(2), [0, 99], 99),
+            (cyclic_group(4), [0, 1, 2, 3, 4], 4),
+            (cyclic_group(4), [-1, 0, 2], -1),
+        ):
+            with pytest.raises(NotSubgroupError, match=f"element id {bad} out of range"):
+                Subgroup(G, members)
 
     def test_closure_rejects_out_of_range_seed(self):
         G = cyclic_group(4)

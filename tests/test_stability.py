@@ -467,10 +467,15 @@ class TestHasExtension:
             Habs, _ = Subgroup(G, H.members).as_group()  # a separate instance
             for n in (2, 4):
                 cases.append((H, random_hom(Habs, n, Random(n))))
-        built = []
-        real = FiniteGroup.__init__
+        built = []  # tables built, validated or trusted
+        real, real_trusted = FiniteGroup.__init__, FiniteGroup._trusted.__func__
         monkeypatch.setattr(
             FiniteGroup, "__init__", lambda self, table: built.append(1) or real(self, table)
+        )
+        monkeypatch.setattr(
+            FiniteGroup,
+            "_trusted",
+            classmethod(lambda cls, rows, e: built.append(1) or real_trusted(cls, rows, e)),
         )
         for H, phi in cases:
             fresh = Subgroup(G, H.members)
