@@ -30,7 +30,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import fixtures
-from .errors import MalformedInputError, PermStabError
+from .errors import BoundExceededError, MalformedInputError, PermStabError
 from .graphs import action_graph, stat_distance_details
 from .groups import FiniteGroup, subgroup_conjugacy_classes
 from .jsonio import (
@@ -44,6 +44,7 @@ from .jsonio import (
 from .multiplicity import hom_order_leq, is_conjugate, multiplicity_vector
 from .perm import hamming_distance, parse_permutation, Permutation
 from .stability import (
+    MAX_EXACT_DEGREE,
     agreement_set,
     amalgamated_hom,
     centralizer_correct,
@@ -218,6 +219,8 @@ def _cmd_lift(args, record) -> dict:
 
 
 def _cmd_correct(args, record) -> dict:
+    if args.mode == "exact" and args.degree > MAX_EXACT_DEGREE:  # refuse before parsing
+        raise BoundExceededError(f"exact mode requires degree <= {MAX_EXACT_DEGREE}")
     a = parse_permutation(args.coef, args.degree)
     q = parse_permutation(args.almost, args.degree)
     rep = centralizer_correct(a, q, mode=args.mode)

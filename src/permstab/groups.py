@@ -423,7 +423,9 @@ class SubgroupClasses:
 
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
-    """Partition of ``all_subgroups(G)`` under conjugation by ``G``.
+    """Partition of ``all_subgroups(G)`` under conjugation by ``G``, each
+    class walked breadth-first from its representative by conjugation
+    with ``generating_set``.
 
     Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``,
     as ``all_subgroups`` does.
@@ -434,8 +436,14 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
     for S in sets:  # ascending, so each class is reached by its representative
         if S not in remaining:
             continue
-        orbit = {frozenset(G.conjugate(g, x) for x in S) for g in G.elements()}
-        remaining -= orbit
+        remaining.remove(S)
+        orbit = [S]
+        for T in orbit:
+            for g in G.generating_set:
+                U = frozenset(G.conjugate(g, x) for x in T)
+                if U in remaining:
+                    remaining.remove(U)
+                    orbit.append(U)
         classes.append(tuple(sorted(orbit, key=sorted)))
     class_of = {}
     for i, orbit in enumerate(classes):

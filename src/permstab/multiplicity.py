@@ -3,17 +3,16 @@ test and partial order they induce, and constituent subtraction.
 
 The multiplicity vector counts, per conjugacy class of subgroups of the
 source, the orbits whose point stabilizers fall in that class; only it
-needs the subgroup lattice.  Two orbits are isomorphic exactly when an
-equivariant map joins them, so two homomorphisms of one finite group
-into one symmetric group are conjugate exactly when their orbits pair up
-into isomorphic ones (:func:`_match`, also behind the order and the
-subtraction), and the witness is assembled orbit by orbit.  Orbits and
-maps come from one walk over the generator images (:func:`_transport`).
+needs the subgroup lattice.  Two orbits are the same type exactly when
+an equivariant map joins them, and :func:`_orbit_types` alone decides
+it: conjugacy, the order and subtraction pair the orbits of each type
+(:func:`_match`), the stability layer counts them (:func:`_census`).
+Orbits and maps come from one walk over the generator images
+(:func:`_transport`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -138,51 +137,62 @@ def _require_comparable(h1: PermHomomorphism, h2: PermHomomorphism):
         raise SourceMismatchError("homomorphisms must share a FiniteGroup source")
 
 
+def _orbit_types(*actions) -> list[list[list[list[int]]]]:
+    """Orbit types of ``(generator images, degree)`` actions of one
+    generating set, in order of first appearance; each type lists, per
+    action, its orbits of the type (least point first) by least point.
+
+    An equivariant map between two orbits sends the fixed points of each
+    generator onto those of its image, so an orbit is walked only against
+    the representatives with its length and the same number of points
+    fixed by each generator."""
+    types: list[list[list[list[int]]]] = []
+    reps: dict[tuple, list[tuple]] = {}  # invariant -> [(gens, orbit, type)]
+    for k, (gens, n) in enumerate(actions):
+        for orbit in _orbits(gens, n):
+            key = len(orbit), *(sum(g[x - 1] == x for x in orbit) for g in gens)
+            same = reps.setdefault(key, [])
+            for rgens, rep, kind in same:
+                if any(_transport(gens, rgens, orbit[0], y) for y in rep):
+                    break
+            else:
+                kind = [[] for _ in actions]
+                same.append((gens, orbit, kind))
+                types.append(kind)
+            kind[k].append(orbit)
+    return types
+
+
+def _census(*homs: PermHomomorphism) -> list[tuple[int, ...]]:
+    """Orbit counts per shared orbit type, one tuple per homomorphism."""
+    types = _orbit_types(*(([p.images for p in generator_images(h)], h.degree) for h in homs))
+    return [tuple(len(t[k]) for t in types) for k in range(len(homs))]
+
+
 def _match(
     h1: PermHomomorphism, h2: PermHomomorphism
 ) -> tuple[dict[int, int], int]:
-    """Pair each ``h1``-orbit, least point first, with the lowest-base
-    unused ``h2``-orbit of its isomorphism class (each class is keyed by
-    one representative); the base goes to the least point ``y`` from
-    which the walk succeeds (an equal stabilizer).  Returns the map on the
-    paired ``h1``-points and the number of ``h2``-orbits left unused.
-
-    An equivariant map sends the fixed points of each generator onto
-    those of its image, so an orbit is walked only against the
-    representatives with its length and the same number of points fixed
-    by each generator."""
+    """Pair the ``h1``-orbits of each type with the ``h2``-orbits of that
+    type, both in order of least point; each base goes to the least point
+    ``y`` of its partner from which the walk succeeds (an equal
+    stabilizer).  Returns the map on the paired ``h1``-points and the
+    number of ``h2``-orbits left unused."""
     gens1 = [p.images for p in generator_images(h1)]
     gens2 = [p.images for p in generator_images(h2)]
-
-    def invariant(gens, orbit) -> tuple:
-        return len(orbit), *(sum(g[x - 1] == x for x in orbit) for g in gens)
-
-    def isomorphic(gens, orbit, rep) -> bool:
-        return any(_transport(gens, gens2, orbit[0], y) for y in rep)
-
-    # invariant -> {representative -> unused orbits of its class}
-    unused: dict[tuple, dict[tuple[int, ...], deque]] = {}
-    for orbit in _orbits(gens2, h2.degree):
-        reps = unused.setdefault(invariant(gens2, orbit), {})
-        rep = next((r for r in reps if isomorphic(gens2, orbit, r)), tuple(orbit))
-        reps.setdefault(rep, deque()).append(orbit)
+    types = _orbit_types((gens1, h1.degree), (gens2, h2.degree))
     witness: dict[int, int] = {}
-    for orbit in _orbits(gens1, h1.degree):
-        reps = unused.get(invariant(gens1, orbit), {})
-        same = next(
-            (u for r, u in reps.items() if u and isomorphic(gens1, orbit, r)), ()
-        )
-        partner = sorted(same.popleft()) if same else ()
-        maps = (_transport(gens1, gens2, orbit[0], y) for y in partner)
-        witness.update(next(filter(None, maps), {}))
-    return witness, sum(len(u) for reps in unused.values() for u in reps.values())
+    for orbits1, orbits2 in types:
+        for o1, o2 in zip(orbits1, orbits2):
+            maps = (_transport(gens1, gens2, o1[0], y) for y in sorted(o2))
+            witness.update(next(filter(None, maps)))
+    return witness, sum(max(len(o2) - len(o1), 0) for o1, o2 in types)
 
 
 def hom_order_leq(phi: PermHomomorphism, psi: PermHomomorphism) -> bool:
     """Orbit-census order: every orbit of ``phi`` pairs with an isomorphic
     orbit of ``psi``, each used once (absolute counts per orbit type)."""
     _require_comparable(phi, psi)
-    return len(_match(phi, psi)[0]) == phi.degree
+    return all(a <= b for a, b in zip(*_census(phi, psi)))
 
 
 def is_conjugate(

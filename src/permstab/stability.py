@@ -7,14 +7,14 @@ This module houses the finite, executable side of stability theory:
   distance bound ``|H| * epsilon``;
 * one nearest-conjugator solver: the conjugator between two generator
   lists that agrees with a target permutation on the most points, from
-  equivariant maps between orbits and one Hungarian assignment per class
-  of isomorphic orbits, with no search over ``S_n`` or a centralizer;
+  equivariant maps between orbits and one Hungarian assignment per orbit
+  type, with no search over ``S_n`` or a centralizer;
   it gives the certified minimum conjugator distance (target the
   identity) and the correction below (target the almost-centralizing
   permutation);
-* exact extension-property decisions from orbit censuses (a ``G``-set
-  is a sum of coset actions), at any degree, and retract certificates
-  via normal complements, tested for normality on the generators;
+* exact extension-property decisions from orbit-type censuses (a
+  ``G``-set is a sum of coset actions) at any degree, and retracts via
+  normal complements, tested for normality on the generators;
 * assembly of a homomorphism on an amalgamated product from compatible
   halves, with witness reporting on failure;
 * the replication count and block-sum lift used to rebuild an action
@@ -55,7 +55,7 @@ from .groups import (
     subgroup_conjugacy_classes,
     trivial_hom,
 )
-from .multiplicity import _orbits, _transport, is_conjugate, multiplicity_vector
+from .multiplicity import _census, _orbit_types, _orbits, _transport, is_conjugate
 from .perm import (
     Permutation,
     hamming_distance,
@@ -140,42 +140,32 @@ def nearest_conjugator(
     the lexicographically least one-line form.
 
     A conjugator maps each ``gens1``-orbit equivariantly onto a
-    ``gens2``-orbit, and there it is fixed by the image of the orbit's
-    least point.  Each pair of orbits keeps its best such map and each
-    class of isomorphic orbits gets one maximum-weight assignment; the
-    weight puts agreement first and the one-line form, read in base
-    ``n+1``, second.  Raises :class:`NotConjugateError` if none exists.
+    ``gens2``-orbit of its type, and there it is fixed by the image of
+    the orbit's least point.  Each pair of orbits of a type keeps its best
+    such map and each type gets one maximum-weight assignment; the weight
+    puts agreement first and the one-line form, read in base ``n+1``,
+    second.  Raises :class:`NotConjugateError` if none exists.
     """
     n = target.degree
     perms1, perms2 = [g.images for g in gens1], [g.images for g in gens2]
     unit = (n + 1) ** (n + 1)
     place = [(n + 1) ** (n - x) for x in range(n + 1)]
-    orbits1, orbits2 = _orbits(perms1, n), _orbits(perms2, n)
-    best: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, o1 in enumerate(orbits1):
-        for j, o2 in enumerate(orbits2):
-            if len(o2) != len(o1):
-                continue
-            for p in filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2)):
-                weight = sum(
-                    unit * (target.images[x - 1] == px) - px * place[x]
-                    for x, px in p.items()
-                )
-                if (i, j) not in best or weight > best[i, j][0]:
-                    best[i, j] = (weight, p)
-        # isomorphic orbits admit the same partners, which name the class
-        partners = tuple(j for j in range(len(orbits2)) if (i, j) in best)
-        classes.setdefault(partners, []).append(i)
-    if len(orbits1) != len(orbits2) or any(
-        len(js) != len(rows) for js, rows in classes.items()
-    ):
-        raise NotConjugateError("no permutation conjugates the two actions")
+
+    def weight(p: dict[int, int]) -> int:
+        return sum(unit * (target.images[x - 1] == px) - px * place[x] for x, px in p.items())
+
     images = [0] * n
-    for js, rows in classes.items():
-        matched = _max_weight_assignment([[best[i, j][0] for j in js] for i in rows])
-        for j, r in zip(js, matched):
-            for x, px in best[rows[r - 1], j][1].items():
+    for rows, cols in _orbit_types((perms1, n), (perms2, n)):
+        if len(rows) != len(cols):
+            raise NotConjugateError("no permutation conjugates the two actions")
+        best = [
+            [max(filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2)), key=weight)
+             for o2 in cols]
+            for o1 in rows
+        ]
+        matched = _max_weight_assignment([list(map(weight, row)) for row in best])
+        for j, r in enumerate(matched):
+            for x, px in best[r - 1][j].items():
                 images[x - 1] = px
     return Permutation._trusted(tuple(images))
 
@@ -248,10 +238,11 @@ def has_extension(
 
     ``phi`` must be a homomorphism of ``H.as_group()``.  Every ``G``-set
     is a disjoint union of coset actions ``G/K``, so ``phi`` extends
-    exactly when its orbit census is a non-negative integer combination
-    of the restricted censuses of ``G/K``, one ``K`` per conjugacy class
-    of subgroups.  The block sum of the chosen coset actions is then
-    conjugated onto ``phi``.  ``None`` means no combination exists.
+    exactly when its orbit-type census is a non-negative integer
+    combination of the restricted censuses of ``G/K``, one ``K`` per
+    conjugacy class of subgroups of ``G``.  The block sum of the chosen
+    coset actions is then conjugated onto ``phi``.  ``None`` means no
+    combination exists.
     """
     if H.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
@@ -265,8 +256,8 @@ def has_extension(
         for K in map(classes.representative, range(len(classes)))
         if K.index <= phi.degree
     ]
-    censuses = [multiplicity_vector(restrict_hom(a, H)).counts for a in actions]
-    copies = _census_combination(censuses, multiplicity_vector(phi).counts)
+    *censuses, target = _census(*(restrict_hom(a, H) for a in actions), phi)
+    copies = _census_combination(censuses, target)
     if copies is None:
         return None
     psi = trivial_hom(G, 0)
@@ -455,12 +446,12 @@ def replication_count(
     coset_degree: int,
 ) -> int:
     """Largest ``s`` with ``s`` copies of ``psi_restricted`` dominated by
-    ``phi`` in the orbit-census order, via the per-class floor minimum
-    ``min over classes T of floor(m_T(phi) / m_T(psi))``.
+    ``phi`` in the orbit-census order, via the per-type floor minimum
+    ``min over orbit types T of floor(m_T(phi) / m_T(psi))``.
 
-    The minimum ranges over the classes the replicand actually contains,
-    so classes occurring only in ``phi`` (asymptotically negligible
-    remainders) are ignored, and classes occurring only in the replicand
+    The minimum ranges over the types the replicand actually contains,
+    so types occurring only in ``phi`` (asymptotically negligible
+    remainders) are ignored, and types occurring only in the replicand
     force ``s = 0``.  ``coset_degree`` is the degree of the coset action
     being replicated and must equal the degree of ``psi_restricted``.
     """
@@ -471,11 +462,10 @@ def replication_count(
             f"restricted action has degree {psi_restricted.degree}, "
             f"stated coset degree is {coset_degree}"
         )
-    m_phi = multiplicity_vector(phi)
-    m_psi = multiplicity_vector(psi_restricted)
-    floors = [
-        m_phi.counts[cid] // c for cid, c in enumerate(m_psi.counts) if c
-    ]
+    if not isinstance(phi.source, FiniteGroup):
+        raise SourceMismatchError("replication counts require a FiniteGroup source")
+    c_phi, c_psi = _census(phi, psi_restricted)
+    floors = [a // c for a, c in zip(c_phi, c_psi) if c]
     if not floors:
         raise ZeroMultiplicityError(
             "replicand has no orbits, every replication count would do"

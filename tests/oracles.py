@@ -6,7 +6,11 @@ behind ``min_conjugator_distance`` and ``centralizer_correct``, the
 subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
 ``is_conjugate`` and ``agreement_set``, the stabilizer-class censuses
-behind ``hom_order_leq`` and ``rep_subtract``, the one-pattern-at-a-time
+behind ``hom_order_leq``, ``rep_subtract``, ``has_extension`` and
+``replication_count``, the class dictionary of ``multiplicity._match``
+and the partner-keyed classes of ``nearest_conjugator`` that one orbit
+classifier replaced, the conjugation by every element behind
+``subgroup_conjugacy_classes``, the one-pattern-at-a-time
 loop behind ``stat_distance_details``, the ``repr``-ranked colour
 refinement, certificate and edge-set generation behind
 ``enumerate_patterns``, the unpruned ``(mask, sign)`` expansion behind
@@ -19,7 +23,7 @@ time what every trace statistic counts with fixed-point masks.
 from __future__ import annotations
 
 import argparse
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -30,6 +34,7 @@ from permstab.errors import (
     NotComparableError,
     NotConjugateError,
     PermStabError,
+    ZeroMultiplicityError,
 )
 from permstab.graphs import (
     LabeledDigraph,
@@ -40,11 +45,25 @@ from permstab.graphs import (
 from permstab.groups import (
     FiniteGroup,
     PermHomomorphism,
+    Subgroup,
+    all_subgroups,
+    conjugate_hom,
+    coset_action,
     evaluate_word,
+    generator_images,
     parse_word,
+    restrict_hom,
     subgroup_conjugacy_classes,
+    trivial_hom,
 )
-from permstab.multiplicity import multiplicity_vector, orbit_decomposition
+from permstab.multiplicity import (
+    _orbits,
+    _transport,
+    is_conjugate,
+    multiplicity_vector,
+    orbit_decomposition,
+)
+from permstab.stability import _census_combination, _max_weight_assignment, compose_lift
 from permstab.perm import Permutation, all_permutations, hamming_distance
 
 
@@ -163,6 +182,118 @@ def rep_subtract(phi: PermHomomorphism, rho: PermHomomorphism) -> PermHomomorphi
         Permutation(index[phi.images[g](x)] for x in kept) for g in phi.source.elements()
     )
     return PermHomomorphism(phi.source, len(kept), images)
+
+
+def match(h1: PermHomomorphism, h2: PermHomomorphism) -> tuple[dict[int, int], int]:
+    """The pairing ``multiplicity._match`` made before one function sorted
+    orbits into types: each ``h1``-orbit, least point first, takes the
+    lowest-base unused ``h2``-orbit of its class, the classes keyed by
+    fixed-point counts and one representative each."""
+    gens1 = [p.images for p in generator_images(h1)]
+    gens2 = [p.images for p in generator_images(h2)]
+
+    def invariant(gens, orbit) -> tuple:
+        return len(orbit), *(sum(g[x - 1] == x for x in orbit) for g in gens)
+
+    def isomorphic(gens, orbit, rep) -> bool:
+        return any(_transport(gens, gens2, orbit[0], y) for y in rep)
+
+    unused: dict[tuple, dict[tuple[int, ...], deque]] = {}
+    for orbit in _orbits(gens2, h2.degree):
+        reps = unused.setdefault(invariant(gens2, orbit), {})
+        rep = next((r for r in reps if isomorphic(gens2, orbit, r)), tuple(orbit))
+        reps.setdefault(rep, deque()).append(orbit)
+    witness: dict[int, int] = {}
+    for orbit in _orbits(gens1, h1.degree):
+        reps = unused.get(invariant(gens1, orbit), {})
+        same = next((u for r, u in reps.items() if u and isomorphic(gens1, orbit, r)), ())
+        partner = sorted(same.popleft()) if same else ()
+        maps = (_transport(gens1, gens2, orbit[0], y) for y in partner)
+        witness.update(next(filter(None, maps), {}))
+    return witness, sum(len(u) for reps in unused.values() for u in reps.values())
+
+
+def nearest_conjugator(
+    gens1: Sequence[Permutation], gens2: Sequence[Permutation], target: Permutation
+) -> Permutation:
+    """``stability.nearest_conjugator`` before it took the orbit types of
+    ``_orbit_types``: every pair of orbits is walked, and the classes of
+    isomorphic orbits are keyed by their sets of partners."""
+    n = target.degree
+    perms1, perms2 = [g.images for g in gens1], [g.images for g in gens2]
+    unit = (n + 1) ** (n + 1)
+    place = [(n + 1) ** (n - x) for x in range(n + 1)]
+    orbits1, orbits2 = _orbits(perms1, n), _orbits(perms2, n)
+    best: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, o1 in enumerate(orbits1):
+        for j, o2 in enumerate(orbits2):
+            if len(o2) != len(o1):
+                continue
+            for p in filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2)):
+                weight = sum(
+                    unit * (target.images[x - 1] == px) - px * place[x] for x, px in p.items()
+                )
+                if (i, j) not in best or weight > best[i, j][0]:
+                    best[i, j] = (weight, p)
+        partners = tuple(j for j in range(len(orbits2)) if (i, j) in best)
+        classes.setdefault(partners, []).append(i)
+    if len(orbits1) != len(orbits2) or any(len(js) != len(rows) for js, rows in classes.items()):
+        raise NotConjugateError("no permutation conjugates the two actions")
+    images = [0] * n
+    for js, rows in classes.items():
+        matched = _max_weight_assignment([[best[i, j][0] for j in js] for i in rows])
+        for j, r in zip(js, matched):
+            for x, px in best[rows[r - 1], j][1].items():
+                images[x - 1] = px
+    return Permutation(images)
+
+
+def has_extension(G: FiniteGroup, H: Subgroup, phi: PermHomomorphism):
+    """``has_extension`` when it counted orbits per stabilizer class of
+    ``H``'s subgroup lattice: the same coset actions of ``G`` and the same
+    search, over lattice censuses."""
+    classes = subgroup_conjugacy_classes(G)
+    actions = [
+        coset_action(G, K)
+        for K in map(classes.representative, range(len(classes)))
+        if K.index <= phi.degree
+    ]
+    censuses = [multiplicity_vector(restrict_hom(a, H)).counts for a in actions]
+    copies = _census_combination(censuses, multiplicity_vector(phi).counts)
+    if copies is None:
+        return None
+    psi = trivial_hom(G, 0)
+    for action, s in zip(actions, copies):
+        psi = compose_lift(action, s, psi)
+    _, p = is_conjugate(restrict_hom(psi, H), phi)
+    return conjugate_hom(psi, p)
+
+
+def replication_count(phi: PermHomomorphism, psi: PermHomomorphism) -> int:
+    """``replication_count`` when it took its floors per stabilizer class
+    of the lattice; raises ``ZeroMultiplicityError`` for an empty ``psi``."""
+    m_phi, m_psi = multiplicity_vector(phi), multiplicity_vector(psi)
+    floors = [m_phi.counts[cid] // c for cid, c in enumerate(m_psi.counts) if c]
+    if not floors:
+        raise ZeroMultiplicityError("replicand has no orbits")
+    return min(floors)
+
+
+def conjugacy_classes_by_every_element(G: FiniteGroup) -> tuple:
+    """The classes of ``subgroup_conjugacy_classes``, each subgroup
+    conjugated by every element of ``G`` rather than walked on the
+    generating set."""
+    sets = [frozenset(H.members) for H in all_subgroups(G)]
+    remaining = set(sets)
+    classes = []
+    for S in sets:
+        if S not in remaining:
+            continue
+        orbit = {frozenset(G.conjugate(g, x) for x in S) for g in G.elements()}
+        remaining -= orbit
+        classes.append(tuple(sorted(orbit, key=sorted)))
+    return tuple(classes)
 
 
 def centralizer_order(p: Permutation) -> int:

@@ -458,6 +458,21 @@ class TestExitCodes:
             "message": "group order exceeds bound 5040",
         }
 
+    @pytest.mark.parametrize("coef", ["(1 2 3)", "(1 2 3"])
+    def test_exact_correct_refused_before_parsing(self, coef):
+        # an exact-mode degree over the bound is refused before the two
+        # degree-4,000,000 permutations are built (1.4 s and 540 MB), and
+        # before an unparsable one is read
+        argv = ["correct", "--coef", coef, "--almost", "(4 5)", "--degree", "4000000"]
+        started = time.monotonic()
+        code, report = dispatch(argv)
+        assert time.monotonic() - started < 0.1
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"] == {
+            "code": "BoundExceededError",
+            "message": "exact mode requires degree <= 8",
+        }
+
     @pytest.mark.parametrize("command", ["complement", "extend"])
     def test_out_of_range_subgroup_id_is_malformed(self, tmp_path, command):
         z2 = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}

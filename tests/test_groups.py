@@ -455,6 +455,14 @@ class TestConjugacyClasses:
                 M = normalizer(G, rep)
                 assert len(orbit) == G.order // M.order
 
+    def test_generator_walk_matches_every_element_oracle(self, zoo24):
+        # each class is walked on generating_set: the same classes, in the
+        # same order, as conjugating by every element
+        groups = dict(zoo24, A5=alternating_group_5())
+        for G in groups.values():
+            expected = oracles.conjugacy_classes_by_every_element(G)
+            assert subgroup_conjugacy_classes(G).classes == expected
+
 
 class TestNormalizer:
     def test_self_normalizing_transposition(self):

@@ -19,6 +19,7 @@ from permstab.groups import (
     direct_sum_hom,
     generator_images,
     klein_four_group,
+    restrict_hom,
     subgroup_conjugacy_classes,
     symmetric_group,
     trivial_hom,
@@ -33,8 +34,10 @@ from permstab.multiplicity import (
 )
 from permstab.perm import Permutation, all_permutations, parse_permutation
 from permstab.randgen import random_hom, random_permutation
+from permstab.stability import has_extension, replication_count
 
 import oracles
+from conftest import subgroup_from_cycles
 
 
 def brute_force_conjugate(h1, h2):
@@ -264,6 +267,13 @@ class TestIsConjugate:
             assert is_conjugate(h1, h2)[0] is expected
             assert hom_order_leq(h1, h2) is expected
         assert rep_subtract(h, h).degree == 0
+        # extension and replication count orbits by type: H's lattice is
+        # not built, and G's only to pick the coset actions
+        G, nat = symmetric_group(4)
+        A4 = subgroup_from_cycles(G, nat, "(1 2 3)", "(1 2)(3 4)")
+        phi = restrict_hom(h, A4)
+        assert has_extension(G, A4, phi) is not None
+        assert replication_count(h, h, h.degree) == 1
         assert calls == []
 
     def test_transport_calls_within_orbits_times_classes(self, monkeypatch):
@@ -324,11 +334,14 @@ class TestIsConjugate:
 
 
 class TestCensusOracles:
-    """The order, subtraction and conjugacy witness against the
-    stabilizer-class censuses they replaced, at mixed degrees."""
+    """The pairing against the class dictionary it replaced, and the
+    order, subtraction and conjugacy witness against the stabilizer-class
+    censuses they replaced, at mixed degrees."""
 
     @staticmethod
     def check(phi, psi):
+        for a, b in ((phi, psi), (psi, phi)):  # the pairing of the class dictionary
+            assert multiplicity._match(a, b) == oracles.match(a, b)
         assert hom_order_leq(phi, psi) == oracles.hom_order_leq(phi, psi)
         assert hom_order_leq(psi, phi) == oracles.hom_order_leq(psi, phi)
         subtracted = 0

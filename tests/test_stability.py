@@ -4,7 +4,7 @@ amalgams, lifts, and correction of almost-centralizing permutations."""
 import hashlib
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from random import Random
 
 import pytest
@@ -14,6 +14,7 @@ from permstab.errors import (
     BoundExceededError,
     DegreeMismatchError,
     NotConjugateError,
+    SourceMismatchError,
     ZeroMultiplicityError,
 )
 from permstab.fixtures import (
@@ -34,12 +35,14 @@ from permstab.groups import (
     cyclic_group,
     dihedral_group,
     direct_sum_hom,
+    generator_images,
     group_from_permutations,
     hom_from_element_map,
     klein_four_group,
     quaternion_group,
     restrict_hom,
     subgroup_closure,
+    subgroup_conjugacy_classes,
     symmetric_group,
     trivial_hom,
     trivial_subgroup,
@@ -59,6 +62,7 @@ from permstab.randgen import (
     random_small_support_permutation,
 )
 from permstab.stability import (
+    MAX_EXACT_DEGREE,
     agreement_set,
     amalgamated_hom,
     centralizer_correct,
@@ -76,7 +80,7 @@ from permstab.stability import (
 )
 from permstab.trace_stats import action_trace
 
-from conftest import enumerate_homs, subgroup_from_cycles
+from conftest import enumerate_homs, medium_group_zoo, subgroup_from_cycles
 import oracles
 from oracles import (
     centralizer_elements,
@@ -381,6 +385,40 @@ class TestNearestConjugator:
         empty = Permutation.identity(0)
         assert nearest_conjugator([empty], [empty], empty) == empty
 
+    def test_equals_partner_keyed_oracle(self, zoo24):
+        # random conjugate and non-conjugate pairs, and sums of the seven
+        # 4-point orbit types of Z2xZ2xZ2 (the coset actions of its
+        # order-2 subgroups), whose orbit sizes all agree
+        rng = Random(57)
+        cases = []
+        for name in sorted(zoo24):
+            G = zoo24[name]
+            for i in range(4):
+                n = rng.randint(0, 12)
+                h1 = random_hom(G, n, rng)
+                h2 = random_hom(G, n, rng) if i % 2 else h1
+                cases.append((h1, conjugate_hom(h2, random_permutation(n, rng))))
+        G = zoo24["Z2xZ2xZ2"]
+        quads = [coset_action(G, H) for H in all_subgroups(G) if H.order == 2]
+        for i in range(40):
+            k = rng.randint(1, 4)
+            h1 = reduce(direct_sum_hom, rng.choices(quads, k=k))
+            h2 = reduce(direct_sum_hom, rng.choices(quads, k=k)) if i % 2 else h1
+            cases.append((h1, conjugate_hom(h2, random_permutation(4 * k, rng))))
+        refused = 0
+        for h1, h2 in cases:
+            gens1, gens2 = generator_images(h1), generator_images(h2)
+            target = random_permutation(h1.degree, rng)
+            try:
+                expected = oracles.nearest_conjugator(gens1, gens2, target)
+            except NotConjugateError:
+                refused += 1
+                with pytest.raises(NotConjugateError):
+                    nearest_conjugator(gens1, gens2, target)
+            else:
+                assert nearest_conjugator(gens1, gens2, target) == expected
+        assert len(cases) // 2 < len(cases) - refused < len(cases) - 20
+
 
 class TestHasExtension:
     def test_subgroup_equals_group(self):
@@ -485,6 +523,24 @@ class TestHasExtension:
             built.clear()
             has_extension(G, fresh, phi)
             assert built == []
+
+
+    def test_equals_lattice_census_oracle(self, zoo24):
+        # random actions of each subgroup-class representative, against
+        # the censuses over H's subgroup lattice
+        rng = Random(58)
+        found = refused = 0
+        for name in sorted(zoo24):
+            G = zoo24[name]
+            classes = subgroup_conjugacy_classes(G)
+            for H in map(classes.representative, range(len(classes))):
+                for n in (rng.randint(1, 6), rng.randint(4, 12)):
+                    phi = random_hom(H.as_group()[0], n, rng)
+                    ext = has_extension(G, H, phi)
+                    assert ext == oracles.has_extension(G, H, phi)
+                    found += ext is not None
+                    refused += ext is None
+        assert found > 100 and refused > 20
 
 
 class TestNormalComplement:
@@ -639,6 +695,35 @@ class TestReplicationCount:
             assert not hom_order_leq(replicate_hom(psi, s + 1), phi)
 
 
+    def test_equals_lattice_census_oracle(self, zoo24):
+        rng = Random(59)
+        counted = 0
+        for name in sorted(zoo24):
+            G = zoo24[name]
+            for i in range(6):
+                psi = random_hom(G, rng.randint(0, 6), rng)
+                phi = random_hom(G, rng.randint(0, 16), rng)
+                if i % 2 and psi.degree:
+                    phi = direct_sum_hom(replicate_hom(psi, rng.randint(1, 3)), phi)
+                    phi = conjugate_hom(phi, random_permutation(phi.degree, rng))
+                try:
+                    expected = oracles.replication_count(phi, psi)
+                except ZeroMultiplicityError:
+                    with pytest.raises(ZeroMultiplicityError):
+                        replication_count(phi, psi, psi.degree)
+                else:
+                    assert replication_count(phi, psi, psi.degree) == expected
+                    counted += expected > 0
+
+        assert counted > 2 * len(zoo24)
+
+    def test_presentation_source_rejected(self):
+        F = FpGroup(("s",), ())
+        h = PermHomomorphism(F, 2, (parse_permutation("(1 2)", 2),))
+        with pytest.raises(SourceMismatchError):
+            replication_count(h, h, 2)
+
+
 class TestComposeLift:
     def test_single_copy_with_empty_rest(self):
         G, nat = symmetric_group(3)
@@ -777,6 +862,80 @@ def pinned_pairs():
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def pinned_extensions():
+    """Two seeded actions ``phi`` per subgroup-class representative ``H``
+    of the zoo groups up to order 24: a random action of ``H``, which
+    often has no extension, and a conjugated restriction of one of ``G``."""
+    rng = Random(10)
+    zoo = medium_group_zoo()
+    out = []
+    for name in sorted(zoo):
+        G = zoo[name]
+        classes = subgroup_conjugacy_classes(G)
+        for H in map(classes.representative, range(len(classes))):
+            n = rng.randint(1, 8)
+            out.append((G, H, random_hom(H.as_group()[0], n, rng)))
+            n = rng.randint(1, 8)
+            phi = restrict_hom(random_hom(G, n, rng), H)
+            out.append((G, H, conjugate_hom(phi, random_permutation(n, rng))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def pinned_replications():
+    """Seeded ``(phi, psi)`` per group: ``phi`` holds 0-3 copies of ``psi``
+    plus more orbits, or is independent of it."""
+    rng = Random(11)
+    out = []
+    for G in pinned_groups():
+        for i in range(12):
+            psi = random_hom(G, rng.randint(0, 6), rng)
+            rest = random_hom(G, rng.randint(0, 12), rng)
+            s = rng.randint(0, 3)
+            if i % 3 and s and psi.degree:
+                phi = direct_sum_hom(replicate_hom(psi, s), rest)
+                phi = conjugate_hom(phi, random_permutation(phi.degree, rng))
+            else:
+                phi = rest
+            out.append((phi, psi))
+    return tuple(out)
+
+
+def _replication_count_or_none(phi, psi):
+    try:
+        return replication_count(phi, psi, psi.degree)
+    except ZeroMultiplicityError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def pinned_corrections():
+    """Seeded ``(a, q)`` at degrees 1-60: a random ``a``, one with at most
+    three moved points, and ``q`` random or a power of ``a`` one swap away."""
+    rng = Random(12)
+    out = []
+    for n in range(1, 61):
+        for a in (
+            random_permutation(n, rng),
+            random_small_support_permutation(n, 3, rng),
+        ):
+            out.append((a, random_permutation(n, rng)))
+            q = a ** rng.randint(0, n)
+            if n > 1:
+                x, y = rng.sample(range(1, n + 1), 2)
+                q = parse_permutation(f"({x} {y})", n) * q
+            out.append((a, q))
+    return tuple(out)
+
+
+def _corrections():
+    for a, q in pinned_corrections():
+        for mode in ("exact", "heuristic") if a.degree <= MAX_EXACT_DEGREE else ("heuristic",):
+            rep = centralizer_correct(a, q, mode)
+            yield rep.corrected.images, str(rep.distance), str(rep.input_defect), rep.mode
+
+
 def _small_conjugator_or_none(h1, h2):
     try:
         return small_conjugator(h1, h2).images
@@ -808,6 +967,14 @@ PINNED_OUTPUTS = {
         for G in pinned_groups()
         for K in (find_normal_complement(G, H) for H in all_subgroups(G))
     ],
+    "has_extension": lambda: [
+        ext and [p.images for p in ext.images]
+        for ext in (has_extension(*case) for case in pinned_extensions())
+    ],
+    "replication_count": lambda: [
+        _replication_count_or_none(*pair) for pair in pinned_replications()
+    ],
+    "centralizer_correct": lambda: list(_corrections()),
 }
 
 
@@ -826,10 +993,18 @@ PINNED_OUTPUTS = {
                                 "d1c532e97c185182e57e44bfd09fec72"),
         ("find_normal_complement", "d10211ea2e749aad8064a20d88400c7c"
                                    "5340b893f47039e87cefe0ec60eaddd5"),
+        ("has_extension", "dd4aed3dc7e8fe3006a8908a0ac1802d"
+                          "73331b4ebb72d02ef592abd8203e6e85"),
+        ("replication_count", "bed78b2c44e461c499526e08a747f5a6"
+                              "46cb7e712a6b24d66063ca9a2f3dad43"),
+        ("centralizer_correct", "1fb53390e347cabf5154b0cb30795890"
+                                "2559c473e6b4d7ff55250082c64e9b60"),
     ],
 )
 def test_outputs_pinned(name, digest):
     # sha256 of seeded outputs, taken when every one of these functions
-    # still scanned every element of the group
+    # still scanned every element of the group; the last three when
+    # has_extension and replication_count still counted orbits by the
+    # subgroup classes of the lattice
     out = json.dumps(PINNED_OUTPUTS[name]())
     assert hashlib.sha256(out.encode()).hexdigest() == digest
