@@ -18,12 +18,20 @@ graph's free-group action (counted by ``trace_stats`` from fixed-point
 masks), and a complete invariant, the out-neighbours renumbered in
 discovery order, which deduplicates the enumeration and keys the orbits.
 
-Distances are one batch of trace queries per graph.  The statistic words
-of every enumerated pattern are indexed once per (alphabet, bound): one
-tuple of the distinct words and, per pattern, the indices of its ``A_P``
-and ``B_P`` in it.  Each distinct word is evaluated once per graph, by
-one composition from its suffix, and a frequency is then the AND of the
-masks at its indices and one bit count.
+Distances count embeddings along the enumeration tree.  The enumerator
+builds every class as the class it was found from plus one edge, in that
+parent's vertex numbering, and records the pair.  A vertex gets its word
+when it is added: the root the empty word, a vertex added by an edge
+labelled ``s`` from or to ``u`` the word ``s w_u`` or ``s^-1 w_u``.  So
+a class's rooted embeddings are its parent's that meet one more
+condition: an added inner edge ``(u, v, s)`` needs ``s w_u(x) =
+w_v(x)``, and an added vertex needs its word's image to differ from
+every existing vertex's.  The plan of these conditions is built once per
+(alphabet, bound); per graph, each vertex word is one composition from
+its suffix, each condition a few equality masks, and each class one AND
+with its parent's mask, skipped below a parent whose mask is empty.
+:func:`_statistic_words` stays the per-pattern definition that
+:func:`pattern_frequency` counts.
 
 Pattern family.  Only patterns whose vertices have at most one outgoing
 and one incoming edge per label are enumerated: any other pattern embeds
@@ -41,11 +49,13 @@ the distance invariant under a consistent relabeling of both graphs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, permutations as iperms, product
-from operator import itemgetter
+from itertools import accumulate, chain, combinations, compress, permutations as iperms, product
+from operator import itemgetter, sub
+from sys import byteorder
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -352,22 +362,33 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
 # canonical pattern enumeration and the statistical distance
 
 
+class Catalogue(tuple):
+    """The ``(pattern, weight)`` pairs of :func:`enumerate_patterns`, with
+    the tree that generated them: ``tree`` holds five ints per class but
+    the first, in the order generation found them, ``(index, parent,
+    u, v, label)``, the catalogue indices of the class and of the class it
+    was generated from, and the edge ``(u, v, label)`` added to the parent
+    in the parent's vertex numbering, which the class keeps.  Entry 0 is
+    the one-vertex pattern, the root of the tree."""
+
+    tree: Sequence[int] = ()
+
+
 @lru_cache(maxsize=32)
-def enumerate_patterns(
-    alphabet: tuple[str, ...], size_bound: int
-) -> tuple[tuple[RootedPattern, Fraction], ...]:
+def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     """All connected rooted patterns with at most ``size_bound`` vertices,
     in canonical order, each paired with its weight.
 
     Generation adds one edge per layer and keeps the first pattern found
-    per :func:`_traversal_key`.  Order: :func:`_certificate`, vertex
-    count first.  The j-th
+    per :func:`_traversal_key`; ``tree`` of the result records which
+    class and edge each class was found from.  Order: :func:`_certificate`,
+    vertex count first.  The j-th
     label-relabeling orbit (1-based, ordered by first appearance) has
     weight ``2^-j``; an orbit keeps its edge count, so the first class of
     an orbit found in a layer keys its relabelings there.
     """
     if size_bound < 1:
-        return ()
+        return Catalogue()
     if size_bound > DEFAULT_PATTERN_VERTEX_BOUND:
         raise BoundExceededError(
             f"size bound {size_bound} exceeds {DEFAULT_PATTERN_VERTEX_BOUND}"
@@ -379,18 +400,20 @@ def enumerate_patterns(
     ][1:]
     seed = _slot_rows(1, (), m)
     layer = [(RootedPattern._trusted(1, 1, alphabet, frozenset()), seed, _traversal_key(seed, 1))]
-    classes = []  # (certificate, pattern, orbit id) per class
+    classes = []  # (certificate, pattern, orbit id, generation index) per class
+    found = array("i")  # (parent, u, v, label) per class after the first
     while layer:
         orbit_of: dict[tuple, int] = {}  # keys of this layer
         seen: set[tuple] = set()  # keys of the next layer
         new = []
         for pat, rows, key in layer:
+            parent = len(classes)  # this class, the parent of its successors
             if key not in orbit_of:
-                orbit_of[key] = orbit = len(classes)  # the orbit's first class
+                orbit_of[key] = orbit = parent  # the orbit's first class
                 for order in relabelings:
                     relabeled = [[row[k] for k in order] for row in rows]
                     orbit_of.setdefault(_traversal_key(relabeled, 1), orbit)
-            classes.append((_certificate(rows, 1, m), pat, orbit_of[key]))
+            classes.append((_certificate(rows, 1, m), pat, orbit_of[key], parent))
             # successors: an edge on free slots of each label between two
             # vertices, then, below the bound, to and from a new vertex,
             # set in place in the parent's rows
@@ -411,14 +434,23 @@ def enumerate_patterns(
                         k = max(n, u, v)
                         succ = RootedPattern._trusted(k, 1, alphabet, pat.edges | {(u, v, lab)})
                         new.append((succ, [row[:] for row in rows[: k + 1]], succ_key))
+                        found.extend((parent, u, v, lab))
                     rows[u][o] = rows[v][i] = 0
         layer = new
     classes.sort(key=itemgetter(0))
+    index = array("i", [0]) * len(classes)  # catalogue index per class
+    for i, entry in enumerate(classes):
+        index[entry[3]] = i
     weight_of: dict[int, Fraction] = {}  # one shared weight per orbit
-    for _, _, orbit in classes:
+    for _, _, orbit, _ in classes:
         if orbit not in weight_of:
             weight_of[orbit] = Fraction(1, 2 ** (len(weight_of) + 1))
-    return tuple((pat, weight_of[orbit]) for _, pat, orbit in classes)
+    catalogue = Catalogue((pat, weight_of[orbit]) for _, pat, orbit, _ in classes)
+    parents = map(index.__getitem__, found[::4])
+    catalogue.tree = array(
+        "i", chain.from_iterable(zip(index[1:], parents, found[1::4], found[2::4], found[3::4]))
+    )
+    return catalogue
 
 
 def stat_distance_truncated(
@@ -431,24 +463,128 @@ def stat_distance_truncated(
     return total
 
 
+class _EmbeddingPlan:
+    """The rooted embeddings of every pattern of :func:`enumerate_patterns`,
+    counted along its generation tree from flat int sequences.
+
+    Each pattern vertex has a word: the root the empty word, and a vertex
+    added by an edge ``(u, new, s)`` or ``(new, u, s)`` the word ``s w_u``
+    or ``s^-1 w_u``.  Word ids 1, 2, ... are listed by ``letters`` and
+    ``suffixes``: a word is one letter, coded ``2 s`` or ``2 s + 1`` for
+    ``s^-1``, before a word of a smaller id (0 is the empty word).  The
+    points at which a class embeds rooted are those of its parent that meet
+    one condition, an AND of the equality masks of word pairs (``pairs``):
+    for an added inner edge ``(u, v, s)``, ``s w_u`` and ``w_v`` agree; for
+    an added vertex, its word differs from every existing vertex's.  A
+    condition lists its pair ids, ``~id`` for differs.  ``children``
+    holds ``(class, condition)`` per class but the first, grouped by
+    parent: those of class ``c`` at ``first[c]`` up to ``first[c + 1]``.
+    """
+
+    def __init__(self, catalogue: Catalogue):
+        words = {}  # (letter, suffix word id) -> word id
+        pairs = {}  # (word id, word id) -> pair id
+        conditions = {}  # signed pair ids -> condition id
+        vertex_words = [()] * len(catalogue)  # per class, per vertex
+        vertex_words[0] = (0,)
+        children = [[] for _ in catalogue]  # per class, (class, condition) pairs
+
+        def word(letter, suffix):
+            return words.setdefault((letter, suffix), len(words) + 1)
+
+        def pair(a, b):
+            return pairs.setdefault((a, b) if a < b else (b, a), len(pairs))
+
+        tree = catalogue.tree
+        for t in range(0, len(tree), 5):
+            index, parent, u, v, lab = tree[t : t + 5]
+            ws = vertex_words[parent]
+            n = len(ws)
+            if u <= n and v <= n:  # an inner edge: s w_u agrees with w_v
+                signed = (pair(word(2 * lab, ws[u - 1]), ws[v - 1]),)
+            else:  # a new head s w_u or tail s^-1 w_v, unlike every vertex
+                new = word(2 * lab, ws[u - 1]) if v > n else word(2 * lab + 1, ws[v - 1])
+                signed = tuple(~pair(new, w) for w in ws)
+                ws += (new,)
+            vertex_words[index] = ws
+            children[parent] += (index, conditions.setdefault(signed, len(conditions)))
+        self.letters = array("i", [letter for letter, _ in words])
+        self.suffixes = array("i", [suffix for _, suffix in words])
+        self.pairs = array("i", chain.from_iterable(pairs))
+        self.conditions = tuple(conditions)
+        self.first = array("i", accumulate(map(len, children), initial=0))
+        self.children = array("i", chain.from_iterable(children))
+        self._catalogue = catalogue
+        self._rows: dict[int, tuple] = {}  # row parts of the patterns listed so far
+        self._weights: dict[int, str] = {}  # weight 2^-k as text, by k
+
+    def counts(self, graph: LabeledDigraph) -> list[int]:
+        """Per class, the number of points at which it embeds rooted.
+
+        Each word's image of the points is one int with a ``w``-bit field
+        per point, holding the image point below bit ``w - 1``, so an
+        equality mask is a few int operations on two images: bit ``w - 1``
+        of a field is set where the fields agree.  Only the children of
+        classes with a nonzero mask are visited."""
+        n = graph.n
+        letters = []  # per letter code, the image of each point, 0-based
+        for p in graph.perms:
+            images = [j - 1 for j in p.images]
+            inverse = [0] * n
+            for i, j in enumerate(images):
+                inverse[j] = i
+            letters += (images, inverse)
+        images = [range(n)]  # per word id
+        for letter, suffix in zip(self.letters, self.suffixes):
+            images.append(list(map(letters[letter].__getitem__, images[suffix])))
+        kind = next(k for k in "BHIQ" if n <= 1 << 8 * array(k).itemsize - 1)
+        width = 8 * array(kind).itemsize  # bits per point
+        packed = [int.from_bytes(array(kind, im).tobytes(), byteorder) for im in images]
+        ones = int.from_bytes(array(kind, [1] * n).tobytes(), byteorder)
+        full = ones << width - 1  # the top bit of every field
+        low = full - ones  # every field but its top bit
+        pairs = self.pairs
+        equal = [
+            full & ~((packed[pairs[i]] ^ packed[pairs[i + 1]]) + low)
+            for i in range(0, len(pairs), 2)
+        ]
+        conditions = []
+        for signed in self.conditions:
+            mask = full
+            for i in signed:
+                mask &= equal[i] if i >= 0 else full ^ equal[~i]
+            conditions.append(mask)
+        counts = [0] * len(self._catalogue)
+        counts[0] = n
+        first, children = self.first, self.children
+        queue = [(0, full)]
+        for parent, mask in queue:  # grows while iterated
+            for t in range(first[parent], first[parent + 1], 2):
+                if sub_mask := mask & conditions[children[t + 1]]:
+                    index = children[t]
+                    counts[index] = sub_mask.bit_count()
+                    queue.append((index, sub_mask))
+        return counts
+
+    def row(self, j: int) -> tuple:
+        """``(vertices, root, sorted edges, weight text, k)`` of pattern
+        ``j`` (0-based, weight ``2^-k``), built the first time it is
+        asked for."""
+        parts = self._rows.get(j)
+        if parts is None:
+            pat, weight = self._catalogue[j]
+            k = weight.denominator.bit_length() - 1
+            text = self._weights.get(k) or self._weights.setdefault(k, str(weight))
+            alphabet = pat.alphabet
+            edges = tuple(sorted((u, v, alphabet[lab]) for u, v, lab in pat.edges))
+            parts = self._rows[j] = (pat.n, pat.root, edges, text, k)
+        return parts
+
+
 @lru_cache(maxsize=32)
-def _pattern_queries(
-    alphabet: tuple[str, ...], size_bound: int
-) -> tuple[tuple[Word, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
-    """The distinct statistic words of every pattern of
-    :func:`enumerate_patterns`, and per pattern the indices of its
-    ``A_P`` and ``B_P`` (:func:`_statistic_words`) among them."""
-    index: dict[Word, int] = {}
-    queries = []
-    for pat, _ in enumerate_patterns(alphabet, size_bound):
-        fixed, moved = _statistic_words(pat)
-        queries.append(
-            (
-                tuple(index.setdefault(w, len(index)) for w in fixed),
-                tuple(index.setdefault(w, len(index)) for w in moved),
-            )
-        )
-    return tuple(index), tuple(queries)
+def _embedding_plan(alphabet: tuple[str, ...], size_bound: int) -> _EmbeddingPlan:
+    """The :class:`_EmbeddingPlan` of one alphabet and bound."""
+    return _EmbeddingPlan(enumerate_patterns(alphabet, size_bound))
 
 
 def stat_distance_details(
@@ -456,38 +592,40 @@ def stat_distance_details(
 ) -> tuple[Fraction, list[dict]]:
     """Distance plus one row per pattern with a nonzero contribution.
 
-    Each graph answers every pattern's query in one batch; the frequency
-    ``c / n`` of a pattern with ``c`` rooted embeddings is 0 on the empty
-    graph, whose counts are all 0 (denominator 1 below).
+    Each graph counts every pattern's rooted embeddings along the
+    generation tree (:class:`_EmbeddingPlan`); the frequency ``c / n`` of a
+    pattern with ``c`` rooted embeddings is 0 on the empty graph, whose
+    counts are all 0 (denominator 1 below).
     """
     if g1.alphabet != g2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {g1.alphabet} vs {g2.alphabet}"
         )
-    patterns = enumerate_patterns(g1.alphabet, size_bound)
-    words, queries = _pattern_queries(g1.alphabet, size_bound)
-    c1 = g1.hom.trace.query_counts(words, queries)
-    c2 = g2.hom.trace.query_counts(words, queries)
+    plan = _embedding_plan(g1.alphabet, size_bound)
     d1, d2 = g1.n or 1, g2.n or 1
+    c1, c2 = plan.counts(g1), plan.counts(g2)
+    deltas = list(map(sub, map(d2.__mul__, c1), map(d1.__mul__, c2)))
+    texts1: dict[int, str] = {}  # one str(Fraction) per distinct count
+    texts2: dict[int, str] = {}
     terms = []  # (k of the weight 2^-k, |f1 - f2| * d1 * d2) per row
     rows = []
-    for j, ((pat, weight), a, b) in enumerate(zip(patterns, c1, c2), 1):
-        delta = abs(a * d2 - b * d1)
-        if delta:
-            terms.append((weight.denominator.bit_length() - 1, delta))
-            rows.append(
-                {
-                    "index": j,
-                    "vertices": pat.n,
-                    "root": pat.root,
-                    "edges": sorted(
-                        [u, v, pat.alphabet[lab]] for u, v, lab in pat.edges
-                    ),
-                    "weight": str(weight),
-                    "f1": str(Fraction(a, d1)),
-                    "f2": str(Fraction(b, d2)),
-                }
-            )
+    for j in compress(range(len(deltas)), deltas):
+        n, root, edges, weight, k = plan.row(j)
+        a, b = c1[j], c2[j]
+        f1 = texts1.get(a) or texts1.setdefault(a, str(Fraction(a, d1)))
+        f2 = texts2.get(b) or texts2.setdefault(b, str(Fraction(b, d2)))
+        terms.append((k, abs(deltas[j])))
+        rows.append(
+            {
+                "index": j + 1,
+                "vertices": n,
+                "root": root,
+                "edges": list(map(list, edges)),
+                "weight": weight,
+                "f1": f1,
+                "f2": f2,
+            }
+        )
     K = max((k for k, _ in terms), default=0)  # one sum over 2^K, by shifts
     num = sum(delta << (K - k) for k, delta in terms)
     return Fraction(num, (d1 * d2) << K), rows

@@ -48,8 +48,8 @@ class ActionTrace:
     ``_shares``.  The table store never changes after it is built; the
     word and share memos are insert-only and each entry is the same
     whoever adds it, so a trace may be shared across threads.
-    :meth:`query_counts` answers a whole batch of queries over one element
-    list.
+    :meth:`masks` evaluates a whole list of words at once, each from its
+    longest suffix already evaluated.
     """
 
     def __init__(self, h: PermHomomorphism):
@@ -120,29 +120,6 @@ class ActionTrace:
                 return Fraction(int(not moved))
             share = self._shares[count] = Fraction(count, degree)
         return share
-
-    def query_counts(
-        self, elements: Sequence, queries: Iterable[tuple[Sequence[int], Sequence[int]]]
-    ) -> list[int]:
-        """Per ``(fixed_idx, moved_idx)`` query, the number of points fixed
-        by ``elements[i]`` for every ``i`` in ``fixed_idx`` and moved by
-        ``elements[j]`` for every ``j`` in ``moved_idx``.
-
-        Each mask is read once, so a count is a few ANDs and one
-        ``bit_count``.
-        """
-        full = self._full
-        fixed = self.masks(elements)
-        moved = [full ^ m for m in fixed]
-        counts = []
-        for fixed_idx, moved_idx in queries:
-            mask = full
-            for i in fixed_idx:
-                mask &= fixed[i]
-            for j in moved_idx:
-                mask &= moved[j]
-            counts.append(mask.bit_count())
-        return counts
 
     def _count(self, fixed: Iterable[int], moved: Iterable[int]) -> int:
         """Points in every mask of ``fixed`` and in no mask of ``moved``."""

@@ -10,9 +10,10 @@ behind ``hom_order_leq``, ``rep_subtract``, ``has_extension`` and
 ``replication_count``, the class dictionary of ``multiplicity._match``
 and the partner-keyed classes of ``nearest_conjugator`` that one orbit
 classifier replaced, the conjugation by every element behind
-``subgroup_conjugacy_classes``, the one-pattern-at-a-time
-loop behind ``stat_distance_details``, the ``repr``-ranked colour
-refinement, certificate and edge-set generation behind
+``subgroup_conjugacy_classes``, the one-pattern-at-a-time loop behind
+``stat_distance_details`` and the batch of statistic-word queries that
+counted its embeddings before the generation tree did, the
+``repr``-ranked colour refinement, certificate and edge-set generation behind
 ``enumerate_patterns``, the unpruned ``(mask, sign)`` expansion behind
 ``s_from_tr``, Light's test with its generating-set picks interleaved
 behind ``FiniteGroup``, and the argparse front end behind the CLI's
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterator, Mapping, Sequence
@@ -39,6 +41,7 @@ from permstab.errors import (
 from permstab.graphs import (
     LabeledDigraph,
     RootedPattern,
+    _statistic_words,
     enumerate_patterns,
     pattern_frequency,
 )
@@ -479,6 +482,51 @@ def stat_distance_details(
                 }
             )
     return total, rows
+
+
+def query_counts(trace, elements: Sequence, queries) -> list[int]:
+    """Per ``(fixed_idx, moved_idx)`` query, the number of points fixed by
+    ``elements[i]`` for every ``i`` in ``fixed_idx`` and moved by
+    ``elements[j]`` for every ``j`` in ``moved_idx``: each mask read once,
+    a count a few ANDs and one bit count."""
+    full = trace._full
+    fixed = trace.masks(elements)
+    moved = [full ^ m for m in fixed]
+    counts = []
+    for fixed_idx, moved_idx in queries:
+        mask = full
+        for i in fixed_idx:
+            mask &= fixed[i]
+        for j in moved_idx:
+            mask &= moved[j]
+        counts.append(mask.bit_count())
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _pattern_queries(alphabet: tuple[str, ...], size_bound: int) -> tuple:
+    """The distinct statistic words (``_statistic_words``) of every pattern
+    of ``enumerate_patterns``, and per pattern the positions of its ``A_P``
+    and ``B_P`` among them."""
+    index: dict = {}
+    queries = []
+    for pat, _ in enumerate_patterns(alphabet, size_bound):
+        fixed, moved = _statistic_words(pat)
+        queries.append(
+            (
+                tuple(index.setdefault(w, len(index)) for w in fixed),
+                tuple(index.setdefault(w, len(index)) for w in moved),
+            )
+        )
+    return tuple(index), tuple(queries)
+
+
+def pattern_counts(graph: LabeledDigraph, size_bound: int) -> list[int]:
+    """Per pattern of ``enumerate_patterns``, the number of points at which
+    it embeds rooted, as one batch of trace queries over the statistic
+    words of every pattern (:func:`_pattern_queries`)."""
+    words, queries = _pattern_queries(graph.alphabet, size_bound)
+    return query_counts(graph.hom.trace, words, queries)
 
 
 def refine_colors(n: int, root: int, edges) -> dict[int, tuple]:

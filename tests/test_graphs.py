@@ -449,18 +449,16 @@ class TestEnumeration:
         assert [(p.n, p.root, p.edges, w) for p, w in listed] == [
             (p.n, p.root, p.edges, w) for p, w in expected
         ]
-        index: dict = {}
-        queries = []
-        for pat, _ in expected:
-            fixed, moved = _statistic_words(pat)
-            queries.append(
-                (
-                    tuple(index.setdefault(w, len(index)) for w in fixed),
-                    tuple(index.setdefault(w, len(index)) for w in moved),
-                )
-            )
-        expected_queries = (tuple(index), tuple(queries))
-        assert graphs._pattern_queries(alphabet, bound) == expected_queries
+        # the generation tree: every class but the first once, each its
+        # parent's edges plus one edge, in the parent's vertex numbering
+        tree = listed.tree
+        assert sorted(tree[::5]) == list(range(1, len(listed)))
+        for t in range(0, len(tree), 5):
+            index, parent, u, v, lab = tree[t : t + 5]
+            pat, base = expected[index][0], expected[parent][0]
+            assert (u, v, lab) not in base.edges
+            assert pat.edges == base.edges | {(u, v, lab)}
+            assert pat.n == max(base.n, u, v) <= base.n + 1
 
     @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 3)])
     def test_ranks_match_repr_refinement(self, alphabet, bound):
@@ -645,16 +643,67 @@ class TestStatDistance:
                 oracles.stat_distance_details(g1, g2, bound)
             ), (n1, n2)
 
-    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 3), (("x", "y", "z"), 2)])
-    def test_queries_index_the_statistic_words(self, alphabet, bound):
-        words, queries = graphs._pattern_queries(alphabet, bound)
-        assert len(set(words)) == len(words)
-        patterns = enumerate_patterns(alphabet, bound)
-        assert len(queries) == len(patterns)
-        for (pat, _), (fixed_idx, moved_idx) in zip(patterns, queries):
-            fixed = frozenset(words[i] for i in fixed_idx)
-            moved = frozenset(words[i] for i in moved_idx)
-            assert (fixed, moved) == _statistic_words(pat)
+    @staticmethod
+    def oracle_graphs(alphabet, rng, wide):
+        """Every graph of degree 0, 1 and 2; identity graphs; graphs whose
+        labels move at most 3 points; random graphs up to degree 60 and of
+        the degrees ``wide``."""
+        m = len(alphabet)
+        for n in (0, 1, 2):
+            for perms in product(list(map(Permutation, iperms(range(1, n + 1)))), repeat=m):
+                yield LabeledDigraph(n, alphabet, perms)
+        for n in (3, 7, 60):
+            yield LabeledDigraph(n, alphabet, (Permutation.identity(n),) * m)
+        for n in (3, 4, 9, 60):
+            for _ in range(3):
+                perms = []
+                for _ in alphabet:
+                    images = list(range(1, n + 1))
+                    moved = rng.sample(range(n), rng.randint(0, 3))
+                    for i, j in zip(moved, moved[1:] + moved[:1]):
+                        images[i] = j + 1
+                    perms.append(Permutation(images))
+                yield LabeledDigraph(n, alphabet, tuple(perms))
+        for n in (5, 12, 31, 60, *wide):
+            yield random_graph(alphabet, n, rng)
+
+    # on each side of the degrees where the plan widens its field per
+    # point (128 and 32,768), the second one letter only, for time
+    @pytest.mark.parametrize(
+        "alphabet,bound,wide",
+        [
+            (("x",), 5, (128, 129, 200, 32768, 40000)),
+            (("x", "y"), 4, (128, 129, 200)),
+            (("x", "y", "z"), 3, (128, 129, 200)),
+        ],
+        ids=["x-5", "xy-4", "xyz-3"],
+    )
+    def test_counts_match_statistic_word_oracle(self, alphabet, bound, wide):
+        plan = graphs._embedding_plan(alphabet, bound)
+        for g in self.oracle_graphs(alphabet, Random(75 + bound), wide):
+            assert plan.counts(g) == oracles.pattern_counts(g, bound), g
+
+    def test_warm_distance_builds_the_plan_once(self, monkeypatch):
+        calls = {"plan": 0, "words": 0}
+        build, words = graphs._EmbeddingPlan.__init__, graphs._statistic_words
+
+        def count_build(self, *args):
+            calls["plan"] += 1
+            build(self, *args)
+
+        def count_words(*args):
+            calls["words"] += 1
+            return words(*args)
+
+        monkeypatch.setattr(graphs._EmbeddingPlan, "__init__", count_build)
+        monkeypatch.setattr(graphs, "_statistic_words", count_words)
+        graphs._embedding_plan.cache_clear()
+        rng = Random(76)
+        for _ in range(3):
+            for alphabet, bound in ((("x",), 4), (("x", "y"), 3), (("x", "y"), 2)):
+                g1, g2 = (random_graph(alphabet, rng.randint(0, 20), rng) for _ in "12")
+                stat_distance_details(g1, g2, bound)
+        assert calls == {"plan": 3, "words": 0}
 
 
 class TestWordStatistics:

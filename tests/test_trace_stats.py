@@ -222,7 +222,7 @@ def random_word(rng, m):
 
 
 class TestBatchWordEvaluation:
-    """``query_counts`` evaluates each word once, from its suffix."""
+    """``ActionTrace.masks`` evaluates each word once, from its suffix."""
 
     def test_against_evaluate_word_and_statistic_count(self):
         rng = Random(30)
@@ -244,7 +244,7 @@ class TestBatchWordEvaluation:
                 )
                 for _ in range(25)
             ]
-            counts = trace.query_counts(words, queries)
+            counts = oracles.query_counts(trace, words, queries)
             # only the masks of the asked words are kept
             assert set(trace._mask_memo) == set(words)
             for w in words:
@@ -271,26 +271,26 @@ class TestBatchWordEvaluation:
         monkeypatch.setattr(Permutation, "__mul__", counted)
         x, y, y_inv = (0, 1), (1, 1), (1, -1)
         words = [(y,), (x, y), (x, x, y), (y_inv, x, y), (x, y)]
-        counts = ActionTrace(h).query_counts(words, [((i,), ()) for i in range(5)])
+        masks = ActionTrace(h).masks(words)
         # y is a letter; x y, x x y and y^-1 x y take one product each
         assert len(products) == 3
-        assert counts == [len(evaluate_word(h, w).fixed_points()) for w in words]
+        assert masks == [evaluate_word(h, w).fixed_mask() for w in words]
 
     def test_unknown_generator_rejected(self):
         h = PermHomomorphism(FpGroup(("x",)), 2, (Permutation([2, 1]),))
         with pytest.raises(WordError):
-            ActionTrace(h).query_counts([((0, 1), (1, 1))], [])
+            ActionTrace(h).masks([((0, 1), (1, 1))])
 
 
 class TestPointCountOracle:
     """``action_trace``, ``bs_statistic``, ``s_from_tr``, ``statistic_table``
-    and ``query_counts`` against ``oracles.point_count``."""
+    and ``oracles.query_counts`` against ``oracles.point_count``."""
 
     @staticmethod
     def check_universe(h, U, canonical=None):
         """Every ``(A, B)`` with ``A`` union ``B`` equal to ``U``, whose
         elements have distinct canonical forms (``canonical[u]``, if given:
-        what ``query_counts`` and the table keys take)."""
+        what ``oracles.query_counts`` and the table keys take)."""
         elements = list(U) if canonical is None else [canonical[u] for u in U]
         queries, want, table = [], [], {}
         for roles in product(range(3), repeat=len(U)):  # A only, B only, both
@@ -307,7 +307,7 @@ class TestPointCountOracle:
                 table[frozenset(elements[i] for i in fixed)] = value
             queries.append((fixed, moved))
             want.append(oracles.point_count(h, A, B))
-        assert ActionTrace(h).query_counts(elements, queries) == want, U
+        assert oracles.query_counts(ActionTrace(h), elements, queries) == want, U
         assert statistic_table(h, U) == table, U
 
     def test_exhaustive_small_groups(self):
