@@ -27,9 +27,9 @@ a class's rooted embeddings are its parent's that meet one more
 condition: an added inner edge ``(u, v, s)`` needs ``s w_u(x) =
 w_v(x)``, and an added vertex needs its word's image to differ from
 every existing vertex's.  The plan of these conditions is built once per
-(alphabet, bound); per graph, each vertex word is one composition from
-its suffix, each condition a few equality masks, and each class one AND
-with its parent's mask, skipped below a parent whose mask is empty.
+catalogue; per graph, each vertex word is one composition from its
+suffix, each condition a few equality masks, and each class one AND with
+its parent's mask, skipped below a parent whose mask is empty.
 :func:`_statistic_words` stays the per-pattern definition that
 :func:`pattern_frequency` counts.
 
@@ -373,6 +373,12 @@ class Catalogue(tuple):
 
     tree: Sequence[int] = ()
 
+    @cached_property
+    def plan(self) -> _EmbeddingPlan:
+        """The :class:`_EmbeddingPlan` of this catalogue, built the first
+        time a distance asks for it."""
+        return _EmbeddingPlan(self)
+
 
 @lru_cache(maxsize=32)
 def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
@@ -485,8 +491,7 @@ class _EmbeddingPlan:
         words = {}  # (letter, suffix word id) -> word id
         pairs = {}  # (word id, word id) -> pair id
         conditions = {}  # signed pair ids -> condition id
-        vertex_words = [()] * len(catalogue)  # per class, per vertex
-        vertex_words[0] = (0,)
+        vertex_words = [(0,)] * len(catalogue)  # per class, per vertex
         children = [[] for _ in catalogue]  # per class, (class, condition) pairs
 
         def word(letter, suffix):
@@ -516,17 +521,22 @@ class _EmbeddingPlan:
         self.children = array("i", chain.from_iterable(children))
         self._catalogue = catalogue
         self._rows: dict[int, tuple] = {}  # row parts of the patterns listed so far
-        self._weights: dict[int, str] = {}  # weight 2^-k as text, by k
 
     def counts(self, graph: LabeledDigraph) -> list[int]:
         """Per class, the number of points at which it embeds rooted.
 
-        Each word's image of the points is one int with a ``w``-bit field
-        per point, holding the image point below bit ``w - 1``, so an
-        equality mask is a few int operations on two images: bit ``w - 1``
-        of a field is set where the fields agree.  Only the children of
-        classes with a nonzero mask are visited."""
+        Each word's image of the points is an array of ``w``-bit fields,
+        one per point, read as one int, holding the image point below bit
+        ``w - 1``, so an equality mask is a few int operations on two
+        images: bit ``w - 1`` of a field is set where the fields agree.
+        Masks then keep the top byte of each field only.  The tree is
+        walked depth first, visiting only the children of classes with a
+        nonzero mask."""
+        if not self._catalogue:  # a size bound below 1: no pattern
+            return []
         n = graph.n
+        kind = next(k for k in "BHIQ" if n <= 1 << 8 * array(k).itemsize - 1)
+        step = array(kind).itemsize  # bytes per point
         letters = []  # per letter code, the image of each point, 0-based
         for p in graph.perms:
             images = [j - 1 for j in p.images]
@@ -534,36 +544,41 @@ class _EmbeddingPlan:
             for i, j in enumerate(images):
                 inverse[j] = i
             letters += (images, inverse)
-        images = [range(n)]  # per word id
+        images = [array(kind, range(n))]  # per word id
         for letter, suffix in zip(self.letters, self.suffixes):
-            images.append(list(map(letters[letter].__getitem__, images[suffix])))
-        kind = next(k for k in "BHIQ" if n <= 1 << 8 * array(k).itemsize - 1)
-        width = 8 * array(kind).itemsize  # bits per point
-        packed = [int.from_bytes(array(kind, im).tobytes(), byteorder) for im in images]
-        ones = int.from_bytes(array(kind, [1] * n).tobytes(), byteorder)
-        full = ones << width - 1  # the top bit of every field
-        low = full - ones  # every field but its top bit
+            images.append(array(kind, map(letters[letter].__getitem__, images[suffix])))
+        packed = [int.from_bytes(im, byteorder) for im in images]
+        ones = int.from_bytes(array(kind, [1] * n), byteorder)
+        top = ones << 8 * step - 1  # the top bit of every field
+        low = top - ones  # every field but its top bit
         pairs = self.pairs
         equal = [
-            full & ~((packed[pairs[i]] ^ packed[pairs[i + 1]]) + low)
+            top & ~((packed[pairs[i]] ^ packed[pairs[i + 1]]) + low)
             for i in range(0, len(pairs), 2)
         ]
+        if step > 1:  # the byte holding each top bit, one byte per point
+            at = step - 1 if byteorder == "little" else 0
+            top, *equal = (
+                int.from_bytes(mask.to_bytes(n * step, byteorder)[at::step], byteorder)
+                for mask in (top, *equal)
+            )
         conditions = []
         for signed in self.conditions:
-            mask = full
+            mask = top
             for i in signed:
-                mask &= equal[i] if i >= 0 else full ^ equal[~i]
+                mask &= equal[i] if i >= 0 else top ^ equal[~i]
             conditions.append(mask)
         counts = [0] * len(self._catalogue)
         counts[0] = n
         first, children = self.first, self.children
-        queue = [(0, full)]
-        for parent, mask in queue:  # grows while iterated
+        stack = [(0, top)]
+        while stack:
+            parent, mask = stack.pop()
             for t in range(first[parent], first[parent + 1], 2):
                 if sub_mask := mask & conditions[children[t + 1]]:
                     index = children[t]
                     counts[index] = sub_mask.bit_count()
-                    queue.append((index, sub_mask))
+                    stack.append((index, sub_mask))
         return counts
 
     def row(self, j: int) -> tuple:
@@ -574,17 +589,10 @@ class _EmbeddingPlan:
         if parts is None:
             pat, weight = self._catalogue[j]
             k = weight.denominator.bit_length() - 1
-            text = self._weights.get(k) or self._weights.setdefault(k, str(weight))
             alphabet = pat.alphabet
             edges = tuple(sorted((u, v, alphabet[lab]) for u, v, lab in pat.edges))
-            parts = self._rows[j] = (pat.n, pat.root, edges, text, k)
+            parts = self._rows[j] = (pat.n, pat.root, edges, str(weight), k)
         return parts
-
-
-@lru_cache(maxsize=32)
-def _embedding_plan(alphabet: tuple[str, ...], size_bound: int) -> _EmbeddingPlan:
-    """The :class:`_EmbeddingPlan` of one alphabet and bound."""
-    return _EmbeddingPlan(enumerate_patterns(alphabet, size_bound))
 
 
 def stat_distance_details(
@@ -601,7 +609,7 @@ def stat_distance_details(
         raise AlphabetMismatchError(
             f"alphabets differ: {g1.alphabet} vs {g2.alphabet}"
         )
-    plan = _embedding_plan(g1.alphabet, size_bound)
+    plan = enumerate_patterns(g1.alphabet, size_bound).plan
     d1, d2 = g1.n or 1, g2.n or 1
     c1, c2 = plan.counts(g1), plan.counts(g2)
     deltas = list(map(sub, map(d2.__mul__, c1), map(d1.__mul__, c2)))

@@ -371,6 +371,15 @@ class TestBasicCommands:
         assert report["outputs"]["d_stat"] == "13/32"
         assert len(report["outputs"]["per_pattern"]) == 3
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_dstat_bound_below_one(self, files, bound):
+        code, report = dispatch(
+            ["dstat", files["graph_hom"], files["graph_id"], "--size-bound", bound]
+        )
+        assert code == EXIT_OK
+        assert report["outputs"]["d_stat"] == "0"
+        assert report["outputs"]["per_pattern"] == []
+
     def test_verify_paper(self, files):
         code, report = dispatch(["verify-paper"])
         assert code == EXIT_OK

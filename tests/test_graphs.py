@@ -679,31 +679,39 @@ class TestStatDistance:
         ids=["x-5", "xy-4", "xyz-3"],
     )
     def test_counts_match_statistic_word_oracle(self, alphabet, bound, wide):
-        plan = graphs._embedding_plan(alphabet, bound)
+        plan = enumerate_patterns(alphabet, bound).plan
         for g in self.oracle_graphs(alphabet, Random(75 + bound), wide):
             assert plan.counts(g) == oracles.pattern_counts(g, bound), g
 
     def test_warm_distance_builds_the_plan_once(self, monkeypatch):
         calls = {"plan": 0, "words": 0}
-        build, words = graphs._EmbeddingPlan.__init__, graphs._statistic_words
+        build, words = graphs._EmbeddingPlan, graphs._statistic_words
 
-        def count_build(self, *args):
+        def count_build(catalogue):
             calls["plan"] += 1
-            build(self, *args)
+            return build(catalogue)
 
         def count_words(*args):
             calls["words"] += 1
             return words(*args)
 
-        monkeypatch.setattr(graphs._EmbeddingPlan, "__init__", count_build)
+        monkeypatch.setattr(graphs, "_EmbeddingPlan", count_build)
         monkeypatch.setattr(graphs, "_statistic_words", count_words)
-        graphs._embedding_plan.cache_clear()
+        enumerate_patterns.cache_clear()
         rng = Random(76)
         for _ in range(3):
             for alphabet, bound in ((("x",), 4), (("x", "y"), 3), (("x", "y"), 2)):
                 g1, g2 = (random_graph(alphabet, rng.randint(0, 20), rng) for _ in "12")
                 stat_distance_details(g1, g2, bound)
         assert calls == {"plan": 3, "words": 0}
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_lists_no_pattern(self, bound):
+        rng = Random(77)
+        for n1, n2 in ((0, 0), (0, 5), (3, 7)):
+            g1, g2 = random_graph(("x", "y"), n1, rng), random_graph(("x", "y"), n2, rng)
+            assert stat_distance_details(g1, g2, bound) == (0, [])
+            assert enumerate_patterns(("x", "y"), bound).plan.counts(g1) == []
 
 
 class TestWordStatistics:
