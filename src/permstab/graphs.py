@@ -53,7 +53,10 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, compress, permutations as iperms, product
+from itertools import (
+    accumulate, chain, combinations, compress, islice, permutations as iperms, product
+)
+from math import factorial
 from operator import itemgetter, sub
 from sys import byteorder
 from typing import Iterable, Sequence
@@ -68,6 +71,9 @@ from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
+# traversal keys one enumeration may compute, its successor candidates
+# and its orbits' relabelings together: xyz at bound 3 computes 100,025
+DEFAULT_PATTERN_KEY_BUDGET = 120_000
 DEFAULT_ALPHABET_BOUND = 8
 
 
@@ -392,6 +398,11 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     label-relabeling orbit (1-based, ordered by first appearance) has
     weight ``2^-j``; an orbit keeps its edge count, so the first class of
     an orbit found in a layer keys its relabelings there.
+
+    The work is bounded: an enumeration that would compute more than
+    ``DEFAULT_PATTERN_KEY_BUDGET`` traversal keys, one per successor
+    candidate and one per relabeling of each orbit, counted before they
+    are computed, raises ``BoundExceededError``.
     """
     if size_bound < 1:
         return Catalogue()
@@ -400,10 +411,8 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
             f"size bound {size_bound} exceeds {DEFAULT_PATTERN_VERTEX_BOUND}"
         )
     m = len(alphabet)
-    relabelings = [  # slot orders of the non-identity label permutations
-        [k for lab in perm for k in (2 * lab, 2 * lab + 1)]
-        for perm in iperms(range(m))
-    ][1:]
+    relabelings = factorial(m) - 1  # keys per orbit, one per relabeling
+    spent = 1  # traversal keys computed, the seed's first
     seed = _slot_rows(1, (), m)
     layer = [(RootedPattern._trusted(1, 1, alphabet, frozenset()), seed, _traversal_key(seed, 1))]
     classes = []  # (certificate, pattern, orbit id, generation index) per class
@@ -416,7 +425,11 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
             parent = len(classes)  # this class, the parent of its successors
             if key not in orbit_of:
                 orbit_of[key] = orbit = parent  # the orbit's first class
-                for order in relabelings:
+                spent += relabelings
+                if spent > DEFAULT_PATTERN_KEY_BUDGET:
+                    raise _over_budget(alphabet, size_bound)
+                for perm in islice(iperms(range(m)), 1, None):  # not the identity
+                    order = [k for lab in perm for k in (2 * lab, 2 * lab + 1)]
                     relabeled = [[row[k] for k in order] for row in rows]
                     orbit_of.setdefault(_traversal_key(relabeled, 1), orbit)
             classes.append((_certificate(rows, 1, m), pat, orbit_of[key], parent))
@@ -433,6 +446,9 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                 for u, v in ends:
                     if rows[u][o] or rows[v][i]:
                         continue
+                    spent += 1
+                    if spent > DEFAULT_PATTERN_KEY_BUDGET:
+                        raise _over_budget(alphabet, size_bound)
                     rows[u][o], rows[v][i] = v, u
                     succ_key = _traversal_key(rows, 1)
                     if succ_key not in seen:
@@ -457,6 +473,13 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         "i", chain.from_iterable(zip(index[1:], parents, found[1::4], found[2::4], found[3::4]))
     )
     return catalogue
+
+
+def _over_budget(alphabet: tuple[str, ...], size_bound: int) -> BoundExceededError:
+    return BoundExceededError(
+        f"patterns of {len(alphabet)} letters at size bound {size_bound} need more"
+        f" than {DEFAULT_PATTERN_KEY_BUDGET} traversal keys to enumerate"
+    )
 
 
 def stat_distance_truncated(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceededError, PermStabError
@@ -198,25 +199,54 @@ def tr_from_s(
     """Recover ``Tr`` on all subsets of a finite set ``F`` from the full
     statistic table ``{T -> S(T, F minus T)}``.
 
-    ``stats`` must contain an entry for every subset of ``universe``;
-    then ``Tr(A) = sum over T containing A of S(T, F minus T)``: one
+    ``stats`` must hold an entry for every subset of ``universe``, keyed
+    by the ``frozenset`` of its elements in the form the universe gives
+    them; other keys are ignored.  A table of :func:`statistic_table` on
+    a presentation source is keyed by parsed word tuples, so its own
+    universe is ``max(table, key=len)``, not the words as typed.  Then
+    ``Tr(A) = sum over T containing A of S(T, F minus T)``: one
     superset-sum pass per element, on integers over a common denominator.
+    The result is keyed by the table's own keys, in the order of the
+    universe's elements sorted by ``repr``.
     """
     items = sorted(frozenset(universe), key=repr)
-    subsets = _subsets(items)
-    missing = [T for T in subsets if T not in stats]
-    if missing:
+    size = 1 << len(items)
+    bits = {x: 1 << i for i, x in enumerate(items)}
+    keys = [None] * size  # the caller's key of subset s, at s
+    values = [None] * size
+    for T, v in stats.items():
+        if isinstance(T, frozenset):
+            try:
+                s = sum(map(bits.__getitem__, T))
+            except KeyError:  # an element outside the universe
+                continue
+            keys[s] = T
+            values[s] = v
+    if None in keys:
+        missing = set(_subsets(items)[keys.index(None)])
+        hint = ""
+        if any(isinstance(T, frozenset) and not T.issubset(bits) for T in stats):
+            hint = (
+                "; the table's keys hold elements outside the universe, so the"
+                " universe's elements are not the table's element forms (a word"
+                " table is keyed by parsed word tuples): pass the table's own"
+                " elements as the universe, for example max(table, key=len)"
+            )
         raise PermStabError(
-            f"statistic table is incomplete: missing entry for {set(missing[0])}"
+            f"statistic table is incomplete: missing entry for {missing}{hint}"
         )
-    den = lcm(*(stats[T].denominator for T in subsets))
-    sums = [stats[T].numerator * (den // stats[T].denominator) for T in subsets]
-    for i in range(len(items)):
-        for s in range(len(sums)):
-            if not s >> i & 1:
-                sums[s] += sums[s | 1 << i]
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    sums = [v.numerator * (den // d) for v, d in zip(values, dens)]
+    # Yates's method: a pass adds each odd entry (subsets with the lowest
+    # bit) to the even one before it and lists the evens first, which
+    # rotates the bits, so the next pass sums over the next element and
+    # one pass per element restores the order
+    for _ in items:
+        odd = sums[1::2]
+        sums = [*map(add, sums[::2], odd), *odd]
     shares = {x: Fraction(x, den) for x in set(sums)}
-    return {T: shares[x] for T, x in zip(subsets, sums)}
+    return dict(zip(keys, map(shares.__getitem__, sums)))
 
 
 def statistic_table(
@@ -225,7 +255,9 @@ def statistic_table(
     """The full table ``{T -> S(T, F minus T)}`` over subsets of ``F``.
 
     The points are split once per element of ``F``: the mask of subset
-    ``T`` holds the points fixed by exactly the elements of ``T``.
+    ``T`` holds the points fixed by exactly the elements of ``T``.  Each
+    share is the trace's memoized ``Fraction`` of its count.  Word
+    elements key the table as parsed tuples.
     """
     trace = h.trace
     items = set(trace._canonical(universe))
@@ -235,11 +267,16 @@ def statistic_table(
     for x in items:
         m = fixed[x]
         parts = [p & ~m for p in parts] + [p & m for p in parts]
-    top = len(parts) - 1
-    return {
-        T: trace._share(p.bit_count(), s != top)
-        for s, (T, p) in enumerate(zip(_subsets(items), parts))
-    }
+    degree = trace.hom.degree
+    if degree:
+        counts = list(map(int.bit_count, parts))
+        memo = trace._shares
+        for c in set(counts).difference(memo):
+            memo[c] = Fraction(c, degree)
+        shares = map(memo.__getitem__, counts)
+    else:  # no points: S(T, F minus T) = 1 exactly for T = F
+        shares = [Fraction(0)] * (len(parts) - 1) + [Fraction(1)]
+    return dict(zip(_subsets(items), shares))
 
 
 def _subsets(items: Sequence) -> list[frozenset]:

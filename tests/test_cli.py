@@ -467,6 +467,26 @@ class TestExitCodes:
             "message": "group order exceeds bound 5040",
         }
 
+    @pytest.mark.parametrize("letters,bound", [(3, None), (10, "1")])
+    def test_pattern_key_budget_is_domain_error(self, tmp_path, letters, bound):
+        # three letters at the default bound 4 ran for minutes; ten letters
+        # at bound 1 would list 10! slot orders first
+        generators = [f"g{i}" for i in range(letters)]
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({
+            "group": {"kind": "presentation", "generators": generators, "relators": []},
+            "degree": 3,
+            "images": {g: "(1 2 3)" for g in generators},
+        }))
+        argv = ["dstat", str(path), str(path)] + ["--size-bound", bound] * (bound is not None)
+        code, report = dispatch(argv)
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"] == {
+            "code": "BoundExceededError",
+            "message": f"patterns of {letters} letters at size bound {bound or 4} need more"
+                       " than 120000 traversal keys to enumerate",
+        }
+
     @pytest.mark.parametrize("coef", ["(1 2 3)", "(1 2 3"])
     def test_exact_correct_refused_before_parsing(self, coef):
         # an exact-mode degree over the bound is refused before the two

@@ -435,6 +435,38 @@ class TestEnumeration:
         n = len(listed)
         assert calls == {"refine": n, "post_init": 0, "trusted": n}
 
+    @pytest.mark.parametrize(
+        "alphabet,bound,keys", [(("x",), 4, 23), (("x", "y"), 3, 1439), (("x", "y", "z"), 2, 1265)]
+    )
+    def test_key_budget_counts_candidates_and_relabelings(
+        self, monkeypatch, alphabet, bound, keys
+    ):
+        # a budget of exactly the traversal keys an enumeration computes
+        # admits it unchanged; one key less refuses it
+        listed = enumerate_patterns(alphabet, bound)
+        monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", keys)
+        again = enumerate_patterns.__wrapped__(alphabet, bound)
+        assert again == listed and again.tree == listed.tree
+        monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", keys - 1)
+        with pytest.raises(BoundExceededError):
+            enumerate_patterns.__wrapped__(alphabet, bound)
+
+    @pytest.mark.parametrize("letters,bound", [(10, 1), (8, 1), (2, 5)])
+    def test_oversized_catalogue_refused(self, monkeypatch, letters, bound):
+        # refused before the budget is passed: an orbit's relabelings are
+        # counted before they are keyed, so ten letters key only the seed
+        keys = []
+
+        def count_key(rows, root):
+            keys.append(root)
+            return _traversal_key(rows, root)
+
+        monkeypatch.setattr(graphs, "_traversal_key", count_key)
+        with pytest.raises(BoundExceededError, match="traversal keys"):
+            enumerate_patterns.__wrapped__(tuple(f"a{i}" for i in range(letters)), bound)
+        assert len(keys) <= graphs.DEFAULT_PATTERN_KEY_BUDGET
+        assert letters != 10 or len(keys) == 1
+
     @pytest.mark.parametrize("alphabet,bound", [(("x",), 5), (("x", "y"), 4)])
     def test_catalogue_patterns_pass_the_public_checks(self, alphabet, bound):
         for p, _ in enumerate_patterns(alphabet, bound):

@@ -37,6 +37,15 @@ from conftest import enumerate_homs
 import oracles
 
 
+def subset_order(items):
+    """The subsets of ``items`` in the order the library lists them:
+    subset ``s`` holds ``items[i]`` iff bit ``i`` of ``s`` is set."""
+    return [
+        frozenset(x for i, x in enumerate(items) if s >> i & 1)
+        for s in range(1 << len(items))
+    ]
+
+
 class TestActionTrace:
     def test_klein_values(self):
         t1, t2 = klein_pair()
@@ -387,8 +396,50 @@ class TestTrFromS:
                     assert recovered[frozenset(A)] == action_trace(h, A)
 
     def test_incomplete_table_rejected(self):
-        with pytest.raises(PermStabError):
-            tr_from_s({frozenset(): Fraction(1)}, [1, 2])
+        # the first missing subset in the library's order is named; keys
+        # that are not frozensets (here tuples) are never entries
+        for stats, universe, missing in (
+            ({frozenset(): Fraction(1)}, [1, 2], "{1}"),
+            ({frozenset(): Fraction(1), frozenset({1}): Fraction(0)}, [2, 1], "{2}"),
+            ({(): Fraction(1), (1,): Fraction(0)}, [1], "set()"),
+            ({frozenset(): Fraction(1), (1,): Fraction(0)}, [1], "{1}"),
+        ):
+            with pytest.raises(PermStabError) as info:
+                tr_from_s(stats, universe)
+            assert str(info.value) == (
+                f"statistic table is incomplete: missing entry for {missing}"
+            )
+
+    def test_empty_universe(self):
+        assert tr_from_s({frozenset(): Fraction(2, 7)}, []) == {frozenset(): Fraction(2, 7)}
+        for h in (klein_pair()[0], trivial_hom(cyclic_group(3), 0)):
+            assert tr_from_s(statistic_table(h, []), []) == {frozenset(): 1}
+
+    def test_keys_outside_the_universe_ignored(self):
+        _, t2 = klein_pair()
+        F = [KLEIN_A, KLEIN_B]
+        table = statistic_table(t2, F)
+        want = tr_from_s(table, F)
+        extra = {
+            frozenset({KLEIN_AB}): Fraction(5),
+            frozenset({KLEIN_A, KLEIN_AB}): Fraction(-1, 7),
+            (KLEIN_A,): Fraction(9),
+            "ab": Fraction(3),
+        }
+        for mixed in ({**extra, **table}, {**table, **extra}):
+            recovered = tr_from_s(mixed, F)
+            assert recovered == want
+            assert list(recovered) == list(want)
+        # a table over a larger universe, read on a smaller one
+        wide = statistic_table(t2, F + [KLEIN_AB])
+        assert tr_from_s(wide, F) == oracles.tr_from_s(wide, F)
+
+    def test_values_read_as_rationals(self):
+        stats = {frozenset(): 1, frozenset({5}): Fraction(1, 3)}
+        want = {frozenset(): Fraction(4, 3), frozenset({5}): Fraction(1, 3)}
+        assert tr_from_s(stats, [5]) == want
+        with pytest.raises(AttributeError):
+            tr_from_s({frozenset(): 0.5}, [])
 
     def test_roundtrip_exhaustive_small_groups(self, zoo8):
         # every hom into the degree-4 symmetric group, every universe F
@@ -417,19 +468,28 @@ class TestTablesAgainstOracles:
             F = rng.sample(range(G.order), rng.randint(0, min(6, G.order)))
             table = statistic_table(h, F)
             assert table == oracles.statistic_table(h, F)
-            assert tr_from_s(table, F) == oracles.tr_from_s(table, F)
+            assert list(table) == subset_order(sorted(set(F)))
+            recovered = tr_from_s(table, F)
+            assert recovered == oracles.tr_from_s(table, F)
+            # keyed by the table's own key objects, elements in repr order
+            own = {T: T for T in table}
+            assert all(own[T] is T for T in recovered)
+            assert list(recovered) == subset_order(sorted(set(F), key=repr))
 
     def test_arbitrary_rationals(self):
-        # tr_from_s is linear in the table, whatever its denominators
+        # tr_from_s is linear in the table, whatever its denominators;
+        # from 8 on, the repr order of the ids is not their numeric order
         rng = Random(29)
         for size in range(5):
-            F = list(range(10, 10 + size))
+            F = list(range(8, 8 + size))
             table = {
                 frozenset(T): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
                 for k in range(size + 1)
                 for T in combinations(F, k)
             }
-            assert tr_from_s(table, F) == oracles.tr_from_s(table, F)
+            recovered = tr_from_s(table, F)
+            assert recovered == oracles.tr_from_s(table, F)
+            assert list(recovered) == subset_order(sorted(F, key=repr))
 
     def test_word_universe(self):
         _, t2 = klein_pair_presented()
@@ -437,6 +497,18 @@ class TestTablesAgainstOracles:
         table = statistic_table(t2, F)
         assert table == oracles.statistic_table(t2, F)
         assert sum(table.values()) == 1
+        # the table is keyed by parsed word tuples, not by the words typed
+        with pytest.raises(PermStabError) as info:
+            tr_from_s(table, F)
+        message = str(info.value)
+        assert message.startswith("statistic table is incomplete: missing entry for {'a b'}; ")
+        assert "not the table's element forms" in message
+        assert "max(table, key=len)" in message
+        words = max(table, key=len)
+        recovered = tr_from_s(table, words)
+        assert recovered == oracles.tr_from_s(table, words)
+        for A, value in recovered.items():
+            assert value == action_trace(t2, A)
 
     def test_large_degrees(self, zoo8):
         # the split of the points at degrees 200-1000, universes of 8
