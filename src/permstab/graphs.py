@@ -402,7 +402,9 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     The work is bounded: an enumeration that would compute more than
     ``DEFAULT_PATTERN_KEY_BUDGET`` traversal keys, one per successor
     candidate and one per relabeling of each orbit, counted before they
-    are computed, raises ``BoundExceededError``.
+    are computed, raises ``BoundExceededError``.  The relabelings are
+    listed only once the first orbit's keys fit the budget, so an
+    alphabet too wide for it is refused before any is built.
     """
     if size_bound < 1:
         return Catalogue()
@@ -412,6 +414,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         )
     m = len(alphabet)
     relabelings = factorial(m) - 1  # keys per orbit, one per relabeling
+    orders: list[list[int]] = []  # their slot orders, listed for the first orbit
     spent = 1  # traversal keys computed, the seed's first
     seed = _slot_rows(1, (), m)
     layer = [(RootedPattern._trusted(1, 1, alphabet, frozenset()), seed, _traversal_key(seed, 1))]
@@ -428,8 +431,12 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                 spent += relabelings
                 if spent > DEFAULT_PATTERN_KEY_BUDGET:
                     raise _over_budget(alphabet, size_bound)
-                for perm in islice(iperms(range(m)), 1, None):  # not the identity
-                    order = [k for lab in perm for k in (2 * lab, 2 * lab + 1)]
+                if len(orders) < relabelings:  # within the budget: list them once
+                    orders = [
+                        [k for lab in perm for k in (2 * lab, 2 * lab + 1)]
+                        for perm in islice(iperms(range(m)), 1, None)  # not the identity
+                    ]
+                for order in orders:
                     relabeled = [[row[k] for k in order] for row in rows]
                     orbit_of.setdefault(_traversal_key(relabeled, 1), orbit)
             classes.append((_certificate(rows, 1, m), pat, orbit_of[key], parent))
