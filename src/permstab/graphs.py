@@ -57,7 +57,7 @@ from itertools import (
     accumulate, chain, combinations, compress, islice, permutations as iperms, product
 )
 from math import factorial
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub, truth
 from sys import byteorder
 from typing import Iterable, Sequence
 
@@ -211,7 +211,7 @@ class RootedPattern:
     def certificate(self) -> tuple:
         """The enumeration's sort key (:func:`_certificate`)."""
         m = len(self.alphabet)
-        return _certificate(_slot_rows(self.n, self.edges, m), self.root, m)
+        return _certificate(_slot_rows(self.n, self.edges, m), self.root, m, self.edges)
 
 
 def _slot_rows(n: int, edges: Iterable[tuple[int, int, int]], m: int) -> list:
@@ -254,8 +254,11 @@ def _traversal_key(rows: list[list[int]], root: int) -> tuple:
     permutation reorders, it keys the relabeled pattern."""
     pos = [0] * len(rows)
     pos[0] = pos[root] = count = 1  # slot value 0 (no edge) counts as reached
+    last = len(rows) - 1
     queue = [root]
     for u in queue:
+        if count == last:  # every vertex reached
+            break
         for w in rows[u]:
             if not pos[w]:
                 count += 1
@@ -270,51 +273,94 @@ def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
     refinement: from root against the rest, each round ranks the vertices
     by rank, out-list and in-list of (label, neighbour rank) pairs, for
     three rounds or until a round (or every class) can split no further.
+    The root keeps rank 0.  On the catalogues checked (see
+    :func:`_certificate`) every rank ends up holding one vertex, so the
+    ranks number the vertices.
 
     The ranks are those of sorting the nested tuples ``((rank,), outs,
-    ins)`` by ``repr``, which fixed the published order, computed on flat
-    int tuples: a pair is coded by its label's rank as a string (``"10"``
-    before ``"2"``) and the neighbour rank (one digit, as a pattern has at
-    most 6 vertices), and a list ends in
-    a terminator after every pair if it has at most one (``"(p,)" > "(p,
-    q)"``), else before every pair (``"(p, q)" < "(p, q, r)"``)."""
+    ins)`` by ``repr``, which fixed the published order, computed on one
+    int per vertex (:func:`_signature_code`): its own rank, then per
+    label slot a value that sorts as the ``repr`` does.  Each vertex's
+    code is looked up once; a round adds its slots' neighbour ranks."""
     n = len(rows) - 1
-    base = [0] * m
-    for i, lab in enumerate(sorted(range(m), key=str)):
-        base[lab] = 1 + i * n
-    items = []  # per vertex, (code base, vertex whose rank is added) pairs
-    for v in range(1, n + 1):
-        outs = [(base[lab], w) for lab, w in enumerate(rows[v][::2]) if w]
-        ins = [(base[lab], u) for lab, u in enumerate(rows[v][1::2]) if u]
-        outs.append((m * n + 1 if len(outs) < 2 else 0, 0))
-        ins.append((m * n + 1 if len(ins) < 2 else 0, 0))
-        items.append([(0, v), *outs, *ins])
-    ranks = [0] + [int(v != root) for v in range(1, n + 1)]
-    classes = min(n, 2)
+    ranks = [1] * (n + 1)
+    ranks[0] = ranks[root] = 0
+    if n <= 2:  # the root and at most one other vertex
+        return ranks
+    # the root's signature sorts first in every round: rank only the rest
+    others = [*range(1, root), *range(root + 1, n + 1)]
+    codes = [_signature_code(m, n, tuple(map(truth, rows[v]))) for v in others]
+    rank = ranks.__getitem__  # ranks is updated in place; rank(0) is 0
+    classes = 2
     for _ in range(3):
+        sigs = [
+            fixed + own * rank(v) + sum(map(mul, map(rank, rows[v]), weights))
+            for v, (fixed, weights, own) in zip(others, codes)
+        ]
+        order = sorted(set(sigs))
+        if len(order) + 1 == classes:
+            break
+        classes = len(order) + 1
+        for v, sig in zip(others, sigs):
+            ranks[v] = order.index(sig) + 1
         if classes == n:
             break
-        sigs = [tuple([b + ranks[w] for b, w in it]) for it in items]
-        order = sorted(set(sigs))
-        if len(order) == classes:
-            break
-        classes = len(order)
-        rank_of = {s: i for i, s in enumerate(order)}
-        ranks[1:] = [rank_of[s] for s in sigs]
     return ranks
 
 
-def _certificate(rows: list[list[int]], root: int, m: int) -> tuple:
+@lru_cache(maxsize=1024)
+def _signature_code(m: int, n: int, present: tuple[bool, ...]) -> tuple[int, tuple, int]:
+    """``(fixed, weights, own)`` of a vertex of an ``n``-vertex pattern
+    whose ``2m`` slots are filled as ``present`` says: its refinement
+    signature is ``fixed + own * rank + sum(weight * neighbour rank)``.
+
+    The signature has one digit in base ``mn + 2`` for the vertex's rank,
+    then one per out-slot and one per in-slot, labels in index order.  A
+    filled slot holds its label's code, the label's rank among the labels
+    as strings times ``n`` plus 1 (``"10"`` before ``"2"``), plus the
+    neighbour's rank (below ``n``).  An empty slot repeats the next filled slot of its list, or,
+    past the last, holds the list's terminator: ``mn + 1`` if the list
+    has at most one pair (``"(p,)" > "(p, q)"``), else 0 (``"(p, q)" <
+    "(p, q, r)"``).  Two vertices that agree up to a slot then compare
+    there as their ``repr`` lists compare at their next pair or end."""
+    base = [0] * m
+    for i, lab in enumerate(sorted(range(m), key=str)):
+        base[lab] = 1 + i * n
+    digit = m * n + 2
+    fixed = 0
+    weights = [0] * (2 * m)
+    for d in (0, 1):  # out-slots, then in-slots
+        end = digit - 1 if sum(present[d::2]) < 2 else 0
+        nxt = None  # the next filled slot's label
+        for lab in reversed(range(m)):
+            place = digit ** ((1 - d) * m + m - 1 - lab)
+            if present[2 * lab + d]:
+                nxt = lab
+            if nxt is None:
+                fixed += end * place
+            else:
+                fixed += base[nxt] * place
+                weights[2 * nxt + d] += place
+    return fixed, tuple(weights), digit ** (2 * m)
+
+
+def _certificate(
+    rows: list[list[int]], root: int, m: int, edges: Iterable[tuple[int, int, int]]
+) -> tuple:
     """The enumeration's sort key, once per class: ``(n, root number,
     sorted edge triples)`` with the vertices numbered by refinement rank
-    (:func:`_refine_ranks`), least over the numberings within a rank when
-    a rank holds several vertices (at no bound tested).  It is not the
+    (:func:`_refine_ranks`), vertex ``v`` number ``rank + 1`` when every
+    rank holds one vertex, else least over the numberings within a rank.
+    Every rank held one vertex on every class of every catalogue the key
+    budget admits (``x`` up to bound 6, ``xy`` up to 4, ``xyz`` up to 3,
+    four letters up to 2, five to seven letters at 1), so the search over
+    numberings serves only patterns built by callers.  It is not the
     least edge list over all root-preserving numberings."""
     ranks = _refine_ranks(rows, root, m)
     n = len(rows) - 1
-    edges = [
-        (u, w, lab) for u in range(1, n + 1) for lab, w in enumerate(rows[u][::2]) if w
-    ]
+    if max(ranks) == n - 1:  # ranks 0..n-1, one vertex each
+        number = [r + 1 for r in ranks]
+        return n, number[root], tuple(sorted([(number[u], number[w], lab) for u, w, lab in edges]))
     classes: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for v in range(1, n + 1):
         classes[ranks[v]].append(v)
@@ -414,17 +460,19 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         )
     m = len(alphabet)
     relabelings = factorial(m) - 1  # keys per orbit, one per relabeling
-    orders: list[list[int]] = []  # their slot orders, listed for the first orbit
+    orders: list[itemgetter] = []  # their slot orders, listed for the first orbit
     spent = 1  # traversal keys computed, the seed's first
     seed = _slot_rows(1, (), m)
-    layer = [(RootedPattern._trusted(1, 1, alphabet, frozenset()), seed, _traversal_key(seed, 1))]
-    classes = []  # (certificate, pattern, orbit id, generation index) per class
+    layer = [(1, frozenset(), seed, _traversal_key(seed, 1))]  # (n, edges, rows, key) per class
+    classes = []  # (certificate bytes, pattern, orbit id, generation index) per class
     found = array("i")  # (parent, u, v, label) per class after the first
     while layer:
         orbit_of: dict[tuple, int] = {}  # keys of this layer
         seen: set[tuple] = set()  # keys of the next layer
         new = []
-        for pat, rows, key in layer:
+        layer.reverse()  # popped in order, so each class's rows go when done
+        while layer:
+            n, edges, rows, key = layer.pop()
             parent = len(classes)  # this class, the parent of its successors
             if key not in orbit_of:
                 orbit_of[key] = orbit = parent  # the orbit's first class
@@ -433,36 +481,47 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                     raise _over_budget(alphabet, size_bound)
                 if len(orders) < relabelings:  # within the budget: list them once
                     orders = [
-                        [k for lab in perm for k in (2 * lab, 2 * lab + 1)]
+                        itemgetter(*[k for lab in perm for k in (2 * lab, 2 * lab + 1)])
                         for perm in islice(iperms(range(m)), 1, None)  # not the identity
                     ]
                 for order in orders:
-                    relabeled = [[row[k] for k in order] for row in rows]
-                    orbit_of.setdefault(_traversal_key(relabeled, 1), orbit)
-            classes.append((_certificate(rows, 1, m), pat, orbit_of[key], parent))
-            # successors: an edge on free slots of each label between two
-            # vertices, then, below the bound, to and from a new vertex,
-            # set in place in the parent's rows
-            n = pat.n
-            rows = [*rows, [0] * (2 * m)]
-            ends = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+                    orbit_of.setdefault(_traversal_key(list(map(order, rows)), 1), orbit)
+            pat = RootedPattern._trusted(n, 1, alphabet, edges)
+            # sorted by certificate, held as one byte per int (vertex numbers
+            # and label indices are below 256): bytes compare faster than
+            # nested tuples and give the garbage collector nothing to track
+            size, root_number, triples = _certificate(rows, 1, m, edges)
+            cert = bytes((size, root_number, *chain.from_iterable(triples)))
+            classes.append((cert, pat, orbit_of[key], parent))
+            # successors: an edge of each label from a vertex with a free
+            # out-slot to one with a free in-slot, then, below the bound,
+            # to and from a new vertex, set in place in the parent's rows
             if n < size_bound:
-                ends += [e for u in range(1, n + 1) for e in ((u, n + 1), (n + 1, u))]
+                rows.append([0] * (2 * m))
+            vertices = range(1, n + 1)
             for lab in range(m):
                 o, i = 2 * lab, 2 * lab + 1
+                ends = [
+                    (u, v) for u in vertices if not rows[u][o] for v in vertices if not rows[v][i]
+                ]
+                if n < size_bound:
+                    for u in vertices:
+                        if not rows[u][o]:
+                            ends.append((u, n + 1))
+                        if not rows[u][i]:
+                            ends.append((n + 1, u))
+                spent += len(ends)
+                if spent > DEFAULT_PATTERN_KEY_BUDGET:
+                    raise _over_budget(alphabet, size_bound)
                 for u, v in ends:
-                    if rows[u][o] or rows[v][i]:
-                        continue
-                    spent += 1
-                    if spent > DEFAULT_PATTERN_KEY_BUDGET:
-                        raise _over_budget(alphabet, size_bound)
                     rows[u][o], rows[v][i] = v, u
                     succ_key = _traversal_key(rows, 1)
                     if succ_key not in seen:
                         seen.add(succ_key)
                         k = max(n, u, v)
-                        succ = RootedPattern._trusted(k, 1, alphabet, pat.edges | {(u, v, lab)})
-                        new.append((succ, [row[:] for row in rows[: k + 1]], succ_key))
+                        new.append(
+                            (k, edges | {(u, v, lab)}, [row[:] for row in rows[: k + 1]], succ_key)
+                        )
                         found.extend((parent, u, v, lab))
                     rows[u][o] = rows[v][i] = 0
         layer = new
@@ -473,7 +532,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     weight_of: dict[int, Fraction] = {}  # one shared weight per orbit
     for _, _, orbit, _ in classes:
         if orbit not in weight_of:
-            weight_of[orbit] = Fraction(1, 2 ** (len(weight_of) + 1))
+            weight_of[orbit] = Fraction(1, 1 << len(weight_of) + 1)
     catalogue = Catalogue((pat, weight_of[orbit]) for _, pat, orbit, _ in classes)
     parents = map(index.__getitem__, found[::4])
     catalogue.tree = array(

@@ -467,6 +467,19 @@ class TestEnumeration:
         assert len(keys) <= graphs.DEFAULT_PATTERN_KEY_BUDGET
         assert letters != 10 or len(keys) == 1
 
+    def test_largest_admitted_catalogue_key_count(self, monkeypatch):
+        # xyz at bound 3, the largest catalogue the budget admits, computes
+        # 100,025 traversal keys: the margin the budget's comment names
+        keys = []
+
+        def count_key(rows, root):
+            keys.append(root)
+            return _traversal_key(rows, root)
+
+        monkeypatch.setattr(graphs, "_traversal_key", count_key)
+        enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
+        assert len(keys) == 100_025 < graphs.DEFAULT_PATTERN_KEY_BUDGET
+
     @pytest.mark.parametrize("alphabet,bound", [(("x",), 5), (("x", "y"), 4)])
     def test_catalogue_patterns_pass_the_public_checks(self, alphabet, bound):
         for p, _ in enumerate_patterns(alphabet, bound):
@@ -544,6 +557,75 @@ class TestRefinementRanks:
         alphabet = tuple(f"a{i}" for i in range(11))
         p = RootedPattern(3, 1, alphabet, frozenset({(1, 2, 2), (1, 3, 10)}))
         assert self.ranks(p) == self.legacy(p) == [0, 2, 1]
+
+
+    def test_random_patterns_match_repr_refinement(self):
+        # any root, disconnected patterns, ranks that stay shared, and
+        # alphabets past ten letters
+        rng = Random(29)
+        for _ in range(3000):
+            m, n = rng.choice([1, 2, 3, 4, 11]), rng.randint(1, 6)
+            edges = set()
+            for lab in range(m):
+                heads = list(range(1, n + 1))
+                rng.shuffle(heads)
+                tails = [u for u in range(1, n + 1) if rng.random() < 0.5]
+                edges.update((u, v, lab) for u, v in zip(tails, heads))
+            root = rng.randint(1, n)
+            ranks = graphs._refine_ranks(_slot_rows(n, edges, m), root, m)
+            legacy = oracles.refine_colors(n, root, edges)
+            assert ranks[1:] == [legacy[v][0] for v in range(1, n + 1)]
+
+
+class TestCertificate:
+    """``RootedPattern.certificate`` against the refinement and the search
+    over numberings it replaced (``oracles.certificate``)."""
+
+    @staticmethod
+    def renumbered(pattern, images):
+        s = dict(zip(range(1, pattern.n + 1), images))
+        edges = frozenset((s[u], s[v], lab) for u, v, lab in pattern.edges)
+        return RootedPattern(pattern.n, s[pattern.root], pattern.alphabet, edges)
+
+    def test_renumbered_classes_match_oracle(self):
+        # every class, three times with its root moved off vertex 1
+        rng = Random(97)
+        for pat in all_rooted_patterns(("x", "y"), 4):
+            for _ in range(3):
+                images = list(range(1, pat.n + 1))
+                while pat.n > 1 and images[pat.root - 1] == 1:
+                    rng.shuffle(images)
+                p = self.renumbered(pat, images)
+                assert p.certificate() == oracles.certificate(p.n, p.root, p.edges)
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x",), 6), (("x", "y"), 4)])
+    def test_catalogue_matches_oracle(self, alphabet, bound):
+        for p, _ in enumerate_patterns(alphabet, bound):
+            assert p.certificate() == oracles.certificate(p.n, p.root, p.edges)
+
+    def test_shared_rank_takes_the_least_numbering(self, monkeypatch):
+        # with the root alone in rank 0 and every other vertex in rank 1,
+        # the numberings are searched: the least edge list over all that
+        # number the root 1
+        rng = Random(41)
+
+        def coarse(rows, root, m):
+            return [0] + [int(v != root) for v in range(1, len(rows))]
+
+        monkeypatch.setattr(graphs, "_refine_ranks", coarse)
+        for pat, _ in enumerate_patterns(("x", "y"), 4)[::25]:
+            images = list(range(1, pat.n + 1))
+            rng.shuffle(images)
+            p = self.renumbered(pat, images)
+            others = [v for v in range(1, p.n + 1) if v != p.root]
+            least = min(
+                tuple(sorted((s[u], s[v], lab) for u, v, lab in p.edges))
+                for rest in iperms(range(2, p.n + 1))
+                for s in [dict(zip([p.root, *others], [1, *rest]))]
+            )
+            m = len(p.alphabet)
+            rows = _slot_rows(p.n, p.edges, m)
+            assert graphs._certificate(rows, p.root, m, p.edges) == (p.n, 1, least)
 
 
 class TestStatDistance:
