@@ -354,48 +354,6 @@ def quaternion_group() -> tuple[FiniteGroup, "PermHomomorphism"]:
 # subgroup machinery
 
 
-@lru_cache(maxsize=None)
-def _all_subgroup_sets(G: FiniteGroup) -> tuple[frozenset[int], ...]:
-    """Every subgroup's member set, ascending by order, then members.
-
-    Every subgroup is a join of cyclic ones, so the lattice is the closure
-    of the cyclic subgroups under joins with one more cyclic subgroup
-    ``<c>``.  Each subgroup keeps the generators it was first reached by,
-    and its join with ``<c>`` is the closure of those generators and ``c``.
-    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``.
-    """
-    if G.order > DEFAULT_SUBGROUP_ORDER_BOUND:
-        raise BoundExceededError(
-            f"group order {G.order} exceeds subgroup-enumeration bound "
-            f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
-        )
-    gens: dict[frozenset[int], tuple[int, ...]] = {}
-    for g in G.elements():
-        gens.setdefault(frozenset(_closure(G, (g,))), (g,))
-    cyclic = [c for (c,) in gens.values()]
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for S in frontier:
-            for c in cyclic:
-                if c in S:
-                    continue
-                join_gens = gens[S] + (c,)
-                T = frozenset(_closure(G, join_gens))
-                if T not in gens:
-                    gens[T] = join_gens
-                    new.append(T)
-        frontier = new
-    return tuple(sorted(gens, key=lambda s: (len(s), sorted(s))))
-
-
-def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Complete duplicate-free subgroup list, seeded from cyclic subgroups
-    and closed under joins (every subgroup is a join of cyclic ones).
-    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``."""
-    return [Subgroup._trusted(G, s) for s in _all_subgroup_sets(G)]
-
-
 @dataclass(frozen=True)
 class SubgroupClasses:
     """Conjugacy classes of subgroups of a finite group.
@@ -423,33 +381,67 @@ class SubgroupClasses:
 
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
-    """Partition of ``all_subgroups(G)`` under conjugation by ``G``, each
-    class walked breadth-first from its representative by conjugation
-    with ``generating_set``.
+    """The subgroups of ``G`` in classes under conjugation by ``G``.
 
-    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``,
-    as ``all_subgroups`` does.
+    Every subgroup is cyclic or the join of a smaller subgroup with a
+    cyclic one, and ``<S^g, c> = <S, c^(g^-1)>^g``.  So joining one member
+    of each class with every cyclic subgroup reaches every class: the
+    cyclic extension method (Neubüser, *Numer. Math.* 2, 1960).  Each
+    class is walked breadth-first, when its first member is found, by
+    conjugation with ``generating_set``; that member keeps the generators
+    it was reached by, and its join with ``<c>`` is the closure of those
+    generators and ``c``.  A join already recorded costs one lookup.
+
+    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``.
     """
-    sets = _all_subgroup_sets(G)
-    remaining = set(sets)
-    classes = []
-    for S in sets:  # ascending, so each class is reached by its representative
-        if S not in remaining:
-            continue
-        remaining.remove(S)
+    if G.order > DEFAULT_SUBGROUP_ORDER_BOUND:
+        raise BoundExceededError(
+            f"group order {G.order} exceeds subgroup-enumeration bound "
+            f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
+        )
+    cyclic: dict[frozenset[int], int] = {}  # one generator per distinct <g>
+    for g in G.elements():
+        cyclic.setdefault(frozenset(_closure(G, (g,))), g)
+    found: set[frozenset[int]] = set()
+    orbits: list[list[frozenset[int]]] = []
+    firsts: list[tuple[frozenset[int], tuple[int, ...]]] = []
+
+    def record(S: frozenset[int], gens: tuple[int, ...]) -> None:
+        found.add(S)
         orbit = [S]
         for T in orbit:
             for g in G.generating_set:
                 U = frozenset(G.conjugate(g, x) for x in T)
-                if U in remaining:
-                    remaining.remove(U)
+                if U not in found:
+                    found.add(U)
                     orbit.append(U)
-        classes.append(tuple(sorted(orbit, key=sorted)))
-    class_of = {}
-    for i, orbit in enumerate(classes):
-        for S in orbit:
-            class_of[S] = i
+        orbits.append(orbit)
+        firsts.append((S, gens))
+
+    for S, c in cyclic.items():
+        if S not in found:
+            record(S, (c,))
+    for S, gens in firsts:  # grows while iterated
+        for c in cyclic.values():
+            if c not in S:
+                T = frozenset(_closure(G, gens + (c,)))
+                if T not in found:
+                    record(T, gens + (c,))
+    classes = sorted(
+        (tuple(sorted(orbit, key=sorted)) for orbit in orbits),
+        key=lambda orbit: (len(orbit[0]), sorted(orbit[0])),
+    )
+    class_of = {S: i for i, orbit in enumerate(classes) for S in orbit}
     return SubgroupClasses(G, tuple(classes), class_of)
+
+
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, ascending by order, then members: the member sets
+    of :func:`subgroup_conjugacy_classes`, which enumerates them.
+    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``."""
+    sets = [S for orbit in subgroup_conjugacy_classes(G).classes for S in orbit]
+    sets.sort(key=lambda s: (len(s), sorted(s)))
+    return [Subgroup._trusted(G, s) for s in sets]
 
 
 def normalizer(G: FiniteGroup, N: Subgroup) -> Subgroup:

@@ -44,7 +44,6 @@ from .groups import (
     PermHomomorphism,
     Subgroup,
     _restrict_to_points,
-    all_subgroups,
     conjugate_hom,
     coset_action,
     direct_sum_hom,
@@ -213,7 +212,7 @@ def min_conjugator_distance(
     """
     # The solver has no degree limit. The bound stays because
     # perfbench/gen_cli.py::gen_domain expects BoundExceededError at
-    # degree 10; lifting it is ROADMAP item 6's benchmark-first step.
+    # degree 10; lifting it starts with a change to that benchmark.
     if h1.degree > MAX_EXACT_DEGREE:
         raise BoundExceededError(
             f"degree {h1.degree} exceeds exact-search bound {MAX_EXACT_DEGREE}"
@@ -302,13 +301,12 @@ def find_normal_complement(G: FiniteGroup, H: Subgroup) -> Optional[Subgroup]:
     if H.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
     hmem = H.member_set()
-    for K in all_subgroups(G):
-        kmem = K.member_set()
-        if K.order * H.order != G.order or len(kmem & hmem) != 1:
-            continue
-        # normal once the generators conjugate K into itself
-        if all(G.conjugate(g, k) in kmem for g in G.generating_set for k in kmem):
-            return K
+    # a normal subgroup is a class of one member set; the candidates share
+    # one order, so the first in class order is the least by members
+    for orbit in subgroup_conjugacy_classes(G).classes:
+        K = orbit[0]
+        if len(orbit) == 1 and len(K) * H.order == G.order and len(K & hmem) == 1:
+            return Subgroup._trusted(G, K)
     return None
 
 

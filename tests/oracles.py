@@ -9,8 +9,10 @@ scans over every group element behind ``check_homomorphism``,
 behind ``hom_order_leq``, ``rep_subtract``, ``has_extension`` and
 ``replication_count``, the class dictionary of ``multiplicity._match``
 and the partner-keyed classes of ``nearest_conjugator`` that one orbit
-classifier replaced, the conjugation by every element behind
-``subgroup_conjugacy_classes``, the one-pattern-at-a-time loop behind
+classifier replaced, the join of every subgroup with every cyclic
+subgroup and the conjugation by every element that
+``subgroup_conjugacy_classes`` replaced, the scan of every subgroup
+behind ``find_normal_complement``, the one-pattern-at-a-time loop behind
 ``stat_distance_details`` and the batch of statistic-word queries that
 counted its embeddings before the generation tree did, the
 ``repr``-ranked colour refinement, certificate and edge-set generation behind
@@ -49,13 +51,13 @@ from permstab.groups import (
     FiniteGroup,
     PermHomomorphism,
     Subgroup,
-    all_subgroups,
     conjugate_hom,
     coset_action,
     evaluate_word,
     generator_images,
     parse_word,
     restrict_hom,
+    subgroup_closure,
     subgroup_conjugacy_classes,
     trivial_hom,
 )
@@ -283,11 +285,38 @@ def replication_count(phi: PermHomomorphism, psi: PermHomomorphism) -> int:
     return min(floors)
 
 
+@lru_cache(maxsize=None)
+def subgroup_sets_by_joins(G: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Every subgroup's member set, ascending by order, then members, as
+    ``all_subgroups`` found them before the classes were enumerated: the
+    cyclic subgroups closed under joins with one more cyclic subgroup
+    ``<c>``, every subgroup joined, each by the generators it was first
+    reached by."""
+    gens: dict[frozenset[int], tuple[int, ...]] = {}
+    for g in G.elements():
+        gens.setdefault(frozenset(subgroup_closure(G, (g,)).members), (g,))
+    cyclic = [c for (c,) in gens.values()]
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for S in frontier:
+            for c in cyclic:
+                if c in S:
+                    continue
+                join_gens = gens[S] + (c,)
+                T = frozenset(subgroup_closure(G, join_gens).members)
+                if T not in gens:
+                    gens[T] = join_gens
+                    new.append(T)
+        frontier = new
+    return tuple(sorted(gens, key=lambda s: (len(s), sorted(s))))
+
+
 def conjugacy_classes_by_every_element(G: FiniteGroup) -> tuple:
-    """The classes of ``subgroup_conjugacy_classes``, each subgroup
-    conjugated by every element of ``G`` rather than walked on the
-    generating set."""
-    sets = [frozenset(H.members) for H in all_subgroups(G)]
+    """The classes of ``subgroup_conjugacy_classes``, each subgroup of the
+    join closure conjugated by every element of ``G`` rather than walked
+    on the generating set."""
+    sets = subgroup_sets_by_joins(G)
     remaining = set(sets)
     classes = []
     for S in sets:
@@ -297,6 +326,19 @@ def conjugacy_classes_by_every_element(G: FiniteGroup) -> tuple:
         remaining -= orbit
         classes.append(tuple(sorted(orbit, key=sorted)))
     return tuple(classes)
+
+
+def normal_complement(G: FiniteGroup, H: Subgroup):
+    """``find_normal_complement`` as a scan of every subgroup of the join
+    closure: the first of order ``[G:H]`` that meets ``H`` in the identity
+    and that the generators conjugate into itself, or ``None``."""
+    hmem = H.member_set()
+    for K in subgroup_sets_by_joins(G):
+        if len(K) * H.order != G.order or len(K & hmem) != 1:
+            continue
+        if all(G.conjugate(g, k) in K for g in G.generating_set for k in K):
+            return Subgroup._trusted(G, K)
+    return None
 
 
 def centralizer_order(p: Permutation) -> int:

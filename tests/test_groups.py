@@ -15,7 +15,6 @@ from permstab.errors import (
 from permstab import groups
 from permstab.fixtures import klein_pair, klein_presentation
 from permstab.groups import (
-    _all_subgroup_sets,
     conjugate_hom,
     FiniteGroup,
     FpGroup,
@@ -153,6 +152,33 @@ def alternating_group_5():
     return group_from_permutations(
         [parse_permutation("(1 2 3)", 5), parse_permutation("(1 2 3 4 5)", 5)]
     )[0]
+
+
+def cli_groups():
+    """The groups of ``perfbench/gen_cli.py``, from the same generators,
+    so their element ids are the ones its requests carry."""
+
+    def perm_group(degree, *cycles):
+        return group_from_permutations([parse_permutation(c, degree) for c in cycles])[0]
+
+    return [
+        perm_group(2, "(1 2)"),
+        perm_group(3, "(1 2 3)"),
+        perm_group(4, "(1 2 3 4)"),
+        perm_group(6, "(1 2 3 4 5 6)"),
+        perm_group(8, "(1 2 3 4 5 6 7 8)"),
+        perm_group(12, "(1 2 3 4 5 6 7 8 9 10 11 12)"),
+        symmetric_group(3)[0],
+        dihedral_group(4)[0],
+        dihedral_group(5)[0],
+        dihedral_group(6)[0],
+        quaternion_group()[0],
+        perm_group(4, "(1 2 3)", "(1 2)(3 4)"),
+        symmetric_group(4)[0],
+        perm_group(6, "(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"),
+        perm_group(6, "(5 6)", "(1 2)", "(1 2 3 4)"),
+        perm_group(5, "(1 2 3)", "(3 4 5)"),
+    ]
 
 
 class TestFiniteGroup:
@@ -379,7 +405,26 @@ class TestAllSubgroups:
         groups["Z2xS4"] = direct_product(cyclic_group(2), symmetric_group(4)[0])
         groups["A5"] = alternating_group_5()
         for G in groups.values():
-            assert _all_subgroup_sets(G) == member_set_join_lattice(G)
+            expected = member_set_join_lattice(G)
+            assert oracles.subgroup_sets_by_joins(G) == expected
+            assert tuple(H.member_set() for H in all_subgroups(G)) == expected
+
+    def test_closure_counts(self, monkeypatch):
+        # one join per class representative and cyclic subgroup; the
+        # join of every subgroup took 1,701 closures for A5, 9,681 for S5
+        calls = []
+        real = groups._closure
+        monkeypatch.setattr(
+            groups, "_closure", lambda G, gens: calls.append(gens) or real(G, gens)
+        )
+        for G, budget in ((alternating_group_5(), 340), (symmetric_group(5)[0], 1936)):
+            subgroup_conjugacy_classes.cache_clear()
+            calls.clear()
+            subgroup_conjugacy_classes(G)
+            assert 0 < len(calls) <= budget
+            calls.clear()
+            all_subgroups(G)  # read from the one cached enumeration
+            assert calls == []
 
     @pytest.mark.parametrize(
         "maker, subgroups, classes",
@@ -456,12 +501,25 @@ class TestConjugacyClasses:
                 assert len(orbit) == G.order // M.order
 
     def test_generator_walk_matches_every_element_oracle(self, zoo24):
-        # each class is walked on generating_set: the same classes, in the
-        # same order, as conjugating by every element
-        groups = dict(zoo24, A5=alternating_group_5())
-        for G in groups.values():
+        # classes joined from one member each and walked on generating_set:
+        # the same classes, in the same order, as conjugating every
+        # subgroup of the join closure by every element
+        cases = list(zoo24.values()) + cli_groups() + [
+            symmetric_group(5)[0],
+            direct_product(cyclic_group(2), symmetric_group(4)[0]),
+            direct_product(symmetric_group(3)[0], symmetric_group(3)[0]),
+        ]
+        for G in cases:
             expected = oracles.conjugacy_classes_by_every_element(G)
             assert subgroup_conjugacy_classes(G).classes == expected
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_subgroup_of_sn_as_a_group_matches_the_oracle(self, n):
+        G = symmetric_group(n)[0]
+        for H in all_subgroups(G):
+            Habs, _ = H.as_group()
+            expected = oracles.conjugacy_classes_by_every_element(Habs)
+            assert subgroup_conjugacy_classes(Habs).classes == expected
 
 
 class TestNormalizer:

@@ -254,6 +254,8 @@ class TestIsConjugate:
     def test_no_decomposition_or_lattice(self, monkeypatch):
         # conjugacy, the order and subtraction pair orbits by equivariant
         # maps: no stabilizer class is named, so no lattice is built
+        # random_hom draws coset actions from the lattice, so before the patch
+        h = random_hom(symmetric_group(4)[0], 20, Random(94))
         calls = []
         for module, name in (
             (multiplicity, "orbit_decomposition"),
@@ -262,7 +264,6 @@ class TestIsConjugate:
         ):
             monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         t1, t2 = klein_pair()
-        h = random_hom(symmetric_group(4)[0], 20, Random(94))
         for h1, h2, expected in ((t1, t1, True), (t1, t2, False), (h, h, True)):
             assert is_conjugate(h1, h2)[0] is expected
             assert hom_order_leq(h1, h2) is expected

@@ -566,6 +566,20 @@ class TestNormalComplement:
         K = find_normal_complement(G, trivial_subgroup(G))
         assert K is not None and K.order == 6
 
+    def test_one_set_classes_match_the_subgroup_scan(self, zoo24):
+        a5 = [parse_permutation("(1 2 3)", 5), parse_permutation("(1 2 3 4 5)", 5)]
+        cases = list(zoo24.values()) + [
+            group_from_permutations(a5)[0],
+            symmetric_group(5)[0],
+        ]
+        found = 0
+        for G in cases:
+            for H in all_subgroups(G):
+                K = find_normal_complement(G, H)
+                assert K == oracles.normal_complement(G, H)
+                found += K is not None
+        assert found > 100
+
 
 class TestAmalgam:
     def test_trivial_degree_one(self):
