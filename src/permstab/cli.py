@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from . import fixtures
 from .errors import BoundExceededError, MalformedInputError, PermStabError
 from .graphs import action_graph, stat_distance_details
-from .groups import FiniteGroup, subgroup_conjugacy_classes
+from .groups import FiniteGroup, PermHomomorphism, subgroup_conjugacy_classes
 from .jsonio import (
     element_set_from_text,
     format_rational,
@@ -40,6 +40,7 @@ from .jsonio import (
     hom_from_json,
     subgroup_from_json,
     _load_json,
+    _read_bytes,
 )
 from .multiplicity import hom_order_leq, is_conjugate, multiplicity_vector
 from .perm import hamming_distance, parse_permutation, Permutation
@@ -65,29 +66,30 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE
 EXIT_IOERR = 74  # EX_IOERR
 
 
-def _digest(path: str) -> str:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def _hom(load, path: str) -> PermHomomorphism:
+    """The homomorphism in file ``path``.  A group file that it names is
+    read with ``load`` too, so that ``inputs`` lists it."""
+    obj = load(path)
+    if isinstance(obj, dict) and isinstance(obj.get("group"), str):
+        obj["group"] = load(obj["group"])
+    return hom_from_json(obj)
 
 
-def _cmd_trace(args, record) -> dict:
-    hom = hom_from_json(record(args.hom))
+def _cmd_trace(args, load) -> dict:
+    hom = _hom(load, args.hom)
     elements = element_set_from_text(hom, args.set)
     return {"tr": format_rational(action_trace(hom, elements))}
 
 
-def _cmd_stats(args, record) -> dict:
-    hom = hom_from_json(record(args.hom))
+def _cmd_stats(args, load) -> dict:
+    hom = _hom(load, args.hom)
     A = element_set_from_text(hom, args.fixed)
     B = element_set_from_text(hom, args.moved)
     return {"s": format_rational(bs_statistic(hom, A, B))}
 
 
-def _cmd_mult(args, record) -> dict:
-    hom = hom_from_json(record(args.hom))
+def _cmd_mult(args, load) -> dict:
+    hom = _hom(load, args.hom)
     mv = multiplicity_vector(hom)
     classes = subgroup_conjugacy_classes(hom.source)
     rows = []
@@ -105,9 +107,9 @@ def _cmd_mult(args, record) -> dict:
     return {"degree": mv.degree, "classes": rows}
 
 
-def _cmd_conj(args, record) -> dict:
-    h1 = hom_from_json(record(args.hom1))
-    h2 = hom_from_json(record(args.hom2))
+def _cmd_conj(args, load) -> dict:
+    h1 = _hom(load, args.hom1)
+    h2 = _hom(load, args.hom2)
     ok, witness = is_conjugate(h1, h2)
     return {
         "conjugate": ok,
@@ -115,18 +117,18 @@ def _cmd_conj(args, record) -> dict:
     }
 
 
-def _cmd_order(args, record) -> dict:
-    h1 = hom_from_json(record(args.hom1))
-    h2 = hom_from_json(record(args.hom2))
+def _cmd_order(args, load) -> dict:
+    h1 = _hom(load, args.hom1)
+    h2 = _hom(load, args.hom2)
     return {
         "leq": hom_order_leq(h1, h2),
         "geq": hom_order_leq(h2, h1),
     }
 
 
-def _cmd_small_conj(args, record) -> dict:
-    h1 = hom_from_json(record(args.hom1))
-    h2 = hom_from_json(record(args.hom2))
+def _cmd_small_conj(args, load) -> dict:
+    h1 = _hom(load, args.hom1)
+    h2 = _hom(load, args.hom2)
     p = small_conjugator(h1, h2)
     eps = max_image_distance(h1, h2)
     order = h1.source.order
@@ -141,18 +143,18 @@ def _cmd_small_conj(args, record) -> dict:
     }
 
 
-def _cmd_min_conj(args, record) -> dict:
-    h1 = hom_from_json(record(args.hom1))
-    h2 = hom_from_json(record(args.hom2))
+def _cmd_min_conj(args, load) -> dict:
+    h1 = _hom(load, args.hom1)
+    h2 = _hom(load, args.hom2)
     dist, witness = min_conjugator_distance(h1, h2)
     return {"min_distance": format_rational(dist), "witness": witness.cycle_str()}
 
 
-def _cmd_extend(args, record) -> dict:
-    loaded = group_from_json(record(args.group))
+def _cmd_extend(args, load) -> dict:
+    loaded = group_from_json(load(args.group))
     G = loaded.group
-    H = subgroup_from_json(record(args.subgroup), G)
-    hom = hom_from_json(record(args.hom))
+    H = subgroup_from_json(load(args.subgroup), G)
+    hom = _hom(load, args.hom)
     ext = has_extension(G, H, hom)
     if ext is None:
         return {"found": False, "extension": None}
@@ -162,21 +164,20 @@ def _cmd_extend(args, record) -> dict:
     }
 
 
-def _cmd_complement(args, record) -> dict:
-    loaded = group_from_json(record(args.group))
+def _cmd_complement(args, load) -> dict:
+    loaded = group_from_json(load(args.group))
     G = loaded.group
-    H = subgroup_from_json(record(args.subgroup), G)
+    H = subgroup_from_json(load(args.subgroup), G)
     K = find_normal_complement(G, H)
     if K is None:
         return {"found": False, "complement": None}
     return {"found": True, "complement": list(K.members)}
 
 
-def _cmd_amalgam(args, record) -> dict:
-    h1 = hom_from_json(record(args.hom1))
-    h2 = hom_from_json(record(args.hom2))
-    spec = record(args.h_map)
-    obj = _load_json(spec)
+def _cmd_amalgam(args, load) -> dict:
+    h1 = _hom(load, args.hom1)
+    h2 = _hom(load, args.hom2)
+    obj = load(args.h_map)
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise MalformedInputError("h-map file must carry 'pairs'")
     pairs, relators = obj["pairs"], obj.get("relators")
@@ -201,9 +202,9 @@ def _cmd_amalgam(args, record) -> dict:
     return out
 
 
-def _cmd_lift(args, record) -> dict:
-    psi = hom_from_json(record(args.hom))
-    eta = hom_from_json(record(args.rest))
+def _cmd_lift(args, load) -> dict:
+    psi = _hom(load, args.hom)
+    eta = _hom(load, args.rest)
     # hom_from_json has checked both inputs, and a block sum of
     # homomorphisms of one source is one, so "verified" holds by construction
     out = compose_lift(psi, args.copies, eta)
@@ -218,7 +219,7 @@ def _cmd_lift(args, record) -> dict:
     return {"degree": out.degree, "verified": True, "images": images}
 
 
-def _cmd_correct(args, record) -> dict:
+def _cmd_correct(args, load) -> dict:
     if args.mode == "exact" and args.degree > MAX_EXACT_DEGREE:  # refuse before parsing
         raise BoundExceededError(f"exact mode requires degree <= {MAX_EXACT_DEGREE}")
     a = parse_permutation(args.coef, args.degree)
@@ -232,8 +233,8 @@ def _cmd_correct(args, record) -> dict:
     }
 
 
-def _cmd_graph(args, record) -> dict:
-    hom = hom_from_json(record(args.hom))
+def _cmd_graph(args, load) -> dict:
+    hom = _hom(load, args.hom)
     g = action_graph(hom)
     return {
         "vertices": g.n,
@@ -242,16 +243,16 @@ def _cmd_graph(args, record) -> dict:
     }
 
 
-def _cmd_dstat(args, record) -> dict:
-    h1 = hom_from_json(record(args.hom1))
-    h2 = hom_from_json(record(args.hom2))
+def _cmd_dstat(args, load) -> dict:
+    h1 = _hom(load, args.hom1)
+    h2 = _hom(load, args.hom2)
     d, rows = stat_distance_details(
         action_graph(h1), action_graph(h2), args.size_bound
     )
     return {"d_stat": format_rational(d), "per_pattern": rows}
 
 
-def _cmd_verify_paper(args, record) -> dict:
+def _cmd_verify_paper(args, load) -> dict:
     checks = []
 
     def check(name, expected, actual, note=None):
@@ -447,9 +448,12 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
     started = time.monotonic()
     inputs: dict[str, str] = {}
 
-    def record(path: str) -> str:
-        inputs[path] = _digest(path)
-        return path
+    def load(path: str) -> object:
+        """The JSON value in file ``path``, read once; its digest goes to
+        ``inputs``."""
+        data = _read_bytes(path)
+        inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+        return _load_json(path, data)
 
     report = {
         "command": list(argv),
@@ -469,7 +473,7 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         if args is None:  # the help text is the report's output
             report["outputs"] = {"help": _help(cmd)}
             return finish(EXIT_OK)
-        report["outputs"] = COMMANDS[cmd][0](args, record)
+        report["outputs"] = COMMANDS[cmd][0](args, load)
     except _UsageError as exc:
         return finish(EXIT_USAGE, {"code": "usage", "message": str(exc)})
     except MalformedInputError as exc:

@@ -20,6 +20,7 @@ serialize as strings like ``"1/3"`` in lowest terms.
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -85,11 +86,20 @@ def permutation_from_json(obj, degree: int | None = None) -> Permutation:
     raise MalformedInputError(f"cannot read a permutation from {obj!r}")
 
 
-def _load_json(path: Union[str, Path]) -> object:
+def _read_bytes(path: Union[str, Path]) -> bytes:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: Union[str, Path], data: bytes | None = None) -> object:
+    """The JSON value in file ``path``, whose bytes are ``data`` if the
+    caller has read them already."""
+    if data is None:
+        data = _read_bytes(path)
+    # decoded as ``Path.read_text`` decodes: locale encoding, universal newlines
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

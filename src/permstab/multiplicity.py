@@ -24,7 +24,6 @@ from .groups import (
     Subgroup,
     SubgroupClasses,
     _restrict_to_points,
-    direct_sum_hom,
     generator_images,
     subgroup_conjugacy_classes,
 )
@@ -242,5 +241,4 @@ __all__ = [
     "hom_order_leq",
     "is_conjugate",
     "rep_subtract",
-    "direct_sum_hom",
 ]

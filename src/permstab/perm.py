@@ -26,7 +26,7 @@ class Permutation:
     bijection) is permitted.
     """
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -36,7 +36,6 @@ class Permutation:
                 f"images {images!r} are not a bijection of {{1..{n}}}"
             )
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
@@ -47,7 +46,6 @@ class Permutation:
         """
         p = _new(cls)
         _set(p, "images", images)
-        _set(p, "_hash", hash(images))
         return p
 
     def __setattr__(self, name, value):
@@ -97,7 +95,7 @@ class Permutation:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)!r})"

@@ -49,8 +49,6 @@ class ActionTrace:
     ``_shares``.  The table store never changes after it is built; the
     word and share memos are insert-only and each entry is the same
     whoever adds it, so a trace may be shared across threads.
-    :meth:`masks` evaluates a whole list of words at once, each from its
-    longest suffix already evaluated.
     """
 
     def __init__(self, h: PermHomomorphism):
@@ -76,7 +74,9 @@ class ActionTrace:
         store = self._mask_memo
         if self._gens is not None:
             elements = self._canonical(elements)
-            self._evaluate_words(elements)
+            for w in elements:
+                if w not in store:
+                    store[w] = evaluate_word(self.hom, w).fixed_mask()
         out = []  # a loop: a comprehension is one more call on Python 3.11
         try:
             for e in elements:
@@ -84,31 +84,6 @@ class ActionTrace:
         except KeyError:
             raise PermStabError(f"element id {e!r} outside the source group") from None
         return out
-
-    def _evaluate_words(self, words: Iterable) -> None:
-        """Memoize the fixed-point mask of each word tuple.
-
-        A word is one composition from its longest suffix already
-        evaluated, ``P(w) = P(w[:1]) * P(w[1:])`` (``evaluate_word``'s
-        convention), so words that share suffixes share the products.  The
-        suffix images live only for this call; only the masks are kept.
-        """
-        memo = self._mask_memo
-        perms: dict = {}  # image of each suffix and one-letter word seen
-        for w in words:
-            if w in memo:
-                continue
-            k = 0
-            while k < len(w) and w[k:] not in perms:
-                k += 1
-            p = perms.get(w[k:])  # None: no suffix of ``w`` evaluated yet
-            for j in range(k - 1, -1, -1):
-                letter = w[j : j + 1]
-                f = perms.get(letter)
-                if f is None:
-                    f = perms[letter] = evaluate_word(self.hom, letter)
-                p = perms[w[j:]] = f if p is None else f * p
-            memo[w] = self._full if p is None else p.fixed_mask()
 
     def _share(self, count: int, moved) -> Fraction:
         """``count`` points of the degree, one ``Fraction`` per count; with

@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, determinism, and error objects."""
 
+import hashlib
 import io
 import json
 import os
@@ -122,6 +123,19 @@ def write_corpus(directory):
                 "names": ["u", "v"],
             },
         ),
+        "z4": write(
+            "z4.json",
+            {
+                "kind": "table",
+                "order": 4,
+                "table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+            },
+        ),
+        "z4_half": write("z4half.json", {"members": [0, 2]}),
+        "z2_swap": write(
+            "z2swap.json",
+            {"group": z2, "degree": 2, "images": {"0": "()", "1": "(1 2)"}},
+        ),
         "a3_members": write("a3.json", {"members": [0, 3, 4]}),
         "t12_members": write("t12.json", {"members": [0, 2]}),
         "z3_regular_deg9": write(
@@ -158,6 +172,14 @@ def write_corpus(directory):
                 "group": {"kind": "presentation", "generators": ["s"], "relators": ["s^4"]},
                 "degree": 4,
                 "images": {"s": "(1 2 3 4)"},
+            },
+        ),
+        "psi_s_swap": write(
+            "psi_s_swap.json",
+            {
+                "group": {"kind": "presentation", "generators": ["s"], "relators": ["s^4"]},
+                "degree": 2,
+                "images": {"s": "(1 2)"},
             },
         ),
         "psi_t": write(
@@ -287,10 +309,23 @@ class TestBasicCommands:
             "(1 3 2)(4 6 5)(7 9 8)",
         ]
 
+    def test_extend_not_found(self, files):
+        # every Z4-set restricts to an even number of swaps on its order-2
+        # subgroup, so one swap has no extension
+        code, report = dispatch(["extend", files["z4"], files["z4_half"], files["z2_swap"]])
+        assert code == EXIT_OK
+        assert report["outputs"] == {"found": False, "extension": None}
+
     def test_complement(self, files):
         code, report = dispatch(["complement", files["s3"], files["t12_members"]])
         assert code == EXIT_OK
         assert report["outputs"] == {"found": True, "complement": [0, 3, 4]}
+
+    def test_complement_not_found(self, files):
+        # Z4 is not Z2 x Z2
+        code, report = dispatch(["complement", files["z4"], files["z4_half"]])
+        assert code == EXIT_OK
+        assert report["outputs"] == {"found": False, "complement": None}
 
     def test_amalgam_valid(self, files):
         code, report = dispatch(
@@ -314,6 +349,17 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert report["outputs"]["degree"] == 9
         assert report["outputs"]["verified"] is True
+
+    def test_lift_presentation_images_by_generator_name(self, files):
+        code, report = dispatch(
+            ["lift", files["psi_s"], files["psi_s_swap"], "--copies", "2"]
+        )
+        assert code == EXIT_OK
+        assert report["outputs"] == {
+            "degree": 10,
+            "verified": True,
+            "images": {"s": "(1 2 3 4)(5 6 7 8)(9 10)"},
+        }
 
     def test_lift_checks_only_its_inputs(self, files, monkeypatch):
         # each table-source input is checked once on loading; the block
@@ -600,6 +646,7 @@ class TestExitCodes:
             {"pairs": [["s^2", "t^3", "s"]]},
             {"pairs": [], "relators": [{"s": 1}]},
             {"pairs": [], "relators": "s^4"},
+            {"relators": ["s^4"]},
         ):
             hmap = tmp_path / "hmap.json"
             hmap.write_text(json.dumps(spec))
@@ -652,6 +699,23 @@ class TestDeterminism:
         _, report = dispatch(["mult", files["theta2"]])
         digest = report["inputs"][files["theta2"]]
         assert digest.startswith("sha256:")
+
+    def test_inputs_list_a_group_file_named_by_a_hom(self, files, tmp_path):
+        images = {"u": "(1 2)", "v": "(1 2 3)"}
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps({"group": files["s3"], "degree": 3, "images": images}))
+        inline = tmp_path / "inline.json"
+        group = json.loads(Path(files["s3"]).read_text())
+        inline.write_text(json.dumps({"group": group, "degree": 3, "images": images}))
+        code, report = dispatch(["mult", str(named)])
+        assert code == EXIT_OK
+        assert report["inputs"] == {
+            str(named): "sha256:" + hashlib.sha256(named.read_bytes()).hexdigest(),
+            files["s3"]: "sha256:" + hashlib.sha256(Path(files["s3"]).read_bytes()).hexdigest(),
+        }
+        _, inline_report = dispatch(["mult", str(inline)])
+        assert list(inline_report["inputs"]) == [str(inline)]
+        assert json.dumps(report["outputs"]) == json.dumps(inline_report["outputs"])
 
 
 def valid_invocations(f):

@@ -231,7 +231,7 @@ def random_word(rng, m):
 
 
 class TestBatchWordEvaluation:
-    """``ActionTrace.masks`` evaluates each word once, from its suffix."""
+    """``ActionTrace.masks`` evaluates each word once."""
 
     def test_against_evaluate_word_and_statistic_count(self):
         rng = Random(30)
@@ -264,26 +264,39 @@ class TestBatchWordEvaluation:
                 for A, B in queries
             ]
 
-    def test_one_product_per_new_suffix(self, monkeypatch):
+    def test_each_word_evaluated_once(self, monkeypatch):
+        import permstab.trace_stats as trace_stats
+
         h = PermHomomorphism(
             FpGroup(("x", "y")),
             5,
             (Permutation([2, 3, 1, 4, 5]), Permutation([1, 2, 3, 5, 4])),
         )
-        products = []
-        mul = Permutation.__mul__
+        evaluated, products = [], []
+        evaluate, mul = trace_stats.evaluate_word, Permutation.__mul__
 
-        def counted(p, q):
+        def counted_evaluate(hom, w):
+            evaluated.append(w)
+            return evaluate(hom, w)
+
+        def counted_mul(p, q):
             products.append(1)
             return mul(p, q)
 
-        monkeypatch.setattr(Permutation, "__mul__", counted)
+        monkeypatch.setattr(trace_stats, "evaluate_word", counted_evaluate)
+        monkeypatch.setattr(Permutation, "__mul__", counted_mul)
         x, y, y_inv = (0, 1), (1, 1), (1, -1)
-        words = [(y,), (x, y), (x, x, y), (y_inv, x, y), (x, y)]
-        masks = ActionTrace(h).masks(words)
-        # y is a letter; x y, x x y and y^-1 x y take one product each
-        assert len(products) == 3
-        assert masks == [evaluate_word(h, w).fixed_mask() for w in words]
+        words = [(y,), (x, y), (x, x, y), (y_inv, x, y), (x, y), "x y", ()]
+        trace = ActionTrace(h)
+        masks = trace.masks(words)
+        # "x y" parses to the tuple (x, y): seven words, five distinct
+        assert sorted(evaluated) == sorted({(y,), (x, y), (x, x, y), (y_inv, x, y), ()})
+        assert masks == [evaluate(h, w).fixed_mask() for w in words]
+        evaluated.clear()
+        products.clear()
+        assert trace.masks(words) == masks
+        assert trace.masks(list(reversed(words))) == masks[::-1]
+        assert evaluated == [] and products == []
 
     def test_unknown_generator_rejected(self):
         h = PermHomomorphism(FpGroup(("x",)), 2, (Permutation([2, 1]),))
