@@ -46,7 +46,7 @@ from .multiplicity import hom_order_leq, is_conjugate, multiplicity_vector
 from .perm import hamming_distance, parse_permutation, Permutation
 from .stability import (
     MAX_EXACT_DEGREE,
-    agreement_set,
+    _small_conjugator,
     amalgamated_hom,
     centralizer_correct,
     compose_lift,
@@ -54,7 +54,6 @@ from .stability import (
     has_extension,
     max_image_distance,
     min_conjugator_distance,
-    small_conjugator,
 )
 from .trace_stats import action_trace, bs_statistic
 
@@ -129,7 +128,7 @@ def _cmd_order(args, load) -> dict:
 def _cmd_small_conj(args, load) -> dict:
     h1 = _hom(load, args.hom1)
     h2 = _hom(load, args.hom2)
-    p = small_conjugator(h1, h2)
+    p, agreement = _small_conjugator(h1, h2)
     eps = max_image_distance(h1, h2)
     order = h1.source.order
     return {
@@ -139,7 +138,7 @@ def _cmd_small_conj(args, load) -> dict:
         ),
         "epsilon": format_rational(eps),
         "bound": format_rational(order * eps),
-        "agreement_size": len(agreement_set(h1, h2)),
+        "agreement_size": len(agreement),
     }
 
 
@@ -356,6 +355,7 @@ COMMANDS = {
     "verify-paper": (_cmd_verify_paper, (), {}),
 }
 _HELP = ("-h", "--help")
+_NOT_OPTION_RE = re.compile(r"-$|-\d+$|-\d*\.\d+$")  # "-", a negative number
 
 
 class _UsageError(Exception):
@@ -367,7 +367,7 @@ def _is_option(token: str, options: dict) -> bool:
     starts with ``-`` and is not ``-``, a negative number or text with a space."""
     if token.partition("=")[0] in (*options, *_HELP):
         return True
-    return token[:1] == "-" and " " not in token and not re.match(r"-$|-\d+$|-\d*\.\d+$", token)
+    return token[:1] == "-" and " " not in token and not _NOT_OPTION_RE.match(token)
 
 
 def _convert(name: str, kind, value: str):

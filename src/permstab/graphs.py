@@ -50,7 +50,6 @@ the distance invariant under a consistent relabeling of both graphs.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import (
@@ -69,6 +68,7 @@ from .errors import (
 )
 from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
+from .record import Record, _set
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
 # traversal keys one enumeration may compute, its successor candidates
@@ -77,22 +77,25 @@ DEFAULT_PATTERN_KEY_BUDGET = 120_000
 DEFAULT_ALPHABET_BOUND = 8
 
 
-@dataclass(frozen=True)
-class LabeledDigraph:
+class LabeledDigraph(Record):
     """Oriented labeled graph where each label is a permutation graph."""
 
+    _fields = ("n", "alphabet", "perms")
     n: int
     alphabet: tuple[str, ...]
     perms: tuple[Permutation, ...]
 
-    def __post_init__(self):
-        if len(self.alphabet) != len(self.perms):
+    def __init__(self, n: int, alphabet: tuple[str, ...], perms: tuple[Permutation, ...]):
+        if len(alphabet) != len(perms):
             raise MalformedInputError("one permutation per label required")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise MalformedInputError("duplicate labels")
-        for p in self.perms:
-            if p.degree != self.n:
+        for p in perms:
+            if p.degree != n:
                 raise MalformedInputError("label permutation degree mismatch")
+        _set(self, "n", n)
+        _set(self, "alphabet", alphabet)
+        _set(self, "perms", perms)
 
     @classmethod
     def from_edges(
@@ -159,8 +162,7 @@ def action_graph(psi: PermHomomorphism) -> LabeledDigraph:
 # rooted patterns
 
 
-@dataclass(frozen=True)
-class RootedPattern:
+class RootedPattern(Record):
     """A small connected rooted labeled digraph (pattern to count).
 
     Vertices are ``1..n`` with root ``root``; edges are
@@ -168,25 +170,28 @@ class RootedPattern:
     incoming edge per label at each vertex.
     """
 
+    _fields = ("n", "root", "alphabet", "edges")
     n: int
     root: int
     alphabet: tuple[str, ...]
     edges: frozenset[tuple[int, int, int]]
 
-    def __post_init__(self):
-        if not 1 <= self.root <= self.n:
+    def __init__(
+        self, n: int, root: int, alphabet: tuple[str, ...], edges: frozenset[tuple[int, int, int]]
+    ):
+        if not 1 <= root <= n:
             raise MalformedInputError("root outside vertex range")
-        if self.n > DEFAULT_PATTERN_VERTEX_BOUND:
+        if n > DEFAULT_PATTERN_VERTEX_BOUND:
             raise BoundExceededError(
-                f"pattern has {self.n} vertices, "
+                f"pattern has {n} vertices, "
                 f"bound is {DEFAULT_PATTERN_VERTEX_BOUND}"
             )
         out_seen = set()
         in_seen = set()
-        for u, v, lab in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
+        for u, v, lab in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
                 raise MalformedInputError("edge endpoint outside vertex range")
-            if not 0 <= lab < len(self.alphabet):
+            if not 0 <= lab < len(alphabet):
                 raise MalformedInputError("edge label index out of range")
             if (u, lab) in out_seen or (v, lab) in in_seen:
                 raise MalformedInputError(
@@ -194,18 +199,22 @@ class RootedPattern:
                 )
             out_seen.add((u, lab))
             in_seen.add((v, lab))
-        words, _ = _spanning_words(self.n, self.root, self.edges, len(self.alphabet))
-        if len(words) != self.n:
+        words, _ = _spanning_words(n, root, edges, len(alphabet))
+        if len(words) != n:
             raise MalformedInputError("pattern must be connected")
+        _set(self, "n", n)
+        _set(self, "root", root)
+        _set(self, "alphabet", alphabet)
+        _set(self, "edges", edges)
 
     @classmethod
     def _trusted(cls, n: int, root: int, alphabet: tuple[str, ...], edges) -> "RootedPattern":
         """Wrap an edge set valid by construction (the enumerator's), unchecked."""
         p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "root", root)
-        object.__setattr__(p, "alphabet", alphabet)
-        object.__setattr__(p, "edges", edges)
+        _set(p, "n", n)
+        _set(p, "root", root)
+        _set(p, "alphabet", alphabet)
+        _set(p, "edges", edges)
         return p
 
     def certificate(self) -> tuple:
@@ -732,19 +741,21 @@ def stat_distance_details(
 # encoding labeled digraphs into simple graphs
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """Undirected simple graph on vertices ``1..n``."""
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[frozenset[int]]
 
-    def __post_init__(self):
-        for e in self.edges:
+    def __init__(self, n: int, edges: frozenset[frozenset[int]]):
+        for e in edges:
             if len(e) != 2:
                 raise MalformedInputError("edges must join two distinct vertices")
-            if not all(1 <= v <= self.n for v in e):
+            if not all(1 <= v <= n for v in e):
                 raise MalformedInputError("edge endpoint outside vertex range")
+        _set(self, "n", n)
+        _set(self, "edges", edges)
 
     def degree_map(self) -> dict[int, int]:
         deg = {v: 0 for v in range(1, self.n + 1)}

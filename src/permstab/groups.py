@@ -13,7 +13,6 @@ checking (no word problem, no coset enumeration).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -25,6 +24,7 @@ from .errors import (
     WordError,
 )
 from .perm import Permutation, restrict
+from .record import Record, _set
 
 DEFAULT_CLOSURE_BOUND = 5_040  # |S7|, whose table builds in about 2 s and 215 MB
 DEFAULT_SUBGROUP_ORDER_BOUND = 200
@@ -150,17 +150,17 @@ def _check_associative(rows: tuple[tuple[int, ...], ...], gens: tuple[int, ...])
                 raise GroupTableError(f"associativity fails at ({x},{g},{y})")
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup of ``parent`` as a sorted tuple of element ids."""
 
+    _fields = ("parent", "members")
     parent: FiniteGroup
     members: tuple[int, ...]
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         mems = tuple(sorted(set(members)))
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", mems)
+        _set(self, "parent", parent)
+        _set(self, "members", mems)
         mset = set(mems)
         if parent.identity not in mset:
             raise NotSubgroupError("member set lacks the identity")
@@ -184,8 +184,8 @@ class Subgroup:
         closure or a point stabilizer.
         """
         s = object.__new__(cls)
-        object.__setattr__(s, "parent", parent)
-        object.__setattr__(s, "members", tuple(sorted(members)))
+        _set(s, "parent", parent)
+        _set(s, "members", tuple(sorted(members)))
         return s
 
     @property
@@ -354,17 +354,25 @@ def quaternion_group() -> tuple[FiniteGroup, "PermHomomorphism"]:
 # subgroup machinery
 
 
-@dataclass(frozen=True)
-class SubgroupClasses:
+class SubgroupClasses(Record):
     """Conjugacy classes of subgroups of a finite group.
 
     ``classes[i]`` is the sorted tuple of member-sets in class ``i``, led by
     its canonical representative; classes ascend by representative.
+    ``class_of``, the class of each member-set, is derived from
+    ``classes`` and takes no part in equality.
     """
 
+    _fields = ("group", "classes", "class_of")
+    _compare = ("group", "classes")
     group: FiniteGroup
     classes: tuple[tuple[frozenset[int], ...], ...]
-    class_of: Mapping[frozenset[int], int] = field(hash=False, compare=False)
+    class_of: Mapping[frozenset[int], int]
+
+    def __init__(self, group: FiniteGroup, classes, class_of):
+        _set(self, "group", group)
+        _set(self, "classes", classes)
+        _set(self, "class_of", class_of)
 
     def representative(self, class_id: int) -> Subgroup:
         return Subgroup._trusted(self.group, self.classes[class_id][0])
@@ -493,13 +501,13 @@ Word = tuple[tuple[int, int], ...]  # (generator index, exponent != 0)
 _LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
-class FpGroup:
+class FpGroup(Record):
     """A finitely presented group: generator names plus relator words.
 
     Only word evaluation and relator checking are supported.
     """
 
+    _fields = ("generators", "relators")
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
@@ -507,7 +515,6 @@ class FpGroup:
         gens = tuple(generators)
         if len(set(gens)) != len(gens):
             raise WordError("duplicate generator names")
-        object.__setattr__(self, "generators", gens)
         parsed = tuple(
             parse_word(r, gens) if isinstance(r, str) else tuple(r)
             for r in relators
@@ -518,7 +525,8 @@ class FpGroup:
                     raise WordError(f"relator references unknown generator {idx}")
                 if exp == 0:
                     raise WordError("zero exponent in relator")
-        object.__setattr__(self, "relators", parsed)
+        _set(self, "generators", gens)
+        _set(self, "relators", parsed)
 
     @property
     def is_free(self) -> bool:
@@ -553,8 +561,7 @@ def format_word(word: Word, generators: Sequence[str]) -> str:
 # homomorphisms
 
 
-@dataclass(frozen=True)
-class PermHomomorphism:
+class PermHomomorphism(Record):
     """A homomorphism into the symmetric group of a fixed degree.
 
     For a ``FiniteGroup`` source, ``images`` maps every element id to a
@@ -563,24 +570,33 @@ class PermHomomorphism:
     :func:`check_homomorphism` for the algebraic verification.
     """
 
+    _fields = ("source", "degree", "images")
     source: Union[FiniteGroup, FpGroup]
     degree: int
     images: tuple[Permutation, ...]
 
-    def __post_init__(self):
-        if isinstance(self.source, FiniteGroup):
-            expected = self.source.order
+    def __init__(
+        self,
+        source: Union[FiniteGroup, FpGroup],
+        degree: int,
+        images: tuple[Permutation, ...],
+    ):
+        if isinstance(source, FiniteGroup):
+            expected = source.order
         else:
-            expected = len(self.source.generators)
-        if len(self.images) != expected:
+            expected = len(source.generators)
+        if len(images) != expected:
             raise SourceMismatchError(
-                f"expected {expected} images, got {len(self.images)}"
+                f"expected {expected} images, got {len(images)}"
             )
-        for p in self.images:
-            if p.degree != self.degree:
+        for p in images:
+            if p.degree != degree:
                 raise SourceMismatchError(
-                    f"image degree {p.degree} differs from {self.degree}"
+                    f"image degree {p.degree} differs from {degree}"
                 )
+        _set(self, "source", source)
+        _set(self, "degree", degree)
+        _set(self, "images", images)
 
     @cached_property
     def trace(self):
@@ -611,11 +627,16 @@ def evaluate_word(h: PermHomomorphism, word: Union[str, Word]) -> Permutation:
     return Permutation.identity(h.degree) if result is None else result
 
 
-@dataclass(frozen=True)
-class HomCheck:
+class HomCheck(Record):
+    _fields = ("ok", "witness", "message")
     ok: bool
-    witness: object = None  # violating (a, b) pair or relator word
-    message: str = ""
+    witness: object  # violating (a, b) pair or relator word
+    message: str
+
+    def __init__(self, ok: bool, witness: object = None, message: str = ""):
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
+        _set(self, "message", message)
 
 
 def generator_images(h: PermHomomorphism) -> tuple[Permutation, ...]:

@@ -20,7 +20,6 @@ serialize as strings like ``"1/3"`` in lowest terms.
 
 from __future__ import annotations
 
-import io
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -88,21 +87,22 @@ def permutation_from_json(obj, degree: int | None = None) -> Permutation:
 
 def _read_bytes(path: Union[str, Path]) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_json(path: Union[str, Path], data: bytes | None = None) -> object:
     """The JSON value in file ``path``, whose bytes are ``data`` if the
-    caller has read them already."""
+    caller has read them already.  The file is UTF-8 whatever the locale;
+    CR LF and a lone CR read as LF, as in a text-mode read."""
     if data is None:
         data = _read_bytes(path)
-    # decoded as ``Path.read_text`` decodes: locale encoding, universal newlines
-    text = io.TextIOWrapper(io.BytesIO(data)).read()
     try:
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 

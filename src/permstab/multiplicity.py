@@ -13,7 +13,6 @@ Orbits and maps come from one walk over the generator images
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -28,6 +27,7 @@ from .groups import (
     subgroup_conjugacy_classes,
 )
 from .perm import Permutation
+from .record import Record, _set
 
 
 def _transport(perms1, perms2, b: int, y: int) -> Optional[dict[int, int]]:
@@ -56,19 +56,30 @@ def _orbits(perms, n: int) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
+    _fields = ("points", "base", "stabilizer", "class_id")
     points: tuple[int, ...]
     base: int
     stabilizer: Subgroup
     class_id: int
 
+    def __init__(self, points: tuple[int, ...], base: int, stabilizer: Subgroup, class_id: int):
+        _set(self, "points", points)
+        _set(self, "base", base)
+        _set(self, "stabilizer", stabilizer)
+        _set(self, "class_id", class_id)
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+
+class OrbitDecomposition(Record):
+    _fields = ("hom", "classes", "orbits")
     hom: PermHomomorphism
     classes: SubgroupClasses
     orbits: tuple[Orbit, ...]
+
+    def __init__(self, hom: PermHomomorphism, classes: SubgroupClasses, orbits: tuple[Orbit, ...]):
+        _set(self, "hom", hom)
+        _set(self, "classes", classes)
+        _set(self, "orbits", orbits)
 
 
 def orbit_decomposition(h: PermHomomorphism) -> OrbitDecomposition:
@@ -97,8 +108,7 @@ def orbit_decomposition(h: PermHomomorphism) -> OrbitDecomposition:
     return OrbitDecomposition(h, classes, tuple(orbits))
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(Record):
     """Orbit counts per stabilizer conjugacy class, plus the degree.
 
     ``counts[i]`` is the number of orbits whose stabilizer class is ``i``;
@@ -106,9 +116,15 @@ class MultiplicityVector:
     the orbit-stabilizer theorem.
     """
 
+    _fields = ("group", "degree", "counts")
     group: FiniteGroup
     degree: int
     counts: tuple[int, ...]
+
+    def __init__(self, group: FiniteGroup, degree: int, counts: tuple[int, ...]):
+        _set(self, "group", group)
+        _set(self, "degree", degree)
+        _set(self, "counts", counts)
 
     def multiplicity(self, class_id: int) -> int:
         return self.counts[class_id]

@@ -25,7 +25,6 @@ This module houses the finite, executable side of stability theory:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -60,6 +59,7 @@ from .perm import (
     hamming_distance,
     replicate,
 )
+from .record import Record, _set
 
 MAX_EXACT_DEGREE = 8
 
@@ -105,13 +105,20 @@ def small_conjugator(
     points outside the agreement set, hence
     ``d_H(p, id) <= |H| * max_image_distance(h1, h2)``.
     """
+    return _small_conjugator(h1, h2)[0]
+
+
+def _small_conjugator(
+    h1: PermHomomorphism, h2: PermHomomorphism
+) -> tuple[Permutation, tuple[int, ...]]:
+    """:func:`small_conjugator` and the :func:`agreement_set` it fixes."""
     if not isinstance(h1.source, FiniteGroup):
         raise SourceMismatchError("small conjugators require a finite source")
     A = agreement_set(h1, h2)
     inside = set(A)
     outside = [i for i in range(1, h1.degree + 1) if i not in inside]
     if not outside:
-        return Permutation.identity(h1.degree)
+        return Permutation.identity(h1.degree), A
     # both actions agree on A, and finite G-sets cancel, so the pair is
     # conjugate exactly when the restrictions to the complement are
     ok, w = is_conjugate(
@@ -122,7 +129,7 @@ def small_conjugator(
     images = list(range(1, h1.degree + 1))
     for local, orig in enumerate(outside, 1):
         images[orig - 1] = outside[w(local) - 1]
-    return Permutation(images)
+    return Permutation(images), A
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +338,7 @@ def retraction_from_complement(
 HToken = Union[str, int]
 
 
-@dataclass(frozen=True)
-class AmalgamHom:
+class AmalgamHom(Record):
     """Two homomorphisms of equal degree glued over a common subgroup.
 
     ``h_pairs`` lists corresponding elements of the two factors (words
@@ -341,9 +347,20 @@ class AmalgamHom:
     evaluation of alternating words well-defined.
     """
 
+    _fields = ("psi1", "psi2", "h_pairs")
     psi1: PermHomomorphism
     psi2: PermHomomorphism
     h_pairs: tuple[tuple[HToken, HToken], ...]
+
+    def __init__(
+        self,
+        psi1: PermHomomorphism,
+        psi2: PermHomomorphism,
+        h_pairs: tuple[tuple[HToken, HToken], ...],
+    ):
+        _set(self, "psi1", psi1)
+        _set(self, "psi2", psi2)
+        _set(self, "h_pairs", h_pairs)
 
     @property
     def degree(self) -> int:
@@ -494,12 +511,20 @@ def compose_lift(
 # correction of almost-centralizing permutations
 
 
-@dataclass(frozen=True)
-class CorrectionReport:
+class CorrectionReport(Record):
+    _fields = ("corrected", "distance", "input_defect", "mode")
     corrected: Permutation
     distance: Fraction  # d_H(q, corrected)
     input_defect: Fraction  # d_H(a q a^-1 q^-1, id)
     mode: str
+
+    def __init__(
+        self, corrected: Permutation, distance: Fraction, input_defect: Fraction, mode: str
+    ):
+        _set(self, "corrected", corrected)
+        _set(self, "distance", distance)
+        _set(self, "input_defect", input_defect)
+        _set(self, "mode", mode)
 
 
 def commutator_defect(a: Permutation, q: Permutation) -> Fraction:

@@ -277,6 +277,21 @@ class TestBasicCommands:
         assert out["distance"] == "2/5"
         assert out["agreement_size"] == 6
 
+    def test_small_conj_one_agreement_set_per_request(self, files, monkeypatch):
+        from permstab import stability
+
+        calls = []
+        real = stability.agreement_set
+
+        def counted(h1, h2):
+            calls.append(1)
+            return real(h1, h2)
+
+        monkeypatch.setattr(stability, "agreement_set", counted)
+        code, report = dispatch(["small-conj", files["phi1"], files["phi2"]])
+        assert code == EXIT_OK and report["outputs"]["agreement_size"] == 6
+        assert len(calls) == 1
+
     def test_min_conj(self, files):
         # frozen from an exhaustive scan of all degree-8 conjugators
         code, report = dispatch(["min-conj", files["phi1_s8"], files["phi2_s8"]])
@@ -458,6 +473,14 @@ class TestExitCodes:
     def test_missing_file(self):
         code, _ = dispatch(["mult", "/does/not/exist.json"])
         assert code == EXIT_BADFILE
+
+    def test_non_utf8_file_is_malformed(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "table", \xff}')
+        code, report = dispatch(["trace", "--hom", str(path), "--set", "1"])
+        assert code == EXIT_BADFILE
+        error = report["outputs"]["error"]
+        assert error["code"] == "malformed-input" and "utf-8" in error["message"]
 
     def test_float_image_is_malformed(self, tmp_path):
         path = tmp_path / "float.json"
@@ -921,6 +944,14 @@ class TestCommandTable:
         code = "import sys, permstab.cli; print('argparse' in sys.modules)"
         done = fresh_python(code, capture_output=True, text=True)
         assert done.stdout.strip() == "False", done.stderr
+
+    def test_import_leaves_dataclasses_and_inspect_out(self):
+        code = (
+            "import sys; lean = {'dataclasses', 'inspect'}; before = lean & set(sys.modules); "
+            "import permstab.cli; print(sorted(lean & set(sys.modules) - before))"
+        )
+        done = fresh_python(code, capture_output=True, text=True)
+        assert done.stdout.strip() == "[]", done.stderr
 
 
 def test_unwritable_stdout_is_io_error():

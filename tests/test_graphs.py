@@ -412,28 +412,28 @@ class TestEnumeration:
     def test_one_trusted_build_and_refinement_per_class(
         self, alphabet, bound, monkeypatch
     ):
-        calls = {"refine": 0, "post_init": 0, "trusted": 0}
-        refine, post_init = graphs._refine_ranks, RootedPattern.__post_init__
+        calls = {"refine": 0, "init": 0, "trusted": 0}
+        refine, init = graphs._refine_ranks, RootedPattern.__init__
         trusted = RootedPattern._trusted.__func__
 
         def count_refine(*args):
             calls["refine"] += 1
             return refine(*args)
 
-        def count_post_init(self):
-            calls["post_init"] += 1
-            post_init(self)
+        def count_init(self, *args):
+            calls["init"] += 1
+            init(self, *args)
 
         def count_trusted(cls, *args):
             calls["trusted"] += 1
             return trusted(cls, *args)
 
         monkeypatch.setattr(graphs, "_refine_ranks", count_refine)
-        monkeypatch.setattr(RootedPattern, "__post_init__", count_post_init)
+        monkeypatch.setattr(RootedPattern, "__init__", count_init)
         monkeypatch.setattr(RootedPattern, "_trusted", classmethod(count_trusted))
         listed = enumerate_patterns.__wrapped__(alphabet, bound)
         n = len(listed)
-        assert calls == {"refine": n, "post_init": 0, "trusted": n}
+        assert calls == {"refine": n, "init": 0, "trusted": n}
 
     @pytest.mark.parametrize(
         "alphabet,bound,keys", [(("x",), 4, 23), (("x", "y"), 3, 1439), (("x", "y", "z"), 2, 1265)]

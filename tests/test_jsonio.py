@@ -1,6 +1,9 @@
 """JSON formats: roundtrips and the malformed-input corpus."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from permstab.cli import dispatch
 from permstab.errors import MalformedInputError
 from permstab.groups import FiniteGroup, FpGroup, check_homomorphism, cyclic_group
 from permstab.jsonio import (
+    _load_json,
     element_set_from_text,
     format_rational,
     group_from_json,
@@ -289,6 +293,39 @@ class TestHomJson:
         path.write_text("{not json")
         with pytest.raises(MalformedInputError):
             hom_from_json(str(path))
+
+    def test_files_read_as_utf8(self, tmp_path):
+        path = tmp_path / "names.json"
+        path.write_bytes('{"name": "\u00e9", "n": [1,\r\n 2]}'.encode())
+        assert _load_json(str(path)) == {"name": "\u00e9", "n": [1, 2]}
+        for bad in (b"\xff", "\u00e9".encode("latin-1"), b'"\xed\xa0\x80"'):
+            with pytest.raises(MalformedInputError, match="utf-8"):
+                _load_json("bad.json", bad)
+
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale without UTF-8 mode decodes text files as ASCII
+        path = tmp_path / "names.json"
+        path.write_bytes('"\u00e9"'.encode())
+        code = f"from permstab.jsonio import _load_json; print(ascii(_load_json({str(path)!r})))"
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(permstab.jsonio.__file__)),
+            "LC_ALL": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout.strip() == "'\\xe9'", done.stderr
+
+    def test_newlines_translated_before_parsing(self):
+        # an error's line and column are those of the file with each
+        # "\r\n" or "\r" read as "\n"
+        for sep in ("\n", "\r\n", "\r"):
+            with pytest.raises(MalformedInputError) as caught:
+                _load_json("bad.json", sep.join(["{", '"a": 1,', "}"]).encode())
+            assert str(caught.value).endswith("line 3 column 1 (char 10)")
 
 
 class TestSubgroupJson:
