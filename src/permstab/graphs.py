@@ -68,7 +68,7 @@ from .errors import (
 )
 from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
-from .record import Record, _set
+from .record import Record
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
 # traversal keys one enumeration may compute, its successor candidates
@@ -80,7 +80,6 @@ DEFAULT_ALPHABET_BOUND = 8
 class LabeledDigraph(Record):
     """Oriented labeled graph where each label is a permutation graph."""
 
-    _fields = ("n", "alphabet", "perms")
     n: int
     alphabet: tuple[str, ...]
     perms: tuple[Permutation, ...]
@@ -93,9 +92,7 @@ class LabeledDigraph(Record):
         for p in perms:
             if p.degree != n:
                 raise MalformedInputError("label permutation degree mismatch")
-        _set(self, "n", n)
-        _set(self, "alphabet", alphabet)
-        _set(self, "perms", perms)
+        super().__init__(n, alphabet, perms)
 
     @classmethod
     def from_edges(
@@ -170,7 +167,6 @@ class RootedPattern(Record):
     incoming edge per label at each vertex.
     """
 
-    _fields = ("n", "root", "alphabet", "edges")
     n: int
     root: int
     alphabet: tuple[str, ...]
@@ -202,20 +198,7 @@ class RootedPattern(Record):
         words, _ = _spanning_words(n, root, edges, len(alphabet))
         if len(words) != n:
             raise MalformedInputError("pattern must be connected")
-        _set(self, "n", n)
-        _set(self, "root", root)
-        _set(self, "alphabet", alphabet)
-        _set(self, "edges", edges)
-
-    @classmethod
-    def _trusted(cls, n: int, root: int, alphabet: tuple[str, ...], edges) -> "RootedPattern":
-        """Wrap an edge set valid by construction (the enumerator's), unchecked."""
-        p = object.__new__(cls)
-        _set(p, "n", n)
-        _set(p, "root", root)
-        _set(p, "alphabet", alphabet)
-        _set(p, "edges", edges)
-        return p
+        super().__init__(n, root, alphabet, edges)
 
     def certificate(self) -> tuple:
         """The enumeration's sort key (:func:`_certificate`)."""
@@ -495,7 +478,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                     ]
                 for order in orders:
                     orbit_of.setdefault(_traversal_key(list(map(order, rows)), 1), orbit)
-            pat = RootedPattern._trusted(n, 1, alphabet, edges)
+            pat = RootedPattern._trusted(n, 1, alphabet, edges)  # valid by construction
             # sorted by certificate, held as one byte per int (vertex numbers
             # and label indices are below 256): bytes compare faster than
             # nested tuples and give the garbage collector nothing to track
@@ -744,7 +727,6 @@ def stat_distance_details(
 class SimpleGraph(Record):
     """Undirected simple graph on vertices ``1..n``."""
 
-    _fields = ("n", "edges")
     n: int
     edges: frozenset[frozenset[int]]
 
@@ -754,8 +736,7 @@ class SimpleGraph(Record):
                 raise MalformedInputError("edges must join two distinct vertices")
             if not all(1 <= v <= n for v in e):
                 raise MalformedInputError("edge endpoint outside vertex range")
-        _set(self, "n", n)
-        _set(self, "edges", edges)
+        super().__init__(n, edges)
 
     def degree_map(self) -> dict[int, int]:
         deg = {v: 0 for v in range(1, self.n + 1)}

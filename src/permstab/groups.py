@@ -24,7 +24,7 @@ from .errors import (
     WordError,
 )
 from .perm import Permutation, restrict
-from .record import Record, _set
+from .record import Record
 
 DEFAULT_CLOSURE_BOUND = 5_040  # |S7|, whose table builds in about 2 s and 215 MB
 DEFAULT_SUBGROUP_ORDER_BOUND = 200
@@ -153,14 +153,11 @@ def _check_associative(rows: tuple[tuple[int, ...], ...], gens: tuple[int, ...])
 class Subgroup(Record):
     """A subgroup of ``parent`` as a sorted tuple of element ids."""
 
-    _fields = ("parent", "members")
     parent: FiniteGroup
     members: tuple[int, ...]
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         mems = tuple(sorted(set(members)))
-        _set(self, "parent", parent)
-        _set(self, "members", mems)
         mset = set(mems)
         if parent.identity not in mset:
             raise NotSubgroupError("member set lacks the identity")
@@ -175,6 +172,7 @@ class Subgroup(Record):
                     raise NotSubgroupError(
                         f"member set not closed under product ({a},{b})"
                     )
+        super().__init__(parent, mems)
 
     @classmethod
     def _trusted(cls, parent: FiniteGroup, members: Iterable[int]) -> "Subgroup":
@@ -183,10 +181,7 @@ class Subgroup(Record):
         Only for member sets that are subgroups by construction, such as a
         closure or a point stabilizer.
         """
-        s = object.__new__(cls)
-        _set(s, "parent", parent)
-        _set(s, "members", tuple(sorted(members)))
-        return s
+        return super()._trusted(parent, tuple(sorted(members)))
 
     @property
     def order(self) -> int:
@@ -363,16 +358,10 @@ class SubgroupClasses(Record):
     ``classes`` and takes no part in equality.
     """
 
-    _fields = ("group", "classes", "class_of")
     _compare = ("group", "classes")
     group: FiniteGroup
     classes: tuple[tuple[frozenset[int], ...], ...]
     class_of: Mapping[frozenset[int], int]
-
-    def __init__(self, group: FiniteGroup, classes, class_of):
-        _set(self, "group", group)
-        _set(self, "classes", classes)
-        _set(self, "class_of", class_of)
 
     def representative(self, class_id: int) -> Subgroup:
         return Subgroup._trusted(self.group, self.classes[class_id][0])
@@ -507,7 +496,6 @@ class FpGroup(Record):
     Only word evaluation and relator checking are supported.
     """
 
-    _fields = ("generators", "relators")
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
@@ -525,8 +513,7 @@ class FpGroup(Record):
                     raise WordError(f"relator references unknown generator {idx}")
                 if exp == 0:
                     raise WordError("zero exponent in relator")
-        _set(self, "generators", gens)
-        _set(self, "relators", parsed)
+        super().__init__(gens, parsed)
 
     @property
     def is_free(self) -> bool:
@@ -570,7 +557,6 @@ class PermHomomorphism(Record):
     :func:`check_homomorphism` for the algebraic verification.
     """
 
-    _fields = ("source", "degree", "images")
     source: Union[FiniteGroup, FpGroup]
     degree: int
     images: tuple[Permutation, ...]
@@ -594,9 +580,7 @@ class PermHomomorphism(Record):
                 raise SourceMismatchError(
                     f"image degree {p.degree} differs from {degree}"
                 )
-        _set(self, "source", source)
-        _set(self, "degree", degree)
-        _set(self, "images", images)
+        super().__init__(source, degree, images)
 
     @cached_property
     def trace(self):
@@ -628,15 +612,9 @@ def evaluate_word(h: PermHomomorphism, word: Union[str, Word]) -> Permutation:
 
 
 class HomCheck(Record):
-    _fields = ("ok", "witness", "message")
     ok: bool
-    witness: object  # violating (a, b) pair or relator word
-    message: str
-
-    def __init__(self, ok: bool, witness: object = None, message: str = ""):
-        _set(self, "ok", ok)
-        _set(self, "witness", witness)
-        _set(self, "message", message)
+    witness: object = None  # violating (a, b) pair or relator word
+    message: str = ""
 
 
 def generator_images(h: PermHomomorphism) -> tuple[Permutation, ...]:

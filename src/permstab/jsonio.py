@@ -37,6 +37,7 @@ from .groups import (
     hom_from_generator_images,
 )
 from .perm import Permutation, parse_permutation
+from .record import Record
 
 GroupLike = Union[FiniteGroup, FpGroup]
 
@@ -106,16 +107,13 @@ def _load_json(path: Union[str, Path], data: bytes | None = None) -> object:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-class LoadedGroup:
+class LoadedGroup(Record):
     """A group parsed from JSON, remembering how its images are keyed."""
 
-    def __init__(self, group: GroupLike, kind: str,
-                 gen_names: tuple[str, ...] = (),
-                 gen_elements: tuple[int, ...] = ()):
-        self.group = group
-        self.kind = kind
-        self.gen_names = gen_names
-        self.gen_elements = gen_elements  # element ids of named generators
+    group: GroupLike
+    kind: str
+    gen_names: tuple[str, ...] = ()  # the image keys; () for a table
+    gen_elements: tuple[int, ...] = ()  # element ids of perm-gens generators
 
 
 def group_from_json(obj) -> LoadedGroup:
@@ -148,20 +146,20 @@ def _group_from_text(text: str) -> LoadedGroup:
             return LoadedGroup(FiniteGroup(table), "table")
         if kind == "perm-gens":
             degree = obj["degree"]
-            gens = [
-                permutation_from_json(g, degree) for g in obj["generators"]
-            ]
-            names = tuple(obj.get("names", [f"g{i}" for i in range(len(gens))]))
-            if len(names) != len(gens):
-                raise MalformedInputError("one name per generator required")
+            if not isinstance(obj["generators"], list):
+                raise MalformedInputError("perm-gens generators must be a JSON list")
+            gens = [permutation_from_json(g, degree) for g in obj["generators"]]
+            names = obj.get("names", [f"g{i}" for i in range(len(gens))])
+            if not (_is_str_list(names) and len(set(names)) == len(names) == len(gens)):
+                raise MalformedInputError("one distinct name string per generator required")
             G, hom = group_from_permutations(gens)
             ids = tuple(hom.images.index(g) for g in gens)
-            return LoadedGroup(G, "perm-gens", names, ids)
+            return LoadedGroup(G, "perm-gens", tuple(names), ids)
         if kind == "presentation":
-            return LoadedGroup(
-                FpGroup(obj["generators"], obj.get("relators", ())),
-                "presentation",
-            )
+            if not (_is_str_list(obj["generators"]) and _is_str_list(obj.get("relators", []))):
+                raise MalformedInputError("generators and relators must be lists of strings")
+            G = FpGroup(obj["generators"], obj.get("relators", ()))
+            return LoadedGroup(G, "presentation", G.generators)
     except (MalformedInputError, BoundExceededError):
         raise
     except PermStabError as exc:
@@ -188,6 +186,8 @@ def hom_from_json(obj) -> PermHomomorphism:
         raise MalformedInputError("homomorphism degree must be a JSON integer")
     if not isinstance(images, dict):
         raise MalformedInputError("homomorphism images must be a JSON object")
+    if loaded.kind != "table" and not set(images) <= set(loaded.gen_names):
+        raise MalformedInputError("images keyed by a name that is no generator")
     try:
         if loaded.kind == "presentation":
             src = loaded.group
@@ -239,6 +239,10 @@ def subgroup_from_json(obj, G: FiniteGroup) -> Subgroup:
 def _is_int_list(obj) -> bool:
     """A JSON list of JSON integers (``true`` and ``1.0`` are not)."""
     return isinstance(obj, list) and all(type(x) is int for x in obj)
+
+
+def _is_str_list(obj) -> bool:
+    return isinstance(obj, list) and all(type(x) is str for x in obj)
 
 
 def element_set_from_text(hom: PermHomomorphism, text: str) -> list:

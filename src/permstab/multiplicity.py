@@ -27,7 +27,7 @@ from .groups import (
     subgroup_conjugacy_classes,
 )
 from .perm import Permutation
-from .record import Record, _set
+from .record import Record
 
 
 def _transport(perms1, perms2, b: int, y: int) -> Optional[dict[int, int]]:
@@ -57,29 +57,16 @@ def _orbits(perms, n: int) -> list[list[int]]:
 
 
 class Orbit(Record):
-    _fields = ("points", "base", "stabilizer", "class_id")
     points: tuple[int, ...]
     base: int
     stabilizer: Subgroup
     class_id: int
 
-    def __init__(self, points: tuple[int, ...], base: int, stabilizer: Subgroup, class_id: int):
-        _set(self, "points", points)
-        _set(self, "base", base)
-        _set(self, "stabilizer", stabilizer)
-        _set(self, "class_id", class_id)
-
 
 class OrbitDecomposition(Record):
-    _fields = ("hom", "classes", "orbits")
     hom: PermHomomorphism
     classes: SubgroupClasses
     orbits: tuple[Orbit, ...]
-
-    def __init__(self, hom: PermHomomorphism, classes: SubgroupClasses, orbits: tuple[Orbit, ...]):
-        _set(self, "hom", hom)
-        _set(self, "classes", classes)
-        _set(self, "orbits", orbits)
 
 
 def orbit_decomposition(h: PermHomomorphism) -> OrbitDecomposition:
@@ -116,15 +103,9 @@ class MultiplicityVector(Record):
     the orbit-stabilizer theorem.
     """
 
-    _fields = ("group", "degree", "counts")
     group: FiniteGroup
     degree: int
     counts: tuple[int, ...]
-
-    def __init__(self, group: FiniteGroup, degree: int, counts: tuple[int, ...]):
-        _set(self, "group", group)
-        _set(self, "degree", degree)
-        _set(self, "counts", counts)
 
     def multiplicity(self, class_id: int) -> int:
         return self.counts[class_id]

@@ -17,6 +17,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _SEP_RE = re.compile(r"[,\s]+")
 _new = object.__new__
 _set = object.__setattr__
+_ZEROS = bytearray(b"0")  # copied, never changed
 
 
 class Permutation:
@@ -112,12 +113,14 @@ class Permutation:
         return tuple(i for i, j in enumerate(self.images, 1) if i == j)
 
     def fixed_mask(self) -> int:
-        """Bitmask with bit ``i-1`` set iff point ``i`` is fixed."""
-        mask = 0
+        """Bitmask with bit ``i-1`` set iff point ``i`` is fixed, read from its
+        binary digits in time linear in the degree (``|=`` per point is not)."""
+        m = len(self.images) + 1
+        digits = _ZEROS * m  # a leading "0", then bit n-1 down to bit 0
         for i, j in enumerate(self.images, 1):
             if i == j:
-                mask |= 1 << (i - 1)
-        return mask
+                digits[m - i] = 49  # ord("1")
+        return int(digits, 2)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.images, 1) if i != j)

@@ -59,7 +59,7 @@ from .perm import (
     hamming_distance,
     replicate,
 )
-from .record import Record, _set
+from .record import Record
 
 MAX_EXACT_DEGREE = 8
 
@@ -347,20 +347,9 @@ class AmalgamHom(Record):
     evaluation of alternating words well-defined.
     """
 
-    _fields = ("psi1", "psi2", "h_pairs")
     psi1: PermHomomorphism
     psi2: PermHomomorphism
     h_pairs: tuple[tuple[HToken, HToken], ...]
-
-    def __init__(
-        self,
-        psi1: PermHomomorphism,
-        psi2: PermHomomorphism,
-        h_pairs: tuple[tuple[HToken, HToken], ...],
-    ):
-        _set(self, "psi1", psi1)
-        _set(self, "psi2", psi2)
-        _set(self, "h_pairs", h_pairs)
 
     @property
     def degree(self) -> int:
@@ -512,19 +501,10 @@ def compose_lift(
 
 
 class CorrectionReport(Record):
-    _fields = ("corrected", "distance", "input_defect", "mode")
     corrected: Permutation
     distance: Fraction  # d_H(q, corrected)
     input_defect: Fraction  # d_H(a q a^-1 q^-1, id)
     mode: str
-
-    def __init__(
-        self, corrected: Permutation, distance: Fraction, input_defect: Fraction, mode: str
-    ):
-        _set(self, "corrected", corrected)
-        _set(self, "distance", distance)
-        _set(self, "input_defect", input_defect)
-        _set(self, "mode", mode)
 
 
 def commutator_defect(a: Permutation, q: Permutation) -> Fraction:

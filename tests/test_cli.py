@@ -953,6 +953,18 @@ class TestCommandTable:
         done = fresh_python(code, capture_output=True, text=True)
         assert done.stdout.strip() == "[]", done.stderr
 
+    def test_package_imports_only_the_standard_library(self):
+        code = (
+            "import importlib, pkgutil, sys; before = set(sys.modules); import permstab; "
+            "names = [m.name for m in pkgutil.iter_modules(permstab.__path__, 'permstab.')]; "
+            "[importlib.import_module(name) for name in names]; "
+            "top = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print(len(names), sorted(top - set(sys.stdlib_module_names) - {'permstab'}))"
+        )
+        done = fresh_python(code, capture_output=True, text=True)
+        count, outside = done.stdout.split(" ", 1)
+        assert int(count) >= 13 and outside.strip() == "[]", done.stderr
+
 
 def test_unwritable_stdout_is_io_error():
     # a pipe whose read end is closed before the child starts (EPIPE), a

@@ -113,7 +113,59 @@ class TestGroupJson:
             group_from_json(obj)
 
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "presentation", "generators": "xy"},
+            {"kind": "presentation", "generators": ["x"], "relators": "x"},
+            {"kind": "presentation", "generators": ["x"], "relators": [[[0.0, 2]]]},
+            {"kind": "presentation", "generators": ["x"], "relators": [[[0, 2.5]]]},
+            {"kind": "perm-gens", "degree": 2, "generators": {"(1 2)": 0}},
+            {"kind": "perm-gens", "degree": 3, "generators": ["(1 2)", "(2 3)"], "names": "ab"},
+            {"kind": "perm-gens", "degree": 3, "generators": ["(1 2)", "(2 3)"], "names": ["a", "a"]},
+            {"kind": "perm-gens", "degree": 3, "generators": ["(1 2)", "(2 3)"], "names": ["a", 1]},
+        ],
+    )
+    def test_lists_of_distinct_names_required(self, obj):
+        with pytest.raises(MalformedInputError):
+            group_from_json(obj)
+
+    def test_loaded_group_is_immutable(self):
+        loaded = group_from_json({"kind": "presentation", "generators": ["x"]})
+        with pytest.raises(AttributeError):
+            loaded.group = FpGroup(("y",))
+        assert loaded.group == FpGroup(("x",))
+        assert group_from_json({"kind": "presentation", "generators": ["x"]}) is loaded
+
+
+# images keyed by a name that is no generator: refused with exit 65
+EXTRA_IMAGE_KEYS = [
+    {
+        "group": {"kind": "perm-gens", "degree": 2, "generators": ["(1 2)"]},
+        "degree": 2,
+        "images": {"g0": "(1 2)", "g7": "nonsense"},
+    },
+    {
+        "group": {"kind": "presentation", "generators": ["x", "y"]},
+        "degree": 2,
+        "images": {"x": "(1 2)", "y": "()", "z": "(1 2)"},
+    },
+]
+
+
 class TestHomJson:
+    @pytest.mark.parametrize("obj", EXTRA_IMAGE_KEYS)
+    def test_images_of_unknown_generators_refused(self, obj, tmp_path):
+        with pytest.raises(MalformedInputError, match="no generator"):
+            hom_from_json(obj)
+        path = tmp_path / "hom.json"
+        path.write_text(json.dumps(obj))
+        word = "x" if obj["group"]["kind"] == "presentation" else "0"
+        code, report = dispatch(["trace", "--hom", str(path), "--set", word])
+        assert code == 65 and report["outputs"]["error"]["code"] == "malformed-input"
+        obj["images"].pop("g7" if "g7" in obj["images"] else "z")
+        assert hom_from_json(obj).degree == 2
+
     def test_presentation_hom(self):
         obj = {
             "group": {

@@ -222,6 +222,19 @@ class TestTrace:
         assert normalized_trace(p) + hamming_distance(p, ident) == 1
 
 
+class TestFixedMask:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 100_000])
+    def test_bit_per_fixed_point(self, n):
+        rng = Random(n)
+        for p in (Permutation.identity(n), random_permutation(n, rng)):
+            mask = p.fixed_mask()
+            bits = bin(mask)[:1:-1]  # bit 0 first
+            assert 0 <= mask < 1 << n
+            assert [bits[i - 1 : i] == "1" for i in range(1, n + 1)] == [
+                p(i) == i for i in range(1, n + 1)
+            ]
+
+
 class TestSums:
     def test_direct_sum_with_identity(self):
         p = parse_permutation("(1 2)", 2)

@@ -18,6 +18,7 @@ from permstab.groups import (
 )
 from permstab.multiplicity import MultiplicityVector, Orbit, OrbitDecomposition
 from permstab.perm import Permutation
+from permstab.record import Record
 from permstab.stability import AmalgamHom, CorrectionReport
 
 
@@ -209,3 +210,50 @@ def test_cached_properties_cache():
     fresh = build()
     assert h == fresh["PermHomomorphism"] and hash(h) == hash(fresh["PermHomomorphism"])
     assert repr(graph) == REPRS["LabeledDigraph"]
+
+
+class Pair(Record):
+    first: int
+    second: tuple = ()
+
+
+def test_fields_are_the_annotations_in_order():
+    assert Pair._fields == ("first", "second")
+    assert Orbit._fields == ("points", "base", "stabilizer", "class_id")
+    assert HomCheck._fields == ("ok", "witness", "message")
+
+
+def test_default_comes_from_the_class_body():
+    assert Pair(1) == Pair(first=1) == Pair(1, ()) and Pair(1).second == ()
+    assert Pair(1, second=(2,)).second == (2,)
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        ((1,), {"third": 3}),  # unknown keyword
+        ((), {"second": ()}),  # missing field
+        ((), {}),  # missing field, none given
+        ((1, (), 3), {}),  # surplus positional
+        ((1,), {"first": 1}),  # one field twice
+    ],
+)
+def test_construction_refuses_a_bad_field_list(args, named):
+    with pytest.raises(TypeError):
+        Pair(*args, **named)
+    with pytest.raises(TypeError):
+        Orbit(*args, **named)
+
+
+def test_trusted_stores_in_field_order_without_init(monkeypatch):
+    def refuse(self, *args, **named):
+        raise AssertionError("__init__ ran")
+
+    monkeypatch.setattr(RootedPattern, "__init__", refuse)
+    edges = frozenset({(1, 2, 0)})
+    p = RootedPattern._trusted(2, 1, ("x",), edges)
+    assert (p.n, p.root, p.alphabet, p.edges) == (2, 1, ("x",), edges)
+    # no check runs: a root outside the vertex range is stored as given
+    assert RootedPattern._trusted(2, 3, ("x",), edges).root == 3
+    assert Pair._trusted(5, (6,)) == Pair(5, (6,))
+    assert list(vars(Pair._trusted(5, (6,)))) == ["first", "second"]
