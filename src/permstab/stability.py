@@ -30,7 +30,6 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     AmalgamMismatchError,
-    BoundExceededError,
     DegreeMismatchError,
     NotConjugateError,
     NotSubgroupError,
@@ -60,8 +59,6 @@ from .perm import (
     replicate,
 )
 from .record import Record
-
-MAX_EXACT_DEGREE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +212,8 @@ def min_conjugator_distance(
 
     The conjugator of :func:`nearest_conjugator` nearest to the identity;
     ties break to the lexicographically least one-line form.  Requires a
-    shared finite source, degree <= 8 and a conjugate pair.
+    shared finite source and a conjugate pair; exact at any degree.
     """
-    # The solver has no degree limit. The bound stays because
-    # perfbench/gen_cli.py::gen_domain expects BoundExceededError at
-    # degree 10; lifting it starts with a change to that benchmark.
-    if h1.degree > MAX_EXACT_DEGREE:
-        raise BoundExceededError(
-            f"degree {h1.degree} exceeds exact-search bound {MAX_EXACT_DEGREE}"
-        )
     if not isinstance(h1.source, FiniteGroup) or h1.source != h2.source:
         raise SourceMismatchError("homomorphisms must share a FiniteGroup source")
     if h1.degree != h2.degree:
@@ -519,19 +509,13 @@ def centralizer_correct(
 
     The result is the centralizing element nearest to ``q`` (a
     :func:`nearest_conjugator` from ``a`` to itself), ties broken to the
-    lexicographically least one-line form.  Both modes return this
-    optimum; ``exact`` mode keeps the degree <= 8 input bound and
-    ``heuristic`` mode, kept as an accepted value, has none.
+    lexicographically least one-line form, at any degree.  ``mode``,
+    ``exact`` or ``heuristic``, is only the label the report carries.
     """
     if a.degree != q.degree:
         raise DegreeMismatchError(f"degrees differ: {a.degree} vs {q.degree}")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    # input bound only, kept as in min_conjugator_distance
-    if mode == "exact" and a.degree > MAX_EXACT_DEGREE:
-        raise BoundExceededError(
-            f"exact mode requires degree <= {MAX_EXACT_DEGREE}"
-        )
     corrected = nearest_conjugator([a], [a], q)
     return CorrectionReport(
         corrected, hamming_distance(q, corrected), commutator_defect(a, q), mode

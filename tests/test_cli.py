@@ -1,9 +1,12 @@
 """Command dispatch, exit codes, determinism, and error objects."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
+import permstab
 from permstab import cli
 from permstab.cli import (
     EXIT_BADFILE,
@@ -301,7 +305,10 @@ class TestBasicCommands:
     def test_min_conj_degree_bound_is_domain_error(self, files):
         code, report = dispatch(["min-conj", files["phi1"], files["phi2"]])
         assert code == EXIT_DOMAIN
-        assert report["outputs"]["error"]["code"] == "BoundExceededError"
+        assert report["outputs"]["error"] == {
+            "code": "BoundExceededError",
+            "message": "degree 10 exceeds exact-search bound 8",
+        }
 
     def test_extend(self, files):
         code, report = dispatch(
@@ -496,6 +503,22 @@ class TestExitCodes:
         code, report = dispatch(["graph", str(path)])
         assert code == EXIT_BADFILE
         assert report["outputs"]["error"]["code"] == "malformed-input"
+
+    @pytest.mark.parametrize("g1,code", [("()", EXIT_BADFILE), ("(1 2)", EXIT_OK)])
+    def test_generators_of_one_element_need_one_image(self, tmp_path, g1, code):
+        # g0 and g1 are both (1 2): the second image used to replace the first
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({
+            "group": {"kind": "perm-gens", "degree": 2, "generators": ["(1 2)", "(1 2)"]},
+            "degree": 2,
+            "images": {"g0": "(1 2)", "g1": g1},
+        }))
+        got, report = dispatch(["trace", "--hom", str(path), "--set", "1"])
+        assert got == code
+        if code == EXIT_OK:
+            assert report["outputs"] == {"tr": "0"}
+        else:
+            assert report["outputs"]["error"]["code"] == "malformed-input"
 
     def test_lattice_bound_is_domain_error(self, tmp_path):
         # S6 has order 720, above the subgroup-lattice bound of 200: the
@@ -964,6 +987,20 @@ class TestCommandTable:
         done = fresh_python(code, capture_output=True, text=True)
         count, outside = done.stdout.split(" ", 1)
         assert int(count) >= 13 and outside.strip() == "[]", done.stderr
+
+
+def test_readme_names_every_input_bound():
+    # every module-level DEFAULT_* or MAX_* int of the package is a bound
+    # on some input, and the README says what each one refuses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bounds = {
+        name
+        for info in pkgutil.iter_modules(permstab.__path__, "permstab.")
+        for name, value in vars(importlib.import_module(info.name)).items()
+        if re.match(r"(DEFAULT|MAX)_", name) and type(value) is int
+    }
+    assert len(bounds) >= 7
+    assert sorted(name for name in bounds if f"`{name}`" not in readme) == []
 
 
 def test_unwritable_stdout_is_io_error():

@@ -112,6 +112,13 @@ class TestGroupJson:
         with pytest.raises(MalformedInputError):
             group_from_json(obj)
 
+    @pytest.mark.parametrize("degree", [True, 2.0, "2", None])
+    def test_perm_gens_degree_must_be_an_integer(self, degree):
+        # true is not degree 1, and 2.0 and "2" get this message, not Python's
+        obj = {"kind": "perm-gens", "degree": degree, "generators": ["()"]}
+        with pytest.raises(MalformedInputError, match="^perm-gens degree must be a JSON integer$"):
+            group_from_json(obj)
+
 
     @pytest.mark.parametrize(
         "obj",

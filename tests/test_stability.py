@@ -9,9 +9,9 @@ from random import Random
 
 import pytest
 
+from permstab.cli import MAX_EXACT_DEGREE
 from permstab.errors import (
     AmalgamMismatchError,
-    BoundExceededError,
     DegreeMismatchError,
     NotConjugateError,
     SourceMismatchError,
@@ -62,7 +62,6 @@ from permstab.randgen import (
     random_small_support_permutation,
 )
 from permstab.stability import (
-    MAX_EXACT_DEGREE,
     agreement_set,
     amalgamated_hom,
     centralizer_correct,
@@ -268,10 +267,21 @@ class TestMinConjugatorDistance:
         with pytest.raises(NotConjugateError):
             min_conjugator_distance(h1, h2)
 
-    def test_degree_bound(self):
-        h = z2_hom(9, parse_permutation("(1 2)", 9))
-        with pytest.raises(BoundExceededError):
-            min_conjugator_distance(h, h)
+    def test_above_degree_8_matches_oracle(self, zoo8):
+        # conjugated pairs whose least-centralized image has a centralizer
+        # small enough for the oracle to enumerate
+        rng = Random(45)
+        names = sorted(zoo8)
+        compared = 0
+        while compared < 40:
+            G = zoo8[rng.choice(names)]
+            n = rng.randint(9, 12)
+            h1 = random_hom(G, n, rng)
+            if min(map(centralizer_order, h1.images)) > 20_000:
+                continue
+            h2 = conjugate_hom(h1, random_permutation(n, rng))
+            assert min_conjugator_distance(h1, h2) == min_conjugator_oracle(h1, h2)
+            compared += 1
 
     def test_small_conjugator_never_beats_minimum(self, zoo8):
         rng = Random(44)
@@ -349,11 +359,10 @@ class TestNearestConjugator:
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_swapped_block_pairs_attain_one_minus_inverse_square(self, k):
-        # degrees 18 to 72, beyond min_conjugator_distance's input bound
+        # degrees 18 to 72
         h1, h2 = swapped_block_homs(k)
-        ident = Permutation.identity(h1.degree)
-        p = nearest_conjugator(h1.images, h2.images, ident)
-        assert hamming_distance(p, ident) == 1 - Fraction(1, k * k)
+        d, p = min_conjugator_distance(h1, h2)
+        assert d == 1 - Fraction(1, k * k)
         pinv = p.inverse()
         assert all(p * a * pinv == b for a, b in zip(h1.images, h2.images))
 
@@ -797,10 +806,23 @@ class TestCentralizerCorrect:
         assert rep.distance == Fraction(2, 3)
         assert rep.corrected == Permutation.identity(3)
 
-    def test_exact_degree_bound(self):
-        a = parse_permutation("(1 2)", 9)
-        with pytest.raises(BoundExceededError):
-            centralizer_correct(a, a, mode="exact")
+    def test_exact_above_degree_8_matches_heuristic_and_oracle(self):
+        rng = Random(48)
+        checked = 0
+        while checked < 30:
+            n = rng.randint(9, 40)
+            a = random_permutation(n, rng)
+            if centralizer_order(a) > 20_000:
+                continue
+            q = random_permutation(n, rng)
+            exact = centralizer_correct(a, q, mode="exact")
+            heuristic = centralizer_correct(a, q, mode="heuristic")
+            assert (exact.distance, exact.corrected) == correction_oracle(a, q)
+            assert (heuristic.distance, heuristic.corrected) == (
+                exact.distance,
+                exact.corrected,
+            )
+            checked += 1
 
     def test_exact_matches_bruteforce(self):
         rng = Random(49)
