@@ -50,6 +50,7 @@ the distance invariant under a consistent relabeling of both graphs.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import (
@@ -58,7 +59,6 @@ from itertools import (
 from math import factorial
 from operator import itemgetter, mul, sub, truth
 from sys import byteorder
-from typing import Iterable, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -347,12 +347,14 @@ def _certificate(
     budget admits (``x`` up to bound 6, ``xy`` up to 4, ``xyz`` up to 3,
     four letters up to 2, five to seven letters at 1), so the search over
     numberings serves only patterns built by callers.  It is not the
-    least edge list over all root-preserving numberings."""
+    least edge list over all root-preserving numberings.  ``edges`` is
+    read once."""
     ranks = _refine_ranks(rows, root, m)
     n = len(rows) - 1
     if max(ranks) == n - 1:  # ranks 0..n-1, one vertex each
         number = [r + 1 for r in ranks]
         return n, number[root], tuple(sorted([(number[u], number[w], lab) for u, w, lab in edges]))
+    edges = list(edges)
     classes: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for v in range(1, n + 1):
         classes[ranks[v]].append(v)
@@ -406,16 +408,57 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
 # canonical pattern enumeration and the statistical distance
 
 
-class Catalogue(tuple):
-    """The ``(pattern, weight)`` pairs of :func:`enumerate_patterns`, with
-    the tree that generated them: ``tree`` holds five ints per class but
-    the first, in the order generation found them, ``(index, parent,
-    u, v, label)``, the catalogue indices of the class and of the class it
-    was generated from, and the edge ``(u, v, label)`` added to the parent
-    in the parent's vertex numbering, which the class keeps.  Entry 0 is
-    the one-vertex pattern, the root of the tree."""
+class Catalogue(Sequence):
+    """The ``(pattern, weight)`` pairs of :func:`enumerate_patterns`, as a
+    read-only sequence over flat arrays, with the tree that generated them.
 
-    tree: Sequence[int] = ()
+    Class ``j`` (0-based) has ``sizes[j]`` vertices and root 1; its edges
+    are the ``(u, v, label index)`` triples of ``edges[offsets[j] :
+    offsets[j + 1]]``, one byte each; its weight is ``2^-orbits[j]``.
+    ``catalogue[j]`` builds the pair ``(RootedPattern, Fraction)`` afresh
+    on each access and keeps neither; a slice is a tuple of pairs, and a
+    catalogue equals another, or a tuple, holding the same pairs.
+    ``tree`` holds five ints per class but the first, in the order
+    generation found them, ``(index, parent, u, v, label)``, the catalogue
+    indices of the class and of the class it was generated from, and the
+    edge ``(u, v, label)`` added to the parent in the parent's vertex
+    numbering, which the class keeps.  Entry 0 is the one-vertex pattern,
+    the root of the tree."""
+
+    def __init__(
+        self,
+        alphabet: tuple[str, ...],
+        sizes: bytes = b"",
+        edges: bytes = b"",
+        offsets: Sequence[int] = (0,),
+        orbits: Sequence[int] = (),
+        tree: Sequence[int] = (),
+    ):
+        self.alphabet = alphabet
+        self.sizes = sizes
+        self.edges = edges
+        self.offsets = offsets
+        self.orbits = orbits
+        self.tree = tree
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(map(self.__getitem__, range(len(self))[j]))
+        j = range(len(self))[j]
+        it = iter(self.edges[self.offsets[j] : self.offsets[j + 1]])
+        pattern = RootedPattern._trusted(self.sizes[j], 1, self.alphabet, frozenset(zip(it, it, it)))
+        return pattern, Fraction(1, 1 << self.orbits[j])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (Catalogue, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
     @cached_property
     def plan(self) -> _EmbeddingPlan:
@@ -435,7 +478,10 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     vertex count first.  The j-th
     label-relabeling orbit (1-based, ordered by first appearance) has
     weight ``2^-j``; an orbit keeps its edge count, so the first class of
-    an orbit found in a layer keys its relabelings there.
+    an orbit found in a layer keys its relabelings there.  No pattern or
+    weight is built: each class keeps its edge triples as bytes, its
+    parent's plus the added edge, its vertex count and its orbit number,
+    from which the :class:`Catalogue` builds a pair on access.
 
     The work is bounded: an enumeration that would compute more than
     ``DEFAULT_PATTERN_KEY_BUDGET`` traversal keys, one per successor
@@ -445,7 +491,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     alphabet too wide for it is refused before any is built.
     """
     if size_bound < 1:
-        return Catalogue()
+        return Catalogue(alphabet)
     if size_bound > DEFAULT_PATTERN_VERTEX_BOUND:
         raise BoundExceededError(
             f"size bound {size_bound} exceeds {DEFAULT_PATTERN_VERTEX_BOUND}"
@@ -455,8 +501,8 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     orders: list[itemgetter] = []  # their slot orders, listed for the first orbit
     spent = 1  # traversal keys computed, the seed's first
     seed = _slot_rows(1, (), m)
-    layer = [(1, frozenset(), seed, _traversal_key(seed, 1))]  # (n, edges, rows, key) per class
-    classes = []  # (certificate bytes, pattern, orbit id, generation index) per class
+    layer = [(1, b"", seed, _traversal_key(seed, 1))]  # (n, edge bytes, rows, key) per class
+    classes = []  # (certificate bytes, n, edge bytes, orbit id, generation index) per class
     found = array("i")  # (parent, u, v, label) per class after the first
     while layer:
         orbit_of: dict[tuple, int] = {}  # keys of this layer
@@ -478,13 +524,13 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                     ]
                 for order in orders:
                     orbit_of.setdefault(_traversal_key(list(map(order, rows)), 1), orbit)
-            pat = RootedPattern._trusted(n, 1, alphabet, edges)  # valid by construction
             # sorted by certificate, held as one byte per int (vertex numbers
             # and label indices are below 256): bytes compare faster than
             # nested tuples and give the garbage collector nothing to track
-            size, root_number, triples = _certificate(rows, 1, m, edges)
+            it = iter(edges)
+            size, root_number, triples = _certificate(rows, 1, m, zip(it, it, it))
             cert = bytes((size, root_number, *chain.from_iterable(triples)))
-            classes.append((cert, pat, orbit_of[key], parent))
+            classes.append((cert, n, edges, orbit_of[key], parent))
             # successors: an edge of each label from a vertex with a free
             # out-slot to one with a free in-slot, then, below the bound,
             # to and from a new vertex, set in place in the parent's rows
@@ -512,25 +558,26 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                         seen.add(succ_key)
                         k = max(n, u, v)
                         new.append(
-                            (k, edges | {(u, v, lab)}, [row[:] for row in rows[: k + 1]], succ_key)
+                            (k, edges + bytes((u, v, lab)), [row[:] for row in rows[: k + 1]], succ_key)
                         )
                         found.extend((parent, u, v, lab))
                     rows[u][o] = rows[v][i] = 0
         layer = new
     classes.sort(key=itemgetter(0))
     index = array("i", [0]) * len(classes)  # catalogue index per class
-    for i, entry in enumerate(classes):
-        index[entry[3]] = i
-    weight_of: dict[int, Fraction] = {}  # one shared weight per orbit
-    for _, _, orbit, _ in classes:
-        if orbit not in weight_of:
-            weight_of[orbit] = Fraction(1, 1 << len(weight_of) + 1)
-    catalogue = Catalogue((pat, weight_of[orbit]) for _, pat, orbit, _ in classes)
+    number: dict[int, int] = {}  # orbit id -> its number j, weight 2^-j
+    for i, (_, _, _, orbit, generated) in enumerate(classes):
+        index[generated] = i
+        number.setdefault(orbit, len(number) + 1)
     parents = map(index.__getitem__, found[::4])
-    catalogue.tree = array(
-        "i", chain.from_iterable(zip(index[1:], parents, found[1::4], found[2::4], found[3::4]))
+    return Catalogue(
+        alphabet,
+        bytes(map(itemgetter(1), classes)),
+        b"".join(map(itemgetter(2), classes)),
+        array("I", accumulate((len(entry[2]) for entry in classes), initial=0)),
+        array("I", [number[entry[3]] for entry in classes]),
+        array("i", chain.from_iterable(zip(index[1:], parents, found[1::4], found[2::4], found[3::4]))),
     )
-    return catalogue
 
 
 def _over_budget(alphabet: tuple[str, ...], size_bound: int) -> BoundExceededError:
@@ -573,7 +620,7 @@ class _EmbeddingPlan:
         pairs = {}  # (word id, word id) -> pair id
         conditions = {}  # signed pair ids -> condition id
         vertex_words = [(0,)] * len(catalogue)  # per class, per vertex
-        children = [[] for _ in catalogue]  # per class, (class, condition) pairs
+        children = [[] for _ in range(len(catalogue))]  # per class, (class, condition) pairs
 
         def word(letter, suffix):
             return words.setdefault((letter, suffix), len(words) + 1)
@@ -602,6 +649,7 @@ class _EmbeddingPlan:
         self.children = array("i", chain.from_iterable(children))
         self._catalogue = catalogue
         self._rows: dict[int, tuple] = {}  # row parts of the patterns listed so far
+        self._weights: dict[int, str] = {}  # weight text per orbit number listed so far
 
     def counts(self, graph: LabeledDigraph) -> list[int]:
         """Per class, the number of points at which it embeds rooted.
@@ -664,15 +712,20 @@ class _EmbeddingPlan:
 
     def row(self, j: int) -> tuple:
         """``(vertices, root, sorted edges, weight text, k)`` of pattern
-        ``j`` (0-based, weight ``2^-k``), built the first time it is
-        asked for."""
+        ``j`` (0-based, weight ``2^-k``), read from the catalogue's arrays
+        the first time it is asked for; the weight text is made once per
+        orbit."""
         parts = self._rows.get(j)
         if parts is None:
-            pat, weight = self._catalogue[j]
-            k = weight.denominator.bit_length() - 1
-            alphabet = pat.alphabet
-            edges = tuple(sorted((u, v, alphabet[lab]) for u, v, lab in pat.edges))
-            parts = self._rows[j] = (pat.n, pat.root, edges, str(weight), k)
+            catalogue = self._catalogue
+            k = catalogue.orbits[j]
+            weight = self._weights.get(k)
+            if weight is None:
+                weight = self._weights[k] = "1/" + str(1 << k)
+            names = catalogue.alphabet
+            it = iter(catalogue.edges[catalogue.offsets[j] : catalogue.offsets[j + 1]])
+            edges = tuple(sorted([(u, v, names[lab]) for u, v, lab in zip(it, it, it)]))
+            parts = self._rows[j] = (catalogue.sizes[j], 1, edges, weight, k)
         return parts
 
 

@@ -30,6 +30,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     AmalgamMismatchError,
+    BoundExceededError,
     DegreeMismatchError,
     NotConjugateError,
     NotSubgroupError,
@@ -60,6 +61,11 @@ from .perm import (
 )
 from .record import Record
 
+# image entries (images times degree) one lift may build: the largest
+# lifts of a degree-13 homomorphism admitted (two images of degree
+# 499,993, or one of degree 999,999) take about 1 s and 100 MB as a
+# `perm-stab lift` request
+DEFAULT_LIFT_SIZE_BOUND = 1_000_000
 
 # ---------------------------------------------------------------------------
 # small conjugators
@@ -476,13 +482,20 @@ def compose_lift(
     psi: PermHomomorphism, s: int, eta: PermHomomorphism
 ) -> PermHomomorphism:
     """Block sum of ``s`` copies of ``psi`` with ``eta`` (``s = 0`` gives
-    ``eta`` alone).  Traces mix convexly by block size."""
+    ``eta`` alone).  Traces mix convexly by block size.  A lift of more
+    than ``DEFAULT_LIFT_SIZE_BOUND`` image entries (images times degree)
+    is refused before any copy is built."""
     if psi.source != eta.source:
         raise SourceMismatchError("homomorphisms must share a source")
     if s < 0:
         raise DegreeMismatchError(f"copy count must be >= 0, got {s}")
     if s == 0:
         return eta
+    size = len(psi.images) * (s * psi.degree + eta.degree)
+    if size > DEFAULT_LIFT_SIZE_BOUND:
+        raise BoundExceededError(
+            f"lift of {s} copies has {size} image entries, bound is {DEFAULT_LIFT_SIZE_BOUND}"
+        )
     return direct_sum_hom(replicate_hom(psi, s), eta)
 
 

@@ -383,6 +383,15 @@ class TestBasicCommands:
             "images": {"s": "(1 2 3 4)(5 6 7 8)(9 10)"},
         }
 
+    def test_oversized_lift_is_domain_error(self, files):
+        start = time.perf_counter()
+        code, report = dispatch(
+            ["lift", files["z3_regular"], files["z3_regular"], "--copies", "100000000"]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["code"] == "BoundExceededError"
+
     def test_lift_checks_only_its_inputs(self, files, monkeypatch):
         # each table-source input is checked once on loading; the block
         # sum is a homomorphism by construction and is not checked again

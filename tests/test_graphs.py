@@ -1,7 +1,9 @@
 """Action graphs, pattern frequencies, statistical distance, encoding."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations as iperms, product
@@ -344,11 +346,49 @@ class TestEnumeration:
         y_loop = RootedPattern(1, 1, ("x", "y"), frozenset({(1, 1, 1)}))
         assert pats[x_loop.certificate()][1] == pats[y_loop.certificate()][1]
 
-    def test_one_weight_object_per_orbit(self):
-        # the weight 2^-j is one object per orbit, shared by its patterns
-        weights = [w for _, w in enumerate_patterns(("x", "y"), 4)]
-        orbits = len(set(weights))
-        assert len({id(w) for w in weights}) == orbits < len(weights)
+    def test_catalogue_retains_little_memory(self):
+        # flat arrays: about 0.2 MB; a pattern and a weight object per
+        # class held 3.7 MB (4.4 MB before the collection)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            listed = enumerate_patterns.__wrapped__(("x", "y"), 4)
+            gc.collect()  # the freed successors' tuples kept on free lists
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(listed) == 4694
+        assert retained < 1_500_000
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 2)])
+    def test_patterns_of_one_orbit_share_a_weight(self, alphabet, bound):
+        m = len(alphabet)
+        weight_of = {}
+        for p, w in enumerate_patterns(alphabet, bound):
+            weight_of[_traversal_key(_slot_rows(p.n, p.edges, m), p.root)] = (p, w)
+        orbits = set()
+        for p, w in weight_of.values():
+            orbit = set()
+            for perm in iperms(range(m)):
+                rows = _slot_rows(p.n, [(u, v, perm[lab]) for u, v, lab in p.edges], m)
+                orbit.add(key := _traversal_key(rows, p.root))
+                assert weight_of[key][1] == w
+            orbits.add(frozenset(orbit))
+        assert len({w for _, w in weight_of.values()}) == len(orbits) < len(weight_of)
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x",), 4), (("x", "y"), 3), (("y", "x"), 2)])
+    def test_catalogue_is_a_sequence_of_pairs(self, alphabet, bound):
+        listed = enumerate_patterns(alphabet, bound)
+        pairs = tuple(map(tuple, oracles.pattern_catalogue(alphabet, bound)))
+        assert len(listed) == len(pairs)
+        assert listed[-1] == pairs[-1] and listed[-len(pairs)] == pairs[0]
+        assert listed[::25] == pairs[::25] and listed[3:-2:4] == pairs[3:-2:4]
+        assert list(listed) == list(pairs) and list(reversed(listed)) == list(reversed(pairs))
+        assert listed == pairs and pairs == listed and listed != pairs[:-1]
+        assert listed == enumerate_patterns.__wrapped__(alphabet, bound) != ()
+        for j in (len(pairs), -len(pairs) - 1):
+            with pytest.raises(IndexError):
+                listed[j]
 
     def test_sizes_monotone(self):
         pats = enumerate_patterns(("x",), 3)
@@ -412,6 +452,8 @@ class TestEnumeration:
     def test_one_trusted_build_and_refinement_per_class(
         self, alphabet, bound, monkeypatch
     ):
+        # one refinement per class while enumerating, and no pattern built;
+        # each access of a class builds its pattern once, unchecked
         calls = {"refine": 0, "init": 0, "trusted": 0}
         refine, init = graphs._refine_ranks, RootedPattern.__init__
         trusted = RootedPattern._trusted.__func__
@@ -433,7 +475,11 @@ class TestEnumeration:
         monkeypatch.setattr(RootedPattern, "_trusted", classmethod(count_trusted))
         listed = enumerate_patterns.__wrapped__(alphabet, bound)
         n = len(listed)
-        assert calls == {"refine": n, "init": 0, "trusted": n}
+        assert calls == {"refine": n, "init": 0, "trusted": 0}
+        for j in (0, n - 1, -1, 5):
+            listed[j]
+        assert calls == {"refine": n, "init": 0, "trusted": 4}
+        assert sum(1 for _ in listed) == n and calls["trusted"] == n + 4
 
     @pytest.mark.parametrize(
         "alphabet,bound,keys", [(("x",), 4, 23), (("x", "y"), 3, 1439), (("x", "y", "z"), 2, 1265)]

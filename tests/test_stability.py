@@ -12,6 +12,7 @@ import pytest
 from permstab.cli import MAX_EXACT_DEGREE
 from permstab.errors import (
     AmalgamMismatchError,
+    BoundExceededError,
     DegreeMismatchError,
     NotConjugateError,
     SourceMismatchError,
@@ -47,7 +48,7 @@ from permstab.groups import (
     trivial_hom,
     trivial_subgroup,
 )
-from permstab import groups, multiplicity
+from permstab import groups, multiplicity, stability
 from permstab.multiplicity import is_conjugate, orbit_decomposition
 from permstab.perm import (
     Permutation,
@@ -62,6 +63,7 @@ from permstab.randgen import (
     random_small_support_permutation,
 )
 from permstab.stability import (
+    DEFAULT_LIFT_SIZE_BOUND,
     agreement_set,
     amalgamated_hom,
     centralizer_correct,
@@ -765,6 +767,27 @@ class TestComposeLift:
         G = cyclic_group(3)
         eta = random_hom(G, 4, Random(47))
         assert compose_lift(trivial_hom(G, 2), 0, eta) == eta
+
+    def test_size_bound(self, monkeypatch):
+        # images times degree: two images of degree 13 s + 13 for s copies
+        # of a degree-13 hom of Z2 and itself, refused before any copy
+        psi = random_hom(cyclic_group(2), 13, Random(49))
+        built = []
+        replicate = stability.replicate_hom
+        monkeypatch.setattr(
+            stability, "replicate_hom", lambda h, s: built.append(s) or replicate(h, s)
+        )
+        with pytest.raises(BoundExceededError, match="2600000026 image entries"):
+            compose_lift(psi, 10**8, psi)
+        largest = (DEFAULT_LIFT_SIZE_BOUND // 2 - 13) // 13
+        with pytest.raises(BoundExceededError):
+            compose_lift(psi, largest + 1, psi)
+        assert built == []
+        monkeypatch.setattr(stability, "DEFAULT_LIFT_SIZE_BOUND", 2 * (3 * 13 + 13))
+        assert compose_lift(psi, 3, psi).degree == 52
+        with pytest.raises(BoundExceededError):
+            compose_lift(psi, 4, psi)
+        assert built == [3]
 
     def test_trace_mixing(self, zoo8):
         rng = Random(48)

@@ -1,5 +1,6 @@
 """Action traces, local statistics, and inclusion-exclusion conversions."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,6 +25,7 @@ from permstab.perm import Permutation
 from permstab.randgen import random_hom, random_permutation
 from permstab.stability import replicate_hom
 from permstab.trace_stats import (
+    DEFAULT_UNIVERSE_BOUND,
     ActionTrace,
     action_trace,
     bs_statistic,
@@ -453,6 +455,22 @@ class TestTrFromS:
         assert tr_from_s(stats, [5]) == want
         with pytest.raises(AttributeError):
             tr_from_s({frozenset(): 0.5}, [])
+
+    def test_universe_bound(self):
+        # 16 distinct elements of S5 are admitted, a repeat counting once;
+        # 17 are refused before a table of 2^17 entries is built
+        h = symmetric_group(5)[1]
+        F = list(range(DEFAULT_UNIVERSE_BOUND))
+        table = statistic_table(h, F + F[:3])
+        assert len(table) == 1 << DEFAULT_UNIVERSE_BOUND == 1 << 16
+        assert tr_from_s(table, F)[frozenset()] == 1
+        wide = F + [DEFAULT_UNIVERSE_BOUND]
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError, match="universe of 17 elements"):
+            statistic_table(h, wide)
+        with pytest.raises(BoundExceededError, match="universe of 17 elements"):
+            tr_from_s(table, wide)
+        assert time.perf_counter() - start < 1
 
     def test_roundtrip_exhaustive_small_groups(self, zoo8):
         # every hom into the degree-4 symmetric group, every universe F
