@@ -458,7 +458,7 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
 
     def load(path: str) -> object:
         """The JSON value in file ``path``, read once; its digest goes to
-        ``inputs``."""
+        ``inputs``.  No other code reads an input file."""
         data = _read_bytes(path)
         inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
         return _load_json(path, data)

@@ -56,10 +56,6 @@ class ZeroMultiplicityError(PermStabError, ZeroDivisionError):
     """A replication-count denominator multiplicity is zero."""
 
 
-class RelatorsPresentError(PermStabError, ValueError):
-    """The operation requires a free presentation (no relators)."""
-
-
 class AlphabetMismatchError(PermStabError, ValueError):
     """Two labeled graphs carry different edge-label alphabets."""
 

@@ -1,14 +1,16 @@
 """Action graphs, rooted-pattern frequencies, truncated statistical
 distance, and the encoding of labeled digraphs into simple graphs.
 
-An action graph of a homomorphism of a free group has one labeled edge
-``v -> image(x)(v)`` per generator ``x`` and vertex ``v``, so each label
-is the graph of a permutation.  The frequency of a rooted pattern is the
-fraction of vertices admitting an injective, label- and orientation-
-preserving embedding of the pattern that sends the root there
-(non-induced).  The truncated statistical distance is a weighted l1
-distance between the frequency vectors over a canonical enumeration of
-small connected rooted patterns.
+The action graph (Schreier graph) of a homomorphism of a finitely
+presented group has one labeled edge ``v -> image(x)(v)`` per generator
+``x`` and vertex ``v``, so each label is the graph of a permutation.  It
+does not see the relators: a graph and its statistics are those of the
+free group on the same generators acting through the same images.  The
+frequency of a rooted pattern is the fraction of vertices admitting an
+injective, label- and orientation-preserving embedding of the pattern
+that sends the root there (non-induced).  The truncated statistical
+distance is a weighted l1 distance between the frequency vectors over a
+canonical enumeration of small connected rooted patterns.
 
 Every embedding is forced once the root is placed, so one root-first
 traversal of a pattern's slot rows (per vertex and label, its out- and
@@ -64,7 +66,7 @@ from .errors import (
     AlphabetMismatchError,
     BoundExceededError,
     MalformedInputError,
-    RelatorsPresentError,
+    SourceMismatchError,
 )
 from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
@@ -145,13 +147,10 @@ class LabeledDigraph(Record):
 
 
 def action_graph(psi: PermHomomorphism) -> LabeledDigraph:
-    """The labeled digraph of a homomorphism of a free group."""
+    """The labeled digraph of a homomorphism of a presentation, with
+    relators or without, labelled by its generators."""
     if not isinstance(psi.source, FpGroup):
-        raise RelatorsPresentError("action graphs require an FpGroup source")
-    if not psi.source.is_free:
-        raise RelatorsPresentError(
-            "action graphs are defined for free presentations only"
-        )
+        raise SourceMismatchError("action graphs require an FpGroup source")
     return LabeledDigraph(psi.degree, psi.source.generators, psi.images)
 
 

@@ -515,10 +515,6 @@ class FpGroup(Record):
                     raise WordError("zero exponent in relator")
         super().__init__(gens, parsed)
 
-    @property
-    def is_free(self) -> bool:
-        return not self.relators
-
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse space-separated ``name^exp`` syntax (bare name means exp 1)."""

@@ -10,12 +10,16 @@ Group files::
 
 Homomorphism files::
 
-    {"group": <inline group or path string>, "degree": n, "images": {...}}
+    {"group": <group object>, "degree": n, "images": {...}}
 
 with images keyed by generator name (presentation / perm-gens sources)
 or by element id string (table sources, every element required).
 Permutations are written in cycle or one-line notation; rationals
 serialize as strings like ``"1/3"`` in lowest terms.
+
+The readers take parsed JSON values and open no file.  The CLI reads
+every input file, so that its run report lists each one; it also reads
+the group file that a homomorphism file names by a path string.
 """
 
 from __future__ import annotations
@@ -44,17 +48,6 @@ GroupLike = Union[FiniteGroup, FpGroup]
 
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"invalid rational {text!r}") from exc
-
-
-def permutation_to_json(p: Permutation) -> dict:
-    return {"degree": p.degree, "images": list(p.images)}
 
 
 def permutation_from_json(obj, degree: int | None = None) -> Permutation:
@@ -94,12 +87,10 @@ def _read_bytes(path: Union[str, Path]) -> bytes:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_json(path: Union[str, Path], data: bytes | None = None) -> object:
-    """The JSON value in file ``path``, whose bytes are ``data`` if the
-    caller has read them already.  The file is UTF-8 whatever the locale;
-    CR LF and a lone CR read as LF, as in a text-mode read."""
-    if data is None:
-        data = _read_bytes(path)
+def _load_json(path: Union[str, Path], data: bytes) -> object:
+    """The JSON value of ``data``, the bytes read from file ``path``.
+    The file is UTF-8 whatever the locale; CR LF and a lone CR read as
+    LF, as in a text-mode read."""
     try:
         text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
@@ -117,12 +108,10 @@ class LoadedGroup(Record):
 
 
 def group_from_json(obj) -> LoadedGroup:
-    """Read a group object (or the path of a file holding one).  Each
-    distinct group is built once per process: the object is read back
-    from its canonical JSON text, on which the result is memoized, so
-    two files of one group share one table."""
-    if isinstance(obj, str):
-        obj = _load_json(obj)
+    """Read a group object.  Each distinct group is built once per
+    process: the object is read back from its canonical JSON text, on
+    which the result is memoized, so two files of one group share one
+    table."""
     try:
         text = json.dumps(obj, sort_keys=True)
     except (TypeError, ValueError) as exc:
@@ -172,8 +161,6 @@ def _group_from_text(text: str) -> LoadedGroup:
 
 
 def hom_from_json(obj) -> PermHomomorphism:
-    if isinstance(obj, str):
-        obj = _load_json(obj)
     if not isinstance(obj, dict):
         raise MalformedInputError("homomorphism object must be a JSON object")
     try:
@@ -184,8 +171,8 @@ def hom_from_json(obj) -> PermHomomorphism:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad homomorphism object: {exc}") from exc
-    if type(degree) is not int:
-        raise MalformedInputError("homomorphism degree must be a JSON integer")
+    if type(degree) is not int or degree < 0:
+        raise MalformedInputError("homomorphism degree must be a non-negative JSON integer")
     if not isinstance(images, dict):
         raise MalformedInputError("homomorphism images must be a JSON object")
     if loaded.kind != "table" and not set(images) <= set(loaded.gen_names):
@@ -232,8 +219,6 @@ def hom_from_json(obj) -> PermHomomorphism:
 
 
 def subgroup_from_json(obj, G: FiniteGroup) -> Subgroup:
-    if isinstance(obj, str):
-        obj = _load_json(obj)
     if not isinstance(obj, dict) or not _is_int_list(obj.get("members")):
         raise MalformedInputError("subgroup 'members' must list JSON integers")
     try:

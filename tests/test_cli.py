@@ -1,5 +1,7 @@
 """Command dispatch, exit codes, determinism, and error objects."""
 
+import ast
+import builtins
 import hashlib
 import importlib
 import io
@@ -11,7 +13,9 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -233,6 +237,35 @@ def files(tmp_path):
     return write_corpus(tmp_path)
 
 
+def sl2z_images(rng, pairs, fixed):
+    """Cycle texts of ``s`` and ``t`` in a random action of SL2(Z) on
+    ``4 * pairs + fixed`` points.  The central involution ``z = s^2 = t^3``
+    swaps ``2 * pairs`` pairs of points: ``s`` joins two swapped pairs
+    (a b), (c d) into the 4-cycle (a c b d), and ``t`` keeps a swapped
+    pair as a 2-cycle or joins three into the 6-cycle (a c e b d f).  On
+    the points ``z`` fixes, ``s`` is an involution and ``t^3`` is 1."""
+    points = list(range(1, 4 * pairs + fixed + 1))
+    rng.shuffle(points)
+    swapped = [points[i:i + 2] for i in range(0, 4 * pairs, 2)]
+    rest = points[4 * pairs:]
+    s = [(a, c, b, d) for (a, b), (c, d) in zip(swapped[::2], swapped[1::2])]
+    s += [rest[i:i + 2] for i in range(0, 2 * rng.randint(0, fixed // 2), 2)]
+    rng.shuffle(swapped)
+    t = []
+    while swapped:
+        if len(swapped) >= 3 and rng.random() < 0.5:
+            (a, b), (c, d), (e, f) = swapped[:3]
+            t.append((a, c, e, b, d, f))
+            del swapped[:3]
+        else:
+            t.append(swapped.pop())
+    rng.shuffle(rest)
+    t += [rest[i:i + 3] for i in range(0, 3 * rng.randint(0, fixed // 3), 3)]
+    return tuple(
+        "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()" for cycles in (s, t)
+    )
+
+
 class TestBasicCommands:
     def test_trace(self, files):
         code, report = dispatch(["trace", "--hom", files["theta2_words"], "--set", "a,b"])
@@ -448,6 +481,41 @@ class TestBasicCommands:
         assert report["outputs"]["d_stat"] == "13/32"
         assert len(report["outputs"]["per_pattern"]) == 3
 
+    def test_graph_and_dstat_do_not_see_relators(self, tmp_path):
+        # the reports on actions of SL2(Z) are those of the same images
+        # under the free group on s and t
+        rng = Random(9)
+        free = {"kind": "presentation", "generators": ["s", "t"]}
+        sl2z = {**free, "relators": ["s^4", "t^6", "s^2 t^-3"]}
+        paths = []
+        for j, (pairs, fixed) in enumerate([(1, 0), (1, 5), (2, 6), (3, 4), (5, 3)]):
+            images = dict(zip("st", sl2z_images(rng, pairs, fixed)))
+            pair = []
+            for name, group in (("sl2z", sl2z), ("free", free)):
+                path = tmp_path / f"{name}{j}.json"
+                path.write_text(json.dumps(
+                    {"group": group, "degree": 4 * pairs + fixed, "images": images}
+                ))
+                pair.append(str(path))
+            paths.append(pair)
+        listed = 0
+        for pair in paths:
+            reports = [dispatch(["graph", path]) for path in pair]
+            assert [code for code, _ in reports] == [EXIT_OK, EXIT_OK]
+            assert json.dumps(reports[0][1]["outputs"]) == json.dumps(reports[1][1]["outputs"])
+        for (a, a_free), (b, b_free) in combinations(paths, 2):
+            code, report = dispatch(["dstat", a, b, "--size-bound", "3"])
+            _, free_report = dispatch(["dstat", a_free, b_free, "--size-bound", "3"])
+            assert code == EXIT_OK
+            assert json.dumps(report["outputs"]) == json.dumps(free_report["outputs"])
+            listed += len(report["outputs"]["per_pattern"])
+        assert listed > 0
+
+    def test_graph_of_a_table_source_is_domain_error(self, files):
+        code, report = dispatch(["graph", files["theta1"]])
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["code"] == "SourceMismatchError"
+
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_dstat_bound_below_one(self, files, bound):
         code, report = dispatch(
@@ -512,6 +580,59 @@ class TestExitCodes:
         code, report = dispatch(["graph", str(path)])
         assert code == EXIT_BADFILE
         assert report["outputs"]["error"]["code"] == "malformed-input"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["graph"], ["lift", "--copies", "2"], ["trace", "--set", "", "--hom"], ["stats", "--hom"]],
+    )
+    def test_negative_degree_is_malformed(self, tmp_path, argv):
+        # no generators, so no image parse saw the degree: graph and lift
+        # exited 0 with a negative degree, trace and stats exited 70
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(
+            {"group": {"kind": "presentation", "generators": []}, "degree": -3, "images": {}}
+        ))
+        argv = argv + [str(path)] * (2 if argv[0] == "lift" else 1)
+        code, report = dispatch(argv)
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"] == {
+            "code": "malformed-input",
+            "message": "homomorphism degree must be a non-negative JSON integer",
+        }
+
+    def test_file_holding_a_path_string_is_malformed(self, tmp_path, monkeypatch):
+        # a file whose JSON value is a string is not followed: it used to be
+        # read as the path of a file that the report's inputs did not list
+        real = tmp_path / "real.json"
+        real.write_text(json.dumps(
+            {"group": {"kind": "presentation", "generators": ["x"]}, "degree": 3,
+             "images": {"x": "(1 2 3)"}}
+        ))
+        alias = tmp_path / "alias.json"
+        alias.write_text(json.dumps(str(real)))
+        group = tmp_path / "g.json"
+        group.write_text(json.dumps({"kind": "presentation", "generators": ["x"]}))
+        galias = tmp_path / "galias.json"
+        galias.write_text(json.dumps(str(group)))
+        hom = tmp_path / "hom.json"
+        hom.write_text(json.dumps({"group": str(galias), "degree": 3, "images": {"x": "(1 2 3)"}}))
+        opened = []
+        real_open = builtins.open
+
+        def recording(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording)
+        for path, message, files_read in (
+            (alias, "homomorphism object must be a JSON object", [alias]),
+            (hom, "group object must carry a 'kind' field", [hom, galias]),
+        ):
+            opened.clear()
+            code, report = dispatch(["graph", str(path)])
+            assert code == EXIT_BADFILE
+            assert report["outputs"]["error"] == {"code": "malformed-input", "message": message}
+            assert opened == list(report["inputs"]) == [str(f) for f in files_read]
 
     @pytest.mark.parametrize("g1,code", [("()", EXIT_BADFILE), ("(1 2)", EXIT_OK)])
     def test_generators_of_one_element_need_one_image(self, tmp_path, g1, code):
@@ -1010,6 +1131,33 @@ def test_readme_names_every_input_bound():
     }
     assert len(bounds) >= 7
     assert sorted(name for name in bounds if f"`{name}`" not in readme) == []
+
+
+def test_only_the_cli_reads_input_files():
+    # the builtin open appears only in jsonio._read_bytes, and the file
+    # readers are used only by the load closure of cli.dispatch, which
+    # lists every file it reads in the report's inputs
+    uses = set()
+
+    def walk(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "open":
+                uses.add((module, where, "open"))
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if name in ("_read_bytes", "_load_json", "read_bytes", "read_text"):
+                uses.add((module, where, name))
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(module, child, (*where, child.name))
+            else:
+                walk(module, child, where)
+
+    for path in Path(permstab.__file__).parent.glob("*.py"):
+        walk(path.stem, ast.parse(path.read_text(encoding="utf-8")), ())
+    assert uses == {
+        ("jsonio", ("_read_bytes",), "open"),
+        ("cli", ("dispatch", "load"), "_read_bytes"),
+        ("cli", ("dispatch", "load"), "_load_json"),
+    }
 
 
 def test_unwritable_stdout_is_io_error():

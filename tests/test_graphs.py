@@ -17,7 +17,6 @@ from permstab.errors import (
     AlphabetMismatchError,
     BoundExceededError,
     MalformedInputError,
-    RelatorsPresentError,
 )
 from permstab.graphs import (
     LabeledDigraph,
@@ -93,11 +92,15 @@ class TestActionGraph:
             (2, 2, "y"),
         ]
 
-    def test_relators_rejected(self):
+    def test_relators_allowed(self):
+        # the Schreier graph of <x | x^2> acting by (1 2)(3 4) on 5 points
         P = FpGroup(("x",), ("x^2",))
-        h = PermHomomorphism(P, 2, (parse_permutation("(1 2)", 2),))
-        with pytest.raises(RelatorsPresentError):
-            action_graph(h)
+        h = PermHomomorphism(P, 5, (parse_permutation("(1 2)(3 4)", 5),))
+        g = action_graph(h)
+        assert sorted(g.edges()) == [
+            (1, 2, "x"), (2, 1, "x"), (3, 4, "x"), (4, 3, "x"), (5, 5, "x")
+        ]
+        assert g == action_graph(free_hom(5, "(1 2)(3 4)"))
 
     def test_edge_count(self):
         rng = Random(61)

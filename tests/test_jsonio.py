@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,13 +16,12 @@ from permstab.errors import MalformedInputError
 from permstab.groups import FiniteGroup, FpGroup, check_homomorphism, cyclic_group
 from permstab.jsonio import (
     _load_json,
+    _read_bytes,
     element_set_from_text,
     format_rational,
     group_from_json,
     hom_from_json,
-    parse_rational,
     permutation_from_json,
-    permutation_to_json,
     subgroup_from_json,
 )
 from permstab.perm import parse_permutation
@@ -33,19 +33,11 @@ class TestRationals:
         assert format_rational(Fraction(0)) == "0"
         assert format_rational(Fraction(4, 2)) == "2"
 
-    def test_parse(self):
-        assert parse_rational("1/3") == Fraction(1, 3)
-        assert parse_rational("2") == 2
-        with pytest.raises(MalformedInputError):
-            parse_rational("1/0")
-        with pytest.raises(MalformedInputError):
-            parse_rational("x")
-
 
 class TestPermutationJson:
     def test_roundtrip_object(self):
         p = parse_permutation("(1 3)(2 4)", 5)
-        assert permutation_from_json(permutation_to_json(p)) == p
+        assert permutation_from_json({"degree": 5, "images": [3, 4, 1, 2, 5]}) == p
 
     def test_string_forms(self):
         assert permutation_from_json("(1 2)", 3) == parse_permutation("(1 2)", 3)
@@ -70,7 +62,10 @@ class TestGroupJson:
         assert loaded.group == G
         path = tmp_path / "g.json"
         path.write_text(json.dumps(obj))
-        assert group_from_json(str(path)).group == G
+        assert group_from_json(_load_json(path, _read_bytes(path))).group == G
+        # a path string is no group object: the reader opens no file
+        with pytest.raises(MalformedInputError, match="'kind'"):
+            group_from_json(str(path))
 
     def test_perm_gens_group(self):
         obj = {
@@ -215,6 +210,7 @@ class TestHomJson:
         assert check_homomorphism(h).ok
 
     def test_file_reference(self, tmp_path):
+        # the CLI reads a group file named by path; the reader takes values only
         gpath = tmp_path / "group.json"
         gpath.write_text(
             json.dumps({"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]})
@@ -224,7 +220,23 @@ class TestHomJson:
             "degree": 2,
             "images": {"0": "()", "1": "(1 2)"},
         }
-        assert hom_from_json(obj).degree == 2
+        with pytest.raises(MalformedInputError, match="'kind'"):
+            hom_from_json(obj)
+        path = tmp_path / "hom.json"
+        path.write_text(json.dumps(obj))
+        code, report = dispatch(["trace", "--hom", str(path), "--set", "1"])
+        assert code == 0 and report["outputs"] == {"tr": "0"}
+        assert list(report["inputs"]) == [str(path), str(gpath)]
+        with pytest.raises(MalformedInputError):
+            hom_from_json(str(path))
+
+    def test_negative_degree_refused(self):
+        # no image is parsed, so only the degree check can refuse it
+        obj = {"group": {"kind": "presentation", "generators": []}, "degree": -1, "images": {}}
+        with pytest.raises(MalformedInputError, match="non-negative"):
+            hom_from_json(obj)
+        obj["degree"] = 0
+        assert hom_from_json(obj).degree == 0
 
     @pytest.mark.parametrize(
         "obj",
@@ -343,20 +355,23 @@ class TestHomJson:
         assert code == 0 and report["outputs"]["conjugate"] is True
         assert calls == [2]
 
-    def test_unreadable_file(self):
-        with pytest.raises(MalformedInputError):
-            hom_from_json("/nonexistent/path.json")
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(MalformedInputError, match="^cannot read /nonexistent/path.json: "):
+            _read_bytes("/nonexistent/path.json")
+        with pytest.raises(MalformedInputError, match="cannot read"):
+            _read_bytes(tmp_path)  # a directory
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(MalformedInputError):
-            hom_from_json(str(path))
+        message = f"^{re.escape(str(path))} is not valid JSON: "
+        with pytest.raises(MalformedInputError, match=message):
+            _load_json(str(path), _read_bytes(path))
 
     def test_files_read_as_utf8(self, tmp_path):
         path = tmp_path / "names.json"
         path.write_bytes('{"name": "\u00e9", "n": [1,\r\n 2]}'.encode())
-        assert _load_json(str(path)) == {"name": "\u00e9", "n": [1, 2]}
+        assert _load_json(str(path), _read_bytes(path)) == {"name": "\u00e9", "n": [1, 2]}
         for bad in (b"\xff", "\u00e9".encode("latin-1"), b'"\xed\xa0\x80"'):
             with pytest.raises(MalformedInputError, match="utf-8"):
                 _load_json("bad.json", bad)
@@ -365,7 +380,10 @@ class TestHomJson:
         # the C locale without UTF-8 mode decodes text files as ASCII
         path = tmp_path / "names.json"
         path.write_bytes('"\u00e9"'.encode())
-        code = f"from permstab.jsonio import _load_json; print(ascii(_load_json({str(path)!r})))"
+        code = (
+            "from permstab.jsonio import _load_json, _read_bytes; "
+            f"print(ascii(_load_json({str(path)!r}, _read_bytes({str(path)!r}))))"
+        )
         env = {
             **os.environ,
             "PYTHONPATH": os.path.dirname(os.path.dirname(permstab.jsonio.__file__)),
