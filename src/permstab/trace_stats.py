@@ -145,7 +145,14 @@ def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
 
     A term ``Tr(A union V)`` is the bit count of the mask of points fixed
     by ``A`` and ``V``; a term whose mask is empty is dropped, and with it
-    every term of a superset of ``V``, since ``Tr`` is monotone.
+    every term of a superset of ``V``, since ``Tr`` is monotone.  Each
+    element ``b`` of ``B`` splits the term of ``V`` into itself and the
+    term of ``V union {b}``, of opposite sign, whose mask is the AND with
+    ``b``'s mask.  When the term's mask lies inside ``b``'s mask, the two
+    twins are equal, and so are all the terms that later elements split
+    from them: the twins and their whole subtrees cancel, and neither is
+    kept.  So ``S(A, B) = 0`` without any expansion when one element of
+    ``B`` fixes every point that ``A`` fixes.
     """
     fixed = trace.masks(A)
     B = set(trace._canonical(B))
@@ -156,18 +163,22 @@ def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
     common = trace._full
     for m in fixed:
         common &= m
-    # the nonempty masks of A u V for the subsets V of B seen so far,
-    # split by the parity of |V|
+    # the kept masks of A u V for the subsets V of B seen so far, split by
+    # the parity of |V|
     even, odd = [common] if common else [], []
     for mb in trace.masks(B):  # loops: on Python 3.11 a comprehension is a call
-        flipped = []
-        for m in odd:
-            if x := m & mb:
-                flipped.append(x)
+        kept_even, kept_odd = [], []
         for m in even:
-            if x := m & mb:
-                odd.append(x)
-        even += flipped
+            if (x := m & mb) != m:
+                kept_even.append(m)
+                if x:
+                    kept_odd.append(x)
+        for m in odd:
+            if (x := m & mb) != m:
+                kept_odd.append(m)
+                if x:
+                    kept_even.append(x)
+        even, odd = kept_even, kept_odd
     count = sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))
     return trace._share(count, B)
 

@@ -16,9 +16,10 @@ behind ``find_normal_complement``, the one-pattern-at-a-time loop behind
 ``stat_distance_details`` and the batch of statistic-word queries that
 counted its embeddings before the generation tree did, the
 ``repr``-ranked colour refinement, certificate and edge-set generation behind
-``enumerate_patterns``, the unpruned ``(mask, sign)`` expansion behind
-``s_from_tr``, Light's test with its generating-set picks interleaved
-behind ``FiniteGroup``, and the argparse front end behind the CLI's
+``enumerate_patterns``, the unpruned ``(mask, sign)`` expansion and the
+loop that dropped only empty-mask terms behind ``s_from_tr``, Light's
+test with its generating-set picks interleaved behind ``FiniteGroup``,
+and the argparse front end behind the CLI's
 command-table parser.  ``point_count`` tests one point at a
 time what every trace statistic counts with fixed-point masks.
 """
@@ -34,6 +35,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from permstab.errors import (
+    BoundExceededError,
     GroupTableError,
     NotComparableError,
     NotConjugateError,
@@ -69,6 +71,7 @@ from permstab.multiplicity import (
     orbit_decomposition,
 )
 from permstab.stability import _census_combination, _max_weight_assignment, compose_lift
+from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND, ActionTrace
 from permstab.perm import Permutation, all_permutations, hamming_distance
 
 
@@ -459,6 +462,36 @@ def s_from_tr_expansion(h: PermHomomorphism, A, B) -> Fraction:
     if h.degree == 0:
         return Fraction(int(not B))
     return Fraction(sum(sign * mask.bit_count() for mask, sign in terms), h.degree)
+
+
+def s_from_tr_pruned(trace: ActionTrace, A, B) -> Fraction:
+    """``S(A, B)`` by inclusion-exclusion that drops only the terms whose
+    mask is empty, with every term of a superset of their ``V``; every
+    pair of equal twins is kept.  Refuses a moved set of more than
+    ``DEFAULT_MOVED_SET_BOUND`` distinct elements, as ``s_from_tr`` does."""
+    fixed = trace.masks(A)
+    B = set(trace._canonical(B))
+    if len(B) > DEFAULT_MOVED_SET_BOUND:
+        raise BoundExceededError(
+            f"moved set of size {len(B)} exceeds bound {DEFAULT_MOVED_SET_BOUND}"
+        )
+    common = trace._full
+    for m in fixed:
+        common &= m
+    # the nonempty masks of A u V for the subsets V of B seen so far,
+    # split by the parity of |V|
+    even, odd = [common] if common else [], []
+    for mb in trace.masks(B):
+        flipped = []
+        for m in odd:
+            if x := m & mb:
+                flipped.append(x)
+        for m in even:
+            if x := m & mb:
+                odd.append(x)
+        even += flipped
+    count = sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))
+    return trace._share(count, B)
 
 
 def statistic_table(h: PermHomomorphism, universe) -> dict[frozenset, Fraction]:

@@ -34,6 +34,7 @@ from permstab.cli import (
     dispatch,
 )
 from permstab.perm import parse_permutation
+from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND
 
 
 def write_corpus(directory):
@@ -688,6 +689,25 @@ class TestExitCodes:
             "code": "BoundExceededError",
             "message": "group order exceeds bound 5040",
         }
+
+    def test_moved_set_of_any_size(self, tmp_path):
+        # the moved-set bound binds s_from_tr only: stats counts with
+        # bs_statistic, one AND per element, so the 23 ids other than the
+        # identity of the regular action of Z24 move every point
+        cycle = "(" + " ".join(map(str, range(1, 25))) + ")"
+        path = tmp_path / "z24.json"
+        path.write_text(json.dumps({
+            "group": {"kind": "perm-gens", "degree": 24, "generators": [cycle]},
+            "degree": 24,
+            "images": {"g0": cycle},
+        }))
+        moved = range(1, 24)
+        assert len(moved) > DEFAULT_MOVED_SET_BOUND
+        code, report = dispatch(
+            ["stats", "--hom", str(path), "--moved", ",".join(map(str, moved))]
+        )
+        assert code == EXIT_OK
+        assert report["outputs"] == {"s": "1"}
 
     @pytest.mark.parametrize("letters,bound", [(3, None), (10, "1")])
     def test_pattern_key_budget_is_domain_error(self, tmp_path, letters, bound):

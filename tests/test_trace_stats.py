@@ -176,8 +176,15 @@ class TestInclusionExclusion:
 
 
 class TestPrunedInclusionExclusion:
-    """``s_from_tr`` drops every term whose mask is empty, and each exact
-    share is one ``Fraction`` per count."""
+    """``s_from_tr`` drops every term whose mask is empty and every pair of
+    equal twins, and each exact share is one ``Fraction`` per count."""
+
+    @staticmethod
+    def check(h, A, B):
+        value = oracles.statistic(h, A, B)
+        assert s_from_tr(h.trace, A, B) == value, (A, B)
+        assert oracles.s_from_tr_pruned(h.trace, A, B) == value, (A, B)
+        assert oracles.s_from_tr_expansion(h, A, B) == value, (A, B)
 
     def test_against_the_whole_expansion(self, zoo24):
         # degrees 0-60, |B| up to 12, ids drawn with repetition
@@ -188,9 +195,47 @@ class TestPrunedInclusionExclusion:
             h = random_hom(G, rng.randint(0, 60), rng)
             A = rng.choices(range(G.order), k=rng.randint(0, 3))
             B = rng.choices(range(G.order), k=rng.randint(0, 12))
-            value = oracles.statistic(h, A, B)
-            assert s_from_tr(h.trace, A, B) == value, (A, B)
-            assert oracles.s_from_tr_expansion(h, A, B) == value, (A, B)
+            self.check(h, A, B)
+
+    def test_equal_twins_cancel(self, zoo24):
+        # few points and many fixed ones: some element of B fixes every
+        # point of some kept mask in most queries, so twins cancel often
+        rng = Random(34)
+        groups = [G for G in zoo24.values() if G.order >= 12]
+        cancelling = 0
+        for j in range(200):
+            G = groups[j % len(groups)]
+            h = random_hom(G, rng.randint(1, 8), rng)
+            A = rng.sample(range(G.order), rng.randint(0, 2))
+            B = rng.sample(range(G.order), rng.randint(1, min(16, G.order)))
+            common = h.trace._full
+            for m in h.trace.masks(A):
+                common &= m
+            # A's own term cancels with its twin at such an element's step;
+            # when A fixes no point there is no term to cancel
+            cancelling += common != 0 and any(
+                common & mb == common for mb in h.trace.masks(B)
+            )
+            self.check(h, A, B)
+        assert cancelling >= 100
+
+    def test_twins_cancel_below_the_top(self):
+        # a fixes 1-6 and b fixes 1-6 too, so S(a, B) = 0 whenever b is in
+        # B; c fixes 1-3 and d fixes 1-3, 7, 8, so the term of {c} cancels
+        # with its twin {c, d}, but A's term does not
+        fixes = {"a": {1, 2, 3, 4, 5, 6}, "b": {1, 2, 3, 4, 5, 6},
+                 "c": {1, 2, 3}, "d": {1, 2, 3, 7, 8}, "e": {4, 5, 7, 8}}
+        images = []
+        for w in "abcde":
+            moved = [x for x in range(1, 9) if x not in fixes[w]]
+            cycle = dict(zip(moved, moved[1:] + moved[:1]))
+            images.append(Permutation([cycle.get(x, x) for x in range(1, 9)]))
+        h = PermHomomorphism(FpGroup(tuple("abcde")), 8, tuple(images))
+        assert s_from_tr(h.trace, ["a"], ["c", "d", "e"]) == Fraction(1, 8)  # point 6
+        for k in range(1, 5):
+            for B in combinations("bcde", k):
+                self.check(h, ["a"], list(B))
+                self.check(h, [], list(B))
 
     def test_empty_term_drops_its_supersets(self):
         # A fixes no point: a result of 0 without the 2^20 terms of B
@@ -201,6 +246,19 @@ class TestPrunedInclusionExclusion:
         tracemalloc.start()
         try:
             assert s_from_tr(trace, A, B) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_equal_twins_drop_their_subtrees(self):
+        # every element fixes both points, so A's term lies inside the
+        # first element's mask and cancels with its twin: a result of 0
+        # without the 2^20 terms of B
+        trace = trivial_hom(cyclic_group(21), 2).trace
+        tracemalloc.start()
+        try:
+            assert s_from_tr(trace, [], range(20)) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,6 +436,7 @@ class TestPointCountOracle:
                 assert bs_statistic(h, gen(A), B) == value
                 assert bs_statistic(h, A, gen(B)) == value
                 assert s_from_tr(h.trace, gen(A), gen(B)) == value
+                assert oracles.s_from_tr_pruned(h.trace, gen(A), gen(B)) == value
                 assert oracles.s_from_tr_expansion(h, gen(A), gen(B)) == value
                 assert statistic_table(h, gen(A + B)) == oracles.statistic_table(h, A + B)
 
