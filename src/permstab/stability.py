@@ -7,8 +7,9 @@ This module houses the finite, executable side of stability theory:
   distance bound ``|H| * epsilon``;
 * one nearest-conjugator solver: the conjugator between two generator
   lists that agrees with a target permutation on the most points, from
-  equivariant maps between orbits and one Hungarian assignment per orbit
-  type, with no search over ``S_n`` or a centralizer;
+  equivariant maps between orbits, a closed form for the points every
+  generator fixes and one Hungarian assignment per other orbit type,
+  with no search over ``S_n`` or a centralizer;
   it gives the certified minimum conjugator distance (target the
   identity) and the correction below (target the almost-centralizing
   permutation);
@@ -150,10 +151,16 @@ def nearest_conjugator(
 
     A conjugator maps each ``gens1``-orbit equivariantly onto a
     ``gens2``-orbit of its type, and there it is fixed by the image of
-    the orbit's least point.  Each pair of orbits of a type keeps its best
-    such map and each type gets one maximum-weight assignment; the weight
-    puts agreement first and the one-line form, read in base ``n+1``,
-    second.  Raises :class:`NotConjugateError` if none exists.
+    the orbit's least point.  The points fixed by every generator form
+    one type of one-point orbits, solved in closed form: each point fixed
+    by ``gens1`` whose target image is fixed by ``gens2`` keeps that
+    image, which makes the most agreements, and the others, in ascending
+    order, take the unused points fixed by ``gens2`` in ascending order,
+    which gives the least one-line form among those.  In every other
+    type, each pair of orbits keeps its best map and the type gets
+    one maximum-weight assignment; the weight puts agreement first and
+    the one-line form, read in base ``n+1``, second.  Raises
+    :class:`NotConjugateError` if no conjugator exists.
     """
     n = target.degree
     perms1, perms2 = [g.images for g in gens1], [g.images for g in gens2]
@@ -167,6 +174,13 @@ def nearest_conjugator(
     for rows, cols in _orbit_types((perms1, n), (perms2, n)):
         if len(rows) != len(cols):
             raise NotConjugateError("no permutation conjugates the two actions")
+        if len(rows[0]) == 1:  # the points fixed by every generator
+            ends = {y for (y,) in cols}
+            keep = {x: y for (x,) in rows if (y := target.images[x - 1]) in ends}
+            unused = iter(sorted(ends.difference(keep.values())))
+            for (x,) in rows:  # in ascending order
+                images[x - 1] = keep[x] if x in keep else next(unused)
+            continue
         best = [
             [max(filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2)), key=weight)
              for o2 in cols]

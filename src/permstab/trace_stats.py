@@ -11,6 +11,11 @@ Both are one count, ``Tr(A) = S(A, {})``, and they determine each other
 by inclusion-exclusion:
 ``S(A,B) = sum over V subset of B of (-1)^|V| * Tr(A union V)``.
 With no points (degree 0), ``S(A, B) = 1`` exactly when ``B`` is empty.
+Over all subsets of a finite universe ``F``, :func:`statistic_table`
+gives ``S`` as a read-only :class:`StatisticTable` that keeps each
+subset's point count, and :func:`tr_from_s` gives ``Tr`` back by
+superset sums: on those integer counts when it gets such a table with
+its own universe, and on the rational values of any other mapping.
 
 Elements are ids for ``FiniteGroup`` sources and words (strings or parsed
 tuples) for ``FpGroup`` sources.  An id is checked by looking it up in
@@ -26,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BoundExceededError, PermStabError
 from .groups import FiniteGroup, PermHomomorphism, evaluate_word, parse_word
@@ -183,6 +188,35 @@ def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
     return trace._share(count, B)
 
 
+class StatisticTable(dict):
+    """The table of :func:`statistic_table`: a read-only ``dict`` that
+    also keeps the integer point count of each subset, in table order,
+    the sorted universe, and the trace's share memo.
+
+    :func:`tr_from_s` sums those counts when it is given the table and
+    the table's own universe.  So that the counts never disagree with the
+    values, every mutator raises ``TypeError``; ``dict(table)`` is a
+    mutable copy, and ``copy``, ``deepcopy`` and ``pickle`` give one.
+    """
+
+    __slots__ = ("_counts", "_items", "_shares")
+
+    def __init__(self, pairs, counts, items, shares):
+        super().__init__(pairs)
+        self._counts = counts  # None for degree 0, where no count is kept
+        self._items = items
+        self._shares = shares
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a statistic table is read-only; dict(table) is a mutable copy")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = _read_only
+    __ior__ = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 def tr_from_s(
     stats: Mapping[frozenset, Fraction], universe: ElementSet
 ) -> dict[frozenset, Fraction]:
@@ -195,13 +229,51 @@ def tr_from_s(
     a presentation source is keyed by parsed word tuples, so its own
     universe is ``max(table, key=len)``, not the words as typed.  Then
     ``Tr(A) = sum over T containing A of S(T, F minus T)``: one
-    superset-sum pass per element, on integers over a common denominator.
-    The result is keyed by the table's own keys, in the order of the
-    universe's elements sorted by ``repr``.  A universe of more than
-    ``DEFAULT_UNIVERSE_BOUND`` distinct elements raises
+    superset-sum pass per element.  A :class:`StatisticTable` of a
+    positive degree, read on exactly its own elements, sums its kept
+    point counts and takes each share from the trace's memo; any other
+    mapping is read key by key and summed on integers over a common
+    denominator.  The result is keyed by the table's own keys, in the
+    order of the universe's elements sorted by ``repr``.  A universe of
+    more than ``DEFAULT_UNIVERSE_BOUND`` distinct elements raises
     ``BoundExceededError`` before anything is allocated.
     """
     items = sorted(_bounded_universe(frozenset(universe)), key=repr)
+    if isinstance(stats, StatisticTable) and stats._counts is not None:
+        out = _tr_from_counts(stats, items)
+        if out is not None:
+            return out
+    return _tr_from_values(stats, items)
+
+
+def _tr_from_counts(table: StatisticTable, items: list) -> Optional[dict]:
+    """:func:`tr_from_s` on the table's point counts, or ``None`` when
+    ``items`` are not the table's elements."""
+    own = table._items
+    if len(items) != len(own):
+        return None
+    try:  # table bit of each element, in repr order
+        bits = [1 << own.index(x) for x in items]
+    except ValueError:
+        return None
+    sums, keys = table._counts, list(table)
+    if bits != sorted(bits):  # the repr order is not the table order
+        order = [0]  # order[t]: the table index of repr-order subset t
+        for b in bits:
+            order += [s | b for s in order]
+        sums = list(map(sums.__getitem__, order))
+        keys = list(map(keys.__getitem__, order))
+    sums = _superset_sums(sums, len(items))
+    memo = table._shares
+    degree = sums[0]  # Tr of the empty set counts every point
+    for c in set(sums).difference(memo):
+        memo[c] = Fraction(c, degree)
+    return dict(zip(keys, map(memo.__getitem__, sums)))
+
+
+def _tr_from_values(stats: Mapping[frozenset, Fraction], items: list) -> dict:
+    """:func:`tr_from_s` on any mapping: each ``frozenset`` key is placed
+    by its elements' bits in ``items`` and its value read as a rational."""
     size = 1 << len(items)
     bits = {x: 1 << i for i, x in enumerate(items)}
     keys = [None] * size  # the caller's key of subset s, at s
@@ -230,26 +302,32 @@ def tr_from_s(
     dens = [v.denominator for v in values]
     den = lcm(*dens)
     sums = [v.numerator * (den // d) for v, d in zip(values, dens)]
-    # Yates's method: a pass adds each odd entry (subsets with the lowest
-    # bit) to the even one before it and lists the evens first, which
-    # rotates the bits, so the next pass sums over the next element and
-    # one pass per element restores the order
-    for _ in items:
-        odd = sums[1::2]
-        sums = [*map(add, sums[::2], odd), *odd]
+    sums = _superset_sums(sums, len(items))
     shares = {x: Fraction(x, den) for x in set(sums)}
     return dict(zip(keys, map(shares.__getitem__, sums)))
 
 
-def statistic_table(
-    h: PermHomomorphism, universe: ElementSet
-) -> dict[frozenset, Fraction]:
-    """The full table ``{T -> S(T, F minus T)}`` over subsets of ``F``.
+def _superset_sums(sums: list, elements: int) -> list:
+    """Entry ``s`` of ``sums`` replaced by the sum over the supersets of
+    subset ``s``, by Yates's method: a pass adds each odd entry (subsets
+    with the lowest bit) to the even one before it and lists the evens
+    first, which rotates the bits, so the next pass sums over the next
+    element and one pass per element restores the order."""
+    for _ in range(elements):
+        odd = sums[1::2]
+        sums = [*map(add, sums[::2], odd), *odd]
+    return sums
+
+
+def statistic_table(h: PermHomomorphism, universe: ElementSet) -> StatisticTable:
+    """The full table ``{T -> S(T, F minus T)}`` over subsets of ``F``, as
+    a read-only :class:`StatisticTable`.
 
     The points are split once per element of ``F``: the mask of subset
     ``T`` holds the points fixed by exactly the elements of ``T``.  Each
-    share is the trace's memoized ``Fraction`` of its count.  Word
-    elements key the table as parsed tuples.  A universe of more than
+    share is the trace's memoized ``Fraction`` of its count, and the
+    table keeps the counts for :func:`tr_from_s`.  Word elements key the
+    table as parsed tuples.  A universe of more than
     ``DEFAULT_UNIVERSE_BOUND`` distinct elements raises
     ``BoundExceededError`` before the points are split.
     """
@@ -262,15 +340,16 @@ def statistic_table(
         m = fixed[x]
         parts = [p & ~m for p in parts] + [p & m for p in parts]
     degree = trace.hom.degree
+    memo = trace._shares
     if degree:
         counts = list(map(int.bit_count, parts))
-        memo = trace._shares
         for c in set(counts).difference(memo):
             memo[c] = Fraction(c, degree)
         shares = map(memo.__getitem__, counts)
     else:  # no points: S(T, F minus T) = 1 exactly for T = F
+        counts = None
         shares = [Fraction(0)] * (len(parts) - 1) + [Fraction(1)]
-    return dict(zip(_subsets(items), shares))
+    return StatisticTable(zip(_subsets(items), shares), counts, items, memo)
 
 
 def _bounded_universe(items: set) -> set:

@@ -7,10 +7,11 @@ subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
 ``is_conjugate`` and ``agreement_set``, the stabilizer-class censuses
 behind ``hom_order_leq``, ``rep_subtract``, ``has_extension`` and
-``replication_count``, the class dictionary of ``multiplicity._match``
-and the partner-keyed classes of ``nearest_conjugator`` that one orbit
-classifier replaced, the join of every subgroup with every cyclic
-subgroup and the conjugation by every element that
+``replication_count``, the class dictionary of ``multiplicity._match``,
+the partner-keyed classes of ``nearest_conjugator`` that one orbit
+classifier replaced and its assignment over the points every generator
+fixes that a closed form replaced, the join of every subgroup with
+every cyclic subgroup and the conjugation by every element that
 ``subgroup_conjugacy_classes`` replaced, the scan of every subgroup
 behind ``find_normal_complement``, the one-pattern-at-a-time loop behind
 ``stat_distance_details`` and the batch of statistic-word queries that
@@ -64,6 +65,7 @@ from permstab.groups import (
     trivial_hom,
 )
 from permstab.multiplicity import (
+    _orbit_types,
     _orbits,
     _transport,
     is_conjugate,
@@ -255,6 +257,36 @@ def nearest_conjugator(
             for x, px in best[rows[r - 1], j][1].items():
                 images[x - 1] = px
     return Permutation(images)
+
+
+def nearest_conjugator_hungarian(
+    gens1: Sequence[Permutation], gens2: Sequence[Permutation], target: Permutation
+) -> Permutation:
+    """``stability.nearest_conjugator`` before the points fixed by every
+    generator had a closed form: each orbit type, that one too, gets one
+    Hungarian assignment over big-integer weights."""
+    n = target.degree
+    perms1, perms2 = [g.images for g in gens1], [g.images for g in gens2]
+    unit = (n + 1) ** (n + 1)
+    place = [(n + 1) ** (n - x) for x in range(n + 1)]
+
+    def weight(p: dict[int, int]) -> int:
+        return sum(unit * (target.images[x - 1] == px) - px * place[x] for x, px in p.items())
+
+    images = [0] * n
+    for rows, cols in _orbit_types((perms1, n), (perms2, n)):
+        if len(rows) != len(cols):
+            raise NotConjugateError("no permutation conjugates the two actions")
+        best = [
+            [max(filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2)), key=weight)
+             for o2 in cols]
+            for o1 in rows
+        ]
+        matched = _max_weight_assignment([list(map(weight, row)) for row in best])
+        for j, r in enumerate(matched):
+            for x, px in best[r - 1][j].items():
+                images[x - 1] = px
+    return Permutation._trusted(tuple(images))
 
 
 def has_extension(G: FiniteGroup, H: Subgroup, phi: PermHomomorphism):

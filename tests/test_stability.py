@@ -3,13 +3,15 @@ amalgams, lifts, and correction of almost-centralizing permutations."""
 
 import hashlib
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache, reduce
 from random import Random
 
 import pytest
 
-from permstab.cli import MAX_EXACT_DEGREE
+from permstab.cli import MAX_EXACT_DEGREE, dispatch
 from permstab.errors import (
     AmalgamMismatchError,
     BoundExceededError,
@@ -429,6 +431,88 @@ class TestNearestConjugator:
             else:
                 assert nearest_conjugator(gens1, gens2, target) == expected
         assert len(cases) // 2 < len(cases) - refused < len(cases) - 20
+
+
+class TestFixedPointsInClosedForm:
+    """``nearest_conjugator`` solves the points fixed by every generator in
+    closed form; ``oracles.nearest_conjugator_hungarian`` gives them one
+    assignment over big-integer weights, as the solver did before."""
+
+    @staticmethod
+    def check(gens1, gens2, target):
+        try:
+            expected = oracles.nearest_conjugator_hungarian(gens1, gens2, target)
+        except NotConjugateError:
+            with pytest.raises(NotConjugateError):
+                nearest_conjugator(gens1, gens2, target)
+            return False
+        assert nearest_conjugator(gens1, gens2, target) == expected
+        return True
+
+    def test_correct_cases(self):
+        rng = Random(52)  # the cases of test_correct_matches_oracle
+        for _ in range(2000):
+            n = rng.randint(0, 7)
+            a = random_permutation(n, rng)
+            q = random_permutation(n, rng)
+            assert self.check([a], [a], q)
+
+    def test_min_conj_cases(self, zoo8):
+        rng = Random(53)  # the cases of test_min_conj_matches_oracle
+        names = sorted(zoo8)
+        compared = 0
+        while compared < 300:
+            G = zoo8[rng.choice(names)]
+            n = rng.randint(1, 7)
+            h1 = random_hom(G, n, rng)
+            if rng.random() < 0.8:
+                h2 = conjugate_hom(h1, random_permutation(n, rng))
+            else:
+                h2 = random_hom(G, n, rng)
+            gens1, gens2 = generator_images(h1), generator_images(h2)
+            compared += self.check(gens1, gens2, Permutation.identity(n))
+
+    def test_random_cases_degree_50_to_300(self):
+        # one or two generators moving a few points, so that most points
+        # lie in the fixed-point class: the centralizer of the list, or a
+        # conjugate list, whose fixed points the conjugator moves; the
+        # target is the identity, the conjugator, or random
+        rng = Random(58)
+        for i in range(16):
+            n = rng.randint(50, 300)
+            gens1 = [random_small_support_permutation(n, rng.randint(2, 10), rng)
+                     for _ in range(1 + i % 2)]
+            c = random_permutation(n, rng) if i % 4 > 1 else Permutation.identity(n)
+            cinv = c.inverse()
+            gens2 = [c * g * cinv for g in gens1]
+            target = (Permutation.identity(n), c, random_permutation(n, rng))[i % 3]
+            assert self.check(gens1, gens2, target)
+            p = nearest_conjugator(gens1, gens2, target)
+            pinv = p.inverse()
+            assert all(p * g * pinv == g2 for g, g2 in zip(gens1, gens2))
+
+    def test_degree_1200_correct(self):
+        # 1,197 points fixed by (1 2 3): the assignment over them held
+        # about 1.5 GB; (4 5) commutes with (1 2 3), so it is its own answer
+        argv = ["correct", "--coef", "(1 2 3)", "--almost", "(4 5)",
+                "--degree", "1200", "--mode", "heuristic"]
+        start = time.perf_counter()
+        code, report = dispatch(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert report["outputs"] == {
+            "corrected": "(4 5)", "distance": "0", "input_defect": "0", "mode": "heuristic"
+        }
+        a = parse_permutation("(1 2 3)", 1200)
+        q = random_small_support_permutation(1200, 40, Random(59))
+        tracemalloc.start()
+        try:
+            rep = centralizer_correct(a, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+        assert rep.corrected * a == a * rep.corrected
 
 
 class TestHasExtension:

@@ -1,5 +1,7 @@
 """Action traces, local statistics, and inclusion-exclusion conversions."""
 
+import copy
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +10,7 @@ from random import Random
 
 import pytest
 
+from permstab import trace_stats
 from permstab.errors import BoundExceededError, PermStabError, WordError
 from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair, klein_pair_presented
 from permstab.groups import (
@@ -27,6 +30,7 @@ from permstab.stability import replicate_hom
 from permstab.trace_stats import (
     DEFAULT_UNIVERSE_BOUND,
     ActionTrace,
+    StatisticTable,
     action_trace,
     bs_statistic,
     get_trace,
@@ -619,6 +623,152 @@ class TestTablesAgainstOracles:
         for bad in (17, -1, t1.source.order):
             with pytest.raises(PermStabError):
                 statistic_table(t1, [KLEIN_A, bad])
+
+
+class TestStatisticTableCounts:
+    """``tr_from_s`` on a :class:`StatisticTable` and its own universe
+    sums the kept point counts; every other input takes the general path,
+    which this class treats as the reference."""
+
+    @staticmethod
+    def check(h, F, universe=None):
+        """The round trip of ``h`` over ``F``, read back on ``universe``
+        (default ``F``), against the general path and the oracle: equal
+        values, the table's own key objects, the same order, and each
+        share the trace's memoized ``Fraction``."""
+        universe = F if universe is None else universe
+        table = statistic_table(h, F)
+        assert isinstance(table, StatisticTable) and isinstance(table, dict)
+        out = tr_from_s(table, universe)
+        reference = tr_from_s(dict(table), universe)
+        assert out == reference == oracles.tr_from_s(table, universe)
+        assert list(out) == list(reference)
+        own = {T: T for T in table}
+        assert all(own[T] is T for T in out)
+        if h.degree:
+            memo = h.trace._shares
+            assert all(memo[v * h.degree] is v for v in out.values())
+        return out
+
+    def test_random_universes_against_the_general_path(self, zoo24):
+        # ids from 10 on sort differently by repr, so most universes of
+        # the order-12 and order-24 groups are read in a permuted order
+        rng = Random(2901)
+        names = sorted(zoo24)
+        permuted = 0
+        for _ in range(300):
+            G = zoo24[rng.choice(names)]
+            h = random_hom(G, rng.randint(1, 40), rng)
+            F = rng.sample(range(G.order), rng.randint(0, min(7, G.order)))
+            if F and rng.random() < 0.3:  # repeated elements count once
+                F += rng.choices(F, k=rng.randint(1, 3))
+            self.check(h, F)
+            items = sorted(set(F))
+            permuted += items != sorted(items, key=repr)
+        assert permuted >= 30  # 35 today
+
+    def test_word_tables(self):
+        rng = Random(2902)
+        cases = [(t, ["a", "b", "a b"]) for t in klein_pair_presented()]
+        cases += [(klein_pair_presented()[1], ["a", "a", "b^-1", "a b a"])]
+        for _ in range(40):
+            m, n = rng.randint(1, 3), rng.randint(1, 9)
+            h = PermHomomorphism(
+                FpGroup(tuple("xyz"[:m])),
+                n,
+                tuple(random_permutation(n, rng) for _ in range(m)),
+            )
+            cases.append((h, [random_word(rng, m) for _ in range(rng.randint(0, 4))]))
+        for h, F in cases:
+            table = statistic_table(h, F)
+            self.check(h, F, max(table, key=len))
+            if not any(isinstance(w, str) for w in F):
+                self.check(h, F)
+                continue
+            # the words as typed are not the table's elements: the
+            # general path's error, unchanged
+            with pytest.raises(PermStabError) as fast:
+                tr_from_s(table, F)
+            with pytest.raises(PermStabError) as general:
+                tr_from_s(dict(table), F)
+            assert str(fast.value) == str(general.value)
+
+    def test_sixteen_elements(self):
+        # the table of test_universe_bound, ids 10-15 out of numeric order
+        h = symmetric_group(5)[1]
+        F = list(range(DEFAULT_UNIVERSE_BOUND))
+        table = statistic_table(h, F + F[:3])
+        out = tr_from_s(table, F)
+        reference = tr_from_s(dict(table), F)
+        assert out == reference
+        assert list(out) == list(reference)
+        assert all(a is b for a, b in zip(out, reference))
+        for A in (frozenset(), frozenset({2, 11}), frozenset(F)):
+            assert out[A] == action_trace(h, A)
+
+    def test_library_round_trip_takes_the_counts(self, monkeypatch):
+        klein = klein_pair_presented()[1]
+        s5 = symmetric_group(5)[1]
+        rng = Random(2903)
+        G = cyclic_group(24)
+        cases = [(random_hom(G, 30, rng), [3, 12, 0, 21, 9]), (klein, ["a", "b", "a b"]),
+                 (s5, list(range(DEFAULT_UNIVERSE_BOUND)) + [4])]
+        tables = [statistic_table(h, F) for h, F in cases]
+        universes = [max(table, key=len) for table in tables]
+        want = [tr_from_s(dict(t), U) for t, U in zip(tables, universes)]
+
+        def general_path(stats, items):
+            raise AssertionError("the round trip fell back to the general path")
+
+        monkeypatch.setattr(trace_stats, "_tr_from_values", general_path)
+        for table, universe, expected in zip(tables, universes, want):
+            assert tr_from_s(table, universe) == expected
+        # every other input takes the general path
+        zero = statistic_table(trivial_hom(cyclic_group(3), 0), [1, 2])
+        for stats, universe in ((dict(tables[0]), universes[0]), (tables[0], [3, 12]),
+                                (tables[1], ["a", "b", "a b"]), (zero, [1, 2])):
+            with pytest.raises(AssertionError, match="general path"):
+                tr_from_s(stats, universe)
+
+    def test_degree_zero_table(self):
+        h = trivial_hom(cyclic_group(3), 0)
+        for F in ([], [1], [0, 2]):
+            table = statistic_table(h, F)
+            assert isinstance(table, StatisticTable)
+            assert tr_from_s(table, F) == tr_from_s(dict(table), F)
+
+    def test_read_only(self):
+        _, t2 = klein_pair()
+        table = statistic_table(t2, [KLEIN_A, KLEIN_B])
+        before = dict(table)
+        key = frozenset({KLEIN_A})
+        mutators = [
+            lambda: table.__setitem__(key, Fraction(1)),
+            lambda: table.__delitem__(key),
+            table.clear,
+            lambda: table.pop(key),
+            table.popitem,
+            lambda: table.setdefault(frozenset({KLEIN_AB}), Fraction(0)),
+            lambda: table.update({key: Fraction(1)}),
+        ]
+        for mutate in mutators:
+            with pytest.raises(TypeError, match=r"read-only; dict\(table\) is a mutable copy"):
+                mutate()
+        with pytest.raises(TypeError, match="read-only"):
+            table |= {key: Fraction(1)}
+        assert table == before and list(table) == list(before)
+        copied = dict(table)
+        copied[key] = Fraction(1)
+        assert copied[key] == 1 and table[key] == before[key]
+
+    def test_copies_are_plain_dicts(self):
+        _, t2 = klein_pair()
+        table = statistic_table(t2, [KLEIN_A, KLEIN_B, KLEIN_AB])
+        for twin in (copy.copy(table), copy.deepcopy(table),
+                     pickle.loads(pickle.dumps(table))):
+            assert type(twin) is dict
+            assert twin == table and list(twin) == list(table)
+            twin.clear()  # mutable
 
 
 class TestGlobalInvariants:
