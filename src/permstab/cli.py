@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from . import fixtures
 from .errors import BoundExceededError, MalformedInputError, PermStabError
 from .graphs import action_graph, stat_distance_details
-from .groups import FiniteGroup, PermHomomorphism, subgroup_conjugacy_classes
+from .groups import FiniteGroup, PermHomomorphism, _check_size, subgroup_conjugacy_classes
 from .jsonio import (
     element_set_from_text,
     format_rational,
@@ -229,6 +229,7 @@ def _cmd_lift(args, load) -> dict:
 def _cmd_correct(args, load) -> dict:
     if args.mode == "exact" and args.degree > MAX_EXACT_DEGREE:  # refuse before parsing
         raise BoundExceededError(f"exact mode requires degree <= {MAX_EXACT_DEGREE}")
+    _check_size("--coef and --almost", 2, args.degree)
     a = parse_permutation(args.coef, args.degree)
     q = parse_permutation(args.almost, args.degree)
     rep = centralizer_correct(a, q, mode=args.mode)

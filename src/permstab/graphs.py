@@ -125,7 +125,7 @@ class LabeledDigraph(Record):
     @cached_property
     def hom(self) -> PermHomomorphism:
         """The free-group homomorphism whose action graph this is."""
-        return PermHomomorphism(FpGroup(self.alphabet), self.n, self.perms)
+        return PermHomomorphism._trusted(FpGroup(self.alphabet), self.n, self.perms)
 
     def edges(self) -> list[tuple[int, int, str]]:
         out = []
@@ -151,7 +151,7 @@ def action_graph(psi: PermHomomorphism) -> LabeledDigraph:
     relators or without, labelled by its generators."""
     if not isinstance(psi.source, FpGroup):
         raise SourceMismatchError("action graphs require an FpGroup source")
-    return LabeledDigraph(psi.degree, psi.source.generators, psi.images)
+    return LabeledDigraph._trusted(psi.degree, psi.source.generators, psi.images)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@ from .record import Record
 
 DEFAULT_CLOSURE_BOUND = 5_040  # |S7|, whose table builds in about 2 s and 215 MB
 DEFAULT_SUBGROUP_ORDER_BOUND = 200
+# image entries (images times degree) one value built from input may hold:
+# a lift, a homomorphism file, the elements of a perm-gens closure, the
+# two permutations of a correction.  The largest lifts of a degree-13
+# homomorphism admitted (two images of degree 499,993, or one of degree
+# 999,999) take about 1 s and 100 MB as a `perm-stab lift` request
+DEFAULT_LIFT_SIZE_BOUND = 1_000_000
 
 
 class FiniteGroup:
@@ -272,6 +278,16 @@ def klein_four_group() -> FiniteGroup:
     return direct_product(cyclic_group(2), cyclic_group(2))
 
 
+def _check_size(what: str, count: int, degree: int) -> None:
+    """Refuse ``count`` permutations of ``degree`` points, before any is
+    built, if they hold more than ``DEFAULT_LIFT_SIZE_BOUND`` image entries."""
+    if count * degree > DEFAULT_LIFT_SIZE_BOUND:
+        raise BoundExceededError(
+            f"{what} hold {count} x {degree} = {count * degree} image entries,"
+            f" bound is {DEFAULT_LIFT_SIZE_BOUND}"
+        )
+
+
 def group_from_permutations(
     gens: Sequence[Permutation],
 ) -> tuple[FiniteGroup, "PermHomomorphism"]:
@@ -301,6 +317,7 @@ def group_from_permutations(
                         raise BoundExceededError(
                             f"group order exceeds bound {DEFAULT_CLOSURE_BOUND}"
                         )
+                    _check_size("closure elements", len(elems) + 1, degree)
                     elems.add(q)
                     new.append(q)
         frontier = new
@@ -315,10 +332,7 @@ def group_from_permutations(
                 rows[c] = tuple(map(col.__getitem__, rows[a]))
                 queue.append(c)
     G = FiniteGroup._trusted(tuple(rows), 0)
-    hom = PermHomomorphism(
-        G, degree, tuple(Permutation._trusted(p) for p in ordered)
-    )
-    return G, hom
+    return G, PermHomomorphism._trusted(G, degree, tuple(map(Permutation._trusted, ordered)))
 
 
 def symmetric_group(n: int) -> tuple[FiniteGroup, "PermHomomorphism"]:
@@ -476,9 +490,9 @@ def coset_action(G: FiniteGroup, N: Subgroup) -> "PermHomomorphism":
     images = []
     for g in G.elements():
         images.append(
-            Permutation(index[coset_of[G.mul(g, r)]] for r in reps)
+            Permutation._trusted(tuple([index[coset_of[G.mul(g, r)]] for r in reps]))
         )
-    return PermHomomorphism(G, len(cosets), tuple(images))
+    return PermHomomorphism._trusted(G, len(cosets), tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +707,12 @@ def hom_from_generator_images(
         frontier = new
     if len(known) != G.order:
         raise SourceMismatchError("given elements do not generate the group")
+    if degree < 0:  # no generator image carries the degree
+        raise SourceMismatchError(f"image degree 0 differs from {degree}")
     # every element a was expanded, so image(a*g) == image(a)*image(g)
     # holds for all a and every given generator g; as those generate G,
     # induction on word length gives the full homomorphism property
-    return hom_from_element_map(G, degree, known)
+    return PermHomomorphism._trusted(G, degree, tuple(known[g] for g in G.elements()))
 
 
 def restrict_hom(h: PermHomomorphism, H: Subgroup) -> PermHomomorphism:
@@ -707,7 +723,7 @@ def restrict_hom(h: PermHomomorphism, H: Subgroup) -> PermHomomorphism:
     if H.parent != h.source:
         raise NotSubgroupError("subgroup belongs to a different group")
     Habs, emb = H.as_group()
-    return PermHomomorphism(Habs, h.degree, tuple(h.images[g] for g in emb))
+    return PermHomomorphism._trusted(Habs, h.degree, tuple(h.images[g] for g in emb))
 
 
 def direct_sum_hom(
@@ -717,7 +733,7 @@ def direct_sum_hom(
     if h1.source != h2.source:
         raise SourceMismatchError("direct sum requires a common source")
     images = tuple(direct_sum(a, b) for a, b in zip(h1.images, h2.images))
-    return PermHomomorphism(h1.source, h1.degree + h2.degree, images)
+    return PermHomomorphism._trusted(h1.source, h1.degree + h2.degree, images)
 
 
 def _restrict_to_points(
@@ -726,7 +742,7 @@ def _restrict_to_points(
     """``h`` on a point set invariant under it, renumbered
     ``1..len(points)`` in ascending order of the original labels."""
     images = tuple(restrict(p, points) for p in h.images)
-    return PermHomomorphism(h.source, len(points), images)
+    return PermHomomorphism._trusted(h.source, len(points), images)
 
 
 def trivial_hom(G: Union[FiniteGroup, FpGroup], degree: int) -> PermHomomorphism:
@@ -739,6 +755,6 @@ def trivial_hom(G: Union[FiniteGroup, FpGroup], degree: int) -> PermHomomorphism
 def conjugate_hom(h: PermHomomorphism, p: Permutation) -> PermHomomorphism:
     """The homomorphism ``g -> p * h(g) * p^-1``."""
     pinv = p.inverse()
-    return PermHomomorphism(
+    return PermHomomorphism._trusted(
         h.source, h.degree, tuple(p * img * pinv for img in h.images)
     )

@@ -36,11 +36,12 @@ from .groups import (
     FpGroup,
     PermHomomorphism,
     Subgroup,
+    _check_size,
     check_homomorphism,
     group_from_permutations,
     hom_from_generator_images,
 )
-from .perm import Permutation, parse_permutation
+from .perm import Permutation, _int_tokens, parse_permutation
 from .record import Record
 
 GroupLike = Union[FiniteGroup, FpGroup]
@@ -139,6 +140,7 @@ def _group_from_text(text: str) -> LoadedGroup:
                 raise MalformedInputError("perm-gens degree must be a JSON integer")
             if not isinstance(obj["generators"], list):
                 raise MalformedInputError("perm-gens generators must be a JSON list")
+            _check_size("perm-gens generators", len(obj["generators"]), degree)
             gens = [permutation_from_json(g, degree) for g in obj["generators"]]
             names = obj.get("names", [f"g{i}" for i in range(len(gens))])
             if not (_is_str_list(names) and len(set(names)) == len(names) == len(gens)):
@@ -177,6 +179,9 @@ def hom_from_json(obj) -> PermHomomorphism:
         raise MalformedInputError("homomorphism images must be a JSON object")
     if loaded.kind != "table" and not set(images) <= set(loaded.gen_names):
         raise MalformedInputError("images keyed by a name that is no generator")
+    # a hom of no generators still acts by the identity, one image
+    count = max(len(loaded.gen_names), 1) if loaded.kind == "presentation" else loaded.group.order
+    _check_size("homomorphism images", count, degree)
     try:
         if loaded.kind == "presentation":
             src = loaded.group
@@ -184,7 +189,7 @@ def hom_from_json(obj) -> PermHomomorphism:
                 permutation_from_json(images[name], degree)
                 for name in src.generators
             )
-            hom = PermHomomorphism(src, degree, imgs)
+            hom = PermHomomorphism._trusted(src, degree, imgs)
         elif loaded.kind == "table":
             G = loaded.group
             if set(images) != {str(g) for g in G.elements()}:
@@ -195,7 +200,7 @@ def hom_from_json(obj) -> PermHomomorphism:
                 permutation_from_json(images[str(g)], degree)
                 for g in G.elements()
             )
-            hom = PermHomomorphism(G, degree, imgs)
+            hom = PermHomomorphism._trusted(G, degree, imgs)
         else:  # perm-gens: hom_from_generator_images checks the images
             gen_map: dict[int, Permutation] = {}
             for name, elt in zip(loaded.gen_names, loaded.gen_elements):
@@ -243,7 +248,7 @@ def element_set_from_text(hom: PermHomomorphism, text: str) -> list:
     if isinstance(hom.source, FpGroup):
         return items
     try:
-        return [int(t) for t in items]
+        return _int_tokens(items)
     except ValueError as exc:
         raise MalformedInputError(
             f"table-group element sets must be integer ids: {text!r}"

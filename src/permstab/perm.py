@@ -17,6 +17,7 @@ from .errors import DegreeMismatchError, PermutationParseError
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _SEP_RE = re.compile(r"[,\s]+")
+_INT_RE = re.compile(r"-?[0-9]+")
 _new = object.__new__
 _set = object.__setattr__
 _ZEROS = bytearray(b"0")  # copied, never changed
@@ -157,6 +158,15 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
+def _int_tokens(tokens: list[str]) -> list[int]:
+    """The integers that ``tokens`` write in ASCII as ``-?[0-9]+``, or
+    ``ValueError``: Python's ``int`` also reads ``1_0``, ``+2`` and
+    non-ASCII digits such as ``"٣"``."""
+    if not all(map(_INT_RE.fullmatch, tokens)):
+        raise ValueError(f"non-integer token in {tokens!r}")
+    return list(map(int, tokens))
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse one-line ``[2,1,3]`` or cycle ``(1 2)(3 4)`` notation.
 
@@ -172,7 +182,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         body = text[1:-1].strip()
         entries = [t for t in _SEP_RE.split(body) if t] if body else []
         try:
-            images = [int(t) for t in entries]
+            images = _int_tokens(entries)
         except ValueError:
             raise PermutationParseError(f"non-integer entry in {text!r}") from None
         if len(images) != degree:
@@ -192,7 +202,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         if not body:
             continue
         try:
-            pts = [int(t) for t in _SEP_RE.split(body)]
+            pts = _int_tokens(_SEP_RE.split(body))
         except ValueError:
             raise PermutationParseError(f"non-integer point in {text!r}") from None
         for p in pts:
@@ -203,7 +213,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             touched.add(p)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b
-    return Permutation(images)
+    return Permutation._trusted(tuple(images))
 
 
 def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
@@ -269,4 +279,4 @@ def restrict(p: Permutation, points: Iterable[int]) -> Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All elements of the symmetric group on ``{1..n}``, lexicographically."""
     for images in permutations(range(1, n + 1)):
-        yield Permutation(images)
+        yield Permutation._trusted(images)

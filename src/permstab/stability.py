@@ -27,6 +27,7 @@ This module houses the finite, executable side of stability theory:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -39,6 +40,7 @@ from .errors import (
     ZeroMultiplicityError,
 )
 from .groups import (
+    DEFAULT_LIFT_SIZE_BOUND,
     FiniteGroup,
     FpGroup,
     PermHomomorphism,
@@ -57,16 +59,11 @@ from .groups import (
 from .multiplicity import _census, _orbit_types, _orbits, _transport, is_conjugate
 from .perm import (
     Permutation,
+    _int_tokens,
     hamming_distance,
     replicate,
 )
 from .record import Record
-
-# image entries (images times degree) one lift may build: the largest
-# lifts of a degree-13 homomorphism admitted (two images of degree
-# 499,993, or one of degree 999,999) take about 1 s and 100 MB as a
-# `perm-stab lift` request
-DEFAULT_LIFT_SIZE_BOUND = 1_000_000
 
 # ---------------------------------------------------------------------------
 # small conjugators
@@ -133,7 +130,7 @@ def _small_conjugator(
     images = list(range(1, h1.degree + 1))
     for local, orig in enumerate(outside, 1):
         images[orig - 1] = outside[w(local) - 1]
-    return Permutation(images), A
+    return Permutation._trusted(tuple(images)), A
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +156,13 @@ def nearest_conjugator(
     which gives the least one-line form among those.  In every other
     type, each pair of orbits keeps its best map and the type gets
     one maximum-weight assignment; the weight puts agreement first and
-    the one-line form, read in base ``n+1``, second.  Raises
+    the one-line form on the type's own points, read in base ``n+1``,
+    second.  Types are independent, so the least one-line form in each
+    gives the least overall.  Raises
     :class:`NotConjugateError` if no conjugator exists.
     """
     n = target.degree
     perms1, perms2 = [g.images for g in gens1], [g.images for g in gens2]
-    unit = (n + 1) ** (n + 1)
-    place = [(n + 1) ** (n - x) for x in range(n + 1)]
-
-    def weight(p: dict[int, int]) -> int:
-        return sum(unit * (target.images[x - 1] == px) - px * place[x] for x, px in p.items())
-
     images = [0] * n
     for rows, cols in _orbit_types((perms1, n), (perms2, n)):
         if len(rows) != len(cols):
@@ -181,14 +174,23 @@ def nearest_conjugator(
             for (x,) in rows:  # in ascending order
                 images[x - 1] = keep[x] if x in keep else next(unused)
             continue
+        points = sorted(x for o1 in rows for x in o1)  # the least is most significant
+        place = {x: (n + 1) ** i for i, x in enumerate(reversed(points))}
+        unit = (n + 1) ** len(points)
+
+        def weighed(p: dict[int, int]) -> tuple[int, dict[int, int]]:
+            agree = sum(target.images[x - 1] == px for x, px in p.items())
+            return unit * agree - sum(px * place[x] for x, px in p.items()), p
+
         best = [
-            [max(filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2)), key=weight)
+            [max(map(weighed, filter(None, (_transport(perms1, perms2, o1[0], y) for y in o2))),
+                 key=itemgetter(0))
              for o2 in cols]
             for o1 in rows
         ]
-        matched = _max_weight_assignment([list(map(weight, row)) for row in best])
+        matched = _max_weight_assignment([[w for w, _ in row] for row in best])
         for j, r in enumerate(matched):
-            for x, px in best[r - 1][j].items():
+            for x, px in best[r - 1][j][1].items():
                 images[x - 1] = px
     return Permutation._trusted(tuple(images))
 
@@ -374,7 +376,7 @@ class AmalgamHom(Record):
                 )
             return evaluate_word(h, token)
         try:
-            g = int(token)
+            g = _int_tokens([token])[0] if isinstance(token, str) else int(token)
         except ValueError:
             g = -1
         if not 0 <= g < len(h.images):
@@ -489,7 +491,7 @@ def replication_count(
 
 def replicate_hom(h: PermHomomorphism, s: int) -> PermHomomorphism:
     images = tuple(replicate(p, s) for p in h.images)
-    return PermHomomorphism(h.source, s * h.degree, images)
+    return PermHomomorphism._trusted(h.source, s * h.degree, images)
 
 
 def compose_lift(

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -35,6 +36,9 @@ from permstab.cli import (
 )
 from permstab.perm import parse_permutation
 from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND
+
+
+FREE_X = {"kind": "presentation", "generators": ["x"], "relators": []}
 
 
 def write_corpus(directory):
@@ -744,6 +748,90 @@ class TestExitCodes:
             "message": "exact mode requires degree <= 8",
         }
 
+    @pytest.mark.parametrize("name,hom,argv", [
+        # a one-generator presentation hom of about 100 bytes: exit 70 with
+        # a MemoryError (degree 2e8) or an OverflowError (degree 1e21)
+        ("deg2e8", {"group": FREE_X, "degree": 2 * 10**8, "images": {"x": "(1 2)"}},
+         ["trace", "--hom", "{}", "--set", "x"]),
+        ("deg1e21", {"group": FREE_X, "degree": 10**21, "images": {"x": "(1 2)"}},
+         ["trace", "--hom", "{}", "--set", "x"]),
+        # no generators: the identity is still one image of that degree
+        ("nogens", {"group": {"kind": "presentation", "generators": []}, "degree": 10**21,
+                    "images": {}}, ["graph", "{}"]),
+        # S7 at degree 20,000 answered after 20-45 s and 1-1.8 GB
+        ("s7", {"group": {"kind": "perm-gens", "degree": 20000,
+                          "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]},
+                "degree": 20000, "images": {"g0": "(1 2)", "g1": "(1 2 3 4 5 6 7)"}},
+         ["conj", "{}", "{}"]),
+        ("correct", None, ["correct", "--coef", "(1 2 3)", "--almost", "(4 5)",
+                           "--degree", "4000000", "--mode", "heuristic"]),
+    ])
+    def test_oversized_inputs_are_domain_errors(self, tmp_path, name, hom, argv):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(hom))
+        started = time.monotonic()
+        code, report = dispatch([a.replace("{}", str(path)) for a in argv])
+        assert time.monotonic() - started < 1.0
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["code"] == "BoundExceededError"
+        assert report["outputs"]["error"]["message"].endswith(", bound is 1000000")
+
+    def test_size_bound_admits_its_own_size(self, tmp_path, monkeypatch):
+        # images times degree up to the bound are admitted, one more refused:
+        # a hom file's images, a perm-gens file's generators before they are
+        # parsed and its elements while they are closed, and the two
+        # permutations of correct
+        import permstab.groups
+        import permstab.jsonio
+
+        def perm_gens(degree, generators):
+            return {"kind": "perm-gens", "degree": degree, "generators": generators}
+
+        z3 = {"kind": "table", "order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+        homs = {
+            "z3": {"group": z3, "degree": 3, "images": {"0": "()", "1": "(1 2 3)", "2": "(1 3 2)"}},
+            "x": {"group": FREE_X, "degree": 9, "images": {"x": "(1 2)"}},
+            "z2": {"group": perm_gens(2, ["(1 2)"] * 3), "degree": 1,
+                   "images": {"g0": "()", "g1": "()", "g2": "()"}},
+            "s3": {"group": perm_gens(3, ["(1 2)", "(1 2 3)"]), "degree": 1,
+                   "images": {"g0": "()", "g1": "()"}},
+        }
+        for name, hom in homs.items():
+            (tmp_path / name).write_text(json.dumps(hom))
+        correct = ["correct", "--coef", "(1 2 3)", "--almost", "(4 5)", "--mode", "heuristic"]
+        for argv, size, message in (
+            (["mult", "z3"], 9, "homomorphism images hold 3 x 3 = 9"),
+            (["graph", "x"], 9, "homomorphism images hold 1 x 9 = 9"),
+            (["mult", "z2"], 6, "perm-gens generators hold 3 x 2 = 6"),
+            (["mult", "s3"], 18, "closure elements hold 6 x 3 = 18"),
+            (correct + ["--degree", "11"], 22, "--coef and --almost hold 2 x 11 = 22"),
+        ):
+            for bound, code in ((size, EXIT_OK), (size - 1, EXIT_DOMAIN)):
+                monkeypatch.setattr(permstab.groups, "DEFAULT_LIFT_SIZE_BOUND", bound)
+                permstab.jsonio._group_from_text.cache_clear()  # each group is built once
+                got, report = dispatch([str(tmp_path / a) if a in homs else a for a in argv])
+                assert got == code, (message, bound)
+            assert report["outputs"]["error"]["message"] == (
+                f"{message} image entries, bound is {size - 1}"
+            )
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "+1"])
+    def test_integer_ids_are_ascii(self, files, tmp_path, token):
+        # int() reads each of these as an id: --set 1_0 answered for id 10
+        code, report = dispatch(["trace", "--hom", files["z3_regular"], "--set", token])
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"]["message"] == (
+            f"table-group element sets must be integer ids: {token!r}"
+        )
+        hmap = tmp_path / "ids.json"
+        hmap.write_text(json.dumps({"pairs": [[token, "1"]]}))
+        argv = ["amalgam", files["z3_regular"], files["z3_regular"], "--h-map", str(hmap)]
+        code, report = dispatch(argv)
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["message"] == (
+            f"element id {token!r} outside the side-1 group"
+        )
+
     @pytest.mark.parametrize("command", ["complement", "extend"])
     def test_out_of_range_subgroup_id_is_malformed(self, tmp_path, command):
         z2 = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
@@ -1178,6 +1266,42 @@ def test_only_the_cli_reads_input_files():
         ("cli", ("dispatch", "load"), "_read_bytes"),
         ("cli", ("dispatch", "load"), "_load_json"),
     }
+
+
+def test_checked_constructions_only_at_the_boundary(files, tmp_path, monkeypatch):
+    # values are checked once, where they come in: every fixture command
+    # runs with the checking constructors of Permutation, PermHomomorphism
+    # and LabeledDigraph counted by calling function, and only the readers
+    # of outside data and the public constructors that callers feed call
+    # them; values built from checked values are built trusted
+    from permstab.graphs import LabeledDigraph
+    from permstab.groups import PermHomomorphism
+    from permstab.perm import Permutation
+
+    callers = Counter()
+    for cls in (Permutation, PermHomomorphism, LabeledDigraph):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            code = sys._getframe(1).f_code
+            callers[_name, Path(code.co_filename).stem, code.co_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    # a perm-gens hom, images in all three notations
+    path = tmp_path / "s3hom.json"
+    path.write_text(json.dumps({"group": files["s3"], "degree": 4, "images": {
+        "u": "[2,1,3,4]", "v": {"degree": 4, "images": [2, 3, 1, 4]}}}))
+    for argv in valid_invocations(files) + [["mult", str(path)]]:
+        code, report = dispatch(argv)
+        assert code == EXIT_OK, (argv, report["outputs"])
+    boundary = {
+        ("Permutation", "perm", "parse_permutation"),  # the one-line form
+        ("Permutation", "jsonio", "permutation_from_json"),  # {"degree", "images"}
+        ("PermHomomorphism", "groups", "trivial_hom"),  # a caller's degree
+        ("PermHomomorphism", "groups", "hom_from_element_map"),  # a caller's map
+    }
+    # the paper's bundled examples are a caller's own data
+    seen = {site for site in callers if site[1] != "fixtures"}
+    assert seen == boundary
 
 
 def test_unwritable_stdout_is_io_error():

@@ -784,6 +784,14 @@ class TestHomBuilders:
                 h = random_hom(G, degree, rng)
                 assert h.degree == degree and check_homomorphism(h).ok
 
+    def test_negative_degree_rejected(self):
+        # the result is built unchecked, so the degree a caller passes is
+        # checked here, also when no generator image carries one
+        with pytest.raises(SourceMismatchError, match="image degree 0 differs from -1"):
+            hom_from_generator_images(cyclic_group(1), {}, -1)
+        with pytest.raises(SourceMismatchError, match="generator image degree mismatch"):
+            hom_from_generator_images(cyclic_group(2), {1: Permutation.identity(0)}, -1)
+
     def test_inconsistent_images_rejected(self):
         G = cyclic_group(4)
         with pytest.raises(SourceMismatchError):

@@ -8,6 +8,24 @@ from hypothesis import given, strategies as st
 
 from permstab.errors import DegreeMismatchError, PermutationParseError
 from permstab.fixtures import block_cycle_a, block_cycle_b
+from permstab.graphs import LabeledDigraph, action_graph
+from permstab.groups import (
+    FpGroup,
+    PermHomomorphism,
+    _restrict_to_points,
+    all_subgroups,
+    conjugate_hom,
+    coset_action,
+    dihedral_group,
+    direct_sum_hom,
+    hom_from_generator_images,
+    quaternion_group,
+    restrict_hom,
+    subgroup_conjugacy_classes,
+    symmetric_group,
+)
+from permstab.jsonio import hom_from_json
+from permstab.multiplicity import _orbits
 from permstab.perm import (
     Permutation,
     all_permutations,
@@ -18,7 +36,8 @@ from permstab.perm import (
     replicate,
     restrict,
 )
-from permstab.randgen import random_permutation
+from permstab.randgen import random_hom, random_permutation, random_small_support_permutation
+from permstab.stability import _small_conjugator, compose_lift, replicate_hom
 
 
 def perms(max_degree=8):
@@ -48,6 +67,19 @@ class TestParsing:
     def test_non_bijective_one_line_rejected(self):
         with pytest.raises(PermutationParseError):
             parse_permutation("[1,1,3]", 3)
+
+    @pytest.mark.parametrize("text,degree,message", [
+        ("(1_0 2)", 10, "non-integer point in '(1_0 2)'"),
+        ("(1 \u0663)", 3, "non-integer point in '(1 \u0663)'"),
+        ("[+2, 1]", 2, "non-integer entry in '[+2, 1]'"),
+        ("(1 -1)", 3, "point -1 out of range 1..3"),
+    ])
+    def test_only_ascii_integer_tokens(self, text, degree, message):
+        # Python's int() reads 1_0 as 10, an Arabic-Indic three as 3 and
+        # +2 as 2; a minus sign stays part of the token
+        with pytest.raises(PermutationParseError) as err:
+            parse_permutation(text, degree)
+        assert str(err.value) == message
 
     def test_degree_zero(self):
         assert parse_permutation("[]", 0).degree == 0
@@ -117,9 +149,22 @@ def validated(p):
     return Permutation(p.images)
 
 
+def validated_hom(h):
+    """``h`` rebuilt through the checking constructors, images included."""
+    return PermHomomorphism(h.source, h.degree, tuple(map(validated, h.images)))
+
+
+# cycle-text pieces: points in and out of range, separators, parentheses
+# and integer spellings that only Python's int() reads
+CYCLE_TOKENS = ["1", "2", "3", "4", "5", "9", "0", "-1", " ", ",", "(", ")",
+                "()", "(1 2)", "1_0", "+2", "\u0663", "2.0", "x"]
+
+
 class TestUncheckedResults:
     """Products, inverses, powers and block constructions skip the
-    bijection check; each is compared with plain tuple arithmetic."""
+    bijection check; each is compared with plain tuple arithmetic.  So do
+    the permutations, homomorphisms and graphs the library assembles from
+    values it has checked already; each equals its checked rebuild."""
 
     @given(st.integers(0, 9).flatmap(
         lambda n: st.tuples(*[st.permutations(list(range(1, n + 1)))] * 2)
@@ -151,6 +196,96 @@ class TestUncheckedResults:
         cycle = next(iter(p.cycles(include_fixed=True)))
         for r in (direct_sum(p, q), replicate(p, s), restrict(p, cycle)):
             assert validated(r) == r
+
+    @given(st.lists(st.sampled_from(CYCLE_TOKENS), max_size=12), st.integers(0, 6))
+    def test_parsed_cycle_texts(self, tokens, degree):
+        text = "".join(tokens)
+        try:
+            p = parse_permutation(text, degree)
+        except PermutationParseError:
+            return
+        assert p.degree == degree and validated(p) == p
+
+    def test_all_permutations(self):
+        for n in range(6):
+            ps = list(all_permutations(n))
+            assert ps == sorted(map(validated, ps), key=lambda p: p.images)
+
+    def test_tables_from_generators(self):
+        for _, nat in (*map(symmetric_group, range(1, 5)), dihedral_group(5), quaternion_group()):
+            assert validated_hom(nat) == nat
+
+    def test_coset_actions_and_restrictions(self, zoo8):
+        for G in zoo8.values():
+            classes = subgroup_conjugacy_classes(G)
+            for K in map(classes.representative, range(len(classes))):
+                action = coset_action(G, K)
+                assert validated_hom(action) == action
+                for H in all_subgroups(G):
+                    restricted = restrict_hom(action, H)
+                    assert validated_hom(restricted) == restricted
+
+    def test_sums_lifts_conjugates(self, zoo8):
+        rng = Random(71)
+        names = sorted(zoo8)
+        for _ in range(60):
+            G = zoo8[rng.choice(names)]
+            h1 = random_hom(G, rng.randint(1, 7), rng)
+            h2 = random_hom(G, rng.randint(0, 5), rng)
+            s = rng.randint(1, 3)
+            orbit = next(iter(_orbits([p.images for p in h1.images], h1.degree)))
+            gens = {g: h1.images[g] for g in G.generating_set}
+            built = [
+                direct_sum_hom(h1, h2),
+                replicate_hom(h1, s),
+                compose_lift(h1, s, h2),
+                conjugate_hom(h1, random_permutation(h1.degree, rng)),
+                _restrict_to_points(h1, orbit),
+                hom_from_generator_images(G, gens, h1.degree),
+            ]
+            assert built[-1] == h1
+            for h in built:
+                assert validated_hom(h) == h
+
+    def test_small_conjugators(self, zoo8):
+        rng = Random(72)
+        names = sorted(zoo8)
+        for _ in range(60):
+            G = zoo8[rng.choice(names)]
+            h1 = random_hom(G, rng.randint(1, 9), rng)
+            q = random_small_support_permutation(h1.degree, 3, rng)
+            h2 = conjugate_hom(h1, q)
+            p, _ = _small_conjugator(h1, h2)
+            assert validated(p) == p
+            assert conjugate_hom(h1, p) == h2
+
+    def test_action_graphs(self):
+        rng = Random(73)
+        for _ in range(60):
+            n = rng.randint(0, 8)
+            letters = ("x", "y", "z")[: rng.randint(1, 3)]
+            perms = tuple(random_permutation(n, rng) for _ in letters)
+            graph = action_graph(PermHomomorphism(FpGroup(letters), n, perms))
+            assert LabeledDigraph(graph.n, graph.alphabet, tuple(map(validated, graph.perms))) == graph
+            assert validated_hom(graph.hom) == graph.hom
+            edges = LabeledDigraph.from_edges(n, letters, graph.edges())
+            assert edges == graph and validated_hom(edges.hom) == graph.hom
+
+    def test_hom_files(self, zoo8):
+        rng = Random(74)
+        names = sorted(zoo8)
+        for i in range(60):
+            G = zoo8[rng.choice(names)]
+            h = random_hom(G, rng.randint(0, 7), rng)
+            text = (Permutation.cycle_str, Permutation.one_line_str)[i % 2]
+            table = {"kind": "table", "order": G.order, "table": [list(r) for r in G.table]}
+            images = {str(g): text(p) for g, p in enumerate(h.images)}
+            loaded = hom_from_json({"group": table, "degree": h.degree, "images": images})
+            assert loaded.images == h.images and validated_hom(loaded) == loaded
+            gens = {f"g{k}": text(h.images[g]) for k, g in enumerate(G.generating_set)}
+            presentation = {"kind": "presentation", "generators": sorted(gens)}
+            loaded = hom_from_json({"group": presentation, "degree": h.degree, "images": gens})
+            assert validated_hom(loaded) == loaded
 
     @pytest.mark.parametrize(
         "images", [[1, 1, 3], [0, 1], [2, 3], [1, 2, 4], [2], [3, 1, 1]]

@@ -515,6 +515,64 @@ class TestFixedPointsInClosedForm:
         assert rep.corrected * a == a * rep.corrected
 
 
+def disjoint_cycles(n, lengths, rng):
+    """A permutation of degree ``n`` with cycles of the given lengths on
+    random points, every other point fixed."""
+    images = list(range(1, n + 1))
+    points = rng.sample(range(1, n + 1), sum(lengths))
+    for k in lengths:
+        cycle, points = points[:k], points[k:]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b
+    return Permutation(images)
+
+
+class TestWeightsPerOrbitType:
+    """Each orbit type's assignment weighs only the type's own points, in
+    base ``n+1``, so a type of ``k`` points has weights of about
+    ``k log n`` bits, not ``n log n``; the answers are the old solver's."""
+
+    def test_random_cases_with_many_orbits_per_type(self):
+        # types of up to a dozen transpositions or 3-cycles beside the fixed
+        # points, and a second generator that splits some of them; the
+        # target is the identity, the conjugator, or random
+        rng = Random(81)
+        for i in range(12):
+            n = rng.randint(50, 300)
+            lengths = [2] * rng.randint(1, 12) + [3] * rng.randint(0, 6)
+            gens1 = [disjoint_cycles(n, lengths, rng)]
+            if i % 2:
+                gens1.append(random_small_support_permutation(n, rng.randint(2, 6), rng))
+            c = random_permutation(n, rng) if i % 4 > 1 else Permutation.identity(n)
+            cinv = c.inverse()
+            gens2 = [c * g * cinv for g in gens1]
+            target = (Permutation.identity(n), c, random_permutation(n, rng))[i % 3]
+            assert TestFixedPointsInClosedForm.check(gens1, gens2, target)
+
+    def test_degree_20000_correct(self):
+        # the weights of every point were built before any orbit was read:
+        # about 40 s and 393 MB at this degree, where only (1 2 3) needs them
+        argv = ["correct", "--coef", "(1 2 3)", "--almost", "(4 5)",
+                "--degree", "20000", "--mode", "heuristic"]
+        start = time.perf_counter()
+        code, report = dispatch(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert report["outputs"] == {
+            "corrected": "(4 5)", "distance": "0", "input_defect": "0", "mode": "heuristic"
+        }
+        a = parse_permutation("(1 2 3)", 20000)
+        q = parse_permutation("(1 2)(4 5)", 20000)
+        tracemalloc.start()
+        try:
+            rep = centralizer_correct(a, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+        assert rep.corrected == parse_permutation("(4 5)", 20000)
+
+
 class TestHasExtension:
     def test_subgroup_equals_group(self):
         G = cyclic_group(4)
