@@ -200,9 +200,11 @@ class RootedPattern(Record):
         super().__init__(n, root, alphabet, edges)
 
     def certificate(self) -> tuple:
-        """The enumeration's sort key (:func:`_certificate`)."""
+        """The enumeration's sort key, ``(n, 1, sorted edge triples)``
+        (:func:`_certificate`)."""
         m = len(self.alphabet)
-        return _certificate(_slot_rows(self.n, self.edges, m), self.root, m, self.edges)
+        rows = _slot_rows(self.n, self.edges, m)
+        return self.n, 1, tuple(_certificate(rows, self.root, m, self.edges))
 
 
 def _slot_rows(n: int, edges: Iterable[tuple[int, int, int]], m: int) -> list:
@@ -271,8 +273,12 @@ def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
     The ranks are those of sorting the nested tuples ``((rank,), outs,
     ins)`` by ``repr``, which fixed the published order, computed on one
     int per vertex (:func:`_signature_code`): its own rank, then per
-    label slot a value that sorts as the ``repr`` does.  Each vertex's
-    code is looked up once; a round adds its slots' neighbour ranks."""
+    label slot a value that sorts as the ``repr`` does.  Round one reads
+    each vertex's int from its row alone (:func:`_first_signature`), and
+    separates every vertex of all but 48 of the 4,657 classes of ``xy``
+    at bound 4 with three or more vertices; only the rest look up their
+    codes, once per vertex, and add their slots' neighbour ranks in
+    rounds two and three."""
     n = len(rows) - 1
     ranks = [1] * (n + 1)
     ranks[0] = ranks[root] = 0
@@ -280,14 +286,17 @@ def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
         return ranks
     # the root's signature sorts first in every round: rank only the rest
     others = [*range(1, root), *range(root + 1, n + 1)]
-    codes = [_signature_code(m, n, tuple(map(truth, rows[v]))) for v in others]
+    sigs = [_first_signature(m, n, root, tuple(rows[v])) for v in others]
     rank = ranks.__getitem__  # ranks is updated in place; rank(0) is 0
     classes = 2
-    for _ in range(3):
-        sigs = [
-            fixed + own * rank(v) + sum(map(mul, map(rank, rows[v]), weights))
-            for v, (fixed, weights, own) in zip(others, codes)
-        ]
+    for step in range(3):
+        if step:  # rounds two and three
+            if step == 1:
+                codes = [_signature_code(m, n, tuple(map(truth, rows[v]))) for v in others]
+            sigs = [
+                fixed + own * rank(v) + sum(map(mul, map(rank, rows[v]), weights))
+                for v, (fixed, weights, own) in zip(others, codes)
+            ]
         order = sorted(set(sigs))
         if len(order) + 1 == classes:
             break
@@ -297,6 +306,19 @@ def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
         if classes == n:
             break
     return ranks
+
+
+@lru_cache(maxsize=2048)
+def _first_signature(m: int, n: int, root: int, row: tuple[int, ...]) -> int:
+    """Round-one refinement signature of a vertex other than ``root`` with
+    slot row ``row`` in an ``n``-vertex pattern: every vertex but the root
+    has rank 1, so it is ``fixed + own`` plus the weight of each slot that
+    holds a neighbour other than the root (:func:`_signature_code`).  The
+    rows of a catalogue repeat: ``xy`` at bound 4 reads 13,623 rows, 512 of
+    them distinct, and ``xyz`` at bound 3, the largest catalogue the key
+    budget admits, 1,427 distinct ones, within the cache."""
+    fixed, weights, own = _signature_code(m, n, tuple(map(truth, row)))
+    return fixed + own + sum([weight for weight, w in zip(weights, row) if w and w != root])
 
 
 @lru_cache(maxsize=1024)
@@ -337,33 +359,33 @@ def _signature_code(m: int, n: int, present: tuple[bool, ...]) -> tuple[int, tup
 
 def _certificate(
     rows: list[list[int]], root: int, m: int, edges: Iterable[tuple[int, int, int]]
-) -> tuple:
-    """The enumeration's sort key, once per class: ``(n, root number,
-    sorted edge triples)`` with the vertices numbered by refinement rank
+) -> list[tuple[int, int, int]]:
+    """The sorted edge triples of the enumeration's sort key, once per
+    class: the vertices numbered by refinement rank
     (:func:`_refine_ranks`), vertex ``v`` number ``rank + 1`` when every
-    rank holds one vertex, else least over the numberings within a rank.
-    Every rank held one vertex on every class of every catalogue the key
-    budget admits (``x`` up to bound 6, ``xy`` up to 4, ``xyz`` up to 3,
-    four letters up to 2, five to seven letters at 1), so the search over
-    numberings serves only patterns built by callers.  It is not the
-    least edge list over all root-preserving numberings.  ``edges`` is
-    read once."""
+    rank holds one vertex, else least over the numberings within a rank;
+    the root, alone in rank 0, is numbered 1 either way.  The key is ``(n,
+    1, triples)``, which the enumeration holds as bytes.  Every rank held
+    one vertex on every class of every catalogue the key budget admits
+    (``x`` up to bound 6, ``xy`` up to 4, ``xyz`` up to 3, four letters up
+    to 2, five to seven letters at 1), so the search over numberings
+    serves only patterns built by callers.  It is not the least edge list
+    over all root-preserving numberings.  ``edges`` is read once."""
     ranks = _refine_ranks(rows, root, m)
     n = len(rows) - 1
     if max(ranks) == n - 1:  # ranks 0..n-1, one vertex each
         number = [r + 1 for r in ranks]
-        return n, number[root], tuple(sorted([(number[u], number[w], lab) for u, w, lab in edges]))
+        return sorted([(number[u], number[w], lab) for u, w, lab in edges])
     edges = list(edges)
     classes: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for v in range(1, n + 1):
         classes[ranks[v]].append(v)
 
-    def numbered(combo) -> tuple:
+    def numbered(combo) -> list:
         number = [0] * (n + 1)
         for i, v in enumerate(chain.from_iterable(combo), 1):
             number[v] = i
-        triples = sorted((number[u], number[w], lab) for u, w, lab in edges)
-        return n, number[root], tuple(triples)
+        return sorted([(number[u], number[w], lab) for u, w, lab in edges])
 
     return min(map(numbered, product(*map(iperms, classes))))
 
@@ -527,8 +549,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
             # and label indices are below 256): bytes compare faster than
             # nested tuples and give the garbage collector nothing to track
             it = iter(edges)
-            size, root_number, triples = _certificate(rows, 1, m, zip(it, it, it))
-            cert = bytes((size, root_number, *chain.from_iterable(triples)))
+            cert = bytes((n, 1, *chain.from_iterable(_certificate(rows, 1, m, zip(it, it, it)))))
             classes.append((cert, n, edges, orbit_of[key], parent))
             # successors: an edge of each label from a vertex with a free
             # out-slot to one with a free in-slot, then, below the bound,

@@ -501,7 +501,7 @@ def coset_action(G: FiniteGroup, N: Subgroup) -> "PermHomomorphism":
 
 Word = tuple[tuple[int, int], ...]  # (generator index, exponent != 0)
 
-_LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
+_LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?[0-9]+))?$")
 
 
 class FpGroup(Record):

@@ -166,17 +166,15 @@ def hom_from_json(obj) -> PermHomomorphism:
     if not isinstance(obj, dict):
         raise MalformedInputError("homomorphism object must be a JSON object")
     try:
-        loaded = group_from_json(obj["group"])
-        degree = obj["degree"]
-        images = obj["images"]
-    except (MalformedInputError, BoundExceededError):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        group, degree, images = obj["group"], obj["degree"], obj["images"]
+    except KeyError as exc:
         raise MalformedInputError(f"bad homomorphism object: {exc}") from exc
+    # the cheap shape checks first: a perm-gens group is closed when built
     if type(degree) is not int or degree < 0:
         raise MalformedInputError("homomorphism degree must be a non-negative JSON integer")
     if not isinstance(images, dict):
         raise MalformedInputError("homomorphism images must be a JSON object")
+    loaded = group_from_json(group)
     if loaded.kind != "table" and not set(images) <= set(loaded.gen_names):
         raise MalformedInputError("images keyed by a name that is no generator")
     # a hom of no generators still acts by the identity, one image

@@ -832,6 +832,23 @@ class TestExitCodes:
             f"element id {token!r} outside the side-1 group"
         )
 
+    def test_word_exponents_are_ascii(self, files, tmp_path):
+        # int() reads the Arabic-Indic digits 2 and 4 as 2 and 4: s^4 held
+        # as a relator and --set s^2 answered for s^2
+        code, report = dispatch(["trace", "--hom", files["psi_s"], "--set", "s^\u0662"])
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"] == {
+            "code": "WordError", "message": "invalid word token 's^\u0662'"
+        }
+        hom = json.loads(Path(files["psi_s"]).read_text())
+        hom["group"]["relators"] = ["s^\u0664"]
+        (tmp_path / "relator.json").write_text(json.dumps(hom))
+        code, report = dispatch(["trace", "--hom", str(tmp_path / "relator.json"), "--set", "s"])
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"] == {
+            "code": "malformed-input", "message": "invalid word token 's^\u0664'"
+        }
+
     @pytest.mark.parametrize("command", ["complement", "extend"])
     def test_out_of_range_subgroup_id_is_malformed(self, tmp_path, command):
         z2 = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}

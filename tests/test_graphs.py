@@ -5,7 +5,7 @@ import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import _lru_cache_wrapper, lru_cache
 from itertools import combinations, permutations as iperms, product
 from random import Random
 
@@ -625,6 +625,57 @@ class TestRefinementRanks:
             legacy = oracles.refine_colors(n, root, edges)
             assert ranks[1:] == [legacy[v][0] for v in range(1, n + 1)]
 
+    def test_round_two_after_a_shared_first_signature(self):
+        # an x-edge from the root into a y-triangle: round one reads the
+        # rows of vertices 3 and 4 as equal, and round two splits them
+        p = RootedPattern(
+            4, 1, ("x", "y"), frozenset({(1, 2, 0), (2, 3, 1), (3, 4, 1), (4, 2, 1)})
+        )
+        rows = _slot_rows(p.n, p.edges, 2)
+        first = [graphs._first_signature(2, p.n, p.root, tuple(rows[v])) for v in (2, 3, 4)]
+        assert first[0] != first[1] == first[2]
+        assert self.ranks(p) == self.legacy(p) == [0, 1, 3, 2]
+
+    def test_first_signature_is_the_general_round_one(self):
+        # on random rows, any root: the cached value is the signature of
+        # the codes with the root at rank 0 and every other vertex at 1
+        rng = Random(31)
+        for _ in range(3000):
+            m, n = rng.choice([1, 2, 3, 4, 11]), rng.randint(3, 6)
+            root = rng.randint(1, n)
+            row = tuple(rng.choice([0, 0, *range(1, n + 1)]) for _ in range(2 * m))
+            fixed, weights, own = graphs._signature_code(m, n, tuple(map(bool, row)))
+            rank = [0] + [int(v != root) for v in range(1, n + 1)]
+            expected = fixed + own + sum(w * rank[v] for w, v in zip(weights, row))
+            assert graphs._first_signature(m, n, root, row) == expected
+            assert graphs._first_signature.__wrapped__(m, n, root, row) == expected
+
+    def test_round_one_memo_is_a_bounded_cache(self):
+        # the memo is a bounded lru_cache at module level, which the
+        # benchmark empties before each set-up and finds before each fork;
+        # it holds the 1,427 distinct rows of xyz at bound 3, the largest
+        # catalogue, and no other module-level container grows
+        memo = graphs._first_signature
+        assert isinstance(memo, _lru_cache_wrapper)
+        maxsize = memo.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize >= 1427
+        containers = {
+            name: len(value)
+            for name, value in vars(graphs).items()
+            if isinstance(value, (dict, list, set, bytearray))
+        }
+        memo.cache_clear()
+        enumerate_patterns.__wrapped__(("x", "y"), 4)
+        assert memo.cache_info().currsize == 512
+        memo.cache_clear()
+        enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
+        assert memo.cache_info().currsize == 1427
+        assert containers == {
+            name: len(value)
+            for name, value in vars(graphs).items()
+            if isinstance(value, (dict, list, set, bytearray))
+        }
+
 
 class TestCertificate:
     """``RootedPattern.certificate`` against the refinement and the search
@@ -674,7 +725,8 @@ class TestCertificate:
             )
             m = len(p.alphabet)
             rows = _slot_rows(p.n, p.edges, m)
-            assert graphs._certificate(rows, p.root, m, p.edges) == (p.n, 1, least)
+            assert graphs._certificate(rows, p.root, m, p.edges) == list(least)
+            assert p.certificate() == (p.n, 1, least)
 
 
 class TestStatDistance:

@@ -592,6 +592,11 @@ class TestWords:
         P = FpGroup(("s", "t"))
         assert parse_word("s^2 t^-3", P.generators) == ((0, 2), (1, -3))
         assert parse_word("s t s", P.generators) == ((0, 1), (1, 1), (0, 1))
+        # exponents are ASCII -?[0-9]+: int() reads the Arabic-Indic and
+        # fullwidth 3 as 3
+        for token in ("s^\u0663", "s^\uff13", "s^-\u0663", "s^1_0", "s^+2"):
+            with pytest.raises(WordError, match="invalid word token"):
+                parse_word(token, P.generators)
 
     def test_unknown_generator(self):
         with pytest.raises(WordError):

@@ -303,6 +303,38 @@ class TestHomJson:
         with pytest.raises(MalformedInputError):
             hom_from_json(obj)
 
+    def test_shape_checked_before_the_group_is_built(self, monkeypatch, tmp_path):
+        # building an S7 perm-gens group closes it to 5,040 elements; a bad
+        # degree or images value is refused with its own message first
+        def unbuilt(gens):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(permstab.jsonio, "group_from_permutations", unbuilt)
+        permstab.jsonio._group_from_text.cache_clear()
+        for n in (7, 8):
+            cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+            group = {"kind": "perm-gens", "degree": n, "generators": ["(1 2)", cycle]}
+            named = {"g0": "(1 2)", "g1": cycle}
+            for degree, images, message in (
+                (n, ["(1 2)", cycle], "homomorphism images must be a JSON object"),
+                (n, "(1 2)", "homomorphism images must be a JSON object"),
+                (-1, named, "homomorphism degree must be a non-negative JSON integer"),
+                (n + 0.0, named, "homomorphism degree must be a non-negative JSON integer"),
+            ):
+                obj = {"group": group, "degree": degree, "images": images}
+                with pytest.raises(MalformedInputError, match=f"^{message}$"):
+                    hom_from_json(obj)
+        # an S8 group with list images was refused by the closure bound
+        # (exit 2); it is now a malformed file
+        path = tmp_path / "s8.json"
+        path.write_text(json.dumps({"group": group, "degree": 8, "images": ["(1 2)", cycle]}))
+        code, report = dispatch(["conj", str(path), str(path)])
+        assert (code, report["outputs"]["error"]["code"]) == (65, "malformed-input")
+        monkeypatch.undo()
+        path.write_text(json.dumps({"group": group, "degree": 8, "images": named}))
+        code, report = dispatch(["conj", str(path), str(path)])
+        assert (code, report["outputs"]["error"]["code"]) == (2, "BoundExceededError")
+
     def test_perm_gens_checked_once(self, monkeypatch):
         calls = []
         real = permstab.groups.check_homomorphism
