@@ -26,6 +26,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from operator import ge, le
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,7 +43,7 @@ from .jsonio import (
     _load_json,
     _read_bytes,
 )
-from .multiplicity import hom_order_leq, is_conjugate, multiplicity_vector
+from .multiplicity import _census, _require_comparable, is_conjugate, multiplicity_vector
 from .perm import hamming_distance, parse_permutation, Permutation
 from .stability import (
     _small_conjugator,
@@ -123,10 +124,9 @@ def _cmd_conj(args, load) -> dict:
 def _cmd_order(args, load) -> dict:
     h1 = _hom(load, args.hom1)
     h2 = _hom(load, args.hom2)
-    return {
-        "leq": hom_order_leq(h1, h2),
-        "geq": hom_order_leq(h2, h1),
-    }
+    _require_comparable(h1, h2)
+    c1, c2 = _census(h1, h2)  # one walk of both actions' orbits serves both directions
+    return {"leq": all(map(le, c1, c2)), "geq": all(map(ge, c1, c2))}
 
 
 def _cmd_small_conj(args, load) -> dict:

@@ -22,16 +22,17 @@ discovery order, which deduplicates the enumeration and keys the orbits.
 
 Distances count embeddings along the enumeration tree.  The enumerator
 builds every class as the class it was found from plus one edge, in that
-parent's vertex numbering, and records the pair.  A vertex gets its word
-when it is added: the root the empty word, a vertex added by an edge
-labelled ``s`` from or to ``u`` the word ``s w_u`` or ``s^-1 w_u``.  So
-a class's rooted embeddings are its parent's that meet one more
-condition: an added inner edge ``(u, v, s)`` needs ``s w_u(x) =
-w_v(x)``, and an added vertex needs its word's image to differ from
-every existing vertex's.  The plan of these conditions is built once per
-catalogue; per graph, each vertex word is one composition from its
-suffix, each condition a few equality masks, and each class one AND with
-its parent's mask, skipped below a parent whose mask is empty.
+parent's vertex numbering, so a class's edge triples are its parent's
+followed by the added edge.  A vertex gets its word when it is added:
+the root the empty word, a vertex added by an edge labelled ``s`` from or
+to ``u`` the word ``s w_u`` or ``s^-1 w_u``.  So a class's rooted
+embeddings are its parent's that meet one more condition: an added inner
+edge ``(u, v, s)`` needs ``s w_u(x) = w_v(x)``, and an added vertex needs
+its word's image to differ from every existing vertex's.  The plan of
+these conditions is built once per catalogue; per graph, each vertex word
+is one composition from its suffix, each condition a few equality masks,
+and each class one AND with its parent's mask, skipped below a parent
+whose mask is empty.
 :func:`_statistic_words` stays the per-pattern definition that
 :func:`pattern_frequency` counts.
 
@@ -56,7 +57,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import (
-    accumulate, chain, combinations, compress, islice, permutations as iperms, product
+    accumulate, chain, combinations, compress, count, islice, permutations as iperms, product
 )
 from math import factorial
 from operator import itemgetter, mul, sub, truth
@@ -431,20 +432,17 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
 
 class Catalogue(Sequence):
     """The ``(pattern, weight)`` pairs of :func:`enumerate_patterns`, as a
-    read-only sequence over flat arrays, with the tree that generated them.
+    read-only sequence over flat arrays.
 
     Class ``j`` (0-based) has ``sizes[j]`` vertices and root 1; its edges
     are the ``(u, v, label index)`` triples of ``edges[offsets[j] :
     offsets[j + 1]]``, one byte each; its weight is ``2^-orbits[j]``.
     ``catalogue[j]`` builds the pair ``(RootedPattern, Fraction)`` afresh
     on each access and keeps neither; a slice is a tuple of pairs, and a
-    catalogue equals another, or a tuple, holding the same pairs.
-    ``tree`` holds five ints per class but the first, in the order
-    generation found them, ``(index, parent, u, v, label)``, the catalogue
-    indices of the class and of the class it was generated from, and the
-    edge ``(u, v, label)`` added to the parent in the parent's vertex
-    numbering, which the class keeps.  Entry 0 is the one-vertex pattern,
-    the root of the tree."""
+    catalogue equals another, or a tuple, holding the same pairs.  Entry 0
+    is the one-vertex pattern, with no edge.  Every other class was
+    generated from the class whose bytes are its own but the last triple,
+    by adding that triple's edge in the parent's vertex numbering."""
 
     def __init__(
         self,
@@ -453,14 +451,12 @@ class Catalogue(Sequence):
         edges: bytes = b"",
         offsets: Sequence[int] = (0,),
         orbits: Sequence[int] = (),
-        tree: Sequence[int] = (),
     ):
         self.alphabet = alphabet
         self.sizes = sizes
         self.edges = edges
         self.offsets = offsets
         self.orbits = orbits
-        self.tree = tree
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -494,15 +490,13 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     in canonical order, each paired with its weight.
 
     Generation adds one edge per layer and keeps the first pattern found
-    per :func:`_traversal_key`; ``tree`` of the result records which
-    class and edge each class was found from.  Order: :func:`_certificate`,
-    vertex count first.  The j-th
-    label-relabeling orbit (1-based, ordered by first appearance) has
-    weight ``2^-j``; an orbit keeps its edge count, so the first class of
-    an orbit found in a layer keys its relabelings there.  No pattern or
-    weight is built: each class keeps its edge triples as bytes, its
-    parent's plus the added edge, its vertex count and its orbit number,
-    from which the :class:`Catalogue` builds a pair on access.
+    per :func:`_traversal_key`.  Order: :func:`_certificate`, vertex count
+    first.  The j-th label-relabeling orbit (1-based, ordered by first
+    appearance) has weight ``2^-j``; an orbit keeps its edge count, so the
+    first class of an orbit found in a layer keys its relabelings there.
+    No pattern or weight is built: each class keeps its edge triples as
+    bytes, its parent's plus the added edge, its vertex count and its orbit
+    number, from which the :class:`Catalogue` builds a pair on access.
 
     The work is bounded: an enumeration that would compute more than
     ``DEFAULT_PATTERN_KEY_BUDGET`` traversal keys, one per successor
@@ -523,8 +517,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     spent = 1  # traversal keys computed, the seed's first
     seed = _slot_rows(1, (), m)
     layer = [(1, b"", seed, _traversal_key(seed, 1))]  # (n, edge bytes, rows, key) per class
-    classes = []  # (certificate bytes, n, edge bytes, orbit id, generation index) per class
-    found = array("i")  # (parent, u, v, label) per class after the first
+    classes = []  # (certificate bytes, n, edge bytes, orbit id) per class
     while layer:
         orbit_of: dict[tuple, int] = {}  # keys of this layer
         seen: set[tuple] = set()  # keys of the next layer
@@ -532,9 +525,8 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         layer.reverse()  # popped in order, so each class's rows go when done
         while layer:
             n, edges, rows, key = layer.pop()
-            parent = len(classes)  # this class, the parent of its successors
             if key not in orbit_of:
-                orbit_of[key] = orbit = parent  # the orbit's first class
+                orbit_of[key] = orbit = len(classes)  # the orbit's first class
                 spent += relabelings
                 if spent > DEFAULT_PATTERN_KEY_BUDGET:
                     raise _over_budget(alphabet, size_bound)
@@ -550,7 +542,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
             # nested tuples and give the garbage collector nothing to track
             it = iter(edges)
             cert = bytes((n, 1, *chain.from_iterable(_certificate(rows, 1, m, zip(it, it, it)))))
-            classes.append((cert, n, edges, orbit_of[key], parent))
+            classes.append((cert, n, edges, orbit_of[key]))
             # successors: an edge of each label from a vertex with a free
             # out-slot to one with a free in-slot, then, below the bound,
             # to and from a new vertex, set in place in the parent's rows
@@ -580,23 +572,18 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                         new.append(
                             (k, edges + bytes((u, v, lab)), [row[:] for row in rows[: k + 1]], succ_key)
                         )
-                        found.extend((parent, u, v, lab))
                     rows[u][o] = rows[v][i] = 0
         layer = new
     classes.sort(key=itemgetter(0))
-    index = array("i", [0]) * len(classes)  # catalogue index per class
     number: dict[int, int] = {}  # orbit id -> its number j, weight 2^-j
-    for i, (_, _, _, orbit, generated) in enumerate(classes):
-        index[generated] = i
+    for _, _, _, orbit in classes:
         number.setdefault(orbit, len(number) + 1)
-    parents = map(index.__getitem__, found[::4])
     return Catalogue(
         alphabet,
         bytes(map(itemgetter(1), classes)),
         b"".join(map(itemgetter(2), classes)),
         array("I", accumulate((len(entry[2]) for entry in classes), initial=0)),
         array("I", [number[entry[3]] for entry in classes]),
-        array("i", chain.from_iterable(zip(index[1:], parents, found[1::4], found[2::4], found[3::4]))),
     )
 
 
@@ -619,7 +606,9 @@ def stat_distance_truncated(
 
 class _EmbeddingPlan:
     """The rooted embeddings of every pattern of :func:`enumerate_patterns`,
-    counted along its generation tree from flat int sequences.
+    counted along its generation tree from flat int sequences.  A class's
+    parent and added edge are read from its edge bytes (:class:`Catalogue`),
+    classes taken by edge count so that each parent comes first.
 
     Each pattern vertex has a word: the root the empty word, and a vertex
     added by an edge ``(u, new, s)`` or ``(new, u, s)`` the word ``s w_u``
@@ -648,9 +637,12 @@ class _EmbeddingPlan:
         def pair(a, b):
             return pairs.setdefault((a, b) if a < b else (b, a), len(pairs))
 
-        tree = catalogue.tree
-        for t in range(0, len(tree), 5):
-            index, parent, u, v, lab = tree[t : t + 5]
+        edges, offsets = catalogue.edges, catalogue.offsets
+        spans = [edges[a:b] for a, b in zip(offsets, offsets[1:])]  # edge bytes per class
+        index_of = dict(zip(spans, count()))
+        for span in sorted(spans, key=len)[1:]:  # parents first; class 0 has none
+            index, parent = index_of[span], index_of[span[:-3]]
+            u, v, lab = span[-3:]
             ws = vertex_words[parent]
             n = len(ws)
             if u <= n and v <= n:  # an inner edge: s w_u agrees with w_v

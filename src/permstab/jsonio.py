@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Union
 
@@ -100,12 +100,28 @@ def _load_json(path: Union[str, Path], data: bytes) -> object:
 
 
 class LoadedGroup(Record):
-    """A group parsed from JSON, remembering how its images are keyed."""
+    """A group parsed from JSON, remembering how its images are keyed.  A
+    perm-gens group keeps its generators and is closed the first time
+    ``group`` or ``gen_elements`` is read, once per loaded group."""
 
-    group: GroupLike
     kind: str
     gen_names: tuple[str, ...] = ()  # the image keys; () for a table
-    gen_elements: tuple[int, ...] = ()  # element ids of perm-gens generators
+    built: GroupLike | None = None  # the group of a table or presentation
+    gens: tuple[Permutation, ...] = ()  # the generators of a perm-gens group
+
+    @property
+    def group(self) -> GroupLike:
+        return self._closure[0] if self.built is None else self.built
+
+    @property
+    def gen_elements(self) -> tuple[int, ...]:
+        """Element ids of the perm-gens generators."""
+        return self._closure[1]
+
+    @cached_property
+    def _closure(self) -> tuple[FiniteGroup, tuple[int, ...]]:
+        G, hom = group_from_permutations(self.gens)
+        return G, tuple(map(hom.images.index, self.gens))
 
 
 def group_from_json(obj) -> LoadedGroup:
@@ -133,7 +149,7 @@ def _group_from_text(text: str) -> LoadedGroup:
                 raise MalformedInputError("table rows must be lists of JSON integers")
             if type(obj.get("order")) is not int or obj["order"] != len(table):
                 raise MalformedInputError("stated order differs from table size")
-            return LoadedGroup(FiniteGroup(table), "table")
+            return LoadedGroup("table", built=FiniteGroup(table))
         if kind == "perm-gens":
             degree = obj["degree"]
             if type(degree) is not int:
@@ -141,18 +157,18 @@ def _group_from_text(text: str) -> LoadedGroup:
             if not isinstance(obj["generators"], list):
                 raise MalformedInputError("perm-gens generators must be a JSON list")
             _check_size("perm-gens generators", len(obj["generators"]), degree)
-            gens = [permutation_from_json(g, degree) for g in obj["generators"]]
+            gens = tuple(permutation_from_json(g, degree) for g in obj["generators"])
             names = obj.get("names", [f"g{i}" for i in range(len(gens))])
             if not (_is_str_list(names) and len(set(names)) == len(names) == len(gens)):
                 raise MalformedInputError("one distinct name string per generator required")
-            G, hom = group_from_permutations(gens)
-            ids = tuple(hom.images.index(g) for g in gens)
-            return LoadedGroup(G, "perm-gens", tuple(names), ids)
+            if not gens:
+                raise MalformedInputError("need at least one generator")
+            return LoadedGroup("perm-gens", tuple(names), gens=gens)
         if kind == "presentation":
             if not (_is_str_list(obj["generators"]) and _is_str_list(obj.get("relators", []))):
                 raise MalformedInputError("generators and relators must be lists of strings")
             G = FpGroup(obj["generators"], obj.get("relators", ()))
-            return LoadedGroup(G, "presentation", G.generators)
+            return LoadedGroup("presentation", G.generators, G)
     except (MalformedInputError, BoundExceededError):
         raise
     except PermStabError as exc:
@@ -169,7 +185,7 @@ def hom_from_json(obj) -> PermHomomorphism:
         group, degree, images = obj["group"], obj["degree"], obj["images"]
     except KeyError as exc:
         raise MalformedInputError(f"bad homomorphism object: {exc}") from exc
-    # the cheap shape checks first: a perm-gens group is closed when built
+    # the cheap shape checks first; a perm-gens group is closed after its images parse
     if type(degree) is not int or degree < 0:
         raise MalformedInputError("homomorphism degree must be a non-negative JSON integer")
     if not isinstance(images, dict):
@@ -177,8 +193,10 @@ def hom_from_json(obj) -> PermHomomorphism:
     loaded = group_from_json(group)
     if loaded.kind != "table" and not set(images) <= set(loaded.gen_names):
         raise MalformedInputError("images keyed by a name that is no generator")
-    # a hom of no generators still acts by the identity, one image
-    count = max(len(loaded.gen_names), 1) if loaded.kind == "presentation" else loaded.group.order
+    if loaded.kind == "table":
+        count = loaded.group.order
+    else:  # a hom of no generators still acts by the identity, one image
+        count = max(len(loaded.gen_names), 1)
     _check_size("homomorphism images", count, degree)
     try:
         if loaded.kind == "presentation":
@@ -199,17 +217,19 @@ def hom_from_json(obj) -> PermHomomorphism:
                 for g in G.elements()
             )
             hom = PermHomomorphism._trusted(G, degree, imgs)
-        else:  # perm-gens: hom_from_generator_images checks the images
+        else:  # perm-gens: the images are parsed before the group is closed
+            imgs = [permutation_from_json(images[name], degree) for name in loaded.gen_names]
+            _check_size("homomorphism images", loaded.group.order, degree)
             gen_map: dict[int, Permutation] = {}
-            for name, elt in zip(loaded.gen_names, loaded.gen_elements):
-                p = permutation_from_json(images[name], degree)
+            for name, elt, p in zip(loaded.gen_names, loaded.gen_elements, imgs):
                 if gen_map.setdefault(elt, p) != p:
                     raise MalformedInputError(
                         f"generator {name} names the element of an earlier"
                         " generator, with a different image"
                     )
+            # hom_from_generator_images checks the images
             return hom_from_generator_images(loaded.group, gen_map, degree)
-    except MalformedInputError:
+    except (MalformedInputError, BoundExceededError):
         raise
     except KeyError as exc:
         raise MalformedInputError(f"missing image for generator {exc}") from exc

@@ -260,7 +260,10 @@ def has_extension(
     combination of the restricted censuses of ``G/K``, one ``K`` per
     conjugacy class of subgroups of ``G``.  The block sum of the chosen
     coset actions is then conjugated onto ``phi``.  ``None`` means no
-    combination exists.
+    combination exists.  It is returned before any coset action is built
+    when two elements of ``H`` that are conjugate in ``G`` fix different
+    numbers of ``phi``'s points: every ``G``-set fixes as many points
+    under ``g`` as under each conjugate of ``g``.
     """
     if H.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
@@ -269,6 +272,8 @@ def has_extension(
             "homomorphism source must be the subgroup's abstract group"
         )
     classes = subgroup_conjugacy_classes(G)
+    if not _fixed_counts_are_class_function(G, H, phi):
+        return None
     actions = [
         coset_action(G, K)
         for K in map(classes.representative, range(len(classes)))
@@ -283,6 +288,31 @@ def has_extension(
         psi = compose_lift(action, s, psi)
     _, p = is_conjugate(restrict_hom(psi, H), phi)
     return conjugate_hom(psi, p)
+
+
+def _fixed_counts_are_class_function(
+    G: FiniteGroup, H: Subgroup, phi: PermHomomorphism
+) -> bool:
+    """Whether ``phi`` fixes equally many points under any two elements of
+    ``H`` that are conjugate in ``G``.  Each ``G``-class meeting ``H`` is
+    walked once, by conjugation with ``G.generating_set``."""
+    _, emb = H.as_group()
+    fixed = {g: len(p.fixed_points()) for g, p in zip(emb, phi.images)}
+    walked: set[int] = set()
+    for x in emb:
+        if x in walked:
+            continue
+        conjugates = [x]
+        walked.add(x)
+        for y in conjugates:  # grows while iterated
+            for g in G.generating_set:
+                z = G.conjugate(g, y)
+                if z not in walked:
+                    walked.add(z)
+                    conjugates.append(z)
+        if len({fixed[y] for y in conjugates if y in fixed}) > 1:
+            return False
+    return True
 
 
 def _census_combination(

@@ -311,6 +311,19 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert report["outputs"] == {"leq": False, "geq": False}
 
+    def test_order_walks_the_orbits_once(self, files, monkeypatch):
+        # one census of both actions answers leq and geq
+        walks = []
+        real = permstab.multiplicity._orbit_types
+        monkeypatch.setattr(
+            permstab.multiplicity, "_orbit_types", lambda *a: walks.append(1) or real(*a)
+        )
+        code, report = dispatch(["order", files["theta1"], files["theta1"]])
+        assert (code, report["outputs"], walks) == (EXIT_OK, {"leq": True, "geq": True}, [1])
+        code, report = dispatch(["order", files["theta1"], files["z3_regular"]])
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["code"] == "SourceMismatchError"
+
     def test_small_conj(self, files):
         code, report = dispatch(["small-conj", files["phi1"], files["phi2"]])
         assert code == EXIT_OK

@@ -335,6 +335,26 @@ class TestHomJson:
         code, report = dispatch(["conj", str(path), str(path)])
         assert (code, report["outputs"]["error"]["code"]) == (2, "BoundExceededError")
 
+    def test_images_parsed_before_the_group_is_closed(self, monkeypatch, tmp_path):
+        # an S7 hom holding an unparsable image was refused only after the
+        # closure, 1.2 s and 211 MB; a bad image now also outranks the S8
+        # closure bound and the size bound on |G| x degree (exit 2 before)
+        def unbuilt(gens):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(permstab.jsonio, "group_from_permutations", unbuilt)
+        permstab.jsonio._group_from_text.cache_clear()
+        for n, degree in ((7, 7), (8, 8), (7, 200)):  # 5,040 x 200 is over the bound
+            cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+            group = {"kind": "perm-gens", "degree": n, "generators": ["(1 2)", cycle]}
+            obj = {"group": group, "degree": degree, "images": {"g0": "(1 2", "g1": "()"}}
+            with pytest.raises(MalformedInputError, match=re.escape("text: '(1 2'")):
+                hom_from_json(obj)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(obj))
+            code, report = dispatch(["conj", str(path), str(path)])
+            assert (code, report["outputs"]["error"]["code"]) == (65, "malformed-input")
+
     def test_perm_gens_checked_once(self, monkeypatch):
         calls = []
         real = permstab.groups.check_homomorphism

@@ -695,6 +695,42 @@ class TestHasExtension:
                     refused += ext is None
         assert found > 100 and refused > 20
 
+    @staticmethod
+    def s5_over_s3_z2():
+        G, nat = symmetric_group(5)
+        return G, nat, subgroup_from_cycles(G, nat, "(1 2)", "(1 2 3)", "(4 5)")
+
+    def test_fixed_counts_refused_before_the_search(self, monkeypatch, tmp_path):
+        # on H/<(1 2)>, (1 2) fixes points and (4 5), its conjugate in S5,
+        # fixes none: no S5-set restricts to it, and no census is searched
+        def unsearched(censuses, target):
+            raise AssertionError("the census search ran")
+
+        monkeypatch.setattr(stability, "_census_combination", unsearched)
+        G, nat, H = self.s5_over_s3_z2()
+        Habs, emb = H.as_group()
+        K = subgroup_closure(Habs, [emb.index(nat.images.index(parse_permutation("(1 2)", 5)))])
+        phi = coset_action(Habs, K)
+        table = {"kind": "table", "order": Habs.order, "table": [list(r) for r in Habs.table]}
+        files = {
+            "g": {"kind": "perm-gens", "degree": 5, "generators": ["(1 2)", "(1 2 3 4 5)"]},
+            "h": {"members": list(H.members)},
+            "phi": {"group": table, "degree": phi.degree,
+                    "images": {str(i): p.cycle_str() for i, p in enumerate(phi.images)}},
+        }
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        code, report = dispatch(["extend", *(str(tmp_path / name) for name in files)])
+        assert code == 0
+        assert report["outputs"] == {"found": False, "extension": None}
+
+    def test_restriction_of_an_s5_set_passes_the_fixed_counts(self):
+        G, nat, H = self.s5_over_s3_z2()
+        phi = restrict_hom(random_hom(G, 40, Random(61)), H)
+        assert stability._fixed_counts_are_class_function(G, H, phi)
+        ext = has_extension(G, H, phi)
+        assert ext is not None and restrict_hom(ext, H) == phi
+
 
 class TestNormalComplement:
     def test_transposition_in_sym3(self):
