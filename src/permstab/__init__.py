@@ -43,11 +43,9 @@ from .groups import (
 from .trace_stats import ActionTrace, action_trace, bs_statistic, s_from_tr, tr_from_s
 from .multiplicity import (
     MultiplicityVector,
-    OrbitDecomposition,
     hom_order_leq,
     is_conjugate,
     multiplicity_vector,
-    orbit_decomposition,
     rep_subtract,
 )
 from .stability import (

@@ -1,12 +1,12 @@
-"""Orbit decomposition, orbit-type multiplicity vectors, the conjugacy
-test and partial order they induce, and constituent subtraction.
+"""Orbit-type multiplicity vectors, the conjugacy test and partial order
+they induce, and constituent subtraction.
 
-The multiplicity vector counts, per conjugacy class of subgroups of the
-source, the orbits whose point stabilizers fall in that class; only it
-needs the subgroup lattice.  Two orbits are the same type exactly when
-an equivariant map joins them, and :func:`_orbit_types` alone decides
-it: conjugacy, the order and subtraction pair the orbits of each type
-(:func:`_match`), the stability layer counts them (:func:`_census`).
+Two orbits are the same type exactly when an equivariant map joins
+them, and :func:`_orbit_types` alone decides it: conjugacy, the order
+and subtraction pair the orbits of each type (:func:`_match`), the
+stability layer counts them (:func:`_census`), and the multiplicity
+vector files each type's count under the conjugacy class of subgroups
+that holds its point stabilizers; only it needs the subgroup lattice.
 Orbits and maps come from one walk over the generator images
 (:func:`_transport`).
 """
@@ -20,8 +20,6 @@ from .errors import NotComparableError, SourceMismatchError
 from .groups import (
     FiniteGroup,
     PermHomomorphism,
-    Subgroup,
-    SubgroupClasses,
     _restrict_to_points,
     generator_images,
     subgroup_conjugacy_classes,
@@ -56,45 +54,6 @@ def _orbits(perms, n: int) -> list[list[int]]:
     return out
 
 
-class Orbit(Record):
-    points: tuple[int, ...]
-    base: int
-    stabilizer: Subgroup
-    class_id: int
-
-
-class OrbitDecomposition(Record):
-    hom: PermHomomorphism
-    classes: SubgroupClasses
-    orbits: tuple[Orbit, ...]
-
-
-def orbit_decomposition(h: PermHomomorphism) -> OrbitDecomposition:
-    """Orbits of the source group on ``{1..degree}`` with exact stabilizers.
-
-    Each orbit records its least point as base; stabilizer class ids refer
-    to ``subgroup_conjugacy_classes`` of the source.  The orbits are walked
-    on the generator images; each stabilizer scans the group.
-    """
-    if not isinstance(h.source, FiniteGroup):
-        raise SourceMismatchError("orbit decomposition requires a FiniteGroup source")
-    G = h.source
-    classes = subgroup_conjugacy_classes(G)
-    orbits = []
-    for points in _orbits([p.images for p in generator_images(h)], h.degree):
-        base = points[0]
-        stab_members = [g for g in G.elements() if h.images[g].images[base - 1] == base]
-        orbits.append(
-            Orbit(
-                points=tuple(sorted(points)),
-                base=base,
-                stabilizer=Subgroup._trusted(G, stab_members),
-                class_id=classes.class_id(stab_members),
-            )
-        )
-    return OrbitDecomposition(h, classes, tuple(orbits))
-
-
 class MultiplicityVector(Record):
     """Orbit counts per stabilizer conjugacy class, plus the degree.
 
@@ -121,11 +80,23 @@ class MultiplicityVector(Record):
 
 
 def multiplicity_vector(h: PermHomomorphism) -> MultiplicityVector:
-    dec = orbit_decomposition(h)
-    counts = [0] * len(dec.classes)
-    for orb in dec.orbits:
-        counts[orb.class_id] += 1
-    return MultiplicityVector(h.source, h.degree, tuple(counts))
+    """Orbit counts per stabilizer class of the source's subgroup lattice.
+
+    Orbits of one type have conjugate stabilizers, so the group is
+    scanned once per type, for the stabilizer of the least point of the
+    type's first orbit.  The lattice is built first: a source over its
+    order bound is refused before any orbit is walked.
+    """
+    if not isinstance(h.source, FiniteGroup):
+        raise SourceMismatchError("orbit decomposition requires a FiniteGroup source")
+    G = h.source
+    classes = subgroup_conjugacy_classes(G)
+    counts = [0] * len(classes)
+    for (orbits,) in _orbit_types(([p.images for p in generator_images(h)], h.degree)):
+        base = orbits[0][0]
+        stab = [g for g in G.elements() if h.images[g].images[base - 1] == base]
+        counts[classes.class_id(stab)] += len(orbits)
+    return MultiplicityVector(G, h.degree, tuple(counts))
 
 
 def _require_comparable(h1: PermHomomorphism, h2: PermHomomorphism):
@@ -230,10 +201,7 @@ def rep_subtract(
 
 
 __all__ = [
-    "Orbit",
-    "OrbitDecomposition",
     "MultiplicityVector",
-    "orbit_decomposition",
     "multiplicity_vector",
     "hom_order_leq",
     "is_conjugate",

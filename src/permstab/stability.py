@@ -32,7 +32,6 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     AmalgamMismatchError,
-    BoundExceededError,
     DegreeMismatchError,
     NotConjugateError,
     NotSubgroupError,
@@ -40,11 +39,12 @@ from .errors import (
     ZeroMultiplicityError,
 )
 from .groups import (
-    DEFAULT_LIFT_SIZE_BOUND,
+    DEFAULT_LIFT_SIZE_BOUND,  # re-exported: the bound compose_lift applies
     FiniteGroup,
     FpGroup,
     PermHomomorphism,
     Subgroup,
+    _check_size,
     _restrict_to_points,
     conjugate_hom,
     coset_action,
@@ -537,11 +537,7 @@ def compose_lift(
         raise DegreeMismatchError(f"copy count must be >= 0, got {s}")
     if s == 0:
         return eta
-    size = len(psi.images) * (s * psi.degree + eta.degree)
-    if size > DEFAULT_LIFT_SIZE_BOUND:
-        raise BoundExceededError(
-            f"lift of {s} copies has {size} image entries, bound is {DEFAULT_LIFT_SIZE_BOUND}"
-        )
+    _check_size("lift images", len(psi.images), s * psi.degree + eta.degree)
     return direct_sum_hom(replicate_hom(psi, s), eta)
 
 

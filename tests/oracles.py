@@ -5,10 +5,11 @@ centralizer enumeration and the exhaustive centralizer-coset minima
 behind ``min_conjugator_distance`` and ``centralizer_correct``, the
 subset-pair loops behind ``statistic_table`` and ``tr_from_s``, the
 scans over every group element behind ``check_homomorphism``,
-``is_conjugate`` and ``agreement_set``, the stabilizer-class censuses
-behind ``hom_order_leq``, ``rep_subtract``, ``has_extension`` and
-``replication_count``, the class dictionary of ``multiplicity._match``,
-the partner-keyed classes of ``nearest_conjugator`` that one orbit
+``is_conjugate`` and ``agreement_set``, the stabilizer scan per orbit
+(``orbit_decomposition``) behind ``multiplicity_vector``, the
+stabilizer-class censuses behind ``hom_order_leq``, ``rep_subtract``,
+``has_extension`` and ``replication_count``, which count with that
+scan, the class dictionary of ``multiplicity._match``, the partner-keyed classes of ``nearest_conjugator`` that one orbit
 classifier replaced and its assignment over the points every generator
 fixes that a closed form replaced, the join of every subgroup with
 every cyclic subgroup and the conjugation by every element that
@@ -41,6 +42,7 @@ from permstab.errors import (
     NotComparableError,
     NotConjugateError,
     PermStabError,
+    SourceMismatchError,
     ZeroMultiplicityError,
 )
 from permstab.graphs import (
@@ -65,12 +67,11 @@ from permstab.groups import (
     trivial_hom,
 )
 from permstab.multiplicity import (
+    MultiplicityVector,
     _orbit_types,
     _orbits,
     _transport,
     is_conjugate,
-    multiplicity_vector,
-    orbit_decomposition,
 )
 from permstab.stability import _census_combination, _max_weight_assignment, compose_lift
 from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND, ActionTrace
@@ -137,6 +138,32 @@ def _orbit_census(h: PermHomomorphism) -> list[tuple[int, tuple, frozenset]]:
     return out
 
 
+def orbit_decomposition(h: PermHomomorphism) -> list[tuple[tuple[int, ...], Subgroup, int]]:
+    """``(points, stabilizer, class id)`` per orbit, ascending by least
+    point, as ``multiplicity_vector`` took them before it sorted orbits
+    into types: the orbits walked on the generator images, and the group
+    scanned once per orbit for the stabilizer of its least point."""
+    if not isinstance(h.source, FiniteGroup):
+        raise SourceMismatchError("orbit decomposition requires a FiniteGroup source")
+    G = h.source
+    classes = subgroup_conjugacy_classes(G)
+    out = []
+    for points in _orbits([p.images for p in generator_images(h)], h.degree):
+        base = points[0]
+        stab = [g for g in G.elements() if h.images[g].images[base - 1] == base]
+        out.append((tuple(sorted(points)), Subgroup._trusted(G, stab), classes.class_id(stab)))
+    return out
+
+
+def multiplicity_vector(h: PermHomomorphism) -> MultiplicityVector:
+    """The census of ``orbit_decomposition``: one count per orbit."""
+    orbits = orbit_decomposition(h)
+    counts = [0] * len(subgroup_conjugacy_classes(h.source))
+    for _, _, cid in orbits:
+        counts[cid] += 1
+    return MultiplicityVector(h.source, h.degree, tuple(counts))
+
+
 def conjugacy_witness(h1: PermHomomorphism, h2: PermHomomorphism):
     """The conjugator ``is_conjugate`` returned before it walked the
     generators, or ``None``: same-class orbits paired in ascending base
@@ -181,11 +208,11 @@ def rep_subtract(phi: PermHomomorphism, rho: PermHomomorphism) -> PermHomomorphi
         raise NotComparableError("orbit census of the subtrahend is not dominated")
     remove_left = list(multiplicity_vector(rho).counts)
     kept: list[int] = []
-    for orb in orbit_decomposition(phi).orbits:  # sorted by least point
-        if remove_left[orb.class_id] > 0:
-            remove_left[orb.class_id] -= 1
+    for points, _, cid in orbit_decomposition(phi):  # sorted by least point
+        if remove_left[cid] > 0:
+            remove_left[cid] -= 1
         else:
-            kept.extend(orb.points)
+            kept.extend(points)
     kept.sort()
     index = {x: i + 1 for i, x in enumerate(kept)}
     images = tuple(

@@ -41,7 +41,6 @@ from permstab.groups import (
     trivial_subgroup,
     full_subgroup,
 )
-from permstab.multiplicity import orbit_decomposition
 from permstab.perm import Permutation, all_permutations, parse_permutation
 from permstab.randgen import random_hom, random_permutation
 from permstab.trace_stats import action_trace
@@ -451,7 +450,7 @@ class TestAllSubgroups:
             built += reps + [normalizer(G, H) for H in reps]
             built += all_subgroups(G) + [trivial_subgroup(G), full_subgroup(G)]
             for H in reps:
-                built += [o.stabilizer for o in orbit_decomposition(coset_action(G, H)).orbits]
+                built += [stab for _, stab, _ in oracles.orbit_decomposition(coset_action(G, H))]
             for H in built:
                 assert Subgroup(G, H.members) == H
 

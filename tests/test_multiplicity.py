@@ -1,4 +1,4 @@
-"""Orbit decomposition, multiplicity vectors, conjugacy, order, subtraction."""
+"""Orbit census, multiplicity vectors, conjugacy, order, subtraction."""
 
 from fractions import Fraction
 from functools import reduce
@@ -7,7 +7,12 @@ from random import Random
 import pytest
 
 from permstab import groups, multiplicity
-from permstab.errors import NotComparableError, NotSubgroupError, SourceMismatchError
+from permstab.errors import (
+    BoundExceededError,
+    NotComparableError,
+    NotSubgroupError,
+    SourceMismatchError,
+)
 from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair
 from permstab.groups import (
     PermHomomorphism,
@@ -18,6 +23,7 @@ from permstab.groups import (
     direct_product,
     direct_sum_hom,
     generator_images,
+    group_from_permutations,
     klein_four_group,
     restrict_hom,
     subgroup_conjugacy_classes,
@@ -29,7 +35,6 @@ from permstab.multiplicity import (
     hom_order_leq,
     is_conjugate,
     multiplicity_vector,
-    orbit_decomposition,
     rep_subtract,
 )
 from permstab.perm import Permutation, all_permutations, parse_permutation
@@ -53,51 +58,60 @@ def brute_force_conjugate(h1, h2):
 
 
 class TestOrbitDecomposition:
+    """The census's orbit decomposition, as ``multiplicity_vector`` counts it."""
+
     def test_klein_theta1(self):
         t1, _ = klein_pair()
-        dec = orbit_decomposition(t1)
-        assert sorted(o.points for o in dec.orbits) == [(1, 2), (3, 4), (5, 6)]
-        stabs = {o.points: set(o.stabilizer.members) for o in dec.orbits}
-        assert stabs[(1, 2)] == {0, KLEIN_AB}
-        assert stabs[(3, 4)] == {0, KLEIN_B}
-        assert stabs[(5, 6)] == {0, KLEIN_A}
-        assert len({o.class_id for o in dec.orbits}) == 3
+        classes = subgroup_conjugacy_classes(t1.source)
+        stabs = [{0, KLEIN_AB}, {0, KLEIN_B}, {0, KLEIN_A}]  # of (1 2), (3 4), (5 6)
+        counts = [0] * len(classes)
+        for stab in stabs:
+            counts[classes.class_id(stab)] += 1
+        assert multiplicity_vector(t1).counts == tuple(counts)
+        assert sorted(counts) == [0, 0, 1, 1, 1]
 
     def test_klein_theta2(self):
+        # two fixed points and one regular orbit of four points
         _, t2 = klein_pair()
-        dec = orbit_decomposition(t2)
-        sizes = sorted(len(o.points) for o in dec.orbits)
-        assert sizes == [1, 1, 4]
-        for o in dec.orbits:
-            if len(o.points) == 4:
-                assert o.stabilizer.order == 1
-            else:
-                assert o.stabilizer.order == 4
+        classes = subgroup_conjugacy_classes(t2.source)
+        mv = multiplicity_vector(t2)
+        assert mv.nonzero_classes() == tuple(
+            sorted((classes.class_id(range(4)), classes.class_id([0])))
+        )
+        assert mv.multiplicity(classes.class_id(range(4))) == 2
+        assert mv.multiplicity(classes.class_id([0])) == 1
 
     def test_trivial_action(self):
         G = klein_four_group()
-        dec = orbit_decomposition(trivial_hom(G, 5))
-        assert len(dec.orbits) == 5
-        assert all(o.stabilizer.order == 4 for o in dec.orbits)
+        classes = subgroup_conjugacy_classes(G)
+        mv = multiplicity_vector(trivial_hom(G, 5))
+        assert mv.nonzero_classes() == (classes.class_id(range(4)),)
+        assert sum(mv.counts) == 5
 
     def test_orbit_stabilizer_invariant(self, zoo8):
+        # the orbits the census counts, least point first, cover the
+        # points once, each as long as its stabilizer's index
         rng = Random(31)
         for G in zoo8.values():
             h = random_hom(G, rng.randint(1, 12), rng)
-            dec = orbit_decomposition(h)
+            orbits = multiplicity._orbits([p.images for p in generator_images(h)], h.degree)
             covered = []
-            for o in dec.orbits:
-                covered.extend(o.points)
-                assert len(o.points) * o.stabilizer.order == G.order
-                assert o.base == min(o.points)
+            for o in orbits:
+                covered.extend(o)
+                stab = [g for g in G.elements() if h.images[g](o[0]) == o[0]]
+                assert len(o) * len(stab) == G.order
+                assert o[0] == min(o)
             assert sorted(covered) == list(range(1, h.degree + 1))
+            assert sum(multiplicity_vector(h).counts) == len(orbits)
 
     def test_rejects_presentation_source(self):
         from permstab.groups import FpGroup
 
         h = PermHomomorphism(FpGroup(("x",)), 2, (parse_permutation("(1 2)", 2),))
-        with pytest.raises(SourceMismatchError):
-            orbit_decomposition(h)
+        with pytest.raises(
+            SourceMismatchError, match=r"^orbit decomposition requires a FiniteGroup source$"
+        ):
+            multiplicity_vector(h)
 
     def test_unchecked_non_homomorphism_rejected(self):
         # stabilizers are not re-checked as subgroups; a map that is not a
@@ -105,7 +119,46 @@ class TestOrbitDecomposition:
         swap = parse_permutation("(1 2)", 2)
         h = PermHomomorphism(cyclic_group(2), 2, (swap, swap))
         with pytest.raises(NotSubgroupError):
-            orbit_decomposition(h)
+            multiplicity_vector(h)
+
+    def test_equals_the_scan_per_orbit(self, zoo24):
+        # the zoo holds table groups and groups closed from permutations
+        S3, S4 = symmetric_group(3)[0], symmetric_group(4)[0]
+        a5 = [parse_permutation(c, 5) for c in ("(1 2 3 4 5)", "(1 2 3)")]
+        groups_ = dict(zoo24)
+        groups_["A5"] = group_from_permutations(a5)[0]
+        groups_["S3xS3"] = direct_product(S3, S3)
+        groups_["S4xZ2"] = direct_product(S4, cyclic_group(2))
+        rng = Random(95)
+        for G in groups_.values():
+            for degree in (0, rng.randint(1, 20), rng.randint(21, 60)):
+                h = random_hom(G, degree, rng)
+                assert multiplicity_vector(h) == oracles.multiplicity_vector(h)
+            h = trivial_hom(G, 7)
+            assert multiplicity_vector(h) == oracles.multiplicity_vector(h)
+
+    def test_one_stabilizer_scan_per_orbit_type(self, monkeypatch):
+        # 200 fixed points are one orbit type: one stabilizer is looked up
+        # in the lattice, where a scan per orbit looked up 200
+        G = symmetric_group(4)[0]
+        lookups = []
+        real = groups.SubgroupClasses.class_id
+        monkeypatch.setattr(
+            groups.SubgroupClasses,
+            "class_id",
+            lambda self, members: lookups.append(1) or real(self, members),
+        )
+        mv = multiplicity_vector(trivial_hom(G, 200))
+        assert lookups == [1]
+        assert mv.multiplicity(real(subgroup_conjugacy_classes(G), G.elements())) == 200
+
+    def test_lattice_bound_refuses_before_any_orbit(self, monkeypatch):
+        def walked(*actions):
+            raise AssertionError("orbits walked")
+
+        monkeypatch.setattr(multiplicity, "_orbit_types", walked)
+        with pytest.raises(BoundExceededError):
+            multiplicity_vector(trivial_hom(cyclic_group(201), 5))
 
 
 class TestMultiplicityVector:
@@ -258,7 +311,6 @@ class TestIsConjugate:
         h = random_hom(symmetric_group(4)[0], 20, Random(94))
         calls = []
         for module, name in (
-            (multiplicity, "orbit_decomposition"),
             (multiplicity, "subgroup_conjugacy_classes"),
             (groups, "subgroup_conjugacy_classes"),
         ):

@@ -16,7 +16,7 @@ from permstab.groups import (
     cyclic_group,
     subgroup_conjugacy_classes,
 )
-from permstab.multiplicity import MultiplicityVector, Orbit, OrbitDecomposition
+from permstab.multiplicity import MultiplicityVector
 from permstab.perm import Permutation
 from permstab.record import Record
 from permstab.stability import AmalgamHom, CorrectionReport
@@ -33,18 +33,12 @@ def build():
         classes=((frozenset({0}),), (frozenset({0, 1}),)),
         class_of={frozenset({0}): 0, frozenset({0, 1}): 1},
     )
-    orbits = (
-        Orbit(points=(1, 2), base=1, stabilizer=Subgroup(G, [0]), class_id=0),
-        Orbit(points=(3,), base=3, stabilizer=Subgroup(G, [0, 1]), class_id=1),
-    )
     return {
         "Subgroup": Subgroup(parent=G, members=[1, 0]),
         "SubgroupClasses": classes,
         "FpGroup": FpGroup(generators=("x", "y"), relators=["x^2"]),
         "PermHomomorphism": h,
         "HomCheck": HomCheck(ok=False, witness=(0, 1), message="m"),
-        "Orbit": orbits[0],
-        "OrbitDecomposition": OrbitDecomposition(hom=h, classes=classes, orbits=orbits),
         "MultiplicityVector": MultiplicityVector(group=G, degree=3, counts=(1, 1)),
         "AmalgamHom": AmalgamHom(psi1=hf, psi2=hf, h_pairs=(("x", "x"),)),
         "CorrectionReport": CorrectionReport(
@@ -67,15 +61,6 @@ REPRS = {
     "PermHomomorphism": "PermHomomorphism(source=FiniteGroup(order=2), degree=3,"
     " images=(Permutation([1, 2, 3]), Permutation([2, 1, 3])))",
     "HomCheck": "HomCheck(ok=False, witness=(0, 1), message='m')",
-    "Orbit": "Orbit(points=(1, 2), base=1, stabilizer=Subgroup(parent=FiniteGroup(order=2),"
-    " members=(0,)), class_id=0)",
-    "OrbitDecomposition": "OrbitDecomposition(hom=PermHomomorphism(source=FiniteGroup(order=2),"
-    " degree=3, images=(Permutation([1, 2, 3]), Permutation([2, 1, 3]))),"
-    " classes=SubgroupClasses(group=FiniteGroup(order=2), classes=((frozenset({0}),),"
-    " (frozenset({0, 1}),)), class_of={frozenset({0}): 0, frozenset({0, 1}): 1}),"
-    " orbits=(Orbit(points=(1, 2), base=1, stabilizer=Subgroup(parent=FiniteGroup(order=2),"
-    " members=(0,)), class_id=0), Orbit(points=(3,), base=3,"
-    " stabilizer=Subgroup(parent=FiniteGroup(order=2), members=(0, 1)), class_id=1)))",
     "MultiplicityVector": "MultiplicityVector(group=FiniteGroup(order=2), degree=3,"
     " counts=(1, 1))",
     "AmalgamHom": "AmalgamHom(psi1=PermHomomorphism(source=FpGroup(generators=('x',),"
@@ -92,8 +77,8 @@ REPRS = {
 NAMES = sorted(REPRS)
 
 
-def test_thirteen_record_classes():
-    assert len(NAMES) == 13 and set(build()) == set(NAMES)
+def test_eleven_record_classes():
+    assert len(NAMES) == 11 and set(build()) == set(NAMES)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -219,7 +204,7 @@ class Pair(Record):
 
 def test_fields_are_the_annotations_in_order():
     assert Pair._fields == ("first", "second")
-    assert Orbit._fields == ("points", "base", "stabilizer", "class_id")
+    assert CorrectionReport._fields == ("corrected", "distance", "input_defect", "mode")
     assert HomCheck._fields == ("ok", "witness", "message")
 
 
@@ -242,7 +227,7 @@ def test_construction_refuses_a_bad_field_list(args, named):
     with pytest.raises(TypeError):
         Pair(*args, **named)
     with pytest.raises(TypeError):
-        Orbit(*args, **named)
+        CorrectionReport(*args, **named)
 
 
 def test_trusted_stores_in_field_order_without_init(monkeypatch):

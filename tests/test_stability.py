@@ -51,7 +51,7 @@ from permstab.groups import (
     trivial_subgroup,
 )
 from permstab import groups, multiplicity, stability
-from permstab.multiplicity import is_conjugate, orbit_decomposition
+from permstab.multiplicity import is_conjugate, multiplicity_vector
 from permstab.perm import (
     Permutation,
     all_permutations,
@@ -140,7 +140,6 @@ class TestSmallConjugator:
             lambda h1, h2: degrees.append((h1.degree, h2.degree)) or real(h1, h2),
         )
         for module, name in (
-            (multiplicity, "orbit_decomposition"),
             (multiplicity, "subgroup_conjugacy_classes"),
             (groups, "subgroup_conjugacy_classes"),
         ):
@@ -961,9 +960,11 @@ class TestComposeLift:
         with pytest.raises(BoundExceededError):
             compose_lift(psi, largest + 1, psi)
         assert built == []
-        monkeypatch.setattr(stability, "DEFAULT_LIFT_SIZE_BOUND", 2 * (3 * 13 + 13))
+        monkeypatch.setattr(groups, "DEFAULT_LIFT_SIZE_BOUND", 2 * (3 * 13 + 13))
         assert compose_lift(psi, 3, psi).degree == 52
-        with pytest.raises(BoundExceededError):
+        # the bound is read where groups binds it: one more copy is refused
+        with pytest.raises(BoundExceededError, match=r"^lift images hold 2 x 65 = 130 image"
+                           r" entries, bound is 104$"):
             compose_lift(psi, 4, psi)
         assert built == [3]
 
@@ -1194,10 +1195,8 @@ PINNED_OUTPUTS = {
         )
     ],
     "agreement_set": lambda: [agreement_set(*hs) for hs in pinned_pairs()],
-    "orbit_decomposition": lambda: [
-        [(o.points, o.base, o.class_id) for o in orbit_decomposition(h).orbits]
-        for hs in pinned_pairs()
-        for h in hs
+    "multiplicity_vector": lambda: [
+        multiplicity_vector(h).counts for hs in pinned_pairs() for h in hs
     ],
     "find_normal_complement": lambda: [
         K and K.members
@@ -1226,8 +1225,8 @@ PINNED_OUTPUTS = {
                                     "84a0fa1b5b9832446248ab87ee1328d4"),
         ("agreement_set", "b267c1c9ca0b83e4e49926cfb3826cd3"
                           "0a311281204607127ce581e891e4816c"),
-        ("orbit_decomposition", "36d45dadc5985c5c25b3070e1310d1ea"
-                                "d1c532e97c185182e57e44bfd09fec72"),
+        ("multiplicity_vector", "826795712a982001b0c388e37c55a137"
+                                "b64c77a9f5fe3ffc5ac70e4dfe96bb77"),
         ("find_normal_complement", "d10211ea2e749aad8064a20d88400c7c"
                                    "5340b893f47039e87cefe0ec60eaddd5"),
         ("has_extension", "dd4aed3dc7e8fe3006a8908a0ac1802d"
@@ -1242,6 +1241,7 @@ def test_outputs_pinned(name, digest):
     # sha256 of seeded outputs, taken when every one of these functions
     # still scanned every element of the group; the last three when
     # has_extension and replication_count still counted orbits by the
-    # subgroup classes of the lattice
+    # subgroup classes of the lattice; multiplicity_vector's when it still
+    # scanned the group once per orbit
     out = json.dumps(PINNED_OUTPUTS[name]())
     assert hashlib.sha256(out.encode()).hexdigest() == digest
