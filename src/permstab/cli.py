@@ -40,12 +40,14 @@ from .jsonio import (
     group_from_json,
     hom_from_json,
     subgroup_from_json,
+    _hom_shape,
     _load_json,
     _read_bytes,
 )
 from .multiplicity import _census, _require_comparable, is_conjugate, multiplicity_vector
 from .perm import hamming_distance, parse_permutation, Permutation
 from .stability import (
+    _check_lift,
     _small_conjugator,
     amalgamated_hom,
     centralizer_correct,
@@ -71,12 +73,17 @@ MAX_EXACT_DEGREE = 8
 
 
 def _hom(load, path: str) -> PermHomomorphism:
-    """The homomorphism in file ``path``.  A group file that it names is
-    read with ``load`` too, so that ``inputs`` lists it."""
+    """The homomorphism in file ``path``."""
+    return hom_from_json(_hom_object(load, path))
+
+
+def _hom_object(load, path: str) -> object:
+    """The JSON value of homomorphism file ``path``.  A group file that it
+    names is read with ``load`` too, so that ``inputs`` lists it."""
     obj = load(path)
     if isinstance(obj, dict) and isinstance(obj.get("group"), str):
         obj["group"] = load(obj["group"])
-    return hom_from_json(obj)
+    return obj
 
 
 def _cmd_trace(args, load) -> dict:
@@ -210,8 +217,19 @@ def _cmd_amalgam(args, load) -> dict:
 
 
 def _cmd_lift(args, load) -> dict:
-    psi = _hom(load, args.hom)
-    eta = _hom(load, args.rest)
+    objs = [_hom_object(load, args.hom), _hom_object(load, args.rest)]
+    # compose_lift's refusals before any image is parsed, from the groups and
+    # degrees, when both groups give their image counts (a perm-gens group's
+    # is its order, known once it is closed)
+    try:
+        (g1, d1, _), (g2, d2, _) = map(_hom_shape, objs)
+    except (MalformedInputError, BoundExceededError):
+        pass  # hom_from_json reports it below, in file order
+    else:
+        if "perm-gens" not in (g1.kind, g2.kind):
+            count = g1.group.order if g1.kind == "table" else len(g1.gen_names)
+            _check_lift(g1.group, count, d1, args.copies, g2.group, d2)
+    psi, eta = map(hom_from_json, objs)
     # hom_from_json has checked both inputs, and a block sum of
     # homomorphisms of one source is one, so "verified" holds by construction
     out = compose_lift(psi, args.copies, eta)

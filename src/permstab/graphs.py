@@ -23,7 +23,11 @@ discovery order, which deduplicates the enumeration and keys the orbits.
 Distances count embeddings along the enumeration tree.  The enumerator
 builds every class as the class it was found from plus one edge, in that
 parent's vertex numbering, so a class's edge triples are its parent's
-followed by the added edge.  A vertex gets its word when it is added:
+followed by the added edge.  A class keys no successor candidate that
+avoids the vertex its own last edge added and that its parent offered
+before that edge: the parent's child by that candidate entered the layer
+earlier and offers the same child, so every first-found class stays the
+same.  A vertex gets its word when it is added:
 the root the empty word, a vertex added by an edge labelled ``s`` from or
 to ``u`` the word ``s w_u`` or ``s^-1 w_u``.  So a class's rooted
 embeddings are its parent's that meet one more condition: an added inner
@@ -61,6 +65,7 @@ from itertools import (
 )
 from math import factorial
 from operator import itemgetter, mul, sub, truth
+from struct import pack
 from sys import byteorder
 
 from .errors import (
@@ -74,8 +79,8 @@ from .perm import Permutation
 from .record import Record
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
-# traversal keys one enumeration may compute, its successor candidates
-# and its orbits' relabelings together: xyz at bound 3 computes 100,025
+# traversal keys one enumeration may count, its successor candidates (keyed
+# or not) and its orbits' relabelings: xyz at bound 3 counts 100,025
 DEFAULT_PATTERN_KEY_BUDGET = 120_000
 DEFAULT_ALPHABET_BOUND = 8
 
@@ -277,9 +282,9 @@ def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
     label slot a value that sorts as the ``repr`` does.  Round one reads
     each vertex's int from its row alone (:func:`_first_signature`), and
     separates every vertex of all but 48 of the 4,657 classes of ``xy``
-    at bound 4 with three or more vertices; only the rest look up their
-    codes, once per vertex, and add their slots' neighbour ranks in
-    rounds two and three."""
+    at bound 4 with three or more vertices, which the enumerator numbers
+    itself; only the rest come here, look up their codes, once per vertex,
+    and add their slots' neighbour ranks in rounds two and three."""
     n = len(rows) - 1
     ranks = [1] * (n + 1)
     ranks[0] = ranks[root] = 0
@@ -315,7 +320,7 @@ def _first_signature(m: int, n: int, root: int, row: tuple[int, ...]) -> int:
     slot row ``row`` in an ``n``-vertex pattern: every vertex but the root
     has rank 1, so it is ``fixed + own`` plus the weight of each slot that
     holds a neighbour other than the root (:func:`_signature_code`).  The
-    rows of a catalogue repeat: ``xy`` at bound 4 reads 13,623 rows, 512 of
+    rows of a catalogue repeat: ``xy`` at bound 4 reads 13,767 rows, 512 of
     them distinct, and ``xyz`` at bound 3, the largest catalogue the key
     budget admits, 1,427 distinct ones, within the cache."""
     fixed, weights, own = _signature_code(m, n, tuple(map(truth, row)))
@@ -361,16 +366,16 @@ def _signature_code(m: int, n: int, present: tuple[bool, ...]) -> tuple[int, tup
 def _certificate(
     rows: list[list[int]], root: int, m: int, edges: Iterable[tuple[int, int, int]]
 ) -> list[tuple[int, int, int]]:
-    """The sorted edge triples of the enumeration's sort key, once per
-    class: the vertices numbered by refinement rank
-    (:func:`_refine_ranks`), vertex ``v`` number ``rank + 1`` when every
-    rank holds one vertex, else least over the numberings within a rank;
-    the root, alone in rank 0, is numbered 1 either way.  The key is ``(n,
-    1, triples)``, which the enumeration holds as bytes.  Every rank held
-    one vertex on every class of every catalogue the key budget admits
-    (``x`` up to bound 6, ``xy`` up to 4, ``xyz`` up to 3, four letters up
-    to 2, five to seven letters at 1), so the search over numberings
-    serves only patterns built by callers.  It is not the least edge list
+    """The sorted edge triples of a pattern's sort key, which the
+    enumerator takes for a class that round one leaves tied: the vertices
+    numbered by refinement rank (:func:`_refine_ranks`), vertex ``v``
+    number ``rank + 1`` when every rank holds one vertex, else least over
+    the numberings within a rank; the root, alone in rank 0, is numbered 1
+    either way.  The key is ``(n, 1, triples)``, which the enumeration
+    packs into bytes.  Every rank held one vertex on every class of every
+    catalogue the key budget admits (``x`` up to bound 6, ``xy`` up to 4,
+    ``xyz`` up to 3, four letters up to 2, five to seven letters at 1), so
+    the search over numberings serves only patterns built by callers.  It is not the least edge list
     over all root-preserving numberings.  ``edges`` is read once."""
     ranks = _refine_ranks(rows, root, m)
     n = len(rows) - 1
@@ -490,7 +495,11 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     in canonical order, each paired with its weight.
 
     Generation adds one edge per layer and keeps the first pattern found
-    per :func:`_traversal_key`.  Order: :func:`_certificate`, vertex count
+    per :func:`_traversal_key`.  A class ``P``, its parent ``P'`` plus
+    ``e'``, keys no candidate that avoids the vertex ``e'`` added and that
+    ``P'`` offered before ``e'`` (:func:`_offer_place`): ``P'`` plus that
+    candidate entered the layer before ``P`` and offers ``e'``, so the
+    child is found first there.  Order: :func:`_certificate`, vertex count
     first.  The j-th label-relabeling orbit (1-based, ordered by first
     appearance) has weight ``2^-j``; an orbit keeps its edge count, so the
     first class of an orbit found in a layer keys its relabelings there.
@@ -500,10 +509,10 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
 
     The work is bounded: an enumeration that would compute more than
     ``DEFAULT_PATTERN_KEY_BUDGET`` traversal keys, one per successor
-    candidate and one per relabeling of each orbit, counted before they
-    are computed, raises ``BoundExceededError``.  The relabelings are
-    listed only once the first orbit's keys fit the budget, so an
-    alphabet too wide for it is refused before any is built.
+    candidate, keyed or not, and one per relabeling of each orbit, counted
+    before they are computed, raises ``BoundExceededError``.  The
+    relabelings are listed only once the first orbit's keys fit the
+    budget, so an alphabet too wide for it is refused before any is built.
     """
     if size_bound < 1:
         return Catalogue(alphabet)
@@ -514,9 +523,10 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     m = len(alphabet)
     relabelings = factorial(m) - 1  # keys per orbit, one per relabeling
     orders: list[itemgetter] = []  # their slot orders, listed for the first orbit
-    spent = 1  # traversal keys computed, the seed's first
+    spent = 1  # traversal keys counted, the seed's first
     seed = _slot_rows(1, (), m)
-    layer = [(1, b"", seed, _traversal_key(seed, 1))]  # (n, edge bytes, rows, key) per class
+    # (n, edge bytes, rows, key, the vertex the last edge added or 0) per class
+    layer = [(1, b"", seed, _traversal_key(seed, 1), 0)]
     classes = []  # (certificate bytes, n, edge bytes, orbit id) per class
     while layer:
         orbit_of: dict[tuple, int] = {}  # keys of this layer
@@ -524,7 +534,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         new = []
         layer.reverse()  # popped in order, so each class's rows go when done
         while layer:
-            n, edges, rows, key = layer.pop()
+            n, edges, rows, key, added = layer.pop()
             if key not in orbit_of:
                 orbit_of[key] = orbit = len(classes)  # the orbit's first class
                 spent += relabelings
@@ -537,15 +547,32 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                     ]
                 for order in orders:
                     orbit_of.setdefault(_traversal_key(list(map(order, rows)), 1), orbit)
-            # sorted by certificate, held as one byte per int (vertex numbers
-            # and label indices are below 256): bytes compare faster than
-            # nested tuples and give the garbage collector nothing to track
+            # sorted by certificate: each edge as u << 16 | w << 8 | lab in
+            # big-endian bytes, which compare as the triples do and give the
+            # garbage collector nothing to track.  Round one numbers the
+            # vertices when it separates them, as _refine_ranks would
             it = iter(edges)
-            cert = bytes((n, 1, *chain.from_iterable(_certificate(rows, 1, m, zip(it, it, it)))))
+            sigs = range(n - 1)  # the root and at most one other vertex: no row read
+            if n > 2:
+                sigs = [_first_signature(m, n, 1, tuple(row)) for row in rows[2:]]
+            if len(set(sigs)) == n - 1:
+                ranked = sorted(sigs)
+                at = [0, 1, *[ranked.index(sig) + 2 for sig in sigs]]
+                codes = [at[u] << 16 | at[w] << 8 | lab for u, w, lab in zip(it, it, it)]
+            else:
+                tie = _certificate(rows, 1, m, zip(it, it, it))
+                codes = [u << 16 | w << 8 | lab for u, w, lab in tie]
+            cert = pack(f">BB{len(codes)}I", n, 1, *sorted(codes))
             classes.append((cert, n, edges, orbit_of[key]))
             # successors: an edge of each label from a vertex with a free
             # out-slot to one with a free in-slot, then, below the bound,
-            # to and from a new vertex, set in place in the parent's rows
+            # to and from a new vertex, set in place in the parent's rows.
+            # This class is its parent plus (a, b, last); a candidate that
+            # avoids the vertex that edge added and that the parent offered
+            # before it is not keyed: the parent's child by the candidate
+            # entered this layer earlier and offers (a, b, last) in turn
+            a, b, last = edges[-3:] or (0, 0, -1)
+            before = _offer_place(a, b, n - (added > 0))
             if n < size_bound:
                 rows.append([0] * (2 * m))
             vertices = range(1, n + 1)
@@ -563,15 +590,19 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
                 spent += len(ends)
                 if spent > DEFAULT_PATTERN_KEY_BUDGET:
                     raise _over_budget(alphabet, size_bound)
+                if lab <= last:
+                    ends = [e for e in ends
+                            if added in e or lab == last and _offer_place(*e, n) > before]
                 for u, v in ends:
                     rows[u][o], rows[v][i] = v, u
                     succ_key = _traversal_key(rows, 1)
                     if succ_key not in seen:
                         seen.add(succ_key)
                         k = max(n, u, v)
-                        new.append(
-                            (k, edges + bytes((u, v, lab)), [row[:] for row in rows[: k + 1]], succ_key)
-                        )
+                        new.append((
+                            k, edges + bytes((u, v, lab)), [row[:] for row in rows[: k + 1]],
+                            succ_key, k if k > n else 0,
+                        ))
                     rows[u][o] = rows[v][i] = 0
         layer = new
     classes.sort(key=itemgetter(0))
@@ -585,6 +616,14 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         array("I", accumulate((len(entry[2]) for entry in classes), initial=0)),
         array("I", [number[entry[3]] for entry in classes]),
     )
+
+
+def _offer_place(u: int, v: int, n: int) -> tuple[int, int, int]:
+    """Where an ``n``-vertex class offers the edge ``(u, v)`` among its
+    label's successor candidates: inner pairs by ``(u, v)``, then the edges
+    joining an old vertex to the new vertex ``n + 1``, by old vertex, the
+    edge leaving it first."""
+    return (0, u, v) if max(u, v) <= n else (1, u, 0) if v > n else (1, v, 1)
 
 
 def _over_budget(alphabet: tuple[str, ...], size_bound: int) -> BoundExceededError:

@@ -178,7 +178,10 @@ def _group_from_text(text: str) -> LoadedGroup:
     raise MalformedInputError(f"unknown group kind {kind!r}")
 
 
-def hom_from_json(obj) -> PermHomomorphism:
+def _hom_shape(obj) -> tuple[LoadedGroup, int, dict]:
+    """``(group, degree, images)`` of a homomorphism object after the
+    checks of :func:`hom_from_json` that parse no image: its keys, its
+    degree, its group and its size."""
     if not isinstance(obj, dict):
         raise MalformedInputError("homomorphism object must be a JSON object")
     try:
@@ -198,6 +201,11 @@ def hom_from_json(obj) -> PermHomomorphism:
     else:  # a hom of no generators still acts by the identity, one image
         count = max(len(loaded.gen_names), 1)
     _check_size("homomorphism images", count, degree)
+    return loaded, degree, images
+
+
+def hom_from_json(obj) -> PermHomomorphism:
+    loaded, degree, images = _hom_shape(obj)
     try:
         if loaded.kind == "presentation":
             src = loaded.group

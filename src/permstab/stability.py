@@ -531,14 +531,21 @@ def compose_lift(
     ``eta`` alone).  Traces mix convexly by block size.  A lift of more
     than ``DEFAULT_LIFT_SIZE_BOUND`` image entries (images times degree)
     is refused before any copy is built."""
-    if psi.source != eta.source:
+    _check_lift(psi.source, len(psi.images), psi.degree, s, eta.source, eta.degree)
+    if s == 0:
+        return eta
+    return direct_sum_hom(replicate_hom(psi, s), eta)
+
+
+def _check_lift(source, count: int, degree: int, s: int, rest_source, rest_degree: int) -> None:
+    """The refusals of :func:`compose_lift`, in its order, read from the
+    sources, ``psi``'s image count and the degrees alone."""
+    if source != rest_source:
         raise SourceMismatchError("homomorphisms must share a source")
     if s < 0:
         raise DegreeMismatchError(f"copy count must be >= 0, got {s}")
-    if s == 0:
-        return eta
-    _check_size("lift images", len(psi.images), s * psi.degree + eta.degree)
-    return direct_sum_hom(replicate_hom(psi, s), eta)
+    if s:
+        _check_size("lift images", count, s * degree + rest_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -663,11 +663,11 @@ def pattern_counts(graph: LabeledDigraph, size_bound: int) -> list[int]:
     return query_counts(graph.hom.trace, words, queries)
 
 
-def refine_colors(n: int, root: int, edges) -> dict[int, tuple]:
-    """Three rounds of colour refinement, each ranking the nested tuples
-    ``(colour, sorted outs, sorted ins)`` by their ``repr``."""
+def refine_colors(n: int, root: int, edges, rounds: int = 3) -> dict[int, tuple]:
+    """``rounds`` rounds of colour refinement, each ranking the nested
+    tuples ``(colour, sorted outs, sorted ins)`` by their ``repr``."""
     colors = {v: ((0,) if v == root else (1,)) for v in range(1, n + 1)}
-    for _ in range(3):
+    for _ in range(rounds):
         new = {}
         for v in range(1, n + 1):
             outs = sorted((lab, colors[w]) for u, w, lab in edges if u == v)

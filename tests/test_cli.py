@@ -443,6 +443,38 @@ class TestBasicCommands:
         assert code == EXIT_DOMAIN
         assert report["outputs"]["error"]["code"] == "BoundExceededError"
 
+    def test_oversized_lift_refused_before_any_image_is_parsed(self, tmp_path):
+        # a Z2 table hom of degree 499,999 (249,999 transpositions, 3.6 MB)
+        # lifted once onto itself holds 2 x 999,998 image entries: refused
+        # from the files' groups and degrees, where parsing both homs first
+        # took 2.3-3.3 s and 131 MB in a fresh process
+        group = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
+        swaps = "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(249_999))
+        big, bad = tmp_path / "z2.json", tmp_path / "z2_bad.json"
+        big.write_text(json.dumps(
+            {"group": group, "degree": 499_999, "images": {"0": "()", "1": swaps}}
+        ))
+        bad.write_text(json.dumps(
+            {"group": group, "degree": 499_999, "images": {"0": "()", "1": "(1 2"}}
+        ))
+        error = {
+            "code": "BoundExceededError",
+            "message": "lift images hold 2 x 999998 = 1999996 image entries, bound is 1000000",
+        }
+        argv = ["lift", str(big), str(big), "--copies", "1"]
+        script = f"from permstab.cli import main; raise SystemExit(main({argv!r}))"
+        start = time.perf_counter()
+        done = fresh_python(script, capture_output=True, text=True)
+        assert time.perf_counter() - start < 0.5
+        assert done.returncode == EXIT_DOMAIN
+        assert json.loads(done.stdout)["outputs"] == {"error": error}
+        # the one change of precedence: malformed image text in an oversized
+        # lift is not read, so the lift exits 2 rather than 65
+        code, report = dispatch(["lift", str(big), str(bad), "--copies", "1"])
+        assert code == EXIT_DOMAIN and report["outputs"] == {"error": error}
+        code, report = dispatch(["lift", str(bad), str(bad), "--copies", "0"])
+        assert code == EXIT_BADFILE
+
     def test_lift_checks_only_its_inputs(self, files, monkeypatch):
         # each table-source input is checked once on loading; the block
         # sum is a homomorphism by construction and is not checked again

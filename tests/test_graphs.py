@@ -451,15 +451,24 @@ class TestEnumeration:
                     _traversal_key(_slot_rows(pat.n, relabeled, 3), 1)
                 )
 
-    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 3), (("x", "y", "z"), 2)])
+    @pytest.mark.parametrize(
+        "alphabet,bound", [(("x", "y"), 3), (("x", "y", "z"), 2), (("x", "y"), 4)]
+    )
     def test_one_trusted_build_and_refinement_per_class(
         self, alphabet, bound, monkeypatch
     ):
-        # one refinement per class while enumerating, and no pattern built;
-        # each access of a class builds its pattern once, unchecked
-        calls = {"refine": 0, "init": 0, "trusted": 0}
-        refine, init = graphs._refine_ranks, RootedPattern.__init__
-        trusted = RootedPattern._trusted.__func__
+        # while enumerating, round one numbers every class it separates, and
+        # only a class whose round one leaves a tie by the oracle's ranks
+        # (none in the two smaller catalogues, 48 of xy at bound 4) takes
+        # _certificate and one refinement; no pattern is built.  Each access
+        # of a class builds its pattern once, unchecked
+        calls = {"certificate": 0, "refine": 0, "init": 0, "trusted": 0}
+        certificate, refine = graphs._certificate, graphs._refine_ranks
+        init, trusted = RootedPattern.__init__, RootedPattern._trusted.__func__
+
+        def count_certificate(*args):
+            calls["certificate"] += 1
+            return certificate(*args)
 
         def count_refine(*args):
             calls["refine"] += 1
@@ -473,15 +482,23 @@ class TestEnumeration:
             calls["trusted"] += 1
             return trusted(cls, *args)
 
+        expected = oracles.pattern_catalogue(alphabet, bound)
+        ties = sum(
+            len(set(oracles.refine_colors(p.n, p.root, p.edges, rounds=1).values())) < p.n
+            for p, _ in expected
+        )
+        assert ties == (48 if bound == 4 else 0)
+        monkeypatch.setattr(graphs, "_certificate", count_certificate)
         monkeypatch.setattr(graphs, "_refine_ranks", count_refine)
         monkeypatch.setattr(RootedPattern, "__init__", count_init)
         monkeypatch.setattr(RootedPattern, "_trusted", classmethod(count_trusted))
         listed = enumerate_patterns.__wrapped__(alphabet, bound)
         n = len(listed)
-        assert calls == {"refine": n, "init": 0, "trusted": 0}
+        assert n == len(expected)
+        assert calls == {"certificate": ties, "refine": ties, "init": 0, "trusted": 0}
         for j in (0, n - 1, -1, 5):
             listed[j]
-        assert calls == {"refine": n, "init": 0, "trusted": 4}
+        assert calls == {"certificate": ties, "refine": ties, "init": 0, "trusted": 4}
         assert sum(1 for _ in listed) == n and calls["trusted"] == n + 4
 
     @pytest.mark.parametrize(
@@ -517,8 +534,10 @@ class TestEnumeration:
         assert letters != 10 or len(keys) == 1
 
     def test_largest_admitted_catalogue_key_count(self, monkeypatch):
-        # xyz at bound 3, the largest catalogue the budget admits, computes
-        # 100,025 traversal keys: the margin the budget's comment names
+        # xyz at bound 3, the largest catalogue the budget admits, counts
+        # 100,025 traversal keys, the margin the budget's comment names, and
+        # computes 36,476 of them: a candidate its class's last edge proves
+        # a duplicate is counted but not keyed
         keys = []
 
         def count_key(rows, root):
@@ -526,8 +545,23 @@ class TestEnumeration:
             return _traversal_key(rows, root)
 
         monkeypatch.setattr(graphs, "_traversal_key", count_key)
-        enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
-        assert len(keys) == 100_025 < graphs.DEFAULT_PATTERN_KEY_BUDGET
+        listed = enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
+        assert len(keys) == 36_476
+        monkeypatch.setattr(graphs, "_traversal_key", _traversal_key)
+        monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", 100_025)
+        assert enumerate_patterns.__wrapped__(("x", "y", "z"), 3) == listed
+        monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", 100_024)
+        with pytest.raises(BoundExceededError, match="traversal keys"):
+            enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
+
+    @pytest.mark.parametrize("letters,bound", [(8, 1), (10, 1), (2, 5)])
+    def test_refusal_messages(self, letters, bound):
+        with pytest.raises(BoundExceededError) as refused:
+            enumerate_patterns.__wrapped__(tuple(f"a{i}" for i in range(letters)), bound)
+        assert str(refused.value) == (
+            f"patterns of {letters} letters at size bound {bound} need more"
+            " than 120000 traversal keys to enumerate"
+        )
 
     @pytest.mark.parametrize("alphabet,bound", [(("x",), 5), (("x", "y"), 4)])
     def test_catalogue_patterns_pass_the_public_checks(self, alphabet, bound):
@@ -535,7 +569,11 @@ class TestEnumeration:
             assert RootedPattern(p.n, p.root, p.alphabet, p.edges) == p
 
     @pytest.mark.parametrize(
-        "alphabet,bound", [(("x",), 5), (("x", "y"), 3), (("x", "y", "z"), 2)]
+        "alphabet,bound",
+        [
+            (("x",), 5), (("x", "y"), 3), (("x", "y", "z"), 2), (("x",), 6), (("x", "y"), 4),
+            (("w", "x", "y", "z"), 2), *[(tuple("abcdefg"[:k]), 1) for k in (5, 6, 7)],
+        ],
     )
     def test_catalogue_matches_edge_set_oracle(self, alphabet, bound):
         listed = enumerate_patterns(alphabet, bound)
@@ -548,15 +586,28 @@ class TestEnumeration:
         # its parent's edges plus one edge, in the parent's vertex numbering
         edges, offsets = listed.edges, listed.offsets
         spans = [edges[offsets[j] : offsets[j + 1]] for j in range(len(listed))]
-        assert spans[0] == b""
+        index_of = {span: j for j, span in enumerate(spans)}
+        assert spans[0] == b"" and len(index_of) == len(spans)
         for index in range(1, len(listed)):
-            parents = [j for j, span in enumerate(spans) if span == spans[index][:-3]]
-            assert len(parents) == 1
+            parent = index_of[spans[index][:-3]]
             u, v, lab = spans[index][-3:]
-            pat, base = expected[index][0], expected[parents[0]][0]
+            pat, base = expected[index][0], expected[parent][0]
             assert (u, v, lab) not in base.edges
             assert pat.edges == base.edges | {(u, v, lab)}
             assert pat.n == max(base.n, u, v) <= base.n + 1
+
+    @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 3)])
+    def test_certificates_are_triples_in_catalogue_order(self, alphabet, bound):
+        # the packed edge codes are the enumerator's sort key only: a
+        # pattern's certificate is (n, 1, sorted edge triples), and the
+        # catalogue lists its classes in the order of those certificates
+        listed = [p for p, _ in enumerate_patterns(alphabet, bound)]
+        certificates = [p.certificate() for p in listed]
+        for p, (n, root, triples) in zip(listed, certificates):
+            assert (n, root, len(triples)) == (p.n, 1, len(p.edges))
+            assert type(triples) is tuple and list(triples) == sorted(triples)
+            assert all(type(t) is tuple and len(t) == 3 for t in triples)
+        assert certificates == sorted(certificates)
 
     @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 3)])
     def test_ranks_match_repr_refinement(self, alphabet, bound):
