@@ -46,8 +46,9 @@ in no per-label-permutation graph (two same-label out-edges would force
 two equal images), so it would contribute 0 to every distance.
 
 Weights.  Patterns are ordered by their certificate: the vertex count,
-then the edges renumbered by colour-refinement rank (not the least edge
-list over all root-preserving renumberings); it only orders them.
+then the edges renumbered by colour-refinement rank, each round sorting
+the ``repr`` of the vertices' nested rank tuples (not the least edge list
+over all root-preserving renumberings); it only orders them.
 Patterns equivalent under a relabeling of the alphabet form an orbit;
 the j-th orbit in this order carries weight 2^-j and every pattern of
 the orbit inherits it.  Sharing the weight across an orbit is what makes
@@ -57,14 +58,14 @@ the distance invariant under a consistent relabeling of both graphs.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import (
     accumulate, chain, combinations, compress, count, islice, permutations as iperms, product
 )
 from math import factorial
-from operator import itemgetter, mul, sub, truth
+from operator import itemgetter, sub
 from struct import pack
 from sys import byteorder
 
@@ -208,9 +209,8 @@ class RootedPattern(Record):
     def certificate(self) -> tuple:
         """The enumeration's sort key, ``(n, 1, sorted edge triples)``
         (:func:`_certificate`)."""
-        m = len(self.alphabet)
-        rows = _slot_rows(self.n, self.edges, m)
-        return self.n, 1, tuple(_certificate(rows, self.root, m, self.edges))
+        rows = _slot_rows(self.n, self.edges, len(self.alphabet))
+        return self.n, 1, tuple(_certificate(rows, self.root, self.edges))
 
 
 def _slot_rows(n: int, edges: Iterable[tuple[int, int, int]], m: int) -> list:
@@ -267,24 +267,16 @@ def _traversal_key(rows: list[list[int]], root: int) -> tuple:
     return tuple([pos[w] for u in queue for w in rows[u][::2]])
 
 
-def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
+def _refine_ranks(rows: list[list[int]], root: int) -> list[int]:
     """Rank of each vertex ``v`` at entry ``v`` (entry 0 is 0) by colour
     refinement: from root against the rest, each round ranks the vertices
-    by rank, out-list and in-list of (label, neighbour rank) pairs, for
-    three rounds or until a round (or every class) can split no further.
-    The root keeps rank 0.  On the catalogues checked (see
-    :func:`_certificate`) every rank ends up holding one vertex, so the
-    ranks number the vertices.
-
-    The ranks are those of sorting the nested tuples ``((rank,), outs,
-    ins)`` by ``repr``, which fixed the published order, computed on one
-    int per vertex (:func:`_signature_code`): its own rank, then per
-    label slot a value that sorts as the ``repr`` does.  Round one reads
-    each vertex's int from its row alone (:func:`_first_signature`), and
-    separates every vertex of all but 48 of the 4,657 classes of ``xy``
-    at bound 4 with three or more vertices, which the enumerator numbers
-    itself; only the rest come here, look up their codes, once per vertex,
-    and add their slots' neighbour ranks in rounds two and three."""
+    by :func:`_signature`, for three rounds or until a round (or every
+    class) can split no further.  The root keeps rank 0.  On the catalogues
+    checked (see :func:`_certificate`) every rank ends up holding one
+    vertex, so the ranks number the vertices.  Round one
+    (:func:`_first_signature`) separates the vertices of all but 48 of the
+    4,657 classes of ``xy`` at bound 4 with three or more vertices, which
+    the enumerator numbers itself; only the rest come here."""
     n = len(rows) - 1
     ranks = [1] * (n + 1)
     ranks[0] = ranks[root] = 0
@@ -292,17 +284,12 @@ def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
         return ranks
     # the root's signature sorts first in every round: rank only the rest
     others = [*range(1, root), *range(root + 1, n + 1)]
-    sigs = [_first_signature(m, n, root, tuple(rows[v])) for v in others]
-    rank = ranks.__getitem__  # ranks is updated in place; rank(0) is 0
+    sigs = [_first_signature(root, tuple(rows[v])) for v in others]
+    rank = ranks.__getitem__  # ranks is updated in place
     classes = 2
     for step in range(3):
         if step:  # rounds two and three
-            if step == 1:
-                codes = [_signature_code(m, n, tuple(map(truth, rows[v]))) for v in others]
-            sigs = [
-                fixed + own * rank(v) + sum(map(mul, map(rank, rows[v]), weights))
-                for v, (fixed, weights, own) in zip(others, codes)
-            ]
+            sigs = [_signature(rank(v), rows[v], rank) for v in others]
         order = sorted(set(sigs))
         if len(order) + 1 == classes:
             break
@@ -314,57 +301,28 @@ def _refine_ranks(rows: list[list[int]], root: int, m: int) -> list[int]:
     return ranks
 
 
+def _signature(rank: int, row: Sequence[int], rank_of: Callable[[int], int]) -> str:
+    """Refinement signature of a vertex of rank ``rank`` with slot row
+    ``row``: the ``repr`` of ``((rank,), outs, ins)``, ``outs`` and ``ins``
+    holding ``(label, (neighbour rank,))`` per filled slot in label order.
+    Vertices rank as that text sorts, which fixed the published order."""
+    outs = tuple([(lab, (rank_of(w),)) for lab, w in enumerate(row[::2]) if w])
+    ins = tuple([(lab, (rank_of(w),)) for lab, w in enumerate(row[1::2]) if w])
+    return repr(((rank,), outs, ins))
+
+
 @lru_cache(maxsize=2048)
-def _first_signature(m: int, n: int, root: int, row: tuple[int, ...]) -> int:
-    """Round-one refinement signature of a vertex other than ``root`` with
-    slot row ``row`` in an ``n``-vertex pattern: every vertex but the root
-    has rank 1, so it is ``fixed + own`` plus the weight of each slot that
-    holds a neighbour other than the root (:func:`_signature_code`).  The
-    rows of a catalogue repeat: ``xy`` at bound 4 reads 13,767 rows, 512 of
-    them distinct, and ``xyz`` at bound 3, the largest catalogue the key
-    budget admits, 1,427 distinct ones, within the cache."""
-    fixed, weights, own = _signature_code(m, n, tuple(map(truth, row)))
-    return fixed + own + sum([weight for weight, w in zip(weights, row) if w and w != root])
-
-
-@lru_cache(maxsize=1024)
-def _signature_code(m: int, n: int, present: tuple[bool, ...]) -> tuple[int, tuple, int]:
-    """``(fixed, weights, own)`` of a vertex of an ``n``-vertex pattern
-    whose ``2m`` slots are filled as ``present`` says: its refinement
-    signature is ``fixed + own * rank + sum(weight * neighbour rank)``.
-
-    The signature has one digit in base ``mn + 2`` for the vertex's rank,
-    then one per out-slot and one per in-slot, labels in index order.  A
-    filled slot holds its label's code, the label's rank among the labels
-    as strings times ``n`` plus 1 (``"10"`` before ``"2"``), plus the
-    neighbour's rank (below ``n``).  An empty slot repeats the next filled slot of its list, or,
-    past the last, holds the list's terminator: ``mn + 1`` if the list
-    has at most one pair (``"(p,)" > "(p, q)"``), else 0 (``"(p, q)" <
-    "(p, q, r)"``).  Two vertices that agree up to a slot then compare
-    there as their ``repr`` lists compare at their next pair or end."""
-    base = [0] * m
-    for i, lab in enumerate(sorted(range(m), key=str)):
-        base[lab] = 1 + i * n
-    digit = m * n + 2
-    fixed = 0
-    weights = [0] * (2 * m)
-    for d in (0, 1):  # out-slots, then in-slots
-        end = digit - 1 if sum(present[d::2]) < 2 else 0
-        nxt = None  # the next filled slot's label
-        for lab in reversed(range(m)):
-            place = digit ** ((1 - d) * m + m - 1 - lab)
-            if present[2 * lab + d]:
-                nxt = lab
-            if nxt is None:
-                fixed += end * place
-            else:
-                fixed += base[nxt] * place
-                weights[2 * nxt + d] += place
-    return fixed, tuple(weights), digit ** (2 * m)
+def _first_signature(root: int, row: tuple[int, ...]) -> str:
+    """Round-one signature (:func:`_signature`) of a vertex other than
+    ``root`` with slot row ``row``: every vertex but the root has rank 1.
+    The rows of a catalogue repeat: ``xy`` at bound 4 reads 13,767 rows,
+    392 of them distinct, and ``xyz`` at bound 3, the largest catalogue
+    the key budget admits, 1,427 distinct ones, within the cache."""
+    return _signature(1, row, lambda w: 0 if w == root else 1)
 
 
 def _certificate(
-    rows: list[list[int]], root: int, m: int, edges: Iterable[tuple[int, int, int]]
+    rows: list[list[int]], root: int, edges: Iterable[tuple[int, int, int]]
 ) -> list[tuple[int, int, int]]:
     """The sorted edge triples of a pattern's sort key, which the
     enumerator takes for a class that round one leaves tied: the vertices
@@ -375,9 +333,9 @@ def _certificate(
     packs into bytes.  Every rank held one vertex on every class of every
     catalogue the key budget admits (``x`` up to bound 6, ``xy`` up to 4,
     ``xyz`` up to 3, four letters up to 2, five to seven letters at 1), so
-    the search over numberings serves only patterns built by callers.  It is not the least edge list
-    over all root-preserving numberings.  ``edges`` is read once."""
-    ranks = _refine_ranks(rows, root, m)
+    the search over numberings serves only patterns built by callers, and
+    is not the least over all root-preserving ones.  ``edges`` is read once."""
+    ranks = _refine_ranks(rows, root)
     n = len(rows) - 1
     if max(ranks) == n - 1:  # ranks 0..n-1, one vertex each
         number = [r + 1 for r in ranks]
@@ -550,17 +508,18 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
             # sorted by certificate: each edge as u << 16 | w << 8 | lab in
             # big-endian bytes, which compare as the triples do and give the
             # garbage collector nothing to track.  Round one numbers the
-            # vertices when it separates them, as _refine_ranks would
+            # vertices when it separates them, as _refine_ranks would; taking
+            # _certificate for every class made cold enumeration 1.11-1.17x slower
             it = iter(edges)
             sigs = range(n - 1)  # the root and at most one other vertex: no row read
             if n > 2:
-                sigs = [_first_signature(m, n, 1, tuple(row)) for row in rows[2:]]
+                sigs = [_first_signature(1, tuple(row)) for row in rows[2:]]
             if len(set(sigs)) == n - 1:
                 ranked = sorted(sigs)
                 at = [0, 1, *[ranked.index(sig) + 2 for sig in sigs]]
                 codes = [at[u] << 16 | at[w] << 8 | lab for u, w, lab in zip(it, it, it)]
             else:
-                tie = _certificate(rows, 1, m, zip(it, it, it))
+                tie = _certificate(rows, 1, zip(it, it, it))
                 codes = [u << 16 | w << 8 | lab for u, w, lab in tie]
             cert = pack(f">BB{len(codes)}I", n, 1, *sorted(codes))
             classes.append((cert, n, edges, orbit_of[key]))

@@ -1303,6 +1303,15 @@ def test_readme_names_every_input_bound():
     assert sorted(name for name in bounds if f"`{name}`" not in readme) == []
 
 
+def test_readme_python_examples_run():
+    # every ```python block of the README runs as written, its asserts too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+
+
 def test_only_the_cli_reads_input_files():
     # the builtin open appears only in jsonio._read_bytes, and the file
     # readers are used only by the load closure of cli.dispatch, which

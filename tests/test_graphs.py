@@ -423,6 +423,23 @@ class TestEnumeration:
         ]
         assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest
 
+    def test_admitted_catalogue_arrays_pinned(self):
+        # the sizes, edges, offsets and orbits of every catalogue the key
+        # budget admits, as JSON lists: any change to the order, the kept
+        # representatives or the weights moves this digest
+        cases = [
+            *[(("x",), b) for b in range(1, 7)], *[(("x", "y"), b) for b in range(1, 5)],
+            *[(("x", "y", "z"), b) for b in range(1, 4)], *[(("w", "x", "y", "z"), b) for b in (1, 2)],
+            *[(tuple("abcdefg"[:k]), 1) for k in (5, 6, 7)],
+        ]
+        listed = []
+        for alphabet, bound in cases:
+            c = enumerate_patterns(alphabet, bound)
+            listed.append([list(c.sizes), list(c.edges), list(c.offsets), list(c.orbits)])
+        assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == (
+            "c1fbf2392891c231218ce41feb82214caf4bb6895b00f8f38134bf66b7f3e5a5"
+        )
+
     @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 3)])
     def test_traversal_key_is_a_complete_invariant(self, alphabet, bound):
         rng = Random(73 + bound)
@@ -613,7 +630,7 @@ class TestEnumeration:
     def test_ranks_match_repr_refinement(self, alphabet, bound):
         m = len(alphabet)
         for pat, _ in enumerate_patterns(alphabet, bound):
-            ranks = graphs._refine_ranks(_slot_rows(pat.n, pat.edges, m), pat.root, m)
+            ranks = graphs._refine_ranks(_slot_rows(pat.n, pat.edges, m), pat.root)
             legacy = oracles.refine_colors(pat.n, pat.root, pat.edges)
             assert ranks[1:] == [legacy[v][0] for v in range(1, pat.n + 1)]
 
@@ -626,7 +643,7 @@ class TestRefinementRanks:
     def ranks(pattern):
         m = len(pattern.alphabet)
         rows = _slot_rows(pattern.n, pattern.edges, m)
-        return graphs._refine_ranks(rows, pattern.root, m)[1:]
+        return graphs._refine_ranks(rows, pattern.root)[1:]
 
     @staticmethod
     def legacy(pattern):
@@ -676,7 +693,7 @@ class TestRefinementRanks:
                 tails = [u for u in range(1, n + 1) if rng.random() < 0.5]
                 edges.update((u, v, lab) for u, v in zip(tails, heads))
             root = rng.randint(1, n)
-            ranks = graphs._refine_ranks(_slot_rows(n, edges, m), root, m)
+            ranks = graphs._refine_ranks(_slot_rows(n, edges, m), root)
             legacy = oracles.refine_colors(n, root, edges)
             assert ranks[1:] == [legacy[v][0] for v in range(1, n + 1)]
 
@@ -687,23 +704,32 @@ class TestRefinementRanks:
             4, 1, ("x", "y"), frozenset({(1, 2, 0), (2, 3, 1), (3, 4, 1), (4, 2, 1)})
         )
         rows = _slot_rows(p.n, p.edges, 2)
-        first = [graphs._first_signature(2, p.n, p.root, tuple(rows[v])) for v in (2, 3, 4)]
+        first = [graphs._first_signature(p.root, tuple(rows[v])) for v in (2, 3, 4)]
         assert first[0] != first[1] == first[2]
         assert self.ranks(p) == self.legacy(p) == [0, 1, 3, 2]
 
     def test_first_signature_is_the_general_round_one(self):
-        # on random rows, any root: the cached value is the signature of
-        # the codes with the root at rank 0 and every other vertex at 1
+        # on the rows of random patterns, any root: ranking the vertices
+        # but the root by their cached signatures gives the oracle's
+        # round-one ranks, and the cache returns what it would compute
         rng = Random(31)
         for _ in range(3000):
-            m, n = rng.choice([1, 2, 3, 4, 11]), rng.randint(3, 6)
+            m, n = rng.choice([1, 2, 3, 4, 11]), rng.randint(1, 6)
+            edges = set()
+            for lab in range(m):
+                heads = list(range(1, n + 1))
+                rng.shuffle(heads)
+                tails = [u for u in range(1, n + 1) if rng.random() < 0.5]
+                edges.update((u, v, lab) for u, v in zip(tails, heads))
             root = rng.randint(1, n)
-            row = tuple(rng.choice([0, 0, *range(1, n + 1)]) for _ in range(2 * m))
-            fixed, weights, own = graphs._signature_code(m, n, tuple(map(bool, row)))
-            rank = [0] + [int(v != root) for v in range(1, n + 1)]
-            expected = fixed + own + sum(w * rank[v] for w, v in zip(weights, row))
-            assert graphs._first_signature(m, n, root, row) == expected
-            assert graphs._first_signature.__wrapped__(m, n, root, row) == expected
+            rows = _slot_rows(n, edges, m)
+            sigs = {v: graphs._first_signature(root, tuple(rows[v])) for v in range(1, n + 1)}
+            order = sorted({sigs[v] for v in sigs if v != root})
+            ranks = [0 if v == root else order.index(sigs[v]) + 1 for v in range(1, n + 1)]
+            legacy = oracles.refine_colors(n, root, edges, rounds=1)
+            assert ranks == [legacy[v][0] for v in range(1, n + 1)]
+            for v in sigs:
+                assert graphs._first_signature.__wrapped__(root, tuple(rows[v])) == sigs[v]
 
     def test_round_one_memo_is_a_bounded_cache(self):
         # the memo is a bounded lru_cache at module level, which the
@@ -721,7 +747,7 @@ class TestRefinementRanks:
         }
         memo.cache_clear()
         enumerate_patterns.__wrapped__(("x", "y"), 4)
-        assert memo.cache_info().currsize == 512
+        assert memo.cache_info().currsize == 392
         memo.cache_clear()
         enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
         assert memo.cache_info().currsize == 1427
@@ -764,7 +790,7 @@ class TestCertificate:
         # number the root 1
         rng = Random(41)
 
-        def coarse(rows, root, m):
+        def coarse(rows, root):
             return [0] + [int(v != root) for v in range(1, len(rows))]
 
         monkeypatch.setattr(graphs, "_refine_ranks", coarse)
@@ -780,7 +806,7 @@ class TestCertificate:
             )
             m = len(p.alphabet)
             rows = _slot_rows(p.n, p.edges, m)
-            assert graphs._certificate(rows, p.root, m, p.edges) == list(least)
+            assert graphs._certificate(rows, p.root, p.edges) == list(least)
             assert p.certificate() == (p.n, 1, least)
 
 
