@@ -1,7 +1,7 @@
 """Exact computations on finite permutation actions.
 
 The package makes the finite core of permutation-stability theory
-executable: exact Hamming metric and traces, action statistics with
+executable: exact Hamming metric, action traces and statistics with
 inclusion-exclusion, orbit-type multiplicity vectors with conjugacy
 witnesses, constructive small conjugators, extension and retract
 decisions, amalgam assembly, lift composition, correction of
@@ -11,10 +11,8 @@ almost-centralizing permutations, and action-graph statistics.
 from .errors import PermStabError
 from .perm import (
     Permutation,
-    all_permutations,
     direct_sum,
     hamming_distance,
-    normalized_trace,
     parse_permutation,
     replicate,
 )
@@ -23,7 +21,6 @@ from .groups import (
     FpGroup,
     PermHomomorphism,
     Subgroup,
-    all_subgroups,
     check_homomorphism,
     coset_action,
     cyclic_group,
@@ -33,9 +30,7 @@ from .groups import (
     evaluate_word,
     group_from_permutations,
     klein_four_group,
-    normalizer,
     quaternion_group,
-    subgroup_closure,
     subgroup_conjugacy_classes,
     symmetric_group,
     trivial_hom,

@@ -50,26 +50,6 @@ def klein_pair() -> tuple[PermHomomorphism, PermHomomorphism]:
     return theta1, theta2
 
 
-def klein_presentation() -> FpGroup:
-    return FpGroup(("a", "b"), ("a^2", "b^2", "a b a b"))
-
-
-def klein_pair_presented() -> tuple[PermHomomorphism, PermHomomorphism]:
-    """The same two actions with a two-generator presentation source."""
-    P = klein_presentation()
-    theta1 = PermHomomorphism(
-        P,
-        6,
-        (parse_permutation("(1 2)(3 4)", 6), parse_permutation("(1 2)(5 6)", 6)),
-    )
-    theta2 = PermHomomorphism(
-        P,
-        6,
-        (parse_permutation("(1 2)(3 4)", 6), parse_permutation("(1 3)(2 4)", 6)),
-    )
-    return theta1, theta2
-
-
 def block_cycle_a(k: int) -> Permutation:
     """k cycles of length k: (1..k)(k+1..2k)...; degree k^2."""
     images = []

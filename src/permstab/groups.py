@@ -217,15 +217,6 @@ class Subgroup(Record):
         return FiniteGroup._trusted(rows, pos[self.parent.identity]), emb
 
 
-def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Subgroup generated by ``seed``, by breadth-first products."""
-    gens = tuple(set(seed))
-    for g in gens:
-        if not 0 <= g < G.order:
-            raise NotSubgroupError(f"element id {g} out of range")
-    return Subgroup._trusted(G, _closure(G, gens))
-
-
 def _closure(G: FiniteGroup, gens: tuple[int, ...]) -> set[int]:
     """Members of the subgroup generated by ``gens`` (ids in range).
 
@@ -246,14 +237,6 @@ def _closure(G: FiniteGroup, gens: tuple[int, ...]) -> set[int]:
                     new.append(x)
         frontier = new
     return members
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup._trusted(G, [G.identity])
-
-
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup._trusted(G, range(G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +427,6 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
     )
     class_of = {S: i for i, orbit in enumerate(classes) for S in orbit}
     return SubgroupClasses(G, tuple(classes), class_of)
-
-
-def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, ascending by order, then members: the member sets
-    of :func:`subgroup_conjugacy_classes`, which enumerates them.
-    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``."""
-    sets = [S for orbit in subgroup_conjugacy_classes(G).classes for S in orbit]
-    sets.sort(key=lambda s: (len(s), sorted(s)))
-    return [Subgroup._trusted(G, s) for s in sets]
-
-
-def normalizer(G: FiniteGroup, N: Subgroup) -> Subgroup:
-    """Largest subgroup of ``G`` conjugating ``N`` onto itself."""
-    if N.parent != G:
-        raise NotSubgroupError("subgroup belongs to a different group")
-    mem = N.member_set()
-    members = [
-        g
-        for g in G.elements()
-        if all(G.conjugate(g, x) in mem for x in N.members)
-    ]
-    return Subgroup._trusted(G, members)
 
 
 def coset_action(G: FiniteGroup, N: Subgroup) -> "PermHomomorphism":

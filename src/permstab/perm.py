@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DegreeMismatchError, PermutationParseError
 
@@ -228,16 +227,6 @@ def hamming_distance(p: Permutation, q: Permutation) -> Fraction:
     return Fraction(diff, p.degree)
 
 
-def normalized_trace(p: Permutation) -> Fraction:
-    """Fraction of fixed points; equals ``1 - hamming_distance(p, id)``.
-
-    The degree-0 permutation has trace 1 by convention (empty action).
-    """
-    if p.degree == 0:
-        return Fraction(1)
-    return Fraction(len(p.fixed_points()), p.degree)
-
-
 def direct_sum(p: Permutation, q: Permutation) -> Permutation:
     """Act as ``p`` on the first block and as ``q`` shifted on the second."""
     n = p.degree
@@ -275,8 +264,3 @@ def restrict(p: Permutation, points: Iterable[int]) -> Permutation:
             f"point set {pts} is not invariant under {p!r}"
         ) from exc
 
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All elements of the symmetric group on ``{1..n}``, lexicographically."""
-    for images in permutations(range(1, n + 1)):
-        yield Permutation._trusted(images)

@@ -359,20 +359,6 @@ def find_normal_complement(G: FiniteGroup, H: Subgroup) -> Optional[Subgroup]:
     return None
 
 
-def retraction_from_complement(
-    G: FiniteGroup, H: Subgroup, K: Subgroup
-) -> dict[int, int]:
-    """The retraction ``g -> h`` where ``g = k*h`` with ``k in K``."""
-    kmem = K.member_set()
-    out = {}
-    for g in G.elements():
-        parts = [h for h in H.members if G.mul(g, G.inv(h)) in kmem]
-        if len(parts) != 1:
-            raise NotSubgroupError("not a complement: H-part is not unique")
-        out[g] = parts[0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # amalgamated homomorphisms
 

@@ -17,11 +17,11 @@ from permstab.groups import (
     hom_from_generator_images,
     klein_four_group,
     quaternion_group,
-    subgroup_closure,
     symmetric_group,
 )
 from permstab.errors import SourceMismatchError
-from permstab.perm import Permutation, all_permutations, parse_permutation
+from permstab.perm import Permutation, parse_permutation
+from oracles import all_permutations, subgroup_closure
 
 
 def alternating_group_4() -> FiniteGroup:

@@ -24,6 +24,13 @@ test with its generating-set picks interleaved behind ``FiniteGroup``,
 and the argparse front end behind the CLI's
 command-table parser.  ``point_count`` tests one point at a
 time what every trace statistic counts with fixed-point masks.
+
+The file opens with test tools that the library once exported:
+``all_permutations`` and ``normalized_trace`` (from ``perm``),
+``subgroup_closure``, ``trivial_subgroup``, ``full_subgroup``,
+``all_subgroups`` and ``normalizer`` (from ``groups``),
+``retraction_from_complement`` (from ``stability``), and the presented
+Klein pair (from ``fixtures``).
 """
 
 from __future__ import annotations
@@ -34,13 +41,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from permstab.errors import (
     BoundExceededError,
     GroupTableError,
     NotComparableError,
     NotConjugateError,
+    NotSubgroupError,
     PermStabError,
     SourceMismatchError,
     ZeroMultiplicityError,
@@ -54,15 +62,16 @@ from permstab.graphs import (
 )
 from permstab.groups import (
     FiniteGroup,
+    FpGroup,
     PermHomomorphism,
     Subgroup,
+    _closure,
     conjugate_hom,
     coset_action,
     evaluate_word,
     generator_images,
     parse_word,
     restrict_hom,
-    subgroup_closure,
     subgroup_conjugacy_classes,
     trivial_hom,
 )
@@ -75,7 +84,97 @@ from permstab.multiplicity import (
 )
 from permstab.stability import _census_combination, _max_weight_assignment, compose_lift
 from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND, ActionTrace
-from permstab.perm import Permutation, all_permutations, hamming_distance
+from permstab.perm import Permutation, hamming_distance, parse_permutation
+
+
+def all_permutations(n: int) -> Iterator[Permutation]:
+    """All elements of the symmetric group on ``{1..n}``, lexicographically."""
+    for images in permutations(range(1, n + 1)):
+        yield Permutation._trusted(images)
+
+
+def normalized_trace(p: Permutation) -> Fraction:
+    """Fraction of fixed points; equals ``1 - hamming_distance(p, id)``.
+
+    The degree-0 permutation has trace 1 by convention (empty action).
+    """
+    if p.degree == 0:
+        return Fraction(1)
+    return Fraction(len(p.fixed_points()), p.degree)
+
+
+def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+    """Subgroup generated by ``seed``, by breadth-first products."""
+    gens = tuple(set(seed))
+    for g in gens:
+        if not 0 <= g < G.order:
+            raise NotSubgroupError(f"element id {g} out of range")
+    return Subgroup._trusted(G, _closure(G, gens))
+
+
+def trivial_subgroup(G: FiniteGroup) -> Subgroup:
+    return Subgroup._trusted(G, [G.identity])
+
+
+def full_subgroup(G: FiniteGroup) -> Subgroup:
+    return Subgroup._trusted(G, range(G.order))
+
+
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, ascending by order, then members: the member sets
+    of ``subgroup_conjugacy_classes``, which enumerates them.
+    Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``."""
+    sets = [S for orbit in subgroup_conjugacy_classes(G).classes for S in orbit]
+    sets.sort(key=lambda s: (len(s), sorted(s)))
+    return [Subgroup._trusted(G, s) for s in sets]
+
+
+def normalizer(G: FiniteGroup, N: Subgroup) -> Subgroup:
+    """Largest subgroup of ``G`` conjugating ``N`` onto itself."""
+    if N.parent != G:
+        raise NotSubgroupError("subgroup belongs to a different group")
+    mem = N.member_set()
+    members = [
+        g
+        for g in G.elements()
+        if all(G.conjugate(g, x) in mem for x in N.members)
+    ]
+    return Subgroup._trusted(G, members)
+
+
+def retraction_from_complement(
+    G: FiniteGroup, H: Subgroup, K: Subgroup
+) -> dict[int, int]:
+    """The retraction ``g -> h`` where ``g = k*h`` with ``k in K``."""
+    kmem = K.member_set()
+    out = {}
+    for g in G.elements():
+        parts = [h for h in H.members if G.mul(g, G.inv(h)) in kmem]
+        if len(parts) != 1:
+            raise NotSubgroupError("not a complement: H-part is not unique")
+        out[g] = parts[0]
+    return out
+
+
+def klein_presentation() -> FpGroup:
+    return FpGroup(("a", "b"), ("a^2", "b^2", "a b a b"))
+
+
+def klein_pair_presented() -> tuple[PermHomomorphism, PermHomomorphism]:
+    """The two actions of ``fixtures.klein_pair`` with a two-generator
+    presentation source."""
+    P = klein_presentation()
+    theta1 = PermHomomorphism(
+        P,
+        6,
+        (parse_permutation("(1 2)(3 4)", 6), parse_permutation("(1 2)(5 6)", 6)),
+    )
+    theta2 = PermHomomorphism(
+        P,
+        6,
+        (parse_permutation("(1 2)(3 4)", 6), parse_permutation("(1 3)(2 4)", 6)),
+    )
+    return theta1, theta2
 
 
 def light_test_picks(rows, e: int) -> tuple[int, ...]:

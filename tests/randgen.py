@@ -8,16 +8,16 @@ from __future__ import annotations
 
 from random import Random
 
-from .groups import (
+from permstab.groups import (
     FiniteGroup,
     PermHomomorphism,
-    all_subgroups,
     coset_action,
     conjugate_hom,
     direct_sum_hom,
     trivial_hom,
 )
-from .perm import Permutation
+from permstab.perm import Permutation
+from oracles import all_subgroups
 
 
 def random_permutation(n: int, rng: Random) -> Permutation:

@@ -42,8 +42,6 @@ from permstab.groups import (
     FpGroup,
     PermHomomorphism,
     check_homomorphism,
-    normalizer,
-    subgroup_closure,
     subgroup_conjugacy_classes,
     symmetric_group,
 )
@@ -54,14 +52,8 @@ from permstab.multiplicity import (
 )
 from permstab.perm import (
     Permutation,
-    all_permutations,
     hamming_distance,
     parse_permutation,
-)
-from permstab.randgen import (
-    perturbed_conjugate_pair,
-    random_hom,
-    random_permutation,
 )
 from permstab.stability import (
     agreement_set,
@@ -78,6 +70,12 @@ from permstab.stability import (
 from permstab.trace_stats import action_trace, bs_statistic, get_trace, s_from_tr
 
 from conftest import enumerate_homs, subgroup_from_cycles
+from oracles import all_permutations, normalizer, subgroup_closure
+from randgen import (
+    perturbed_conjugate_pair,
+    random_hom,
+    random_permutation,
+)
 
 
 def report(number: int, name: str, started: float, limit_s: float | None):

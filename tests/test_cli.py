@@ -1286,7 +1286,7 @@ class TestCommandTable:
         )
         done = fresh_python(code, capture_output=True, text=True)
         count, outside = done.stdout.split(" ", 1)
-        assert int(count) >= 13 and outside.strip() == "[]", done.stderr
+        assert int(count) >= 12 and outside.strip() == "[]", done.stderr
 
 
 def test_readme_names_every_input_bound():

@@ -35,10 +35,10 @@ from permstab.graphs import (
 )
 from permstab.groups import FpGroup, PermHomomorphism
 from permstab.perm import Permutation, parse_permutation
-from permstab.randgen import random_permutation
 from permstab.trace_stats import action_trace, bs_statistic, get_trace, s_from_tr
 
 import oracles
+from randgen import random_permutation
 
 
 def free_hom(degree, *cycle_strs):

@@ -13,14 +13,13 @@ from permstab.errors import (
     WordError,
 )
 from permstab import groups
-from permstab.fixtures import klein_pair, klein_presentation
+from permstab.fixtures import klein_pair
 from permstab.groups import (
     conjugate_hom,
     FiniteGroup,
     FpGroup,
     PermHomomorphism,
     Subgroup,
-    all_subgroups,
     check_homomorphism,
     coset_action,
     cyclic_group,
@@ -31,22 +30,27 @@ from permstab.groups import (
     group_from_permutations,
     hom_from_generator_images,
     klein_four_group,
-    normalizer,
     parse_word,
     quaternion_group,
-    subgroup_closure,
     subgroup_conjugacy_classes,
     symmetric_group,
     trivial_hom,
-    trivial_subgroup,
-    full_subgroup,
 )
-from permstab.perm import Permutation, all_permutations, parse_permutation
-from permstab.randgen import random_hom, random_permutation
+from permstab.perm import Permutation, parse_permutation
 from permstab.trace_stats import action_trace
 
 import oracles
 from conftest import generating_chain, medium_group_zoo, subgroup_from_cycles
+from oracles import (
+    all_permutations,
+    all_subgroups,
+    full_subgroup,
+    klein_presentation,
+    normalizer,
+    subgroup_closure,
+    trivial_subgroup,
+)
+from randgen import random_hom, random_permutation
 
 
 def brute_force_subgroup_sets(G):

@@ -16,7 +16,6 @@ from permstab.errors import (
 from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair
 from permstab.groups import (
     PermHomomorphism,
-    all_subgroups,
     conjugate_hom,
     coset_action,
     cyclic_group,
@@ -29,7 +28,6 @@ from permstab.groups import (
     subgroup_conjugacy_classes,
     symmetric_group,
     trivial_hom,
-    trivial_subgroup,
 )
 from permstab.multiplicity import (
     hom_order_leq,
@@ -37,12 +35,13 @@ from permstab.multiplicity import (
     multiplicity_vector,
     rep_subtract,
 )
-from permstab.perm import Permutation, all_permutations, parse_permutation
-from permstab.randgen import random_hom, random_permutation
+from permstab.perm import Permutation, parse_permutation
 from permstab.stability import has_extension, replication_count
 
 import oracles
 from conftest import subgroup_from_cycles
+from oracles import all_permutations, all_subgroups, trivial_subgroup
+from randgen import random_hom, random_permutation
 
 
 def brute_force_conjugate(h1, h2):

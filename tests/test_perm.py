@@ -13,7 +13,6 @@ from permstab.groups import (
     FpGroup,
     PermHomomorphism,
     _restrict_to_points,
-    all_subgroups,
     conjugate_hom,
     coset_action,
     dihedral_group,
@@ -28,16 +27,15 @@ from permstab.jsonio import hom_from_json
 from permstab.multiplicity import _orbits
 from permstab.perm import (
     Permutation,
-    all_permutations,
     direct_sum,
     hamming_distance,
-    normalized_trace,
     parse_permutation,
     replicate,
     restrict,
 )
-from permstab.randgen import random_hom, random_permutation, random_small_support_permutation
 from permstab.stability import _small_conjugator, compose_lift, replicate_hom
+from oracles import all_permutations, all_subgroups, normalized_trace
+from randgen import random_hom, random_permutation, random_small_support_permutation
 
 
 def perms(max_degree=8):

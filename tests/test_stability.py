@@ -31,7 +31,6 @@ from permstab.groups import (
     FpGroup,
     PermHomomorphism,
     Subgroup,
-    all_subgroups,
     check_homomorphism,
     conjugate_hom,
     coset_action,
@@ -44,25 +43,16 @@ from permstab.groups import (
     klein_four_group,
     quaternion_group,
     restrict_hom,
-    subgroup_closure,
     subgroup_conjugacy_classes,
     symmetric_group,
     trivial_hom,
-    trivial_subgroup,
 )
 from permstab import groups, multiplicity, stability
 from permstab.multiplicity import is_conjugate, multiplicity_vector
 from permstab.perm import (
     Permutation,
-    all_permutations,
     hamming_distance,
     parse_permutation,
-)
-from permstab.randgen import (
-    perturbed_conjugate_pair,
-    random_hom,
-    random_permutation,
-    random_small_support_permutation,
 )
 from permstab.stability import (
     DEFAULT_LIFT_SIZE_BOUND,
@@ -78,7 +68,6 @@ from permstab.stability import (
     nearest_conjugator,
     replicate_hom,
     replication_count,
-    retraction_from_complement,
     small_conjugator,
 )
 from permstab.trace_stats import action_trace
@@ -86,10 +75,21 @@ from permstab.trace_stats import action_trace
 from conftest import enumerate_homs, medium_group_zoo, subgroup_from_cycles
 import oracles
 from oracles import (
+    all_permutations,
+    all_subgroups,
     centralizer_elements,
     centralizer_order,
     correction_oracle,
     min_conjugator_oracle,
+    retraction_from_complement,
+    subgroup_closure,
+    trivial_subgroup,
+)
+from randgen import (
+    perturbed_conjugate_pair,
+    random_hom,
+    random_permutation,
+    random_small_support_permutation,
 )
 
 
@@ -626,7 +626,7 @@ class TestHasExtension:
         for name in ("Z4", "S3", "Z2xZ2", "Z6"):
             G = zoo8[name]
             for H in (
-                [s for s in __import__("permstab").all_subgroups(G)][:4]
+                [s for s in all_subgroups(G)][:4]
             ):
                 cases.append((G, H))
         for G, H in cases:

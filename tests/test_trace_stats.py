@@ -12,7 +12,7 @@ import pytest
 
 from permstab import trace_stats
 from permstab.errors import BoundExceededError, PermStabError, WordError
-from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair, klein_pair_presented
+from permstab.fixtures import KLEIN_A, KLEIN_AB, KLEIN_B, klein_pair
 from permstab.groups import (
     FpGroup,
     PermHomomorphism,
@@ -25,7 +25,6 @@ from permstab.groups import (
     trivial_hom,
 )
 from permstab.perm import Permutation
-from permstab.randgen import random_hom, random_permutation
 from permstab.stability import replicate_hom
 from permstab.trace_stats import (
     DEFAULT_UNIVERSE_BOUND,
@@ -41,6 +40,8 @@ from permstab.trace_stats import (
 
 from conftest import enumerate_homs
 import oracles
+from oracles import klein_pair_presented
+from randgen import random_hom, random_permutation
 
 
 def subset_order(items):
