@@ -95,7 +95,7 @@ def _load_json(path: Union[str, Path], data: bytes) -> object:
     try:
         text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -131,14 +131,17 @@ def group_from_json(obj) -> LoadedGroup:
     table."""
     try:
         text = json.dumps(obj, sort_keys=True)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise MalformedInputError(f"bad group object: {exc}") from exc
     return _group_from_text(text)
 
 
 @lru_cache(maxsize=32)
 def _group_from_text(text: str) -> LoadedGroup:
-    obj = json.loads(text)
+    try:  # a few frames deeper than the file's own parse, which may have passed
+        obj = json.loads(text)
+    except RecursionError as exc:
+        raise MalformedInputError(f"bad group object: {exc}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInputError("group object must carry a 'kind' field")
     kind = obj["kind"]

@@ -122,9 +122,6 @@ class Permutation:
                 digits[m - i] = 49  # ord("1")
         return int(digits, 2)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images, 1) if i != j)
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, sorted by it."""
         seen = [False] * self.degree

@@ -14,8 +14,9 @@ This module houses the finite, executable side of stability theory:
   identity) and the correction below (target the almost-centralizing
   permutation);
 * exact extension-property decisions from orbit-type censuses (a
-  ``G``-set is a sum of coset actions) at any degree, and retracts via
-  normal complements, tested for normality on the generators;
+  ``G``-set is a sum of coset actions) at any degree, and normal
+  complements (a subgroup with one is a retract), read off the classes
+  of one member in the subgroup lattice;
 * assembly of a homomorphism on an amalgamated product from compatible
   halves, with witness reporting on failure;
 * the replication count and block-sum lift used to rebuild an action
@@ -45,6 +46,7 @@ from .groups import (
     PermHomomorphism,
     Subgroup,
     _check_size,
+    _closure,
     _restrict_to_points,
     conjugate_hom,
     coset_action,
@@ -106,22 +108,14 @@ def small_conjugator(
     points outside the agreement set, hence
     ``d_H(p, id) <= |H| * max_image_distance(h1, h2)``.
     """
-    return _small_conjugator(h1, h2)[0]
-
-
-def _small_conjugator(
-    h1: PermHomomorphism, h2: PermHomomorphism
-) -> tuple[Permutation, tuple[int, ...]]:
-    """:func:`small_conjugator` and the :func:`agreement_set` it fixes."""
     if not isinstance(h1.source, FiniteGroup):
         raise SourceMismatchError("small conjugators require a finite source")
-    A = agreement_set(h1, h2)
-    inside = set(A)
+    inside = set(agreement_set(h1, h2))
     outside = [i for i in range(1, h1.degree + 1) if i not in inside]
     if not outside:
-        return Permutation.identity(h1.degree), A
-    # both actions agree on A, and finite G-sets cancel, so the pair is
-    # conjugate exactly when the restrictions to the complement are
+        return Permutation.identity(h1.degree)
+    # both actions agree on the agreement set, and finite G-sets cancel, so
+    # the pair is conjugate exactly when the restrictions to the complement are
     ok, w = is_conjugate(
         _restrict_to_points(h1, outside), _restrict_to_points(h2, outside)
     )
@@ -130,7 +124,7 @@ def _small_conjugator(
     images = list(range(1, h1.degree + 1))
     for local, orig in enumerate(outside, 1):
         images[orig - 1] = outside[w(local) - 1]
-    return Permutation._trusted(tuple(images)), A
+    return Permutation._trusted(tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +255,12 @@ def has_extension(
     conjugacy class of subgroups of ``G``.  The block sum of the chosen
     coset actions is then conjugated onto ``phi``.  ``None`` means no
     combination exists.  It is returned before any coset action is built
-    when two elements of ``H`` that are conjugate in ``G`` fix different
-    numbers of ``phi``'s points: every ``G``-set fixes as many points
-    under ``g`` as under each conjugate of ``g``.
+    when two elements of ``H`` whose cyclic subgroups are conjugate in
+    ``G`` fix different numbers of ``phi``'s points, read off the classes
+    of ``G``'s subgroup lattice: every ``G``-set fixes as many points
+    under ``g`` as under each conjugate of ``g``, and ``<y>`` conjugate to
+    ``<x>`` makes ``y`` conjugate to a generator ``x^k`` of ``<x>``, whose
+    image fixes the points that ``phi(x)`` fixes.
     """
     if H.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
@@ -272,8 +269,11 @@ def has_extension(
             "homomorphism source must be the subgroup's abstract group"
         )
     classes = subgroup_conjugacy_classes(G)
-    if not _fixed_counts_are_class_function(G, H, phi):
-        return None
+    fixed: dict[int, int] = {}  # points fixed, per class of cyclic subgroups
+    for x, p in zip(H.members, phi.images):
+        n = len(p.fixed_points())
+        if fixed.setdefault(classes.class_of[frozenset(_closure(G, (x,)))], n) != n:
+            return None
     actions = [
         coset_action(G, K)
         for K in map(classes.representative, range(len(classes)))
@@ -288,31 +288,6 @@ def has_extension(
         psi = compose_lift(action, s, psi)
     _, p = is_conjugate(restrict_hom(psi, H), phi)
     return conjugate_hom(psi, p)
-
-
-def _fixed_counts_are_class_function(
-    G: FiniteGroup, H: Subgroup, phi: PermHomomorphism
-) -> bool:
-    """Whether ``phi`` fixes equally many points under any two elements of
-    ``H`` that are conjugate in ``G``.  Each ``G``-class meeting ``H`` is
-    walked once, by conjugation with ``G.generating_set``."""
-    _, emb = H.as_group()
-    fixed = {g: len(p.fixed_points()) for g, p in zip(emb, phi.images)}
-    walked: set[int] = set()
-    for x in emb:
-        if x in walked:
-            continue
-        conjugates = [x]
-        walked.add(x)
-        for y in conjugates:  # grows while iterated
-            for g in G.generating_set:
-                z = G.conjugate(g, y)
-                if z not in walked:
-                    walked.add(z)
-                    conjugates.append(z)
-        if len({fixed[y] for y in conjugates if y in fixed}) > 1:
-            return False
-    return True
 
 
 def _census_combination(

@@ -9,7 +9,8 @@ scans over every group element behind ``check_homomorphism``,
 (``orbit_decomposition``) behind ``multiplicity_vector``, the
 stabilizer-class censuses behind ``hom_order_leq``, ``rep_subtract``,
 ``has_extension`` and ``replication_count``, which count with that
-scan, the class dictionary of ``multiplicity._match``, the partner-keyed classes of ``nearest_conjugator`` that one orbit
+scan, the walk of each class of elements by conjugation that
+``has_extension``'s fixed-point check read before the subgroup classes, the class dictionary of ``multiplicity._match``, the partner-keyed classes of ``nearest_conjugator`` that one orbit
 classifier replaced and its assignment over the points every generator
 fixes that a closed form replaced, the join of every subgroup with
 every cyclic subgroup and the conjugation by every element that
@@ -434,6 +435,31 @@ def has_extension(G: FiniteGroup, H: Subgroup, phi: PermHomomorphism):
         psi = compose_lift(action, s, psi)
     _, p = is_conjugate(restrict_hom(psi, H), phi)
     return conjugate_hom(psi, p)
+
+
+def fixed_counts_are_class_function(
+    G: FiniteGroup, H: Subgroup, phi: PermHomomorphism
+) -> bool:
+    """Whether ``phi`` fixes equally many points under any two elements of
+    ``H`` that are conjugate in ``G``.  Each ``G``-class meeting ``H`` is
+    walked once, by conjugation with ``G.generating_set``."""
+    _, emb = H.as_group()
+    fixed = {g: len(p.fixed_points()) for g, p in zip(emb, phi.images)}
+    walked: set[int] = set()
+    for x in emb:
+        if x in walked:
+            continue
+        conjugates = [x]
+        walked.add(x)
+        for y in conjugates:  # grows while iterated
+            for g in G.generating_set:
+                z = G.conjugate(g, y)
+                if z not in walked:
+                    walked.add(z)
+                    conjugates.append(z)
+        if len({fixed[y] for y in conjugates if y in fixed}) > 1:
+            return False
+    return True
 
 
 def replication_count(phi: PermHomomorphism, psi: PermHomomorphism) -> int:

@@ -616,6 +616,41 @@ class TestExitCodes:
         error = report["outputs"]["error"]
         assert error["code"] == "malformed-input" and "utf-8" in error["message"]
 
+    def test_deeply_nested_file_is_malformed(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, report = dispatch(["trace", "--hom", str(path), "--set", "1"])
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"]["code"] == "malformed-input"
+
+    def test_nested_group_objects_never_exit_70(self, tmp_path):
+        # around the recursion limit a file parses, and the group object's
+        # canonical round trip, a few frames deeper, may not
+        table = '"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]'
+        (tmp_path / "h.json").write_text('{"members": [0, 1]}')
+        codes = set()
+        for depth in [*range(900, 1101, 3), 5_000, 200_000]:
+            group = "{%s, \"pad\": %s%s}" % (table, "[" * depth, "]" * depth)
+            hom = '{"group": %s, "degree": 2, "images": {"0": "()", "1": "(1 2)"}}' % group
+            (tmp_path / "g.json").write_text(group)
+            (tmp_path / "phi.json").write_text(hom)
+            g, h, phi = (str(tmp_path / f) for f in ("g.json", "h.json", "phi.json"))
+            for argv in (["mult", phi], ["lift", "--copies", "2", phi, phi], ["extend", g, h, phi]):
+                code, report = dispatch(argv)
+                assert code in (0, EXIT_BADFILE), (depth, argv[0], report["outputs"])
+                codes.add(code)
+        assert codes == {0, EXIT_BADFILE}
+
+    def test_over_long_integer_is_malformed(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"group": {"kind": "presentation", "generators": ["x"]}, "degree": %s,'
+            ' "images": {"x": "()"}}' % ("9" * 5_000)
+        )
+        code, report = dispatch(["trace", "--hom", str(path), "--set", "x"])
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"]["code"] == "malformed-input"
+
     def test_float_image_is_malformed(self, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(

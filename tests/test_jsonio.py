@@ -456,6 +456,21 @@ class TestHomJson:
                 _load_json("bad.json", sep.join(["{", '"a": 1,', "}"]).encode())
             assert str(caught.value).endswith("line 3 column 1 (char 10)")
 
+    def test_too_deep_or_too_long_is_malformed(self):
+        # RecursionError and the int-conversion limit's ValueError used to
+        # escape as internal errors
+        with pytest.raises(MalformedInputError, match="^deep.json is not valid JSON: "):
+            _load_json("deep.json", b"[" * 100_000)
+        with pytest.raises(MalformedInputError, match="^long.json is not valid JSON: "):
+            _load_json("long.json", b'{"degree": ' + b"9" * 5_000 + b"}")
+        deep: list = []
+        for _ in range(100_000):
+            deep = [deep]
+        with pytest.raises(MalformedInputError, match="^bad group object: "):
+            group_from_json({"kind": "presentation", "generators": ["x"], "pad": deep})
+        with pytest.raises(MalformedInputError, match="^bad group object: "):
+            permstab.jsonio._group_from_text("[" * 100_000 + "]" * 100_000)
+
 
 class TestSubgroupJson:
     def test_members(self):

@@ -694,6 +694,29 @@ class TestHasExtension:
                     refused += ext is None
         assert found > 100 and refused > 20
 
+    def test_fixed_count_refusals_equal_the_conjugation_walk(self, zoo24, monkeypatch):
+        # has_extension returns None before any census search exactly when
+        # two elements of H that are conjugate in G fix different numbers
+        # of phi's points
+        searches = []
+        real = stability._census_combination
+        monkeypatch.setattr(
+            stability, "_census_combination", lambda c, t: searches.append(1) or real(c, t)
+        )
+        rng = Random(37)
+        refused = 0
+        for name, G in sorted({**zoo24, "S5": symmetric_group(5)[0]}.items()):
+            classes = subgroup_conjugacy_classes(G)
+            for H in map(classes.representative, range(len(classes))):
+                for _ in range(8):
+                    phi = random_hom(H.as_group()[0], rng.randint(1, 20), rng)
+                    searches.clear()
+                    unsearched = has_extension(G, H, phi) is None and not searches
+                    walk = oracles.fixed_counts_are_class_function(G, H, phi)
+                    assert unsearched == (not walk), (name, H.members, phi)
+                    refused += unsearched
+        assert refused > 20
+
     @staticmethod
     def s5_over_s3_z2():
         G, nat = symmetric_group(5)
@@ -726,7 +749,7 @@ class TestHasExtension:
     def test_restriction_of_an_s5_set_passes_the_fixed_counts(self):
         G, nat, H = self.s5_over_s3_z2()
         phi = restrict_hom(random_hom(G, 40, Random(61)), H)
-        assert stability._fixed_counts_are_class_function(G, H, phi)
+        assert oracles.fixed_counts_are_class_function(G, H, phi)
         ext = has_extension(G, H, phi)
         assert ext is not None and restrict_hom(ext, H) == phi
 
