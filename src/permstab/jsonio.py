@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Union
 
-from .errors import BoundExceededError, MalformedInputError, PermStabError
+from .errors import BoundExceededError, MalformedInputError, PermStabError, SourceMismatchError
 from .groups import (
     FiniteGroup,
     FpGroup,
@@ -255,6 +255,8 @@ def hom_from_json(obj) -> PermHomomorphism:
 def subgroup_from_json(obj, G: FiniteGroup) -> Subgroup:
     if not isinstance(obj, dict) or not _is_int_list(obj.get("members")):
         raise MalformedInputError("subgroup 'members' must list JSON integers")
+    if not isinstance(G, FiniteGroup):
+        raise SourceMismatchError("subgroups require a finite group, not a presentation")
     try:
         return Subgroup(G, obj["members"])
     except PermStabError as exc:

@@ -14,9 +14,9 @@ This module houses the finite, executable side of stability theory:
   identity) and the correction below (target the almost-centralizing
   permutation);
 * exact extension-property decisions from orbit-type censuses (a
-  ``G``-set is a sum of coset actions) at any degree, and normal
-  complements (a subgroup with one is a retract), read off the classes
-  of one member in the subgroup lattice;
+  ``G``-set is a sum of coset actions), by one depth-first search cut by
+  per-coordinate gcds, and normal complements (a subgroup with one is a
+  retract), read off the classes of one member in the subgroup lattice;
 * assembly of a homomorphism on an amalgamated product from compatible
   halves, with witness reporting on failure;
 * the replication count and block-sum lift used to rebuild an action
@@ -28,6 +28,7 @@ This module houses the finite, executable side of stability theory:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
@@ -253,14 +254,14 @@ def has_extension(
     exactly when its orbit-type census is a non-negative integer
     combination of the restricted censuses of ``G/K``, one ``K`` per
     conjugacy class of subgroups of ``G``.  The block sum of the chosen
-    coset actions is then conjugated onto ``phi``.  ``None`` means no
-    combination exists.  It is returned before any coset action is built
-    when two elements of ``H`` whose cyclic subgroups are conjugate in
-    ``G`` fix different numbers of ``phi``'s points, read off the classes
-    of ``G``'s subgroup lattice: every ``G``-set fixes as many points
-    under ``g`` as under each conjugate of ``g``, and ``<y>`` conjugate to
-    ``<x>`` makes ``y`` conjugate to a generator ``x^k`` of ``<x>``, whose
-    image fixes the points that ``phi(x)`` fixes.
+    coset actions is then conjugated onto ``phi``; one of more than
+    ``DEFAULT_LIFT_SIZE_BOUND`` image entries is refused before the search.
+    ``None`` means no combination exists, and is returned before any coset
+    action is built when two elements of ``H`` whose cyclic subgroups are
+    conjugate in ``G`` fix different numbers of ``phi``'s points (read off
+    ``G``'s subgroup classes): ``<y>`` conjugate to ``<x>`` makes ``y``
+    conjugate to a generator ``x^k`` of ``<x>``, and a ``G``-set fixes as
+    many points under ``y`` as under ``x^k``, so as many as under ``x``.
     """
     if H.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
@@ -269,6 +270,7 @@ def has_extension(
             "homomorphism source must be the subgroup's abstract group"
         )
     classes = subgroup_conjugacy_classes(G)
+    _check_size("extension images", G.order, phi.degree)
     fixed: dict[int, int] = {}  # points fixed, per class of cyclic subgroups
     for x, p in zip(H.members, phi.images):
         n = len(p.fixed_points())
@@ -294,15 +296,19 @@ def _census_combination(
     censuses: Sequence[tuple[int, ...]], target: tuple[int, ...]
 ) -> Optional[list[int]]:
     """Copy counts ``s`` with ``sum(s[i] * censuses[i]) == target``, by
-    depth-first search over the censuses, most copies first; remainders
-    already shown to fail are not searched again."""
+    depth-first search over the censuses, most copies first.  A remainder
+    is cut once shown to fail, or when a coordinate's gcd over the censuses
+    left does not divide it (0 divides only 0): no solution is cut."""
+    gcds = [(0,) * len(target)]  # gcds[i]: per coordinate, over censuses[i:]
+    for c in reversed(censuses):
+        gcds.insert(0, tuple(map(gcd, gcds[0], c)))
     dead: set[tuple[int, tuple[int, ...]]] = set()
 
     def search(i: int, rest: tuple[int, ...]) -> Optional[list[int]]:
         if not any(rest):
             return [0] * (len(censuses) - i)
-        if i == len(censuses) or (i, rest) in dead:
-            return None
+        if any(r % g if g else r for r, g in zip(rest, gcds[i])) or (i, rest) in dead:
+            return None  # past the last census every gcd is 0
         c = censuses[i]
         most = min(r // x for r, x in zip(rest, c) if x)
         for s in range(most, -1, -1):

@@ -10,7 +10,7 @@ scans over every group element behind ``check_homomorphism``,
 stabilizer-class censuses behind ``hom_order_leq``, ``rep_subtract``,
 ``has_extension`` and ``replication_count``, which count with that
 scan, the walk of each class of elements by conjugation that
-``has_extension``'s fixed-point check read before the subgroup classes, the class dictionary of ``multiplicity._match``, the partner-keyed classes of ``nearest_conjugator`` that one orbit
+``has_extension``'s fixed-point check read before the subgroup classes, the census search without the gcd cut behind ``has_extension``, the class dictionary of ``multiplicity._match``, the partner-keyed classes of ``nearest_conjugator`` that one orbit
 classifier replaced and its assignment over the points every generator
 fixes that a closed form replaced, the join of every subgroup with
 every cyclic subgroup and the conjugation by every element that
@@ -83,7 +83,7 @@ from permstab.multiplicity import (
     _transport,
     is_conjugate,
 )
-from permstab.stability import _census_combination, _max_weight_assignment, compose_lift
+from permstab.stability import _max_weight_assignment, compose_lift
 from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND, ActionTrace
 from permstab.perm import Permutation, hamming_distance, parse_permutation
 
@@ -427,7 +427,7 @@ def has_extension(G: FiniteGroup, H: Subgroup, phi: PermHomomorphism):
         if K.index <= phi.degree
     ]
     censuses = [multiplicity_vector(restrict_hom(a, H)).counts for a in actions]
-    copies = _census_combination(censuses, multiplicity_vector(phi).counts)
+    copies = census_combination(censuses, multiplicity_vector(phi).counts)
     if copies is None:
         return None
     psi = trivial_hom(G, 0)
@@ -435,6 +435,30 @@ def has_extension(G: FiniteGroup, H: Subgroup, phi: PermHomomorphism):
         psi = compose_lift(action, s, psi)
     _, p = is_conjugate(restrict_hom(psi, H), phi)
     return conjugate_hom(psi, p)
+
+
+def census_combination(censuses, target):
+    """``_census_combination`` before the gcd cut: copy counts ``s`` with
+    ``sum(s[i] * censuses[i]) == target``, by depth-first search over the
+    censuses, most copies first; remainders already shown to fail are not
+    searched again."""
+    dead = set()
+
+    def search(i, rest):
+        if not any(rest):
+            return [0] * (len(censuses) - i)
+        if i == len(censuses) or (i, rest) in dead:
+            return None
+        c = censuses[i]
+        most = min(r // x for r, x in zip(rest, c) if x)
+        for s in range(most, -1, -1):
+            tail = search(i + 1, tuple(r - s * x for r, x in zip(rest, c)))
+            if tail is not None:
+                return [s] + tail
+        dead.add((i, rest))
+        return None
+
+    return search(0, target)
 
 
 def fixed_counts_are_class_function(

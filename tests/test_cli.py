@@ -948,6 +948,25 @@ class TestExitCodes:
             "message": "element id 99 out of range",
         }
 
+    @pytest.mark.parametrize("command", ["complement", "extend"])
+    def test_subgroup_of_a_presentation_group_is_a_domain_error(self, tmp_path, command, files):
+        # a presentation group has no element ids to list: exit 2, as mult
+        # on a presentation source, where it used to exit 70
+        for name, obj in (
+            ("g", {"kind": "presentation", "generators": ["a"], "relators": ["a^2"]}),
+            ("h", {"members": [0]}),
+            ("bad_h", {"members": "0"}),
+        ):
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        phi = [files["theta1"]] * (command == "extend")
+        code, report = dispatch([command, str(tmp_path / "g.json"), str(tmp_path / "h.json"), *phi])
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["code"] == "SourceMismatchError"
+        # the members' shape is checked first
+        code, report = dispatch([command, str(tmp_path / "g.json"), str(tmp_path / "bad_h.json"), *phi])
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"]["code"] == "malformed-input"
+
     def test_orbit_matching_above_the_lattice_bound(self, tmp_path):
         # conj, order and small-conj pair orbits by equivariant maps and
         # build no lattice, so they answer for Z210, of order 210 > 200

@@ -722,6 +722,22 @@ class TestHasExtension:
         G, nat = symmetric_group(5)
         return G, nat, subgroup_from_cycles(G, nat, "(1 2)", "(1 2 3)", "(4 5)")
 
+    @classmethod
+    def s5_over_s3_z2_files(cls, tmp_path, phi):
+        """The ``extend`` input files of ``phi`` over S5 and S3 x Z2."""
+        G, nat, H = cls.s5_over_s3_z2()
+        Habs = phi.source
+        table = {"kind": "table", "order": Habs.order, "table": [list(r) for r in Habs.table]}
+        files = {
+            "g": {"kind": "perm-gens", "degree": 5, "generators": ["(1 2)", "(1 2 3 4 5)"]},
+            "h": {"members": list(H.members)},
+            "phi": {"group": table, "degree": phi.degree,
+                    "images": {str(i): p.cycle_str() for i, p in enumerate(phi.images)}},
+        }
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        return [str(tmp_path / name) for name in files]
+
     def test_fixed_counts_refused_before_the_search(self, monkeypatch, tmp_path):
         # on H/<(1 2)>, (1 2) fixes points and (4 5), its conjugate in S5,
         # fixes none: no S5-set restricts to it, and no census is searched
@@ -733,16 +749,7 @@ class TestHasExtension:
         Habs, emb = H.as_group()
         K = subgroup_closure(Habs, [emb.index(nat.images.index(parse_permutation("(1 2)", 5)))])
         phi = coset_action(Habs, K)
-        table = {"kind": "table", "order": Habs.order, "table": [list(r) for r in Habs.table]}
-        files = {
-            "g": {"kind": "perm-gens", "degree": 5, "generators": ["(1 2)", "(1 2 3 4 5)"]},
-            "h": {"members": list(H.members)},
-            "phi": {"group": table, "degree": phi.degree,
-                    "images": {str(i): p.cycle_str() for i, p in enumerate(phi.images)}},
-        }
-        for name, obj in files.items():
-            (tmp_path / name).write_text(json.dumps(obj))
-        code, report = dispatch(["extend", *(str(tmp_path / name) for name in files)])
+        code, report = dispatch(["extend", *self.s5_over_s3_z2_files(tmp_path, phi)])
         assert code == 0
         assert report["outputs"] == {"found": False, "extension": None}
 
@@ -752,6 +759,84 @@ class TestHasExtension:
         assert oracles.fixed_counts_are_class_function(G, H, phi)
         ext = has_extension(G, H, phi)
         assert ext is not None and restrict_hom(ext, H) == phi
+
+    def test_census_search_equals_the_unpruned_oracle(self, monkeypatch):
+        # the gcd cut drops only remainders that no copy counts reach, so
+        # the depth-first search returns the first solution it returned
+        # without the cut: on every census system of the pinned cases, and
+        # on seeded random systems, half of them built to have a solution
+        systems = []
+        real = stability._census_combination
+        monkeypatch.setattr(
+            stability, "_census_combination", lambda c, t: systems.append((c, t)) or real(c, t)
+        )
+        for case in pinned_extensions():
+            has_extension(*case)
+        assert len(systems) > 200
+        rng = Random(38)
+        for k in range(3000):
+            m = rng.randint(1, 5)
+            censuses = []
+            for _ in range(rng.randint(1, 7)):
+                c = [rng.randint(0, 3) for _ in range(m)]
+                c[rng.randrange(m)] = rng.randint(1, 3)  # no zero column
+                censuses.append(tuple(c))
+            if k % 2:
+                target = tuple(rng.randint(0, 12) for _ in range(m))
+            else:
+                copies = [rng.randint(0, 3) for _ in censuses]
+                target = tuple(sum(s * c[j] for s, c in zip(copies, censuses)) for j in range(m))
+            systems.append((censuses, target))
+        found = 0
+        for censuses, target in systems:
+            got = real(censuses, target)
+            assert got == oracles.census_combination(censuses, target), (censuses, target)
+            found += got is not None
+        assert 1000 < found < len(systems) - 500
+
+    @pytest.mark.parametrize("degree,seed,restricted,found", [
+        (300, 19, False, True),  # 50 s and 702 MB in a fresh process without the gcd cut
+        (200, 1, False, False),
+        (1500, 1, True, True),  # 23 s without the cut
+    ])
+    def test_extend_search_within_two_seconds(self, tmp_path, degree, seed, restricted, found):
+        G, nat, H = self.s5_over_s3_z2()
+        if restricted:
+            phi = restrict_hom(random_hom(G, degree, Random(seed)), H)
+        else:
+            phi = random_hom(H.as_group()[0], degree, Random(seed))
+        paths = self.s5_over_s3_z2_files(tmp_path, phi)
+        start = time.perf_counter()
+        code, report = dispatch(["extend", *paths])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and report["outputs"]["found"] is found
+        if found:
+            images = report["outputs"]["extension"]
+            ext = PermHomomorphism(G, degree, tuple(
+                parse_permutation(images[str(g)], degree) for g in G.elements()
+            ))
+            assert check_homomorphism(ext).ok and restrict_hom(ext, H) == phi
+
+    def test_oversized_extension_refused_before_the_search(self, monkeypatch):
+        # 120 x 9000 image entries: refused once the classes of S5 are
+        # known, not after the census search (72 s at degree 8,000)
+        def unsearched(censuses, target):
+            raise AssertionError("the census search ran")
+
+        G, nat, H = self.s5_over_s3_z2()
+        phi = restrict_hom(random_hom(G, 9000, Random(1)), H)
+        monkeypatch.setattr(stability, "_census_combination", unsearched)
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError, match=r"^extension images hold 120 x 9000 "):
+            has_extension(G, H, phi)
+        assert time.perf_counter() - start < 1
+
+    def test_extension_at_the_size_bound_is_answered(self):
+        # 120 x 8333 = 999,960 image entries, within DEFAULT_LIFT_SIZE_BOUND
+        G, nat, H = self.s5_over_s3_z2()
+        phi = trivial_hom(H.as_group()[0], 8333)
+        ext = has_extension(G, H, phi)
+        assert ext == trivial_hom(G, 8333)
 
 
 class TestNormalComplement:
