@@ -19,7 +19,6 @@ before the process started (``EX_IOERR``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -29,6 +28,14 @@ from fractions import Fraction
 from operator import ge, le
 from pathlib import Path
 from types import SimpleNamespace
+
+try:  # the builtin module: hashlib would load OpenSSL in every process
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import fixtures
 from .errors import BoundExceededError, MalformedInputError, PermStabError
@@ -480,7 +487,7 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         """The JSON value in file ``path``, read once; its digest goes to
         ``inputs``.  No other code reads an input file."""
         data = _read_bytes(path)
-        inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+        inputs[path] = "sha256:" + sha256(data).hexdigest()
         return _load_json(path, data)
 
     report = {

@@ -298,27 +298,31 @@ def _census_combination(
     """Copy counts ``s`` with ``sum(s[i] * censuses[i]) == target``, by
     depth-first search over the censuses, most copies first.  A remainder
     is cut once shown to fail, or when a coordinate's gcd over the censuses
-    left does not divide it (0 divides only 0): no solution is cut."""
-    gcds = [(0,) * len(target)]  # gcds[i]: per coordinate, over censuses[i:]
-    for c in reversed(censuses):
-        gcds.insert(0, tuple(map(gcd, gcds[0], c)))
+    left does not divide it (0 divides only 0): no solution is cut.  The
+    search keeps its own stack, so any number of censuses fits."""
+    gcds = [(0,) * len(target)] * (len(censuses) + 1)  # gcds[i]: per coordinate, over censuses[i:]
+    for i in range(len(censuses) - 1, -1, -1):
+        gcds[i] = tuple(map(gcd, gcds[i + 1], censuses[i]))
     dead: set[tuple[int, tuple[int, ...]]] = set()
-
-    def search(i: int, rest: tuple[int, ...]) -> Optional[list[int]]:
+    copies: list[int] = []  # the copies chosen at steps 0 .. len(copies) - 1
+    rests = [target]  # rests[i]: the remainder at step i; the last one is tried next
+    while True:
+        i, rest = len(copies), rests[-1]
         if not any(rest):
-            return [0] * (len(censuses) - i)
-        if any(r % g if g else r for r, g in zip(rest, gcds[i])) or (i, rest) in dead:
-            return None  # past the last census every gcd is 0
-        c = censuses[i]
-        most = min(r // x for r, x in zip(rest, c) if x)
-        for s in range(most, -1, -1):
-            tail = search(i + 1, tuple(r - s * x for r, x in zip(rest, c)))
-            if tail is not None:
-                return [s] + tail
-        dead.add((i, rest))
-        return None
-
-    return search(0, target)
+            return copies + [0] * (len(censuses) - i)
+        # past the last census every gcd is 0, so a nonzero rest is cut there
+        if not (any(r % g if g else r for r, g in zip(rest, gcds[i])) or (i, rest) in dead):
+            copies.append(min(r // x for r, x in zip(rest, censuses[i]) if x))
+        else:
+            rests.pop()  # back to the last step with fewer copies left to try
+            while copies and not copies[-1]:
+                copies.pop()
+                dead.add((len(copies), rests.pop()))
+            if not copies:
+                return None
+            copies[-1] -= 1
+        i = len(copies) - 1
+        rests.append(tuple(r - copies[i] * x for r, x in zip(rests[i], censuses[i])))
 
 
 def find_normal_complement(G: FiniteGroup, H: Subgroup) -> Optional[Subgroup]:

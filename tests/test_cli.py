@@ -3,7 +3,7 @@
 import ast
 import builtins
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -1100,6 +1100,20 @@ class TestDeterminism:
         digest = report["inputs"][files["theta2"]]
         assert digest.startswith("sha256:")
 
+    @pytest.mark.parametrize("size", [0, 1, 1024, (1 << 20) + 3])
+    def test_inputs_digest_is_the_sha256_of_the_bytes(self, files, tmp_path, size):
+        # a hom padded with trailing blanks to ``size`` bytes; the empty and
+        # one-byte files are malformed, and their digests are still recorded
+        text = Path(files["theta2"]).read_text()
+        text = text.ljust(size) if size > len(text) else "7" * size
+        path = tmp_path / "padded.json"
+        path.write_text(text)
+        data = path.read_bytes()
+        assert len(data) == size
+        code, report = dispatch(["mult", str(path)])
+        assert code == (EXIT_OK if size > 1 else EXIT_BADFILE)
+        assert report["inputs"] == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
+
     def test_inputs_list_a_group_file_named_by_a_hom(self, files, tmp_path):
         images = {"u": "(1 2)", "v": "(1 2 3)"}
         named = tmp_path / "named.json"
@@ -1327,6 +1341,16 @@ class TestCommandTable:
             "import sys; lean = {'dataclasses', 'inspect'}; before = lean & set(sys.modules); "
             "import permstab.cli; print(sorted(lean & set(sys.modules) - before))"
         )
+        done = fresh_python(code, capture_output=True, text=True)
+        assert done.stdout.strip() == "[]", done.stderr
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+        reason="this interpreter has no builtin SHA-256 module",
+    )
+    def test_import_leaves_hashlib_out(self):
+        # the input digests come from the builtin module, so no OpenSSL is loaded
+        code = "import sys, permstab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
         done = fresh_python(code, capture_output=True, text=True)
         assert done.stdout.strip() == "[]", done.stderr
 

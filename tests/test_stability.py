@@ -794,6 +794,12 @@ class TestHasExtension:
             found += got is not None
         assert 1000 < found < len(systems) - 500
 
+    def test_census_search_deeper_than_the_recursion_limit(self):
+        # one step per census: a solution after 1,499 empty steps is found
+        # without a RecursionError, as for a group of that many classes
+        censuses = [(2,)] * 1499 + [(1,)]
+        assert stability._census_combination(censuses, (1,)) == [0] * 1499 + [1]
+
     @pytest.mark.parametrize("degree,seed,restricted,found", [
         (300, 19, False, True),  # 50 s and 702 MB in a fresh process without the gcd cut
         (200, 1, False, False),
