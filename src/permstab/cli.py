@@ -40,12 +40,14 @@ except ImportError:
 from . import fixtures
 from .errors import BoundExceededError, MalformedInputError, PermStabError
 from .graphs import action_graph, stat_distance_details
-from .groups import FiniteGroup, PermHomomorphism, _check_size, subgroup_conjugacy_classes
+from .groups import PermHomomorphism, _check_size, subgroup_conjugacy_classes
 from .jsonio import (
     element_set_from_text,
     format_rational,
     group_from_json,
     hom_from_json,
+    image_keys,
+    images_to_json,
     subgroup_from_json,
     _hom_shape,
     _load_json,
@@ -173,22 +175,17 @@ def _cmd_min_conj(args, load) -> dict:
 
 
 def _cmd_extend(args, load) -> dict:
-    loaded = group_from_json(load(args.group))
-    G = loaded.group
+    G = group_from_json(load(args.group)).group
     H = subgroup_from_json(load(args.subgroup), G)
     hom = _hom(load, args.hom)
     ext = has_extension(G, H, hom)
     if ext is None:
         return {"found": False, "extension": None}
-    return {
-        "found": True,
-        "extension": {str(g): ext.images[g].cycle_str() for g in G.elements()},
-    }
+    return {"found": True, "extension": images_to_json(ext)}
 
 
 def _cmd_complement(args, load) -> dict:
-    loaded = group_from_json(load(args.group))
-    G = loaded.group
+    G = group_from_json(load(args.group)).group
     H = subgroup_from_json(load(args.subgroup), G)
     K = find_normal_complement(G, H)
     if K is None:
@@ -226,30 +223,19 @@ def _cmd_amalgam(args, load) -> dict:
 
 def _cmd_lift(args, load) -> dict:
     objs = [_hom_object(load, args.hom), _hom_object(load, args.rest)]
-    # compose_lift's refusals before any image is parsed, from the groups and
-    # degrees, when both groups give their image counts (a perm-gens group's
-    # is its order, known once it is closed)
+    # compose_lift's refusals from the groups and degrees, before any image
+    # is parsed; a perm-gens group is closed here to count its images
     try:
         (g1, d1, _), (g2, d2, _) = map(_hom_shape, objs)
     except (MalformedInputError, BoundExceededError):
         pass  # hom_from_json reports it below, in file order
     else:
-        if "perm-gens" not in (g1.kind, g2.kind):
-            count = g1.group.order if g1.kind == "table" else len(g1.gen_names)
-            _check_lift(g1.group, count, d1, args.copies, g2.group, d2)
+        _check_lift(g1.group, len(image_keys(g1.group)), d1, args.copies, g2.group, d2)
     psi, eta = map(hom_from_json, objs)
     # hom_from_json has checked both inputs, and a block sum of
     # homomorphisms of one source is one, so "verified" holds by construction
     out = compose_lift(psi, args.copies, eta)
-    images: dict[str, str]
-    if isinstance(out.source, FiniteGroup):
-        images = {str(g): out.images[g].cycle_str() for g in out.source.elements()}
-    else:
-        images = {
-            name: img.cycle_str()
-            for name, img in zip(out.source.generators, out.images)
-        }
-    return {"degree": out.degree, "verified": True, "images": images}
+    return {"degree": out.degree, "verified": True, "images": images_to_json(out)}
 
 
 def _cmd_correct(args, load) -> dict:

@@ -140,18 +140,6 @@ class LabeledDigraph(Record):
             out.extend((v, p(v), lab) for v in range(1, self.n + 1))
         return out
 
-    def max_total_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        deg = [0] * self.n
-        for u, v, _ in self.edges():
-            if u == v:
-                deg[u - 1] += 2
-            else:
-                deg[u - 1] += 1
-                deg[v - 1] += 1
-        return max(deg)
-
 
 def action_graph(psi: PermHomomorphism) -> LabeledDigraph:
     """The labeled digraph of a homomorphism of a presentation, with
@@ -807,9 +795,6 @@ class SimpleGraph(Record):
             for v in e:
                 deg[v] += 1
         return deg
-
-    def max_degree(self) -> int:
-        return max(self.degree_map().values(), default=0)
 
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}

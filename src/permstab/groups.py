@@ -561,11 +561,6 @@ class PermHomomorphism(Record):
 
         return ActionTrace(self)
 
-    def generator_image(self, name: str) -> Permutation:
-        if not isinstance(self.source, FpGroup):
-            raise SourceMismatchError("generator images require an FpGroup source")
-        return self.images[self.source.generators.index(name)]
-
 
 def evaluate_word(h: PermHomomorphism, word: Union[str, Word]) -> Permutation:
     """Product of generator images per the word's signed exponents."""

@@ -100,12 +100,13 @@ def _load_json(path: Union[str, Path], data: bytes) -> object:
 
 
 class LoadedGroup(Record):
-    """A group parsed from JSON, remembering how its images are keyed.  A
-    perm-gens group keeps its generators and is closed the first time
-    ``group`` or ``gen_elements`` is read, once per loaded group."""
+    """A group parsed from JSON, with the keys its homomorphisms' images
+    are listed under.  A perm-gens group keeps its generators and is
+    closed the first time ``group`` or ``gen_elements`` is read, once per
+    loaded group."""
 
     kind: str
-    gen_names: tuple[str, ...] = ()  # the image keys; () for a table
+    keys: tuple[str, ...]  # image_keys of the group; a perm-gens group's generator names
     built: GroupLike | None = None  # the group of a table or presentation
     gens: tuple[Permutation, ...] = ()  # the generators of a perm-gens group
 
@@ -122,6 +123,20 @@ class LoadedGroup(Record):
     def _closure(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         G, hom = group_from_permutations(self.gens)
         return G, tuple(map(hom.images.index, self.gens))
+
+
+def image_keys(source: GroupLike) -> tuple[str, ...]:
+    """The keys of a homomorphism file's images, in the order of a
+    homomorphism's ``images``: element id strings for a finite group,
+    generator names for a presentation."""
+    if isinstance(source, FpGroup):
+        return source.generators
+    return tuple(map(str, source.elements()))
+
+
+def images_to_json(h: PermHomomorphism) -> dict[str, str]:
+    """The images of ``h`` in cycle notation, under :func:`image_keys`."""
+    return {key: p.cycle_str() for key, p in zip(image_keys(h.source), h.images)}
 
 
 def group_from_json(obj) -> LoadedGroup:
@@ -152,7 +167,8 @@ def _group_from_text(text: str) -> LoadedGroup:
                 raise MalformedInputError("table rows must be lists of JSON integers")
             if type(obj.get("order")) is not int or obj["order"] != len(table):
                 raise MalformedInputError("stated order differs from table size")
-            return LoadedGroup("table", built=FiniteGroup(table))
+            G = FiniteGroup(table)
+            return LoadedGroup("table", image_keys(G), G)
         if kind == "perm-gens":
             degree = obj["degree"]
             if type(degree) is not int:
@@ -171,7 +187,7 @@ def _group_from_text(text: str) -> LoadedGroup:
             if not (_is_str_list(obj["generators"]) and _is_str_list(obj.get("relators", []))):
                 raise MalformedInputError("generators and relators must be lists of strings")
             G = FpGroup(obj["generators"], obj.get("relators", ()))
-            return LoadedGroup("presentation", G.generators, G)
+            return LoadedGroup("presentation", image_keys(G), G)
     except (MalformedInputError, BoundExceededError):
         raise
     except PermStabError as exc:
@@ -197,42 +213,23 @@ def _hom_shape(obj) -> tuple[LoadedGroup, int, dict]:
     if not isinstance(images, dict):
         raise MalformedInputError("homomorphism images must be a JSON object")
     loaded = group_from_json(group)
-    if loaded.kind != "table" and not set(images) <= set(loaded.gen_names):
+    if loaded.kind != "table" and not set(images) <= set(loaded.keys):
         raise MalformedInputError("images keyed by a name that is no generator")
-    if loaded.kind == "table":
-        count = loaded.group.order
-    else:  # a hom of no generators still acts by the identity, one image
-        count = max(len(loaded.gen_names), 1)
-    _check_size("homomorphism images", count, degree)
+    # a hom of no generators still acts by the identity, one image
+    _check_size("homomorphism images", max(len(loaded.keys), 1), degree)
     return loaded, degree, images
 
 
 def hom_from_json(obj) -> PermHomomorphism:
     loaded, degree, images = _hom_shape(obj)
+    if loaded.kind == "table" and set(images) != set(loaded.keys):
+        raise MalformedInputError("table-group images must cover every element id")
     try:
-        if loaded.kind == "presentation":
-            src = loaded.group
-            imgs = tuple(
-                permutation_from_json(images[name], degree)
-                for name in src.generators
-            )
-            hom = PermHomomorphism._trusted(src, degree, imgs)
-        elif loaded.kind == "table":
-            G = loaded.group
-            if set(images) != {str(g) for g in G.elements()}:
-                raise MalformedInputError(
-                    "table-group images must cover every element id"
-                )
-            imgs = tuple(
-                permutation_from_json(images[str(g)], degree)
-                for g in G.elements()
-            )
-            hom = PermHomomorphism._trusted(G, degree, imgs)
-        else:  # perm-gens: the images are parsed before the group is closed
-            imgs = [permutation_from_json(images[name], degree) for name in loaded.gen_names]
+        imgs = tuple(permutation_from_json(images[key], degree) for key in loaded.keys)
+        if loaded.gens:  # perm-gens: the images are parsed before the group is closed
             _check_size("homomorphism images", loaded.group.order, degree)
             gen_map: dict[int, Permutation] = {}
-            for name, elt, p in zip(loaded.gen_names, loaded.gen_elements, imgs):
+            for name, elt, p in zip(loaded.keys, loaded.gen_elements, imgs):
                 if gen_map.setdefault(elt, p) != p:
                     raise MalformedInputError(
                         f"generator {name} names the element of an earlier"
@@ -240,6 +237,7 @@ def hom_from_json(obj) -> PermHomomorphism:
                     )
             # hom_from_generator_images checks the images
             return hom_from_generator_images(loaded.group, gen_map, degree)
+        hom = PermHomomorphism._trusted(loaded.group, degree, imgs)
     except (MalformedInputError, BoundExceededError):
         raise
     except KeyError as exc:

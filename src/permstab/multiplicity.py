@@ -75,9 +75,6 @@ class MultiplicityVector(Record):
             return Fraction(0)
         return Fraction(self.counts[class_id], self.degree)
 
-    def nonzero_classes(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.counts) if c)
-
 
 def multiplicity_vector(h: PermHomomorphism) -> MultiplicityVector:
     """Orbit counts per stabilizer class of the source's subgroup lattice.

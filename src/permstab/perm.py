@@ -140,13 +140,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Multiset of cycle lengths (fixed points included), ascending."""
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
-    def one_line_str(self) -> str:
-        return "[" + ",".join(map(str, self.images)) + "]"
-
     def cycle_str(self) -> str:
         cycs = self.cycles()
         if not cycs:

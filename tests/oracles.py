@@ -27,11 +27,14 @@ command-table parser.  ``point_count`` tests one point at a
 time what every trace statistic counts with fixed-point masks.
 
 The file opens with test tools that the library once exported:
-``all_permutations`` and ``normalized_trace`` (from ``perm``),
-``subgroup_closure``, ``trivial_subgroup``, ``full_subgroup``,
-``all_subgroups`` and ``normalizer`` (from ``groups``),
-``retraction_from_complement`` (from ``stability``), and the presented
-Klein pair (from ``fixtures``).
+``all_permutations``, ``normalized_trace``, ``cycle_type`` and
+``one_line_str`` (from ``perm``), ``subgroup_closure``,
+``trivial_subgroup``, ``full_subgroup``, ``all_subgroups``,
+``normalizer`` and ``generator_image`` (from ``groups``),
+``retraction_from_complement`` (from ``stability``), the presented
+Klein pair (from ``fixtures``), ``nonzero_classes`` (from
+``multiplicity``), and ``max_total_degree`` and ``max_degree`` (from
+``graphs``).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from permstab.errors import (
 from permstab.graphs import (
     LabeledDigraph,
     RootedPattern,
+    SimpleGraph,
     _statistic_words,
     enumerate_patterns,
     pattern_frequency,
@@ -102,6 +106,15 @@ def normalized_trace(p: Permutation) -> Fraction:
     if p.degree == 0:
         return Fraction(1)
     return Fraction(len(p.fixed_points()), p.degree)
+
+
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """Multiset of cycle lengths (fixed points included), ascending."""
+    return tuple(sorted(len(c) for c in p.cycles(include_fixed=True)))
+
+
+def one_line_str(p: Permutation) -> str:
+    return "[" + ",".join(map(str, p.images)) + "]"
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -176,6 +189,34 @@ def klein_pair_presented() -> tuple[PermHomomorphism, PermHomomorphism]:
         (parse_permutation("(1 2)(3 4)", 6), parse_permutation("(1 3)(2 4)", 6)),
     )
     return theta1, theta2
+
+
+def generator_image(h: PermHomomorphism, name: str) -> Permutation:
+    if not isinstance(h.source, FpGroup):
+        raise SourceMismatchError("generator images require an FpGroup source")
+    return h.images[h.source.generators.index(name)]
+
+
+def nonzero_classes(mv: MultiplicityVector) -> tuple[int, ...]:
+    return tuple(i for i, c in enumerate(mv.counts) if c)
+
+
+def max_total_degree(g: LabeledDigraph) -> int:
+    """The largest number of edge ends at one vertex, a loop counting twice."""
+    if g.n == 0:
+        return 0
+    deg = [0] * g.n
+    for u, v, _ in g.edges():
+        if u == v:
+            deg[u - 1] += 2
+        else:
+            deg[u - 1] += 1
+            deg[v - 1] += 1
+    return max(deg)
+
+
+def max_degree(g: SimpleGraph) -> int:
+    return max(g.degree_map().values(), default=0)
 
 
 def light_test_picks(rows, e: int) -> tuple[int, ...]:

@@ -444,36 +444,37 @@ class TestBasicCommands:
         assert report["outputs"]["error"]["code"] == "BoundExceededError"
 
     def test_oversized_lift_refused_before_any_image_is_parsed(self, tmp_path):
-        # a Z2 table hom of degree 499,999 (249,999 transpositions, 3.6 MB)
-        # lifted once onto itself holds 2 x 999,998 image entries: refused
-        # from the files' groups and degrees, where parsing both homs first
-        # took 2.3-3.3 s and 131 MB in a fresh process
-        group = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
+        # a Z2 hom of degree 499,999 (249,999 transpositions, 3.6 MB), of a
+        # table or a perm-gens group, lifted once onto itself holds
+        # 2 x 999,998 image entries: refused from the files' groups and
+        # degrees, where parsing both homs first took 2.3-3.3 s and 131 MB
+        # (table) or about 1 s (perm-gens) in a fresh process
         swaps = "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(249_999))
-        big, bad = tmp_path / "z2.json", tmp_path / "z2_bad.json"
-        big.write_text(json.dumps(
-            {"group": group, "degree": 499_999, "images": {"0": "()", "1": swaps}}
-        ))
-        bad.write_text(json.dumps(
-            {"group": group, "degree": 499_999, "images": {"0": "()", "1": "(1 2"}}
-        ))
         error = {
             "code": "BoundExceededError",
             "message": "lift images hold 2 x 999998 = 1999996 image entries, bound is 1000000",
         }
-        argv = ["lift", str(big), str(big), "--copies", "1"]
-        script = f"from permstab.cli import main; raise SystemExit(main({argv!r}))"
-        start = time.perf_counter()
-        done = fresh_python(script, capture_output=True, text=True)
-        assert time.perf_counter() - start < 0.5
-        assert done.returncode == EXIT_DOMAIN
-        assert json.loads(done.stdout)["outputs"] == {"error": error}
-        # the one change of precedence: malformed image text in an oversized
-        # lift is not read, so the lift exits 2 rather than 65
-        code, report = dispatch(["lift", str(big), str(bad), "--copies", "1"])
-        assert code == EXIT_DOMAIN and report["outputs"] == {"error": error}
-        code, report = dispatch(["lift", str(bad), str(bad), "--copies", "0"])
-        assert code == EXIT_BADFILE
+        for group in (
+            {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]},
+            {"kind": "perm-gens", "degree": 2, "generators": ["(1 2)"]},
+        ):
+            big, bad = tmp_path / "z2.json", tmp_path / "z2_bad.json"
+            for path, image in ((big, swaps), (bad, "(1 2")):
+                images = {"0": "()", "1": image} if group["kind"] == "table" else {"g0": image}
+                path.write_text(json.dumps({"group": group, "degree": 499_999, "images": images}))
+            argv = ["lift", str(big), str(big), "--copies", "1"]
+            script = f"from permstab.cli import main; raise SystemExit(main({argv!r}))"
+            start = time.perf_counter()
+            done = fresh_python(script, capture_output=True, text=True)
+            assert time.perf_counter() - start < 0.5
+            assert done.returncode == EXIT_DOMAIN
+            assert json.loads(done.stdout)["outputs"] == {"error": error}
+            # the one change of precedence: malformed image text in an
+            # oversized lift is not read, so the lift exits 2 rather than 65
+            code, report = dispatch(["lift", str(big), str(bad), "--copies", "1"])
+            assert code == EXIT_DOMAIN and report["outputs"] == {"error": error}
+            code, report = dispatch(["lift", str(bad), str(bad), "--copies", "0"])
+            assert code == EXIT_BADFILE
 
     def test_lift_checks_only_its_inputs(self, files, monkeypatch):
         # each table-source input is checked once on loading; the block
@@ -587,6 +588,105 @@ class TestBasicCommands:
         assert not by_name["min conjugator distance, swapped pair k=2"]["pass"]
         assert by_name["min conjugator distance, swapped pair k=2"]["actual"] == "3/4"
         assert report["outputs"]["all_pass"] is False
+
+
+def z2_hom(image, degree=2, group=None):
+    group = group or {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
+    return {"group": group, "degree": degree, "images": {"0": "()", "1": image}}
+
+
+S8_BAD_IMAGE = {
+    "group": {"kind": "perm-gens", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]},
+    "degree": 8,
+    "images": {"g0": "(1 2", "g1": "()"},
+}
+
+# (argv, exit code, error code, message): a dict in argv is written to a file
+REFUSALS = [
+    pytest.param(
+        ["lift", "z3_regular", "z3_regular", "--copies", "-1"],
+        EXIT_DOMAIN, "DegreeMismatchError", "copy count must be >= 0, got -1",
+        id="lift-negative-copies",
+    ),
+    pytest.param(
+        ["lift", "z2_swap", "z3_regular", "--copies", "1"],
+        EXIT_DOMAIN, "SourceMismatchError", "homomorphisms must share a source",
+        id="lift-two-groups",
+    ),
+    pytest.param(  # the group is closed to count its images before "(1 2" is read
+        ["lift", S8_BAD_IMAGE, S8_BAD_IMAGE, "--copies", "1"],
+        EXIT_DOMAIN, "BoundExceededError", "group order exceeds bound 5040",
+        id="lift-perm-gens-group-over-the-closure-bound",
+    ),
+    pytest.param(
+        ["small-conj", "z2_swap", "z3_regular"],
+        EXIT_DOMAIN, "SourceMismatchError", "homomorphisms must share a source",
+        id="small-conj-two-groups",
+    ),
+    pytest.param(
+        ["small-conj", "z2_swap", z2_hom("(1 2)", degree=3)],
+        EXIT_DOMAIN, "DegreeMismatchError", "homomorphisms must share a degree",
+        id="small-conj-two-degrees",
+    ),
+    pytest.param(
+        ["min-conj", "z2_swap", "z3_regular"],
+        EXIT_DOMAIN, "SourceMismatchError", "homomorphisms must share a FiniteGroup source",
+        id="min-conj-two-groups",
+    ),
+    pytest.param(  # not DegreeMismatchError, as small-conj gives
+        ["min-conj", "z2_swap", z2_hom("(1 2)", degree=3)],
+        EXIT_DOMAIN, "SourceMismatchError", "homomorphisms must share a degree",
+        id="min-conj-two-degrees",
+    ),
+    pytest.param(
+        ["extend", "z4", "z4_half", "z3_regular"],
+        EXIT_DOMAIN, "SourceMismatchError",
+        "homomorphism source must be the subgroup's abstract group",
+        id="extend-hom-of-another-group",
+    ),
+    pytest.param(
+        ["dstat", "graph_hom", "graph_hom", "--size-bound", "7"],
+        EXIT_DOMAIN, "BoundExceededError", "size bound 7 exceeds 6",
+        id="dstat-size-bound-7",
+    ),
+    pytest.param(
+        ["mult", {"group": {"kind": "perm-gens", "degree": 2, "generators": []},
+                  "degree": 2, "images": {}}],
+        EXIT_BADFILE, "malformed-input", "need at least one generator",
+        id="perm-gens-no-generators",
+    ),
+    pytest.param(
+        ["mult", z2_hom("(1 2)", group={"kind": "table", "order": 2})],
+        EXIT_BADFILE, "malformed-input", "bad group object: 'table'",
+        id="table-group-without-table",
+    ),
+    pytest.param(
+        ["mult", z2_hom(5)],
+        EXIT_BADFILE, "malformed-input", "cannot read a permutation from 5",
+        id="image-a-number",
+    ),
+    pytest.param(
+        ["mult", z2_hom({"degree": 2})],
+        EXIT_BADFILE, "malformed-input", "permutation object missing 'images'",
+        id="image-object-without-images",
+    ),
+    pytest.param(
+        ["mult", z2_hom("[2,1")],
+        EXIT_BADFILE, "malformed-input", "unterminated one-line form: '[2,1'",
+        id="one-line-unterminated",
+    ),
+    pytest.param(
+        ["mult", z2_hom("[2,1,3]")],
+        EXIT_BADFILE, "malformed-input", "one-line form lists 3 images, degree is 2",
+        id="one-line-too-long",
+    ),
+    pytest.param(
+        ["mult", {"group": {"kind": "perm-gens", "degree": 2, "generators": ["()"]},
+                  "degree": 2, "images": {"g0": "(1 2)"}}],
+        EXIT_BADFILE, "malformed-input", "conflicting images for element 0",
+        id="identity-generator-moved",
+    ),
+]
 
 
 class TestExitCodes:
@@ -1068,6 +1168,19 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "error" in report["outputs"]
 
+    @pytest.mark.parametrize("argv, exit_code, error, message", REFUSALS)
+    def test_refusal(self, files, tmp_path, argv, exit_code, error, message):
+        def token(i, t):
+            if isinstance(t, dict):
+                path = tmp_path / f"arg{i}.json"
+                path.write_text(json.dumps(t))
+                return str(path)
+            return files.get(t, t)
+
+        code, report = dispatch([token(i, t) for i, t in enumerate(argv)])
+        assert code == exit_code
+        assert report["outputs"] == {"error": {"code": error, "message": message}}
+
     def test_every_error_is_structured(self, files):
         bad_invocations = [
             ["conj", files["phi1"], files["theta1"]],
@@ -1353,6 +1466,19 @@ class TestCommandTable:
         code = "import sys, permstab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
         done = fresh_python(code, capture_output=True, text=True)
         assert done.stdout.strip() == "[]", done.stderr
+
+    def test_hashlib_digests_without_a_builtin_module(self, files):
+        # where neither builtin SHA-256 module is built, hashlib hashes the inputs
+        path = files["theta2"]
+        code = (
+            "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib, json, permstab.cli as cli\n"
+            f"code, report = cli.dispatch(['mult', {path!r}])\n"
+            "print(json.dumps([code, cli.sha256 is hashlib.sha256, report['inputs']]))"
+        )
+        done = fresh_python(code, capture_output=True, text=True)
+        digest = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert json.loads(done.stdout) == [EXIT_OK, True, {path: digest}], done.stderr
 
     def test_package_imports_only_the_standard_library(self):
         code = (

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -13,7 +14,13 @@ import permstab.groups
 import permstab.jsonio
 from permstab.cli import dispatch
 from permstab.errors import MalformedInputError
-from permstab.groups import FiniteGroup, FpGroup, check_homomorphism, cyclic_group
+from permstab.groups import (
+    FiniteGroup,
+    FpGroup,
+    PermHomomorphism,
+    check_homomorphism,
+    cyclic_group,
+)
 from permstab.jsonio import (
     _load_json,
     _read_bytes,
@@ -21,10 +28,13 @@ from permstab.jsonio import (
     format_rational,
     group_from_json,
     hom_from_json,
+    image_keys,
+    images_to_json,
     permutation_from_json,
     subgroup_from_json,
 )
 from permstab.perm import parse_permutation
+from randgen import random_hom
 
 
 class TestRationals:
@@ -76,7 +86,7 @@ class TestGroupJson:
         }
         loaded = group_from_json(obj)
         assert loaded.group.order == 6
-        assert loaded.gen_names == ("a", "b")
+        assert loaded.keys == ("a", "b")
 
     def test_presentation_group(self):
         obj = {
@@ -208,6 +218,25 @@ class TestHomJson:
         assert isinstance(h.source, FiniteGroup)
         assert h.source.order == 6
         assert check_homomorphism(h).ok
+
+    def test_images_round_trip(self, zoo8):
+        # images_to_json writes a hom's images under the keys hom_from_json
+        # reads, for each zoo group as a table and as a presentation whose
+        # relators are its generators' orders
+        rng = Random(40)
+        for G in zoo8.values():
+            table = {"kind": "table", "order": G.order, "table": [list(r) for r in G.table]}
+            names = [f"g{k}" for k in range(len(G.generating_set))]
+            relators = [f"{x}^{G.element_order(g)}" for x, g in zip(names, G.generating_set)]
+            presentation = {"kind": "presentation", "generators": names, "relators": relators}
+            P = FpGroup(names, relators)
+            for degree in (0, 1, 4, 7):
+                h = random_hom(G, degree, rng)
+                presented = PermHomomorphism(P, degree, tuple(h.images[g] for g in G.generating_set))
+                for group, hom in ((table, h), (presentation, presented)):
+                    assert group_from_json(group).keys == image_keys(hom.source)
+                    obj = {"group": group, "degree": degree, "images": images_to_json(hom)}
+                    assert hom_from_json(obj) == hom
 
     def test_file_reference(self, tmp_path):
         # the CLI reads a group file named by path; the reader takes values only

@@ -74,7 +74,7 @@ class TestOrbitDecomposition:
         _, t2 = klein_pair()
         classes = subgroup_conjugacy_classes(t2.source)
         mv = multiplicity_vector(t2)
-        assert mv.nonzero_classes() == tuple(
+        assert oracles.nonzero_classes(mv) == tuple(
             sorted((classes.class_id(range(4)), classes.class_id([0])))
         )
         assert mv.multiplicity(classes.class_id(range(4))) == 2
@@ -84,7 +84,7 @@ class TestOrbitDecomposition:
         G = klein_four_group()
         classes = subgroup_conjugacy_classes(G)
         mv = multiplicity_vector(trivial_hom(G, 5))
-        assert mv.nonzero_classes() == (classes.class_id(range(4)),)
+        assert oracles.nonzero_classes(mv) == (classes.class_id(range(4)),)
         assert sum(mv.counts) == 5
 
     def test_orbit_stabilizer_invariant(self, zoo8):
@@ -167,14 +167,14 @@ class TestMultiplicityVector:
         classes = subgroup_conjugacy_classes(t1.source)
         nonzero = {
             frozenset(classes.representative(c).members)
-            for c in mv.nonzero_classes()
+            for c in oracles.nonzero_classes(mv)
         }
         assert nonzero == {
             frozenset({0, KLEIN_A}),
             frozenset({0, KLEIN_B}),
             frozenset({0, KLEIN_AB}),
         }
-        for c in mv.nonzero_classes():
+        for c in oracles.nonzero_classes(mv):
             assert mv.multiplicity(c) == 1
             assert mv.r(c) == Fraction(1, 6)
 

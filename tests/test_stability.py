@@ -900,9 +900,9 @@ class TestAmalgam:
         # alternating word evaluation multiplies images in order
         w = am.evaluate_mixed_word("s t s^-1")
         expected = (
-            am.psi1.generator_image("s")
-            * am.psi2.generator_image("t")
-            * am.psi1.generator_image("s").inverse()
+            oracles.generator_image(am.psi1, "s")
+            * oracles.generator_image(am.psi2, "t")
+            * oracles.generator_image(am.psi1, "s").inverse()
         )
         assert w == expected
 
