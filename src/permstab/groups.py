@@ -601,12 +601,14 @@ def check_homomorphism(h: PermHomomorphism) -> HomCheck:
     relator evaluates to the identity.
     """
     if isinstance(h.source, FiniteGroup):
-        G, images = h.source, h.images
+        G = h.source
+        images = [p.images for p in h.images]  # one-line tuples, composed directly
         pairs = ((a, s) for a in G.elements() for s in G.generating_set)
-        if not images[G.identity].is_identity():  # then (e, e) violates
+        if not h.images[G.identity].is_identity():  # then (e, e) violates
             pairs = [(G.identity, G.identity)]
         for a, b in pairs:
-            if images[G.mul(a, b)] != images[a] * images[b]:
+            x = images[a]
+            if images[G.mul(a, b)] != tuple([x[j - 1] for j in images[b]]):
                 message = f"image({a}*{b}) != image({a})*image({b})"
                 return HomCheck(False, witness=(a, b), message=message)
         return HomCheck(True)

@@ -438,6 +438,9 @@ class TestPointCountOracle:
                 A, B = rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(0, 2))
                 value = oracles.statistic(h, A, B)
                 assert action_trace(h, gen(A)) == oracles.statistic(h, A, [])
+                assert h.trace.value(gen(A)) == oracles.statistic(h, A, [])
+                count = oracles.point_count(h, A, B)
+                assert h.trace.statistic_count(gen(A), gen(B)) == count
                 assert bs_statistic(h, gen(A), B) == value
                 assert bs_statistic(h, A, gen(B)) == value
                 assert s_from_tr(h.trace, gen(A), gen(B)) == value
