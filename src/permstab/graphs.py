@@ -78,6 +78,7 @@ from .errors import (
 from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
 from .record import Record
+from .trace_stats import bs_statistic
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
 # traversal keys one enumeration may count, its successor candidates (keyed
@@ -365,7 +366,7 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
     label- and orientation-preserving, not induced.  Each label of the
     graph is a permutation, so an embedding is forced once the root is
     placed, and the frequency is ``S(A_P, B_P)`` of :func:`_statistic_words`
-    on the graph's free-group action."""
+    on the graph's free-group action, read by ``trace_stats.bs_statistic``."""
     if pattern.alphabet != graph.alphabet:
         raise AlphabetMismatchError(
             f"pattern alphabet {pattern.alphabet} differs from "
@@ -373,8 +374,7 @@ def pattern_frequency(graph: LabeledDigraph, pattern: RootedPattern) -> Fraction
         )
     if graph.n == 0:
         return Fraction(0)
-    fixed, moved = _statistic_words(pattern)
-    return Fraction(graph.hom.trace.statistic_count(fixed, moved), graph.n)
+    return bs_statistic(graph.hom, *_statistic_words(pattern))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ def _require_comparable(h1: PermHomomorphism, h2: PermHomomorphism):
         raise SourceMismatchError("homomorphisms must share a FiniteGroup source")
 
 
+def _require_conjugacy_pair(h1: PermHomomorphism, h2: PermHomomorphism):
+    """:func:`_require_comparable`, and one degree for both."""
+    _require_comparable(h1, h2)
+    if h1.degree != h2.degree:
+        raise SourceMismatchError("homomorphisms must share a degree")
+
+
 def _orbit_types(*actions) -> list[list[list[list[int]]]]:
     """Orbit types of ``(generator images, degree)`` actions of one
     generating set, in order of first appearance; each type lists, per
@@ -169,9 +176,7 @@ def is_conjugate(
     ``p * h1(g) * p^-1 == h2(g)`` for every ``g``: it is equivariant on
     the generators by construction, hence on every element.
     """
-    _require_comparable(h1, h2)
-    if h1.degree != h2.degree:
-        raise SourceMismatchError("homomorphisms must share a degree")
+    _require_conjugacy_pair(h1, h2)
     witness, _ = _match(h1, h2)
     if len(witness) < h1.degree:
         return False, None

@@ -59,7 +59,14 @@ from .groups import (
     subgroup_conjugacy_classes,
     trivial_hom,
 )
-from .multiplicity import _census, _orbit_types, _orbits, _transport, is_conjugate
+from .multiplicity import (
+    _census,
+    _orbit_types,
+    _orbits,
+    _require_conjugacy_pair,
+    _transport,
+    is_conjugate,
+)
 from .perm import (
     Permutation,
     _int_tokens,
@@ -81,7 +88,7 @@ def agreement_set(h1: PermHomomorphism, h2: PermHomomorphism) -> tuple[int, ...]
     if h1.source != h2.source:
         raise SourceMismatchError("homomorphisms must share a source")
     if h1.degree != h2.degree:
-        raise DegreeMismatchError("homomorphisms must share a degree")
+        raise SourceMismatchError("homomorphisms must share a degree")
     gens1 = [p.images for p in generator_images(h1)]
     gens2 = [p.images for p in generator_images(h2)]
     pts = []
@@ -231,10 +238,7 @@ def min_conjugator_distance(
     ties break to the lexicographically least one-line form.  Requires a
     shared finite source and a conjugate pair; exact at any degree.
     """
-    if not isinstance(h1.source, FiniteGroup) or h1.source != h2.source:
-        raise SourceMismatchError("homomorphisms must share a FiniteGroup source")
-    if h1.degree != h2.degree:
-        raise SourceMismatchError("homomorphisms must share a degree")
+    _require_conjugacy_pair(h1, h2)
     ident = Permutation.identity(h1.degree)
     p = nearest_conjugator(generator_images(h1), generator_images(h2), ident)
     return hamming_distance(p, ident), p

@@ -24,9 +24,10 @@ to a key (``1.0`` or ``True`` for 1) reads as that id, and anything else
 raises ``PermStabError``.  Words are compared syntactically; the
 underlying group equality is never decided, which leaves every value
 well-defined because only the evaluated permutations enter the counts.
-A query parses its words once, adding each new word's mask to the store,
-and then ANDs the store's masks into one int in a single loop, which also
-checks the ids.
+A count (:func:`bs_statistic`, which :func:`action_trace` and
+``graphs.pattern_frequency`` read, or :func:`s_from_tr`) parses its words
+once, adding each new word's mask to the store, and then ANDs the store's
+masks into one int in a single loop, which also checks the ids.
 """
 
 from __future__ import annotations
@@ -49,20 +50,18 @@ ElementSet = Iterable  # ids (int) or words (str | Word)
 
 
 class ActionTrace:
-    """Counts of points fixed by one element set and moved by another, for
-    one homomorphism.
+    """The fixed-point masks and share memo of one homomorphism, which the
+    statistics of this module read.
 
-    Every count reads one store of fixed-point masks, ``_mask_memo``: for
-    a table source, a dict from element id to mask, built with the trace,
-    whose lookup is the id check; for a presentation source, a dict keyed
-    by word tuple, to which each word's mask is added the first time it is
-    asked for.  A query parses its words once (``_canonical``, which also
-    fills the store) and ANDs the store's masks into one int in a loop of
-    its own, so a count is a few ANDs and one ``bit_count``, with no mask
-    list.  Its exact share of the degree is one ``Fraction`` per count,
-    kept in ``_shares``.  The table store never changes after it is
-    built; the word and share memos are insert-only and each entry is the
-    same whoever adds it, so a trace may be shared across threads.
+    The masks are one store, ``_mask_memo``: for a table source, a dict
+    from element id to mask, built with the trace, whose lookup is the id
+    check; for a presentation source, a dict keyed by word tuple, to which
+    each word's mask is added the first time it is asked for
+    (``_canonical``, which parses a query's words once).  The exact share
+    of the degree is one ``Fraction`` per point count, kept in
+    ``_shares``.  The table store never changes after it is built; the
+    word and share memos are insert-only and each entry is the same
+    whoever adds it, so a trace may be shared across threads.
     """
 
     def __init__(self, h: PermHomomorphism):
@@ -92,8 +91,7 @@ class ActionTrace:
     def masks(self, elements: ElementSet) -> list[int]:
         """The fixed-point mask of each element, in order."""
         store = self._mask_memo
-        if self._gens is not None:
-            elements = self._canonical(elements)
+        elements = self._canonical(elements)
         out = []  # a loop: a comprehension is one more call on Python 3.11
         try:
             for e in elements:
@@ -114,40 +112,6 @@ class ActionTrace:
             share = self._shares[count] = Fraction(count, degree)
         return share
 
-    # The queries below fold their masks in their own bodies: on Python
-    # 3.11 each call of a helper costs about as much as the fold itself.
-    def statistic_count(self, A: ElementSet, B: ElementSet) -> int:
-        """Number of points fixed by all of ``A`` and moved by all of ``B``."""
-        store = self._mask_memo
-        if self._gens is not None:
-            A, B = self._canonical(A), self._canonical(B)
-        mask = self._full
-        try:
-            for a in A:
-                mask &= store[a]
-            for b in B:
-                mask &= ~store[b]
-        except KeyError as exc:
-            raise _outside_group(exc) from None
-        return mask.bit_count()
-
-    def value(self, A: ElementSet) -> Fraction:
-        """``Tr(A)``."""
-        store = self._mask_memo
-        if self._gens is not None:
-            A = self._canonical(A)
-        mask = self._full
-        try:
-            for a in A:
-                mask &= store[a]
-        except KeyError as exc:
-            raise _outside_group(exc) from None
-        count = mask.bit_count()
-        try:
-            return self._shares[count]
-        except KeyError:
-            return self._share(count, False)
-
 
 def _outside_group(exc: KeyError) -> PermStabError:
     """The error for an element that is not a key of the mask store."""
@@ -160,10 +124,12 @@ def get_trace(h: PermHomomorphism) -> ActionTrace:
 
 
 def action_trace(h: PermHomomorphism, A: ElementSet) -> Fraction:
-    """Fraction of points fixed simultaneously by every image of ``A``."""
-    return h.trace.value(A)
+    """Fraction of points fixed by every image of ``A``: ``S(A, {})``."""
+    return bs_statistic(h, A, ())
 
 
+# bs_statistic and s_from_tr fold their masks in their own bodies: on
+# Python 3.11 each call of a helper costs about as much as the fold itself.
 def bs_statistic(h: PermHomomorphism, A: ElementSet, B: ElementSet) -> Fraction:
     """Fraction of points fixed by all of ``A`` and moved by all of ``B``.
 

@@ -625,7 +625,7 @@ REFUSALS = [
     ),
     pytest.param(
         ["small-conj", "z2_swap", z2_hom("(1 2)", degree=3)],
-        EXIT_DOMAIN, "DegreeMismatchError", "homomorphisms must share a degree",
+        EXIT_DOMAIN, "SourceMismatchError", "homomorphisms must share a degree",
         id="small-conj-two-degrees",
     ),
     pytest.param(
@@ -633,7 +633,7 @@ REFUSALS = [
         EXIT_DOMAIN, "SourceMismatchError", "homomorphisms must share a FiniteGroup source",
         id="min-conj-two-groups",
     ),
-    pytest.param(  # not DegreeMismatchError, as small-conj gives
+    pytest.param(
         ["min-conj", "z2_swap", z2_hom("(1 2)", degree=3)],
         EXIT_DOMAIN, "SourceMismatchError", "homomorphisms must share a degree",
         id="min-conj-two-degrees",

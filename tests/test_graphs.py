@@ -1097,3 +1097,31 @@ class TestEncoding:
         g = LabeledDigraph(1, alphabet, perms)
         with pytest.raises(BoundExceededError):
             encode_to_simple(g)
+
+
+# (call, error class, message): edge lists that are not action graphs
+REFUSALS = [
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ["x"], [(1, 2, "y")]),
+        MalformedInputError, "unknown label 'y'",
+        id="unknown-label",
+    ),
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ["x"], [(1, 2, "x"), (1, 1, "x")]),
+        MalformedInputError, "two 'x'-edges leave vertex 1",
+        id="two-out-edges-of-one-label",
+    ),
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ["x"], [(1, 2, "x")]),
+        MalformedInputError, "label 'x' is not the graph of a permutation",
+        id="label-not-a-permutation",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

@@ -28,10 +28,12 @@ from permstab.groups import (
     direct_sum_hom,
     evaluate_word,
     group_from_permutations,
+    hom_from_element_map,
     hom_from_generator_images,
     klein_four_group,
     parse_word,
     quaternion_group,
+    restrict_hom,
     subgroup_conjugacy_classes,
     symmetric_group,
     trivial_hom,
@@ -827,3 +829,96 @@ class TestHomBuilders:
         G = cyclic_group(4)
         with pytest.raises(NotSubgroupError):
             Subgroup(G, [0, 1])  # not closed
+
+
+# (call, error class, message): refusals of values built in the library
+REFUSALS = [
+    pytest.param(
+        lambda: FiniteGroup([[0, 1], [1]]),
+        GroupTableError, "multiplication table must be square",
+        id="table-not-square",
+    ),
+    pytest.param(
+        lambda: FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]]),
+        GroupTableError, "table has no identity element",
+        id="table-without-identity",
+    ),
+    pytest.param(
+        lambda: Subgroup(cyclic_group(2), [1]),
+        NotSubgroupError, "member set lacks the identity",
+        id="subgroup-without-identity",
+    ),
+    pytest.param(  # closed under inverses: 1 and 3 are each other's
+        lambda: Subgroup(cyclic_group(4), [0, 1, 3]),
+        NotSubgroupError, "member set not closed under product (1,1)",
+        id="subgroup-not-closed-under-products",
+    ),
+    pytest.param(
+        lambda: group_from_permutations([]),
+        GroupTableError, "need at least one generator",
+        id="closure-of-no-generators",
+    ),
+    pytest.param(
+        lambda: group_from_permutations([Permutation([2, 1]), Permutation([1])]),
+        GroupTableError, "generators must share a degree",
+        id="closure-of-two-degrees",
+    ),
+    pytest.param(
+        lambda: coset_action(cyclic_group(2), Subgroup(cyclic_group(3), [0])),
+        NotSubgroupError, "subgroup belongs to a different group",
+        id="coset-action-of-another-group",
+    ),
+    pytest.param(
+        lambda: FpGroup(("x", "x")),
+        WordError, "duplicate generator names",
+        id="presentation-duplicate-names",
+    ),
+    pytest.param(
+        lambda: FpGroup(("x",), [((1, 1),)]),
+        WordError, "relator references unknown generator 1",
+        id="presentation-unknown-generator",
+    ),
+    pytest.param(
+        lambda: FpGroup(("x",), [((0, 0),)]),
+        WordError, "zero exponent in relator",
+        id="presentation-zero-exponent",
+    ),
+    pytest.param(
+        lambda: evaluate_word(trivial_hom(cyclic_group(2), 1), "x"),
+        WordError, "string words require an FpGroup source",
+        id="string-word-on-a-table-source",
+    ),
+    pytest.param(
+        lambda: hom_from_element_map(cyclic_group(2), 1, {0: Permutation([1])}),
+        SourceMismatchError, "element map must cover every element id",
+        id="element-map-missing-an-id",
+    ),
+    pytest.param(
+        lambda: hom_from_generator_images(cyclic_group(4), {2: Permutation([1])}, 1),
+        SourceMismatchError, "given elements do not generate the group",
+        id="generator-images-not-generating",
+    ),
+    pytest.param(
+        lambda: restrict_hom(trivial_hom(FpGroup(("x",)), 1), Subgroup(cyclic_group(2), [0])),
+        SourceMismatchError, "restriction requires a FiniteGroup source",
+        id="restriction-of-a-presentation-source",
+    ),
+    pytest.param(
+        lambda: restrict_hom(trivial_hom(cyclic_group(2), 1), Subgroup(cyclic_group(3), [0])),
+        NotSubgroupError, "subgroup belongs to a different group",
+        id="restriction-to-another-group",
+    ),
+    pytest.param(
+        lambda: direct_sum_hom(trivial_hom(cyclic_group(2), 1), trivial_hom(cyclic_group(3), 1)),
+        SourceMismatchError, "direct sum requires a common source",
+        id="direct-sum-across-sources",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

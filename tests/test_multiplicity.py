@@ -210,6 +210,19 @@ class TestMultiplicityVector:
                 )
                 assert total == h.degree
 
+    @pytest.mark.parametrize(
+        "G",
+        [cyclic_group(2), klein_four_group(), symmetric_group(3)[0]],
+        ids=["Z2", "V4", "S3"],
+    )
+    def test_degree_zero(self, G):
+        # no points: every count and every normalized multiplicity is 0,
+        # as `perm-stab mult` reports for a degree-0 homomorphism
+        mv = multiplicity_vector(trivial_hom(G, 0))
+        classes = range(len(subgroup_conjugacy_classes(G)))
+        assert [mv.multiplicity(c) for c in classes] == [0] * len(classes)
+        assert [mv.r(c) for c in classes] == [0] * len(classes)
+
 
 class TestIsConjugate:
     def test_klein_pair_not_conjugate(self):

@@ -461,3 +461,26 @@ class TestRestrict:
         # be refused before it is
         with pytest.raises(DegreeMismatchError):
             restrict(Permutation.identity(3), points)
+
+
+# (call, error class, message): refusals no other test here pins
+REFUSALS = [
+    pytest.param(
+        lambda: Permutation([2, 1]) * Permutation([1]),
+        DegreeMismatchError, "cannot compose degrees 2 and 1",
+        id="product-of-two-degrees",
+    ),
+    pytest.param(
+        lambda: parse_permutation("()", -1),
+        PermutationParseError, "degree must be nonnegative",
+        id="negative-degree",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

@@ -17,6 +17,7 @@ from permstab.errors import (
     BoundExceededError,
     DegreeMismatchError,
     NotConjugateError,
+    NotSubgroupError,
     SourceMismatchError,
     ZeroMultiplicityError,
 )
@@ -1359,3 +1360,78 @@ def test_outputs_pinned(name, digest):
     # scanned the group once per orbit
     out = json.dumps(PINNED_OUTPUTS[name]())
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (call, error class, message): refusals of values built in the library
+REFUSALS = [
+    pytest.param(
+        lambda: small_conjugator(trivial_hom(FpGroup(("x",)), 1), trivial_hom(FpGroup(("x",)), 1)),
+        SourceMismatchError, "small conjugators require a finite source",
+        id="small-conjugator-of-a-presentation-source",
+    ),
+    pytest.param(
+        lambda: has_extension(
+            cyclic_group(2), Subgroup(cyclic_group(3), [0]), trivial_hom(cyclic_group(3), 1)
+        ),
+        NotSubgroupError, "subgroup belongs to a different group",
+        id="extension-from-another-group",
+    ),
+    pytest.param(
+        lambda: find_normal_complement(cyclic_group(2), Subgroup(cyclic_group(3), [0])),
+        NotSubgroupError, "subgroup belongs to a different group",
+        id="complement-in-another-group",
+    ),
+    pytest.param(
+        lambda: amalgamated_hom(
+            trivial_hom(cyclic_group(2), 1), trivial_hom(cyclic_group(2), 1), []
+        ).evaluate_alternating([(3, 0)]),
+        AmalgamMismatchError, "side must be 1 or 2, got 3",
+        id="amalgam-side-3",
+    ),
+    pytest.param(
+        lambda: amalgamated_hom(
+            trivial_hom(cyclic_group(2), 1), trivial_hom(cyclic_group(2), 1), []
+        ).evaluate_mixed_word("s"),
+        AmalgamMismatchError, "mixed words require presentation sources on both sides",
+        id="amalgam-mixed-word-on-table-sources",
+    ),
+    pytest.param(
+        lambda: amalgamated_hom(
+            trivial_hom(FpGroup(("s",)), 1), trivial_hom(FpGroup(("t",)), 1), []
+        ).evaluate_mixed_word("s u"),
+        AmalgamMismatchError, "unknown generator 'u'",
+        id="amalgam-unknown-generator",
+    ),
+    pytest.param(
+        lambda: amalgamated_hom(
+            trivial_hom(FpGroup(("s", "t")), 1), trivial_hom(FpGroup(("t", "s")), 1), []
+        ),
+        AmalgamMismatchError, "generator alphabets must be disjoint, both use ['s', 't']",
+        id="amalgam-shared-alphabet",
+    ),
+    pytest.param(
+        lambda: replication_count(
+            trivial_hom(cyclic_group(2), 1), trivial_hom(cyclic_group(3), 1), 1
+        ),
+        SourceMismatchError, "homomorphisms must share a source",
+        id="replication-across-sources",
+    ),
+    pytest.param(
+        lambda: centralizer_correct(Permutation([1]), Permutation([2, 1])),
+        DegreeMismatchError, "degrees differ: 1 vs 2",
+        id="correction-across-degrees",
+    ),
+    pytest.param(
+        lambda: centralizer_correct(Permutation([1]), Permutation([1]), "fast"),
+        ValueError, "unknown mode 'fast'",
+        id="correction-unknown-mode",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
