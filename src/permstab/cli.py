@@ -57,7 +57,7 @@ from .multiplicity import _census, _require_comparable, is_conjugate, multiplici
 from .perm import hamming_distance, parse_permutation, Permutation
 from .stability import (
     _check_lift,
-    agreement_set,
+    _small_conjugator,
     amalgamated_hom,
     centralizer_correct,
     compose_lift,
@@ -65,7 +65,6 @@ from .stability import (
     has_extension,
     max_image_distance,
     min_conjugator_distance,
-    small_conjugator,
 )
 from .trace_stats import action_trace, bs_statistic
 
@@ -149,7 +148,7 @@ def _cmd_order(args, load) -> dict:
 def _cmd_small_conj(args, load) -> dict:
     h1 = _hom(load, args.hom1)
     h2 = _hom(load, args.hom2)
-    p = small_conjugator(h1, h2)
+    p, agreed = _small_conjugator(h1, h2)
     eps = max_image_distance(h1, h2)
     order = h1.source.order
     return {
@@ -159,7 +158,7 @@ def _cmd_small_conj(args, load) -> dict:
         ),
         "epsilon": format_rational(eps),
         "bound": format_rational(order * eps),
-        "agreement_size": len(agreement_set(h1, h2)),
+        "agreement_size": len(agreed),
     }
 
 

@@ -14,20 +14,22 @@ canonical enumeration of small connected rooted patterns.
 
 Every embedding is forced once the root is placed, so one root-first
 traversal of a pattern's slot rows (per vertex and label, its out- and
-in-neighbour) serves three ends: connectivity, the spanning-tree words
-whose sets ``A_P``, ``B_P`` give the frequency ``S(A_P, B_P)`` on the
-graph's free-group action (counted by ``trace_stats`` from fixed-point
-masks), and a complete invariant, the out-neighbours renumbered in
-discovery order, which deduplicates the enumeration and keys the orbits.
+in-neighbour) gives its connectivity and the spanning-tree words whose
+sets ``A_P``, ``B_P`` give the frequency ``S(A_P, B_P)`` on the graph's
+free-group action (counted by ``trace_stats`` from fixed-point masks).
 
-Distances count embeddings along the enumeration tree.  The enumerator
-builds every class as the class it was found from plus one edge, in that
-parent's vertex numbering, so a class's edge triples are its parent's
-followed by the added edge.  A class keys no successor candidate that
-avoids the vertex its own last edge added and that its parent offered
-before that edge: the parent's child by that candidate entered the layer
-earlier and offers the same child, so every first-found class stays the
-same.  A vertex gets its word when it is added:
+The catalogue of a letter count and size bound depends on nothing else,
+so it is not enumerated here: the package's ``catalogues.bin`` holds
+every catalogue the work budget admits, written by the enumerator in
+``tests/enumerator.py``, and :func:`enumerate_patterns` reads one the
+first time it is asked for.  The enumerator keys each class by its
+out-neighbours renumbered in root-first discovery order, a complete
+invariant, and builds every class as the class it was found from plus
+one edge, in that parent's vertex numbering, so a class's edge triples
+are its parent's followed by the added edge.
+
+Distances count embeddings along that generation tree.  A vertex gets
+its word when it is added:
 the root the empty word, a vertex added by an edge labelled ``s`` from or
 to ``u`` the word ``s w_u`` or ``s^-1 w_u``.  So a class's rooted
 embeddings are its parent's that meet one more condition: an added inner
@@ -58,16 +60,15 @@ the distance invariant under a consistent relabeling of both graphs.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import (
-    accumulate, chain, combinations, compress, count, islice, permutations as iperms, product
-)
-from math import factorial
-from operator import itemgetter, sub
-from struct import pack
+from itertools import accumulate, chain, combinations, compress, count
+from operator import sub
+from os import path
+from struct import iter_unpack, unpack
 from sys import byteorder
+from zlib import decompress
 
 from .errors import (
     AlphabetMismatchError,
@@ -82,9 +83,11 @@ from .trace_stats import bs_statistic
 
 DEFAULT_PATTERN_VERTEX_BOUND = 6
 # traversal keys one enumeration may count, its successor candidates (keyed
-# or not) and its orbits' relabelings: xyz at bound 3 counts 100,025
+# or not) and its orbits' relabelings: xyz at bound 3 counts 100,025.  It
+# chose the catalogues in _CATALOGUES, and every other pair's refusal names it
 DEFAULT_PATTERN_KEY_BUDGET = 120_000
 DEFAULT_ALPHABET_BOUND = 8
+_CATALOGUES = path.join(path.dirname(__file__), "catalogues.bin")
 
 
 class LabeledDigraph(Record):
@@ -195,12 +198,6 @@ class RootedPattern(Record):
             raise MalformedInputError("pattern must be connected")
         super().__init__(n, root, alphabet, edges)
 
-    def certificate(self) -> tuple:
-        """The enumeration's sort key, ``(n, 1, sorted edge triples)``
-        (:func:`_certificate`)."""
-        rows = _slot_rows(self.n, self.edges, len(self.alphabet))
-        return self.n, 1, tuple(_certificate(rows, self.root, self.edges))
-
 
 def _slot_rows(n: int, edges: Iterable[tuple[int, int, int]], m: int) -> list:
     """Row ``v`` (``1..n``; row 0 unused) holds ``2m`` slots, label-major,
@@ -232,115 +229,6 @@ def _spanning_words(
                 tree.append((v, u, lab) if back else (u, v, lab))
                 queue.append(v)
     return words, tree
-
-
-def _traversal_key(rows: list[list[int]], root: int) -> tuple:
-    """Complete invariant of a connected pattern under root-preserving
-    isomorphism: every out slot, vertices in the order a breadth-first
-    search from the root scanning the slots reaches them, each neighbour
-    renumbered in that order (0 for none).  On rows whose slots a label
-    permutation reorders, it keys the relabeled pattern."""
-    pos = [0] * len(rows)
-    pos[0] = pos[root] = count = 1  # slot value 0 (no edge) counts as reached
-    last = len(rows) - 1
-    queue = [root]
-    for u in queue:
-        if count == last:  # every vertex reached
-            break
-        for w in rows[u]:
-            if not pos[w]:
-                count += 1
-                pos[w] = count
-                queue.append(w)
-    pos[0] = 0
-    return tuple([pos[w] for u in queue for w in rows[u][::2]])
-
-
-def _refine_ranks(rows: list[list[int]], root: int) -> list[int]:
-    """Rank of each vertex ``v`` at entry ``v`` (entry 0 is 0) by colour
-    refinement: from root against the rest, each round ranks the vertices
-    by :func:`_signature`, for three rounds or until a round (or every
-    class) can split no further.  The root keeps rank 0.  On the catalogues
-    checked (see :func:`_certificate`) every rank ends up holding one
-    vertex, so the ranks number the vertices.  Round one
-    (:func:`_first_signature`) separates the vertices of all but 48 of the
-    4,657 classes of ``xy`` at bound 4 with three or more vertices, which
-    the enumerator numbers itself; only the rest come here."""
-    n = len(rows) - 1
-    ranks = [1] * (n + 1)
-    ranks[0] = ranks[root] = 0
-    if n <= 2:  # the root and at most one other vertex
-        return ranks
-    # the root's signature sorts first in every round: rank only the rest
-    others = [*range(1, root), *range(root + 1, n + 1)]
-    sigs = [_first_signature(root, tuple(rows[v])) for v in others]
-    rank = ranks.__getitem__  # ranks is updated in place
-    classes = 2
-    for step in range(3):
-        if step:  # rounds two and three
-            sigs = [_signature(rank(v), rows[v], rank) for v in others]
-        order = sorted(set(sigs))
-        if len(order) + 1 == classes:
-            break
-        classes = len(order) + 1
-        for v, sig in zip(others, sigs):
-            ranks[v] = order.index(sig) + 1
-        if classes == n:
-            break
-    return ranks
-
-
-def _signature(rank: int, row: Sequence[int], rank_of: Callable[[int], int]) -> str:
-    """Refinement signature of a vertex of rank ``rank`` with slot row
-    ``row``: the ``repr`` of ``((rank,), outs, ins)``, ``outs`` and ``ins``
-    holding ``(label, (neighbour rank,))`` per filled slot in label order.
-    Vertices rank as that text sorts, which fixed the published order."""
-    outs = tuple([(lab, (rank_of(w),)) for lab, w in enumerate(row[::2]) if w])
-    ins = tuple([(lab, (rank_of(w),)) for lab, w in enumerate(row[1::2]) if w])
-    return repr(((rank,), outs, ins))
-
-
-@lru_cache(maxsize=2048)
-def _first_signature(root: int, row: tuple[int, ...]) -> str:
-    """Round-one signature (:func:`_signature`) of a vertex other than
-    ``root`` with slot row ``row``: every vertex but the root has rank 1.
-    The rows of a catalogue repeat: ``xy`` at bound 4 reads 13,767 rows,
-    392 of them distinct, and ``xyz`` at bound 3, the largest catalogue
-    the key budget admits, 1,427 distinct ones, within the cache."""
-    return _signature(1, row, lambda w: 0 if w == root else 1)
-
-
-def _certificate(
-    rows: list[list[int]], root: int, edges: Iterable[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
-    """The sorted edge triples of a pattern's sort key, which the
-    enumerator takes for a class that round one leaves tied: the vertices
-    numbered by refinement rank (:func:`_refine_ranks`), vertex ``v``
-    number ``rank + 1`` when every rank holds one vertex, else least over
-    the numberings within a rank; the root, alone in rank 0, is numbered 1
-    either way.  The key is ``(n, 1, triples)``, which the enumeration
-    packs into bytes.  Every rank held one vertex on every class of every
-    catalogue the key budget admits (``x`` up to bound 6, ``xy`` up to 4,
-    ``xyz`` up to 3, four letters up to 2, five to seven letters at 1), so
-    the search over numberings serves only patterns built by callers, and
-    is not the least over all root-preserving ones.  ``edges`` is read once."""
-    ranks = _refine_ranks(rows, root)
-    n = len(rows) - 1
-    if max(ranks) == n - 1:  # ranks 0..n-1, one vertex each
-        number = [r + 1 for r in ranks]
-        return sorted([(number[u], number[w], lab) for u, w, lab in edges])
-    edges = list(edges)
-    classes: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-    for v in range(1, n + 1):
-        classes[ranks[v]].append(v)
-
-    def numbered(combo) -> list:
-        number = [0] * (n + 1)
-        for i, v in enumerate(chain.from_iterable(combo), 1):
-            number[v] = i
-        return sorted([(number[u], number[w], lab) for u, w, lab in edges])
-
-    return min(map(numbered, product(*map(iperms, classes))))
 
 
 def _statistic_words(pattern: RootedPattern) -> tuple[frozenset, frozenset]:
@@ -440,25 +328,15 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     """All connected rooted patterns with at most ``size_bound`` vertices,
     in canonical order, each paired with its weight.
 
-    Generation adds one edge per layer and keeps the first pattern found
-    per :func:`_traversal_key`.  A class ``P``, its parent ``P'`` plus
-    ``e'``, keys no candidate that avoids the vertex ``e'`` added and that
-    ``P'`` offered before ``e'`` (:func:`_offer_place`): ``P'`` plus that
-    candidate entered the layer before ``P`` and offers ``e'``, so the
-    child is found first there.  Order: :func:`_certificate`, vertex count
-    first.  The j-th label-relabeling orbit (1-based, ordered by first
-    appearance) has weight ``2^-j``; an orbit keeps its edge count, so the
-    first class of an orbit found in a layer keys its relabelings there.
-    No pattern or weight is built: each class keeps its edge triples as
-    bytes, its parent's plus the added edge, its vertex count and its orbit
-    number, from which the :class:`Catalogue` builds a pair on access.
-
-    The work is bounded: an enumeration that would compute more than
-    ``DEFAULT_PATTERN_KEY_BUDGET`` traversal keys, one per successor
-    candidate, keyed or not, and one per relabeling of each orbit, counted
-    before they are computed, raises ``BoundExceededError``.  The
-    relabelings are listed only once the first orbit's keys fit the
-    budget, so an alphabet too wide for it is refused before any is built.
+    The arrays of ``len(alphabet)`` letters at ``size_bound`` are read
+    from ``catalogues.bin`` on the first call for that pair.  The file
+    holds each pair whose enumeration fits ``DEFAULT_PATTERN_KEY_BUDGET``
+    traversal keys; any other pair is refused from its index with the
+    ``BoundExceededError`` the enumerator raises.  Layout: ``<H`` index
+    entries of ``<BBIII`` (letter count, size bound, class count, stream
+    offset, stream length), then one zlib stream per pair holding
+    ``sizes``, ``offsets``, ``orbits`` (four bytes an entry, little
+    endian) and the edge bytes.
     """
     if size_bound < 1:
         return Catalogue(alphabet)
@@ -466,111 +344,20 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         raise BoundExceededError(
             f"size bound {size_bound} exceeds {DEFAULT_PATTERN_VERTEX_BOUND}"
         )
-    m = len(alphabet)
-    relabelings = factorial(m) - 1  # keys per orbit, one per relabeling
-    orders: list[itemgetter] = []  # their slot orders, listed for the first orbit
-    spent = 1  # traversal keys counted, the seed's first
-    seed = _slot_rows(1, (), m)
-    # (n, edge bytes, rows, key, the vertex the last edge added or 0) per class
-    layer = [(1, b"", seed, _traversal_key(seed, 1), 0)]
-    classes = []  # (certificate bytes, n, edge bytes, orbit id) per class
-    while layer:
-        orbit_of: dict[tuple, int] = {}  # keys of this layer
-        seen: set[tuple] = set()  # keys of the next layer
-        new = []
-        layer.reverse()  # popped in order, so each class's rows go when done
-        while layer:
-            n, edges, rows, key, added = layer.pop()
-            if key not in orbit_of:
-                orbit_of[key] = orbit = len(classes)  # the orbit's first class
-                spent += relabelings
-                if spent > DEFAULT_PATTERN_KEY_BUDGET:
-                    raise _over_budget(alphabet, size_bound)
-                if len(orders) < relabelings:  # within the budget: list them once
-                    orders = [
-                        itemgetter(*[k for lab in perm for k in (2 * lab, 2 * lab + 1)])
-                        for perm in islice(iperms(range(m)), 1, None)  # not the identity
-                    ]
-                for order in orders:
-                    orbit_of.setdefault(_traversal_key(list(map(order, rows)), 1), orbit)
-            # sorted by certificate: each edge as u << 16 | w << 8 | lab in
-            # big-endian bytes, which compare as the triples do and give the
-            # garbage collector nothing to track.  Round one numbers the
-            # vertices when it separates them, as _refine_ranks would; taking
-            # _certificate for every class made cold enumeration 1.11-1.17x slower
-            it = iter(edges)
-            sigs = range(n - 1)  # the root and at most one other vertex: no row read
-            if n > 2:
-                sigs = [_first_signature(1, tuple(row)) for row in rows[2:]]
-            if len(set(sigs)) == n - 1:
-                ranked = sorted(sigs)
-                at = [0, 1, *[ranked.index(sig) + 2 for sig in sigs]]
-                codes = [at[u] << 16 | at[w] << 8 | lab for u, w, lab in zip(it, it, it)]
-            else:
-                tie = _certificate(rows, 1, zip(it, it, it))
-                codes = [u << 16 | w << 8 | lab for u, w, lab in tie]
-            cert = pack(f">BB{len(codes)}I", n, 1, *sorted(codes))
-            classes.append((cert, n, edges, orbit_of[key]))
-            # successors: an edge of each label from a vertex with a free
-            # out-slot to one with a free in-slot, then, below the bound,
-            # to and from a new vertex, set in place in the parent's rows.
-            # This class is its parent plus (a, b, last); a candidate that
-            # avoids the vertex that edge added and that the parent offered
-            # before it is not keyed: the parent's child by the candidate
-            # entered this layer earlier and offers (a, b, last) in turn
-            a, b, last = edges[-3:] or (0, 0, -1)
-            before = _offer_place(a, b, n - (added > 0))
-            if n < size_bound:
-                rows.append([0] * (2 * m))
-            vertices = range(1, n + 1)
-            for lab in range(m):
-                o, i = 2 * lab, 2 * lab + 1
-                ends = [
-                    (u, v) for u in vertices if not rows[u][o] for v in vertices if not rows[v][i]
-                ]
-                if n < size_bound:
-                    for u in vertices:
-                        if not rows[u][o]:
-                            ends.append((u, n + 1))
-                        if not rows[u][i]:
-                            ends.append((n + 1, u))
-                spent += len(ends)
-                if spent > DEFAULT_PATTERN_KEY_BUDGET:
-                    raise _over_budget(alphabet, size_bound)
-                if lab <= last:
-                    ends = [e for e in ends
-                            if added in e or lab == last and _offer_place(*e, n) > before]
-                for u, v in ends:
-                    rows[u][o], rows[v][i] = v, u
-                    succ_key = _traversal_key(rows, 1)
-                    if succ_key not in seen:
-                        seen.add(succ_key)
-                        k = max(n, u, v)
-                        new.append((
-                            k, edges + bytes((u, v, lab)), [row[:] for row in rows[: k + 1]],
-                            succ_key, k if k > n else 0,
-                        ))
-                    rows[u][o] = rows[v][i] = 0
-        layer = new
-    classes.sort(key=itemgetter(0))
-    number: dict[int, int] = {}  # orbit id -> its number j, weight 2^-j
-    for _, _, _, orbit in classes:
-        number.setdefault(orbit, len(number) + 1)
-    return Catalogue(
-        alphabet,
-        bytes(map(itemgetter(1), classes)),
-        b"".join(map(itemgetter(2), classes)),
-        array("I", accumulate((len(entry[2]) for entry in classes), initial=0)),
-        array("I", [number[entry[3]] for entry in classes]),
-    )
-
-
-def _offer_place(u: int, v: int, n: int) -> tuple[int, int, int]:
-    """Where an ``n``-vertex class offers the edge ``(u, v)`` among its
-    label's successor candidates: inner pairs by ``(u, v)``, then the edges
-    joining an old vertex to the new vertex ``n + 1``, by old vertex, the
-    edge leaving it first."""
-    return (0, u, v) if max(u, v) <= n else (1, u, 0) if v > n else (1, v, 1)
+    with open(_CATALOGUES, "rb") as file:
+        (entries,) = unpack("<H", file.read(2))
+        for m, bound, n, at, size in iter_unpack("<BBIII", file.read(14 * entries)):
+            if (m, bound) == (len(alphabet), size_bound):
+                file.seek(at)
+                data = decompress(file.read(size))
+                break
+        else:
+            raise _over_budget(alphabet, size_bound)
+    offsets, orbits = array("I", data[n : 5 * n + 4]), array("I", data[5 * n + 4 : 9 * n + 4])
+    if byteorder == "big":
+        offsets.byteswap()
+        orbits.byteswap()
+    return Catalogue(alphabet, data[:n], data[9 * n + 4 :], offsets, orbits)
 
 
 def _over_budget(alphabet: tuple[str, ...], size_bound: int) -> BoundExceededError:

@@ -116,12 +116,21 @@ def small_conjugator(
     points outside the agreement set, hence
     ``d_H(p, id) <= |H| * max_image_distance(h1, h2)``.
     """
+    return _small_conjugator(h1, h2)[0]
+
+
+def _small_conjugator(
+    h1: PermHomomorphism, h2: PermHomomorphism
+) -> tuple[Permutation, tuple[int, ...]]:
+    """:func:`small_conjugator` and the agreement set it fixes, read once
+    (the CLI reports both)."""
     if not isinstance(h1.source, FiniteGroup):
         raise SourceMismatchError("small conjugators require a finite source")
-    inside = set(agreement_set(h1, h2))
+    agreed = agreement_set(h1, h2)
+    inside = set(agreed)
     outside = [i for i in range(1, h1.degree + 1) if i not in inside]
     if not outside:
-        return Permutation.identity(h1.degree)
+        return Permutation.identity(h1.degree), agreed
     # both actions agree on the agreement set, and finite G-sets cancel, so
     # the pair is conjugate exactly when the restrictions to the complement are
     ok, w = is_conjugate(
@@ -132,7 +141,7 @@ def small_conjugator(
     images = list(range(1, h1.degree + 1))
     for local, orig in enumerate(outside, 1):
         images[orig - 1] = outside[w(local) - 1]
-    return Permutation._trusted(tuple(images))
+    return Permutation._trusted(tuple(images)), agreed
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import json
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
+import tarfile
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -333,6 +335,8 @@ class TestBasicCommands:
         assert out["agreement_size"] == 6
 
     def test_small_conj_one_agreement_set_per_request(self, files, monkeypatch):
+        # counted through both names it is called by, the library's and
+        # the one the CLI imports
         from permstab import stability
 
         calls = []
@@ -343,6 +347,7 @@ class TestBasicCommands:
             return real(h1, h2)
 
         monkeypatch.setattr(stability, "agreement_set", counted)
+        monkeypatch.setattr(cli, "agreement_set", counted, raising=False)
         code, report = dispatch(["small-conj", files["phi1"], files["phi2"]])
         assert code == EXIT_OK and report["outputs"]["agreement_size"] == 6
         assert len(calls) == 1
@@ -893,10 +898,11 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert report["outputs"] == {"s": "1"}
 
-    @pytest.mark.parametrize("letters,bound", [(3, None), (10, "1")])
+    @pytest.mark.parametrize("letters,bound", [(3, None), (10, "1"), (2, "5")])
     def test_pattern_key_budget_is_domain_error(self, tmp_path, letters, bound):
         # three letters at the default bound 4 ran for minutes; ten letters
-        # at bound 1 would list 10! slot orders first
+        # at bound 1 would list 10! slot orders first; two letters at
+        # bound 5 ran about 12 s before a weight passed the str limit
         generators = [f"g{i}" for i in range(letters)]
         path = tmp_path / "graph.json"
         path.write_text(json.dumps({
@@ -1517,9 +1523,10 @@ def test_readme_python_examples_run():
 
 
 def test_only_the_cli_reads_input_files():
-    # the builtin open appears only in jsonio._read_bytes, and the file
-    # readers are used only by the load closure of cli.dispatch, which
-    # lists every file it reads in the report's inputs
+    # the builtin open appears only in jsonio._read_bytes and in
+    # graphs.enumerate_patterns, which reads the package's own catalogue
+    # file, and the file readers are used only by the load closure of
+    # cli.dispatch, which lists every file it reads in the report's inputs
     uses = set()
 
     def walk(module, node, where):
@@ -1538,6 +1545,7 @@ def test_only_the_cli_reads_input_files():
         walk(path.stem, ast.parse(path.read_text(encoding="utf-8")), ())
     assert uses == {
         ("jsonio", ("_read_bytes",), "open"),
+        ("graphs", ("enumerate_patterns",), "open"),
         ("cli", ("dispatch", "load"), "_read_bytes"),
         ("cli", ("dispatch", "load"), "_load_json"),
     }
@@ -1601,3 +1609,25 @@ def test_unwritable_stdout_is_io_error():
     done = fresh_python(code, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
     assert done.stderr == b""
     assert done.returncode == EXIT_IOERR
+
+
+def test_sdist_ships_the_catalogue_file(tmp_path):
+    # the pattern catalogues are package data: an sdist built offline from
+    # a copy of the project holds them (built in the copy, since the build
+    # writes src/permstab.egg-info)
+    pytest.importorskip("setuptools")
+    root = Path(__file__).resolve().parents[1]
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(root / name, tmp_path / name)
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns(
+        "__pycache__", "*.egg-info"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from setuptools import build_meta; print(build_meta.build_sdist('dist'))"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    sdist = tmp_path / "dist" / done.stdout.split()[-1]
+    with tarfile.open(sdist) as archive:
+        names = {name.partition("/")[2] for name in archive.getnames()}
+    assert "src/permstab/catalogues.bin" in names

@@ -3,7 +3,10 @@
 import gc
 import hashlib
 import json
+import struct
+import time
 import tracemalloc
+import zlib
 from fractions import Fraction
 from functools import _lru_cache_wrapper, lru_cache
 from itertools import combinations, permutations as iperms, product
@@ -29,15 +32,17 @@ from permstab.graphs import (
     pattern_frequency,
     stat_distance_details,
     stat_distance_truncated,
+    _over_budget,
     _slot_rows,
     _statistic_words,
-    _traversal_key,
 )
 from permstab.groups import FpGroup, PermHomomorphism
 from permstab.perm import Permutation, parse_permutation
 from permstab.trace_stats import action_trace, bs_statistic, get_trace, s_from_tr
 
+import enumerator
 import oracles
+from enumerator import _traversal_key, certificate
 from randgen import random_permutation
 
 
@@ -192,8 +197,8 @@ class TestFrequencyOracle:
         patterns = all_rooted_patterns(alphabet, 3)
         listed = enumerate_patterns(alphabet, 3)
         assert len(patterns) == len(listed)
-        assert {p.certificate() for p in patterns} == {
-            p.certificate() for p, _ in listed
+        assert {certificate(p) for p in patterns} == {
+            certificate(p) for p, _ in listed
         }
 
     @pytest.mark.parametrize(
@@ -316,9 +321,9 @@ class TestPatternBasics:
         # same pattern under a non-root relabeling
         p1 = RootedPattern(3, 1, ("x",), frozenset({(1, 2, 0), (2, 3, 0)}))
         p2 = RootedPattern(3, 1, ("x",), frozenset({(1, 3, 0), (3, 2, 0)}))
-        assert p1.certificate() == p2.certificate()
+        assert certificate(p1) == certificate(p2)
         p3 = RootedPattern(3, 1, ("x",), frozenset({(2, 1, 0), (3, 2, 0)}))
-        assert p1.certificate() != p3.certificate()
+        assert certificate(p1) != certificate(p3)
 
 
 class TestEnumeration:
@@ -344,24 +349,28 @@ class TestEnumeration:
     def test_orbit_weights_shared_across_relabelings(self):
         pats = dict()
         for p, w in enumerate_patterns(("x", "y"), 2):
-            pats[p.certificate()] = (p, w)
+            pats[certificate(p)] = (p, w)
         x_loop = RootedPattern(1, 1, ("x", "y"), frozenset({(1, 1, 0)}))
         y_loop = RootedPattern(1, 1, ("x", "y"), frozenset({(1, 1, 1)}))
-        assert pats[x_loop.certificate()][1] == pats[y_loop.certificate()][1]
+        assert pats[certificate(x_loop)][1] == pats[certificate(y_loop)][1]
 
     def test_catalogue_retains_little_memory(self):
         # flat arrays: about 0.2 MB; a pattern and a weight object per
-        # class held 3.7 MB (4.4 MB before the collection)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            listed = enumerate_patterns.__wrapped__(("x", "y"), 4)
-            gc.collect()  # the freed successors' tuples kept on free lists
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(listed) == 4694
-        assert retained < 1_500_000
+        # class held 3.7 MB (4.4 MB before the collection), whether the
+        # enumerator builds the catalogue or the package reads it
+        for enumerate_uncached in (
+            enumerator.enumerate_patterns.__wrapped__, enumerate_patterns.__wrapped__
+        ):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                listed = enumerate_uncached(("x", "y"), 4)
+                gc.collect()  # the freed successors' tuples kept on free lists
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(listed) == 4694
+            assert retained < 1_500_000
 
     @pytest.mark.parametrize("alphabet,bound", [(("x", "y"), 4), (("x", "y", "z"), 2)])
     def test_patterns_of_one_orbit_share_a_weight(self, alphabet, bound):
@@ -388,7 +397,7 @@ class TestEnumeration:
         assert listed[::25] == pairs[::25] and listed[3:-2:4] == pairs[3:-2:4]
         assert list(listed) == list(pairs) and list(reversed(listed)) == list(reversed(pairs))
         assert listed == pairs and pairs == listed and listed != pairs[:-1]
-        assert listed == enumerate_patterns.__wrapped__(alphabet, bound) != ()
+        assert listed == enumerator.enumerate_patterns.__wrapped__(alphabet, bound) != ()
         for j in (len(pairs), -len(pairs) - 1):
             with pytest.raises(IndexError):
                 listed[j]
@@ -480,7 +489,7 @@ class TestEnumeration:
         # _certificate and one refinement; no pattern is built.  Each access
         # of a class builds its pattern once, unchecked
         calls = {"certificate": 0, "refine": 0, "init": 0, "trusted": 0}
-        certificate, refine = graphs._certificate, graphs._refine_ranks
+        certificate, refine = enumerator._certificate, enumerator._refine_ranks
         init, trusted = RootedPattern.__init__, RootedPattern._trusted.__func__
 
         def count_certificate(*args):
@@ -505,11 +514,11 @@ class TestEnumeration:
             for p, _ in expected
         )
         assert ties == (48 if bound == 4 else 0)
-        monkeypatch.setattr(graphs, "_certificate", count_certificate)
-        monkeypatch.setattr(graphs, "_refine_ranks", count_refine)
+        monkeypatch.setattr(enumerator, "_certificate", count_certificate)
+        monkeypatch.setattr(enumerator, "_refine_ranks", count_refine)
         monkeypatch.setattr(RootedPattern, "__init__", count_init)
         monkeypatch.setattr(RootedPattern, "_trusted", classmethod(count_trusted))
-        listed = enumerate_patterns.__wrapped__(alphabet, bound)
+        listed = enumerator.enumerate_patterns.__wrapped__(alphabet, bound)
         n = len(listed)
         assert n == len(expected)
         assert calls == {"certificate": ties, "refine": ties, "init": 0, "trusted": 0}
@@ -528,11 +537,11 @@ class TestEnumeration:
         # admits it unchanged; one key less refuses it
         listed = enumerate_patterns(alphabet, bound)
         monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", keys)
-        again = enumerate_patterns.__wrapped__(alphabet, bound)
+        again = enumerator.enumerate_patterns.__wrapped__(alphabet, bound)
         assert again == listed
         monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", keys - 1)
         with pytest.raises(BoundExceededError):
-            enumerate_patterns.__wrapped__(alphabet, bound)
+            enumerator.enumerate_patterns.__wrapped__(alphabet, bound)
 
     @pytest.mark.parametrize("letters,bound", [(10, 1), (8, 1), (2, 5)])
     def test_oversized_catalogue_refused(self, monkeypatch, letters, bound):
@@ -544,9 +553,9 @@ class TestEnumeration:
             keys.append(root)
             return _traversal_key(rows, root)
 
-        monkeypatch.setattr(graphs, "_traversal_key", count_key)
+        monkeypatch.setattr(enumerator, "_traversal_key", count_key)
         with pytest.raises(BoundExceededError, match="traversal keys"):
-            enumerate_patterns.__wrapped__(tuple(f"a{i}" for i in range(letters)), bound)
+            enumerator.enumerate_patterns.__wrapped__(tuple(f"a{i}" for i in range(letters)), bound)
         assert len(keys) <= graphs.DEFAULT_PATTERN_KEY_BUDGET
         assert letters != 10 or len(keys) == 1
 
@@ -561,24 +570,77 @@ class TestEnumeration:
             keys.append(root)
             return _traversal_key(rows, root)
 
-        monkeypatch.setattr(graphs, "_traversal_key", count_key)
-        listed = enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
+        monkeypatch.setattr(enumerator, "_traversal_key", count_key)
+        listed = enumerator.enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
         assert len(keys) == 36_476
-        monkeypatch.setattr(graphs, "_traversal_key", _traversal_key)
+        monkeypatch.setattr(enumerator, "_traversal_key", _traversal_key)
         monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", 100_025)
-        assert enumerate_patterns.__wrapped__(("x", "y", "z"), 3) == listed
+        assert enumerator.enumerate_patterns.__wrapped__(("x", "y", "z"), 3) == listed
         monkeypatch.setattr(graphs, "DEFAULT_PATTERN_KEY_BUDGET", 100_024)
         with pytest.raises(BoundExceededError, match="traversal keys"):
-            enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
+            enumerator.enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
 
     @pytest.mark.parametrize("letters,bound", [(8, 1), (10, 1), (2, 5)])
     def test_refusal_messages(self, letters, bound):
+        # the package refuses with the message the enumerator raises
+        for enumerate_uncached in (
+            enumerator.enumerate_patterns.__wrapped__, enumerate_patterns.__wrapped__
+        ):
+            with pytest.raises(BoundExceededError) as refused:
+                enumerate_uncached(tuple(f"a{i}" for i in range(letters)), bound)
+            assert str(refused.value) == (
+                f"patterns of {letters} letters at size bound {bound} need more"
+                " than 120000 traversal keys to enumerate"
+            )
+
+    def test_catalogue_data_is_the_enumerators(self):
+        # the package's data file lists exactly the pairs the enumerator
+        # admits, and each entry decodes to the enumerator's arrays (the
+        # arrays, not the zlib bytes, which another zlib may compress
+        # differently); the package reads the same arrays from it
+        data = enumerator.CATALOGUES.read_bytes()
+        (entries,) = struct.unpack_from("<H", data)
+        index = list(struct.iter_unpack("<BBIII", data[2 : 2 + 14 * entries]))
+        assert [(m, bound) for m, bound, *_ in index] == enumerator.admitted_pairs()
+        for m, bound, n, at, size in index:
+            stream = zlib.decompress(data[at : at + size])
+            sizes, rest = stream[:n], stream[n:]
+            offsets = struct.unpack_from(f"<{n + 1}I", rest)
+            orbits = struct.unpack_from(f"<{n}I", rest, 4 * (n + 1))
+            edges = rest[4 * (2 * n + 1) :]
+            expected = enumerator.enumerate_patterns(enumerator.letters(m), bound)
+            loaded = enumerate_patterns.__wrapped__(enumerator.letters(m), bound)
+            for c in (expected, loaded):
+                assert (sizes, edges, offsets, orbits) == (
+                    c.sizes, c.edges, tuple(c.offsets), tuple(c.orbits)
+                ), (m, bound)
+        # per letter count, the largest admitted bound and the first refused
+        largest = {0: 6, 1: 6, 2: 4, 3: 3, 4: 2, 5: 1, 6: 1, 7: 1, 8: 0}
+        for m, bound in largest.items():
+            alphabet = enumerator.letters(m)
+            if bound:
+                assert enumerator.admitted(m, bound)
+                assert len(enumerate_patterns.__wrapped__(alphabet, bound)) > 0
+            for enumerate_uncached in (
+                enumerator.enumerate_patterns.__wrapped__, enumerate_patterns.__wrapped__
+            ):
+                with pytest.raises(BoundExceededError) as refused:
+                    enumerate_uncached(alphabet, bound + 1)
+                assert "traversal keys" in str(refused.value) or bound == 6
+
+    @pytest.mark.parametrize("letters,bound", [(2, 5), (3, 4), (4, 3), (5, 2), (8, 1), (10, 1)])
+    def test_refused_at_once(self, monkeypatch, letters, bound):
+        # a pair outside the data file is refused from its index, with no
+        # stream decompressed, well under 50 ms (0.21-0.52 s enumerating)
+        decompressed = []
+        monkeypatch.setattr(graphs, "decompress", lambda *a: decompressed.append(a))
+        alphabet = enumerator.letters(letters)
+        started = time.perf_counter()
         with pytest.raises(BoundExceededError) as refused:
-            enumerate_patterns.__wrapped__(tuple(f"a{i}" for i in range(letters)), bound)
-        assert str(refused.value) == (
-            f"patterns of {letters} letters at size bound {bound} need more"
-            " than 120000 traversal keys to enumerate"
-        )
+            enumerate_patterns.__wrapped__(alphabet, bound)
+        assert time.perf_counter() - started < 0.05
+        assert decompressed == []
+        assert str(refused.value) == str(_over_budget(alphabet, bound))
 
     @pytest.mark.parametrize("alphabet,bound", [(("x",), 5), (("x", "y"), 4)])
     def test_catalogue_patterns_pass_the_public_checks(self, alphabet, bound):
@@ -619,7 +681,7 @@ class TestEnumeration:
         # pattern's certificate is (n, 1, sorted edge triples), and the
         # catalogue lists its classes in the order of those certificates
         listed = [p for p, _ in enumerate_patterns(alphabet, bound)]
-        certificates = [p.certificate() for p in listed]
+        certificates = [certificate(p) for p in listed]
         for p, (n, root, triples) in zip(listed, certificates):
             assert (n, root, len(triples)) == (p.n, 1, len(p.edges))
             assert type(triples) is tuple and list(triples) == sorted(triples)
@@ -630,7 +692,7 @@ class TestEnumeration:
     def test_ranks_match_repr_refinement(self, alphabet, bound):
         m = len(alphabet)
         for pat, _ in enumerate_patterns(alphabet, bound):
-            ranks = graphs._refine_ranks(_slot_rows(pat.n, pat.edges, m), pat.root)
+            ranks = enumerator._refine_ranks(_slot_rows(pat.n, pat.edges, m), pat.root)
             legacy = oracles.refine_colors(pat.n, pat.root, pat.edges)
             assert ranks[1:] == [legacy[v][0] for v in range(1, pat.n + 1)]
 
@@ -643,7 +705,7 @@ class TestRefinementRanks:
     def ranks(pattern):
         m = len(pattern.alphabet)
         rows = _slot_rows(pattern.n, pattern.edges, m)
-        return graphs._refine_ranks(rows, pattern.root)[1:]
+        return enumerator._refine_ranks(rows, pattern.root)[1:]
 
     @staticmethod
     def legacy(pattern):
@@ -693,7 +755,7 @@ class TestRefinementRanks:
                 tails = [u for u in range(1, n + 1) if rng.random() < 0.5]
                 edges.update((u, v, lab) for u, v in zip(tails, heads))
             root = rng.randint(1, n)
-            ranks = graphs._refine_ranks(_slot_rows(n, edges, m), root)
+            ranks = enumerator._refine_ranks(_slot_rows(n, edges, m), root)
             legacy = oracles.refine_colors(n, root, edges)
             assert ranks[1:] == [legacy[v][0] for v in range(1, n + 1)]
 
@@ -704,7 +766,7 @@ class TestRefinementRanks:
             4, 1, ("x", "y"), frozenset({(1, 2, 0), (2, 3, 1), (3, 4, 1), (4, 2, 1)})
         )
         rows = _slot_rows(p.n, p.edges, 2)
-        first = [graphs._first_signature(p.root, tuple(rows[v])) for v in (2, 3, 4)]
+        first = [enumerator._first_signature(p.root, tuple(rows[v])) for v in (2, 3, 4)]
         assert first[0] != first[1] == first[2]
         assert self.ranks(p) == self.legacy(p) == [0, 1, 3, 2]
 
@@ -723,44 +785,43 @@ class TestRefinementRanks:
                 edges.update((u, v, lab) for u, v in zip(tails, heads))
             root = rng.randint(1, n)
             rows = _slot_rows(n, edges, m)
-            sigs = {v: graphs._first_signature(root, tuple(rows[v])) for v in range(1, n + 1)}
+            sigs = {v: enumerator._first_signature(root, tuple(rows[v])) for v in range(1, n + 1)}
             order = sorted({sigs[v] for v in sigs if v != root})
             ranks = [0 if v == root else order.index(sigs[v]) + 1 for v in range(1, n + 1)]
             legacy = oracles.refine_colors(n, root, edges, rounds=1)
             assert ranks == [legacy[v][0] for v in range(1, n + 1)]
             for v in sigs:
-                assert graphs._first_signature.__wrapped__(root, tuple(rows[v])) == sigs[v]
+                assert enumerator._first_signature.__wrapped__(root, tuple(rows[v])) == sigs[v]
 
     def test_round_one_memo_is_a_bounded_cache(self):
-        # the memo is a bounded lru_cache at module level, which the
-        # benchmark empties before each set-up and finds before each fork;
-        # it holds the 1,427 distinct rows of xyz at bound 3, the largest
+        # the memo is a bounded lru_cache at module level; it holds the
+        # 1,427 distinct rows of xyz at bound 3, the largest
         # catalogue, and no other module-level container grows
-        memo = graphs._first_signature
+        memo = enumerator._first_signature
         assert isinstance(memo, _lru_cache_wrapper)
         maxsize = memo.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize >= 1427
         containers = {
             name: len(value)
-            for name, value in vars(graphs).items()
+            for name, value in vars(enumerator).items()
             if isinstance(value, (dict, list, set, bytearray))
         }
         memo.cache_clear()
-        enumerate_patterns.__wrapped__(("x", "y"), 4)
+        enumerator.enumerate_patterns.__wrapped__(("x", "y"), 4)
         assert memo.cache_info().currsize == 392
         memo.cache_clear()
-        enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
+        enumerator.enumerate_patterns.__wrapped__(("x", "y", "z"), 3)
         assert memo.cache_info().currsize == 1427
         assert containers == {
             name: len(value)
-            for name, value in vars(graphs).items()
+            for name, value in vars(enumerator).items()
             if isinstance(value, (dict, list, set, bytearray))
         }
 
 
 class TestCertificate:
-    """``RootedPattern.certificate`` against the refinement and the search
-    over numberings it replaced (``oracles.certificate``)."""
+    """The enumerator's ``certificate`` against the refinement and the
+    search over numberings it replaced (``oracles.certificate``)."""
 
     @staticmethod
     def renumbered(pattern, images):
@@ -777,12 +838,12 @@ class TestCertificate:
                 while pat.n > 1 and images[pat.root - 1] == 1:
                     rng.shuffle(images)
                 p = self.renumbered(pat, images)
-                assert p.certificate() == oracles.certificate(p.n, p.root, p.edges)
+                assert certificate(p) == oracles.certificate(p.n, p.root, p.edges)
 
     @pytest.mark.parametrize("alphabet,bound", [(("x",), 6), (("x", "y"), 4)])
     def test_catalogue_matches_oracle(self, alphabet, bound):
         for p, _ in enumerate_patterns(alphabet, bound):
-            assert p.certificate() == oracles.certificate(p.n, p.root, p.edges)
+            assert certificate(p) == oracles.certificate(p.n, p.root, p.edges)
 
     def test_shared_rank_takes_the_least_numbering(self, monkeypatch):
         # with the root alone in rank 0 and every other vertex in rank 1,
@@ -793,7 +854,7 @@ class TestCertificate:
         def coarse(rows, root):
             return [0] + [int(v != root) for v in range(1, len(rows))]
 
-        monkeypatch.setattr(graphs, "_refine_ranks", coarse)
+        monkeypatch.setattr(enumerator, "_refine_ranks", coarse)
         for pat, _ in enumerate_patterns(("x", "y"), 4)[::25]:
             images = list(range(1, pat.n + 1))
             rng.shuffle(images)
@@ -806,8 +867,8 @@ class TestCertificate:
             )
             m = len(p.alphabet)
             rows = _slot_rows(p.n, p.edges, m)
-            assert graphs._certificate(rows, p.root, p.edges) == list(least)
-            assert p.certificate() == (p.n, 1, least)
+            assert enumerator._certificate(rows, p.root, p.edges) == list(least)
+            assert certificate(p) == (p.n, 1, least)
 
 
 class TestStatDistance:
