@@ -115,14 +115,16 @@ class LabeledDigraph(Record):
         edges: Iterable[tuple[int, int, str]],
     ) -> "LabeledDigraph":
         by_label: dict[str, dict[int, int]] = {a: {} for a in alphabet}
+        entered: set[tuple[str, int]] = set()
         for u, v, lab in edges:
             if lab not in by_label:
                 raise MalformedInputError(f"unknown label {lab!r}")
             if u in by_label[lab]:
-                raise MalformedInputError(
-                    f"two {lab!r}-edges leave vertex {u}"
-                )
+                raise MalformedInputError(f"two {lab!r}-edges leave vertex {u}")
+            if (lab, v) in entered:
+                raise MalformedInputError(f"two {lab!r}-edges enter vertex {v}")
             by_label[lab][u] = v
+            entered.add((lab, v))
         perms = []
         for a in alphabet:
             mapping = by_label[a]
@@ -576,13 +578,6 @@ class SimpleGraph(Record):
                 raise MalformedInputError("edge endpoint outside vertex range")
         super().__init__(n, edges)
 
-    def degree_map(self) -> dict[int, int]:
-        deg = {v: 0 for v in range(1, self.n + 1)}
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for e in self.edges:
@@ -647,59 +642,50 @@ def encode_to_simple(graph: LabeledDigraph) -> SimpleGraph:
 
 
 def decode_simple(encoded: SimpleGraph, alphabet: Sequence[str]) -> LabeledDigraph:
-    """Invert :func:`encode_to_simple` (raises on non-encodings)."""
+    """Invert :func:`encode_to_simple`: the labeled digraph whose encoding
+    is ``encoded`` up to a renumbering of its vertices.
+
+    Each leaf's pendant path runs through vertices of degree 2 to its
+    root.  A root of one path of 2 vertices is a subdivision vertex
+    ``a``; a root of one path of ``3 + i`` vertices, for a label index
+    ``i``, is a ``b`` of that label; a vertex that is neither and lies on
+    no path is an original vertex.  These roles give a digraph and a
+    correspondence from ``encoded``'s vertices to those of its encoding;
+    unless that is an isomorphism, ``MalformedInputError`` is raised.
+    """
     adj = encoded.adjacency()
-    deg = encoded.degree_map()
-    pendant_at: dict[int, list[tuple[int, int]]] = {}
-    kind: dict[int, str] = {}
-    on_pendant: set[int] = set()
-    for tip in range(1, encoded.n + 1):
-        if deg[tip] != 1:
-            continue
-        prev, cur, length = None, tip, 0
-        chain = []
-        while deg[cur] in (1, 2) and not (deg[cur] == 1 and length > 0):
-            chain.append(cur)
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts:
-                raise MalformedInputError("dangling path is not a gadget pendant")
-            prev, cur = cur, nxts[0]
-            length += 1
-        if length == 1:
-            kind[tip] = "original"
-            continue
-        on_pendant.update(chain)
-        pendant_at.setdefault(cur, []).append((length, tip))
-    label_of_b: dict[int, int] = {}
-    for v in range(1, encoded.n + 1):
-        if v in kind or v in on_pendant:
-            continue
-        pend = pendant_at.get(v, [])
-        if not pend:
-            kind[v] = "original"
-        elif len(pend) == 1 and pend[0][0] == 2:
-            kind[v] = "a"
-        elif len(pend) == 1 and pend[0][0] >= 3:
-            kind[v] = "b"
-            label_of_b[v] = pend[0][0] - 3  # 0-based label index
-        else:
-            raise MalformedInputError(f"vertex {v} has an unexpected pendant profile")
-    originals = sorted(v for v, k in kind.items() if k == "original")
-    renum = {v: i + 1 for i, v in enumerate(originals)}
-    out_edges = []
-    for a, k in kind.items():
-        if k != "a":
-            continue
-        bs = [w for w in adj[a] if kind.get(w) == "b"]
-        us = [w for w in adj[a] if kind.get(w) == "original"]
-        if len(bs) != 1 or len(us) != 1:
-            raise MalformedInputError(f"subdivision vertex {a} is malformed")
-        b = bs[0]
-        vs = [w for w in adj[b] if kind.get(w) == "original"]
-        if len(vs) != 1:
-            raise MalformedInputError(f"subdivision vertex {b} is malformed")
-        lab = label_of_b[b]
-        if lab >= len(alphabet):
-            raise MalformedInputError(f"label index {lab} outside alphabet")
-        out_edges.append((renum[us[0]], renum[vs[0]], alphabet[lab]))
-    return LabeledDigraph.from_edges(len(originals), tuple(alphabet), out_edges)
+    paths: dict[int, list[list[int]]] = {}  # root -> its pendant paths, root side first
+    for tip in adj:
+        if len(adj[tip]) == 1:
+            path, (cur,) = [tip], adj[tip]
+            while len(adj[cur]) == 2:
+                (nxt,) = adj[cur] - {path[-1]}
+                path.append(cur)
+                cur = nxt
+            paths.setdefault(cur, []).append(path[::-1])
+    label = {  # a root's label index, -1 for an ``a``
+        root: len(ps[0]) - 3
+        for root, ps in paths.items()
+        if len(ps) == 1 and (len(ps[0]) == 2 or 3 <= len(ps[0]) < 3 + len(alphabet))
+    }
+    on_path = {v for ps in paths.values() for p in ps for v in p}
+    renum = {v: i for i, v in enumerate(sorted(adj.keys() - on_path - label.keys()), 1)}
+    refusal = MalformedInputError("graph is not the encoding of a labeled digraph")
+    gadgets = []  # ((u, v, label index), the gadget's vertices in the encoder's order)
+    try:
+        for a in [root for root, i in label.items() if i < 0]:
+            (b,) = [w for w in adj[a] if label.get(w, -1) >= 0]
+            (u,), (v,) = adj[a] & renum.keys(), adj[b] & renum.keys()
+            gadgets.append(((renum[u], renum[v], label[b]), [a, b, *paths[a][0], *paths[b][0]]))
+    except ValueError:  # a subdivision vertex without its two neighbours
+        raise refusal from None
+    gadgets.sort()
+    edges = [(u, v, alphabet[i]) for (u, v, i), _ in gadgets]
+    result = LabeledDigraph.from_edges(len(renum), tuple(alphabet), edges)
+    order = [*renum, *(x for _, vs in gadgets for x in vs)]  # encoding vertex k at k - 1
+    number = {x: k for k, x in enumerate(order, 1)}
+    if len(number) != len(order) or len(order) != encoded.n:
+        raise refusal
+    if encode_to_simple(result).edges != {frozenset(map(number.get, e)) for e in encoded.edges}:
+        raise refusal
+    return result

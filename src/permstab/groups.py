@@ -351,14 +351,15 @@ class SubgroupClasses(Record):
 
     ``classes[i]`` is the sorted tuple of member-sets in class ``i``, led by
     its canonical representative; classes ascend by representative.
-    ``class_of``, the class of each member-set, is derived from
-    ``classes`` and takes no part in equality.
     """
 
-    _compare = ("group", "classes")
     group: FiniteGroup
     classes: tuple[tuple[frozenset[int], ...], ...]
-    class_of: Mapping[frozenset[int], int]
+
+    @cached_property
+    def class_of(self) -> dict[frozenset[int], int]:
+        """The class of each member-set."""
+        return {S: i for i, orbit in enumerate(self.classes) for S in orbit}
 
     def representative(self, class_id: int) -> Subgroup:
         return Subgroup._trusted(self.group, self.classes[class_id][0])
@@ -425,8 +426,7 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
         (tuple(sorted(orbit, key=sorted)) for orbit in orbits),
         key=lambda orbit: (len(orbit[0]), sorted(orbit[0])),
     )
-    class_of = {S: i for i, orbit in enumerate(classes) for S in orbit}
-    return SubgroupClasses(G, tuple(classes), class_of)
+    return SubgroupClasses(G, tuple(classes))
 
 
 def coset_action(G: FiniteGroup, N: Subgroup) -> "PermHomomorphism":
@@ -466,7 +466,8 @@ _LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?[0-9]+))?$")
 
 
 class FpGroup(Record):
-    """A finitely presented group: generator names plus relator words.
+    """A finitely presented group: generator names plus relator words,
+    given as :func:`parse_word` strings and kept parsed.
 
     Only word evaluation and relator checking are supported.
     """
@@ -474,21 +475,11 @@ class FpGroup(Record):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
-    def __init__(self, generators: Sequence[str], relators: Iterable[Union[str, Word]] = ()):
+    def __init__(self, generators: Sequence[str], relators: Iterable[str] = ()):
         gens = tuple(generators)
         if len(set(gens)) != len(gens):
             raise WordError("duplicate generator names")
-        parsed = tuple(
-            parse_word(r, gens) if isinstance(r, str) else tuple(r)
-            for r in relators
-        )
-        for w in parsed:
-            for idx, exp in w:
-                if not 0 <= idx < len(gens):
-                    raise WordError(f"relator references unknown generator {idx}")
-                if exp == 0:
-                    raise WordError("zero exponent in relator")
-        super().__init__(gens, parsed)
+        super().__init__(gens, tuple(parse_word(r, gens) for r in relators))
 
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
@@ -578,9 +569,12 @@ def evaluate_word(h: PermHomomorphism, word: Union[str, Word]) -> Permutation:
 
 
 class HomCheck(Record):
-    ok: bool
-    witness: object = None  # violating (a, b) pair or relator word
+    witness: object = None  # violating (a, b) pair or relator word; None when ok
     message: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 def generator_images(h: PermHomomorphism) -> tuple[Permutation, ...]:
@@ -610,17 +604,16 @@ def check_homomorphism(h: PermHomomorphism) -> HomCheck:
             x = images[a]
             if images[G.mul(a, b)] != tuple([x[j - 1] for j in images[b]]):
                 message = f"image({a}*{b}) != image({a})*image({b})"
-                return HomCheck(False, witness=(a, b), message=message)
-        return HomCheck(True)
+                return HomCheck((a, b), message)
+        return HomCheck()
     for rel in h.source.relators:
         if not evaluate_word(h, rel).is_identity():
             return HomCheck(
-                False,
-                witness=rel,
-                message=f"relator {format_word(rel, h.source.generators)} "
+                rel,
+                f"relator {format_word(rel, h.source.generators)} "
                 "does not evaluate to the identity",
             )
-    return HomCheck(True)
+    return HomCheck()
 
 
 def hom_from_element_map(

@@ -51,12 +51,9 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def permutation_from_json(obj, degree: int | None = None) -> Permutation:
+def permutation_from_json(obj, degree: int) -> Permutation:
+    """A permutation of ``degree`` points, as text or ``{"degree", "images"}``."""
     if isinstance(obj, str):
-        if degree is None:
-            raise MalformedInputError(
-                "permutation strings need an explicit degree"
-            )
         return parse_permutation(obj, degree)
     if isinstance(obj, dict):
         try:
@@ -68,7 +65,7 @@ def permutation_from_json(obj, degree: int | None = None) -> Permutation:
             raise MalformedInputError(
                 "permutation degree and images must be JSON integers"
             )
-        if degree is not None and deg != degree:
+        if deg != degree:
             raise MalformedInputError(
                 f"permutation degree {deg} does not match expected {degree}"
             )
@@ -101,11 +98,10 @@ def _load_json(path: Union[str, Path], data: bytes) -> object:
 
 class LoadedGroup(Record):
     """A group parsed from JSON, with the keys its homomorphisms' images
-    are listed under.  A perm-gens group keeps its generators and is
-    closed the first time ``group`` or ``gen_elements`` is read, once per
-    loaded group."""
+    are listed under.  A table or presentation is ``built``; a perm-gens
+    group keeps its generators and is closed the first time ``group`` or
+    ``gen_elements`` is read, once per loaded group."""
 
-    kind: str
     keys: tuple[str, ...]  # image_keys of the group; a perm-gens group's generator names
     built: GroupLike | None = None  # the group of a table or presentation
     gens: tuple[Permutation, ...] = ()  # the generators of a perm-gens group
@@ -168,7 +164,7 @@ def _group_from_text(text: str) -> LoadedGroup:
             if type(obj.get("order")) is not int or obj["order"] != len(table):
                 raise MalformedInputError("stated order differs from table size")
             G = FiniteGroup(table)
-            return LoadedGroup("table", image_keys(G), G)
+            return LoadedGroup(image_keys(G), G)
         if kind == "perm-gens":
             degree = obj["degree"]
             if type(degree) is not int:
@@ -182,12 +178,12 @@ def _group_from_text(text: str) -> LoadedGroup:
                 raise MalformedInputError("one distinct name string per generator required")
             if not gens:
                 raise MalformedInputError("need at least one generator")
-            return LoadedGroup("perm-gens", tuple(names), gens=gens)
+            return LoadedGroup(tuple(names), gens=gens)
         if kind == "presentation":
             if not (_is_str_list(obj["generators"]) and _is_str_list(obj.get("relators", []))):
                 raise MalformedInputError("generators and relators must be lists of strings")
             G = FpGroup(obj["generators"], obj.get("relators", ()))
-            return LoadedGroup("presentation", image_keys(G), G)
+            return LoadedGroup(image_keys(G), G)
     except (MalformedInputError, BoundExceededError):
         raise
     except PermStabError as exc:
@@ -213,7 +209,7 @@ def _hom_shape(obj) -> tuple[LoadedGroup, int, dict]:
     if not isinstance(images, dict):
         raise MalformedInputError("homomorphism images must be a JSON object")
     loaded = group_from_json(group)
-    if loaded.kind != "table" and not set(images) <= set(loaded.keys):
+    if not isinstance(loaded.built, FiniteGroup) and not set(images) <= set(loaded.keys):
         raise MalformedInputError("images keyed by a name that is no generator")
     # a hom of no generators still acts by the identity, one image
     _check_size("homomorphism images", max(len(loaded.keys), 1), degree)
@@ -222,7 +218,7 @@ def _hom_shape(obj) -> tuple[LoadedGroup, int, dict]:
 
 def hom_from_json(obj) -> PermHomomorphism:
     loaded, degree, images = _hom_shape(obj)
-    if loaded.kind == "table" and set(images) != set(loaded.keys):
+    if isinstance(loaded.built, FiniteGroup) and set(images) != set(loaded.keys):
         raise MalformedInputError("table-group images must cover every element id")
     try:
         imgs = tuple(permutation_from_json(images[key], degree) for key in loaded.keys)

@@ -122,8 +122,8 @@ class Permutation:
                 digits[m - i] = 49  # ord("1")
         return int(digits, 2)
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, sorted by it."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles of length 2 or more, each led by its least point, sorted."""
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
@@ -136,7 +136,7 @@ class Permutation:
                 seen[j - 1] = True
                 cyc.append(j)
                 j = self(j)
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 

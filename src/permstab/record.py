@@ -9,10 +9,10 @@ and a validating class checks its arguments, then calls
 position without running ``__init__``, so without the class's checks;
 it is for values valid by construction.  Both store with
 ``object.__setattr__``, since assignment raises.  The base compares and
-hashes records by their fields (by ``_compare`` where a class names
-fewer) and prints them as ``Name(field=value, ...)``.  Records keep a
-``__dict__``, so a ``functools.cached_property`` can store into it; a
-cached value is not a field and takes no part in equality.
+hashes records by all their fields and prints them as
+``Name(field=value, ...)``.  Records keep a ``__dict__``, so a
+``functools.cached_property`` can store into it; a cached value is not
+a field and takes no part in equality.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ _set = object.__setattr__
 
 
 class Record:
-    _compare = ()  # the fields equality reads, if not all
-
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-        cls._key = attrgetter(*(cls._compare or cls._fields))
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *values, **named):
         fields = self._fields

@@ -27,7 +27,9 @@ well-defined because only the evaluated permutations enter the counts.
 A count (:func:`bs_statistic`, which :func:`action_trace` and
 ``graphs.pattern_frequency`` read, or :func:`s_from_tr`) parses its words
 once, adding each new word's mask to the store, and then ANDs the store's
-masks into one int in a single loop, which also checks the ids.
+masks into one int in a single loop, which also checks the ids.  At a
+positive degree every value is read from the trace's share memo, which
+makes the ``Fraction`` of the degree of each point count once.
 """
 
 from __future__ import annotations
@@ -57,17 +59,20 @@ class ActionTrace:
     from element id to mask, built with the trace, whose lookup is the id
     check; for a presentation source, a dict keyed by word tuple, to which
     each word's mask is added the first time it is asked for
-    (``_canonical``, which parses a query's words once).  The exact share
-    of the degree is one ``Fraction`` per point count, kept in
-    ``_shares``.  The table store never changes after it is built; the
-    word and share memos are insert-only and each entry is the same
-    whoever adds it, so a trace may be shared across threads.
+    (``_canonical``, which parses a query's words once).  ``_shares`` is
+    the share memo, a :class:`_Shares`: reading a point count gives its
+    exact share of the degree, one ``Fraction`` per count, made on first
+    read.  With no points (degree 0) a read raises ``ZeroDivisionError``,
+    and the statistics give ``S(A, B) = 1`` exactly when ``B`` is empty
+    instead.  The table store never changes after it is built; the word
+    and share memos are insert-only and each entry is the same whoever
+    adds it, so a trace may be shared across threads.
     """
 
     def __init__(self, h: PermHomomorphism):
         self.hom = h
         self._full = (1 << h.degree) - 1
-        self._shares: dict[int, Fraction] = {}
+        self._shares = _Shares(h.degree)
         if isinstance(h.source, FiniteGroup):
             self._gens = None
             self._mask_memo = {e: p.fixed_mask() for e, p in enumerate(h.images)}
@@ -100,16 +105,17 @@ class ActionTrace:
             raise _outside_group(exc) from None
         return out
 
-    def _share(self, count: int, moved) -> Fraction:
-        """``count`` points of the degree, one ``Fraction`` per count; with
-        no points, ``S(A, B) = 1`` exactly when ``moved`` (``B``, or
-        anything with its truth value) is empty."""
-        share = self._shares.get(count)
-        if share is None:
-            degree = self.hom.degree
-            if not degree:
-                return Fraction(int(not moved))
-            share = self._shares[count] = Fraction(count, degree)
+
+class _Shares(dict):
+    """The share memo: ``memo[count]`` is ``Fraction(count, degree)``,
+    made when the count is first read."""
+
+    def __init__(self, degree: int):
+        super().__init__()
+        self.degree = degree
+
+    def __missing__(self, count: int) -> Fraction:
+        share = self[count] = Fraction(count, self.degree)
         return share
 
 
@@ -148,11 +154,10 @@ def bs_statistic(h: PermHomomorphism, A: ElementSet, B: ElementSet) -> Fraction:
             mask &= ~store[b]
     except KeyError as exc:
         raise _outside_group(exc) from None
-    count = mask.bit_count()
     try:
-        return trace._shares[count]
-    except KeyError:
-        return trace._share(count, b is not None)
+        return trace._shares[mask.bit_count()]
+    except ZeroDivisionError:  # no points: S(A, B) = 1 exactly when B is empty
+        return Fraction(int(b is None))
 
 
 def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
@@ -204,11 +209,10 @@ def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
             even, odd = kept_even, kept_odd
     except KeyError as exc:
         raise _outside_group(exc) from None
-    count = sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))
     try:
-        return trace._shares[count]
-    except KeyError:
-        return trace._share(count, B)
+        return trace._shares[sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))]
+    except ZeroDivisionError:  # no points: S(A, B) = 1 exactly when B is empty
+        return Fraction(int(not B))
 
 
 class StatisticTable(dict):
@@ -287,11 +291,7 @@ def _tr_from_counts(table: StatisticTable, items: list) -> Optional[dict]:
         sums = list(map(sums.__getitem__, order))
         keys = list(map(keys.__getitem__, order))
     sums = _superset_sums(sums, len(items))
-    memo = table._shares
-    degree = sums[0]  # Tr of the empty set counts every point
-    for c in set(sums).difference(memo):
-        memo[c] = Fraction(c, degree)
-    return dict(zip(keys, map(memo.__getitem__, sums)))
+    return dict(zip(keys, map(table._shares.__getitem__, sums)))
 
 
 def _tr_from_values(stats: Mapping[frozenset, Fraction], items: list) -> dict:
@@ -363,12 +363,9 @@ def statistic_table(h: PermHomomorphism, universe: ElementSet) -> StatisticTable
         m = fixed[x]
         moved = ~m
         parts = [p & moved for p in parts] + [p & m for p in parts]
-    degree = trace.hom.degree
     memo = trace._shares
-    if degree:
+    if trace._full:
         counts = list(map(int.bit_count, parts))
-        for c in set(counts).difference(memo):
-            memo[c] = Fraction(c, degree)
         shares = map(memo.__getitem__, counts)
     else:  # no points: S(T, F minus T) = 1 exactly for T = F
         counts = None

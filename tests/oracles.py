@@ -108,9 +108,14 @@ def normalized_trace(p: Permutation) -> Fraction:
     return Fraction(len(p.fixed_points()), p.degree)
 
 
+def all_cycles(p: Permutation) -> list[tuple[int, ...]]:
+    """The cycles of ``p``, each fixed point a cycle of length 1."""
+    return p.cycles() + [(i,) for i in p.fixed_points()]
+
+
 def cycle_type(p: Permutation) -> tuple[int, ...]:
     """Multiset of cycle lengths (fixed points included), ascending."""
-    return tuple(sorted(len(c) for c in p.cycles(include_fixed=True)))
+    return tuple(sorted(map(len, all_cycles(p))))
 
 
 def one_line_str(p: Permutation) -> str:
@@ -216,7 +221,7 @@ def max_total_degree(g: LabeledDigraph) -> int:
 
 
 def max_degree(g: SimpleGraph) -> int:
-    return max(g.degree_map().values(), default=0)
+    return max(map(len, g.adjacency().values()), default=0)
 
 
 def light_test_picks(rows, e: int) -> tuple[int, ...]:
@@ -596,7 +601,7 @@ def normal_complement(G: FiniteGroup, H: Subgroup):
 def centralizer_order(p: Permutation) -> int:
     """Order of the centralizer of ``p`` in its symmetric group."""
     out = 1
-    for length, count in Counter(len(c) for c in p.cycles(include_fixed=True)).items():
+    for length, count in Counter(map(len, all_cycles(p))).items():
         out *= length**count * factorial(count)
     return out
 
@@ -606,7 +611,7 @@ def centralizer_elements(p: Permutation) -> Iterator[Permutation]:
     one length among themselves and rotates within them."""
     n = p.degree
     by_len: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for c in p.cycles(include_fixed=True):
+    for c in all_cycles(p):
         by_len[len(c)].append(c)
     lengths = sorted(by_len)
     choices_per_length = [
@@ -739,8 +744,9 @@ def s_from_tr_pruned(trace: ActionTrace, A, B) -> Fraction:
             if x := m & mb:
                 odd.append(x)
         even += flipped
-    count = sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))
-    return trace._share(count, B)
+    if not trace.hom.degree:  # no points: S(A, B) = 1 exactly when B is empty
+        return Fraction(int(not B))
+    return trace._shares[sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))]
 
 
 def statistic_table(h: PermHomomorphism, universe) -> dict[frozenset, Fraction]:

@@ -1498,6 +1498,14 @@ class TestCommandTable:
         count, outside = done.stdout.split(" ", 1)
         assert int(count) >= 12 and outside.strip() == "[]", done.stderr
 
+    def test_cli_import_leaves_out_the_slow_modules(self):
+        # the CLI parses argv from its own command table, hashes with the
+        # builtin SHA-256 and builds records without dataclasses
+        slow = ["_hashlib", "argparse", "dataclasses", "hashlib", "inspect"]
+        code = f"import sys, permstab.cli; print(sorted(set({slow!r}) & set(sys.modules)))"
+        done = fresh_python(code, capture_output=True, text=True)
+        assert done.stdout.strip() == "[]", done.stderr
+
 
 def test_readme_names_every_input_bound():
     # every module-level DEFAULT_* or MAX_* int of the package is a bound

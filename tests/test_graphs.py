@@ -345,6 +345,7 @@ class TestEnumeration:
             Fraction(1, 16),
             Fraction(1, 32),
         ]
+        assert pats == tuple(pats) and not pats == 5  # other types are not catalogues
 
     def test_orbit_weights_shared_across_relabelings(self):
         pats = dict()
@@ -1152,6 +1153,60 @@ class TestEncoding:
             to_networkx(encode_to_simple(g1)), to_networkx(encode_to_simple(g2))
         )
 
+    def test_decode_refuses_a_non_encoding(self):
+        identity = encode_to_simple(LabeledDigraph(2, ("x",), (Permutation([1, 2]),)))
+        loop = encode_to_simple(LabeledDigraph(1, ("x",), (Permutation([1]),)))
+        for n, edges in [
+            (3, {frozenset({1, 2}), frozenset({2, 3})}),  # the path 1-2-3
+            (identity.n, identity.edges | {frozenset({1, 2})}),  # original vertices joined
+            (loop.n, loop.edges - {frozenset({2, 3})}),  # the loop's a-b edge removed
+        ]:
+            with pytest.raises(MalformedInputError, match="not the encoding"):
+                decode_simple(SimpleGraph(n, frozenset(edges)), ("x",))
+
+    def test_decode_fuzz(self):
+        """Relabelled encodings decode to their digraph, up to isomorphism;
+        random graphs, and encodings with a leaf or an edge added, an edge
+        removed or two edges swapped, either decode to a digraph whose
+        encoding is isomorphic to them or raise ``MalformedInputError``."""
+        rng = Random(72)
+        alphabet = ("x", "y")
+
+        def check(n, edges):
+            try:
+                g = decode_simple(SimpleGraph(n, frozenset(edges)), alphabet)
+            except MalformedInputError as exc:
+                assert type(exc) is MalformedInputError
+                return
+            simple = to_networkx(SimpleGraph(n, frozenset(edges)))
+            assert nx.is_isomorphic(to_networkx(encode_to_simple(g)), simple)
+
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            pairs = [frozenset(rng.sample(range(1, n + 1), 2)) for _ in range(16) if n > 1]
+            check(n, pairs[: rng.randint(0, len(pairs))])
+        for _ in range(60):
+            g = random_graph(alphabet[: rng.randint(1, 2)], rng.randint(1, 4), rng)
+            enc = encode_to_simple(g)
+            relabel = list(range(1, enc.n + 1))
+            rng.shuffle(relabel)
+            moved = {frozenset(relabel[v - 1] for v in e) for e in enc.edges}
+            back = decode_simple(SimpleGraph(enc.n, frozenset(moved)), g.alphabet)
+            assert labeled_digraphs_isomorphic(back, g)
+            edges = sorted(map(sorted, enc.edges))
+            u, v = rng.sample(range(1, enc.n + 1), 2)
+            (a, b), (c, d) = rng.sample(edges, 2)
+            mutants = [
+                (enc.n + 1, enc.edges | {frozenset({u, enc.n + 1})}),
+                (enc.n, enc.edges | {frozenset({u, v})}),
+                (enc.n, enc.edges - {frozenset(rng.choice(edges))}),
+                (enc.n, enc.edges - {frozenset({a, b}), frozenset({c, d})}
+                 | {frozenset({a, d}), frozenset({c, b})}),
+            ]
+            for n, mutant in mutants:
+                if all(len(e) == 2 for e in mutant):
+                    check(n, mutant)
+
     def test_alphabet_bound(self):
         alphabet = tuple(f"x{i}" for i in range(9))
         perms = tuple(Permutation.identity(1) for _ in alphabet)
@@ -1171,6 +1226,11 @@ REFUSALS = [
         lambda: LabeledDigraph.from_edges(2, ["x"], [(1, 2, "x"), (1, 1, "x")]),
         MalformedInputError, "two 'x'-edges leave vertex 1",
         id="two-out-edges-of-one-label",
+    ),
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ["x"], [(1, 2, "x"), (2, 2, "x")]),
+        MalformedInputError, "two 'x'-edges enter vertex 2",
+        id="two-in-edges-of-one-label",
     ),
     pytest.param(
         lambda: LabeledDigraph.from_edges(2, ["x"], [(1, 2, "x")]),

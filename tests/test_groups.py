@@ -198,6 +198,12 @@ class TestFiniteGroup:
         with pytest.raises(GroupTableError):
             FiniteGroup([[0, 1], [0, 1]])
 
+    def test_assignment_refused(self):
+        G = cyclic_group(2)
+        with pytest.raises(AttributeError, match="immutable"):
+            G.order = 3
+        assert G.order == 2
+
     def test_non_associative_rejected(self):
         # commutative quasigroup without associativity
         with pytest.raises(GroupTableError):
@@ -872,16 +878,6 @@ REFUSALS = [
         lambda: FpGroup(("x", "x")),
         WordError, "duplicate generator names",
         id="presentation-duplicate-names",
-    ),
-    pytest.param(
-        lambda: FpGroup(("x",), [((1, 1),)]),
-        WordError, "relator references unknown generator 1",
-        id="presentation-unknown-generator",
-    ),
-    pytest.param(
-        lambda: FpGroup(("x",), [((0, 0),)]),
-        WordError, "zero exponent in relator",
-        id="presentation-zero-exponent",
     ),
     pytest.param(
         lambda: evaluate_word(trivial_hom(cyclic_group(2), 1), "x"),

@@ -47,21 +47,17 @@ class TestRationals:
 class TestPermutationJson:
     def test_roundtrip_object(self):
         p = parse_permutation("(1 3)(2 4)", 5)
-        assert permutation_from_json({"degree": 5, "images": [3, 4, 1, 2, 5]}) == p
+        assert permutation_from_json({"degree": 5, "images": [3, 4, 1, 2, 5]}, 5) == p
 
     def test_string_forms(self):
         assert permutation_from_json("(1 2)", 3) == parse_permutation("(1 2)", 3)
         assert permutation_from_json("[2,1,3]", 3) == parse_permutation("(1 2)", 3)
 
-    def test_string_needs_degree(self):
-        with pytest.raises(MalformedInputError):
-            permutation_from_json("(1 2)")
-
     def test_degree_conflict(self):
         with pytest.raises(MalformedInputError):
             permutation_from_json({"degree": 3, "images": [1, 2, 3]}, 4)
-        with pytest.raises(MalformedInputError):  # no expected degree given
-            permutation_from_json({"degree": 3, "images": [2, 1]})
+        with pytest.raises(MalformedInputError):  # two images for degree 3
+            permutation_from_json({"degree": 3, "images": [2, 1]}, 3)
 
 
 class TestGroupJson:

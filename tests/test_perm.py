@@ -60,6 +60,15 @@ class TestParsing:
     def test_unmentioned_points_fixed(self):
         assert parse_permutation("(2 4)", 4).images == (1, 4, 3, 2)
 
+    def test_empty_cycle_skipped(self):
+        assert parse_permutation("(1 2)()", 3) == parse_permutation("(1 2)", 3)
+
+    def test_assignment_refused(self):
+        p = parse_permutation("(1 2)", 3)
+        with pytest.raises(AttributeError, match="immutable"):
+            p.images = (1, 2, 3)
+        assert p.images == (2, 1, 3)
+
     def test_duplicate_point_rejected(self):
         with pytest.raises(PermutationParseError):
             parse_permutation("(1 2)(2 3)", 3)
@@ -197,7 +206,7 @@ class TestUncheckedResults:
         assert replicate(p, s).images == tuple(
             x + b * n for b in range(s) for x in p.images
         )
-        cycle = next(iter(p.cycles(include_fixed=True)))
+        cycle = next((c for c in p.cycles() if c[0] == 1), (1,))  # the cycle of point 1
         for r in (direct_sum(p, q), replicate(p, s), restrict(p, cycle)):
             assert validated(r) == r
 

@@ -28,17 +28,13 @@ def build():
     ident, swap = Permutation([1, 2, 3]), Permutation([2, 1, 3])
     h = PermHomomorphism(source=G, degree=3, images=(ident, swap))
     hf = PermHomomorphism(source=FpGroup(("x",)), degree=2, images=(Permutation([2, 1]),))
-    classes = SubgroupClasses(
-        group=G,
-        classes=((frozenset({0}),), (frozenset({0, 1}),)),
-        class_of={frozenset({0}): 0, frozenset({0, 1}): 1},
-    )
+    classes = SubgroupClasses(group=G, classes=((frozenset({0}),), (frozenset({0, 1}),)))
     return {
         "Subgroup": Subgroup(parent=G, members=[1, 0]),
         "SubgroupClasses": classes,
         "FpGroup": FpGroup(generators=("x", "y"), relators=["x^2"]),
         "PermHomomorphism": h,
-        "HomCheck": HomCheck(ok=False, witness=(0, 1), message="m"),
+        "HomCheck": HomCheck(witness=(0, 1), message="m"),
         "MultiplicityVector": MultiplicityVector(group=G, degree=3, counts=(1, 1)),
         "AmalgamHom": AmalgamHom(psi1=hf, psi2=hf, h_pairs=(("x", "x"),)),
         "CorrectionReport": CorrectionReport(
@@ -56,11 +52,11 @@ def build():
 REPRS = {
     "Subgroup": "Subgroup(parent=FiniteGroup(order=2), members=(0, 1))",
     "SubgroupClasses": "SubgroupClasses(group=FiniteGroup(order=2), classes=((frozenset({0}),),"
-    " (frozenset({0, 1}),)), class_of={frozenset({0}): 0, frozenset({0, 1}): 1})",
+    " (frozenset({0, 1}),)))",
     "FpGroup": "FpGroup(generators=('x', 'y'), relators=(((0, 2),),))",
     "PermHomomorphism": "PermHomomorphism(source=FiniteGroup(order=2), degree=3,"
     " images=(Permutation([1, 2, 3]), Permutation([2, 1, 3])))",
-    "HomCheck": "HomCheck(ok=False, witness=(0, 1), message='m')",
+    "HomCheck": "HomCheck(witness=(0, 1), message='m')",
     "MultiplicityVector": "MultiplicityVector(group=FiniteGroup(order=2), degree=3,"
     " counts=(1, 1))",
     "AmalgamHom": "AmalgamHom(psi1=PermHomomorphism(source=FpGroup(generators=('x',),"
@@ -100,17 +96,23 @@ def test_one_field_changed_is_unequal(name):
     field = a._fields[-1]
     other = object.__new__(type(a))
     other.__dict__.update(a.__dict__, **{field: "changed"})
-    if name == "SubgroupClasses":  # class_of takes no part in equality
-        assert other == a and hash(other) == hash(a)
-        other.__dict__["classes"] = ()
     assert other != a
 
 
-def test_subgroup_classes_compare_without_class_of():
+def test_no_record_compares_by_fewer_fields():
+    assert not hasattr(Record, "_compare")
+    for record in build().values():
+        assert type(record)._key(record) == tuple(getattr(record, f) for f in record._fields)
+
+
+def test_subgroup_classes_class_of_is_derived():
     G = cyclic_group(2)
     found = subgroup_conjugacy_classes(G)
-    same = SubgroupClasses(group=G, classes=found.classes, class_of={})
+    same = SubgroupClasses(group=G, classes=found.classes)
+    assert SubgroupClasses._fields == ("group", "classes")
     assert same == found and hash(same) == hash(found)
+    assert same.class_of == {S: i for i, orbit in enumerate(found.classes) for S in orbit}
+    assert same.class_of is same.class_of
     assert {found: 1}[same] == 1
 
 
@@ -129,10 +131,13 @@ def test_assignment_and_deletion_refused(name):
 
 
 def test_hom_check_defaults():
-    ok = HomCheck(True)
+    ok = HomCheck()
     assert (ok.ok, ok.witness, ok.message) == (True, None, "")
-    assert HomCheck(ok=True) == ok != HomCheck(True, message="x")
-    assert HomCheck(False, (0, 1), "m") == build()["HomCheck"]
+    assert HomCheck(witness=None) == ok != HomCheck(message="x")
+    bad = HomCheck((0, 1), "m")
+    assert not bad.ok and bad == build()["HomCheck"]
+    with pytest.raises(TypeError):  # ok is read off the witness, not given
+        HomCheck(ok=True)
 
 
 def test_positional_and_keyword_construction_agree():
@@ -205,7 +210,7 @@ class Pair(Record):
 def test_fields_are_the_annotations_in_order():
     assert Pair._fields == ("first", "second")
     assert CorrectionReport._fields == ("corrected", "distance", "input_defect", "mode")
-    assert HomCheck._fields == ("ok", "witness", "message")
+    assert HomCheck._fields == ("witness", "message")
 
 
 def test_default_comes_from_the_class_body():

@@ -109,6 +109,23 @@ class TestActionTrace:
             assert action_trace(h, A) >= action_trace(h, B)
             assert action_trace(h, A | {G.identity}) == action_trace(h, A)
 
+    def test_each_share_made_once_by_the_memo(self, monkeypatch):
+        # every statistic reads its value from the trace's share memo,
+        # which makes the Fraction of a point count on its first read only
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(trace_stats, "Fraction", counting)
+        h = random_hom(symmetric_group(3)[0], 7, Random(22))
+        for _ in range(2):
+            bs_statistic(h, [1], [2])
+            action_trace(h, [3, 4])
+            s_from_tr(h.trace, [1], [2, 3])
+            tr_from_s(statistic_table(h, [1, 2, 3]), [1, 2, 3])
+        assert len(made) > 2 and sorted(made) == sorted((c, 7) for c in h.trace._shares)
 
     def test_trace_kept_with_its_homomorphism(self):
         # the masks stay with the homomorphism however many others are traced
