@@ -38,7 +38,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import fixtures
-from .errors import BoundExceededError, MalformedInputError, PermStabError
+from .errors import BoundExceededError, MalformedInputError, PermStabError, echo
 from .graphs import action_graph, stat_distance_details
 from .groups import PermHomomorphism, _check_size, subgroup_conjugacy_classes
 from .jsonio import (
@@ -396,11 +396,11 @@ def _convert(name: str, kind, value: str):
         if value in kind:
             return value
         choices = ", ".join(map(repr, kind))
-        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        raise _UsageError(f"argument {name}: invalid choice: {echo(value)} (choose from {choices})")
     try:
         return kind(value)
     except ValueError:
-        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {echo(value)}") from None
 
 
 def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:

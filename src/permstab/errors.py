@@ -62,3 +62,15 @@ class AlphabetMismatchError(PermStabError, ValueError):
 
 class MalformedInputError(PermStabError, ValueError):
     """An input file is syntactically or semantically invalid."""
+
+
+ECHO_LIMIT = 200  # characters of an offending value that a message repeats
+
+
+def echo(value) -> str:
+    """``repr(value)`` for an error message, cut after ``ECHO_LIMIT`` characters."""
+    try:
+        text = repr(value)
+    except RecursionError:  # a library caller's value, nested deeper than a file can be
+        return f"a {type(value).__name__} nested too deep to show"
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"

@@ -119,20 +119,19 @@ class LabeledDigraph(Record):
         for u, v, lab in edges:
             if lab not in by_label:
                 raise MalformedInputError(f"unknown label {lab!r}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise MalformedInputError(f"{lab!r}-edge ({u}, {v}) has an end outside 1..{n}")
             if u in by_label[lab]:
                 raise MalformedInputError(f"two {lab!r}-edges leave vertex {u}")
             if (lab, v) in entered:
                 raise MalformedInputError(f"two {lab!r}-edges enter vertex {v}")
             by_label[lab][u] = v
             entered.add((lab, v))
-        perms = []
+        perms = []  # ends in 1..n, no two sharing a tail or a head: n edges are a bijection
         for a in alphabet:
-            mapping = by_label[a]
-            if sorted(mapping) != list(range(1, n + 1)):
-                raise MalformedInputError(
-                    f"label {a!r} is not the graph of a permutation"
-                )
-            perms.append(Permutation(mapping[i] for i in range(1, n + 1)))
+            if len(by_label[a]) != n:
+                raise MalformedInputError(f"label {a!r} is not the graph of a permutation")
+            perms.append(Permutation._trusted(tuple(map(by_label[a].get, range(1, n + 1)))))
         return cls(n, tuple(alphabet), tuple(perms))
 
     @cached_property

@@ -22,6 +22,7 @@ from .errors import (
     NotSubgroupError,
     SourceMismatchError,
     WordError,
+    echo,
 )
 from .perm import Permutation, direct_sum, restrict
 from .record import Record
@@ -489,10 +490,10 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
     for token in text.split():
         m = _LETTER_RE.match(token)
         if not m:
-            raise WordError(f"invalid word token {token!r}")
+            raise WordError(f"invalid word token {echo(token)}")
         name, exp = m.group(1), m.group(2)
         if name not in pos:
-            raise WordError(f"unknown generator {name!r}")
+            raise WordError(f"unknown generator {echo(name)}")
         e = int(exp) if exp is not None else 1
         if e != 0:
             out.append((pos[name], e))

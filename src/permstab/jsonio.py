@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import BoundExceededError, MalformedInputError, PermStabError, SourceMismatchError
+from .errors import echo
 from .groups import (
     FiniteGroup,
     FpGroup,
@@ -74,7 +75,7 @@ def permutation_from_json(obj, degree: int) -> Permutation:
                 f"permutation degree {deg} does not match its {len(images)} images"
             )
         return Permutation(images)
-    raise MalformedInputError(f"cannot read a permutation from {obj!r}")
+    raise MalformedInputError(f"cannot read a permutation from {echo(obj)}")
 
 
 def _read_bytes(path: Union[str, Path]) -> bytes:
@@ -136,23 +137,8 @@ def images_to_json(h: PermHomomorphism) -> dict[str, str]:
 
 
 def group_from_json(obj) -> LoadedGroup:
-    """Read a group object.  Each distinct group is built once per
-    process: the object is read back from its canonical JSON text, on
-    which the result is memoized, so two files of one group share one
-    table."""
-    try:
-        text = json.dumps(obj, sort_keys=True)
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise MalformedInputError(f"bad group object: {exc}") from exc
-    return _group_from_text(text)
-
-
-@lru_cache(maxsize=32)
-def _group_from_text(text: str) -> LoadedGroup:
-    try:  # a few frames deeper than the file's own parse, which may have passed
-        obj = json.loads(text)
-    except RecursionError as exc:
-        raise MalformedInputError(f"bad group object: {exc}") from exc
+    """Read a group object.  Its fields are checked here and its group is memoized
+    on the checked fields, so two files of one group share one table."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInputError("group object must carry a 'kind' field")
     kind = obj["kind"]
@@ -163,8 +149,7 @@ def _group_from_text(text: str) -> LoadedGroup:
                 raise MalformedInputError("table rows must be lists of JSON integers")
             if type(obj.get("order")) is not int or obj["order"] != len(table):
                 raise MalformedInputError("stated order differs from table size")
-            G = FiniteGroup(table)
-            return LoadedGroup(image_keys(G), G)
+            return _loaded_group(kind, tuple(map(tuple, table)))
         if kind == "perm-gens":
             degree = obj["degree"]
             if type(degree) is not int:
@@ -178,19 +163,27 @@ def _group_from_text(text: str) -> LoadedGroup:
                 raise MalformedInputError("one distinct name string per generator required")
             if not gens:
                 raise MalformedInputError("need at least one generator")
-            return LoadedGroup(tuple(names), gens=gens)
+            return _loaded_group(kind, tuple(names), gens)
         if kind == "presentation":
             if not (_is_str_list(obj["generators"]) and _is_str_list(obj.get("relators", []))):
                 raise MalformedInputError("generators and relators must be lists of strings")
-            G = FpGroup(obj["generators"], obj.get("relators", ()))
-            return LoadedGroup(image_keys(G), G)
+            return _loaded_group(kind, tuple(obj["generators"]), tuple(obj.get("relators", ())))
     except (MalformedInputError, BoundExceededError):
         raise
     except PermStabError as exc:
         raise MalformedInputError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad group object: {exc}") from exc
-    raise MalformedInputError(f"unknown group kind {kind!r}")
+    raise MalformedInputError(f"unknown group kind {echo(kind)}")
+
+
+@lru_cache(maxsize=32)
+def _loaded_group(kind: str, *fields: tuple) -> LoadedGroup:
+    """The group of a checked group object, memoized on its fields as tuples."""
+    if kind == "perm-gens":
+        return LoadedGroup(fields[0], gens=fields[1])
+    G = FiniteGroup(*fields) if kind == "table" else FpGroup(*fields)
+    return LoadedGroup(image_keys(G), G)
 
 
 def _hom_shape(obj) -> tuple[LoadedGroup, int, dict]:
@@ -275,6 +268,5 @@ def element_set_from_text(hom: PermHomomorphism, text: str) -> list:
     try:
         return _int_tokens(items)
     except ValueError as exc:
-        raise MalformedInputError(
-            f"table-group element sets must be integer ids: {text!r}"
-        ) from exc
+        message = f"table-group element sets must be integer ids: {echo(text)}"
+        raise MalformedInputError(message) from exc

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .errors import DegreeMismatchError, PermutationParseError
+from .errors import DegreeMismatchError, PermutationParseError, echo
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _SEP_RE = re.compile(r"[,\s]+")
@@ -35,9 +35,7 @@ class Permutation:
         images = tuple(images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
-            raise PermutationParseError(
-                f"images {images!r} are not a bijection of {{1..{n}}}"
-            )
+            raise PermutationParseError(f"images {echo(images)} are not a bijection of {{1..{n}}}")
         object.__setattr__(self, "images", images)
 
     @classmethod
@@ -152,7 +150,7 @@ def _int_tokens(tokens: list[str]) -> list[int]:
     ``ValueError``: Python's ``int`` also reads ``1_0``, ``+2`` and
     non-ASCII digits such as ``"٣"``."""
     if not all(map(_INT_RE.fullmatch, tokens)):
-        raise ValueError(f"non-integer token in {tokens!r}")
+        raise ValueError("non-integer token")  # each caller words its own message
     return list(map(int, tokens))
 
 
@@ -167,13 +165,13 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
-            raise PermutationParseError(f"unterminated one-line form: {text!r}")
+            raise PermutationParseError(f"unterminated one-line form: {echo(text)}")
         body = text[1:-1].strip()
         entries = [t for t in _SEP_RE.split(body) if t] if body else []
         try:
             images = _int_tokens(entries)
         except ValueError:
-            raise PermutationParseError(f"non-integer entry in {text!r}") from None
+            raise PermutationParseError(f"non-integer entry in {echo(text)}") from None
         if len(images) != degree:
             raise PermutationParseError(
                 f"one-line form lists {len(images)} images, degree is {degree}"
@@ -183,7 +181,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         return Permutation.identity(degree)
     consumed = _CYCLE_RE.sub("", text).strip()
     if consumed:
-        raise PermutationParseError(f"unparsable permutation text: {text!r}")
+        raise PermutationParseError(f"unparsable permutation text: {echo(text)}")
     images = list(range(1, degree + 1))
     touched: set[int] = set()
     for match in _CYCLE_RE.finditer(text):
@@ -193,7 +191,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         try:
             pts = _int_tokens(_SEP_RE.split(body))
         except ValueError:
-            raise PermutationParseError(f"non-integer point in {text!r}") from None
+            raise PermutationParseError(f"non-integer point in {echo(text)}") from None
         for p in pts:
             if not 1 <= p <= degree:
                 raise PermutationParseError(f"point {p} out of range 1..{degree}")

@@ -39,6 +39,7 @@ from .errors import (
     NotSubgroupError,
     SourceMismatchError,
     ZeroMultiplicityError,
+    echo,
 )
 from .groups import (
     DEFAULT_LIFT_SIZE_BOUND,  # re-exported: the bound compose_lift applies
@@ -385,18 +386,14 @@ class AmalgamHom(Record):
         h = self.psi1 if side == 1 else self.psi2
         if isinstance(h.source, FpGroup):
             if isinstance(token, int):
-                raise AmalgamMismatchError(
-                    f"side {side} takes words, not element id {token!r}"
-                )
+                raise AmalgamMismatchError(f"side {side} takes words, not element id {echo(token)}")
             return evaluate_word(h, token)
         try:
             g = _int_tokens([token])[0] if isinstance(token, str) else int(token)
         except ValueError:
             g = -1
         if not 0 <= g < len(h.images):
-            raise AmalgamMismatchError(
-                f"element id {token!r} outside the side-{side} group"
-            )
+            raise AmalgamMismatchError(f"element id {echo(token)} outside the side-{side} group")
         return h.images[g]
 
     def evaluate_alternating(

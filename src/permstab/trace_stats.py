@@ -39,7 +39,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import BoundExceededError, PermStabError
+from .errors import BoundExceededError, PermStabError, echo
 from .groups import FiniteGroup, PermHomomorphism, evaluate_word, parse_word
 
 DEFAULT_MOVED_SET_BOUND = 20
@@ -121,7 +121,7 @@ class _Shares(dict):
 
 def _outside_group(exc: KeyError) -> PermStabError:
     """The error for an element that is not a key of the mask store."""
-    return PermStabError(f"element id {exc.args[0]!r} outside the source group")
+    return PermStabError(f"element id {echo(exc.args[0])} outside the source group")
 
 
 def get_trace(h: PermHomomorphism) -> ActionTrace:

@@ -729,8 +729,8 @@ class TestExitCodes:
         assert report["outputs"]["error"]["code"] == "malformed-input"
 
     def test_nested_group_objects_never_exit_70(self, tmp_path):
-        # around the recursion limit a file parses, and the group object's
-        # canonical round trip, a few frames deeper, may not
+        # around the recursion limit a file may parse or not; a group object
+        # that parses is read field by field, and its ignored "pad" not at all
         table = '"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]'
         (tmp_path / "h.json").write_text('{"members": [0, 1]}')
         codes = set()
@@ -745,6 +745,21 @@ class TestExitCodes:
                 assert code in (0, EXIT_BADFILE), (depth, argv[0], report["outputs"])
                 codes.add(code)
         assert codes == {0, EXIT_BADFILE}
+
+    def test_refusal_of_a_long_image_stays_short(self, tmp_path):
+        # each report once repeated the whole image, about 1.5 MB
+        n = 200_000
+        group = {"kind": "presentation", "generators": ["x"]}
+        for image, start in (
+            (list(range(1, n + 1)), "cannot read a permutation from [1, 2, 3, "),
+            ("[1," + ",".join(map(str, range(1, n))) + "]", "images (1, 1, 2, "),
+        ):
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps({"group": group, "degree": n, "images": {"x": image}}))
+            code, report = dispatch(["graph", str(path)])
+            assert code == EXIT_BADFILE
+            assert report["outputs"]["error"]["message"].startswith(start)
+            assert len(json.dumps(report)) < 2048
 
     def test_over_long_integer_is_malformed(self, tmp_path):
         path = tmp_path / "long.json"
@@ -994,7 +1009,7 @@ class TestExitCodes:
         ):
             for bound, code in ((size, EXIT_OK), (size - 1, EXIT_DOMAIN)):
                 monkeypatch.setattr(permstab.groups, "DEFAULT_LIFT_SIZE_BOUND", bound)
-                permstab.jsonio._group_from_text.cache_clear()  # each group is built once
+                permstab.jsonio._loaded_group.cache_clear()  # each group is built once
                 got, report = dispatch([str(tmp_path / a) if a in homs else a for a in argv])
                 assert got == code, (message, bound)
             assert report["outputs"]["error"]["message"] == (

@@ -1237,6 +1237,22 @@ REFUSALS = [
         MalformedInputError, "label 'x' is not the graph of a permutation",
         id="label-not-a-permutation",
     ),
+    # an edge end outside 1..n: one class and one message, whichever end
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ("x",), [(1, 2, "x"), (2, 3, "x")]),
+        MalformedInputError, "'x'-edge (2, 3) has an end outside 1..2",
+        id="edge-entering-past-n",
+    ),
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ("x",), [(1, 1, "x"), (2, 0, "x")]),
+        MalformedInputError, "'x'-edge (2, 0) has an end outside 1..2",
+        id="edge-entering-zero",
+    ),
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ("x",), [(1, 2, "x"), (3, 1, "x")]),
+        MalformedInputError, "'x'-edge (3, 1) has an end outside 1..2",
+        id="edge-leaving-past-n",
+    ),
 ]
 
 

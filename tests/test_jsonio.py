@@ -1,5 +1,6 @@
 """JSON formats: roundtrips and the malformed-input corpus."""
 
+import functools
 import json
 import os
 import re
@@ -144,6 +145,69 @@ class TestGroupJson:
             loaded.group = FpGroup(("y",))
         assert loaded.group == FpGroup(("x",))
         assert group_from_json({"kind": "presentation", "generators": ["x"]}) is loaded
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]},
+            {"kind": "perm-gens", "degree": 3, "generators": ["(1 2)", "(1 2 3)"]},
+            {"kind": "presentation", "generators": ["s", "t"], "relators": ["s^2", "t^3"]},
+        ],
+    )
+    def test_one_group_per_checked_fields(self, obj):
+        # the memo is keyed on the fields read, not on the object's text
+        loaded = group_from_json(obj)
+        assert group_from_json(dict(reversed(obj.items()))) is loaded
+        assert group_from_json({**obj, "pad": [{"note": "ignored"}]}) is loaded
+        assert group_from_json({**obj, "pad": {1, 2}}) is loaded  # no JSON value, not read
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"kind": "table", "order": 2, "table": ([0, 1], [1, 0])},
+                "table rows must be lists of JSON integers",
+            ),
+            (
+                {"kind": "table", "order": 2, "table": [(0, 1), (1, 0)]},
+                "table rows must be lists of JSON integers",
+            ),
+            (
+                {"kind": "perm-gens", "degree": 2, "generators": ("(1 2)",)},
+                "perm-gens generators must be a JSON list",
+            ),
+            (
+                {"kind": "perm-gens", "degree": 2, "generators": ["(1 2)"], "names": ("a",)},
+                "one distinct name string per generator required",
+            ),
+            (
+                {"kind": "presentation", "generators": ("s",)},
+                "generators and relators must be lists of strings",
+            ),
+            (
+                {"kind": "presentation", "generators": ["s"], "relators": ("s^2",)},
+                "generators and relators must be lists of strings",
+            ),
+        ],
+    )
+    def test_tuples_are_not_json_lists(self, obj, message):
+        # json.dumps once wrote each tuple as a list, so these were read
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+            group_from_json(obj)
+
+    def test_memo_cleared_with_the_package_caches(self):
+        # perfbench clears every module-level lru_cache of the package
+        # between cold requests and set-ups; a memo it cannot see would
+        # keep the groups of earlier requests
+        obj = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
+        loaded = group_from_json(obj)
+        for name, module in list(sys.modules.items()):
+            if name == "permstab" or name.startswith("permstab."):
+                for value in vars(module).values():
+                    if isinstance(value, functools._lru_cache_wrapper):
+                        value.cache_clear()
+        again = group_from_json(obj)
+        assert again is not loaded and again == loaded
 
 
 # images keyed by a name that is no generator: refused with exit 65
@@ -335,7 +399,7 @@ class TestHomJson:
             raise AssertionError("the group was built")
 
         monkeypatch.setattr(permstab.jsonio, "group_from_permutations", unbuilt)
-        permstab.jsonio._group_from_text.cache_clear()
+        permstab.jsonio._loaded_group.cache_clear()
         for n in (7, 8):
             cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
             group = {"kind": "perm-gens", "degree": n, "generators": ["(1 2)", cycle]}
@@ -368,7 +432,7 @@ class TestHomJson:
             raise AssertionError("the group was built")
 
         monkeypatch.setattr(permstab.jsonio, "group_from_permutations", unbuilt)
-        permstab.jsonio._group_from_text.cache_clear()
+        permstab.jsonio._loaded_group.cache_clear()
         for n, degree in ((7, 7), (8, 8), (7, 200)):  # 5,040 x 200 is over the bound
             cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
             group = {"kind": "perm-gens", "degree": n, "generators": ["(1 2)", cycle]}
@@ -413,7 +477,7 @@ class TestHomJson:
             return real(gens)
 
         monkeypatch.setattr(permstab.jsonio, "group_from_permutations", counting)
-        permstab.jsonio._group_from_text.cache_clear()
+        permstab.jsonio._loaded_group.cache_clear()
         group = {
             "kind": "perm-gens",
             "degree": 4,
@@ -488,13 +552,29 @@ class TestHomJson:
             _load_json("deep.json", b"[" * 100_000)
         with pytest.raises(MalformedInputError, match="^long.json is not valid JSON: "):
             _load_json("long.json", b'{"degree": ' + b"9" * 5_000 + b"}")
+
+    def test_nested_values_refused_where_read(self):
+        # a value nested deeper than any file can hold: each field that is
+        # read refuses it with its own message, and an ignored key is not read
         deep: list = []
         for _ in range(100_000):
             deep = [deep]
-        with pytest.raises(MalformedInputError, match="^bad group object: "):
-            group_from_json({"kind": "presentation", "generators": ["x"], "pad": deep})
-        with pytest.raises(MalformedInputError, match="^bad group object: "):
-            permstab.jsonio._group_from_text("[" * 100_000 + "]" * 100_000)
+        table = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
+        perm_gens = {"kind": "perm-gens", "degree": 2, "generators": ["(1 2)"]}
+        presentation = {"kind": "presentation", "generators": ["x"]}
+        for obj, message in (
+            ({**table, "table": [[0, 1], deep]}, "table rows must be lists of JSON integers"),
+            ({**perm_gens, "generators": [deep]}, "cannot read a permutation from a list nested"),
+            ({**perm_gens, "names": [deep]}, "one distinct name string per generator required"),
+            ({**presentation, "relators": [deep]}, "generators and relators must be lists of strings"),
+        ):
+            with pytest.raises(MalformedInputError, match=f"^{message}"):
+                group_from_json(obj)
+        for group in (table, perm_gens, presentation):
+            assert group_from_json({**group, "pad": deep}) is group_from_json(group)
+        # a hom image so deep used to escape as a RecursionError
+        with pytest.raises(MalformedInputError, match="^cannot read a permutation from a list"):
+            hom_from_json({"group": presentation, "degree": 2, "images": {"x": deep}})
 
 
 class TestSubgroupJson:

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from permstab.errors import DegreeMismatchError, PermutationParseError
+from permstab.errors import ECHO_LIMIT, DegreeMismatchError, PermutationParseError
 from permstab.fixtures import block_cycle_a, block_cycle_b
 from permstab.graphs import LabeledDigraph, action_graph
 from permstab.groups import (
@@ -93,6 +93,22 @@ class TestParsing:
         with pytest.raises(PermutationParseError) as err:
             parse_permutation(text, degree)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text,degree,prefix", [
+        ("[" + "1," * 50_000, 50_000, "unterminated one-line form: "),
+        ("[" + "1, " * 50_000 + "x]", 50_001, "non-integer entry in "),
+        ("(1 2)" * 50_000 + "x", 2, "unparsable permutation text: "),
+        ("(" + "1 " * 50_000 + "x)", 2, "non-integer point in "),
+        ("[" + "1, " * 50_000 + "]", 50_000, "images "),
+    ], ids=["unterminated", "entry", "unparsable", "point", "bijection"])
+    def test_long_text_echoed_in_part(self, text, degree, prefix):
+        # the message once repeated the whole text
+        with pytest.raises(PermutationParseError) as err:
+            parse_permutation(text, degree)
+        shown = repr(tuple([1] * 50_000) if prefix == "images " else text)
+        assert str(err.value).startswith(
+            f"{prefix}{shown[:ECHO_LIMIT]}... ({len(shown)} characters)"
+        )
 
     def test_degree_zero(self):
         assert parse_permutation("[]", 0).degree == 0
