@@ -34,10 +34,13 @@ makes the ``Fraction`` of the degree of each point count once.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceededError, PermStabError, echo
 from .groups import FiniteGroup, PermHomomorphism, evaluate_word, parse_word
@@ -45,7 +48,8 @@ from .groups import FiniteGroup, PermHomomorphism, evaluate_word, parse_word
 DEFAULT_MOVED_SET_BOUND = 20
 # distinct elements of the universe F of a statistic table, which has
 # 2^|F| entries: on S5, the table of |F| = 16 and its round trip take
-# about 0.25 s and 62 MB; |F| = 20 took 4.7 s and 793 MB
+# about 0.1 s and a peak RSS of 62 MB, 45 MB above the interpreter's;
+# |F| = 20 took 4.7 s and 793 MB
 DEFAULT_UNIVERSE_BOUND = 16
 
 ElementSet = Iterable  # ids (int) or words (str | Word)
@@ -209,8 +213,13 @@ def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
             even, odd = kept_even, kept_odd
     except KeyError as exc:
         raise _outside_group(exc) from None
+    count = 0
+    for m in even:
+        count += m.bit_count()
+    for m in odd:
+        count -= m.bit_count()
     try:
-        return trace._shares[sum(map(int.bit_count, even)) - sum(map(int.bit_count, odd))]
+        return trace._shares[count]
     except ZeroDivisionError:  # no points: S(A, B) = 1 exactly when B is empty
         return Fraction(int(not B))
 
@@ -218,12 +227,13 @@ def s_from_tr(trace: ActionTrace, A: ElementSet, B: ElementSet) -> Fraction:
 class StatisticTable(dict):
     """The table of :func:`statistic_table`: a read-only ``dict`` that
     also keeps the integer point count of each subset, in table order,
-    the sorted universe, and the trace's share memo.
+    the universe sorted by ``repr``, and the trace's share memo.
 
     :func:`tr_from_s` sums those counts when it is given the table and
-    the table's own universe.  So that the counts never disagree with the
-    values, every mutator raises ``TypeError``; ``dict(table)`` is a
-    mutable copy, and ``copy``, ``deepcopy`` and ``pickle`` give one.
+    the table's own universe, which it sorts the same way.  So that the
+    counts never disagree with the values, every mutator raises
+    ``TypeError``; ``dict(table)`` is a mutable copy, and ``copy``,
+    ``deepcopy`` and ``pickle`` give one.
     """
 
     __slots__ = ("_counts", "_items", "_shares")
@@ -257,41 +267,22 @@ def tr_from_s(
     universe is ``max(table, key=len)``, not the words as typed.  Then
     ``Tr(A) = sum over T containing A of S(T, F minus T)``: one
     superset-sum pass per element.  A :class:`StatisticTable` of a
-    positive degree, read on exactly its own elements, sums its kept
-    point counts and takes each share from the trace's memo; any other
-    mapping is read key by key and summed on integers over a common
-    denominator.  The result is keyed by the table's own keys, in the
-    order of the universe's elements sorted by ``repr``.  A universe of
-    more than ``DEFAULT_UNIVERSE_BOUND`` distinct elements raises
-    ``BoundExceededError`` before anything is allocated.
+    positive degree, read on exactly its own elements, already lists its
+    subsets in that order: its kept point counts are summed packed in one
+    int (:func:`_packed_superset_sums`) and each share is taken from the
+    trace's memo.  Any other mapping is read key by key and summed on
+    integers over a common denominator.  The result is keyed by the
+    table's own keys, in the order of the universe's elements sorted by
+    ``repr``.  A universe of more than ``DEFAULT_UNIVERSE_BOUND`` distinct
+    elements raises ``BoundExceededError`` before anything is allocated.
     """
     items = sorted(_bounded_universe(frozenset(universe)), key=repr)
-    if isinstance(stats, StatisticTable) and stats._counts is not None:
-        out = _tr_from_counts(stats, items)
-        if out is not None:
-            return out
+    counted = isinstance(stats, StatisticTable) and stats._counts is not None
+    if counted and stats._items == items:
+        shares = stats._shares
+        sums = _packed_superset_sums(stats._counts, len(items), shares.degree)
+        return dict(zip(stats, map(shares.__getitem__, sums)))
     return _tr_from_values(stats, items)
-
-
-def _tr_from_counts(table: StatisticTable, items: list) -> Optional[dict]:
-    """:func:`tr_from_s` on the table's point counts, or ``None`` when
-    ``items`` are not the table's elements."""
-    own = table._items
-    if len(items) != len(own):
-        return None
-    try:  # table bit of each element, in repr order
-        bits = [1 << own.index(x) for x in items]
-    except ValueError:
-        return None
-    sums, keys = table._counts, list(table)
-    if bits != sorted(bits):  # the repr order is not the table order
-        order = [0]  # order[t]: the table index of repr-order subset t
-        for b in bits:
-            order += [s | b for s in order]
-        sums = list(map(sums.__getitem__, order))
-        keys = list(map(keys.__getitem__, order))
-    sums = _superset_sums(sums, len(items))
-    return dict(zip(keys, map(table._shares.__getitem__, sums)))
 
 
 def _tr_from_values(stats: Mapping[frozenset, Fraction], items: list) -> dict:
@@ -335,32 +326,74 @@ def _superset_sums(sums: list, elements: int) -> list:
     subset ``s``, by Yates's method: a pass adds each odd entry (subsets
     with the lowest bit) to the even one before it and lists the evens
     first, which rotates the bits, so the next pass sums over the next
-    element and one pass per element restores the order."""
+    element and one pass per element restores the order.  This list form
+    takes any ints, negative or unbounded, as the rational numerators of
+    :func:`_tr_from_values` are; point counts take
+    :func:`_packed_superset_sums`."""
     for _ in range(elements):
         odd = sums[1::2]
         sums = [*map(add, sums[::2], odd), *odd]
     return sums
 
 
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _packed_superset_sums(counts: list, elements: int, total: int) -> array:
+    """:func:`_superset_sums` of non-negative ``counts`` that sum to
+    ``total`` (less than ``2^64``), on one packed int.
+
+    Count ``s`` is field ``s`` of the int, in fields of the fewest of 1,
+    2, 4 or 8 bytes that hold ``total``.  Every partial sum is a sum of
+    distinct counts, so no more than ``total``, and a field never carries
+    into the next: the pass of element ``i`` is one shift, which brings
+    the field of ``s`` with bit ``i`` down onto ``s``, and one add of the
+    fields of the subsets without bit ``i`` (:func:`_field_masks`)."""
+    # type codes by the bytes that total needs: B, H, I, Q hold 1, 2, 4, 8
+    fields = array("BBHIIQQQQ"[(total.bit_length() + 7) >> 3], counts)
+    size = fields.itemsize
+    if _BIG_ENDIAN:  # field s must be bytes s*size .. of a little-endian int
+        fields.byteswap()
+    packed = int.from_bytes(fields, "little")
+    for i, mask in enumerate(_field_masks(elements, size)):
+        packed += packed >> (8 * size << i) & mask
+    fields = array(fields.typecode, packed.to_bytes(len(fields) * size, "little"))
+    if _BIG_ENDIAN:
+        fields.byteswap()
+    return fields
+
+
+@lru_cache(maxsize=8)
+def _field_masks(elements: int, size: int) -> tuple[int, ...]:
+    """Per element ``i``, the packed int whose ``size``-byte fields are all
+    ones at the subsets without bit ``i`` and zero at the others.  At most
+    ``2^DEFAULT_UNIVERSE_BOUND`` fields of 8 bytes: 8 MB for the 16 masks
+    of the largest admitted universe."""
+    out = []
+    for i in range(elements):
+        block = b"\xff" * (size << i) + bytes(size << i)  # 2^i fields without i, 2^i with
+        out.append(int.from_bytes(block * (1 << elements - 1 - i), "little"))
+    return tuple(out)
+
+
 def statistic_table(h: PermHomomorphism, universe: ElementSet) -> StatisticTable:
     """The full table ``{T -> S(T, F minus T)}`` over subsets of ``F``, as
     a read-only :class:`StatisticTable`.
 
-    The points are split once per element of ``F``: the mask of subset
-    ``T`` holds the points fixed by exactly the elements of ``T``.  Each
-    share is the trace's memoized ``Fraction`` of its count, and the
-    table keeps the counts for :func:`tr_from_s`.  Word elements key the
-    table as parsed tuples.  A universe of more than
-    ``DEFAULT_UNIVERSE_BOUND`` distinct elements raises
-    ``BoundExceededError`` before the points are split.
+    The elements of ``F`` are sorted by ``repr``, the order in which
+    :func:`tr_from_s` reads a universe, and subset ``s`` of the table
+    holds element ``i`` iff bit ``i`` of ``s`` is set.  The points are
+    split once per element: the mask of subset ``T`` holds the points
+    fixed by exactly the elements of ``T``.  Each share is the trace's
+    memoized ``Fraction`` of its count, and the table keeps the counts
+    for :func:`tr_from_s`.  Word elements key the table as parsed tuples.
+    A universe of more than ``DEFAULT_UNIVERSE_BOUND`` distinct elements
+    raises ``BoundExceededError`` before the points are split.
     """
     trace = h.trace
-    items = _bounded_universe(set(trace._canonical(universe)))
-    fixed = dict(zip(items, trace.masks(items)))  # ids checked before the sort
-    items = sorted(fixed)
+    items = sorted(_bounded_universe(set(trace._canonical(universe))), key=repr)
     parts = [trace._full]  # parts[s]: the points fixed by exactly subset s
-    for x in items:
-        m = fixed[x]
+    for m in trace.masks(items):
         moved = ~m
         parts = [p & moved for p in parts] + [p & m for p in parts]
     memo = trace._shares

@@ -13,6 +13,7 @@ import pytest
 
 import permstab.groups
 import permstab.jsonio
+import permstab.trace_stats
 from permstab.cli import dispatch
 from permstab.errors import MalformedInputError
 from permstab.groups import (
@@ -201,13 +202,17 @@ class TestGroupJson:
         # keep the groups of earlier requests
         obj = {"kind": "table", "order": 2, "table": [[0, 1], [1, 0]]}
         loaded = group_from_json(obj)
+        # the field masks of a statistic table's superset sums, likewise
+        masks = permstab.trace_stats._field_masks(3, 1)
         for name, module in list(sys.modules.items()):
             if name == "permstab" or name.startswith("permstab."):
                 for value in vars(module).values():
                     if isinstance(value, functools._lru_cache_wrapper):
                         value.cache_clear()
+        assert permstab.trace_stats._field_masks.cache_info().currsize == 0
         again = group_from_json(obj)
         assert again is not loaded and again == loaded
+        assert permstab.trace_stats._field_masks(3, 1) is not masks
 
 
 # images keyed by a name that is no generator: refused with exit 65

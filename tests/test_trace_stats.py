@@ -21,10 +21,11 @@ from permstab.groups import (
     evaluate_word,
     hom_from_generator_images,
     klein_four_group,
+    parse_word,
     symmetric_group,
     trivial_hom,
 )
-from permstab.perm import Permutation
+from permstab.perm import Permutation, parse_permutation
 from permstab.stability import replicate_hom
 from permstab.trace_stats import (
     DEFAULT_UNIVERSE_BOUND,
@@ -568,22 +569,37 @@ class TestTablesAgainstOracles:
     """One-pass ``statistic_table`` and superset-sum ``tr_from_s`` against
     the subset-pair loops of ``oracles``."""
 
-    def test_random_universes(self, zoo8):
+    def test_random_universes(self, zoo8, zoo24):
+        # Z24 and S4 have ids from 10 on, and the word tuple ((0, 9),) of
+        # a^9 sorts before ((0, 10),): orders that differ from repr order
         rng = Random(28)
-        names = sorted(zoo8)
+        groups = {**zoo8, "Z24": zoo24["Z24"], "S4": zoo24["S4"]}
+        names = sorted(groups)
+        cases = []
         for _ in range(150):
-            G = zoo8[rng.choice(names)]
+            G = groups[rng.choice(names)]
             h = random_hom(G, rng.randint(1, 12), rng)
             F = rng.sample(range(G.order), rng.randint(0, min(6, G.order)))
+            cases.append((h, F, F))
+        words = PermHomomorphism(
+            FpGroup(("a", "b")),
+            9,
+            (parse_permutation("(1 2 3 4 5)(6 7)", 9), parse_permutation("(1 6)(8 9)", 9)),
+        )
+        F = ["a^9", "a^10", "b", "a b", "a^10"]
+        cases.append((words, F, [parse_word(w, ("a", "b")) for w in F]))
+        permuted = 0
+        for h, F, elements in cases:
             table = statistic_table(h, F)
             assert table == oracles.statistic_table(h, F)
-            assert list(table) == subset_order(sorted(set(F)))
-            recovered = tr_from_s(table, F)
-            assert recovered == oracles.tr_from_s(table, F)
-            # keyed by the table's own key objects, elements in repr order
-            own = {T: T for T in table}
-            assert all(own[T] is T for T in recovered)
-            assert list(recovered) == subset_order(sorted(set(F), key=repr))
+            assert list(table) == subset_order(sorted(set(elements), key=repr))
+            recovered = tr_from_s(table, elements)
+            assert recovered == oracles.tr_from_s(table, elements)
+            # the table's own key objects, in the table's order
+            assert list(recovered) == list(table)
+            assert all(a is b for a, b in zip(recovered, table))
+            permuted += sorted(set(elements)) != sorted(set(elements), key=repr)
+        assert permuted >= 10
 
     def test_arbitrary_rationals(self):
         # tr_from_s is linear in the table, whatever its denominators;
@@ -666,8 +682,9 @@ class TestStatisticTableCounts:
         return out
 
     def test_random_universes_against_the_general_path(self, zoo24):
-        # ids from 10 on sort differently by repr, so most universes of
-        # the order-12 and order-24 groups are read in a permuted order
+        # ids from 10 on sort differently by repr than by value, so most
+        # universes of the order-12 and order-24 groups list their
+        # subsets in an order that is not the numeric one
         rng = Random(2901)
         names = sorted(zoo24)
         permuted = 0
@@ -738,12 +755,54 @@ class TestStatisticTableCounts:
         monkeypatch.setattr(trace_stats, "_tr_from_values", general_path)
         for table, universe, expected in zip(tables, universes, want):
             assert tr_from_s(table, universe) == expected
-        # every other input takes the general path
-        zero = statistic_table(trivial_hom(cyclic_group(3), 0), [1, 2])
-        for stats, universe in ((dict(tables[0]), universes[0]), (tables[0], [3, 12]),
-                                (tables[1], ["a", "b", "a b"]), (zero, [1, 2])):
+        # every other input takes the general path: a plain mapping, a
+        # smaller universe, the words as typed, a degree-0 table, and the
+        # table's own elements in other forms that sort otherwise by repr
+        zero = trivial_hom(cyclic_group(3), 0)
+        readable = [(tables[0], [3, 12, False, 21, 9])]
+        readable += [(statistic_table(zero, F), F) for F in ([], [1], [1, 2], [0, 1, 2])]
+        general = [(dict(tables[0]), universes[0]), (tables[0], [3, 12]),
+                   (tables[1], ["a", "b", "a b"]), *readable]
+        for stats, universe in general:
             with pytest.raises(AssertionError, match="general path"):
                 tr_from_s(stats, universe)
+        monkeypatch.undo()
+        for stats, universe in readable:
+            assert tr_from_s(stats, universe) == tr_from_s(dict(stats), universe)
+
+    @pytest.mark.parametrize("elements", range(DEFAULT_UNIVERSE_BOUND + 1))
+    def test_packed_sums_at_every_field_width(self, elements):
+        # point counts that sum to the total, in fields of the fewest of
+        # 1, 2, 4 or 8 bytes that hold it; the sum over the supersets of
+        # the empty set is the total itself, the top of its field
+        rng = Random(4700 + elements)
+        widths = {0: 1, 1: 1, 255: 1, 256: 2, 65535: 2, 65536: 4,
+                  2**32 - 1: 4, 2**32: 8, 2**64 - 1: 8}
+        for total, size in widths.items():
+            cuts = sorted(rng.randint(0, total) for _ in range((1 << elements) - 1))
+            counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            packed = trace_stats._packed_superset_sums(counts, elements, total)
+            assert packed.itemsize == size
+            assert list(packed) == trace_stats._superset_sums(counts, elements)
+
+    def test_round_trip_at_field_boundaries(self, zoo24):
+        # degrees 255 and 256 take fields of one and two bytes, 65536 of four
+        rng = Random(4703)
+        G = zoo24["S3"]
+        homs = [random_hom(G, 255, rng), random_hom(G, 256, rng),
+                direct_sum_hom(replicate_hom(random_hom(G, 256, rng), 255),
+                               random_hom(G, 256, rng))]
+        for h in homs:
+            F = rng.sample(range(G.order), 4)
+            table = statistic_table(h, F)
+            if h.degree < 1000:  # the oracle tests one point at a time
+                assert table == oracles.statistic_table(h, F)
+            recovered = tr_from_s(table, F)
+            assert recovered == oracles.tr_from_s(table, F) == tr_from_s(dict(table), F)
+            assert recovered[frozenset()] == 1
+            for A, value in recovered.items():
+                assert value == action_trace(h, A)
+        assert [h.degree for h in homs] == [255, 256, 65536]
 
     def test_degree_zero_table(self):
         h = trivial_hom(cyclic_group(3), 0)
