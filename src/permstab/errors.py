@@ -67,10 +67,14 @@ class MalformedInputError(PermStabError, ValueError):
 ECHO_LIMIT = 200  # characters of an offending value that a message repeats
 
 
+def cut(text: str) -> str:
+    """``text`` for an error message, cut after ``ECHO_LIMIT`` characters."""
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 def echo(value) -> str:
-    """``repr(value)`` for an error message, cut after ``ECHO_LIMIT`` characters."""
+    """``repr(value)`` for an error message, through :func:`cut`."""
     try:
-        text = repr(value)
+        return cut(repr(value))
     except RecursionError:  # a library caller's value, nested deeper than a file can be
         return f"a {type(value).__name__} nested too deep to show"
-    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"

@@ -28,17 +28,13 @@ invariant, and builds every class as the class it was found from plus
 one edge, in that parent's vertex numbering, so a class's edge triples
 are its parent's followed by the added edge.
 
-Distances count embeddings along that generation tree.  A vertex gets
-its word when it is added:
-the root the empty word, a vertex added by an edge labelled ``s`` from or
-to ``u`` the word ``s w_u`` or ``s^-1 w_u``.  So a class's rooted
-embeddings are its parent's that meet one more condition: an added inner
-edge ``(u, v, s)`` needs ``s w_u(x) = w_v(x)``, and an added vertex needs
-its word's image to differ from every existing vertex's.  The plan of
-these conditions is built once per catalogue; per graph, each vertex word
-is one composition from its suffix, each condition a few equality masks,
-and each class one AND with its parent's mask, skipped below a parent
-whose mask is empty.
+Distances count embeddings along that generation tree
+(:meth:`Catalogue.counts`): a class's rooted embeddings are its parent's
+that meet one more condition on the words of their images, and the
+catalogue builds these conditions once (``Catalogue._tables``).  Per
+graph, each vertex word is one composition from its suffix, each
+condition a few equality masks, and each class one AND with its parent's
+mask, skipped below a parent whose mask is empty.
 :func:`_statistic_words` stays the per-pattern definition that
 :func:`pattern_frequency` counts.
 
@@ -63,7 +59,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, compress, count
+from itertools import accumulate, chain, combinations, compress, count, islice, pairwise
 from operator import sub
 from os import path
 from struct import iter_unpack, unpack
@@ -282,7 +278,9 @@ class Catalogue(Sequence):
     catalogue equals another, or a tuple, holding the same pairs.  Entry 0
     is the one-vertex pattern, with no edge.  Every other class was
     generated from the class whose bytes are its own but the last triple,
-    by adding that triple's edge in the parent's vertex numbering."""
+    by adding that triple's edge in the parent's vertex numbering.
+    :meth:`counts` counts every class's rooted embeddings along that
+    generation tree, and :meth:`row` gives a class as a distance lists it."""
 
     def __init__(
         self,
@@ -297,6 +295,8 @@ class Catalogue(Sequence):
         self.edges = edges
         self.offsets = offsets
         self.orbits = orbits
+        self._rows: dict[int, tuple] = {}  # row parts of the patterns listed so far
+        self._weights: dict[int, str] = {}  # weight text per orbit number listed so far
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -305,8 +305,7 @@ class Catalogue(Sequence):
         if isinstance(j, slice):
             return tuple(map(self.__getitem__, range(len(self))[j]))
         j = range(len(self))[j]
-        it = iter(self.edges[self.offsets[j] : self.offsets[j + 1]])
-        pattern = RootedPattern._trusted(self.sizes[j], 1, self.alphabet, frozenset(zip(it, it, it)))
+        pattern = RootedPattern._trusted(self.sizes[j], 1, self.alphabet, frozenset(self._triples(j)))
         return pattern, Fraction(1, 1 << self.orbits[j])
 
     def __iter__(self):
@@ -317,11 +316,142 @@ class Catalogue(Sequence):
             return tuple(self) == tuple(other)
         return NotImplemented
 
+    def _triples(self, j: int) -> Iterable[tuple[int, int, int]]:
+        """The ``(u, v, label index)`` edge triples of class ``j``."""
+        it = iter(self.edges[self.offsets[j] : self.offsets[j + 1]])
+        return zip(it, it, it)
+
     @cached_property
-    def plan(self) -> _EmbeddingPlan:
-        """The :class:`_EmbeddingPlan` of this catalogue, built the first
-        time a distance asks for it."""
-        return _EmbeddingPlan(self)
+    def _tables(self) -> tuple:
+        """``(letters, suffixes, pairs, conditions, first, children)``: the
+        rooted embeddings of every class, as conditions along the generation
+        tree in flat int sequences, built the first time a distance counts.
+        A class's parent and added edge are read from its edge bytes,
+        classes taken by edge count so that each parent comes first.
+
+        Each pattern vertex has a word: the root the empty word, and a vertex
+        added by an edge ``(u, new, s)`` or ``(new, u, s)`` the word ``s w_u``
+        or ``s^-1 w_u``.  Word ids 1, 2, ... are listed by ``letters`` and
+        ``suffixes``: a word is one letter, coded ``2 s`` or ``2 s + 1`` for
+        ``s^-1``, before a word of a smaller id (0 is the empty word).  The
+        points at which a class embeds rooted are those of its parent that meet
+        one condition, an AND of the equality masks of word pairs (``pairs``):
+        for an added inner edge ``(u, v, s)``, ``s w_u`` and ``w_v`` agree; for
+        an added vertex, its word differs from every existing vertex's.  A
+        condition lists its pair ids, ``~id`` for differs.  ``children``
+        holds ``(class, condition)`` per class but the first, grouped by
+        parent: those of class ``c`` at ``first[c]`` up to ``first[c + 1]``.
+        """
+        words = {}  # (letter, suffix word id) -> word id
+        pairs = {}  # (word id, word id) -> pair id
+        conditions = {}  # signed pair ids -> condition id
+        vertex_words = [(0,)] * len(self)  # per class, per vertex
+        children = [[] for _ in range(len(self))]  # per class, (class, condition) pairs
+
+        def word(letter, suffix):
+            return words.setdefault((letter, suffix), len(words) + 1)
+
+        def pair(a, b):
+            return pairs.setdefault((a, b) if a < b else (b, a), len(pairs))
+
+        edges, offsets = self.edges, self.offsets
+        spans = [edges[a:b] for a, b in zip(offsets, offsets[1:])]  # edge bytes per class
+        index_of = dict(zip(spans, count()))
+        for span in sorted(spans, key=len)[1:]:  # parents first; class 0 has none
+            index, parent = index_of[span], index_of[span[:-3]]
+            u, v, lab = span[-3:]
+            ws = vertex_words[parent]
+            n = len(ws)
+            if u <= n and v <= n:  # an inner edge: s w_u agrees with w_v
+                signed = (pair(word(2 * lab, ws[u - 1]), ws[v - 1]),)
+            else:  # a new head s w_u or tail s^-1 w_v, unlike every vertex
+                new = word(2 * lab, ws[u - 1]) if v > n else word(2 * lab + 1, ws[v - 1])
+                signed = tuple(~pair(new, w) for w in ws)
+                ws += (new,)
+            vertex_words[index] = ws
+            children[parent] += (index, conditions.setdefault(signed, len(conditions)))
+        return (
+            array("i", [letter for letter, _ in words]),
+            array("i", [suffix for _, suffix in words]),
+            array("i", chain.from_iterable(pairs)),
+            tuple(conditions),
+            array("i", accumulate(map(len, children), initial=0)),
+            array("i", chain.from_iterable(children)),
+        )
+
+    def counts(self, graph: LabeledDigraph) -> list[int]:
+        """Per class, the number of points at which it embeds rooted.
+
+        Each word's image of the points is an array of ``w``-bit fields,
+        one per point, read as one int, holding the image point below bit
+        ``w - 1``, so an equality mask is a few int operations on two
+        images: bit ``w - 1`` of a field is set where the fields agree.
+        Masks then keep the top byte of each field only.  The tree is
+        walked depth first, visiting only the children of classes with a
+        nonzero mask."""
+        if not self:  # a size bound below 1: no pattern
+            return []
+        letters, suffixes, pairs, conditions, first, children = self._tables
+        n = graph.n
+        kind = next(k for k in "BHIQ" if n <= 1 << 8 * array(k).itemsize - 1)
+        step = array(kind).itemsize  # bytes per point
+        moves = []  # per letter code, the image of each point, 0-based
+        for p in graph.perms:
+            images = [j - 1 for j in p.images]
+            inverse = [0] * n
+            for i, j in enumerate(images):
+                inverse[j] = i
+            moves += (images, inverse)
+        images = [array(kind, range(n))]  # per word id
+        for letter, suffix in zip(letters, suffixes):
+            images.append(array(kind, map(moves[letter].__getitem__, images[suffix])))
+        packed = [int.from_bytes(im, byteorder) for im in images]
+        ones = int.from_bytes(array(kind, [1] * n), byteorder)
+        top = ones << 8 * step - 1  # the top bit of every field
+        low = top - ones  # every field but its top bit
+        equal = [
+            top & ~((packed[pairs[i]] ^ packed[pairs[i + 1]]) + low)
+            for i in range(0, len(pairs), 2)
+        ]
+        if step > 1:  # the byte holding each top bit, one byte per point
+            at = step - 1 if byteorder == "little" else 0
+            top, *equal = (
+                int.from_bytes(mask.to_bytes(n * step, byteorder)[at::step], byteorder)
+                for mask in (top, *equal)
+            )
+        met = []  # per condition, the points that meet it
+        for signed in conditions:
+            mask = top
+            for i in signed:
+                mask &= equal[i] if i >= 0 else top ^ equal[~i]
+            met.append(mask)
+        counts = [0] * len(self)
+        counts[0] = n
+        stack = [(0, top)]
+        while stack:
+            parent, mask = stack.pop()
+            for t in range(first[parent], first[parent + 1], 2):
+                if sub_mask := mask & met[children[t + 1]]:
+                    index = children[t]
+                    counts[index] = sub_mask.bit_count()
+                    stack.append((index, sub_mask))
+        return counts
+
+    def row(self, j: int) -> tuple:
+        """``(vertices, root, sorted edges, weight text, k)`` of pattern
+        ``j`` (0-based, weight ``2^-k``), read from the catalogue's arrays
+        the first time it is asked for; the weight text is made once per
+        orbit."""
+        parts = self._rows.get(j)
+        if parts is None:
+            k = self.orbits[j]
+            weight = self._weights.get(k)
+            if weight is None:
+                weight = self._weights[k] = "1/" + str(1 << k)
+            names = self.alphabet
+            edges = tuple(sorted([(u, v, names[lab]) for u, v, lab in self._triples(j)]))
+            parts = self._rows[j] = (self.sizes[j], 1, edges, weight, k)
+        return parts
 
 
 @lru_cache(maxsize=32)
@@ -378,150 +508,13 @@ def stat_distance_truncated(
     return total
 
 
-class _EmbeddingPlan:
-    """The rooted embeddings of every pattern of :func:`enumerate_patterns`,
-    counted along its generation tree from flat int sequences.  A class's
-    parent and added edge are read from its edge bytes (:class:`Catalogue`),
-    classes taken by edge count so that each parent comes first.
-
-    Each pattern vertex has a word: the root the empty word, and a vertex
-    added by an edge ``(u, new, s)`` or ``(new, u, s)`` the word ``s w_u``
-    or ``s^-1 w_u``.  Word ids 1, 2, ... are listed by ``letters`` and
-    ``suffixes``: a word is one letter, coded ``2 s`` or ``2 s + 1`` for
-    ``s^-1``, before a word of a smaller id (0 is the empty word).  The
-    points at which a class embeds rooted are those of its parent that meet
-    one condition, an AND of the equality masks of word pairs (``pairs``):
-    for an added inner edge ``(u, v, s)``, ``s w_u`` and ``w_v`` agree; for
-    an added vertex, its word differs from every existing vertex's.  A
-    condition lists its pair ids, ``~id`` for differs.  ``children``
-    holds ``(class, condition)`` per class but the first, grouped by
-    parent: those of class ``c`` at ``first[c]`` up to ``first[c + 1]``.
-    """
-
-    def __init__(self, catalogue: Catalogue):
-        words = {}  # (letter, suffix word id) -> word id
-        pairs = {}  # (word id, word id) -> pair id
-        conditions = {}  # signed pair ids -> condition id
-        vertex_words = [(0,)] * len(catalogue)  # per class, per vertex
-        children = [[] for _ in range(len(catalogue))]  # per class, (class, condition) pairs
-
-        def word(letter, suffix):
-            return words.setdefault((letter, suffix), len(words) + 1)
-
-        def pair(a, b):
-            return pairs.setdefault((a, b) if a < b else (b, a), len(pairs))
-
-        edges, offsets = catalogue.edges, catalogue.offsets
-        spans = [edges[a:b] for a, b in zip(offsets, offsets[1:])]  # edge bytes per class
-        index_of = dict(zip(spans, count()))
-        for span in sorted(spans, key=len)[1:]:  # parents first; class 0 has none
-            index, parent = index_of[span], index_of[span[:-3]]
-            u, v, lab = span[-3:]
-            ws = vertex_words[parent]
-            n = len(ws)
-            if u <= n and v <= n:  # an inner edge: s w_u agrees with w_v
-                signed = (pair(word(2 * lab, ws[u - 1]), ws[v - 1]),)
-            else:  # a new head s w_u or tail s^-1 w_v, unlike every vertex
-                new = word(2 * lab, ws[u - 1]) if v > n else word(2 * lab + 1, ws[v - 1])
-                signed = tuple(~pair(new, w) for w in ws)
-                ws += (new,)
-            vertex_words[index] = ws
-            children[parent] += (index, conditions.setdefault(signed, len(conditions)))
-        self.letters = array("i", [letter for letter, _ in words])
-        self.suffixes = array("i", [suffix for _, suffix in words])
-        self.pairs = array("i", chain.from_iterable(pairs))
-        self.conditions = tuple(conditions)
-        self.first = array("i", accumulate(map(len, children), initial=0))
-        self.children = array("i", chain.from_iterable(children))
-        self._catalogue = catalogue
-        self._rows: dict[int, tuple] = {}  # row parts of the patterns listed so far
-        self._weights: dict[int, str] = {}  # weight text per orbit number listed so far
-
-    def counts(self, graph: LabeledDigraph) -> list[int]:
-        """Per class, the number of points at which it embeds rooted.
-
-        Each word's image of the points is an array of ``w``-bit fields,
-        one per point, read as one int, holding the image point below bit
-        ``w - 1``, so an equality mask is a few int operations on two
-        images: bit ``w - 1`` of a field is set where the fields agree.
-        Masks then keep the top byte of each field only.  The tree is
-        walked depth first, visiting only the children of classes with a
-        nonzero mask."""
-        if not self._catalogue:  # a size bound below 1: no pattern
-            return []
-        n = graph.n
-        kind = next(k for k in "BHIQ" if n <= 1 << 8 * array(k).itemsize - 1)
-        step = array(kind).itemsize  # bytes per point
-        letters = []  # per letter code, the image of each point, 0-based
-        for p in graph.perms:
-            images = [j - 1 for j in p.images]
-            inverse = [0] * n
-            for i, j in enumerate(images):
-                inverse[j] = i
-            letters += (images, inverse)
-        images = [array(kind, range(n))]  # per word id
-        for letter, suffix in zip(self.letters, self.suffixes):
-            images.append(array(kind, map(letters[letter].__getitem__, images[suffix])))
-        packed = [int.from_bytes(im, byteorder) for im in images]
-        ones = int.from_bytes(array(kind, [1] * n), byteorder)
-        top = ones << 8 * step - 1  # the top bit of every field
-        low = top - ones  # every field but its top bit
-        pairs = self.pairs
-        equal = [
-            top & ~((packed[pairs[i]] ^ packed[pairs[i + 1]]) + low)
-            for i in range(0, len(pairs), 2)
-        ]
-        if step > 1:  # the byte holding each top bit, one byte per point
-            at = step - 1 if byteorder == "little" else 0
-            top, *equal = (
-                int.from_bytes(mask.to_bytes(n * step, byteorder)[at::step], byteorder)
-                for mask in (top, *equal)
-            )
-        conditions = []
-        for signed in self.conditions:
-            mask = top
-            for i in signed:
-                mask &= equal[i] if i >= 0 else top ^ equal[~i]
-            conditions.append(mask)
-        counts = [0] * len(self._catalogue)
-        counts[0] = n
-        first, children = self.first, self.children
-        stack = [(0, top)]
-        while stack:
-            parent, mask = stack.pop()
-            for t in range(first[parent], first[parent + 1], 2):
-                if sub_mask := mask & conditions[children[t + 1]]:
-                    index = children[t]
-                    counts[index] = sub_mask.bit_count()
-                    stack.append((index, sub_mask))
-        return counts
-
-    def row(self, j: int) -> tuple:
-        """``(vertices, root, sorted edges, weight text, k)`` of pattern
-        ``j`` (0-based, weight ``2^-k``), read from the catalogue's arrays
-        the first time it is asked for; the weight text is made once per
-        orbit."""
-        parts = self._rows.get(j)
-        if parts is None:
-            catalogue = self._catalogue
-            k = catalogue.orbits[j]
-            weight = self._weights.get(k)
-            if weight is None:
-                weight = self._weights[k] = "1/" + str(1 << k)
-            names = catalogue.alphabet
-            it = iter(catalogue.edges[catalogue.offsets[j] : catalogue.offsets[j + 1]])
-            edges = tuple(sorted([(u, v, names[lab]) for u, v, lab in zip(it, it, it)]))
-            parts = self._rows[j] = (catalogue.sizes[j], 1, edges, weight, k)
-        return parts
-
-
 def stat_distance_details(
     g1: LabeledDigraph, g2: LabeledDigraph, size_bound: int
 ) -> tuple[Fraction, list[dict]]:
     """Distance plus one row per pattern with a nonzero contribution.
 
     Each graph counts every pattern's rooted embeddings along the
-    generation tree (:class:`_EmbeddingPlan`); the frequency ``c / n`` of a
+    generation tree (:meth:`Catalogue.counts`); the frequency ``c / n`` of a
     pattern with ``c`` rooted embeddings is 0 on the empty graph, whose
     counts are all 0 (denominator 1 below).
     """
@@ -529,16 +522,16 @@ def stat_distance_details(
         raise AlphabetMismatchError(
             f"alphabets differ: {g1.alphabet} vs {g2.alphabet}"
         )
-    plan = enumerate_patterns(g1.alphabet, size_bound).plan
+    catalogue = enumerate_patterns(g1.alphabet, size_bound)
     d1, d2 = g1.n or 1, g2.n or 1
-    c1, c2 = plan.counts(g1), plan.counts(g2)
+    c1, c2 = catalogue.counts(g1), catalogue.counts(g2)
     deltas = list(map(sub, map(d2.__mul__, c1), map(d1.__mul__, c2)))
     texts1: dict[int, str] = {}  # one str(Fraction) per distinct count
     texts2: dict[int, str] = {}
     terms = []  # (k of the weight 2^-k, |f1 - f2| * d1 * d2) per row
     rows = []
     for j in compress(range(len(deltas)), deltas):
-        n, root, edges, weight, k = plan.row(j)
+        n, root, edges, weight, k = catalogue.row(j)
         a, b = c1[j], c2[j]
         f1 = texts1.get(a) or texts1.setdefault(a, str(Fraction(a, d1)))
         f2 = texts2.get(b) or texts2.setdefault(b, str(Fraction(b, d2)))
@@ -611,33 +604,15 @@ def encode_to_simple(graph: LabeledDigraph) -> SimpleGraph:
         raise BoundExceededError(
             f"alphabet size {len(graph.alphabet)} exceeds {DEFAULT_ALPHABET_BOUND}"
         )
-    next_vertex = graph.n + 1
+    vertices = count(graph.n + 1)  # the gadget vertices, numbered as they are made
     edges: set[frozenset[int]] = set()
-
-    def fresh() -> int:
-        nonlocal next_vertex
-        v = next_vertex
-        next_vertex += 1
-        return v
-
-    def path(start: int, length: int):
-        cur = start
-        for _ in range(length):
-            nxt = fresh()
-            edges.add(frozenset((cur, nxt)))
-            cur = nxt
-
     for u, v, lab in sorted(
         (u, v, graph.alphabet.index(lab)) for u, v, lab in graph.edges()
     ):
-        a = fresh()
-        b = fresh()
-        edges.add(frozenset((u, a)))
-        edges.add(frozenset((a, b)))
-        edges.add(frozenset((b, v)))
-        path(a, 2)
-        path(b, 2 + (lab + 1))
-    return SimpleGraph(next_vertex - 1, frozenset(edges))
+        a, b = islice(vertices, 2)
+        for walk in ((u, a, b, v), (a, *islice(vertices, 2)), (b, *islice(vertices, 3 + lab))):
+            edges.update(map(frozenset, pairwise(walk)))
+    return SimpleGraph(next(vertices) - 1, frozenset(edges))
 
 
 def decode_simple(encoded: SimpleGraph, alphabet: Sequence[str]) -> LabeledDigraph:

@@ -22,6 +22,7 @@ from .errors import (
     NotSubgroupError,
     SourceMismatchError,
     WordError,
+    cut,
     echo,
 )
 from .perm import Permutation, direct_sum, restrict
@@ -436,25 +437,15 @@ def coset_action(G: FiniteGroup, N: Subgroup) -> "PermHomomorphism":
     stabilizer of the point carrying the coset ``N`` is exactly ``N``."""
     if N.parent != G:
         raise NotSubgroupError("subgroup belongs to a different group")
-    mem = N.members
-    coset_of = {}
-    cosets = []
-    for g in G.elements():
-        if g in coset_of:
-            continue
-        coset = frozenset(G.mul(g, h) for h in mem)
-        cosets.append(coset)
-        for x in coset:
-            coset_of[x] = coset
-    cosets.sort(key=min)
-    index = {c: i + 1 for i, c in enumerate(cosets)}
-    reps = [min(c) for c in cosets]
-    images = []
-    for g in G.elements():
-        images.append(
-            Permutation._trusted(tuple([index[coset_of[G.mul(g, r)]] for r in reps]))
-        )
-    return PermHomomorphism._trusted(G, len(cosets), tuple(images))
+    point = {}  # element -> the number of its coset
+    reps = []  # per coset, its least member
+    for g in G.elements():  # ascending, so the first of a coset met is its least
+        if g not in point:
+            reps.append(g)
+            for h in N.members:
+                point[G.mul(g, h)] = len(reps)
+    images = [Permutation._trusted(tuple([point[G.mul(g, r)] for r in reps])) for g in G.elements()]
+    return PermHomomorphism._trusted(G, len(reps), tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +485,10 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
         name, exp = m.group(1), m.group(2)
         if name not in pos:
             raise WordError(f"unknown generator {echo(name)}")
-        e = int(exp) if exp is not None else 1
+        try:
+            e = int(exp) if exp is not None else 1
+        except ValueError:  # more digits than the interpreter reads as an int
+            raise WordError(f"exponent of word token {echo(token)} has too many digits") from None
         if e != 0:
             out.append((pos[name], e))
     return tuple(out)
@@ -611,7 +605,7 @@ def check_homomorphism(h: PermHomomorphism) -> HomCheck:
         if not evaluate_word(h, rel).is_identity():
             return HomCheck(
                 rel,
-                f"relator {format_word(rel, h.source.generators)} "
+                f"relator {cut(format_word(rel, h.source.generators))} "
                 "does not evaluate to the identity",
             )
     return HomCheck()

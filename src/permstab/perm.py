@@ -81,6 +81,15 @@ class Permutation:
     def __pow__(self, k: int) -> "Permutation":
         if k == 0:
             return Permutation.identity(self.degree)
+        # past the degree, turn each cycle k mod its length, in time linear
+        # in the degree; up to it, square-and-multiply is the faster
+        if abs(k) > self.degree:
+            out = list(range(1, self.degree + 1))
+            for c in self.cycles():
+                s = k % len(c)
+                for x, y in zip(c, c[s:] + c[:s]):
+                    out[x - 1] = y
+            return Permutation._trusted(tuple(out))
         base = self.inverse() if k < 0 else self
         k = abs(k)
         result = None

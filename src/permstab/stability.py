@@ -425,7 +425,7 @@ class AmalgamHom(Record):
             elif name in s2.generators:
                 items.append((2, parse_word(token, s2.generators)))
             else:
-                raise AmalgamMismatchError(f"unknown generator {name!r}")
+                raise AmalgamMismatchError(f"unknown generator {echo(name)}")
         return self.evaluate_alternating(items)
 
     def check_relator(self, text: str) -> bool:
@@ -457,7 +457,7 @@ def amalgamated_hom(
     for a, b in out.h_pairs:
         if out._side_image(1, a) != out._side_image(2, b):
             raise AmalgamMismatchError(
-                f"common-subgroup images disagree at pair ({a!r}, {b!r})",
+                f"common-subgroup images disagree at pair ({echo(a)}, {echo(b)})",
                 witness=(a, b),
             )
     return out

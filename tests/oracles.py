@@ -10,7 +10,8 @@ scans over every group element behind ``check_homomorphism``,
 stabilizer-class censuses behind ``hom_order_leq``, ``rep_subtract``,
 ``has_extension`` and ``replication_count``, which count with that
 scan, the walk of each class of elements by conjugation that
-``has_extension``'s fixed-point check read before the subgroup classes, the census search without the gcd cut behind ``has_extension``, the class dictionary of ``multiplicity._match``, the partner-keyed classes of ``nearest_conjugator`` that one orbit
+``has_extension``'s fixed-point check read before the subgroup classes,
+the coset sets sorted by least member behind ``coset_action``, the census search without the gcd cut behind ``has_extension``, the class dictionary of ``multiplicity._match``, the partner-keyed classes of ``nearest_conjugator`` that one orbit
 classifier replaced and its assignment over the points every generator
 fixes that a closed form replaced, the join of every subgroup with
 every cyclic subgroup and the conjugation by every element that
@@ -481,6 +482,30 @@ def has_extension(G: FiniteGroup, H: Subgroup, phi: PermHomomorphism):
         psi = compose_lift(action, s, psi)
     _, p = is_conjugate(restrict_hom(psi, H), phi)
     return conjugate_hom(psi, p)
+
+
+def coset_action(G: FiniteGroup, N: Subgroup) -> PermHomomorphism:
+    """``groups.coset_action`` when it built each coset as a set, sorted
+    the cosets by least member and took each one's least again."""
+    mem = N.members
+    coset_of = {}
+    cosets = []
+    for g in G.elements():
+        if g in coset_of:
+            continue
+        coset = frozenset(G.mul(g, h) for h in mem)
+        cosets.append(coset)
+        for x in coset:
+            coset_of[x] = coset
+    cosets.sort(key=min)
+    index = {c: i + 1 for i, c in enumerate(cosets)}
+    reps = [min(c) for c in cosets]
+    images = []
+    for g in G.elements():
+        images.append(
+            Permutation._trusted(tuple([index[coset_of[G.mul(g, r)]] for r in reps]))
+        )
+    return PermHomomorphism._trusted(G, len(cosets), tuple(images))
 
 
 def census_combination(censuses, target):

@@ -36,7 +36,7 @@ from permstab.cli import (
     REQUIRED,
     dispatch,
 )
-from permstab.perm import parse_permutation
+from permstab.perm import Permutation, parse_permutation
 from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND
 
 
@@ -761,6 +761,56 @@ class TestExitCodes:
             assert report["outputs"]["error"]["message"].startswith(start)
             assert len(json.dumps(report)) < 2048
 
+    def test_refusals_of_long_words_stay_short(self, files, tmp_path):
+        # each message once repeated the whole word: a failing relator, an
+        # unknown generator of an amalgam relator, a mismatched amalgam pair
+        def write(obj):
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        word = " ".join(["x"] * 100_001)
+        group = {"kind": "presentation", "generators": ["x"], "relators": [word]}
+        graph = ["graph", write({"group": group, "degree": 2, "images": {"x": "(1 2)"}})]
+        code, report = dispatch(graph)
+        assert code == EXIT_BADFILE
+        assert report["outputs"]["error"]["message"].endswith(
+            "... (200001 characters) does not evaluate to the identity"
+        )
+        assert len(json.dumps(report)) < 2048
+        amalgam = ["amalgam", files["psi_s"], files["psi_t"], "--h-map"]
+        code, report = dispatch([*amalgam, write({"pairs": [], "relators": ["q" * 100_000]})])
+        assert code == EXIT_DOMAIN
+        assert report["outputs"]["error"]["message"].endswith("... (100002 characters)")
+        assert len(json.dumps(report)) < 2048
+        # the witness is the machine-readable error object, so it stays whole
+        word = " ".join(["s"] * 50_001)  # s^50001 = s, unlike t^3
+        code, report = dispatch([*amalgam, write({"pairs": [[word, "t^3"]]})])
+        assert code == EXIT_DOMAIN
+        error = report["outputs"]["error"]
+        assert error["witness"] == [word, "t^3"]
+        assert error["message"].endswith("... (100003 characters), 't^3')")
+        assert len(error["message"]) < 2048
+
+    def test_long_exponent_costs_no_product(self, tmp_path, monkeypatch):
+        # square-and-multiply took over 13 s on each at this degree
+        # (BENCH_48.json); each cycle is now turned instead
+        n = 20_000
+        cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+        free, rel = tmp_path / "free.json", tmp_path / "rel.json"
+        for path, relators in ((free, []), (rel, ["a^" + "7" * 4_000])):
+            group = {"kind": "presentation", "generators": ["a"], "relators": relators}
+            path.write_text(json.dumps({"group": group, "degree": n, "images": {"a": cycle}}))
+        products = []
+        mul = Permutation.__mul__
+        monkeypatch.setattr(Permutation, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+        code, report = dispatch(["trace", "--hom", str(free), "--set", "a^" + "9" * 4_000])
+        assert (code, report["outputs"]) == (0, {"tr": "0"})  # 10^4000 - 1 is 19,999 mod n
+        code, report = dispatch(["graph", str(rel)])
+        assert code == EXIT_BADFILE
+        assert "does not evaluate to the identity" in report["outputs"]["error"]["message"]
+        assert products == []
+
     def test_over_long_integer_is_malformed(self, tmp_path):
         path = tmp_path / "long.json"
         path.write_text(
@@ -1357,11 +1407,40 @@ class TestContractFuzz:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE, EXIT_BADFILE, EXIT_INTERNAL)
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE, EXIT_BADFILE)
         report = json.loads(out.getvalue())  # exactly one JSON document
         assert set(report) == {"command", "inputs", "outputs", "timing_ms"}
         assert "Traceback" not in out.getvalue() + err.getvalue()
         assert err.getvalue() == ""
+
+    def test_long_exponents_never_exit_70(self, corpus, tmp_path):
+        # an exponent past the interpreter's digit limit for int(), in each
+        # place a word is read: five exited 70, the group file named the limit
+        exponent = "9" * 5_000
+        group = {"kind": "presentation", "generators": ["x"], "relators": [f"x^{exponent}"]}
+        paths = []
+        for i, obj in enumerate((
+            {"pairs": [["s^2", "t^3"]], "relators": [f"s^{exponent}"]},
+            {"pairs": [[f"s^{exponent}", "t^3"]]},
+            {"group": group, "degree": 3, "images": {"x": "(1 2 3)"}},
+        )):
+            paths.append(str(tmp_path / f"{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(obj))
+        hom = corpus["theta2_words"]
+        amalgam = ["amalgam", corpus["psi_s"], corpus["psi_t"], "--h-map"]
+        for argv, expected in (
+            (["stats", "--hom", hom, "--fixed", f"a^{exponent}"], EXIT_DOMAIN),
+            (["stats", "--hom", hom, "--moved", f"a^{exponent}"], EXIT_DOMAIN),
+            (["trace", "--hom", hom, "--set", f"a^{exponent}"], EXIT_DOMAIN),
+            ([*amalgam, paths[0]], EXIT_DOMAIN),
+            ([*amalgam, paths[1]], EXIT_DOMAIN),
+            (["graph", paths[2]], EXIT_BADFILE),
+        ):
+            code, report = dispatch(argv)
+            message = report["outputs"]["error"]["message"]
+            assert code == expected, (argv[0], message)
+            assert message.startswith("exponent of word token '")
+            assert message.endswith("... (5004 characters) has too many digits")
 
 
 def fresh_python(code, **popen):

@@ -1025,7 +1025,7 @@ class TestStatDistance:
         for n in (5, 12, 31, 60, *wide):
             yield random_graph(alphabet, n, rng)
 
-    # on each side of the degrees where the plan widens its field per
+    # on each side of the degrees where the counts widen their field per
     # point (128 and 32,768), the second one letter only, for time
     @pytest.mark.parametrize(
         "alphabet,bound,wide",
@@ -1037,13 +1037,13 @@ class TestStatDistance:
         ids=["x-5", "xy-4", "xyz-3"],
     )
     def test_counts_match_statistic_word_oracle(self, alphabet, bound, wide):
-        plan = enumerate_patterns(alphabet, bound).plan
+        catalogue = enumerate_patterns(alphabet, bound)
         for g in self.oracle_graphs(alphabet, Random(75 + bound), wide):
-            assert plan.counts(g) == oracles.pattern_counts(g, bound), g
+            assert catalogue.counts(g) == oracles.pattern_counts(g, bound), g
 
     def test_warm_distance_builds_the_plan_once(self, monkeypatch):
         calls = {"plan": 0, "words": 0}
-        build, words = graphs._EmbeddingPlan, graphs._statistic_words
+        build, words = graphs.Catalogue._tables.func, graphs._statistic_words
 
         def count_build(catalogue):
             calls["plan"] += 1
@@ -1053,7 +1053,7 @@ class TestStatDistance:
             calls["words"] += 1
             return words(*args)
 
-        monkeypatch.setattr(graphs, "_EmbeddingPlan", count_build)
+        monkeypatch.setattr(graphs.Catalogue._tables, "func", count_build)
         monkeypatch.setattr(graphs, "_statistic_words", count_words)
         enumerate_patterns.cache_clear()
         rng = Random(76)
@@ -1069,7 +1069,7 @@ class TestStatDistance:
         for n1, n2 in ((0, 0), (0, 5), (3, 7)):
             g1, g2 = random_graph(("x", "y"), n1, rng), random_graph(("x", "y"), n2, rng)
             assert stat_distance_details(g1, g2, bound) == (0, [])
-            assert enumerate_patterns(("x", "y"), bound).plan.counts(g1) == []
+            assert enumerate_patterns(("x", "y"), bound).counts(g1) == []
 
 
 class TestWordStatistics:

@@ -592,6 +592,22 @@ class TestCosetAction:
                 act = coset_action(G, H)
                 assert act.degree * H.order == G.order
 
+    def test_cosets_numbered_as_sorted_sets(self, zoo24):
+        z2 = cyclic_group(2)
+        z2_6 = z2
+        for _ in range(5):
+            z2_6 = direct_product(z2_6, z2)
+        groups = [
+            *zoo24.values(),
+            *(symmetric_group(n)[0] for n in range(1, 6)),
+            *(dihedral_group(n)[0] for n in range(3, 7)),
+            direct_product(z2, symmetric_group(4)[0]),
+            z2_6,
+        ]
+        for G in groups:
+            for H in all_subgroups(G):
+                assert coset_action(G, H) == oracles.coset_action(G, H)
+
     def test_all_coset_actions_verify(self, zoo8):
         for G in zoo8.values():
             for H in all_subgroups(G):

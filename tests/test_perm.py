@@ -138,8 +138,9 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("k", range(-3, 9))
     def test_power_makes_only_needed_products(self, k, monkeypatch):
-        # square-and-multiply: one square per bit below the top one, one
-        # multiply per further set bit; a negative power inverts once
+        # up to the degree, square-and-multiply: one square per bit below
+        # the top one, one multiply per further set bit; a negative power
+        # inverts once.  Above it, each cycle is turned, with no product
         calls = {"mul": 0, "inverse": 0}
         mul, inverse = Permutation.__mul__, Permutation.inverse
 
@@ -159,8 +160,11 @@ class TestArithmetic:
             expected = expected * (c if k > 0 else c.inverse())
         assert result == expected
         a = abs(k)
-        assert calls["mul"] == (a.bit_length() + a.bit_count() - 2 if a else 0)
-        assert calls["inverse"] == (k < 0)
+        if a > 7:
+            assert calls == {"mul": 0, "inverse": 0}
+        else:
+            assert calls["mul"] == (a.bit_length() + a.bit_count() - 2 if a else 0)
+            assert calls["inverse"] == (k < 0)
 
     def test_order(self):
         assert parse_permutation("(1 2)(3 4 5)", 5).order() == 6
@@ -212,6 +216,15 @@ class TestUncheckedResults:
         expected = tuple(range(1, p.degree + 1))
         for _ in range(abs(k)):
             expected = compose_tuples(expected, (p if k > 0 else inv).images)
+        assert (p**k).images == expected
+        assert validated(p**k) == p**k
+
+    @given(perms(), st.integers(-(10**30) - 3, 10**30 + 3))
+    def test_power_above_the_degree(self, p, k):
+        # a power is periodic in its exponent with period the order
+        expected = tuple(range(1, p.degree + 1))
+        for _ in range(k % p.order()):
+            expected = compose_tuples(expected, p.images)
         assert (p**k).images == expected
         assert validated(p**k) == p**k
 
