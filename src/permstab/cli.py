@@ -177,7 +177,7 @@ def _cmd_extend(args, load) -> dict:
     G = group_from_json(load(args.group)).group
     H = subgroup_from_json(load(args.subgroup), G)
     hom = _hom(load, args.hom)
-    ext = has_extension(G, H, hom)
+    ext = has_extension(H, hom)
     if ext is None:
         return {"found": False, "extension": None}
     return {"found": True, "extension": images_to_json(ext)}
@@ -186,7 +186,7 @@ def _cmd_extend(args, load) -> dict:
 def _cmd_complement(args, load) -> dict:
     G = group_from_json(load(args.group)).group
     H = subgroup_from_json(load(args.subgroup), G)
-    K = find_normal_complement(G, H)
+    K = find_normal_complement(H)
     if K is None:
         return {"found": False, "complement": None}
     return {"found": True, "complement": list(K.members)}
@@ -243,12 +243,12 @@ def _cmd_correct(args, load) -> dict:
     _check_size("--coef and --almost", 2, args.degree)
     a = parse_permutation(args.coef, args.degree)
     q = parse_permutation(args.almost, args.degree)
-    rep = centralizer_correct(a, q, mode=args.mode)
+    rep = centralizer_correct(a, q)
     return {
         "corrected": rep.corrected.cycle_str(),
         "distance": format_rational(rep.distance),
         "input_defect": format_rational(rep.input_defect),
-        "mode": rep.mode,
+        "mode": args.mode,
     }
 
 

@@ -29,7 +29,6 @@ def klein_pair() -> tuple[PermHomomorphism, PermHomomorphism]:
     G = klein_four_group()
     theta1 = hom_from_element_map(
         G,
-        6,
         {
             0: Permutation.identity(6),
             KLEIN_A: parse_permutation("(1 2)(3 4)", 6),
@@ -39,7 +38,6 @@ def klein_pair() -> tuple[PermHomomorphism, PermHomomorphism]:
     )
     theta2 = hom_from_element_map(
         G,
-        6,
         {
             0: Permutation.identity(6),
             KLEIN_A: parse_permutation("(1 2)(3 4)", 6),
@@ -92,8 +90,8 @@ def swapped_block_homs(k: int) -> tuple[PermHomomorphism, PermHomomorphism]:
     imgs_x = {g: x**g for g in range(order)}
     imgs_y = {g: y**g for g in range(order)}
     return (
-        hom_from_element_map(G, x.degree, imgs_x),
-        hom_from_element_map(G, y.degree, imgs_y),
+        hom_from_element_map(G, imgs_x),
+        hom_from_element_map(G, imgs_y),
     )
 
 

@@ -431,12 +431,11 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
     return SubgroupClasses(G, tuple(classes))
 
 
-def coset_action(G: FiniteGroup, N: Subgroup) -> "PermHomomorphism":
-    """Action of ``G`` on the left cosets of ``N``, as a degree-[G:N]
+def coset_action(N: Subgroup) -> "PermHomomorphism":
+    """Action of ``N.parent`` on the left cosets of ``N``, as a degree-[G:N]
     homomorphism.  Cosets are numbered by ascending least member, and the
     stabilizer of the point carrying the coset ``N`` is exactly ``N``."""
-    if N.parent != G:
-        raise NotSubgroupError("subgroup belongs to a different group")
+    G = N.parent
     point = {}  # element -> the number of its coset
     reps = []  # per coset, its least member
     for g in G.elements():  # ascending, so the first of a coset met is its least
@@ -611,12 +610,12 @@ def check_homomorphism(h: PermHomomorphism) -> HomCheck:
     return HomCheck()
 
 
-def hom_from_element_map(
-    G: FiniteGroup, degree: int, images: Mapping[int, Permutation]
-) -> PermHomomorphism:
+def hom_from_element_map(G: FiniteGroup, images: Mapping[int, Permutation]) -> PermHomomorphism:
+    """The homomorphism with the given image per element id, of the degree
+    of the identity's image; shapes are checked, not the algebra."""
     if set(images) != set(G.elements()):
         raise SourceMismatchError("element map must cover every element id")
-    return PermHomomorphism(G, degree, tuple(images[g] for g in G.elements()))
+    return PermHomomorphism(G, images[G.identity].degree, tuple(images[g] for g in G.elements()))
 
 
 def hom_from_generator_images(

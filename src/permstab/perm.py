@@ -235,6 +235,8 @@ def replicate(p: Permutation, s: int) -> Permutation:
     if s < 1:
         raise PermutationParseError(f"replication count must be >= 1, got {s}")
     n = p.degree
+    if not n:  # no points to copy, at any count
+        return p
     images = []
     for block in range(s):
         shift = block * n

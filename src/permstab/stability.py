@@ -36,7 +36,6 @@ from .errors import (
     AmalgamMismatchError,
     DegreeMismatchError,
     NotConjugateError,
-    NotSubgroupError,
     SourceMismatchError,
     ZeroMultiplicityError,
     echo,
@@ -101,6 +100,8 @@ def agreement_set(h1: PermHomomorphism, h2: PermHomomorphism) -> tuple[int, ...]
 
 def max_image_distance(h1: PermHomomorphism, h2: PermHomomorphism) -> Fraction:
     """``max over g of d_H(h1(g), h2(g))`` (the epsilon of a close pair)."""
+    if h1.source != h2.source:
+        raise SourceMismatchError("homomorphisms must share a source")
     return max(
         (hamming_distance(a, b) for a, b in zip(h1.images, h2.images)),
         default=Fraction(0),
@@ -258,10 +259,8 @@ def min_conjugator_distance(
 # extension property and retracts
 
 
-def has_extension(
-    G: FiniteGroup, H: Subgroup, phi: PermHomomorphism
-) -> Optional[PermHomomorphism]:
-    """A homomorphism of ``G`` restricting exactly to ``phi`` on ``H``.
+def has_extension(H: Subgroup, phi: PermHomomorphism) -> Optional[PermHomomorphism]:
+    """A homomorphism of ``G = H.parent`` restricting exactly to ``phi`` on ``H``.
 
     ``phi`` must be a homomorphism of ``H.as_group()``.  Every ``G``-set
     is a disjoint union of coset actions ``G/K``, so ``phi`` extends
@@ -277,8 +276,7 @@ def has_extension(
     conjugate to a generator ``x^k`` of ``<x>``, and a ``G``-set fixes as
     many points under ``y`` as under ``x^k``, so as many as under ``x``.
     """
-    if H.parent != G:
-        raise NotSubgroupError("subgroup belongs to a different group")
+    G = H.parent
     if phi.source != H.as_group()[0]:
         raise SourceMismatchError(
             "homomorphism source must be the subgroup's abstract group"
@@ -291,7 +289,7 @@ def has_extension(
         if fixed.setdefault(classes.class_of[frozenset(_closure(G, (x,)))], n) != n:
             return None
     actions = [
-        coset_action(G, K)
+        coset_action(K)
         for K in map(classes.representative, range(len(classes)))
         if K.index <= phi.degree
     ]
@@ -339,15 +337,15 @@ def _census_combination(
         rests.append(tuple(r - copies[i] * x for r, x in zip(rests[i], censuses[i])))
 
 
-def find_normal_complement(G: FiniteGroup, H: Subgroup) -> Optional[Subgroup]:
-    """A normal subgroup ``K`` with ``K intersect H = 1`` and ``KH = G``.
+def find_normal_complement(H: Subgroup) -> Optional[Subgroup]:
+    """A normal subgroup ``K`` of ``G = H.parent`` with ``K intersect H = 1``
+    and ``KH = G``.
 
     When one exists, ``H`` is a retract of ``G``: mapping each ``g`` to
     its unique ``H``-part along ``K`` is a homomorphism fixing ``H``.
     Returns ``None`` when no complement exists (a valid answer).
     """
-    if H.parent != G:
-        raise NotSubgroupError("subgroup belongs to a different group")
+    G = H.parent
     hmem = H.member_set()
     # a normal subgroup is a class of one member set; the candidates share
     # one order, so the first in class order is the least by members
@@ -467,11 +465,7 @@ def amalgamated_hom(
 # replication counts and lifts
 
 
-def replication_count(
-    phi: PermHomomorphism,
-    psi_restricted: PermHomomorphism,
-    coset_degree: int,
-) -> int:
+def replication_count(phi: PermHomomorphism, psi_restricted: PermHomomorphism) -> int:
     """Largest ``s`` with ``s`` copies of ``psi_restricted`` dominated by
     ``phi`` in the orbit-census order, via the per-type floor minimum
     ``min over orbit types T of floor(m_T(phi) / m_T(psi))``.
@@ -479,16 +473,10 @@ def replication_count(
     The minimum ranges over the types the replicand actually contains,
     so types occurring only in ``phi`` (asymptotically negligible
     remainders) are ignored, and types occurring only in the replicand
-    force ``s = 0``.  ``coset_degree`` is the degree of the coset action
-    being replicated and must equal the degree of ``psi_restricted``.
+    force ``s = 0``.
     """
     if phi.source != psi_restricted.source:
         raise SourceMismatchError("homomorphisms must share a source")
-    if psi_restricted.degree != coset_degree:
-        raise DegreeMismatchError(
-            f"restricted action has degree {psi_restricted.degree}, "
-            f"stated coset degree is {coset_degree}"
-        )
     if not isinstance(phi.source, FiniteGroup):
         raise SourceMismatchError("replication counts require a FiniteGroup source")
     c_phi, c_psi = _census(phi, psi_restricted)
@@ -537,7 +525,6 @@ class CorrectionReport(Record):
     corrected: Permutation
     distance: Fraction  # d_H(q, corrected)
     input_defect: Fraction  # d_H(a q a^-1 q^-1, id)
-    mode: str
 
 
 def commutator_defect(a: Permutation, q: Permutation) -> Fraction:
@@ -545,21 +532,14 @@ def commutator_defect(a: Permutation, q: Permutation) -> Fraction:
                             Permutation.identity(a.degree))
 
 
-def centralizer_correct(
-    a: Permutation, q: Permutation, mode: str = "exact"
-) -> CorrectionReport:
+def centralizer_correct(a: Permutation, q: Permutation) -> CorrectionReport:
     """Replace ``q`` by a permutation that commutes with ``a`` exactly.
 
     The result is the centralizing element nearest to ``q`` (a
     :func:`nearest_conjugator` from ``a`` to itself), ties broken to the
-    lexicographically least one-line form, at any degree.  ``mode``,
-    ``exact`` or ``heuristic``, is only the label the report carries.
+    lexicographically least one-line form, at any degree.
     """
     if a.degree != q.degree:
         raise DegreeMismatchError(f"degrees differ: {a.degree} vs {q.degree}")
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
     corrected = nearest_conjugator([a], [a], q)
-    return CorrectionReport(
-        corrected, hamming_distance(q, corrected), commutator_defect(a, q), mode
-    )
+    return CorrectionReport(corrected, hamming_distance(q, corrected), commutator_defect(a, q))

@@ -73,7 +73,6 @@ from permstab.groups import (
     Subgroup,
     _closure,
     conjugate_hom,
-    coset_action,
     evaluate_word,
     generator_images,
     parse_word,

@@ -50,7 +50,7 @@ def random_hom(G: FiniteGroup, degree: int, rng: Random) -> PermHomomorphism:
     while remaining > 0:
         eligible = [H for H in subs if H.index <= remaining]
         H = rng.choice(eligible)
-        blocks.append(coset_action(G, H))
+        blocks.append(coset_action(H))
         remaining -= H.index
     hom = blocks[0] if blocks else trivial_hom(G, 0)
     for extra in blocks[1:]:

@@ -151,6 +151,10 @@ def write_corpus(directory):
             "z2swap.json",
             {"group": z2, "degree": 2, "images": {"0": "()", "1": "(1 2)"}},
         ),
+        "z2_empty": write(
+            "z2empty.json",
+            {"group": z2, "degree": 0, "images": {"0": "()", "1": "()"}},
+        ),
         "a3_members": write("a3.json", {"members": [0, 3, 4]}),
         "t12_members": write("t12.json", {"members": [0, 2]}),
         "z3_regular_deg9": write(
@@ -447,6 +451,21 @@ class TestBasicCommands:
         assert time.perf_counter() - start < 1
         assert code == EXIT_DOMAIN
         assert report["outputs"]["error"]["code"] == "BoundExceededError"
+
+    def test_lift_of_no_points_at_any_copy_count(self, files):
+        # copies of a degree-0 action hold no image entry, so the size
+        # bound admits any count: the lift must not loop over the copies
+        start = time.perf_counter()
+        code, report = dispatch(
+            ["lift", files["z2_empty"], files["z2_swap"], "--copies", str(10**12)]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert report["outputs"] == {
+            "degree": 2,
+            "verified": True,
+            "images": {"0": "()", "1": "(1 2)"},
+        }
 
     def test_oversized_lift_refused_before_any_image_is_parsed(self, tmp_path):
         # a Z2 hom of degree 499,999 (249,999 transpositions, 3.6 MB), of a

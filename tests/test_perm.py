@@ -261,7 +261,7 @@ class TestUncheckedResults:
         for G in zoo8.values():
             classes = subgroup_conjugacy_classes(G)
             for K in map(classes.representative, range(len(classes))):
-                action = coset_action(G, K)
+                action = coset_action(K)
                 assert validated_hom(action) == action
                 for H in all_subgroups(G):
                     restricted = restrict_hom(action, H)
@@ -455,6 +455,10 @@ class TestSums:
             q = random_permutation(rng.randint(1, 7), rng)
             s = rng.randint(1, 4)
             assert normalized_trace(replicate(q, s)) == normalized_trace(q)
+
+    def test_replicate_of_no_points(self):
+        # nothing to copy, so no loop over the count
+        assert replicate(Permutation.identity(0), 10**12) == Permutation.identity(0)
 
     def test_replicate_zero_rejected(self):
         with pytest.raises(PermutationParseError):
