@@ -165,8 +165,12 @@ class Subgroup(Record):
     members: tuple[int, ...]
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
-        mems = tuple(sorted(set(members)))
+        mems = tuple(members)
+        for a in mems:  # every id an int before the ids are sorted
+            if type(a) is not int:
+                raise NotSubgroupError(f"element id {echo(a)} out of range")
         mset = set(mems)
+        mems = tuple(sorted(mset))
         if parent.identity not in mset:
             raise NotSubgroupError("member set lacks the identity")
         for a in mems:  # every id in range before any product

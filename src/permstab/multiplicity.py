@@ -201,11 +201,3 @@ def rep_subtract(
     rest = [x for x in range(1, phi.degree + 1) if x not in paired]
     return _restrict_to_points(phi, rest)
 
-
-__all__ = [
-    "MultiplicityVector",
-    "multiplicity_vector",
-    "hom_order_leq",
-    "is_conjugate",
-    "rep_subtract",
-]

@@ -18,7 +18,7 @@ This module houses the finite, executable side of stability theory:
   per-coordinate gcds, and normal complements (a subgroup with one is a
   retract), read off the classes of one member in the subgroup lattice;
 * assembly of a homomorphism on an amalgamated product from compatible
-  halves, with witness reporting on failure;
+  halves (a witness on failure), whose words ``evaluate_word`` reads;
 * the replication count and block-sum lift used to rebuild an action
   from coset actions;
 * the nearest exact correction of a permutation that almost commutes
@@ -28,15 +28,17 @@ This module houses the finite, executable side of stability theory:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     AmalgamMismatchError,
     DegreeMismatchError,
     NotConjugateError,
     SourceMismatchError,
+    WordError,
     ZeroMultiplicityError,
     echo,
 )
@@ -360,80 +362,68 @@ def find_normal_complement(H: Subgroup) -> Optional[Subgroup]:
 # amalgamated homomorphisms
 
 
-HToken = Union[str, int]
-
-
 class AmalgamHom(Record):
     """Two homomorphisms of equal degree glued over a common subgroup.
 
     ``h_pairs`` lists corresponding elements of the two factors (words
     for presentation sources, element ids for table sources); both sides
-    of every pair map to the same permutation, which is what makes the
-    evaluation of alternating words well-defined.
+    of every pair map to the same permutation, which is what makes a word
+    of the free product of the two sides well-defined on the amalgam.
     """
 
     psi1: PermHomomorphism
     psi2: PermHomomorphism
-    h_pairs: tuple[tuple[HToken, HToken], ...]
+    h_pairs: tuple[tuple, ...]
 
     @property
     def degree(self) -> int:
         return self.psi1.degree
 
-    def _side_image(self, side: int, token: HToken) -> Permutation:
-        h = self.psi1 if side == 1 else self.psi2
-        if isinstance(h.source, FpGroup):
-            if isinstance(token, int):
-                raise AmalgamMismatchError(f"side {side} takes words, not element id {echo(token)}")
-            return evaluate_word(h, token)
-        try:
-            g = _int_tokens([token])[0] if isinstance(token, str) else int(token)
-        except ValueError:
-            g = -1
-        if not 0 <= g < len(h.images):
-            raise AmalgamMismatchError(f"element id {echo(token)} outside the side-{side} group")
-        return h.images[g]
-
-    def evaluate_alternating(
-        self, items: Sequence[tuple[int, HToken]]
-    ) -> Permutation:
-        """Image of a word ``g1 h1 g2 ...`` given as ``(side, token)``
-        factors, multiplied left to right."""
-        result = None  # start from the first factor, as evaluate_word does
-        for side, token in items:
-            if side not in (1, 2):
-                raise AmalgamMismatchError(f"side must be 1 or 2, got {side}")
-            factor = self._side_image(side, token)
-            result = factor if result is None else result * factor
-        return Permutation.identity(self.degree) if result is None else result
+    @cached_property
+    def _free_product(self) -> PermHomomorphism:
+        """The homomorphism of the free product of the two presentations."""
+        s1, s2 = self.psi1.source, self.psi2.source
+        if not isinstance(s1, FpGroup) or not isinstance(s2, FpGroup):
+            raise AmalgamMismatchError("mixed words require presentation sources on both sides")
+        source = FpGroup(s1.generators + s2.generators)
+        return PermHomomorphism._trusted(source, self.degree, self.psi1.images + self.psi2.images)
 
     def evaluate_mixed_word(self, text: str) -> Permutation:
         """Image of a word over the disjoint union of the two generator
         alphabets (presentation sources only)."""
-        s1, s2 = self.psi1.source, self.psi2.source
-        if not isinstance(s1, FpGroup) or not isinstance(s2, FpGroup):
-            raise AmalgamMismatchError(
-                "mixed words require presentation sources on both sides"
-            )
-        items = []
-        for token in text.split():
-            name = token.split("^")[0]
-            if name in s1.generators:
-                items.append((1, parse_word(token, s1.generators)))
-            elif name in s2.generators:
-                items.append((2, parse_word(token, s2.generators)))
-            else:
-                raise AmalgamMismatchError(f"unknown generator {echo(name)}")
-        return self.evaluate_alternating(items)
+        h = self._free_product
+        try:
+            return evaluate_word(h, text)
+        except WordError:  # the first bad token decides: its name before its syntax
+            tokens, names = text.split(), set(h.source.generators)
+            k = next((k for k, t in enumerate(tokens) if t.split("^")[0] not in names), None)
+            if k is None:
+                raise
+            parse_word(" ".join(tokens[:k]), h.source.generators)  # a bad token before k
+            raise AmalgamMismatchError(f"unknown generator {echo(tokens[k].split('^')[0])}") from None
 
     def check_relator(self, text: str) -> bool:
         return self.evaluate_mixed_word(text).is_identity()
 
 
+def _side_image(h: PermHomomorphism, side: int, token) -> Permutation:
+    """The image under ``h`` of an h-map token: a word for a presentation
+    source, an element id (ASCII digit text or an ``int``) for a table."""
+    if isinstance(h.source, FpGroup):
+        if not isinstance(token, str):
+            raise AmalgamMismatchError(f"side {side} takes words, not element id {echo(token)}")
+        return evaluate_word(h, token)
+    try:
+        g = _int_tokens([token])[0] if type(token) is str else token
+    except ValueError:
+        g = None
+    if type(g) is not int or not 0 <= g < len(h.images):
+        raise AmalgamMismatchError(f"element id {echo(token)} outside the side-{side} group")
+    return h.images[g]
+
+
 def amalgamated_hom(
-    psi1: PermHomomorphism,
-    psi2: PermHomomorphism,
-    h_pairs: Sequence[tuple[HToken, HToken]],
+    psi1: PermHomomorphism, psi2: PermHomomorphism, h_pairs: Sequence[tuple]
 ) -> AmalgamHom:
     """Glue two homomorphisms along a common subgroup.
 
@@ -442,9 +432,7 @@ def amalgamated_hom(
     witness.
     """
     if psi1.degree != psi2.degree:
-        raise DegreeMismatchError(
-            f"degrees differ: {psi1.degree} vs {psi2.degree}"
-        )
+        raise DegreeMismatchError(f"degrees differ: {psi1.degree} vs {psi2.degree}")
     if isinstance(psi1.source, FpGroup) and isinstance(psi2.source, FpGroup):
         shared = set(psi1.source.generators) & set(psi2.source.generators)
         if shared:
@@ -453,7 +441,7 @@ def amalgamated_hom(
             )
     out = AmalgamHom(psi1, psi2, tuple((a, b) for a, b in h_pairs))
     for a, b in out.h_pairs:
-        if out._side_image(1, a) != out._side_image(2, b):
+        if _side_image(psi1, 1, a) != _side_image(psi2, 2, b):
             raise AmalgamMismatchError(
                 f"common-subgroup images disagree at pair ({echo(a)}, {echo(b)})",
                 witness=(a, b),

@@ -23,9 +23,10 @@ counted its embeddings before the generation tree did, the
 ``enumerate_patterns``, the unpruned ``(mask, sign)`` expansion and the
 loop that dropped only empty-mask terms behind ``s_from_tr``, Light's
 test with its generating-set picks interleaved behind ``FiniteGroup``,
-and the argparse front end behind the CLI's
-command-table parser.  ``point_count`` tests one point at a
-time what every trace statistic counts with fixed-point masks.
+the argparse front end behind the CLI's command-table parser, and
+the ``(side, token)`` evaluator ``evaluate_alternating`` behind
+``AmalgamHom.evaluate_mixed_word``.  ``point_count`` tests one point at
+a time what every trace statistic counts with fixed-point masks.
 
 The file opens with test tools that the library once exported:
 ``all_permutations``, ``normalized_trace``, ``cycle_type`` and
@@ -49,6 +50,7 @@ from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from permstab.errors import (
+    AmalgamMismatchError,
     BoundExceededError,
     GroupTableError,
     NotComparableError,
@@ -87,7 +89,7 @@ from permstab.multiplicity import (
     _transport,
     is_conjugate,
 )
-from permstab.stability import _max_weight_assignment, compose_lift
+from permstab.stability import AmalgamHom, _max_weight_assignment, compose_lift
 from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND, ActionTrace
 from permstab.perm import Permutation, hamming_distance, parse_permutation
 
@@ -200,6 +202,19 @@ def generator_image(h: PermHomomorphism, name: str) -> Permutation:
     if not isinstance(h.source, FpGroup):
         raise SourceMismatchError("generator images require an FpGroup source")
     return h.images[h.source.generators.index(name)]
+
+
+def evaluate_alternating(am: AmalgamHom, items: Sequence[tuple[int, object]]) -> Permutation:
+    """Image under the amalgam ``am`` of a word ``g1 h1 g2 ...`` given as
+    ``(side, token)`` factors, multiplied left to right: a token is a word
+    on a presentation side and an element id on a table side."""
+    result = Permutation.identity(am.degree)
+    for side, token in items:
+        if side not in (1, 2):
+            raise AmalgamMismatchError(f"side must be 1 or 2, got {side}")
+        h = am.psi1 if side == 1 else am.psi2
+        result = result * (evaluate_word(h, token) if isinstance(h.source, FpGroup) else h.images[token])
+    return result
 
 
 def nonzero_classes(mv: MultiplicityVector) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cli_digests
 import oracles
 import permstab
 from permstab import cli
@@ -1316,6 +1317,24 @@ class TestDeterminism:
         code, report = dispatch(["mult", str(path)])
         assert code == (EXIT_OK if size > 1 else EXIT_BADFILE)
         assert report["inputs"] == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
+
+    def test_generated_requests_exit_as_expected(self, tmp_path, capsys):
+        # cli_digests.py over the cli-cold requests of one small seed, run
+        # from their own directory; a changed expected code is flagged
+        cwd = os.getcwd()
+        assert cli_digests.main([str(tmp_path), "--seeds", "7", "--pool", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert os.getcwd() == cwd
+        assert len(lines) == 49
+        assert all(len(line.split()) == 5 and line.startswith("7 ") for line in lines)
+        assert Counter(line.split()[3] for line in lines)["0"] > 20
+        manifest = tmp_path / "s7" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["requests"]["trace"][0]["code"] = 2
+        manifest.write_text(json.dumps(data))
+        assert cli_digests.main([str(tmp_path), "--seeds", "7", "--pool", "1"]) == 1
+        flagged = [line for line in capsys.readouterr().out.splitlines() if "UNEXPECTED" in line]
+        assert flagged == [lines[0] + " UNEXPECTED (want 2)"]
 
     def test_inputs_list_a_group_file_named_by_a_hom(self, files, tmp_path):
         images = {"u": "(1 2)", "v": "(1 2 3)"}

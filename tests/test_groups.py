@@ -870,6 +870,14 @@ REFUSALS = [
         NotSubgroupError, "member set lacks the identity",
         id="subgroup-without-identity",
     ),
+    *(
+        pytest.param(
+            lambda member=member: Subgroup(cyclic_group(4), [0, member]),
+            NotSubgroupError, f"element id {member!r} out of range",
+            id=f"subgroup-member-{member!r}",
+        )
+        for member in (2.0, 2.5, True, "2", None)
+    ),
     pytest.param(  # closed under inverses: 1 and 3 are each other's
         lambda: Subgroup(cyclic_group(4), [0, 1, 3]),
         NotSubgroupError, "member set not closed under product (1,1)",
