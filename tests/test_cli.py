@@ -1336,6 +1336,20 @@ class TestDeterminism:
         flagged = [line for line in capsys.readouterr().out.splitlines() if "UNEXPECTED" in line]
         assert flagged == [lines[0] + " UNEXPECTED (want 2)"]
 
+    def test_generated_requests_keep_their_outputs(self, tmp_path, capsys):
+        # every cli-cold request of seeds 1-3 and 7 at the default pool
+        # answers with the exit code and outputs digest pinned in
+        # cli_digests.txt; regenerate that file only when outputs change
+        # on purpose
+        assert cli_digests.main([str(tmp_path)]) == 0
+        got = capsys.readouterr().out.splitlines()
+        want = (Path(__file__).parent / "cli_digests.txt").read_text().splitlines()
+        key = lambda line: " ".join(line.split()[:3])  # noqa: E731
+        got_by, want_by = {key(l): l for l in got}, {key(l): l for l in want}
+        differing = sorted(k for k in got_by.keys() | want_by.keys() if got_by.get(k) != want_by.get(k))
+        assert not differing, f"seed kind index differing: {differing}"
+        assert got == want
+
     def test_inputs_list_a_group_file_named_by_a_hom(self, files, tmp_path):
         images = {"u": "(1 2)", "v": "(1 2 3)"}
         named = tmp_path / "named.json"
