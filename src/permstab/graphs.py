@@ -30,8 +30,9 @@ are its parent's followed by the added edge.
 
 Distances count embeddings along that generation tree
 (:meth:`Catalogue.counts`): a class's rooted embeddings are its parent's
-that meet one more condition on the words of their images, and the
-catalogue builds these conditions once (``Catalogue._tables``).  Per
+that meet one more condition on the words of their images.  The
+enumerator derives these conditions once and writes them into the
+catalogue file, which ``Catalogue._tables`` decompresses.  Per
 graph, each vertex word is one composition from its suffix, each
 condition a few equality masks, and each class one AND with its parent's
 mask, skipped below a parent whose mask is empty.
@@ -59,10 +60,10 @@ from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, compress, count, islice, pairwise
+from itertools import accumulate, combinations, compress, count, islice, pairwise
 from operator import sub
 from os import path
-from struct import iter_unpack, unpack
+from struct import iter_unpack, unpack, unpack_from
 from sys import byteorder
 from zlib import decompress
 
@@ -280,7 +281,8 @@ class Catalogue(Sequence):
     generated from the class whose bytes are its own but the last triple,
     by adding that triple's edge in the parent's vertex numbering.
     :meth:`counts` counts every class's rooted embeddings along that
-    generation tree, and :meth:`row` gives a class as a distance lists it."""
+    generation tree, from the zlib stream ``tables`` of the catalogue file,
+    and :meth:`row` gives a class as a distance lists it."""
 
     def __init__(
         self,
@@ -289,12 +291,14 @@ class Catalogue(Sequence):
         edges: bytes = b"",
         offsets: Sequence[int] = (0,),
         orbits: Sequence[int] = (),
+        tables: bytes = b"",
     ):
         self.alphabet = alphabet
         self.sizes = sizes
         self.edges = edges
         self.offsets = offsets
         self.orbits = orbits
+        self.tables = tables
         self._rows: dict[int, tuple] = {}  # row parts of the patterns listed so far
         self._weights: dict[int, str] = {}  # weight text per orbit number listed so far
 
@@ -323,61 +327,17 @@ class Catalogue(Sequence):
 
     @cached_property
     def _tables(self) -> tuple:
-        """``(letters, suffixes, pairs, conditions, first, children)``: the
-        rooted embeddings of every class, as conditions along the generation
-        tree in flat int sequences, built the first time a distance counts.
-        A class's parent and added edge are read from its edge bytes,
-        classes taken by edge count so that each parent comes first.
-
-        Each pattern vertex has a word: the root the empty word, and a vertex
-        added by an edge ``(u, new, s)`` or ``(new, u, s)`` the word ``s w_u``
-        or ``s^-1 w_u``.  Word ids 1, 2, ... are listed by ``letters`` and
-        ``suffixes``: a word is one letter, coded ``2 s`` or ``2 s + 1`` for
-        ``s^-1``, before a word of a smaller id (0 is the empty word).  The
-        points at which a class embeds rooted are those of its parent that meet
-        one condition, an AND of the equality masks of word pairs (``pairs``):
-        for an added inner edge ``(u, v, s)``, ``s w_u`` and ``w_v`` agree; for
-        an added vertex, its word differs from every existing vertex's.  A
-        condition lists its pair ids, ``~id`` for differs.  ``children``
-        holds ``(class, condition)`` per class but the first, grouped by
-        parent: those of class ``c`` at ``first[c]`` up to ``first[c + 1]``.
-        """
-        words = {}  # (letter, suffix word id) -> word id
-        pairs = {}  # (word id, word id) -> pair id
-        conditions = {}  # signed pair ids -> condition id
-        vertex_words = [(0,)] * len(self)  # per class, per vertex
-        children = [[] for _ in range(len(self))]  # per class, (class, condition) pairs
-
-        def word(letter, suffix):
-            return words.setdefault((letter, suffix), len(words) + 1)
-
-        def pair(a, b):
-            return pairs.setdefault((a, b) if a < b else (b, a), len(pairs))
-
-        edges, offsets = self.edges, self.offsets
-        spans = [edges[a:b] for a, b in zip(offsets, offsets[1:])]  # edge bytes per class
-        index_of = dict(zip(spans, count()))
-        for span in sorted(spans, key=len)[1:]:  # parents first; class 0 has none
-            index, parent = index_of[span], index_of[span[:-3]]
-            u, v, lab = span[-3:]
-            ws = vertex_words[parent]
-            n = len(ws)
-            if u <= n and v <= n:  # an inner edge: s w_u agrees with w_v
-                signed = (pair(word(2 * lab, ws[u - 1]), ws[v - 1]),)
-            else:  # a new head s w_u or tail s^-1 w_v, unlike every vertex
-                new = word(2 * lab, ws[u - 1]) if v > n else word(2 * lab + 1, ws[v - 1])
-                signed = tuple(~pair(new, w) for w in ws)
-                ws += (new,)
-            vertex_words[index] = ws
-            children[parent] += (index, conditions.setdefault(signed, len(conditions)))
-        return (
-            array("i", [letter for letter, _ in words]),
-            array("i", [suffix for _, suffix in words]),
-            array("i", chain.from_iterable(pairs)),
-            tuple(conditions),
-            array("i", accumulate(map(len, children), initial=0)),
-            array("i", chain.from_iterable(children)),
-        )
+        """``(letters, suffixes, pairs, starts, signed, first, children)``:
+        every class's rooted embeddings as conditions along the generation
+        tree, in flat int arrays (``counting_tables`` of
+        ``tests/enumerator.py`` says what each holds), decompressed from
+        ``tables`` the first time a distance counts."""
+        data = decompress(self.tables)
+        flat = array("i", data[28:])
+        if byteorder == "big":
+            flat.byteswap()
+        bounds = accumulate(unpack_from("<7I", data), initial=0)
+        return tuple(flat[a:b] for a, b in pairwise(bounds))
 
     def counts(self, graph: LabeledDigraph) -> list[int]:
         """Per class, the number of points at which it embeds rooted.
@@ -391,7 +351,7 @@ class Catalogue(Sequence):
         nonzero mask."""
         if not self:  # a size bound below 1: no pattern
             return []
-        letters, suffixes, pairs, conditions, first, children = self._tables
+        letters, suffixes, pairs, starts, signed, first, children = self._tables
         n = graph.n
         kind = next(k for k in "BHIQ" if n <= 1 << 8 * array(k).itemsize - 1)
         step = array(kind).itemsize  # bytes per point
@@ -420,9 +380,9 @@ class Catalogue(Sequence):
                 for mask in (top, *equal)
             )
         met = []  # per condition, the points that meet it
-        for signed in conditions:
+        for a, b in pairwise(starts):
             mask = top
-            for i in signed:
+            for i in signed[a:b]:
                 mask &= equal[i] if i >= 0 else top ^ equal[~i]
             met.append(mask)
         counts = [0] * len(self)
@@ -460,14 +420,16 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     in canonical order, each paired with its weight.
 
     The arrays of ``len(alphabet)`` letters at ``size_bound`` are read
-    from ``catalogues.bin`` on the first call for that pair.  The file
-    holds each pair whose enumeration fits ``DEFAULT_PATTERN_KEY_BUDGET``
-    traversal keys; any other pair is refused from its index with the
-    ``BoundExceededError`` the enumerator raises.  Layout: ``<H`` index
-    entries of ``<BBIII`` (letter count, size bound, class count, stream
-    offset, stream length), then one zlib stream per pair holding
-    ``sizes``, ``offsets``, ``orbits`` (four bytes an entry, little
-    endian) and the edge bytes.
+    from ``catalogues.bin`` on the first call for that pair, in one
+    ``open``.  The file holds each pair whose enumeration fits
+    ``DEFAULT_PATTERN_KEY_BUDGET`` traversal keys; any other pair is
+    refused from its index with the ``BoundExceededError`` the enumerator
+    raises.  Layout: ``<H`` index entries of ``<BBIIIII`` (letter count,
+    size bound, class count, then the offset and length of each of the
+    pair's two zlib streams).  The first stream holds ``sizes``,
+    ``offsets``, ``orbits`` (four bytes an entry, little endian) and the
+    edge bytes, and is decompressed here; the second holds the counting
+    tables, kept compressed until :meth:`Catalogue.counts` first needs them.
     """
     if size_bound < 1:
         return Catalogue(alphabet)
@@ -477,10 +439,11 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
         )
     with open(_CATALOGUES, "rb") as file:
         (entries,) = unpack("<H", file.read(2))
-        for m, bound, n, at, size in iter_unpack("<BBIII", file.read(14 * entries)):
+        for m, bound, n, at, size, _, more in iter_unpack("<BBIIIII", file.read(22 * entries)):
             if (m, bound) == (len(alphabet), size_bound):
                 file.seek(at)
                 data = decompress(file.read(size))
+                tables = file.read(more)  # the second stream follows the first
                 break
         else:
             raise _over_budget(alphabet, size_bound)
@@ -488,7 +451,7 @@ def enumerate_patterns(alphabet: tuple[str, ...], size_bound: int) -> Catalogue:
     if byteorder == "big":
         offsets.byteswap()
         orbits.byteswap()
-    return Catalogue(alphabet, data[:n], data[9 * n + 4 :], offsets, orbits)
+    return Catalogue(alphabet, data[:n], data[9 * n + 4 :], offsets, orbits, tables)
 
 
 def _over_budget(alphabet: tuple[str, ...], size_bound: int) -> BoundExceededError:

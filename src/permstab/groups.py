@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
+from itertools import groupby
+from math import isqrt
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -390,8 +393,12 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
     cyclic extension method (Neubüser, *Numer. Math.* 2, 1960).  Each
     class is walked breadth-first, when its first member is found, by
     conjugation with ``generating_set``; that member keeps the generators
-    it was reached by, and its join with ``<c>`` is the closure of those
-    generators and ``c``.  A join already recorded costs one lookup.
+    it was reached by, and its join ``T = <S, c>`` is closed as a union of
+    right cosets of ``S`` (:func:`_join`; Holt, Eick & O'Brien, *Handbook
+    of Computational Group Theory*, 2005).  ``T`` is also the join of ``S``
+    with each generator of ``<x>`` for ``x`` in ``S c S``, and, at a prime
+    index over ``S``, with each ``x`` in ``T`` outside ``S``: those joins
+    are skipped, which finds the same classes in the same order.
 
     Raises ``BoundExceededError`` above ``DEFAULT_SUBGROUP_ORDER_BOUND``.
     """
@@ -401,18 +408,19 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
             f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
         )
     cyclic: dict[frozenset[int], int] = {}  # one generator per distinct <g>
-    for g in G.elements():
-        cyclic.setdefault(frozenset(_closure(G, (g,))), g)
+    listed = [cyclic.setdefault(frozenset(_closure(G, (g,))), g) for g in G.elements()]
     found: set[frozenset[int]] = set()
     orbits: list[list[frozenset[int]]] = []
     firsts: list[tuple[frozenset[int], tuple[int, ...]]] = []
+    conjugations = [[G.conjugate(g, x) for x in G.elements()] for g in G.generating_set]
+    columns = tuple(zip(*G.table))  # columns[x][s] is s x
 
     def record(S: frozenset[int], gens: tuple[int, ...]) -> None:
         found.add(S)
         orbit = [S]
         for T in orbit:
-            for g in G.generating_set:
-                U = frozenset(G.conjugate(g, x) for x in T)
+            for conjugation in conjugations:
+                U = frozenset(map(conjugation.__getitem__, T))
                 if U not in found:
                     found.add(U)
                     orbit.append(U)
@@ -423,9 +431,22 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
         if S not in found:
             record(S, (c,))
     for S, gens in firsts:  # grows while iterated
+        if len(S) == 1:  # the trivial subgroup joins c to <c>, recorded
+            continue
+        coset = itemgetter(*S)  # S x is coset(columns[x])
+        covered = set(S)  # the elements whose join with S is known
         for c in cyclic.values():
-            if c not in S:
-                T = frozenset(_closure(G, gens + (c,)))
+            if c not in covered:
+                T = _join(G, S, gens + (c,), coset, columns)
+                index = len(T) // len(S)  # at least 2: c is not in S
+                if all(index % d for d in range(2, isqrt(index) + 1)):  # prime
+                    covered |= T
+                else:
+                    double = set()  # S c S, a union of left cosets y S for y in S c
+                    for y in coset(columns[c]):
+                        if y not in double:
+                            double.update(coset(G.table[y]))
+                    covered.update(map(listed.__getitem__, double))
                 if T not in found:
                     record(T, gens + (c,))
     classes = sorted(
@@ -433,6 +454,23 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
         key=lambda orbit: (len(orbit[0]), sorted(orbit[0])),
     )
     return SubgroupClasses(G, tuple(classes))
+
+
+def _join(G: FiniteGroup, S: frozenset[int], gens: tuple, coset, columns) -> frozenset[int]:
+    """The subgroup that ``gens`` generate, generators of ``S`` and more,
+    as right cosets ``S y = coset(columns[y])`` (Dimino's method): one
+    membership test per representative ``y`` and generator ``g`` of ``y g``."""
+    members = set(S)
+    reps = [G.identity]
+    products = itemgetter(*gens)  # y g for each generator g, from y's row
+    for y in reps:
+        for x in products(G.table[y]):
+            if x not in members:
+                members.update(coset(columns[x]))
+                if 2 * len(members) > G.order:  # a subgroup that large is G
+                    return frozenset(G.elements())
+                reps.append(x)
+    return frozenset(members)
 
 
 def coset_action(N: Subgroup) -> "PermHomomorphism":
@@ -552,17 +590,20 @@ class PermHomomorphism(Record):
 
 
 def evaluate_word(h: PermHomomorphism, word: Union[str, Word]) -> Permutation:
-    """Product of generator images per the word's signed exponents."""
+    """Product of generator images per the word's signed exponents, one
+    power per run of one generator (its exponents summed; none for 0)."""
     if isinstance(word, str):
         if not isinstance(h.source, FpGroup):
             raise WordError("string words require an FpGroup source")
         word = parse_word(word, h.source.generators)
     result = None  # start from the first factor: L - 1 products for L factors
-    for idx, exp in word:
+    for idx, syllable in groupby(word, itemgetter(0)):
         if not 0 <= idx < len(h.images):
             raise WordError(f"word references unknown generator index {idx}")
-        factor = h.images[idx] ** exp
-        result = factor if result is None else result * factor
+        exp = sum(map(itemgetter(1), syllable))
+        if exp:
+            factor = h.images[idx] ** exp
+            result = factor if result is None else result * factor
     return Permutation.identity(h.degree) if result is None else result
 
 

@@ -17,6 +17,9 @@ from .errors import DegreeMismatchError, PermutationParseError, echo
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _SEP_RE = re.compile(r"[,\s]+")
 _INT_RE = re.compile(r"-?[0-9]+")
+# plain cycle text: non-empty groups of points, one space apart, with nothing
+# around them; nine digits a point keep int() within the int-string limit
+_PLAIN_RE = re.compile(r"(?:\([0-9]{1,9}(?: [0-9]{1,9})*\))+")
 _new = object.__new__
 _set = object.__setattr__
 _ZEROS = bytearray(b"0")  # copied, never changed
@@ -168,7 +171,25 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
     The degree is explicit; points mentioned must lie in ``{1..degree}``
     and points absent from cycle notation are fixed.
+
+    Plain cycle text (``_PLAIN_RE``) is read in one pass and checked in
+    bulk; any other text, and plain text that fails a check, is read token
+    by token below, which names the first fault.
     """
+    if _PLAIN_RE.fullmatch(text):
+        cycles = text[1:-1].split(")(")
+        points = list(map(int, " ".join(cycles).split(" ")))
+        successor = dict(zip(points, points[1:]))
+        at = 0
+        for cycle in cycles:  # each cycle's last point goes to its first
+            last = at + cycle.count(" ")
+            successor[points[last]] = points[at]
+            at = last + 1
+        if len(successor) == len(points) and min(points) >= 1 and max(points) <= degree:
+            images = list(range(1, degree + 1))
+            for a, b in successor.items():
+                images[a - 1] = b
+            return Permutation._trusted(tuple(images))
     if degree < 0:
         raise PermutationParseError("degree must be nonnegative")
     text = text.strip()

@@ -10,9 +10,12 @@ file again, from the repository root::
 
 The file holds one catalogue per ``(letter count, size bound)`` pair
 whose enumeration fits ``graphs.DEFAULT_PATTERN_KEY_BUDGET`` traversal
-keys, in the layout ``graphs.enumerate_patterns`` reads.  The budget is
-read from ``graphs`` at each call, so a test that patches it there
-patches it here.
+keys, in the layout ``graphs.enumerate_patterns`` reads: per pair, one
+zlib stream of the catalogue's arrays and one of the counting tables
+that ``Catalogue.counts`` walks (:func:`counting_tables`), derived here
+so that no process that counts has to build them.  The budget is read
+from ``graphs`` at each call, so a test that patches it there patches
+it here.
 """
 
 from __future__ import annotations
@@ -329,25 +332,102 @@ def admitted_pairs() -> list[tuple[int, int]]:
         pairs += [(m, bound) for bound in admits]
 
 
-def stream(catalogue: Catalogue) -> bytes:
-    """The uncompressed stream of one catalogue: its arrays, little endian."""
-    offsets, orbits = array("I", catalogue.offsets), array("I", catalogue.orbits)
+def counting_tables(catalogue: Catalogue) -> tuple[array, ...]:
+    """``(letters, suffixes, pairs, starts, signed, first, children)``: the
+    rooted embeddings of every class, as conditions along the generation
+    tree in flat int arrays, which ``Catalogue.counts`` reads.  A class's
+    parent and added edge are read from its edge bytes, classes taken by
+    edge count so that each parent comes first.
+
+    Each pattern vertex has a word: the root the empty word, and a vertex
+    added by an edge ``(u, new, s)`` or ``(new, u, s)`` the word ``s w_u``
+    or ``s^-1 w_u``.  Word ids 1, 2, ... are listed by ``letters`` and
+    ``suffixes``: a word is one letter, coded ``2 s`` or ``2 s + 1`` for
+    ``s^-1``, before a word of a smaller id (0 is the empty word).  The
+    points at which a class embeds rooted are those of its parent that meet
+    one condition, an AND of the equality masks of word pairs (``pairs``,
+    two word ids each): for an added inner edge ``(u, v, s)``, ``s w_u``
+    and ``w_v`` agree; for an added vertex, its word differs from every
+    existing vertex's.  Condition ``k`` lists its pair ids, ``~id`` for
+    differs, at ``signed[starts[k] : starts[k + 1]]``.  ``children`` holds
+    ``(class, condition)`` per class but the first, grouped by parent:
+    those of class ``c`` at ``first[c]`` up to ``first[c + 1]``.
+    """
+    words = {}  # (letter, suffix word id) -> word id
+    pairs = {}  # (word id, word id) -> pair id
+    conditions = {}  # signed pair ids -> condition id
+    vertex_words = [(0,)] * len(catalogue)  # per class, per vertex
+    children = [[] for _ in range(len(catalogue))]  # per class, (class, condition) pairs
+
+    def word(letter, suffix):
+        return words.setdefault((letter, suffix), len(words) + 1)
+
+    def pair(a, b):
+        return pairs.setdefault((a, b) if a < b else (b, a), len(pairs))
+
+    edges, offsets = catalogue.edges, catalogue.offsets
+    spans = [edges[a:b] for a, b in zip(offsets, offsets[1:])]  # edge bytes per class
+    index_of = dict(zip(spans, itertools.count()))
+    for span in sorted(spans, key=len)[1:]:  # parents first; class 0 has none
+        index, parent = index_of[span], index_of[span[:-3]]
+        u, v, lab = span[-3:]
+        ws = vertex_words[parent]
+        n = len(ws)
+        if u <= n and v <= n:  # an inner edge: s w_u agrees with w_v
+            signed = (pair(word(2 * lab, ws[u - 1]), ws[v - 1]),)
+        else:  # a new head s w_u or tail s^-1 w_v, unlike every vertex
+            new = word(2 * lab, ws[u - 1]) if v > n else word(2 * lab + 1, ws[v - 1])
+            signed = tuple(~pair(new, w) for w in ws)
+            ws += (new,)
+        vertex_words[index] = ws
+        children[parent] += (index, conditions.setdefault(signed, len(conditions)))
+    return (
+        array("i", [letter for letter, _ in words]),
+        array("i", [suffix for _, suffix in words]),
+        array("i", chain.from_iterable(pairs)),
+        array("i", accumulate(map(len, conditions), initial=0)),
+        array("i", chain.from_iterable(conditions)),
+        array("i", accumulate(map(len, children), initial=0)),
+        array("i", chain.from_iterable(children)),
+    )
+
+
+def _little_endian(*arrays: array) -> bytes:
+    """The arrays' entries, four bytes each, little endian, one after another."""
+    out = array("i", chain.from_iterable(arrays))
     if sys.byteorder == "big":
-        offsets.byteswap()
-        orbits.byteswap()
-    return catalogue.sizes + offsets.tobytes() + orbits.tobytes() + catalogue.edges
+        out.byteswap()
+    return out.tobytes()
+
+
+def stream(catalogue: Catalogue) -> bytes:
+    """The uncompressed first stream of one catalogue: its arrays."""
+    return (
+        catalogue.sizes
+        + _little_endian(array("i", catalogue.offsets), array("i", catalogue.orbits))
+        + catalogue.edges
+    )
+
+
+def tables_stream(catalogue: Catalogue) -> bytes:
+    """The uncompressed second stream of one catalogue: the entry count of
+    each of its :func:`counting_tables`, then their entries."""
+    tables = counting_tables(catalogue)
+    return pack(f"<{len(tables)}I", *map(len, tables)) + _little_endian(*tables)
 
 
 def catalogue_file(pairs: Sequence[tuple[int, int]]) -> bytes:
-    """The file's bytes: the index, then one zlib stream per pair."""
+    """The file's bytes: the index, then two zlib streams per pair."""
     entries, streams = [], []
-    at = 2 + len(pairs) * 14
+    at = 2 + len(pairs) * 22
     for m, bound in pairs:
         catalogue = enumerate_patterns(letters(m), bound)
         data = zlib.compress(stream(catalogue), 9)
-        entries.append(pack("<BBIII", m, bound, len(catalogue), at, len(data)))
-        streams.append(data)
-        at += len(data)
+        tables = zlib.compress(tables_stream(catalogue), 9)
+        entries.append(pack("<BBIIIII", m, bound, len(catalogue), at, len(data),
+                            at + len(data), len(tables)))
+        streams += (data, tables)
+        at += len(data) + len(tables)
     return pack("<H", len(pairs)) + b"".join(entries) + b"".join(streams)
 
 

@@ -42,6 +42,7 @@ Klein pair (from ``fixtures``), ``nonzero_classes`` (from
 from __future__ import annotations
 
 import argparse
+import re
 from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +50,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from permstab import groups
 from permstab.errors import (
     AmalgamMismatchError,
     BoundExceededError,
@@ -57,8 +59,11 @@ from permstab.errors import (
     NotConjugateError,
     NotSubgroupError,
     PermStabError,
+    PermutationParseError,
     SourceMismatchError,
+    WordError,
     ZeroMultiplicityError,
+    echo,
 )
 from permstab.graphs import (
     LabeledDigraph,
@@ -73,6 +78,7 @@ from permstab.groups import (
     FpGroup,
     PermHomomorphism,
     Subgroup,
+    SubgroupClasses,
     _closure,
     conjugate_hom,
     evaluate_word,
@@ -91,7 +97,7 @@ from permstab.multiplicity import (
 )
 from permstab.stability import AmalgamHom, _max_weight_assignment, compose_lift
 from permstab.trace_stats import DEFAULT_MOVED_SET_BOUND, ActionTrace
-from permstab.perm import Permutation, hamming_distance, parse_permutation
+from permstab.perm import Permutation, _int_tokens as int_tokens, hamming_distance, parse_permutation
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
@@ -122,6 +128,57 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
 
 def one_line_str(p: Permutation) -> str:
     return "[" + ",".join(map(str, p.images)) + "]"
+
+
+CYCLE_RE = re.compile(r"\(([^()]*)\)")
+SEP_RE = re.compile(r"[,\s]+")
+
+
+def parse_permutation_by_cycles(text: str, degree: int) -> Permutation:
+    """``parse_permutation`` before plain cycle text was read in one pass:
+    every text stripped, checked against the cycle pattern and read cycle
+    by cycle, each point checked as it is read."""
+    if degree < 0:
+        raise PermutationParseError("degree must be nonnegative")
+    text = text.strip()
+    if text.startswith("["):
+        if not text.endswith("]"):
+            raise PermutationParseError(f"unterminated one-line form: {echo(text)}")
+        body = text[1:-1].strip()
+        entries = [t for t in SEP_RE.split(body) if t] if body else []
+        try:
+            images = int_tokens(entries)
+        except ValueError:
+            raise PermutationParseError(f"non-integer entry in {echo(text)}") from None
+        if len(images) != degree:
+            raise PermutationParseError(
+                f"one-line form lists {len(images)} images, degree is {degree}"
+            )
+        return Permutation(images)
+    if text == "" or text == "()":
+        return Permutation.identity(degree)
+    consumed = CYCLE_RE.sub("", text).strip()
+    if consumed:
+        raise PermutationParseError(f"unparsable permutation text: {echo(text)}")
+    images = list(range(1, degree + 1))
+    touched: set[int] = set()
+    for match in CYCLE_RE.finditer(text):
+        body = match.group(1).strip()
+        if not body:
+            continue
+        try:
+            pts = int_tokens(SEP_RE.split(body))
+        except ValueError:
+            raise PermutationParseError(f"non-integer point in {echo(text)}") from None
+        for p in pts:
+            if not 1 <= p <= degree:
+                raise PermutationParseError(f"point {p} out of range 1..{degree}")
+            if p in touched:
+                raise PermutationParseError(f"point {p} appears in two cycles")
+            touched.add(p)
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            images[a - 1] = b
+    return Permutation._trusted(tuple(images))
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -202,6 +259,20 @@ def generator_image(h: PermHomomorphism, name: str) -> Permutation:
     if not isinstance(h.source, FpGroup):
         raise SourceMismatchError("generator images require an FpGroup source")
     return h.images[h.source.generators.index(name)]
+
+
+def evaluate_word_by_letters(h: PermHomomorphism, word) -> Permutation:
+    """``evaluate_word`` before it took a run of one generator as one power:
+    one product per token."""
+    if isinstance(word, str):
+        word = parse_word(word, h.source.generators)
+    result = None
+    for idx, exp in word:
+        if not 0 <= idx < len(h.images):
+            raise WordError(f"word references unknown generator index {idx}")
+        factor = h.images[idx] ** exp
+        result = factor if result is None else result * factor
+    return Permutation.identity(h.degree) if result is None else result
 
 
 def evaluate_alternating(am: AmalgamHom, items: Sequence[tuple[int, object]]) -> Permutation:
@@ -606,6 +677,50 @@ def subgroup_sets_by_joins(G: FiniteGroup) -> tuple[frozenset[int], ...]:
                     new.append(T)
         frontier = new
     return tuple(sorted(gens, key=lambda s: (len(s), sorted(s))))
+
+
+def subgroup_conjugacy_classes_by_closures(G: FiniteGroup) -> SubgroupClasses:
+    """``subgroup_conjugacy_classes`` before its joins were closed by
+    cosets: each class's first member joined with every cyclic subgroup
+    outside it, each join the closure of its generators element by element."""
+    if G.order > groups.DEFAULT_SUBGROUP_ORDER_BOUND:
+        raise BoundExceededError(
+            f"group order {G.order} exceeds subgroup-enumeration bound "
+            f"{groups.DEFAULT_SUBGROUP_ORDER_BOUND}"
+        )
+    cyclic: dict[frozenset[int], int] = {}  # one generator per distinct <g>
+    for g in G.elements():
+        cyclic.setdefault(frozenset(_closure(G, (g,))), g)
+    found: set[frozenset[int]] = set()
+    orbits: list[list[frozenset[int]]] = []
+    firsts: list[tuple[frozenset[int], tuple[int, ...]]] = []
+
+    def record(S: frozenset[int], gens: tuple[int, ...]) -> None:
+        found.add(S)
+        orbit = [S]
+        for T in orbit:
+            for g in G.generating_set:
+                U = frozenset(G.conjugate(g, x) for x in T)
+                if U not in found:
+                    found.add(U)
+                    orbit.append(U)
+        orbits.append(orbit)
+        firsts.append((S, gens))
+
+    for S, c in cyclic.items():
+        if S not in found:
+            record(S, (c,))
+    for S, gens in firsts:  # grows while iterated
+        for c in cyclic.values():
+            if c not in S:
+                T = frozenset(_closure(G, gens + (c,)))
+                if T not in found:
+                    record(T, gens + (c,))
+    classes = sorted(
+        (tuple(sorted(orbit, key=sorted)) for orbit in orbits),
+        key=lambda orbit: (len(orbit[0]), sorted(orbit[0])),
+    )
+    return SubgroupClasses(G, tuple(classes))
 
 
 def conjugacy_classes_by_every_element(G: FiniteGroup) -> tuple:

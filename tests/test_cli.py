@@ -831,6 +831,21 @@ class TestExitCodes:
         assert "does not evaluate to the identity" in report["outputs"]["error"]["message"]
         assert products == []
 
+    def test_run_of_one_generator_is_one_power(self, tmp_path, monkeypatch):
+        # a relator of ``a`` written 1,001 times made 1,000 products at
+        # degree 200,000 before its refusal; its one syllable is one power
+        n = 200_000
+        group = {"kind": "presentation", "generators": ["a"], "relators": [" ".join(["a"] * 1001)]}
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps({"group": group, "degree": n, "images": {"a": "(1 2 3)"}}))
+        products = []
+        mul = Permutation.__mul__
+        monkeypatch.setattr(Permutation, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+        code, report = dispatch(["graph", str(path)])
+        assert code == EXIT_BADFILE
+        assert "does not evaluate to the identity" in report["outputs"]["error"]["message"]
+        assert 0 < len(products) <= 2 * (1001).bit_length()
+
     def test_over_long_integer_is_malformed(self, tmp_path):
         path = tmp_path / "long.json"
         path.write_text(

@@ -9,7 +9,7 @@ import tracemalloc
 import zlib
 from fractions import Fraction
 from functools import _lru_cache_wrapper, lru_cache
-from itertools import combinations, permutations as iperms, product
+from itertools import combinations, islice, permutations as iperms, product
 from random import Random
 
 import networkx as nx
@@ -596,25 +596,33 @@ class TestEnumeration:
 
     def test_catalogue_data_is_the_enumerators(self):
         # the package's data file lists exactly the pairs the enumerator
-        # admits, and each entry decodes to the enumerator's arrays (the
-        # arrays, not the zlib bytes, which another zlib may compress
-        # differently); the package reads the same arrays from it
+        # admits, and each entry's two streams decode to the enumerator's
+        # arrays and counting tables (the arrays, not the zlib bytes, which
+        # another zlib may compress differently); the package reads the
+        # same arrays and tables from it
         data = enumerator.CATALOGUES.read_bytes()
         (entries,) = struct.unpack_from("<H", data)
-        index = list(struct.iter_unpack("<BBIII", data[2 : 2 + 14 * entries]))
+        index = list(struct.iter_unpack("<BBIIIII", data[2 : 2 + 22 * entries]))
         assert [(m, bound) for m, bound, *_ in index] == enumerator.admitted_pairs()
-        for m, bound, n, at, size in index:
+        for m, bound, n, at, size, tables_at, tables_size in index:
             stream = zlib.decompress(data[at : at + size])
             sizes, rest = stream[:n], stream[n:]
             offsets = struct.unpack_from(f"<{n + 1}I", rest)
             orbits = struct.unpack_from(f"<{n}I", rest, 4 * (n + 1))
             edges = rest[4 * (2 * n + 1) :]
+            stream = zlib.decompress(data[tables_at : tables_at + tables_size])
+            lengths = struct.unpack_from("<7I", stream)
+            flat = iter(struct.unpack_from(f"<{sum(lengths)}i", stream, 28))
+            tables = tuple(tuple(islice(flat, k)) for k in lengths)
+            assert next(flat, None) is None and len(stream) == 4 * (7 + sum(lengths))
             expected = enumerator.enumerate_patterns(enumerator.letters(m), bound)
             loaded = enumerate_patterns.__wrapped__(enumerator.letters(m), bound)
             for c in (expected, loaded):
                 assert (sizes, edges, offsets, orbits) == (
                     c.sizes, c.edges, tuple(c.offsets), tuple(c.orbits)
                 ), (m, bound)
+            assert tables == tuple(map(tuple, enumerator.counting_tables(expected))), (m, bound)
+            assert tables == tuple(map(tuple, loaded._tables)), (m, bound)
         # per letter count, the largest admitted bound and the first refused
         largest = {0: 6, 1: 6, 2: 4, 3: 3, 4: 2, 5: 1, 6: 1, 7: 1, 8: 0}
         for m, bound in largest.items():

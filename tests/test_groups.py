@@ -20,6 +20,7 @@ from permstab.groups import (
     FpGroup,
     PermHomomorphism,
     Subgroup,
+    SubgroupClasses,
     check_homomorphism,
     coset_action,
     cyclic_group,
@@ -421,18 +422,23 @@ class TestAllSubgroups:
             assert tuple(H.member_set() for H in all_subgroups(G)) == expected
 
     def test_closure_counts(self, monkeypatch):
-        # one join per class representative and cyclic subgroup; the
-        # join of every subgroup took 1,701 closures for A5, 9,681 for S5
+        # one closure per element for the cyclic subgroups, then at most
+        # one join per class representative and cyclic subgroup; the join
+        # of every subgroup took 1,701 closures for A5, 9,681 for S5, and
+        # joining every class's first member with every cyclic subgroup
+        # 285 and 1,199; the skipped joins leave 25 and 111
         calls = []
-        real = groups._closure
+        closure, join = groups._closure, groups._join
         monkeypatch.setattr(
-            groups, "_closure", lambda G, gens: calls.append(gens) or real(G, gens)
+            groups, "_closure", lambda G, gens: calls.append(gens) or closure(G, gens)
         )
-        for G, budget in ((alternating_group_5(), 340), (symmetric_group(5)[0], 1936)):
+        monkeypatch.setattr(groups, "_join", lambda G, S, gens, *rest: calls.append(gens)
+                            or join(G, S, gens, *rest))
+        for G, budget in ((alternating_group_5(), 60 + 25), (symmetric_group(5)[0], 120 + 111)):
             subgroup_conjugacy_classes.cache_clear()
             calls.clear()
             subgroup_conjugacy_classes(G)
-            assert 0 < len(calls) <= budget
+            assert G.order < len(calls) <= budget
             calls.clear()
             all_subgroups(G)  # read from the one cached enumeration
             assert calls == []
@@ -531,6 +537,44 @@ class TestConjugacyClasses:
             Habs, _ = H.as_group()
             expected = oracles.conjugacy_classes_by_every_element(Habs)
             assert subgroup_conjugacy_classes(Habs).classes == expected
+            assert_same_classes(Habs)
+
+    def test_coset_joins_match_the_closure_oracle(self, zoo24):
+        # joins closed by cosets, with the joins that a double coset or a
+        # prime index answers skipped: the classes, member sets and class
+        # ids of joining every cyclic subgroup by closures
+        def z2_power(k):
+            G = cyclic_group(2)
+            for _ in range(k - 1):
+                G = direct_product(G, cyclic_group(2))
+            return G
+
+        cases = list(zoo24.values()) + cli_groups() + [
+            symmetric_group(5)[0],
+            direct_product(cyclic_group(2), symmetric_group(4)[0]),
+            direct_product(symmetric_group(3)[0], symmetric_group(3)[0]),
+            z2_power(6),
+        ]
+        for G in cases:
+            assert_same_classes(G)
+
+    def test_s6_with_the_order_bound_lifted_matches_the_closure_oracle(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_ORDER_BOUND", 720)
+        G = symmetric_group(6)[0]
+        subgroup_conjugacy_classes.cache_clear()
+        try:
+            assert len(assert_same_classes(G)) == 56
+        finally:
+            subgroup_conjugacy_classes.cache_clear()
+
+
+def assert_same_classes(G: FiniteGroup) -> SubgroupClasses:
+    got = subgroup_conjugacy_classes(G)
+    want = oracles.subgroup_conjugacy_classes_by_closures(G)
+    assert got.classes == want.classes
+    assert {S for orbit in got.classes for S in orbit} == set(want.class_of)
+    assert got.class_of == want.class_of
+    return got
 
 
 class TestNormalizer:
@@ -653,6 +697,34 @@ class TestWords:
             monkeypatch.undo()
             assert result == expected
             assert len(products) == length - 1
+
+    def test_syllables_match_the_letter_oracle(self):
+        # runs of one generator as one power, exponents summed, a zero sum
+        # adding no factor: the permutation of one product per token
+        rng = Random(13)
+        P = FpGroup(("x", "y", "z"))
+        for degree in (0, 1, 5, 12, 40):
+            images = tuple(random_permutation(degree, rng) for _ in range(3))
+            h = PermHomomorphism(P, degree, images)
+            for _ in range(60):
+                word = []
+                for _ in range(rng.randint(0, 12)):
+                    exp = rng.choice([1, -1, 2, -3, 0, 10**30 + rng.randint(0, 9)])
+                    name = rng.choice(P.generators)
+                    word += [(name, exp)] * rng.randint(1, 3)
+                    if rng.random() < 0.3:  # an inverse pair
+                        word += [(name, 1), (name, -1)]
+                text = " ".join(f"{name}^{exp}" for name, exp in word)
+                assert evaluate_word(h, text) == oracles.evaluate_word_by_letters(h, text), text
+                tokens = tuple((P.generators.index(name), exp) for name, exp in word)
+                assert evaluate_word(h, tokens) == oracles.evaluate_word_by_letters(h, tokens)
+        h = PermHomomorphism(P, 3, (Permutation.identity(3),) * 3)
+        for tokens in (((0, 2), (0, -2), (7, 1)), ((1, 1), (3, 1), (1, 1)), ((-1, 1),)):
+            with pytest.raises(WordError) as got:
+                evaluate_word(h, tokens)
+            with pytest.raises(WordError) as want:
+                oracles.evaluate_word_by_letters(h, tokens)
+            assert str(got.value) == str(want.value)
 
     def test_cancellation(self):
         P = FpGroup(("x",))

@@ -1,11 +1,14 @@
 """Permutation arithmetic, parsing, and the exact Hamming metric."""
 
+import json
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from permstab import perm
 from permstab.errors import ECHO_LIMIT, DegreeMismatchError, PermutationParseError
 from permstab.fixtures import block_cycle_a, block_cycle_b
 from permstab.graphs import LabeledDigraph, action_graph
@@ -34,6 +37,8 @@ from permstab.perm import (
     restrict,
 )
 from permstab.stability import compose_lift, replicate_hom, small_conjugator
+import cli_digests
+import oracles
 from oracles import (
     all_permutations,
     all_subgroups,
@@ -118,6 +123,59 @@ class TestParsing:
     def test_roundtrip_both_notations(self, p):
         assert parse_permutation(one_line_str(p), p.degree) == p
         assert parse_permutation(p.cycle_str(), p.degree) == p
+
+    def test_fuzzed_texts_match_the_cycle_by_cycle_oracle(self, tmp_path):
+        # the hom images of the cli-cold requests of one seed, and texts
+        # made from them, read as the parser before the one-pass reading
+        # of plain cycle text did: the same permutation, or the same
+        # exception type and message
+        cli_digests.requests(tmp_path, 7, 16)
+        images = []
+        for path in sorted(tmp_path.glob("f*.json")):
+            try:
+                data = json.loads(path.read_text())
+            except ValueError:  # a malformed request file
+                continue
+            if isinstance(data, dict) and isinstance(data.get("images"), dict):
+                images += [(t, data["degree"]) for t in data["images"].values() if isinstance(t, str)]
+        assert len(images) > 1000
+        rng = Random(51)
+
+        def inserted(text, chars):
+            at = rng.randint(0, len(text))
+            return text[:at] + rng.choice(chars) + text[at:]
+
+        def mutated(text, degree):
+            points = re.findall(r"[0-9]+", text)
+            kind = rng.randrange(3)
+            if kind == 2 or not points:  # an empty group inside the text
+                at = rng.choice([m.start() for m in re.finditer(r"\(", text)] or [0])
+                return text[:at] + "()" + text[at:]
+            old = rng.choice(points)
+            new = rng.choice(points) if kind == 0 else rng.choice(["0", str(degree + 1)])
+            return re.sub(rf"\b{old}\b", new, text, count=1)
+
+        texts = [("(1 " + "9" * 5000 + ")", 3), ("(" + "1" * 5000 + " 2)", 3)]
+        for text, degree in images:
+            texts += [(text, degree - 1), (text, degree), (text, degree + 1)]
+            texts += [(inserted(text, "()0123456789,- \t"), degree) for _ in range(4)]
+            texts += [(inserted(text, ["\u2003", "\x1c", "\u0663", "\xa0"]), degree) for _ in range(2)]
+            texts.append((mutated(text, degree), degree))
+        assert len(texts) >= 10_000
+
+        def outcome(parse, text, degree):
+            try:
+                return parse(text, degree)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        plain = refused = 0
+        for text, degree in texts:
+            got = outcome(parse_permutation, text, degree)
+            assert got == outcome(oracles.parse_permutation_by_cycles, text, degree), (text, degree)
+            plain += bool(perm._PLAIN_RE.fullmatch(text))
+            refused += isinstance(got, tuple)
+        assert plain > 3000 and refused > 1000
 
 
 class TestArithmetic:
