@@ -72,6 +72,12 @@ def cut(text: str) -> str:
     return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
+def all_ints(values) -> bool:
+    """Whether each of ``values`` is an ``int`` itself: ``True`` and ``1.0``
+    equal ints, but they are no element id, point or JSON integer."""
+    return set(map(type, values)) <= {int}
+
+
 def echo(value) -> str:
     """``repr(value)`` for an error message, through :func:`cut`."""
     try:

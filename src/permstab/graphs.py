@@ -72,6 +72,8 @@ from .errors import (
     BoundExceededError,
     MalformedInputError,
     SourceMismatchError,
+    all_ints,
+    echo,
 )
 from .groups import FpGroup, PermHomomorphism, Word
 from .perm import Permutation
@@ -111,11 +113,15 @@ class LabeledDigraph(Record):
         alphabet: Sequence[str],
         edges: Iterable[tuple[int, int, str]],
     ) -> "LabeledDigraph":
+        if not all_ints((n,)):
+            raise MalformedInputError(f"vertex count {echo(n)} is not an int")
         by_label: dict[str, dict[int, int]] = {a: {} for a in alphabet}
         entered: set[tuple[str, int]] = set()
         for u, v, lab in edges:
             if lab not in by_label:
-                raise MalformedInputError(f"unknown label {lab!r}")
+                raise MalformedInputError(f"unknown label {echo(lab)}")
+            if not all_ints((u, v)):
+                raise MalformedInputError(f"{lab!r}-edge ({echo(u)}, {echo(v)}) has a non-int end")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise MalformedInputError(f"{lab!r}-edge ({u}, {v}) has an end outside 1..{n}")
             if u in by_label[lab]:
@@ -171,6 +177,8 @@ class RootedPattern(Record):
     def __init__(
         self, n: int, root: int, alphabet: tuple[str, ...], edges: frozenset[tuple[int, int, int]]
     ):
+        if not all_ints((n, root)):
+            raise MalformedInputError(f"vertex count {echo(n)} and root {echo(root)} must be ints")
         if not 1 <= root <= n:
             raise MalformedInputError("root outside vertex range")
         if n > DEFAULT_PATTERN_VERTEX_BOUND:
@@ -181,6 +189,8 @@ class RootedPattern(Record):
         out_seen = set()
         in_seen = set()
         for u, v, lab in edges:
+            if not all_ints((u, v, lab)):
+                raise MalformedInputError(f"edge {echo((u, v, lab))} holds a non-int value")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise MalformedInputError("edge endpoint outside vertex range")
             if not 0 <= lab < len(alphabet):

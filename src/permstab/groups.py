@@ -25,6 +25,7 @@ from .errors import (
     NotSubgroupError,
     SourceMismatchError,
     WordError,
+    all_ints,
     cut,
     echo,
 )
@@ -58,16 +59,16 @@ class FiniteGroup:
             raise GroupTableError("multiplication table must be square")
         elems = set(range(n))
         for row in rows:
+            if not all_ints(row):  # 1.0 and True pass the bijection test
+                raise GroupTableError(f"table row {echo(row)} holds a non-int value")
             if set(row) != elems:
                 raise GroupTableError("each table row must be a bijection")
-        for col in zip(*rows):
+        cols = tuple(zip(*rows))
+        for col in cols:
             if set(col) != elems:
                 raise GroupTableError("each table column must be a bijection")
-        identity = None
-        for e in range(n):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-                identity = e
-                break
+        ident = tuple(range(n))
+        identity = next((e for e in range(n) if rows[e] == cols[e] == ident), None)
         if identity is None:
             raise GroupTableError("table has no identity element")
         self._fill(rows, identity)
@@ -106,13 +107,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            k += 1
-        return k
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -226,26 +220,12 @@ class Subgroup(Record):
         return FiniteGroup._trusted(rows, pos[self.parent.identity]), emb
 
 
-def _closure(G: FiniteGroup, gens: tuple[int, ...]) -> set[int]:
-    """Members of the subgroup generated by ``gens`` (ids in range).
-
-    Right products from the identity suffice: in a finite group every
-    inverse is a positive power.
-    """
-    members = {G.identity}
-    frontier = [G.identity]
-    table = G.table
-    while frontier:
-        new = []
-        for a in frontier:
-            row = table[a]
-            for g in gens:
-                x = row[g]
-                if x not in members:
-                    members.add(x)
-                    new.append(x)
-        frontier = new
-    return members
+def _cyclic(G: FiniteGroup, g: int) -> frozenset[int]:
+    """``<g>``, the powers of ``g`` up to ``G.identity``."""
+    powers = [g]
+    while powers[-1] != G.identity:
+        powers.append(G.table[powers[-1]][g])
+    return frozenset(powers)
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +363,20 @@ class SubgroupClasses(Record):
         return len(self.classes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
     """The subgroups of ``G`` in classes under conjugation by ``G``.
 
     Every subgroup is cyclic or the join of a smaller subgroup with a
-    cyclic one, and ``<S^g, c> = <S, c^(g^-1)>^g``.  So joining one member
-    of each class with every cyclic subgroup reaches every class: the
-    cyclic extension method (Neubüser, *Numer. Math.* 2, 1960).  Each
-    class is walked breadth-first, when its first member is found, by
-    conjugation with ``generating_set``; that member keeps the generators
-    it was reached by, and its join ``T = <S, c>`` is closed as a union of
-    right cosets of ``S`` (:func:`_join`; Holt, Eick & O'Brien, *Handbook
-    of Computational Group Theory*, 2005).  ``T`` is also the join of ``S``
+    cyclic one ``<c>``, the powers of ``c`` (:func:`_cyclic`), and
+    ``<S^g, c> = <S, c^(g^-1)>^g``.  So joining one member of each class
+    with every cyclic subgroup reaches every class: the cyclic extension
+    method (Neubüser, *Numer. Math.* 2, 1960).  Each class is walked
+    breadth-first, when its first member is found, by conjugation with
+    ``generating_set``; that member keeps the generators it was reached
+    by, and its join ``T = <S, c>`` is closed as a union of right cosets
+    of ``S`` (:func:`_join`; Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005).  ``T`` is also the join of ``S``
     with each generator of ``<x>`` for ``x`` in ``S c S``, and, at a prime
     index over ``S``, with each ``x`` in ``T`` outside ``S``: those joins
     are skipped, which finds the same classes in the same order.
@@ -408,7 +389,7 @@ def subgroup_conjugacy_classes(G: FiniteGroup) -> SubgroupClasses:
             f"{DEFAULT_SUBGROUP_ORDER_BOUND}"
         )
     cyclic: dict[frozenset[int], int] = {}  # one generator per distinct <g>
-    listed = [cyclic.setdefault(frozenset(_closure(G, (g,))), g) for g in G.elements()]
+    listed = [cyclic.setdefault(_cyclic(G, g), g) for g in G.elements()]
     found: set[frozenset[int]] = set()
     orbits: list[list[frozenset[int]]] = []
     firsts: list[tuple[frozenset[int], tuple[int, ...]]] = []

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import BoundExceededError, MalformedInputError, PermStabError, SourceMismatchError
-from .errors import echo
+from .errors import all_ints, echo
 from .groups import (
     FiniteGroup,
     FpGroup,
@@ -252,7 +252,7 @@ def subgroup_from_json(obj, G: FiniteGroup) -> Subgroup:
 
 def _is_int_list(obj) -> bool:
     """A JSON list of JSON integers (``true`` and ``1.0`` are not)."""
-    return isinstance(obj, list) and all(type(x) is int for x in obj)
+    return isinstance(obj, list) and all_ints(obj)
 
 
 def _is_str_list(obj) -> bool:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .errors import DegreeMismatchError, PermutationParseError, echo
+from .errors import DegreeMismatchError, PermutationParseError, all_ints, echo
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _SEP_RE = re.compile(r"[,\s]+")
@@ -37,7 +37,7 @@ class Permutation:
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        if not all_ints(images) or sorted(images) != list(range(1, n + 1)):
             raise PermutationParseError(f"images {echo(images)} are not a bijection of {{1..{n}}}")
         object.__setattr__(self, "images", images)
 

@@ -49,7 +49,7 @@ from .groups import (
     PermHomomorphism,
     Subgroup,
     _check_size,
-    _closure,
+    _cyclic,
     _restrict_to_points,
     conjugate_hom,
     coset_action,
@@ -274,9 +274,10 @@ def has_extension(H: Subgroup, phi: PermHomomorphism) -> Optional[PermHomomorphi
     ``None`` means no combination exists, and is returned before any coset
     action is built when two elements of ``H`` whose cyclic subgroups are
     conjugate in ``G`` fix different numbers of ``phi``'s points (read off
-    ``G``'s subgroup classes): ``<y>`` conjugate to ``<x>`` makes ``y``
-    conjugate to a generator ``x^k`` of ``<x>``, and a ``G``-set fixes as
-    many points under ``y`` as under ``x^k``, so as many as under ``x``.
+    ``G``'s subgroup classes, each ``<x>`` the powers of ``x``): ``<y>``
+    conjugate to ``<x>`` makes ``y`` conjugate to a generator ``x^k`` of
+    ``<x>``, and a ``G``-set fixes as many points under ``y`` as under
+    ``x^k``, so as many as under ``x``.
     """
     G = H.parent
     if phi.source != H.as_group()[0]:
@@ -288,7 +289,7 @@ def has_extension(H: Subgroup, phi: PermHomomorphism) -> Optional[PermHomomorphi
     fixed: dict[int, int] = {}  # points fixed, per class of cyclic subgroups
     for x, p in zip(H.members, phi.images):
         n = len(p.fixed_points())
-        if fixed.setdefault(classes.class_of[frozenset(_closure(G, (x,)))], n) != n:
+        if fixed.setdefault(classes.class_of[_cyclic(G, x)], n) != n:
             return None
     actions = [
         coset_action(K)

@@ -21,7 +21,7 @@ from permstab.groups import (
 )
 from permstab.errors import SourceMismatchError
 from permstab.perm import Permutation, parse_permutation
-from oracles import all_permutations, subgroup_closure
+from oracles import _closure, all_permutations, subgroup_closure
 
 
 def alternating_group_4() -> FiniteGroup:
@@ -86,7 +86,7 @@ def enumerate_homs(G: FiniteGroup, degree: int) -> list[PermHomomorphism]:
     pool = list(all_permutations(degree))
     candidate_lists = []
     for g in chain:
-        d = G.element_order(g)
+        d = len(_closure(G, (g,)))
         candidate_lists.append([p for p in pool if d % p.order() == 0])
     out = []
     for combo in product(*candidate_lists):

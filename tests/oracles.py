@@ -25,8 +25,10 @@ loop that dropped only empty-mask terms behind ``s_from_tr``, Light's
 test with its generating-set picks interleaved behind ``FiniteGroup``,
 the argparse front end behind the CLI's command-table parser, and
 the ``(side, token)`` evaluator ``evaluate_alternating`` behind
-``AmalgamHom.evaluate_mixed_word``.  ``point_count`` tests one point at
-a time what every trace statistic counts with fixed-point masks.
+``AmalgamHom.evaluate_mixed_word``, and the breadth-first closure of a
+generating set (``_closure``) behind ``groups._cyclic`` and ``_join``.
+``point_count`` tests one point at a time what every trace statistic
+counts with fixed-point masks.
 
 The file opens with test tools that the library once exported:
 ``all_permutations``, ``normalized_trace``, ``cycle_type`` and
@@ -79,7 +81,6 @@ from permstab.groups import (
     PermHomomorphism,
     Subgroup,
     SubgroupClasses,
-    _closure,
     conjugate_hom,
     evaluate_word,
     generator_images,
@@ -179,6 +180,24 @@ def parse_permutation_by_cycles(text: str, degree: int) -> Permutation:
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b
     return Permutation._trusted(tuple(images))
+
+
+def _closure(G: FiniteGroup, gens: tuple[int, ...]) -> set[int]:
+    """Members of the subgroup generated by ``gens`` (ids in range), by
+    breadth-first right products from the identity: in a finite group
+    every inverse is a positive power."""
+    members = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                x = G.mul(a, g)
+                if x not in members:
+                    members.add(x)
+                    new.append(x)
+        frontier = new
+    return members
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:

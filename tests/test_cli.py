@@ -1723,16 +1723,19 @@ def test_only_the_cli_reads_input_files():
 
 def test_checked_constructions_only_at_the_boundary(files, tmp_path, monkeypatch):
     # values are checked once, where they come in: every fixture command
-    # runs with the checking constructors of Permutation, PermHomomorphism
-    # and LabeledDigraph counted by calling function, and only the readers
-    # of outside data and the public constructors that callers feed call
-    # them; values built from checked values are built trusted
-    from permstab.graphs import LabeledDigraph
-    from permstab.groups import PermHomomorphism
+    # runs with the checking constructors of Permutation, PermHomomorphism,
+    # LabeledDigraph, FiniteGroup, Subgroup and RootedPattern counted by
+    # calling function, and only the readers of outside data and the
+    # public constructors that callers feed call them; values built from
+    # checked values are built trusted
+    from permstab.graphs import LabeledDigraph, RootedPattern
+    from permstab.groups import FiniteGroup, PermHomomorphism, Subgroup
+    from permstab.jsonio import _loaded_group
     from permstab.perm import Permutation
 
+    _loaded_group.cache_clear()  # each table is read here, not from an earlier test's memo
     callers = Counter()
-    for cls in (Permutation, PermHomomorphism, LabeledDigraph):
+    for cls in (Permutation, PermHomomorphism, LabeledDigraph, FiniteGroup, Subgroup, RootedPattern):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
             code = sys._getframe(1).f_code
             callers[_name, Path(code.co_filename).stem, code.co_name] += 1
@@ -1751,6 +1754,8 @@ def test_checked_constructions_only_at_the_boundary(files, tmp_path, monkeypatch
         ("Permutation", "jsonio", "permutation_from_json"),  # {"degree", "images"}
         ("PermHomomorphism", "groups", "trivial_hom"),  # a caller's degree
         ("PermHomomorphism", "groups", "hom_from_element_map"),  # a caller's map
+        ("FiniteGroup", "jsonio", "_loaded_group"),  # a table file
+        ("Subgroup", "jsonio", "subgroup_from_json"),  # a members file
     }
     # the paper's bundled examples are a caller's own data
     seen = {site for site in callers if site[1] != "fixtures"}

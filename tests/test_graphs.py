@@ -1261,6 +1261,42 @@ REFUSALS = [
         MalformedInputError, "'x'-edge (3, 1) has an end outside 1..2",
         id="edge-leaving-past-n",
     ),
+    # values equal to ints are refused before any permutation is built
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ("x",), [(1, 2.0, "x"), (2, 1, "x")]),
+        MalformedInputError, "'x'-edge (1, 2.0) has a non-int end",
+        id="edge-end-float",
+    ),
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2, ("x",), [(True, 2, "x"), (2, 1, "x")]),
+        MalformedInputError, "'x'-edge (True, 2) has a non-int end",
+        id="edge-end-bool",
+    ),
+    pytest.param(
+        lambda: LabeledDigraph.from_edges(2.0, ("x",), [(1, 2, "x"), (2, 1, "x")]),
+        MalformedInputError, "vertex count 2.0 is not an int",
+        id="vertex-count-float",
+    ),
+    pytest.param(
+        lambda: RootedPattern(2, 1, ("x",), frozenset({(1.0, 2, 0)})),
+        MalformedInputError, "edge (1.0, 2, 0) holds a non-int value",
+        id="pattern-edge-end-float",
+    ),
+    pytest.param(
+        lambda: RootedPattern(2, 1, ("x",), frozenset({(1, 2, 0.0)})),
+        MalformedInputError, "edge (1, 2, 0.0) holds a non-int value",
+        id="pattern-label-index-float",
+    ),
+    pytest.param(
+        lambda: RootedPattern(2, 1.0, ("x",), frozenset({(1, 2, 0)})),
+        MalformedInputError, "vertex count 2 and root 1.0 must be ints",
+        id="pattern-root-float",
+    ),
+    pytest.param(
+        lambda: RootedPattern(2.0, 1, ("x",), frozenset({(1, 2, 0)})),
+        MalformedInputError, "vertex count 2.0 and root 1 must be ints",
+        id="pattern-vertex-count-float",
+    ),
 ]
 
 
@@ -1270,3 +1306,10 @@ def test_refusal(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_unknown_label_is_echoed_cut():
+    # a caller's label of a million characters gives a short message
+    with pytest.raises(MalformedInputError) as err:
+        LabeledDigraph.from_edges(2, ("x",), [(1, 2, "y" * 10**6)])
+    assert str(err.value).startswith("unknown label 'yyy") and len(str(err.value)) < 300

@@ -39,7 +39,9 @@ from permstab.groups import (
     symmetric_group,
     trivial_hom,
 )
+from permstab.multiplicity import is_conjugate, multiplicity_vector
 from permstab.perm import Permutation, parse_permutation
+from permstab.stability import find_normal_complement, has_extension
 from permstab.trace_stats import action_trace
 
 import oracles
@@ -193,7 +195,7 @@ class TestFiniteGroup:
         assert G.order == 4
         assert G.identity == 0
         assert G.inv(1) == 3
-        assert G.element_order(1) == 4
+        assert groups._cyclic(G, 1) == {0, 1, 2, 3}
 
     def test_bad_table_rejected(self):
         with pytest.raises(GroupTableError):
@@ -422,16 +424,12 @@ class TestAllSubgroups:
             assert tuple(H.member_set() for H in all_subgroups(G)) == expected
 
     def test_closure_counts(self, monkeypatch):
-        # one closure per element for the cyclic subgroups, then at most
-        # one join per class representative and cyclic subgroup; the join
-        # of every subgroup took 1,701 closures for A5, 9,681 for S5, and
-        # joining every class's first member with every cyclic subgroup
-        # 285 and 1,199; the skipped joins leave 25 and 111
+        # one cyclic subgroup <g> per element, as the powers of g, then
+        # at most one join per class representative and cyclic subgroup
+        # that no double coset or prime index answers: 25 for A5, 111 for S5
         calls = []
-        closure, join = groups._closure, groups._join
-        monkeypatch.setattr(
-            groups, "_closure", lambda G, gens: calls.append(gens) or closure(G, gens)
-        )
+        cyclic, join = groups._cyclic, groups._join
+        monkeypatch.setattr(groups, "_cyclic", lambda G, g: calls.append((g,)) or cyclic(G, g))
         monkeypatch.setattr(groups, "_join", lambda G, S, gens, *rest: calls.append(gens)
                             or join(G, S, gens, *rest))
         for G, budget in ((alternating_group_5(), 60 + 25), (symmetric_group(5)[0], 120 + 111)):
@@ -442,6 +440,12 @@ class TestAllSubgroups:
             calls.clear()
             all_subgroups(G)  # read from the one cached enumeration
             assert calls == []
+
+    def test_lattice_memo_is_bounded(self):
+        # a process that meets many groups keeps at most 32 lattices
+        for n in range(1, 41):
+            subgroup_conjugacy_classes(cyclic_group(n))
+        assert subgroup_conjugacy_classes.cache_info().currsize <= 32
 
     @pytest.mark.parametrize(
         "maker, subgroups, classes",
@@ -575,6 +579,105 @@ def assert_same_classes(G: FiniteGroup) -> SubgroupClasses:
     assert {S for orbit in got.classes for S in orbit} == set(want.class_of)
     assert got.class_of == want.class_of
     return got
+
+
+def relabelled(G: FiniteGroup, sigma: list[int]) -> FiniteGroup:
+    """``G`` with element ``a`` renamed ``sigma[a]``, through the checked constructor."""
+    rows = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            rows[sigma[a]][sigma[b]] = sigma[G.mul(a, b)]
+    return FiniteGroup(rows)
+
+
+class TestRelabelledTables:
+    """Every built group has its identity at id 0; these tables move it,
+    and each answer must be the original group's, mapped by the renaming."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = Random(52)
+        originals = [
+            symmetric_group(4)[0],
+            medium_group_zoo()["A4"],
+            dihedral_group(6)[0],
+            quaternion_group()[0],
+            direct_product(cyclic_group(2), symmetric_group(3)[0]),  # Z2 x S3
+            alternating_group_5(),
+        ]
+        out = []
+        for G in originals:
+            for _ in range(3):
+                sigma = list(G.elements())
+                while sigma[G.identity] == G.identity:
+                    rng.shuffle(sigma)
+                out.append((G, sigma, relabelled(G, sigma)))
+        return out
+
+    @staticmethod
+    def moved_hom(h: PermHomomorphism, sigma, G2: FiniteGroup) -> PermHomomorphism:
+        images = [None] * G2.order
+        for g, p in enumerate(h.images):
+            images[sigma[g]] = p
+        return PermHomomorphism(G2, h.degree, tuple(images))
+
+    def test_cyclic_subgroups_match_the_closure_oracle(self, cases):
+        for _, _, G2 in cases:
+            assert G2.identity != 0
+            for g in G2.elements():
+                assert groups._cyclic(G2, g) == oracles._closure(G2, (g,))
+
+    def test_lattice_classes(self, cases):
+        for G, sigma, G2 in cases:
+            got = assert_same_classes(G2)
+            moved = {
+                frozenset(frozenset(sigma[a] for a in S) for S in orbit)
+                for orbit in subgroup_conjugacy_classes(G).classes
+            }
+            assert {frozenset(orbit) for orbit in got.classes} == moved
+
+    def test_multiplicity_vectors_and_conjugacy(self, cases):
+        rng = Random(7)
+        for G, sigma, G2 in cases:
+            classes, classes2 = subgroup_conjugacy_classes(G), subgroup_conjugacy_classes(G2)
+            for degree in (3, 6):
+                h1 = random_hom(G, degree, rng)
+                h2 = random_hom(G, degree, rng)
+                h3 = conjugate_hom(h1, random_permutation(degree, rng))
+                m1 = multiplicity_vector(h1)
+                m2 = multiplicity_vector(self.moved_hom(h1, sigma, G2))
+                assert sorted(m2.counts) == sorted(m1.counts)
+                for i, count in enumerate(m1.counts):
+                    rep = classes.representative(i)
+                    assert m2.counts[classes2.class_id(sigma[a] for a in rep.members)] == count
+                for a, b in ((h1, h2), (h1, h3)):
+                    moved = self.moved_hom(a, sigma, G2), self.moved_hom(b, sigma, G2)
+                    assert is_conjugate(*moved)[0] == is_conjugate(a, b)[0]
+
+    def test_complements_and_extensions(self, cases):
+        rng = Random(11)
+        for G, sigma, G2 in cases:
+            classes = subgroup_conjugacy_classes(G)
+            for i in range(len(classes)):
+                H = classes.representative(i)
+                H2 = Subgroup(G2, [sigma[a] for a in H.members])
+                K, K2 = find_normal_complement(H), find_normal_complement(H2)
+                assert (K is None) == (K2 is None)
+                if K2 is not None:
+                    assert set(K2.members) & set(H2.members) == {G2.identity}
+                    assert K2.order * H2.order == G2.order
+                    assert all(
+                        {G2.conjugate(g, k) for k in K2.members} == set(K2.members)
+                        for g in G2.elements()
+                    )
+                Habs, _ = H.as_group()
+                H2abs, emb2 = H2.as_group()
+                index = {sigma[a]: j for j, a in enumerate(H.members)}
+                for phi in (random_hom(Habs, 4, rng), restrict_hom(random_hom(G, 4, rng), H)):
+                    phi2 = PermHomomorphism(
+                        H2abs, phi.degree, tuple(phi.images[index[a]] for a in emb2)
+                    )
+                    assert (has_extension(H2, phi2) is None) == (has_extension(H, phi) is None)
 
 
 class TestNormalizer:
@@ -936,6 +1039,14 @@ REFUSALS = [
         lambda: FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]]),
         GroupTableError, "table has no identity element",
         id="table-without-identity",
+    ),
+    *(
+        pytest.param(
+            lambda entry=entry: FiniteGroup([[0, entry], [entry, 0]]),
+            GroupTableError, f"table row (0, {entry!r}) holds a non-int value",
+            id=f"table-entry-{entry!r}",
+        )
+        for entry in (1.0, True, "1")
     ),
     pytest.param(
         lambda: Subgroup(cyclic_group(2), [1]),

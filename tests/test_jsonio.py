@@ -20,6 +20,7 @@ from permstab.groups import (
     FiniteGroup,
     FpGroup,
     PermHomomorphism,
+    _cyclic,
     check_homomorphism,
     cyclic_group,
 )
@@ -292,7 +293,7 @@ class TestHomJson:
         for G in zoo8.values():
             table = {"kind": "table", "order": G.order, "table": [list(r) for r in G.table]}
             names = [f"g{k}" for k in range(len(G.generating_set))]
-            relators = [f"{x}^{G.element_order(g)}" for x, g in zip(names, G.generating_set)]
+            relators = [f"{x}^{len(_cyclic(G, g))}" for x, g in zip(names, G.generating_set)]
             presentation = {"kind": "presentation", "generators": names, "relators": relators}
             P = FpGroup(names, relators)
             for degree in (0, 1, 4, 7):

@@ -575,6 +575,16 @@ REFUSALS = [
         PermutationParseError, "degree must be nonnegative",
         id="negative-degree",
     ),
+    # values equal to ints, and values no int equals, are refused before
+    # the bijection test or any product
+    *(
+        pytest.param(
+            lambda image=image: Permutation([image, 2]),
+            PermutationParseError, f"images ({image!r}, 2) are not a bijection of {{1..2}}",
+            id=f"image-{image!r}",
+        )
+        for image in (1.0, True, "1", None)
+    ),
 ]
 
 
